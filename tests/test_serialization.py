@@ -1,0 +1,258 @@
+"""Pinned serialized output: the exact text of every to_json form and of
+the certify, hyperdet and binary-form commands on exact input.
+
+The report objects are built by hand, so nothing here depends on LAPACK.
+"""
+
+from __future__ import annotations
+
+import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from realrank2 import binary_forms as bf
+from realrank2 import certify as ce
+from realrank2 import decompose as dc
+from realrank2 import hyperdet as hd
+from realrank2 import space_curve as sc
+from realrank2 import tensors as tn
+from realrank2.cli import main
+
+EXACT_REPORT = hd.HyperdetReport([("a", Fraction(3, 4)), ("b", -2), ("c", Fraction(0))],
+                                 -2, "b", 1, 1, 1, 0)
+FLOAT_REPORT = hd.HyperdetReport([("x", 1.5), ("y", np.float64(-1e-20))],
+                                 np.float64(-1e-20), "y", 1, 1, 0, 1.6000000000000003e-09)
+
+EXACT_REPORT_JSON = (
+    '{"values": [{"selector": "a", "value": "3/4"}, {"selector": "b", "value": -2}, '
+    '{"selector": "c", "value": "0"}], "min_value": -2, "argmin": "b", '
+    '"num_positive": 1, "num_zero": 1, "num_negative": 1, "zero_tol": 0}'
+)
+FLOAT_REPORT_JSON = (
+    '{"values": [{"selector": "x", "value": 1.5}, {"selector": "y", "value": -1e-20}], '
+    '"min_value": -1e-20, "argmin": "y", "num_positive": 1, "num_zero": 1, '
+    '"num_negative": 0, "zero_tol": 1.6000000000000003e-09}'
+)
+
+
+def test_hyperdet_report_json():
+    assert json.dumps(EXACT_REPORT.to_json()) == EXACT_REPORT_JSON
+    assert json.dumps(FLOAT_REPORT.to_json()) == FLOAT_REPORT_JSON
+
+
+def test_certificate_json_exact_and_float_tolerances():
+    exact = ce.Certificate({"mode_1": 2, "mode_2": 2, "mode_3": 1}, 2, EXACT_REPORT,
+                           ce.Verdict.REAL_RANK_TWO, {"rank_tol": "exact", "hyperdet_zero_tol": 0})
+    assert json.dumps(exact.to_json()) == (
+        '{"verdict": "REAL_RANK_TWO", "flattening_ranks": {"mode_1": 2, "mode_2": 2, "mode_3": 1}, '
+        '"max_flattening_rank": 2, "hyperdet": ' + EXACT_REPORT_JSON + ', '
+        '"tolerances": {"rank_tol": "exact", "hyperdet_zero_tol": 0}}'
+    )
+    floats = ce.Certificate({"matrix": 3}, 3, FLOAT_REPORT, ce.Verdict.BORDER_RANK_EXCEEDS_TWO,
+                            {"rank_tol": 1e-8, "hyperdet_zero_tol": 1.6000000000000003e-09})
+    assert json.dumps(floats.to_json()) == (
+        '{"verdict": "BORDER_RANK_EXCEEDS_TWO", "flattening_ranks": {"matrix": 3}, '
+        '"max_flattening_rank": 3, "hyperdet": ' + FLOAT_REPORT_JSON + ', '
+        '"tolerances": {"rank_tol": 1e-08, "hyperdet_zero_tol": 1.6000000000000003e-09}}'
+    )
+
+
+def test_binary_form_verdict_json():
+    verdict = bf.BinaryFormVerdict(2, [Fraction(-27, 4), 3, 0.5, np.int64(-1)],
+                                   ce.Verdict.COMPLEX_RANK_TWO_REAL_RANK_HIGHER, None)
+    assert json.dumps(verdict.to_json()) == (
+        '{"hankel_rank": 2, "d_values": ["-27/4", 3, 0.5, -1], '
+        '"verdict": "COMPLEX_RANK_TWO_REAL_RANK_HIGHER", "strata": null}'
+    )
+
+
+def test_tensor_to_json_entries():
+    mixed = np.array([1, Fraction(1, 2), 0.25, np.int64(7), Fraction(-6, 2), -0.0],
+                     dtype=object).reshape(3, 2)
+    assert json.dumps(tn.tensor_to_json(mixed)) == (
+        '{"shape": [3, 2], "entries": [1, "1/2", 0.25, 7, "-3", -0.0]}')
+    floats = np.array([[1.0, -2.5], [1e-300, 3.0]])
+    assert json.dumps(tn.tensor_to_json(floats)) == (
+        '{"shape": [2, 2], "entries": [1.0, -2.5, 1e-300, 3.0]}')
+
+
+def test_sym_to_json():
+    exact = tn.SymTensorCoords(2, 2, {(2, 0): Fraction(1, 3), (1, 1): 2, (0, 2): Fraction(-5)})
+    assert json.dumps(tn.sym_to_json(exact)) == (
+        '{"n": 2, "d": 2, "coeffs": {"2,0": "1/3", "1,1": 2, "0,2": "-5"}}')
+    floats = tn.SymTensorCoords(2, 2, {(2, 0): 0.1, (1, 1): -2.0, (0, 2): np.float64(0.7)})
+    assert json.dumps(tn.sym_to_json(floats)) == (
+        '{"n": 2, "d": 2, "coeffs": {"2,0": 0.1, "1,1": -2.0, "0,2": 0.7}}')
+
+
+def test_rank_one_term_json():
+    real = dc.RankOneTerm(2.5, [np.array([0.6, 0.8]), np.array([1.0, 0.0])])
+    assert json.dumps(real.to_json()) == '{"weight": 2.5, "factors": [[0.6, 0.8], [1.0, 0.0]]}'
+    negative = dc.RankOneTerm(np.float64(-0.5), [np.array([0.6, 0.8])])
+    assert json.dumps(negative.to_json()) == '{"weight": -0.5, "factors": [[0.6, 0.8]]}'
+    conj = dc.RankOneTerm(complex(0.25, -1.5),
+                          [np.array([0.6 + 0.8j, 0.0 - 1j]), np.array([1.0, 0.0])])
+    assert json.dumps(conj.to_json()) == (
+        '{"weight": {"re": 0.25, "im": -1.5}, '
+        '"factors": [{"re": [0.6, 0.0], "im": [0.8, -1.0]}, [1.0, 0.0]]}')
+
+
+def test_secant_solution_json():
+    conj = sc.SecantSolution((0.6, -0.8, 0.0), 0.64, sc.CONJUGATE_POINTS,
+                             ((complex(0.5, 0.25), 1.0), (complex(0.5, -0.25), 1.0)),
+                             ((complex(0.1, 0.2), -0.3, np.float64(0.4), 1.0),), 1e-15, None, 2)
+    assert json.dumps(conj.to_json()) == (
+        '{"abc": [0.6, -0.8, 0.0], "discriminant": 0.64, "contact": "CONJUGATE_POINTS", '
+        '"roots": [[{"re": 0.5, "im": 0.25}, 1.0], [{"re": 0.5, "im": -0.25}, 1.0]], '
+        '"curve_points": [[{"re": 0.1, "im": 0.2}, -0.3, 0.4, 1.0]], '
+        '"residual": 1e-15, "line_norm": null, "multiplicity": 2}')
+    real = sc.SecantSolution((0.6, -0.8, 0.0), 0.64, sc.TWO_REAL_POINTS,
+                             ((1.0, -0.5), (0.25, 1.0)), (), 0.0, 2.5, 1)
+    assert json.dumps(real.to_json()) == (
+        '{"abc": [0.6, -0.8, 0.0], "discriminant": 0.64, "contact": "TWO_REAL_POINTS", '
+        '"roots": [[1.0, -0.5], [0.25, 1.0]], "curve_points": [], '
+        '"residual": 0.0, "line_norm": 2.5, "multiplicity": 1}')
+
+
+# ------------------------------------------------------------- CLI goldens
+
+FRACTION_TENSOR = {"shape": [2, 2, 3],
+                   "entries": ["1/2", 0, "-2/3", 0, "3/4", 1, 0, "5/6", 2, "-1/5", 0, "7/3"]}
+# all entries even: exact certification must not divide out the common factor
+EVEN_TENSOR = {"shape": [2, 2, 2], "entries": [2, 0, 0, 4, 0, 6, -2, 8]}
+
+CERTIFY_JSON = """\
+{
+  "verdict": "BORDER_RANK_EXCEEDS_TWO",
+  "flattening_ranks": {
+    "mode_1": 2,
+    "mode_2": 2,
+    "mode_3": 3
+  },
+  "max_flattening_rank": 3,
+  "hyperdet": {
+    "values": [
+      {
+        "selector": "modes[1:(0,1),2:(0,1),3:(0,1)]",
+        "value": -3240000
+      },
+      {
+        "selector": "modes[1:(0,1),2:(0,1),3:(0,2)]",
+        "value": 3470400
+      },
+      {
+        "selector": "modes[1:(0,1),2:(0,1),3:(1,2)]",
+        "value": -44640000
+      }
+    ],
+    "min_value": -44640000,
+    "argmin": "modes[1:(0,1),2:(0,1),3:(1,2)]",
+    "num_positive": 1,
+    "num_zero": 0,
+    "num_negative": 2,
+    "zero_tol": 0
+  },
+  "tolerances": {
+    "rank_tol": "exact",
+    "hyperdet_zero_tol": 0
+  }
+}
+"""
+
+CERTIFY_TEXT = """\
+verdict: BORDER_RANK_EXCEEDS_TWO
+flattening ranks: mode_1=2 mode_2=2 mode_3=3 (max 3)
+hyperdet signs: 1 positive, 0 zero, 2 negative
+min hyperdet: -44640000 at modes[1:(0,1),2:(0,1),3:(1,2)]
+"""
+
+CERTIFY_EVEN_JSON = """\
+{
+  "verdict": "COMPLEX_RANK_TWO_REAL_RANK_HIGHER",
+  "flattening_ranks": {
+    "mode_1": 2,
+    "mode_2": 2,
+    "mode_3": 2
+  },
+  "max_flattening_rank": 2,
+  "hyperdet": {
+    "values": [
+      {
+        "selector": "modes[1:(0,1),2:(0,1),3:(0,1)]",
+        "value": -128
+      }
+    ],
+    "min_value": -128,
+    "argmin": "modes[1:(0,1),2:(0,1),3:(0,1)]",
+    "num_positive": 0,
+    "num_zero": 0,
+    "num_negative": 1,
+    "zero_tol": 0
+  },
+  "tolerances": {
+    "rank_tol": "exact",
+    "hyperdet_zero_tol": 0
+  }
+}
+"""
+
+HYPERDET_JSON = """\
+{
+  "values": [
+    {
+      "selector": "modes[1:(0,1),2:(0,1),3:(0,1)]",
+      "value": "-1/4"
+    },
+    {
+      "selector": "modes[1:(0,1),2:(0,1),3:(0,2)]",
+      "value": "241/900"
+    },
+    {
+      "selector": "modes[1:(0,1),2:(0,1),3:(1,2)]",
+      "value": "-31/9"
+    }
+  ],
+  "min_value": "-31/9",
+  "argmin": "modes[1:(0,1),2:(0,1),3:(1,2)]",
+  "num_positive": 1,
+  "num_zero": 0,
+  "num_negative": 2,
+  "zero_tol": 0
+}
+"""
+
+HYPERDET_TEXT = """\
+modes[1:(0,1),2:(0,1),3:(0,1)]: -1/4
+modes[1:(0,1),2:(0,1),3:(0,2)]: 241/900
+modes[1:(0,1),2:(0,1),3:(1,2)]: -31/9
+signs: 1 positive, 0 zero, 2 negative (zero tolerance 0)
+"""
+
+QUINTIC_TEXT = """\
+verdict: BORDER_RANK_EXCEEDS_TWO
+hankel rank: 3
+discriminants: D0=-1/18 D1=25/27 D2=-88/63
+strata: None
+"""
+
+
+@pytest.mark.parametrize("tensor, argv, expected", [
+    (FRACTION_TENSOR, ["certify"], CERTIFY_JSON),
+    (FRACTION_TENSOR, ["certify", "--format", "text"], CERTIFY_TEXT),
+    (EVEN_TENSOR, ["certify"], CERTIFY_EVEN_JSON),
+    (FRACTION_TENSOR, ["hyperdet"], HYPERDET_JSON),
+    (FRACTION_TENSOR, ["hyperdet", "--format", "text"], HYPERDET_TEXT),
+])
+def test_tensor_cli_golden(tmp_path, capsys, tensor, argv, expected):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(tensor))
+    assert main(argv + ["--file", str(path)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_binary_form_cli_golden(capsys):
+    argv = ["binary-form", "--d", "5", "--coords", "1,1/2,0,-1/3,2,3/7", "--format", "text"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == QUINTIC_TEXT
