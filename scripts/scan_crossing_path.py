@@ -22,7 +22,6 @@ from realrank2 import space_curve as sc
 class Config:
     interval: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1))
     nsamples: int = 21
-    workers: int = 1
     tol: float = 1e-8
     seed: int = 1729
 
@@ -31,12 +30,11 @@ def parse_args() -> Config:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--interval", default="0,1", help="t range, e.g. 0,1")
     parser.add_argument("--nsamples", type=int, default=21)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--tol", type=float, default=1e-8)
     parser.add_argument("--seed", type=int, default=1729)
     args = parser.parse_args()
     lo, hi = (Fraction(v) for v in args.interval.split(","))
-    return Config((lo, hi), args.nsamples, args.workers, args.tol, args.seed)
+    return Config((lo, hi), args.nsamples, args.tol, args.seed)
 
 
 def main() -> int:
@@ -47,7 +45,7 @@ def main() -> int:
     start = time.perf_counter()
     report = sc.scan_path(sc.MONOMIAL_QUARTIC, sc.CROSSING_PATH, cfg.interval,
                           cfg.nsamples, sc.MONOMIAL_QUARTIC_FIXTURES, cfg.tol,
-                          seed=cfg.seed, workers=cfg.workers)
+                          seed=cfg.seed)
     elapsed = time.perf_counter() - start
 
     print(f"\ntransitions ({len(report.transitions)}):")

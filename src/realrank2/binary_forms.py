@@ -75,7 +75,7 @@ class BinaryFormVerdict:
     def to_json(self) -> dict:
         return {
             "hankel_rank": self.hankel_rank,
-            "d_values": [hd._num(v) for v in self.d_values],
+            "d_values": [tn.num_json(v) for v in self.d_values],
             "verdict": self.verdict.value,
             "strata": self.strata,
         }
@@ -111,7 +111,7 @@ def classify_binary_form(f: BinaryForm, tol: float = 1e-8) -> BinaryFormVerdict:
     if f.d == 4:
         strata = _strata_label(f, cert, tol)
     return BinaryFormVerdict(cert.flattening_ranks["hankel"],
-                             discriminant_values(f), cert.verdict, strata)
+                             [v for _, v in cert.hyperdet_report.values], cert.verdict, strata)
 
 
 def _strata_label(f: BinaryForm, cert: ce.Certificate, tol: float) -> str | None:

@@ -21,14 +21,13 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 import numpy as np
 
 from . import hyperdet as hd
 from . import tensors as tn
+from .multipoly import content
 
 
 class Verdict(str, enum.Enum):
@@ -57,18 +56,16 @@ class Certificate:
             "flattening_ranks": dict(self.flattening_ranks),
             "max_flattening_rank": self.max_flattening_rank,
             "hyperdet": self.hyperdet_report.to_json(),
-            "tolerances": {k: (v if isinstance(v, str) else hd._num(v)) for k, v in self.tolerances.items()},
+            "tolerances": {k: (v if isinstance(v, str) else tn.num_json(v)) for k, v in self.tolerances.items()},
         }
 
 
 def _exact_int_tensor(t: np.ndarray) -> np.ndarray:
     """Scale an exact tensor by the lcm of denominators; verdicts are
     invariant under positive scaling and integer arithmetic is much faster."""
-    den = 1
-    for v in t.ravel().tolist():
-        q = v.denominator if isinstance(v, Fraction) else 1
-        den = den * q // gcd(den, q)
-    if den == 1 and all(isinstance(v, int) for v in t.ravel().tolist()):
+    entries = t.ravel().tolist()
+    den = content(entries).denominator
+    if den == 1 and all(isinstance(v, int) for v in entries):
         return t
     out = np.empty(t.shape, dtype=object)
     for idx in np.ndindex(t.shape):
@@ -97,9 +94,20 @@ def verdict_from_data(ranks: dict[str, int], merged_ranks: dict[str, int] | None
         return Verdict.BORDER_RANK_EXCEEDS_TWO
     if report.num_negative > 0:
         return Verdict.COMPLEX_RANK_TWO_REAL_RANK_HIGHER
-    if report.num_positive > 0:
+    # only a matrix has no sub-blocks, and a rank-two matrix has real rank two
+    if report.num_positive > 0 or not report.values:
         return Verdict.REAL_RANK_TWO
     return Verdict.REAL_BORDER_RANK_TWO_BOUNDARY
+
+
+def _certificate(ranks: dict[str, int], merged_ranks: dict[str, int] | None,
+                 report: hd.HyperdetReport, exact: bool, tol: float) -> Certificate:
+    all_ranks = dict(ranks)
+    if merged_ranks:
+        all_ranks.update(merged_ranks)
+    return Certificate(all_ranks, max(all_ranks.values()), report,
+                       verdict_from_data(ranks, merged_ranks, report),
+                       {"rank_tol": "exact" if exact else tol, "hyperdet_zero_tol": report.zero_tol})
 
 
 def _merged_flattening_ranks(t: np.ndarray, tol, exact: bool) -> dict[str, int] | None:
@@ -117,17 +125,8 @@ def _merged_flattening_ranks(t: np.ndarray, tol, exact: bool) -> dict[str, int] 
 def _matrix_certificate(t: np.ndarray, tol: float, exact: bool) -> Certificate:
     # after squeezing size-1 modes away a tensor of order <= 2 is a matrix
     mat = t.reshape(t.shape[0], -1) if t.ndim >= 1 else t.reshape(1, 1)
-    rank = tn.matrix_rank(mat, tol, exact)
-    ranks = {"matrix": rank}
-    report = hd.report_from_values([], 0 if exact else tol)
-    if rank <= 1:
-        verdict = Verdict.RANK_AT_MOST_ONE
-    elif rank == 2:
-        verdict = Verdict.REAL_RANK_TWO
-    else:
-        verdict = Verdict.BORDER_RANK_EXCEEDS_TWO
-    return Certificate(ranks, rank, report, verdict,
-                       {"rank_tol": "exact" if exact else tol, "hyperdet_zero_tol": report.zero_tol})
+    ranks = {"matrix": tn.matrix_rank(mat, tol, exact)}
+    return _certificate(ranks, None, hd.report_from_values([], 0 if exact else tol), exact, tol)
 
 
 def certify_border_rank2(t: np.ndarray, tol: float = 1e-8) -> Certificate:
@@ -139,6 +138,8 @@ def certify_border_rank2(t: np.ndarray, tol: float = 1e-8) -> Certificate:
     exact = tn.is_exact(t)
     if exact:
         t = _exact_int_tensor(t)
+    else:
+        tn.require_finite(t)
     t = tn.squeeze_ones(t)
     if t.ndim <= 2:
         return _matrix_certificate(t, tol, exact)
@@ -147,18 +148,7 @@ def certify_border_rank2(t: np.ndarray, tol: float = 1e-8) -> Certificate:
     for m in range(t.ndim):
         ranks[_mode_label([m])] = tn.matrix_rank(tn.flatten(t, [m]), tol, exact)
     report = hd.all_subhyperdets(t)
-    merged_ranks = _merged_flattening_ranks(t, tol, exact)
-    verdict = verdict_from_data(ranks, merged_ranks, report)
-    all_ranks = dict(ranks)
-    if merged_ranks:
-        all_ranks.update(merged_ranks)
-    return Certificate(
-        all_ranks,
-        max(all_ranks.values()),
-        report,
-        verdict,
-        {"rank_tol": "exact" if exact else tol, "hyperdet_zero_tol": report.zero_tol},
-    )
+    return _certificate(ranks, _merged_flattening_ranks(t, tol, exact), report, exact, tol)
 
 
 def tangential_witness(xs: Sequence, ys: Sequence) -> np.ndarray:
@@ -189,6 +179,8 @@ def certify_symmetric(f: tn.SymTensorCoords, tol: float = 1e-8) -> Certificate:
     certified directly, with the hyperdeterminant list reduced to one
     sub-block per variable pair and multidegree of the fixed slots.
     """
+    if not f.is_exact():
+        tn.require_finite(list(f.coeffs.values()))
     if f.d <= 2:
         # a linear or quadratic form is a vector or symmetric matrix
         t = tn.sym_to_tensor(f)
@@ -205,19 +197,7 @@ def certify_symmetric(f: tn.SymTensorCoords, tol: float = 1e-8) -> Certificate:
         dvals = bf.discriminant_values(form)
         zero_tol = 0 if exact else hd.DEFAULT_ZERO_TOL_SCALE * (1.0 + max(abs(float(c)) for c in form.coords)) ** 4
         report = hd.report_from_values([(f"D{i}", v) for i, v in enumerate(dvals)], zero_tol)
-        ranks = {"hankel": rank}
-        if rank <= 1:
-            verdict = Verdict.RANK_AT_MOST_ONE
-        elif rank >= 3:
-            verdict = Verdict.BORDER_RANK_EXCEEDS_TWO
-        elif report.num_negative > 0:
-            verdict = Verdict.COMPLEX_RANK_TWO_REAL_RANK_HIGHER
-        elif report.num_positive > 0:
-            verdict = Verdict.REAL_RANK_TWO
-        else:
-            verdict = Verdict.REAL_BORDER_RANK_TWO_BOUNDARY
-        return Certificate(ranks, rank, report, verdict,
-                           {"rank_tol": "exact" if exact else tol, "hyperdet_zero_tol": zero_tol})
+        return _certificate({"hankel": rank}, None, report, exact, tol)
 
     t = tn.sym_to_tensor(f)
     exact = tn.is_exact(t)
@@ -236,12 +216,5 @@ def certify_symmetric(f: tn.SymTensorCoords, tol: float = 1e-8) -> Certificate:
                     coords.append(f.coeffs[tuple(u)])
                 label = f"pair({p + 1},{q + 1})@" + ",".join(str(e) for e in w)
                 values.append((label, hd.discriminant_quartic(coords, 0)))
-    zero_tol = hd.hyperdet_zero_tol(t)
-    report = hd.report_from_values(values, zero_tol)
-    merged_ranks = _merged_flattening_ranks(t, tol, exact)
-    verdict = verdict_from_data(ranks, merged_ranks, report)
-    all_ranks = dict(ranks)
-    if merged_ranks:
-        all_ranks.update(merged_ranks)
-    return Certificate(all_ranks, max(all_ranks.values()), report, verdict,
-                       {"rank_tol": "exact" if exact else tol, "hyperdet_zero_tol": zero_tol})
+    report = hd.report_from_values(values, hd.hyperdet_zero_tol(t))
+    return _certificate(ranks, _merged_flattening_ranks(t, tol, exact), report, exact, tol)

@@ -28,9 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from fractions import Fraction
 
 from . import binary_forms as bf
 from . import certify as ce
@@ -60,11 +58,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(v) -> str:
-    if isinstance(v, Fraction):
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
+    return format(v, ".17g") if isinstance(v, float) else str(v)
 
 
 def _parse_scalar(text: str):
@@ -80,7 +74,8 @@ def _parse_scalar_list(text: str) -> list:
     if not values:
         raise UsageError(f"no values in {text!r}")
     if any(isinstance(v, float) for v in values):
-        return [float(v) for v in values]
+        values = [float(v) for v in values]
+        tn.require_finite(values)
     return values
 
 
@@ -222,7 +217,7 @@ def _cmd_curve_scan(args):
     else:
         fixtures = None
     report = sc.scan_path(curve, path, tuple(interval), args.nsamples, fixtures,
-                          args.tol, seed=args.seed, workers=args.threads)
+                          args.tol, seed=args.seed)
     text = [f"samples: {len(report.samples)} on [{_fmt(interval[0])}, {_fmt(interval[1])}]"]
     for tr in report.transitions:
         text.append(f"t* = {_fmt(tr.t_star)}: {tr.kind} (rank {tr.rank_before} -> {tr.rank_after}"
@@ -263,8 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=1e-8, help="numerical rank/residual tolerance")
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"PRNG seed (default {DEFAULT_SEED}; 0 requests entropy)")
-    common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="cap on worker threads (results do not depend on it)")
 
     parser = _Parser(prog="realrank2",
                      description="Real rank two certificates for tensors, binary forms and space curves.")
@@ -328,8 +321,6 @@ def run(args) -> int:
         raise UsageError("csv output is only available for: " + ", ".join(CSV_COMMANDS))
     if args.seed == 0:
         args.seed = None
-    if args.threads < 1:
-        raise UsageError("--threads must be positive")
     _echo_config(args)
     result = _COMMANDS[args.command](args)
     status, payload, text = result[0], result[1], result[2]

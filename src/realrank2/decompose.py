@@ -59,9 +59,8 @@ class RankOneTerm:
         return self.weight * tn.outer(self.factors)
 
     def to_json(self) -> dict:
-        w = self.weight
         return {
-            "weight": {"re": float(w.real), "im": float(w.imag)} if isinstance(w, complex) else float(w),
+            "weight": tn.num_json(self.weight),
             "factors": [_vec_json(f) for f in self.factors],
         }
 
@@ -139,6 +138,31 @@ def best_rank_one(t: np.ndarray, max_iters: int = 200, tol: float = 1e-12,
     return RankOneTerm(overlap, factors), distance
 
 
+def _als_sweep(t: np.ndarray, mats: list[np.ndarray]) -> None:
+    """One ALS sweep: refit each factor matrix in turn by least squares."""
+    rank = mats[0].shape[1]
+    for m in range(t.ndim):
+        cols = [_kron_all([mats[k][:, r] for k in range(t.ndim) if k != m]) for r in range(rank)]
+        k_mat = np.stack(cols, axis=1)
+        sol, *_ = np.linalg.lstsq(k_mat, tn.flatten(t, [m]).T, rcond=None)
+        mats[m] = sol.T
+
+
+def _unit_terms(mats: list[np.ndarray]) -> list[RankOneTerm]:
+    """Column r of every factor matrix as one term: unit factors, norms in the weight."""
+    terms = []
+    for r in range(mats[0].shape[1]):
+        w = 1.0
+        factors = []
+        for mat in mats:
+            f = mat[:, r]
+            nf = np.linalg.norm(f)
+            w *= nf
+            factors.append(f / nf if nf > 0 else f)
+        terms.append(RankOneTerm(w, factors))
+    return terms
+
+
 def als_low_rank(t: np.ndarray, rank: int = 2, max_sweeps: int = 200, tol: float = 1e-10,
                  restarts: int = 5, seed: int = 0) -> list[RankOneTerm]:
     """Plain rank-r ALS fit with random restarts; best fit wins.
@@ -153,12 +177,7 @@ def als_low_rank(t: np.ndarray, rank: int = 2, max_sweeps: int = 200, tol: float
         mats = [rng.standard_normal((n, rank)) for n in t.shape]
         prev_err = np.inf
         for _ in range(max_sweeps):
-            for m in range(t.ndim):
-                cols = [_kron_all([mats[k][:, r] for k in range(t.ndim) if k != m])
-                        for r in range(rank)]
-                k_mat = np.stack(cols, axis=1)
-                sol, *_ = np.linalg.lstsq(k_mat, tn.flatten(t, [m]).T, rcond=None)
-                mats[m] = sol.T
+            _als_sweep(t, mats)
             full = sum(_kron_all([mats[k][:, r] for k in range(t.ndim)]) for r in range(rank))
             err = np.linalg.norm(tvec - full)
             if prev_err - err < tol * (1.0 + err):
@@ -166,18 +185,7 @@ def als_low_rank(t: np.ndarray, rank: int = 2, max_sweeps: int = 200, tol: float
             prev_err = err
         if best is None or err < best[0]:
             best = (err, [m.copy() for m in mats])
-    mats = best[1]
-    terms = []
-    for r in range(rank):
-        w = 1.0
-        factors = []
-        for m in range(t.ndim):
-            f = mats[m][:, r]
-            nf = np.linalg.norm(f)
-            w *= nf
-            factors.append(f / nf if nf > 0 else f)
-        terms.append(RankOneTerm(w, factors))
-    return terms
+    return _unit_terms(best[1])
 
 
 def _orth_complement(x: np.ndarray) -> np.ndarray:
@@ -242,19 +250,8 @@ def _polish_real(t: np.ndarray, terms: list[RankOneTerm], sweeps: int = 3) -> li
     mats = [np.stack([(sign[r] if m == 0 else 1.0) * scale[r] * terms[r].factors[m]
                       for r in range(2)], axis=1) for m in range(t.ndim)]
     for _ in range(sweeps):
-        for m in range(t.ndim):
-            cols = [_kron_all([mats[k][:, r] for k in range(t.ndim) if k != m]) for r in range(2)]
-            k_mat = np.stack(cols, axis=1)
-            sol, *_ = np.linalg.lstsq(k_mat, tn.flatten(t, [m]).T, rcond=None)
-            mats[m] = sol.T
-    factor_sets = []
-    for r in range(2):
-        factors = []
-        for m in range(t.ndim):
-            f = mats[m][:, r]
-            nf = np.linalg.norm(f)
-            factors.append(f / nf if nf > 0 else f)
-        factor_sets.append(factors)
+        _als_sweep(t, mats)
+    factor_sets = [term.factors for term in _unit_terms(mats)]
     ws = _weights_real(t, factor_sets)
     return [RankOneTerm(w, fs) for w, fs in zip(ws, factor_sets)]
 

@@ -8,23 +8,24 @@ intermediate entries as single determinants instead of products of pivots.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
-from .multipoly import as_fraction
+from .multipoly import as_fraction, content
 
 
 class Inconsistent(ValueError):
     """The linear system has no solution."""
 
 
+class InexactDivision(ArithmeticError):
+    """A Bareiss step left a remainder: the rows were not all integers."""
+
+
 def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
     out = []
     for row in rows:
         fracs = [as_fraction(x) for x in row]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
+        den = content(fracs).denominator
         out.append([int(f * den) for f in fracs])
     return out
 
@@ -56,7 +57,8 @@ def _echelon(mat: list[list[int]], ncols: int) -> tuple[list[list[int]], list[in
             for j in range(c, width):
                 num = pivot * row_i[j] - lead * row_r[j]
                 q, rem = divmod(num, prev)
-                assert rem == 0, "Bareiss division must be exact"
+                if rem:
+                    raise InexactDivision("Bareiss division must be exact")
                 row_i[j] = q
         prev = mat[r][c]
         pivots.append(c)

@@ -8,7 +8,6 @@ rank-one tensors has nonpositive hyperdeterminant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -19,6 +18,7 @@ from .tensors import (
     enumerate_subblocks,
     extract_subblock,
     is_exact,
+    num_json,
     ShapeMismatch,
 )
 
@@ -72,22 +72,14 @@ class HyperdetReport:
 
     def to_json(self) -> dict:
         return {
-            "values": [{"selector": k, "value": _num(v)} for k, v in self.values],
-            "min_value": _num(self.min_value) if self.min_value is not None else None,
+            "values": [{"selector": k, "value": num_json(v)} for k, v in self.values],
+            "min_value": num_json(self.min_value) if self.min_value is not None else None,
             "argmin": self.argmin,
             "num_positive": self.num_positive,
             "num_zero": self.num_zero,
             "num_negative": self.num_negative,
-            "zero_tol": _num(self.zero_tol),
+            "zero_tol": num_json(self.zero_tol),
         }
-
-
-def _num(v):
-    if isinstance(v, Fraction):
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    return float(v)
 
 
 def report_from_values(values: list[tuple[str, object]], zero_tol) -> HyperdetReport:

@@ -9,6 +9,7 @@ extraction and therefore every piece of symbolic output in the package.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -34,8 +35,17 @@ def grlex_key(exponents: tuple) -> tuple:
     return (sum(exponents), exponents)
 
 
-def _fraction_text(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+def content(values: Iterable) -> Fraction:
+    """gcd of the numerators over the lcm of the denominators of exact values.
+
+    Dividing by it leaves coprime integers; multiplying by its denominator
+    alone clears every denominator without touching a common factor.
+    """
+    num, den = 0, 1
+    for v in values:
+        num = gcd(num, v.numerator)
+        den = lcm(den, v.denominator)
+    return Fraction(num, den)
 
 
 class MultiPoly:
@@ -284,15 +294,7 @@ class MultiPoly:
     # ---------------------------------------------------------- presentation
     def content(self) -> Fraction:
         """Positive rational c with self/c integer coefficients of gcd 1."""
-        if not self.terms:
-            return Fraction(1)
-        from math import gcd
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
+        return content(self.terms.values()) if self.terms else Fraction(1)
 
     def normalized(self) -> "MultiPoly":
         """Clear denominators, reduce content to 1, leading coefficient > 0."""
@@ -315,7 +317,7 @@ class MultiPoly:
                 for v, e in zip(self.variables, expo)
                 if e
             )
-            body = f"{_fraction_text(abs(coeff))}*{mono}" if mono else _fraction_text(abs(coeff))
+            body = f"{abs(coeff)}*{mono}" if mono else str(abs(coeff))
             chunks.append(("-" if coeff < 0 else "+", body))
         sign, body = chunks[0]
         text = ("-" if sign == "-" else "") + body
@@ -327,7 +329,7 @@ class MultiPoly:
         return {
             "variables": list(self.variables),
             "terms": {
-                ",".join(str(e) for e in expo): _fraction_text(coeff)
+                ",".join(str(e) for e in expo): str(coeff)
                 for expo, coeff in self.sorted_terms()
             },
         }

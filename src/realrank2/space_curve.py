@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,7 +25,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import exactsolve as xs
-from .multipoly import MultiPoly, NotDivisible, as_fraction
+from .multipoly import MultiPoly, NotDivisible, as_fraction, resultant
+from .tensors import num_json
 from .unipoly import UniPoly, poly_gcd, real_roots
 
 
@@ -216,18 +216,12 @@ class SecantSolution:
             "abc": list(self.abc),
             "discriminant": self.discriminant,
             "contact": self.contact,
-            "roots": [[_num_json(v) for v in pt] for pt in self.roots],
-            "curve_points": [[_num_json(v) for v in pt] for pt in self.curve_points],
+            "roots": [[num_json(v) for v in pt] for pt in self.roots],
+            "curve_points": [[num_json(v) for v in pt] for pt in self.curve_points],
             "residual": self.residual,
             "line_norm": self.line_norm,
             "multiplicity": self.multiplicity,
         }
-
-
-def _num_json(value):
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    return float(value)
 
 
 def _prepare_row(poly: MultiPoly) -> tuple[np.ndarray, np.ndarray]:
@@ -366,12 +360,6 @@ def _binary_form_root_pairs(res: MultiPoly) -> list[tuple[complex, complex]]:
     return pairs
 
 
-def _resultant_of(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
-    from .multipoly import resultant
-
-    return resultant(p, q, var)
-
-
 def solve_secants(system: Sequence[MultiPoly], tol: float = 1e-8, *,
                   curve: CurveParam | None = None, pm: PluckerMap | None = None,
                   seed: int = 0) -> tuple[list[SecantSolution], int]:
@@ -404,7 +392,7 @@ def solve_secants(system: Sequence[MultiPoly], tol: float = 1e-8, *,
         if p.is_zero() or q.is_zero():
             continue
         var = _elimination_variable(p, q)
-        res = _resultant_of(p, q, var)
+        res = resultant(p, q, var)
         if res.is_zero():
             continue
         if res.is_constant():
@@ -622,7 +610,7 @@ def _fixture_polynomial(poly: MultiPoly, path) -> UniPoly:
 
 def scan_path(curve: CurveParam, path, interval=(0, 1), nsamples: int = 21,
               fixtures: Mapping[str, MultiPoly] | None = None, tol: float = 1e-8,
-              *, seed: int = 0, workers: int = 1) -> PathReport:
+              *, seed: int = 0) -> PathReport:
     """Classify u(t) = path(t) along the interval and localize every change.
 
     Classification changes are bisected to width 1e-12.  When boundary-surface
@@ -630,9 +618,6 @@ def scan_path(curve: CurveParam, path, interval=(0, 1), nsamples: int = 21,
     matched to the fixture root it crosses and reported at that root's
     high-precision value; fixture roots that do not change the classification
     are reported too, flagged NO_RANK_CHANGE.
-
-    Samples are independent, so `workers` threads may classify them in
-    parallel; the report is identical for any worker count.
     """
     if nsamples < 2:
         raise ValueError("need at least two samples")
@@ -641,11 +626,7 @@ def scan_path(curve: CurveParam, path, interval=(0, 1), nsamples: int = 21,
     if hi <= lo:
         raise ValueError("empty interval")
     ts = [lo + (hi - lo) * k / (nsamples - 1) for k in range(nsamples)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(lambda t: _sample(curve, path, t, tol, seed), ts))
-    else:
-        samples = [_sample(curve, path, t, tol, seed) for t in ts]
+    samples = [_sample(curve, path, t, tol, seed) for t in ts]
 
     changes: list[tuple[float, int, int]] = []
     for (ta, sa), (tb, sb) in zip(zip(ts, samples), zip(ts[1:], samples[1:])):

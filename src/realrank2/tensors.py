@@ -38,6 +38,16 @@ class InvalidSelector(ValueError):
     pass
 
 
+class NonFiniteEntry(ValueError):
+    """An infinite or NaN entry: no rank or sign test is defined for it."""
+
+
+def require_finite(values) -> None:
+    """Raise NonFiniteEntry unless every (float) value is finite."""
+    if not np.all(np.isfinite(np.asarray(values, dtype=float))):
+        raise NonFiniteEntry("entries must be finite numbers")
+
+
 def is_exact(t: np.ndarray) -> bool:
     return t.dtype == object
 
@@ -56,7 +66,10 @@ def tensor(shape: Sequence[int], entries: Sequence) -> np.ndarray:
         for i, v in enumerate(flat):
             arr[i] = as_fraction(v) if isinstance(v, str) else v
         return arr.reshape(shape)
-    return np.asarray(flat, dtype=float).reshape(shape)
+    arr = np.asarray(flat, dtype=float)
+    require_finite(arr)
+    return arr.reshape(shape)
+
 
 def to_float(t: np.ndarray) -> np.ndarray:
     return t.astype(float) if is_exact(t) else t
@@ -67,10 +80,6 @@ def outer(vectors: Sequence[np.ndarray]) -> np.ndarray:
     for v in vectors[1:]:
         result = np.multiply.outer(result, np.asarray(v))
     return result
-
-
-def frobenius_norm(t: np.ndarray) -> float:
-    return float(np.linalg.norm(to_float(t).ravel()))
 
 
 def _check_modes(ndim: int, modes: Iterable[int]) -> tuple[int, ...]:
@@ -248,18 +257,22 @@ def sym_to_tensor(f: SymTensorCoords) -> np.ndarray:
 
 # --------------------------------------------------------------------- JSON
 
-def _entry_to_json(v):
+def num_json(v):
+    """JSON form of one scalar: "n" or "n/d" for a Fraction, int for an
+    integer, {"re", "im"} for a complex number, float otherwise."""
     if isinstance(v, Fraction):
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        return str(v)
     if isinstance(v, (int, np.integer)):
         return int(v)
+    if isinstance(v, complex):
+        return {"re": float(v.real), "im": float(v.imag)}
     return float(v)
 
 
 def tensor_to_json(t: np.ndarray) -> dict:
     return {
         "shape": list(t.shape),
-        "entries": [_entry_to_json(v) for v in t.ravel()],
+        "entries": [num_json(v) for v in t.ravel()],
     }
 
 
@@ -272,7 +285,7 @@ def sym_to_json(f: SymTensorCoords) -> dict:
         "n": f.n,
         "d": f.d,
         "coeffs": {
-            ",".join(str(e) for e in u): _entry_to_json(v)
+            ",".join(str(e) for e in u): num_json(v)
             for u, v in sorted(f.coeffs.items(), reverse=True)
         },
     }
@@ -289,6 +302,8 @@ def sym_from_json(payload: Mapping) -> SymTensorCoords:
             coeffs[u] = as_fraction(value)
         else:
             coeffs[u] = value if exact else float(value)
+    if not exact:
+        require_finite(list(coeffs.values()))
     for u in multidegrees(n, d):
         coeffs.setdefault(u, Fraction(0) if exact else 0.0)
     return SymTensorCoords(n, d, coeffs)

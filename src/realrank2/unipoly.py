@@ -9,10 +9,9 @@ final refined root is reported as a double.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
-from .multipoly import MultiPoly, as_fraction
+from .multipoly import MultiPoly, as_fraction, content
 
 ISOLATION_WIDTH = Fraction(1, 2 ** 40)
 MAX_REFINE_STEPS = 60
@@ -118,12 +117,7 @@ class UniPoly:
         """Divide by the (positive) content; signs of all values preserved."""
         if self.is_zero():
             return self
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        return self * Fraction(den, num)
+        return self * (1 / content(self.coeffs))
 
     def primitive(self) -> "UniPoly":
         """Content-one version with positive leading coefficient."""

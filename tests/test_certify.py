@@ -184,3 +184,16 @@ def test_certificate_json_round_trip():
     assert payload["verdict"] == "COMPLEX_RANK_TWO_REAL_RANK_HIGHER"
     assert payload["hyperdet"]["num_negative"] == 1
     assert payload["flattening_ranks"]["mode_1"] == 2
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_float_input_is_rejected(bad):
+    t = np.ones((2, 2, 2))
+    t[1, 0, 1] = bad
+    with pytest.raises(tn.NonFiniteEntry):
+        ce.certify_border_rank2(t)
+    f = tn.SymTensorCoords(2, 3, {(3, 0): 1.0, (2, 1): 0.0, (1, 2): bad, (0, 3): 1.0})
+    with pytest.raises(tn.NonFiniteEntry):
+        ce.certify_symmetric(f)
+    with pytest.raises(tn.NonFiniteEntry):
+        tn.tensor([2, 2, 2], list(t.ravel()))

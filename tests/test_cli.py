@@ -217,9 +217,25 @@ def test_bad_scan_arguments_exit_one(capsys):
          "--nsamples", "1"],
         ["curve-scan", "--curve", "monomial-quartic", "--path", "crossing",
          "--interval", "1"],
-        ["curve-scan", "--curve", "monomial-quartic", "--path", "crossing",
-         "--threads", "0"],
     ):
         status, _, err = run_cli(capsys, *argv)
         assert status == 1
         assert err.splitlines()[-1].startswith("error:")
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["certify"], {"shape": [2, 2, 2], "entries": [1, 0, 0, 0, 0, 0, 0, float("inf")]}),
+    (["certify"], {"shape": [2, 2, 2], "entries": [1, 0, 0, 0, 0, 0, 0, float("nan")]}),
+    (["certify", "--symmetric"], {"n": 2, "d": 3, "coeffs": {"3,0": 1.0, "0,3": float("inf")}}),
+    (["binary-form", "--d", "3", "--coords", "1e999,0,0,1"], None),
+    (["curve-classify", "--curve", "monomial-quartic", "--point", "1,2,3,1e999"], None),
+])
+def test_non_finite_input_gets_no_verdict(tmp_path, capsys, argv, payload):
+    if payload is not None:
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(payload))  # inf and nan go out as Infinity / NaN
+        argv = argv + ["--file", str(path)]
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 1
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: NonFiniteEntry")

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import realrank2
 from realrank2.exactsolve import Inconsistent, exact_rank, solve_exact
 
 dims = st.tuples(st.integers(1, 5), st.integers(1, 5))
@@ -63,3 +68,23 @@ def test_nullspace_spans_kernel_of_rank_one_matrix():
     x, nullspace = solve_exact(a, [Fraction(0), Fraction(0)])
     assert all(v == 0 for v in x)
     assert len(nullspace) == 2
+
+
+def test_echelon_raises_on_inexact_division_under_optimize():
+    # _echelon needs integer rows; with a Fraction the Bareiss division leaves
+    # a remainder, which must raise even when asserts are stripped by -O
+    code = "\n".join([
+        "from fractions import Fraction",
+        "from realrank2.exactsolve import InexactDivision, _echelon",
+        "assert False, 'asserts must be off'",
+        "try:",
+        "    _echelon([[Fraction(1, 2), 1], [1, 1]], 2)",
+        "except InexactDivision as exc:",
+        "    print(type(exc).__mro__[1].__name__)",
+    ])
+    src = str(Path(realrank2.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ArithmeticError"

@@ -163,14 +163,6 @@ def test_scan_constant_path_has_no_transitions():
     assert len({(s.label, s.real_secants) for s in report.samples}) == 1
 
 
-def test_scan_worker_count_does_not_change_report():
-    kwargs = dict(interval=(Fraction(55, 100), Fraction(3, 4)), nsamples=5,
-                  fixtures=sc.MONOMIAL_QUARTIC_FIXTURES)
-    serial = sc.scan_path(QUARTIC, sc.CROSSING_PATH, **kwargs)
-    threaded = sc.scan_path(QUARTIC, sc.CROSSING_PATH, workers=3, **kwargs)
-    assert serial == threaded
-
-
 def test_report_serialization():
     report = sc.scan_path(QUARTIC, sc.CROSSING_PATH, interval=(0, Fraction(1, 5)), nsamples=3)
     payload = json.loads(json.dumps(report.to_json()))
