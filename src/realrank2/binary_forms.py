@@ -14,6 +14,7 @@ tensor, collapsed to one value per shift.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,7 +122,7 @@ def _strata_label(f: BinaryForm, cert: ce.Certificate, tol: float) -> str | None
         return STRATUM_RANK_ONE
     if cert.verdict == ce.Verdict.BORDER_RANK_EXCEEDS_TWO:
         return None
-    dec = dc.decompose_rank2(tn.sym_to_tensor(f.to_sym()), tol)
+    dec = dc.decompose_rank2(tn.sym_to_tensor(f.to_sym()), tol, cert=cert)
     if dec.kind == dc.DecompositionKind.CONJUGATE_PAIR:
         return STRATUM_CONJ
     if dec.kind == dc.DecompositionKind.REAL_PAIR:
@@ -141,8 +142,10 @@ def _effective_coefficient(term) -> float:
     return out
 
 
-def _quintic_quadrics() -> list[MultiPoly]:
-    return [g.polynomial for g in quadric_basis(2, 5)]
+@functools.cache
+def _quintic_quadrics() -> tuple[MultiPoly, ...]:
+    # shared by every call: callers only evaluate the polynomials
+    return tuple(g.polynomial for g in quadric_basis(2, 5))
 
 
 def quintic_alternative_test(f: BinaryForm, tol: float = 1e-10) -> bool:

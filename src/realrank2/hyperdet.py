@@ -7,6 +7,7 @@ rank-one tensors has nonpositive hyperdeterminant.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -14,7 +15,6 @@ import numpy as np
 
 from .multipoly import MultiPoly, det_bareiss
 from .tensors import (
-    SubBlockSelector,
     enumerate_subblocks,
     extract_subblock,
     is_exact,
@@ -23,13 +23,13 @@ from .tensors import (
 )
 
 DEFAULT_ZERO_TOL_SCALE = 1e-10
+# shapes whose sub-block gather plan all_subhyperdets keeps
+PLAN_CACHE_SIZE = 16
 
 
-def hyperdet222(t: np.ndarray):
-    """Hyperdeterminant of a 2x2x2 tensor; exact when the entries are exact."""
-    if t.shape != (2, 2, 2):
-        raise ShapeMismatch(f"hyperdet222 needs shape (2, 2, 2), got {t.shape}")
-    x000, x001, x010, x011, x100, x101, x110, x111 = t.ravel().tolist()
+def _quartic(x000, x001, x010, x011, x100, x101, x110, x111):
+    """The 2x2x2 hyperdeterminant of the entries x_ijk, given as scalars or
+    as equal-length numpy rows (one column per sub-block)."""
     return (
         x000 * x000 * x111 * x111
         + x001 * x001 * x110 * x110
@@ -44,6 +44,13 @@ def hyperdet222(t: np.ndarray):
         - 2 * x001 * x011 * x100 * x110
         - 2 * x010 * x011 * x100 * x101
     )
+
+
+def hyperdet222(t: np.ndarray):
+    """Hyperdeterminant of a 2x2x2 tensor; exact when the entries are exact."""
+    if t.shape != (2, 2, 2):
+        raise ShapeMismatch(f"hyperdet222 needs shape (2, 2, 2), got {t.shape}")
+    return _quartic(*t.ravel().tolist())
 
 
 def hyperdet_zero_tol(t: np.ndarray, scale: float = DEFAULT_ZERO_TOL_SCALE):
@@ -93,13 +100,36 @@ def report_from_values(values: list[tuple[str, object]], zero_tol) -> HyperdetRe
     return HyperdetReport(values, min_value, argmin, num_pos, num_zero, num_neg, zero_tol)
 
 
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _sweep_plan(shape: tuple[int, ...]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Flat indices (8, blocks) of the entries x000 .. x111 of every 2x2x2
+    sub-block of a shape, in `enumerate_subblocks` order, and their labels."""
+    selectors = enumerate_subblocks(shape)
+    size = int(np.prod(shape))
+    flat = np.arange(size).reshape(shape)
+    blocks = [extract_subblock(flat, sel).ravel() for sel in selectors]
+    idx = np.array(blocks, dtype=np.min_scalar_type(size - 1)).reshape(-1, 8)
+    idx = np.ascontiguousarray(idx.T)
+    idx.flags.writeable = False  # shared by every call on this shape
+    return idx, tuple(sel.label() for sel in selectors)
+
+
 def all_subhyperdets(t: np.ndarray, zero_tol_scale: float = DEFAULT_ZERO_TOL_SCALE) -> HyperdetReport:
-    """Hyperdeterminants of every 2x2x2 sub-block, with a scaled zero test."""
+    """Hyperdeterminants of every 2x2x2 sub-block, with a scaled zero test.
+
+    Gathers the eight entries of every block into rows and evaluates the
+    quartic once on whole rows: float64 arithmetic for float tensors, the
+    entries' own (exact) arithmetic otherwise, each with the operations of
+    `hyperdet222` in its order, so every value equals the per-block one.
+    """
     zero_tol = hyperdet_zero_tol(t, zero_tol_scale)
-    values = []
-    for sel in enumerate_subblocks(t.shape):
-        values.append((sel.label(), hyperdet222(extract_subblock(t, sel))))
-    return report_from_values(values, zero_tol)
+    idx, labels = _sweep_plan(t.shape)
+    rows = t.ravel()[idx]
+    # any other entries as the Python scalars hyperdet222 sees: int64 must not wrap
+    rows = rows.astype(np.float64 if rows.dtype.kind == "f" else object, copy=False)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/nan silently, as Python floats do
+        values = _quartic(*rows).tolist()
+    return report_from_values(list(zip(labels, values)), zero_tol)
 
 
 # ----------------------------------------------------- symmetric restriction

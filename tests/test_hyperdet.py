@@ -3,12 +3,14 @@ reports, and the shifted cubic discriminants of binary forms."""
 
 from __future__ import annotations
 
+import json
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from realrank2 import hyperdet as hd
@@ -114,6 +116,76 @@ def test_all_subhyperdets_singleton_on_222():
     report = hd.all_subhyperdets(t)
     assert len(report.values) == 1
     assert report.values[0][1] == pytest.approx(hd.hyperdet222(t))
+
+
+def _random_tensor(shape, kind: str, seed: int) -> np.ndarray:
+    rng = random.Random(seed)
+    size = int(np.prod(shape))
+    if kind == "float":
+        scale = 10.0 ** rng.randint(-4, 4)
+        return tn.tensor(shape, [rng.gauss(0.0, 1.0) * scale for _ in range(size)])
+    if kind == "int":
+        return tn.tensor(shape, [rng.randint(-9, 9) for _ in range(size)])
+    if kind == "int64":  # true values far beyond 2^63: must not wrap
+        return np.array([rng.randint(-10**6, 10**6) for _ in range(size)], dtype=np.int64).reshape(shape)
+    return tn.tensor(shape, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(size)])
+
+
+@settings(max_examples=60, deadline=None)
+@example(shape=(1, 1, 4), kind="float", seed=0)
+@example(shape=(1, 1, 4), kind="fraction", seed=0)
+@example(shape=(2, 1, 2, 1), kind="int", seed=0)
+@given(st.lists(st.integers(1, 4), min_size=3, max_size=5).map(tuple),
+       st.sampled_from(["float", "int", "int64", "fraction"]), st.integers(0, 10_000))
+def test_sweep_equals_per_block_oracle(shape, kind, seed):
+    # the gathered, row-wise sweep gives every block's hyperdet222 value,
+    # bit for bit and with the same type, in enumerate_subblocks order
+    t = _random_tensor(shape, kind, seed)
+    report = hd.all_subhyperdets(t)
+    want = [(sel.label(), hd.hyperdet222(tn.extract_subblock(t, sel)))
+            for sel in tn.enumerate_subblocks(t.shape)]
+    assert report.values == want
+    assert [type(v) for _, v in report.values] == [type(v) for _, v in want]
+    oracle = hd.report_from_values(want, hd.hyperdet_zero_tol(t))
+    assert json.dumps(report.to_json()) == json.dumps(oracle.to_json())
+    if not want:
+        assert report.argmin is None and hd._sweep_plan(shape)[0].size == 0
+
+
+def test_sweep_overflows_silently_like_hyperdet222():
+    # hyperdet222 multiplies Python floats, which overflow to inf without a warning
+    t = np.array([1.1e77, 0, 0, 1.1e77, 0, 1.1e77, 1.1e77, 0]).reshape(2, 2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = hd.all_subhyperdets(t)
+    assert report.values == [(report.values[0][0], hd.hyperdet222(t))]
+    assert report.values[0][1] == float("inf")
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 2)])
+def test_sweep_needs_order_three(shape):
+    with pytest.raises(tn.ArityTooSmall):
+        hd.all_subhyperdets(np.ones(shape))
+
+
+def test_sweep_plan_is_built_once_per_shape(monkeypatch):
+    hd._sweep_plan.cache_clear()
+    calls = []
+
+    def enumerate_once(shape):
+        calls.append(tuple(shape))
+        if len(calls) > 1:
+            raise AssertionError(f"sub-blocks of {shape} enumerated again")
+        return tn.enumerate_subblocks(shape)
+
+    monkeypatch.setattr(hd, "enumerate_subblocks", enumerate_once)
+    t = np.random.default_rng(0).standard_normal((3, 2, 4))
+    first = hd.all_subhyperdets(t)
+    again = hd.all_subhyperdets(_random_tensor((3, 2, 4), "int", 1))
+    assert calls == [(3, 2, 4)]
+    assert [k for k, _ in again.values] == [k for k, _ in first.values]
+    idx, labels = hd._sweep_plan((3, 2, 4))
+    assert idx.shape == (8, len(labels)) and idx.dtype.itemsize <= 4
 
 
 def test_report_sign_counts_and_argmin():
