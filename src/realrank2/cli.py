@@ -95,8 +95,8 @@ def _load_curve(spec: str) -> sc.CurveParam:
     if spec == "monomial-quartic":
         return sc.MONOMIAL_QUARTIC
     payload = _load_json(spec)
-    return sc.CurveParam(int(payload["d"]),
-                         tuple(tuple(as_fraction(c) for c in row) for row in payload["F"]))
+    tn.require_finite([payload["d"]])
+    return sc.CurveParam(int(payload["d"]), tuple(tuple(row) for row in payload["F"]))
 
 
 def _load_path(spec: str):
@@ -106,7 +106,7 @@ def _load_path(spec: str):
     rows = payload["coefficients"] if isinstance(payload, dict) else payload
     if len(rows) != 4 or any(len(r) != 2 for r in rows):
         raise UsageError("path needs a 4 x 2 coefficient matrix")
-    return tuple((as_fraction(c0), as_fraction(c1)) for c0, c1 in rows)
+    return tuple(tuple(row) for row in rows)  # scan_path makes the entries exact
 
 
 def _poly_json(label: str, poly: MultiPoly) -> dict:

@@ -374,28 +374,94 @@ def det_bareiss(matrix: list[list[MultiPoly]]) -> MultiPoly:
     return result if sign == 1 else -result
 
 
-def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
-    """Sylvester resultant eliminating `var`, exact over the remaining ring."""
-    cp = p.coefficients_in(var)
-    cq = q.coefficients_in(var)
-    while len(cp) > 1 and cp[-1].is_zero():
-        cp.pop()
-    while len(cq) > 1 and cq[-1].is_zero():
-        cq.pop()
-    if (len(cp) == 1 and cp[0].is_zero()) or (len(cq) == 1 and cq[0].is_zero()):
-        raise ValueError("resultant of the zero polynomial")
-    m, n = len(cp) - 1, len(cq) - 1
-    if m == 0:
-        return cp[0] ** n
+class NotForms(ValueError):
+    """Resultant input is not two nonzero forms in the same variables, at
+    most three of them, one the eliminated variable."""
+
+
+def _det_int(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination."""
+    n = len(rows)
     if n == 0:
-        return cq[0] ** m
-    size = m + n
-    zero = cp[0].zero_like()
-    rows: list[list[MultiPoly]] = []
-    desc_p = cp[::-1]
-    desc_q = cq[::-1]
-    for shift in range(n):
-        rows.append([zero] * shift + desc_p + [zero] * (size - m - 1 - shift))
-    for shift in range(m):
-        rows.append([zero] * shift + desc_q + [zero] * (size - n - 1 - shift))
-    return det_bareiss(rows)
+        return 1
+    work = [row[:] for row in rows]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        pivot_row = next((i for i in range(k, n) if work[i][k]), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != k:
+            work[k], work[pivot_row] = work[pivot_row], work[k]
+            sign = -sign
+        top = work[k]
+        pivot = top[k]
+        for row in work[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    return sign * work[-1][-1]
+
+
+def _horner(ascending: list[int], x: int) -> int:
+    value = 0
+    for c in reversed(ascending):
+        value = value * x + c
+    return value
+
+
+def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
+    """Sylvester resultant of two forms eliminating `var`, exact.
+
+    With m, n the degrees in `var` and t_p, t_q the total degrees, the
+    resultant is a form of degree D = (t_p - m) n + (t_q - n) m + m n in the
+    remaining variables.  Scaled by Lp^n Lq^m (L the lcm of each input's
+    denominators) it has integer coefficients, so it is the Newton
+    interpolant of the integer Sylvester determinants at (x, 1) for
+    x = 0..D.  With one remaining variable or none, the value at 1 is its
+    only coefficient.
+    """
+    variables = p.variables
+    degrees = [{sum(e) for e in f.terms} for f in (p, q)]
+    if (q.variables != variables or var not in variables or len(variables) > 3
+            or any(len(d) != 1 for d in degrees)):
+        raise NotForms("resultant needs two nonzero forms in the same at most three variables")
+    k = variables.index(var)
+    rest = variables[:k] + variables[k + 1:]
+    # the first remaining variable carries x when there are two; else all are 1
+    x_at = variables.index(rest[0]) if len(rest) == 2 else None
+    slices = []
+    for f, (total,) in zip((p, q), degrees):
+        den = content(f.terms.values()).denominator
+        # coefficient of var^i, as integer coefficients of x^0, x^1, ...
+        coeffs = [[0] * (total + 1) for _ in range(max(e[k] for e in f.terms) + 1)]
+        for e, c in f.terms.items():
+            coeffs[e[k]][0 if x_at is None else e[x_at]] += c.numerator * (den // c.denominator)
+        slices.append((coeffs, total, den))
+    (cp, tp, lp), (cq, tq, lq) = slices
+    m, n = len(cp) - 1, len(cq) - 1
+    degree = (tp - m) * n + (tq - n) * m + m * n
+
+    def sylvester_det(x: int) -> int:
+        desc_p = [_horner(c, x) for c in reversed(cp)]
+        desc_q = [_horner(c, x) for c in reversed(cq)]
+        rows = [[0] * s + desc_p + [0] * (n - 1 - s) for s in range(n)]
+        rows += [[0] * s + desc_q + [0] * (m - 1 - s) for s in range(m)]
+        return _det_int(rows)
+
+    den = lp ** n * lq ** m
+    if x_at is None:
+        value = sylvester_det(1)
+        terms = {(degree,) * len(rest): Fraction(value, den)} if value else {}
+        return MultiPoly(rest, terms)
+    # divided differences on the nodes 0..D stay integers for an integer polynomial
+    newton = [sylvester_det(x) for x in range(degree + 1)]
+    for order in range(1, degree + 1):
+        for i in range(degree, order - 1, -1):
+            newton[i] = (newton[i] - newton[i - 1]) // order
+    mono = [newton[degree]] + [0] * degree
+    for node in range(degree - 1, -1, -1):
+        for j in range(degree, 0, -1):
+            mono[j] = mono[j - 1] - node * mono[j]
+        mono[0] = newton[node] - node * mono[0]
+    return MultiPoly(rest, {(j, degree - j): Fraction(c, den) for j, c in enumerate(mono) if c})

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import exactsolve as xs
 from .multipoly import MultiPoly, NotDivisible, as_fraction, resultant
-from .tensors import num_json
+from .tensors import num_json, require_finite
 from .unipoly import UniPoly, poly_gcd, real_roots
 
 
@@ -67,7 +67,18 @@ DEDUP_TOL = 1e-6
 LINE_NORM_FLOOR = 1e-9
 BISECTION_WIDTH = 1e-12
 FIXTURE_MATCH_WINDOW = 1e-5
+SNAP_MARGIN = Fraction(1, 10 ** 12)
+SNAP_REACH = as_fraction(FIXTURE_MATCH_WINDOW) + SNAP_MARGIN
+SNAP_WITHIN = as_fraction(FIXTURE_MATCH_WINDOW) - SNAP_MARGIN
 MAX_ELIMINATION_RETRIES = 8
+
+
+def _exact_entries(values) -> tuple[Fraction, ...]:
+    """Exact copies of coefficients read from outside; NonFiniteEntry for
+    an infinite or NaN float."""
+    values = tuple(values)
+    require_finite([v for v in values if isinstance(v, float)])
+    return tuple(as_fraction(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -83,7 +94,7 @@ class CurveParam:
     def __post_init__(self):
         if self.d < 1:
             raise BadCurve("degree must be positive")
-        rows = tuple(tuple(as_fraction(c) for c in row) for row in self.F)
+        rows = tuple(_exact_entries(row) for row in self.F)
         if len(rows) != 4 or any(len(row) != self.d + 1 for row in rows):
             raise BadCurve("need four coefficient rows of length d + 1")
         object.__setattr__(self, "F", rows)
@@ -329,9 +340,10 @@ def _random_combination(rows: Sequence[MultiPoly], rng: random.Random) -> MultiP
 def _elimination_variable(p: MultiPoly, q: MultiPoly) -> str:
     best, best_score = PAIR_VARS[0], (-1, 0.0)
     for v in PAIR_VARS:
-        dp = len(p.coefficients_in(v)) - 1
+        coeffs_p = p.coefficients_in(v)
+        dp = len(coeffs_p) - 1
         dq = len(q.coefficients_in(v)) - 1
-        lead = p.coefficients_in(v)[-1]
+        lead = coeffs_p[-1]
         weight = sum(abs(float(c)) for c in lead.terms.values()) if lead.terms else 0.0
         score = (dp + dq, weight)
         if score > best_score:
@@ -590,15 +602,39 @@ def _sample(curve: CurveParam, path, t: Fraction, tol: float, seed: int) -> Path
                       min(discs) if discs else math.nan)
 
 
+def _snap_root(roots: Sequence[Fraction], unmatched: Sequence[int],
+               lo: Fraction, hi: Fraction) -> int | None:
+    """The fixture root that every end of bisecting [lo, hi] would match.
+
+    Full bisection ends at some t* in [lo, hi] and matches the nearest
+    unmatched root within FIXTURE_MATCH_WINDOW of it.  When r is the only
+    unmatched root in [lo - W, hi + W] and hi - W <= r <= lo + W, that is r
+    for every such t*.  SNAP_MARGIN absorbs the rounding of the float
+    comparisons the match makes.
+    """
+    near = [i for i in unmatched
+            if lo - SNAP_REACH <= roots[i] <= hi + SNAP_REACH]
+    if len(near) == 1 and hi - SNAP_WITHIN <= roots[near[0]] <= lo + SNAP_WITHIN:
+        return near[0]
+    return None
+
+
 def _bisect_change(curve: CurveParam, path, lo: Fraction, hi: Fraction,
-                   lo_label: str, tol: float, seed: int) -> float:
+                   lo_label: str, tol: float, seed: int,
+                   roots: Sequence[Fraction], unmatched: Sequence[int]) -> tuple[float, int | None]:
+    """Localize a classification change in [lo, hi] to width 1e-12, or stop
+    at the one fixture root any such t* would match; returns (t*, root index
+    or None)."""
     while hi - lo > BISECTION_WIDTH:
+        snapped = _snap_root(roots, unmatched, lo, hi)
+        if snapped is not None:
+            return float(roots[snapped]), snapped
         mid = (lo + hi) / 2
         if classify_point(curve, _path_point(path, mid), tol, seed=seed).label == lo_label:
             lo = mid
         else:
             hi = mid
-    return float((lo + hi) / 2)
+    return float((lo + hi) / 2), None
 
 
 def _fixture_polynomial(poly: MultiPoly, path) -> UniPoly:
@@ -616,23 +652,18 @@ def scan_path(curve: CurveParam, path, interval=(0, 1), nsamples: int = 21,
     Classification changes are bisected to width 1e-12.  When boundary-surface
     fixture polynomials are supplied (keyed by kind), each localized change is
     matched to the fixture root it crosses and reported at that root's
-    high-precision value; fixture roots that do not change the classification
-    are reported too, flagged NO_RANK_CHANGE.
+    high-precision value; bisection stops early once only one root can be
+    that match.  Fixture roots that do not change the classification are
+    reported too, flagged NO_RANK_CHANGE.
     """
     if nsamples < 2:
         raise ValueError("need at least two samples")
-    path = tuple((as_fraction(c0), as_fraction(c1)) for c0, c1 in path)
+    path = tuple((c0, c1) for c0, c1 in (_exact_entries(row) for row in path))
     lo, hi = (as_fraction(v) for v in interval)
     if hi <= lo:
         raise ValueError("empty interval")
     ts = [lo + (hi - lo) * k / (nsamples - 1) for k in range(nsamples)]
     samples = [_sample(curve, path, t, tol, seed) for t in ts]
-
-    changes: list[tuple[float, int, int]] = []
-    for (ta, sa), (tb, sb) in zip(zip(ts, samples), zip(ts[1:], samples[1:])):
-        if sa.label != sb.label:
-            t_star = _bisect_change(curve, path, ta, tb, sa.label, tol, seed)
-            changes.append((t_star, _rank_of(sa.label), _rank_of(sb.label)))
 
     fixture_roots: list[tuple[float, str]] = []
     for kind, poly in (fixtures or {}).items():
@@ -641,16 +672,23 @@ def scan_path(curve: CurveParam, path, interval=(0, 1), nsamples: int = 21,
             continue
         for root, _mult in real_roots(along, lo, hi, tol=1e-13):
             fixture_roots.append((root, kind))
+    exact_roots = [as_fraction(root) for root, _kind in fixture_roots]
 
     transitions: list[PathTransition] = []
     matched: set[int] = set()
-    for t_star, rank_before, rank_after in changes:
-        best = None
-        for idx, (root, kind) in enumerate(fixture_roots):
-            if idx in matched or abs(root - t_star) > FIXTURE_MATCH_WINDOW:
-                continue
-            if best is None or abs(root - t_star) < abs(fixture_roots[best][0] - t_star):
-                best = idx
+    for (ta, sa), (tb, sb) in zip(zip(ts, samples), zip(ts[1:], samples[1:])):
+        if sa.label == sb.label:
+            continue
+        rank_before, rank_after = _rank_of(sa.label), _rank_of(sb.label)
+        unmatched = [i for i in range(len(fixture_roots)) if i not in matched]
+        t_star, best = _bisect_change(curve, path, ta, tb, sa.label, tol, seed,
+                                      exact_roots, unmatched)
+        if best is None:  # bisected to 1e-12: take the nearest root in the window
+            for idx in unmatched:
+                distance = abs(fixture_roots[idx][0] - t_star)
+                if distance <= FIXTURE_MATCH_WINDOW and (
+                        best is None or distance < abs(fixture_roots[best][0] - t_star)):
+                    best = idx
         if best is None:
             transitions.append(PathTransition(t_star, UNLABELED, rank_before, rank_after))
         else:

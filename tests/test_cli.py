@@ -223,18 +223,26 @@ def test_bad_scan_arguments_exit_one(capsys):
         assert err.splitlines()[-1].startswith("error:")
 
 
+QUARTIC_ROWS = [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
+
+
 @pytest.mark.parametrize("argv, payload", [
-    (["certify"], {"shape": [2, 2, 2], "entries": [1, 0, 0, 0, 0, 0, 0, float("inf")]}),
-    (["certify"], {"shape": [2, 2, 2], "entries": [1, 0, 0, 0, 0, 0, 0, float("nan")]}),
-    (["certify", "--symmetric"], {"n": 2, "d": 3, "coeffs": {"3,0": 1.0, "0,3": float("inf")}}),
+    (["certify", "--file"], {"shape": [2, 2, 2], "entries": [1, 0, 0, 0, 0, 0, 0, float("inf")]}),
+    (["certify", "--file"], {"shape": [2, 2, 2], "entries": [1, 0, 0, 0, 0, 0, 0, float("nan")]}),
+    (["certify", "--symmetric", "--file"], {"n": 2, "d": 3, "coeffs": {"3,0": 1.0, "0,3": float("inf")}}),
     (["binary-form", "--d", "3", "--coords", "1e999,0,0,1"], None),
     (["curve-classify", "--curve", "monomial-quartic", "--point", "1,2,3,1e999"], None),
+    (["curve-scan", "--path", "crossing", "--curve"],
+     {"d": 4, "F": QUARTIC_ROWS[:3] + [[0, 0, 0, 0, float("inf")]]}),
+    (["curve-scan", "--path", "crossing", "--curve"], {"d": float("nan"), "F": QUARTIC_ROWS}),
+    (["curve-scan", "--curve", "monomial-quartic", "--path"],
+     {"coefficients": [[84, -74], [13, 59], [62, float("nan")], [-38, -10]]}),
 ])
 def test_non_finite_input_gets_no_verdict(tmp_path, capsys, argv, payload):
     if payload is not None:
         path = tmp_path / "t.json"
         path.write_text(json.dumps(payload))  # inf and nan go out as Infinity / NaN
-        argv = argv + ["--file", str(path)]
+        argv = argv + [str(path)]
     status, out, err = run_cli(capsys, *argv)
     assert status == 1
     assert out == ""

@@ -1,8 +1,10 @@
 """Exact multivariate polynomial ring: arithmetic, division, determinants,
-resultants.  Oracles are independent evaluations at random rational points."""
+resultants.  Oracles are independent evaluations at random rational points
+and, for resultants, the Sylvester determinant over MultiPoly entries."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realrank2.multipoly import MultiPoly, NotDivisible, as_fraction, det_bareiss, grlex_key, resultant
+from realrank2.multipoly import (MultiPoly, NotDivisible, NotForms, as_fraction, det_bareiss, grlex_key,
+                                  resultant)
 
 VARS = ("x", "y", "z")
 
@@ -139,6 +142,85 @@ def test_resultant_product_formula():
     res = resultant(p, q, "x").evaluate({"y": Fraction(1)})
     expected = (Fraction(4) - 5) * (Fraction(9) - 5)
     assert res == expected
+
+
+def sylvester_resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
+    """Reference: the Sylvester determinant with MultiPoly entries."""
+    cp = p.coefficients_in(var)
+    cq = q.coefficients_in(var)
+    while len(cp) > 1 and cp[-1].is_zero():
+        cp.pop()
+    while len(cq) > 1 and cq[-1].is_zero():
+        cq.pop()
+    m, n = len(cp) - 1, len(cq) - 1
+    if m == 0:
+        return cp[0] ** n
+    if n == 0:
+        return cq[0] ** m
+    size = m + n
+    zero = cp[0].zero_like()
+    rows = [[zero] * s + cp[::-1] + [zero] * (size - m - 1 - s) for s in range(n)]
+    rows += [[zero] * s + cq[::-1] + [zero] * (size - n - 1 - s) for s in range(m)]
+    return det_bareiss(rows)
+
+
+@st.composite
+def forms(draw, variables, degree, max_var_degree=None):
+    var_degree = degree if max_var_degree is None else min(degree, max_var_degree)
+    monomials = [e for e in itertools.product(range(degree + 1), repeat=len(variables))
+                 if sum(e) == degree and e[0] <= var_degree]
+    terms = draw(st.dictionaries(st.sampled_from(monomials), coeffs.filter(bool),
+                                 min_size=1, max_size=len(monomials)))
+    return MultiPoly(variables, terms)
+
+
+RESULTANT_CASES = ("generic", "vanishing_lead", "common_factor", "m0", "n0", "one_left")
+
+
+@pytest.mark.parametrize("case", RESULTANT_CASES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_resultant_matches_sylvester_oracle(case, data):
+    # the eliminated variable comes first in `names`; it is rotated into place
+    names = ("y", "z") if case == "one_left" else ("x", "y", "z")
+    deg_p, deg_q = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    p = data.draw(forms(names, deg_p, 0 if case == "m0" else None))
+    q = data.draw(forms(names, deg_q, 0 if case == "n0" else None))
+    if case == "vanishing_lead":
+        # the leading coefficient in the eliminated variable vanishes at the node x = 0
+        p = p * MultiPoly.variable(names[1], names) * MultiPoly.variable(names[-1], names)
+    if case == "common_factor":
+        shared = (MultiPoly.variable(names[0], names)
+                  + data.draw(coeffs) * MultiPoly.variable(names[-1], names))
+        p, q = p * shared, q * shared
+    shift = data.draw(st.integers(0, len(names) - 1))
+    order = names[shift:] + names[:shift]
+    p, q = p.extend(order), q.extend(order)
+    res = resultant(p, q, names[0])
+    expected = sylvester_resultant(p, q, names[0])
+    assert res.variables == expected.variables
+    assert res.terms == expected.terms
+    if case == "common_factor":
+        assert res.is_zero()
+
+
+def test_resultant_with_nothing_left_is_a_constant():
+    x = MultiPoly.variable("x", ("x",))
+    assert resultant(3 * x, Fraction(1, 2) * x ** 0, "x") == MultiPoly.constant(Fraction(1, 2), ())
+    assert resultant(3 * x, 2 * x ** 2, "x").is_zero()
+
+
+@pytest.mark.parametrize("p, q, var", [
+    (MultiPoly(VARS, {(1, 0, 0): 1, (0, 0, 0): 1}), MultiPoly(VARS, {(0, 1, 0): 1}), "x"),
+    (MultiPoly(VARS, {(1, 0, 0): 1}), MultiPoly(VARS, {(0, 1, 1): 1, (0, 0, 1): 2}), "x"),
+    (MultiPoly(VARS, {(1, 0, 0): 1}), MultiPoly.zero(VARS), "x"),
+    (MultiPoly(VARS, {(1, 0, 0): 1}), MultiPoly(("x", "y"), {(0, 1): 1}), "x"),
+    (MultiPoly(VARS, {(1, 0, 0): 1}), MultiPoly(VARS, {(0, 1, 0): 1}), "w"),
+    (MultiPoly(("w",) + VARS, {(1, 0, 0, 0): 1}), MultiPoly(("w",) + VARS, {(0, 1, 0, 0): 1}), "w"),
+])
+def test_resultant_rejects_non_forms(p, q, var):
+    with pytest.raises(NotForms):
+        resultant(p, q, var)
 
 
 def test_json_round_trip():

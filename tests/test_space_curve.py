@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from realrank2 import hyperdet as hd
 from realrank2 import space_curve as sc
 from realrank2.multipoly import MultiPoly
+from realrank2.tensors import NonFiniteEntry
+from realrank2.unipoly import real_roots
 
 QUARTIC = sc.MONOMIAL_QUARTIC
 TWISTED_CUBIC = sc.CurveParam(3, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
@@ -199,3 +201,137 @@ def test_scan_argument_guards():
         sc.scan_path(QUARTIC, sc.CROSSING_PATH, nsamples=1)
     with pytest.raises(ValueError):
         sc.scan_path(QUARTIC, sc.CROSSING_PATH, interval=(1, 0))
+
+
+def full_bisection_scan(curve, path, interval=(0, 1), nsamples=21, fixtures=None,
+                        tol=1e-8, seed=0) -> sc.PathReport:
+    """Reference scan: bisect every change to width 1e-12, then match."""
+    path = tuple((Fraction(c0), Fraction(c1)) for c0, c1 in path)
+    lo, hi = (Fraction(v) for v in interval)
+    ts = [lo + (hi - lo) * k / (nsamples - 1) for k in range(nsamples)]
+    samples = [sc._sample(curve, path, t, tol, seed) for t in ts]
+    changes = []
+    for (ta, sa), (tb, sb) in zip(zip(ts, samples), zip(ts[1:], samples[1:])):
+        if sa.label == sb.label:
+            continue
+        a, b = ta, tb
+        while b - a > sc.BISECTION_WIDTH:
+            mid = (a + b) / 2
+            if sc.classify_point(curve, sc._path_point(path, mid), tol, seed=seed).label == sa.label:
+                a = mid
+            else:
+                b = mid
+        changes.append((float((a + b) / 2), sc._rank_of(sa.label), sc._rank_of(sb.label)))
+    roots = [(root, kind) for kind, poly in (fixtures or {}).items()
+             for root, _mult in real_roots(sc._fixture_polynomial(poly, path), lo, hi, tol=1e-13)]
+    transitions, matched = [], set()
+    for t_star, before, after in changes:
+        near = [i for i, (root, _kind) in enumerate(roots)
+                if i not in matched and abs(root - t_star) <= sc.FIXTURE_MATCH_WINDOW]
+        if not near:
+            transitions.append(sc.PathTransition(t_star, sc.UNLABELED, before, after))
+            continue
+        best = min(near, key=lambda i: abs(roots[i][0] - t_star))
+        matched.add(best)
+        transitions.append(sc.PathTransition(roots[best][0], roots[best][1], before, after, roots[best][1]))
+    probe = min((hi - lo) / (8 * (nsamples - 1)), Fraction(1, 10 ** 7))
+    for i, (root, kind) in enumerate(roots):
+        if i in matched:
+            continue
+        before, after = (sc._rank_of(sc.classify_point(curve, sc._path_point(path, Fraction(root) + d),
+                                                       tol, seed=seed).label) for d in (-probe, probe))
+        transitions.append(sc.PathTransition(root, kind if before != after else sc.NO_RANK_CHANGE,
+                                             before, after, kind))
+    transitions.sort(key=lambda tr: tr.t_star)
+    return sc.PathReport(tuple(samples), tuple(transitions))
+
+
+def decoy_fixture(t0: Fraction) -> MultiPoly:
+    """A linear form in (w, x, y, z) vanishing on the crossing path at t0."""
+    (w0, w1), (x0, x1) = sc.CROSSING_PATH[:2]
+    return MultiPoly(sc.POINT_VARS, {(1, 0, 0, 0): x0 + x1 * t0, (0, 1, 0, 0): -(w0 + w1 * t0)})
+
+
+@pytest.fixture
+def classify_counter(monkeypatch):
+    calls = []
+    original = sc.classify_point
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sc, "classify_point", counted)
+    return calls
+
+
+W = Fraction(sc.FIXTURE_MATCH_WINDOW)
+FIXTURES = sc.MONOMIAL_QUARTIC_FIXTURES
+DECOYED = {**FIXTURES, "DECOY": decoy_fixture(Fraction(T_STARS[0]) + W / 2)}
+
+
+@pytest.mark.parametrize("interval, nsamples, fixtures", [
+    ((0, 1), 5, FIXTURES),
+    ((0, 1), 21, FIXTURES),
+    ((0, 1), 64, FIXTURES),
+    ((Fraction(3, 10), Fraction(1, 2)), 5, FIXTURES),
+    ((Fraction(3, 5), Fraction(9, 10)), 7, FIXTURES),
+    ((0, 1), 9, None),
+    ((0, 1), 9, DECOYED),
+    ((Fraction(3, 10), Fraction(1, 2)), 5, {"DECOY": decoy_fixture(Fraction(T_STARS[0]) - 2 * W)}),
+], ids=["n5", "n21", "n64", "tangential-part", "edge-part", "no-fixtures", "decoy",
+        "decoy-outside-window"])
+def test_snapped_scan_equals_full_bisection(interval, nsamples, fixtures):
+    report = sc.scan_path(QUARTIC, sc.CROSSING_PATH, interval, nsamples, fixtures, seed=1729)
+    assert report == full_bisection_scan(QUARTIC, sc.CROSSING_PATH, interval, nsamples, fixtures,
+                                         seed=1729)
+
+
+def test_snap_needs_the_one_root_every_bisection_end_matches():
+    lo, hi = Fraction(1, 2), Fraction(1, 2) + W
+    eps = Fraction(1, 10 ** 12)
+
+    def snap(*roots):
+        return sc._snap_root(roots, range(len(roots)), lo, hi)
+
+    assert snap(lo + W / 2) == 0
+    assert snap(hi - W + 2 * eps) == 0 and snap(lo + W - 2 * eps) == 0
+    assert snap(hi - W) is None and snap(lo + W) is None  # inside the float-rounding margin
+    assert snap(lo - W / 2) is None  # an end near hi is more than W away from it
+    assert snap(lo + W / 2, hi + W / 2) is None  # a second root within reach
+    assert snap(lo + W / 2, hi + W) is None and snap(lo - W, lo + W / 2) is None
+    assert snap(lo + W / 2, hi + 2 * W) == 0
+    assert sc._snap_root((lo + W / 2,), (), lo, hi) is None  # already matched
+
+
+def test_decoy_root_forces_full_bisection(classify_counter):
+    # two fixture roots within the match window of the tangential change:
+    # only full bisection tells which one the change matches
+    interval = (Fraction(3, 10), Fraction(1, 2))
+    sc.scan_path(QUARTIC, sc.CROSSING_PATH, interval, 5, FIXTURES, seed=1729)
+    snapped = len(classify_counter)
+    classify_counter.clear()
+    sc.scan_path(QUARTIC, sc.CROSSING_PATH, interval, 5, DECOYED, seed=1729)
+    decoyed = len(classify_counter)
+    classify_counter.clear()
+    full_bisection_scan(QUARTIC, sc.CROSSING_PATH, interval, 5, DECOYED, seed=1729)
+    assert decoyed == len(classify_counter) > snapped + 2
+
+
+def test_crossing_scan_stops_bisecting_at_the_fixture_root(classify_counter):
+    report = sc.scan_path(QUARTIC, sc.CROSSING_PATH, fixtures=FIXTURES, seed=1729)
+    assert [tr.kind for tr in report.transitions] == [sc.TANGENTIAL, sc.NO_RANK_CHANGE,
+                                                      sc.NO_RANK_CHANGE, sc.EDGE]
+    assert len(classify_counter) <= 51  # 97 with full bisection
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_curve_and_path_entries_rejected(bad):
+    rows = [list(row) for row in QUARTIC.F]
+    rows[3][4] = bad
+    with pytest.raises(NonFiniteEntry):
+        sc.CurveParam(4, rows)
+    path = [list(row) for row in sc.CROSSING_PATH]
+    path[2][1] = bad
+    with pytest.raises(NonFiniteEntry):
+        sc.scan_path(QUARTIC, path, nsamples=2)
