@@ -27,6 +27,7 @@ on standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -34,6 +35,7 @@ from . import binary_forms as bf
 from . import certify as ce
 from . import decompose as dc
 from . import hyperdet as hd
+from . import jsontext
 from . import space_curve as sc
 from . import tableaux as tb
 from . import tensors as tn
@@ -95,8 +97,11 @@ def _load_curve(spec: str) -> sc.CurveParam:
     if spec == "monomial-quartic":
         return sc.MONOMIAL_QUARTIC
     payload = _load_json(spec)
-    tn.require_finite([payload["d"]])
-    return sc.CurveParam(int(payload["d"]), tuple(tuple(row) for row in payload["F"]))
+    d = payload["d"]
+    tn.require_finite([d])
+    if isinstance(d, bool) or (isinstance(d, float) and not d.is_integer()):
+        raise sc.MalformedEntry(f"curve degree must be an integer, not {d!r}")
+    return sc.CurveParam(int(d), tuple(tuple(row) for row in payload["F"]))
 
 
 def _load_path(spec: str):
@@ -251,7 +256,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process and shared by every
+    `main` call; parsing leaves no state in it."""
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "text", "csv"), default="json",
                         help="output format (csv: curve-scan and table1 only)")
@@ -325,7 +333,7 @@ def run(args) -> int:
     result = _COMMANDS[args.command](args)
     status, payload, text = result[0], result[1], result[2]
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(jsontext.dumps(payload))
     elif args.format == "text":
         print("\n".join(text))
     else:
@@ -334,9 +342,8 @@ def run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        return run(parser.parse_args(argv))
+        return run(build_parser().parse_args(argv))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -24,6 +24,9 @@ class InexactDivision(ArithmeticError):
 def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
     out = []
     for row in rows:
+        if set(map(type, row)) <= {int}:  # bools and Fractions take the content path
+            out.append(list(row))
+            continue
         fracs = [as_fraction(x) for x in row]
         den = content(fracs).denominator
         out.append([int(f * den) for f in fracs])
@@ -70,10 +73,9 @@ def _echelon(mat: list[list[int]], ncols: int) -> tuple[list[list[int]], list[in
 
 def exact_rank(rows: Sequence[Sequence]) -> int:
     """Rank of a matrix with exactly-representable entries."""
-    rows = [list(r) for r in rows]
-    if not rows or not rows[0]:
-        return 0
     mat = _integer_rows(rows)
+    if not mat or not mat[0]:
+        return 0
     _, pivots = _echelon(mat, len(mat[0]))
     return len(pivots)
 

@@ -34,6 +34,10 @@ class BadCurve(ValueError):
     """The parametrization does not span projective 3-space."""
 
 
+class MalformedEntry(ValueError):
+    """A boolean coefficient, or a curve degree that is not an integer."""
+
+
 class RewriteFailed(RuntimeError):
     """A symmetric pair polynomial failed to rewrite in (a, b, c)."""
 
@@ -75,8 +79,10 @@ MAX_ELIMINATION_RETRIES = 8
 
 def _exact_entries(values) -> tuple[Fraction, ...]:
     """Exact copies of coefficients read from outside; NonFiniteEntry for
-    an infinite or NaN float."""
+    an infinite or NaN float, MalformedEntry for a boolean."""
     values = tuple(values)
+    if any(isinstance(v, bool) for v in values):
+        raise MalformedEntry("coefficients must be numbers, not booleans")
     require_finite([v for v in values if isinstance(v, float)])
     return tuple(as_fraction(v) for v in values)
 

@@ -128,8 +128,7 @@ def numeric_rank(matrix: np.ndarray, tol: float = 1e-8) -> int:
 
 
 def exact_matrix_rank(matrix: np.ndarray) -> int:
-    rows = [list(row) for row in np.asarray(matrix, dtype=object)]
-    return exact_rank(rows)
+    return exact_rank(np.asarray(matrix, dtype=object).tolist())
 
 
 def matrix_rank(matrix: np.ndarray, tol: float = 1e-8, exact: bool | None = None) -> int:

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import realrank2
 from realrank2.cli import DEFAULT_SEED, main
 
 TABLE_TEXT = "\n".join([
@@ -247,3 +252,38 @@ def test_non_finite_input_gets_no_verdict(tmp_path, capsys, argv, payload):
     assert status == 1
     assert out == ""
     assert err.splitlines()[-1].startswith("error: NonFiniteEntry")
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["curve-scan", "--path", "crossing", "--curve"], {"d": 4.5, "F": QUARTIC_ROWS}),
+    (["curve-scan", "--path", "crossing", "--curve"], {"d": True, "F": QUARTIC_ROWS}),
+    (["curve-scan", "--path", "crossing", "--curve"],
+     {"d": 4, "F": QUARTIC_ROWS[:3] + [[0, 0, 0, 0, True]]}),
+    (["curve-scan", "--curve", "monomial-quartic", "--path"],
+     {"coefficients": [[84, -74], [13, 59], [62, True], [-38, -10]]}),
+])
+def test_malformed_curve_and_path_input_gets_no_verdict(tmp_path, capsys, argv, payload):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(payload))  # True goes out as the JSON literal true
+    status, out, err = run_cli(capsys, *argv, str(path))
+    assert status == 1
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: MalformedEntry")
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, conj_file):
+    """One parser serves every main() call in a process: a usage error,
+    --seed 0 (which main turns into None) and --format text leave nothing
+    behind for the calls after them."""
+    src = str(Path(realrank2.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (
+        ["certify", "--file", conj_file, "--bogus"],
+        ["certify", "--file", conj_file, "--seed", "0"],
+        ["certify", "--file", conj_file, "--format", "text"],
+        ["certify", "--file", conj_file],
+    ):
+        fresh = subprocess.run([sys.executable, "-m", "realrank2", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        # stderr holds the resolved configuration, so a seed left over shows there
+        assert run_cli(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)

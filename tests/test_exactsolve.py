@@ -34,6 +34,32 @@ def test_exact_rank_matches_float_rank_on_integer_matrices(shape, seed):
     assert exact_rank(rows) == np.linalg.matrix_rank(a, tol=1e-9)
 
 
+coefficients = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
+
+
+@st.composite
+def integer_rows(draw):
+    """Integer rows C·B of rank at most k: int rows skip the content step."""
+    m, n = draw(dims)
+    k = draw(st.integers(1, min(m, n)))
+    basis = draw(st.lists(st.lists(coefficients, min_size=n, max_size=n), min_size=k, max_size=k))
+    mix = draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=m, max_size=m))
+    return [[sum(c * b[j] for c, b in zip(row, basis)) for j in range(n)] for row in mix]
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_rows(), st.data())
+def test_exact_rank_of_integer_rows_equals_rank_as_fractions(rows, data):
+    as_fractions = [[Fraction(x) for x in row] for row in rows]
+    # some rows may stay int, so int and Fraction rows meet in one matrix
+    mixed = [row if data.draw(st.booleans()) else frac for row, frac in zip(rows, as_fractions)]
+    before = [list(row) for row in rows]
+    rank = exact_rank(as_fractions)
+    assert exact_rank(rows) == rank
+    assert exact_rank(mixed) == rank
+    assert rows == before  # elimination works on copies
+
+
 def test_exact_rank_beats_floats_on_tiny_pivots():
     eps = Fraction(1, 10**40)
     rows = [[Fraction(1), Fraction(1)], [Fraction(1), 1 + eps]]
