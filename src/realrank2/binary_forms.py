@@ -159,8 +159,8 @@ def quintic_alternative_test(f: BinaryForm, tol: float = 1e-10) -> bool:
     disc = v1 * v1 - 4 * v0 * v2
     if f.is_exact():
         return hankel_rank(f) <= 2 and disc >= 0
-    scale = (1.0 + max(abs(float(c)) for c in f.coords)) ** 4
-    return hankel_rank(f, 1e-8) <= 2 and float(disc) >= -tol * scale
+    zero_tol = hd.hyperdet_zero_tol(np.asarray(f.coords, dtype=float), tol)
+    return hankel_rank(f, 1e-8) <= 2 and float(disc) >= -zero_tol
 
 
 @dataclass

@@ -195,7 +195,7 @@ def certify_symmetric(f: tn.SymTensorCoords, tol: float = 1e-8) -> Certificate:
         exact = form.is_exact()
         rank = bf.hankel_rank(form, tol)
         dvals = bf.discriminant_values(form)
-        zero_tol = 0 if exact else hd.DEFAULT_ZERO_TOL_SCALE * (1.0 + max(abs(float(c)) for c in form.coords)) ** 4
+        zero_tol = 0 if exact else hd.hyperdet_zero_tol(np.asarray(form.coords, dtype=float))
         report = hd.report_from_values([(f"D{i}", v) for i, v in enumerate(dvals)], zero_tol)
         return _certificate({"hankel": rank}, None, report, exact, tol)
 

@@ -100,7 +100,7 @@ def _load_curve(spec: str) -> sc.CurveParam:
     d = payload["d"]
     tn.require_finite([d])
     if isinstance(d, bool) or (isinstance(d, float) and not d.is_integer()):
-        raise sc.MalformedEntry(f"curve degree must be an integer, not {d!r}")
+        raise tn.MalformedEntry(f"curve degree must be an integer, not {d!r}")
     return sc.CurveParam(int(d), tuple(tuple(row) for row in payload["F"]))
 
 

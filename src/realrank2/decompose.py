@@ -94,16 +94,17 @@ class Rank2Decomposition:
         return out
 
 
-def _kron_all(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    out = np.asarray(vectors[0])
-    for v in vectors[1:]:
-        out = np.kron(out, v)
+def _khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Column-wise Kronecker product of (n_k, r) factor matrices, left to right.
+
+    1-D vectors give their plain Kronecker product.  Every element is the
+    product np.kron forms, in the same order (Kolda & Bader, SIAM Review
+    51(3), 2009, section 2.6).
+    """
+    out = mats[0]
+    for m in mats[1:]:
+        out = (out[:, None] * m[None, :]).reshape((-1,) + out.shape[1:])
     return out
-
-
-def _contract_except(t: np.ndarray, factors: Sequence[np.ndarray], mode: int) -> np.ndarray:
-    rest = [factors[k] for k in range(t.ndim) if k != mode]
-    return tn.flatten(t, [mode]) @ _kron_all(rest)
 
 
 def best_rank_one(t: np.ndarray, max_iters: int = 200, tol: float = 1e-12,
@@ -125,11 +126,11 @@ def best_rank_one(t: np.ndarray, max_iters: int = 200, tol: float = 1e-12,
     for _ in range(max_iters):
         prev = [f.copy() for f in factors]
         for m in range(t.ndim):
-            v = _contract_except(t, factors, m)
+            v = tn.flatten(t, [m]) @ _khatri_rao([factors[k] for k in range(t.ndim) if k != m])
             nv = np.linalg.norm(v)
             if nv > 0:
                 factors[m] = v / nv
-        overlap = float(_kron_all(factors) @ t.ravel())
+        overlap = float(_khatri_rao(factors) @ t.ravel())
         if callback is not None:
             callback(float(np.sqrt(max(norm2 - overlap * overlap, 0.0))))
         if max(np.linalg.norm(f - p) for f, p in zip(factors, prev)) < tol:
@@ -140,10 +141,8 @@ def best_rank_one(t: np.ndarray, max_iters: int = 200, tol: float = 1e-12,
 
 def _als_sweep(t: np.ndarray, mats: list[np.ndarray]) -> None:
     """One ALS sweep: refit each factor matrix in turn by least squares."""
-    rank = mats[0].shape[1]
     for m in range(t.ndim):
-        cols = [_kron_all([mats[k][:, r] for k in range(t.ndim) if k != m]) for r in range(rank)]
-        k_mat = np.stack(cols, axis=1)
+        k_mat = _khatri_rao([mats[k] for k in range(t.ndim) if k != m])
         sol, *_ = np.linalg.lstsq(k_mat, tn.flatten(t, [m]).T, rcond=None)
         mats[m] = sol.T
 
@@ -178,8 +177,7 @@ def als_low_rank(t: np.ndarray, rank: int = 2, max_sweeps: int = 200, tol: float
         prev_err = np.inf
         for _ in range(max_sweeps):
             _als_sweep(t, mats)
-            full = sum(_kron_all([mats[k][:, r] for k in range(t.ndim)]) for r in range(rank))
-            err = np.linalg.norm(tvec - full)
+            err = np.linalg.norm(tvec - _khatri_rao(mats).sum(axis=1))
             if prev_err - err < tol * (1.0 + err):
                 break
             prev_err = err
@@ -231,13 +229,14 @@ def _rotation_search(m0: np.ndarray, m1: np.ndarray, rng: np.random.Generator):
 
 
 def _weights_real(t: np.ndarray, factor_sets: list[list[np.ndarray]]) -> list[float]:
-    a = np.stack([_kron_all(fs) for fs in factor_sets], axis=1)
+    """Least-squares weights of the rank-one tensors, one per factor set."""
+    a = _khatri_rao([np.column_stack(fs) for fs in zip(*factor_sets)])
     w, *_ = np.linalg.lstsq(a, t.ravel(), rcond=None)
     return [float(x) for x in w]
 
 
 def _weight_conj(t: np.ndarray, factors: list[np.ndarray]) -> complex:
-    z = _kron_all(factors)
+    z = _khatri_rao(factors)
     a = np.stack([2.0 * z.real, -2.0 * z.imag], axis=1)
     w, *_ = np.linalg.lstsq(a, t.ravel(), rcond=None)
     return complex(w[0], w[1])
@@ -261,7 +260,7 @@ def _polish_conj(t: np.ndarray, term: RankOneTerm, sweeps: int = 3) -> RankOneTe
     w = complex(term.weight)
     for _ in range(sweeps):
         for m in range(t.ndim):
-            rest = w * _kron_all([factors[k] for k in range(t.ndim) if k != m])
+            rest = w * _khatri_rao([factors[k] for k in range(t.ndim) if k != m])
             g = np.stack([2.0 * rest.real, -2.0 * rest.imag], axis=1)
             sol, *_ = np.linalg.lstsq(g, tn.flatten(t, [m]).T, rcond=None)
             z = sol[0, :] + 1j * sol[1, :]
@@ -306,7 +305,6 @@ def decompose_rank2(t: np.ndarray, tol: float = 1e-8, seed: int = 0,
     if cert.verdict not in _ALLOWED:
         raise NotRankTwo(f"certificate verdict {cert.verdict.value}")
     tf = tn.to_float(t)
-    norm = np.linalg.norm(tf)
     rng = np.random.default_rng(seed)
 
     bases, core = _compress(tf, 1e-8)
@@ -325,9 +323,7 @@ def decompose_rank2(t: np.ndarray, tol: float = 1e-8, seed: int = 0,
             factor_sets.append(factors)
         weights = _weights_real(tf, factor_sets)
         terms = [RankOneTerm(w, fs) for w, fs in zip(weights, factor_sets)]
-        recon = sum(term.tensor() for term in terms)
-        return Rank2Decomposition(DecompositionKind.REAL_PAIR, terms,
-                                  float(np.linalg.norm(tf - recon) / norm))
+        return _with_residual(DecompositionKind.REAL_PAIR, terms, tf)
 
     # group modes as 1 | 2 | rest and compress the merged rest to two columns
     grouped = core.reshape(2, 2, -1)
@@ -350,56 +346,59 @@ def decompose_rank2(t: np.ndarray, tol: float = 1e-8, seed: int = 0,
     lam, _ = np.linalg.eig(pencil)
     gap = abs(lam[0] - lam[1])
     scale = 1.0 + max(abs(lam[0]), abs(lam[1]))
+    rot_t = np.array([[c, -s], [s, c]])  # transpose of the slice rotation
 
     if gap < 1e-6 * scale:
-        return _tangential_form(tf, bases, active, merged_basis, p,
-                                m0r, m1r, c, s, float(lam.real.mean()), norm)
-
-    def core_factors(x_rows: np.ndarray, x_cols: np.ndarray, x_pencil: np.ndarray):
-        g = [None, None, None]
-        rows, cols = [q for q in range(3) if q != p]
-        g[rows], g[cols], g[p] = x_rows, x_cols, x_pencil
-        return g
-
-    def lift(g: list[np.ndarray]) -> list[np.ndarray]:
-        factors = [None] * tf.ndim
-        for m in range(tf.ndim):
-            if m not in active:
-                factors[m] = bases[m][:, 0].astype(g[2].dtype)
-        factors[active[0]] = bases[active[0]] @ g[0]
-        factors[active[1]] = bases[active[1]] @ g[1]
-        tail = merged_basis @ g[2] if merged_basis is not None else g[2]
-        for m, piece in zip(active[2:], _split_rank_one(tail, [2] * (len(active) - 2))):
-            factors[m] = bases[m] @ piece
-        return [f / np.linalg.norm(f) for f in factors]
-
-    rot_t = np.array([[c, -s], [s, c]])  # transpose of the slice rotation
+        # defective pencil: its one eigenvector on each side gives the core point
+        lam = float(lam.real.mean())
+        x_rows = _null_vector(pencil - lam * np.eye(2))
+        x_cols = _null_vector(m1r.T @ np.linalg.inv(m0r.T) - lam * np.eye(2))
+        xs = _lift(bases, active, merged_basis, p, x_rows, x_cols, rot_t @ np.array([1.0, lam]))
+        return _tangential_form(tf, xs)
 
     if abs(lam.imag).max() > 0.0:
         z = lam[0] if lam[0].imag > 0 else lam[1]
         x_mat = (m1r - np.conj(z) * m0r) / (z - np.conj(z))
         u, sv, vh = np.linalg.svd(x_mat)
-        cp = rot_t @ np.array([1.0, z])
-        g = core_factors(u[:, 0], vh[0, :], cp / np.linalg.norm(cp))
-        term = RankOneTerm(1.0 + 0.0j, lift(g))
-        term = RankOneTerm(_weight_conj(tf, term.factors), term.factors)
-        term = _polish_conj(tf, term)
-        dec = Rank2Decomposition(DecompositionKind.CONJUGATE_PAIR, [term], 0.0)
-        dec.residual = float(np.linalg.norm(tf - dec.reconstruct()) / norm)
-        return dec
+        factors = _lift(bases, active, merged_basis, p, u[:, 0], vh[0, :], rot_t @ np.array([1.0, z]))
+        term = _polish_conj(tf, RankOneTerm(_weight_conj(tf, factors), factors))
+        return _with_residual(DecompositionKind.CONJUGATE_PAIR, [term], tf)
 
     lam = lam.real
     factor_sets = []
     for i in range(2):
         x_mat = (m1r - lam[1 - i] * m0r) / (lam[i] - lam[1 - i])
         u, sv, vh = np.linalg.svd(x_mat)
-        cp = rot_t @ np.array([1.0, lam[i]])
-        g = core_factors(u[:, 0], vh[0, :], cp / np.linalg.norm(cp))
-        factor_sets.append(lift(g))
+        factor_sets.append(_lift(bases, active, merged_basis, p, u[:, 0], vh[0, :],
+                                 rot_t @ np.array([1.0, lam[i]])))
     weights = _weights_real(tf, factor_sets)
     terms = _polish_real(tf, [RankOneTerm(w, fs) for w, fs in zip(weights, factor_sets)])
-    dec = Rank2Decomposition(DecompositionKind.REAL_PAIR, terms, 0.0)
-    dec.residual = float(np.linalg.norm(tf - dec.reconstruct()) / norm)
+    return _with_residual(DecompositionKind.REAL_PAIR, terms, tf)
+
+
+def _lift(bases, active, merged_basis, p: int, x_rows: np.ndarray, x_cols: np.ndarray,
+          x_pencil: np.ndarray) -> list[np.ndarray]:
+    """Unit factors of the tensor for one rank-one point of the 2x2x2 core.
+
+    The core point is x_rows, x_cols and the pencil factor x_pencil, placed
+    around pencil mode p; the merged rest splits back into its modes.
+    """
+    g = [None, None, None]
+    rows, cols = [q for q in range(3) if q != p]
+    g[rows], g[cols], g[p] = x_rows, x_cols, x_pencil / np.linalg.norm(x_pencil)
+    factors = [basis[:, 0].astype(g[2].dtype) for basis in bases]
+    tail = merged_basis @ g[2] if merged_basis is not None else g[2]
+    pieces = [g[0], g[1]] + _split_rank_one(tail, [2] * (len(active) - 2))
+    for m, piece in zip(active, pieces):
+        factors[m] = bases[m] @ piece
+    return [f / np.linalg.norm(f) for f in factors]
+
+
+def _with_residual(kind: DecompositionKind, terms: list[RankOneTerm], tf: np.ndarray,
+                   tangent_directions: list[np.ndarray] | None = None) -> Rank2Decomposition:
+    """The decomposition with its relative residual |tf - reconstruction| / |tf|."""
+    dec = Rank2Decomposition(kind, terms, 0.0, tangent_directions)
+    dec.residual = float(np.linalg.norm(tf - dec.reconstruct()) / np.linalg.norm(tf))
     return dec
 
 
@@ -408,49 +407,16 @@ def _null_vector(mat: np.ndarray) -> np.ndarray:
     return vh[-1, :]
 
 
-def _tangential_form(tf, bases, active, merged_basis, p, m0r, m1r, c, s,
-                     lam: float, norm: float) -> Rank2Decomposition:
-    """Defective pencil: fit gamma*(x)x + sum_m x..y_m..x with y_m _|_ x_m."""
-    pencil = m1r @ np.linalg.inv(m0r)
-    x_rows = _null_vector(pencil - lam * np.eye(2))
-    x_cols = _null_vector(m1r.T @ np.linalg.inv(m0r.T) - lam * np.eye(2))
-    cp = np.array([[c, -s], [s, c]]) @ np.array([1.0, lam])
-    cp /= np.linalg.norm(cp)
-    g = [None, None, None]
-    rows, cols = [q for q in range(3) if q != p]
-    g[rows], g[cols], g[p] = x_rows, x_cols, cp
-
-    xs = [None] * tf.ndim
-    for m in range(tf.ndim):
-        if m not in active:
-            xs[m] = bases[m][:, 0]
-    xs[active[0]] = bases[active[0]] @ g[0]
-    xs[active[1]] = bases[active[1]] @ g[1]
-    tail = merged_basis @ g[2] if merged_basis is not None else g[2]
-    pieces = _split_rank_one(tail.real if np.iscomplexobj(tail) else tail,
-                             [2] * (len(active) - 2))
-    for m, piece in zip(active[2:], pieces):
-        xs[m] = bases[m] @ piece
-    xs = [x / np.linalg.norm(x) for x in xs]
-
-    cols_ls = [_kron_all(xs)]
+def _tangential_form(tf: np.ndarray, xs: list[np.ndarray]) -> Rank2Decomposition:
+    """Fit gamma*(x)x + sum_m x..y_m..x with y_m _|_ x_m at the unit factors xs."""
     complements = [_orth_complement(x) for x in xs]
-    slots = []
-    for m in range(tf.ndim):
-        for j in range(complements[m].shape[1]):
-            slots.append((m, j))
-            cols_ls.append(_kron_all([complements[m][:, j] if k == m else xs[k]
-                                      for k in range(tf.ndim)]))
-    a = np.stack(cols_ls, axis=1)
-    sol, *_ = np.linalg.lstsq(a, tf.ravel(), rcond=None)
-    gamma = float(sol[0])
+    slots = [(m, j) for m in range(tf.ndim) for j in range(complements[m].shape[1])]
+    tangents = [[complements[m][:, j] if k == m else x for k, x in enumerate(xs)] for m, j in slots]
+    coefs = _weights_real(tf, [xs] + tangents)
     ys = [np.zeros(n) for n in tf.shape]
-    for coef, (m, j) in zip(sol[1:], slots):
-        ys[m] = ys[m] + float(coef) * complements[m][:, j]
-    dec = Rank2Decomposition(DecompositionKind.TANGENTIAL,
-                             [RankOneTerm(gamma, xs)], 0.0, tangent_directions=ys)
-    dec.residual = float(np.linalg.norm(tf - dec.reconstruct()) / norm)
-    return dec
+    for coef, (m, j) in zip(coefs[1:], slots):
+        ys[m] = ys[m] + coef * complements[m][:, j]
+    return _with_residual(DecompositionKind.TANGENTIAL, [RankOneTerm(coefs[0], xs)], tf, ys)
 
 
 def tangential_sequences(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray],

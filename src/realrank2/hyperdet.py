@@ -57,6 +57,9 @@ def hyperdet_zero_tol(t: np.ndarray, scale: float = DEFAULT_ZERO_TOL_SCALE):
     """Zero threshold for hyperdet values of sub-blocks of t.
 
     The hyperdeterminant is quartic in the entries, hence the fourth power.
+    The binary-form discriminant tests use the same threshold on the form's
+    coefficients, passed as a float array once the caller knows the form is
+    inexact.
     Exact tensors use an exact zero test.
     """
     if is_exact(t):

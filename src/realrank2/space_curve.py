@@ -26,16 +26,12 @@ import numpy as np
 
 from . import exactsolve as xs
 from .multipoly import MultiPoly, NotDivisible, as_fraction, resultant
-from .tensors import num_json, require_finite
+from .tensors import num_json, reject_booleans, require_finite
 from .unipoly import UniPoly, poly_gcd, real_roots
 
 
 class BadCurve(ValueError):
     """The parametrization does not span projective 3-space."""
-
-
-class MalformedEntry(ValueError):
-    """A boolean coefficient, or a curve degree that is not an integer."""
 
 
 class RewriteFailed(RuntimeError):
@@ -81,8 +77,7 @@ def _exact_entries(values) -> tuple[Fraction, ...]:
     """Exact copies of coefficients read from outside; NonFiniteEntry for
     an infinite or NaN float, MalformedEntry for a boolean."""
     values = tuple(values)
-    if any(isinstance(v, bool) for v in values):
-        raise MalformedEntry("coefficients must be numbers, not booleans")
+    reject_booleans(values)
     require_finite([v for v in values if isinstance(v, float)])
     return tuple(as_fraction(v) for v in values)
 

@@ -42,6 +42,16 @@ class NonFiniteEntry(ValueError):
     """An infinite or NaN entry: no rank or sign test is defined for it."""
 
 
+class MalformedEntry(ValueError):
+    """A boolean entry or coefficient, or a curve degree that is not an integer."""
+
+
+def reject_booleans(values) -> None:
+    """Raise MalformedEntry if a value is a boolean: JSON `true` is not 1."""
+    if any(isinstance(v, (bool, np.bool_)) for v in values):
+        raise MalformedEntry("expected numbers, not booleans")
+
+
 def require_finite(values) -> None:
     """Raise NonFiniteEntry unless every (float) value is finite."""
     if not np.all(np.isfinite(np.asarray(values, dtype=float))):
@@ -54,6 +64,7 @@ def is_exact(t: np.ndarray) -> bool:
 
 def tensor(shape: Sequence[int], entries: Sequence) -> np.ndarray:
     """Build a tensor from row-major entries; exact inputs stay exact."""
+    reject_booleans(shape)
     shape = tuple(int(n) for n in shape)
     if any(n < 1 for n in shape):
         raise ShapeMismatch(f"invalid shape {shape}")
@@ -61,6 +72,7 @@ def tensor(shape: Sequence[int], entries: Sequence) -> np.ndarray:
     expected = int(np.prod(shape))
     if len(flat) != expected:
         raise ShapeMismatch(f"expected {expected} entries, got {len(flat)}")
+    reject_booleans(flat)
     if all(isinstance(v, (int, Fraction)) or isinstance(v, str) for v in flat):
         arr = np.empty(expected, dtype=object)
         for i, v in enumerate(flat):
@@ -292,6 +304,7 @@ def sym_to_json(f: SymTensorCoords) -> dict:
 
 def sym_from_json(payload: Mapping) -> SymTensorCoords:
     """Multidegrees omitted from the JSON coeffs count as zero."""
+    reject_booleans([payload["n"], payload["d"], *payload["coeffs"].values()])
     n, d = int(payload["n"]), int(payload["d"])
     coeffs = {}
     exact = all(isinstance(v, (int, str)) for v in payload["coeffs"].values())

@@ -261,8 +261,13 @@ def test_non_finite_input_gets_no_verdict(tmp_path, capsys, argv, payload):
      {"d": 4, "F": QUARTIC_ROWS[:3] + [[0, 0, 0, 0, True]]}),
     (["curve-scan", "--curve", "monomial-quartic", "--path"],
      {"coefficients": [[84, -74], [13, 59], [62, True], [-38, -10]]}),
+    (["certify", "--file"], {"shape": [2, 2, 2], "entries": [True, 0, 0, 0, 0, 0, 0, 1]}),
+    (["decompose", "--file"], {"shape": [2, 2, 2], "entries": [True, 0, 0, 0, 0, 0, 0, 1]}),
+    (["certify", "--symmetric", "--file"], {"n": 2, "d": 3, "coeffs": {"3,0": True, "0,3": 1}}),
+    (["certify", "--file"], {"shape": [True, 2, 2], "entries": [1, 0, 0, 1]}),
+    (["certify", "--symmetric", "--file"], {"n": 2, "d": True, "coeffs": {"1,0": 1, "0,1": 2}}),
 ])
-def test_malformed_curve_and_path_input_gets_no_verdict(tmp_path, capsys, argv, payload):
+def test_malformed_tensor_curve_and_path_input_gets_no_verdict(tmp_path, capsys, argv, payload):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(payload))  # True goes out as the JSON literal true
     status, out, err = run_cli(capsys, *argv, str(path))

@@ -1,5 +1,6 @@
 """Rank-two decomposition: round trips, kind agreement with the certifier,
-rank-one projection geometry, plain ALS behavior."""
+rank-one projection geometry, plain ALS behavior, and the Khatri-Rao
+product against np.kron."""
 
 from __future__ import annotations
 
@@ -80,6 +81,39 @@ def test_tangential_witness_decomposes_tangentially():
     dec = dc.decompose_rank2(t)
     assert dec.kind == dc.DecompositionKind.TANGENTIAL
     assert np.linalg.norm(dec.reconstruct() - t) / np.linalg.norm(t) <= 1e-8
+
+
+def chained_kron(vectors):
+    out = vectors[0]
+    for v in vectors[1:]:
+        out = np.kron(out, v)
+    return out
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+real_vectors = st.lists(finite, min_size=1, max_size=3).map(np.array)
+complex_vectors = st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=3).map(lambda v: np.array(v, dtype=complex))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(real_vectors, complex_vectors), min_size=1, max_size=9))
+def test_khatri_rao_of_vectors_is_chained_kron(vectors):
+    with np.errstate(all="ignore"):  # products may overflow; both sides alike
+        assert dc._khatri_rao(vectors).tobytes() == chained_kron(vectors).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.lists(st.integers(1, 3), min_size=1, max_size=6), st.integers(1, 3))
+def test_khatri_rao_of_matrices_is_chained_kron_per_column(data, rows, rank):
+    mats = [np.array(data.draw(st.lists(finite, min_size=n * rank, max_size=n * rank))).reshape(n, rank)
+            for n in rows]
+    with np.errstate(all="ignore"):
+        out = dc._khatri_rao(mats)
+        columns = [chained_kron([m[:, r] for m in mats]) for r in range(rank)]
+    assert out.shape == (int(np.prod(rows)), rank)
+    for r in range(rank):
+        assert out[:, r].tobytes() == columns[r].tobytes()
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,0 +1,39 @@
+"""Smoke tests for scripts/: each one runs as a subprocess at a small size."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import realrank2
+
+SRC = Path(realrank2.__file__).resolve().parents[1]
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("name, args", [
+    ("verdict_census.py", ["--samples", "20"]),
+    ("tangential_quadrics_report.py", ["--nmax", "3", "--dmax", "5", "--spot-checks", "2"]),
+    ("scan_crossing_path.py", ["--nsamples", "5"]),
+])
+def test_script_runs_at_small_size(name, args):
+    done = run_script(name, *args)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()
+
+
+def test_stdout_digest_usage_on_wrong_argument_count():
+    done = run_script("stdout_digest.py", "only-one-argument")
+    assert done.returncode == 2
+    assert "python3 scripts/stdout_digest.py <checkout> <seed>" in done.stderr
+    assert done.stdout == ""

@@ -1,7 +1,9 @@
 """Pinned serialized output: the exact text of every to_json form and of
-the certify, hyperdet and binary-form commands on exact input.
+the certify, hyperdet and binary-form commands on exact input and of the
+decompose command on one float tensor per branch.
 
-The report objects are built by hand, so nothing here depends on LAPACK.
+The report objects are built by hand, so nothing here depends on LAPACK
+except the decompose goldens at the end, which pin its float digits.
 """
 
 from __future__ import annotations
@@ -256,3 +258,62 @@ def test_binary_form_cli_golden(capsys):
     argv = ["binary-form", "--d", "5", "--coords", "1,1/2,0,-1/3,2,3/7", "--format", "text"]
     assert main(argv) == 0
     assert capsys.readouterr().out == QUINTIC_TEXT
+
+
+# ------------------------------------------------------ decompose goldens
+# Float digits from the LAPACK that numpy links, one tensor per branch of
+# decompose_rank2.  Each expected stdout is written compactly here and
+# compared, byte for byte, with its indent-2 rendering (float repr round
+# trips, so json.loads loses no digit).
+
+def _outer(*vectors):
+    return tn.outer([np.array(v, dtype=float) for v in vectors])
+
+
+DECOMPOSE_GOLDENS = [
+    pytest.param(  # three active modes: pencil, then _polish_real
+        _outer([1, 2], [1, -1], [2, 1]) + _outer([3, 1], [0, 2], [1, 1]),
+        '{"kind": "REAL_PAIR", "terms": [{"weight": 8.944271909999166, "factors": '
+        '[[0.9486832980505135, 0.31622776601683855], [-2.7226360631291836e-16, -1.0], '
+        '[-0.7071067811865475, -0.7071067811865475]]}, {"weight": 7.071067811865479, "factors": '
+        '[[0.44721359549995765, 0.8944271909999161], [0.707106781186547, -0.7071067811865481], '
+        '[0.8944271909999159, 0.447213595499958]]}], "residual": 4.75492555311956e-16}',
+        id="real-pair"),
+    pytest.param(
+        np.array([2, 0, 0, -2, 0, -2, -2, 0], dtype=float).reshape(2, 2, 2),
+        '{"kind": "CONJUGATE_PAIR", "terms": [{"weight": {"re": 2.828427124746189, '
+        '"im": -2.7943241756659555e-17}, "factors": [{"re": [0.6103736615881361, '
+        '0.35699298766151094], "im": [-0.3569929876615109, 0.6103736615881359]}, '
+        '{"re": [-0.610373661588136, 0.3569929876615111], "im": [-0.35699298766151105, '
+        '-0.6103736615881358]}, {"re": [-0.7071067811865477, -1.9727953282475124e-16], '
+        '"im": [1.9727953282475126e-16, -0.7071067811865477]}]}], "residual": 2.4589952241193566e-16}',
+        id="conjugate-pair"),
+    pytest.param(  # four modes: the merged rest is compressed and split again
+        ce.tangential_witness([np.array([1.0, 2.0]), np.array([1.0, -1.0]),
+                               np.array([2.0, 1.0]), np.array([1.0, 1.0])],
+                              [np.array([0.0, 1.0]), np.array([3.0, 1.0]),
+                               np.array([1.0, 0.0]), np.array([1.0, -2.0])]),
+        '{"kind": "TANGENTIAL", "terms": [{"weight": -12.999999999999991, "factors": '
+        '[[0.44721359549995804, 0.8944271909999157], [-0.7071067811865477, 0.7071067811865475], '
+        '[0.8944271909999159, 0.44721359549995804], [0.7071067811865471, 0.707106781186548]]}], '
+        '"residual": 6.064238114361032e-16, "tangent_directions": [[1.7888543819998348, '
+        '-0.8944271909999175], [14.142135623730942, 14.142135623730951], [-0.8944271909999147, '
+        '1.7888543819998293], [-10.606601717798224, 10.606601717798211]]}',
+        id="tangential"),
+    pytest.param(  # the third mode has rank one: only two active modes
+        _outer([1, 2], [1, -1], [2, 1]) + _outer([3, 1], [0, 2], [2, 1]),
+        '{"kind": "REAL_PAIR", "terms": [{"weight": 11.441228056353696, "factors": '
+        '[[0.995959313953112, 0.08980559531591699], [-0.22975292054736096, -0.9732489894677301], '
+        '[-0.8944271909999157, -0.44721359549995787]]}, {"weight": 4.370160244488211, "factors": '
+        '[[-0.089805595315917, 0.9959593139531122], [-0.9732489894677302, 0.229752920547361], '
+        '[-0.8944271909999157, -0.44721359549995787]]}], "residual": 4.941220080268143e-16}',
+        id="two-active-modes"),
+]
+
+
+@pytest.mark.parametrize("tensor, expected", DECOMPOSE_GOLDENS)
+def test_decompose_cli_golden(tmp_path, capsys, tensor, expected):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(tn.tensor_to_json(tensor)))
+    assert main(["decompose", "--file", str(path)]) == 0
+    assert capsys.readouterr().out == json.dumps(json.loads(expected), indent=2) + "\n"
