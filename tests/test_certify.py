@@ -4,6 +4,7 @@ goldens for the named fixture tensors."""
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -102,6 +103,65 @@ def test_oracle_equivalence_symmetric_vs_tensor(d, seed):
     sym = ce.certify_symmetric(f)
     full = ce.certify_border_rank2(tn.sym_to_tensor(f))
     assert sym.verdict == full.verdict
+
+
+small_st = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+scale_st = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6))
+
+
+@st.composite
+def exact_coords(draw, nvec: int, products):
+    """Exact coordinates: free entries, or a planted rank-one term, real pair
+    or conjugate pair.  products(re, im) lists, one per coordinate, the
+    product of components of the vector re + i*im (length nvec) it takes."""
+    kind = draw(st.sampled_from(["free", "rank one", "real pair", "conjugate pair"]))
+    if kind == "free":
+        size = len(products([0] * nvec, [0] * nvec))
+        return draw(st.lists(small_st, min_size=size, max_size=size))
+    vector = st.lists(st.integers(-3, 3), min_size=nvec, max_size=nvec)
+    re1, im1, re2 = draw(vector), draw(vector), draw(vector)
+    if kind == "conjugate pair":
+        # twice the real part of Gaussian-integer products: exact in floats
+        return [2 * int(z.real) for z in products(re1, im1)]
+    w1, w2 = draw(st.integers(1, 3)), 0 if kind == "rank one" else draw(st.integers(-3, 3))
+    zero = [0] * nvec
+    return [w1 * int(p.real) + w2 * int(q.real)
+            for p, q in zip(products(re1, zero), products(re2, zero))]
+
+
+def _signature(cert: ce.Certificate) -> tuple:
+    report = cert.hyperdet_report
+    return (cert.verdict, cert.flattening_ranks, report.num_positive, report.num_zero,
+            report.num_negative, report.argmin)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape_st, st.data(), scale_st)
+def test_exact_tensor_certificate_is_invariant_under_positive_scaling(shape, data, c):
+    cuts = np.cumsum(shape)[:-1]
+
+    def products(re, im):
+        modes = np.split(np.array(re) + 1j * np.array(im), cuts)
+        return tn.outer(modes).ravel().tolist()
+
+    t = np.array(data.draw(exact_coords(sum(shape), products)), dtype=object).reshape(shape)
+    assert _signature(ce.certify_border_rank2(t * c)) == _signature(ce.certify_border_rank2(t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, d) for d in range(1, 7)] + [(3, d) for d in range(1, 5)]),
+       st.data(), scale_st)
+def test_exact_symmetric_certificate_is_invariant_under_positive_scaling(nd, data, c):
+    n, d = nd
+    degrees = tn.multidegrees(n, d)
+
+    def products(re, im):
+        z = [complex(a, b) for a, b in zip(re, im)]
+        return [math.prod(z[k] ** e for k, e in enumerate(u)) for u in degrees]
+
+    f = tn.SymTensorCoords(n, d, dict(zip(degrees, data.draw(exact_coords(n, products)))))
+    scaled = tn.SymTensorCoords(n, d, {u: c * v for u, v in f.coeffs.items()})
+    assert _signature(ce.certify_symmetric(scaled)) == _signature(ce.certify_symmetric(f))
 
 
 def test_conjugate_fixture_golden():

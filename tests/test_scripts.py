@@ -23,6 +23,10 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize("name, args", [
     ("verdict_census.py", ["--samples", "20"]),
+    # the census exits 1 when the Hankel route and the tensor route disagree
+    ("verdict_census.py", ["--samples", "20", "--degree", "3"]),
+    ("verdict_census.py", ["--samples", "20", "--degree", "5"]),
+    ("verdict_census.py", ["--samples", "20", "--degree", "6"]),
     ("tangential_quadrics_report.py", ["--nmax", "3", "--dmax", "5", "--spot-checks", "2"]),
     ("scan_crossing_path.py", ["--nsamples", "5"]),
 ])

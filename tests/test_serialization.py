@@ -1,6 +1,8 @@
-"""Pinned serialized output: the exact text of every to_json form and of
-the certify, hyperdet and binary-form commands on exact input and of the
-decompose command on one float tensor per branch.
+"""Pinned serialized output: the exact text of every to_json form, of
+the certify, hyperdet and binary-form commands on exact input, of certify
+on each certification branch (float and exact), and of the decompose
+command on one float tensor per branch; also the quintic alternative
+test's answers, float and exact.
 
 The report objects are built by hand, so nothing here depends on LAPACK
 except the decompose goldens at the end, which pin its float digits.
@@ -317,3 +319,134 @@ def test_decompose_cli_golden(tmp_path, capsys, tensor, expected):
     path.write_text(json.dumps(tn.tensor_to_json(tensor)))
     assert main(["decompose", "--file", str(path)]) == 0
     assert capsys.readouterr().out == json.dumps(json.loads(expected), indent=2) + "\n"
+
+
+# -------------------------------------------------- certify-path goldens
+# One request per certification branch the goldens above do not reach:
+# symmetric binary forms (Hankel rank and shifted discriminants), symmetric
+# n = 3 (one sub-block per variable pair), linear and quadratic forms and a
+# tensor that squeezes to a matrix (matrix rank only), float and exact.  No
+# float digit here comes from LAPACK: only ranks and verdicts do.
+
+CERTIFY_PATH_GOLDENS = [
+    pytest.param(
+        ["--symmetric"],
+        {"n": 2, "d": 4, "coeffs": {"4,0": 2.1328125, "3,1": -0.3046875, "2,2": 2.1328125,
+                                    "1,3": -2.7421875, "0,4": 4.9765625}},
+        '{"verdict": "REAL_RANK_TWO", "flattening_ranks": {"hankel": 2}, "max_flattening_rank": 2, '
+        '"hyperdet": {"values": [{"selector": "D0", "value": 93.21487641334534}, '
+        '{"selector": "D1", "value": 64.73255306482315}], "min_value": 64.73255306482315, '
+        '"argmin": "D1", "num_positive": 2, "num_zero": 0, "num_negative": 0, '
+        '"zero_tol": 1.27586834365502e-07}, "tolerances": {"rank_tol": 1e-08, '
+        '"hyperdet_zero_tol": 1.27586834365502e-07}}',
+        id="symmetric-n2-float-d4"),
+    pytest.param(
+        ["--symmetric"],
+        {"n": 2, "d": 5, "coeffs": {"5,0": "-95/3", "4,1": "97/6", "3,2": "-95/12", "2,3": "97/24",
+                                    "1,4": "-95/48", "0,5": "97/96"}},
+        '{"verdict": "REAL_RANK_TWO", "flattening_ranks": {"hankel": 2}, "max_flattening_rank": 2, '
+        '"hyperdet": {"values": [{"selector": "D0", "value": "1024/9"}, {"selector": "D1", '
+        '"value": "64/9"}, {"selector": "D2", "value": "4/9"}], "min_value": "4/9", "argmin": "D2", '
+        '"num_positive": 3, "num_zero": 0, "num_negative": 0, "zero_tol": 0}, '
+        '"tolerances": {"rank_tol": "exact", "hyperdet_zero_tol": 0}}',
+        id="symmetric-n2-exact-d5"),
+    pytest.param(
+        ["--symmetric"],
+        {"n": 3, "d": 3, "coeffs": {"3,0,0": 1, "2,1,0": 2, "2,0,1": 0, "1,2,0": 4, "1,1,1": 0,
+                                    "1,0,2": 0, "0,3,0": "26/3", "0,2,1": "-1/3", "0,1,2": "1/6",
+                                    "0,0,3": "-1/12"}},
+        '{"verdict": "REAL_RANK_TWO", "flattening_ranks": {"mode_1": 2, "mode_2": 2, "mode_3": 2}, '
+        '"max_flattening_rank": 2, "hyperdet": {"values": [{"selector": "pair(1,2)@0,0,0", '
+        '"value": "4/9"}, {"selector": "pair(1,3)@0,0,0", "value": "1/144"}, '
+        '{"selector": "pair(2,3)@0,0,0", "value": "4/9"}], "min_value": "1/144", '
+        '"argmin": "pair(1,3)@0,0,0", "num_positive": 3, "num_zero": 0, "num_negative": 0, '
+        '"zero_tol": 0}, "tolerances": {"rank_tol": "exact", "hyperdet_zero_tol": 0}}',
+        id="symmetric-n3-exact-d3"),
+    pytest.param(  # a conjugate pair: merged two-mode flattenings take part
+        ["--symmetric"],
+        {"n": 3, "d": 4, "coeffs": {"4,0,0": 2.0, "3,1,0": 1.0, "3,0,1": 4.0, "2,2,0": -1.5,
+                                    "2,1,1": 0.0, "2,0,2": 6.0, "1,3,0": -2.75, "1,2,1": -5.0,
+                                    "1,1,2": -5.0, "1,0,3": 4.0, "0,4,0": -0.875, "0,3,1": -5.0,
+                                    "0,2,2": -12.5, "0,1,3": -20.0, "0,0,4": -14.0}},
+        '{"verdict": "COMPLEX_RANK_TWO_REAL_RANK_HIGHER", "flattening_ranks": {"mode_1": 2, '
+        '"mode_2": 2, "mode_3": 2, "mode_4": 2, "mode_1_2": 2, "mode_1_3": 2, "mode_1_4": 2, '
+        '"mode_2_3": 2, "mode_2_4": 2, "mode_3_4": 2}, "max_flattening_rank": 2, "hyperdet": '
+        '{"values": [{"selector": "pair(1,2)@1,0,0", "value": -64.0}, {"selector": '
+        '"pair(1,2)@0,1,0", "value": -100.0}, {"selector": "pair(1,2)@0,0,1", "value": -1600.0}, '
+        '{"selector": "pair(1,3)@1,0,0", "value": -64.0}, {"selector": "pair(1,3)@0,1,0", '
+        '"value": -100.0}, {"selector": "pair(1,3)@0,0,1", "value": -1600.0}, {"selector": '
+        '"pair(2,3)@1,0,0", "value": -729.0}, {"selector": "pair(2,3)@0,1,0", "value": -1139.0625}, '
+        '{"selector": "pair(2,3)@0,0,1", "value": -18225.0}], "min_value": -18225.0, '
+        '"argmin": "pair(2,3)@0,0,1", "num_positive": 0, "num_zero": 0, "num_negative": 9, '
+        '"zero_tol": 1.94481e-05}, "tolerances": {"rank_tol": 1e-08, "hyperdet_zero_tol": 1.94481e-05}}',
+        id="symmetric-n3-float-d4"),
+    pytest.param(
+        ["--symmetric"],
+        {"n": 3, "d": 2, "coeffs": {"2,0,0": 1, "1,1,0": "1/2", "0,2,0": "1/4", "0,1,1": -1, "0,0,2": 4}},
+        '{"verdict": "BORDER_RANK_EXCEEDS_TWO", "flattening_ranks": {"matrix": 3}, '
+        '"max_flattening_rank": 3, "hyperdet": {"values": [], "min_value": null, "argmin": null, '
+        '"num_positive": 0, "num_zero": 0, "num_negative": 0, "zero_tol": 0}, '
+        '"tolerances": {"rank_tol": "exact", "hyperdet_zero_tol": 0}}',
+        id="symmetric-exact-d2"),
+    pytest.param(
+        ["--symmetric"],
+        {"n": 2, "d": 1, "coeffs": {"1,0": 0.5, "0,1": -3.0}},
+        '{"verdict": "RANK_AT_MOST_ONE", "flattening_ranks": {"matrix": 1}, '
+        '"max_flattening_rank": 1, "hyperdet": {"values": [], "min_value": null, "argmin": null, '
+        '"num_positive": 0, "num_zero": 0, "num_negative": 0, "zero_tol": 1e-08}, '
+        '"tolerances": {"rank_tol": 1e-08, "hyperdet_zero_tol": 1e-08}}',
+        id="symmetric-float-d1"),
+    pytest.param(
+        [],
+        {"shape": [1, 3, 1, 2], "entries": [1.0, 2.0, -0.5, 4.0, 0.25, 3.0]},
+        '{"verdict": "REAL_RANK_TWO", "flattening_ranks": {"matrix": 2}, "max_flattening_rank": 2, '
+        '"hyperdet": {"values": [], "min_value": null, "argmin": null, "num_positive": 0, '
+        '"num_zero": 0, "num_negative": 0, "zero_tol": 1e-08}, '
+        '"tolerances": {"rank_tol": 1e-08, "hyperdet_zero_tol": 1e-08}}',
+        id="squeezed-float"),
+    pytest.param(
+        [],
+        {"shape": [1, 3, 1, 2], "entries": [1, "2/3", "-1/2", 4, "1/4", 3]},
+        '{"verdict": "REAL_RANK_TWO", "flattening_ranks": {"matrix": 2}, "max_flattening_rank": 2, '
+        '"hyperdet": {"values": [], "min_value": null, "argmin": null, "num_positive": 0, '
+        '"num_zero": 0, "num_negative": 0, "zero_tol": 0}, '
+        '"tolerances": {"rank_tol": "exact", "hyperdet_zero_tol": 0}}',
+        id="squeezed-exact"),
+]
+
+
+@pytest.mark.parametrize("argv, payload, expected", CERTIFY_PATH_GOLDENS)
+def test_certify_path_cli_golden(tmp_path, capsys, argv, payload, expected):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(payload))
+    assert main(["certify", *argv, "--file", str(path)]) == 0
+    assert capsys.readouterr().out == json.dumps(json.loads(expected), indent=2) + "\n"
+
+
+def test_float_binary_form_cli_golden(capsys):
+    argv = ["binary-form", "--d", "4", "--coords", "2.1328125,-0.3046875,2.1328125,-2.7421875,4.9765625"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == json.dumps(
+        {"hankel_rank": 2, "d_values": [93.21487641334534, 64.73255306482315],
+         "verdict": "REAL_RANK_TWO", "strata": "++0"}, indent=2) + "\n"
+
+
+# 2 Re((1, 2 + i/10)^5): the exact test sees its negative discriminant, the
+# float test counts it as zero against the coefficient-scaled tolerance
+QUINTIC_GOLDENS = [
+    ([Fraction(-95, 3), Fraction(97, 6), Fraction(-95, 12), Fraction(97, 24),
+      Fraction(-95, 48), Fraction(97, 96)], True),
+    ([2, 0, -2, 0, 2, 0], False),
+    ([2, 4, Fraction(399, 50), Fraction(397, 25), Fraction(157601, 5000), Fraction(31201, 500)], False),
+    ([2.0, 4.0, 7.98, 15.88, 31.5202, 62.402], True),
+    ([2.0, 4.0, 6.0, 4.0, -14.0, -76.0], False),
+    ([1.974609375, -0.041015625, 1.693359375, -2.009765625, 3.755859375, -6.056640625], True),
+    ([24.400000000000002, -7.9, 3.1, -0.1, 1.9000000000000001, 3.1], True),
+    ([1.0, 0.0, -0.1, 0.0, 0.0, 0.0], False),
+]
+
+
+def test_quintic_alternative_test_golden():
+    got = [bf.quintic_alternative_test(bf.BinaryForm(5, coords)) for coords, _ in QUINTIC_GOLDENS]
+    assert [type(v) for v in got] == [bool] * len(got)
+    assert got == [want for _, want in QUINTIC_GOLDENS]
