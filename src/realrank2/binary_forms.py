@@ -23,6 +23,7 @@ from math import comb
 import numpy as np
 
 from . import certify as ce
+from . import decompose as dc
 from . import hyperdet as hd
 from . import tensors as tn
 from .multipoly import MultiPoly, det_bareiss
@@ -92,7 +93,7 @@ def hankel(f: BinaryForm) -> np.ndarray:
 
 
 def hankel_rank(f: BinaryForm, tol: float = 1e-8) -> int:
-    return tn.matrix_rank(hankel(f), tol, f.is_exact())
+    return tn.matrix_rank(hankel(f), tol)
 
 
 def discriminant_values(f: BinaryForm) -> list:
@@ -116,8 +117,6 @@ def classify_binary_form(f: BinaryForm, tol: float = 1e-8) -> BinaryFormVerdict:
 
 
 def _strata_label(f: BinaryForm, cert: ce.Certificate, tol: float) -> str | None:
-    from . import decompose as dc
-
     if cert.verdict == ce.Verdict.RANK_AT_MOST_ONE:
         return STRATUM_RANK_ONE
     if cert.verdict == ce.Verdict.BORDER_RANK_EXCEEDS_TWO:
@@ -148,19 +147,17 @@ def _quintic_quadrics() -> tuple[MultiPoly, ...]:
     return tuple(g.polynomial for g in quadric_basis(2, 5))
 
 
-def quintic_alternative_test(f: BinaryForm, tol: float = 1e-10) -> bool:
+def quintic_alternative_test(f: BinaryForm) -> bool:
     """rank(H) <= 2 and Q_1^2 - 4 Q_0 Q_2 >= 0, the two-condition test for
-    membership in the real rank two locus of binary quintics."""
+    membership in the real rank two locus of binary quintics; float forms
+    count a discriminant within the hyperdeterminant zero tolerance as 0."""
     if f.d != 5:
         raise WrongDegree("this test is specific to degree 5")
     q0, q1, q2 = _quintic_quadrics()
     point = {name: c for name, c in zip(q0.variables, f.coords)}
     v0, v1, v2 = (q.evaluate(point) for q in (q0, q1, q2))
-    disc = v1 * v1 - 4 * v0 * v2
-    if f.is_exact():
-        return hankel_rank(f) <= 2 and disc >= 0
-    zero_tol = hd.hyperdet_zero_tol(np.asarray(f.coords, dtype=float), tol)
-    return hankel_rank(f, 1e-8) <= 2 and float(disc) >= -zero_tol
+    h = hankel(f)
+    return bool(tn.matrix_rank(h) <= 2 and v1 * v1 - 4 * v0 * v2 >= -hd.hyperdet_zero_tol(h))
 
 
 @dataclass

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import hyperdet as hd
 from . import tensors as tn
-from .multipoly import content
+from .exactsolve import integer_row
 
 
 class Verdict(str, enum.Enum):
@@ -60,17 +60,15 @@ class Certificate:
         }
 
 
-def _exact_int_tensor(t: np.ndarray) -> np.ndarray:
-    """Scale an exact tensor by the lcm of denominators; verdicts are
-    invariant under positive scaling and integer arithmetic is much faster."""
-    entries = t.ravel().tolist()
-    den = content(entries).denominator
-    if den == 1 and all(isinstance(v, int) for v in entries):
-        return t
-    out = np.empty(t.shape, dtype=object)
-    for idx in np.ndindex(t.shape):
-        out[idx] = int(t[idx] * den)
-    return out
+def _exact_or_finite(t: np.ndarray) -> np.ndarray:
+    """The one input rule of certification, read from the dtype: an exact
+    (object) tensor is scaled to integers by the lcm of its denominators, as
+    verdicts are invariant under positive scaling and integer arithmetic is
+    much faster; a float tensor must be finite."""
+    if tn.is_exact(t):
+        return np.array(integer_row(t.ravel().tolist()), dtype=object).reshape(t.shape)
+    tn.require_finite(t)
+    return t
 
 
 def _mode_label(modes: Sequence[int]) -> str:
@@ -100,33 +98,34 @@ def verdict_from_data(ranks: dict[str, int], merged_ranks: dict[str, int] | None
     return Verdict.REAL_BORDER_RANK_TWO_BOUNDARY
 
 
-def _certificate(ranks: dict[str, int], merged_ranks: dict[str, int] | None,
-                 report: hd.HyperdetReport, exact: bool, tol: float) -> Certificate:
+def _certificate(t: np.ndarray, ranks: dict[str, int], merged_ranks: dict[str, int] | None,
+                 report: hd.HyperdetReport, tol: float) -> Certificate:
     all_ranks = dict(ranks)
     if merged_ranks:
         all_ranks.update(merged_ranks)
     return Certificate(all_ranks, max(all_ranks.values()), report,
                        verdict_from_data(ranks, merged_ranks, report),
-                       {"rank_tol": "exact" if exact else tol, "hyperdet_zero_tol": report.zero_tol})
+                       {"rank_tol": "exact" if tn.is_exact(t) else tol, "hyperdet_zero_tol": report.zero_tol})
 
 
-def _merged_flattening_ranks(t: np.ndarray, tol, exact: bool) -> dict[str, int] | None:
+def _flattening_certificate(t: np.ndarray, tol: float, report: hd.HyperdetReport) -> Certificate:
+    ranks = {_mode_label([m]): tn.matrix_rank(tn.flatten(t, [m]), tol) for m in range(t.ndim)}
     # single-mode ranks of a 2 x ... x 2 tensor are bounded by 2 no matter
     # what, so for order >= 4 the two-mode flattenings carry the border-rank
     # obstruction and have to be checked unconditionally
-    if t.ndim < 4:
-        return None
-    merged = {}
-    for subset in itertools.combinations(range(t.ndim), 2):
-        merged[_mode_label(subset)] = tn.matrix_rank(tn.flatten(t, subset), tol, exact)
-    return merged
+    merged = None
+    if t.ndim >= 4:
+        merged = {_mode_label(pair): tn.matrix_rank(tn.flatten(t, pair), tol)
+                  for pair in itertools.combinations(range(t.ndim), 2)}
+    return _certificate(t, ranks, merged, report, tol)
 
 
-def _matrix_certificate(t: np.ndarray, tol: float, exact: bool) -> Certificate:
+def _matrix_certificate(t: np.ndarray, tol: float) -> Certificate:
     # after squeezing size-1 modes away a tensor of order <= 2 is a matrix
     mat = t.reshape(t.shape[0], -1) if t.ndim >= 1 else t.reshape(1, 1)
-    ranks = {"matrix": tn.matrix_rank(mat, tol, exact)}
-    return _certificate(ranks, None, hd.report_from_values([], 0 if exact else tol), exact, tol)
+    # no sub-blocks: the empty report records the rank tolerance
+    report = hd.report_from_values([], 0 if tn.is_exact(t) else tol)
+    return _certificate(t, {"matrix": tn.matrix_rank(mat, tol)}, None, report, tol)
 
 
 def certify_border_rank2(t: np.ndarray, tol: float = 1e-8) -> Certificate:
@@ -135,20 +134,10 @@ def certify_border_rank2(t: np.ndarray, tol: float = 1e-8) -> Certificate:
         raise tn.ArityTooSmall("certification needs an order >= 3 tensor")
     if any(n < 1 for n in t.shape):
         raise tn.ShapeMismatch(f"bad tensor shape {t.shape}")
-    exact = tn.is_exact(t)
-    if exact:
-        t = _exact_int_tensor(t)
-    else:
-        tn.require_finite(t)
-    t = tn.squeeze_ones(t)
+    t = tn.squeeze_ones(_exact_or_finite(t))
     if t.ndim <= 2:
-        return _matrix_certificate(t, tol, exact)
-
-    ranks: dict[str, int] = {}
-    for m in range(t.ndim):
-        ranks[_mode_label([m])] = tn.matrix_rank(tn.flatten(t, [m]), tol, exact)
-    report = hd.all_subhyperdets(t)
-    return _certificate(ranks, _merged_flattening_ranks(t, tol, exact), report, exact, tol)
+        return _matrix_certificate(t, tol)
+    return _flattening_certificate(t, tol, hd.all_subhyperdets(t))
 
 
 def tangential_witness(xs: Sequence, ys: Sequence) -> np.ndarray:
@@ -179,31 +168,20 @@ def certify_symmetric(f: tn.SymTensorCoords, tol: float = 1e-8) -> Certificate:
     certified directly, with the hyperdeterminant list reduced to one
     sub-block per variable pair and multidegree of the fixed slots.
     """
-    if not f.is_exact():
-        tn.require_finite(list(f.coeffs.values()))
     if f.d <= 2:
         # a linear or quadratic form is a vector or symmetric matrix
-        t = tn.sym_to_tensor(f)
-        exact = tn.is_exact(t)
-        if exact:
-            t = _exact_int_tensor(t)
-        return _matrix_certificate(np.atleast_2d(t), tol, exact)
+        return _matrix_certificate(np.atleast_2d(_exact_or_finite(tn.sym_to_tensor(f))), tol)
     if f.n == 2:
+        # imported here because binary_forms imports this module
         from . import binary_forms as bf
 
         form = bf.BinaryForm(f.d, [f.coeffs[(f.d - i, i)] for i in range(f.d + 1)])
-        exact = form.is_exact()
-        rank = bf.hankel_rank(form, tol)
-        dvals = bf.discriminant_values(form)
-        zero_tol = 0 if exact else hd.hyperdet_zero_tol(np.asarray(form.coords, dtype=float))
-        report = hd.report_from_values([(f"D{i}", v) for i, v in enumerate(dvals)], zero_tol)
-        return _certificate({"hankel": rank}, None, report, exact, tol)
+        h = _exact_or_finite(bf.hankel(form))  # every coordinate, in the form's dtype
+        values = [(f"D{i}", v) for i, v in enumerate(bf.discriminant_values(form))]
+        report = hd.report_from_values(values, hd.hyperdet_zero_tol(h))
+        return _certificate(h, {"hankel": tn.matrix_rank(h, tol)}, None, report, tol)
 
-    t = tn.sym_to_tensor(f)
-    exact = tn.is_exact(t)
-    if exact:
-        t = _exact_int_tensor(t)
-    ranks = {_mode_label([m]): tn.matrix_rank(tn.flatten(t, [m]), tol, exact) for m in range(t.ndim)}
+    t = _exact_or_finite(tn.sym_to_tensor(f))
     values = []
     for p in range(f.n):
         for q in range(p + 1, f.n):
@@ -216,5 +194,4 @@ def certify_symmetric(f: tn.SymTensorCoords, tol: float = 1e-8) -> Certificate:
                     coords.append(f.coeffs[tuple(u)])
                 label = f"pair({p + 1},{q + 1})@" + ",".join(str(e) for e in w)
                 values.append((label, hd.discriminant_quartic(coords, 0)))
-    report = hd.report_from_values(values, hd.hyperdet_zero_tol(t))
-    return _certificate(ranks, _merged_flattening_ranks(t, tol, exact), report, exact, tol)
+    return _flattening_certificate(t, tol, hd.report_from_values(values, hd.hyperdet_zero_tol(t)))

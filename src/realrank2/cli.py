@@ -97,11 +97,7 @@ def _load_curve(spec: str) -> sc.CurveParam:
     if spec == "monomial-quartic":
         return sc.MONOMIAL_QUARTIC
     payload = _load_json(spec)
-    d = payload["d"]
-    tn.require_finite([d])
-    if isinstance(d, bool) or (isinstance(d, float) and not d.is_integer()):
-        raise tn.MalformedEntry(f"curve degree must be an integer, not {d!r}")
-    return sc.CurveParam(int(d), tuple(tuple(row) for row in payload["F"]))
+    return sc.CurveParam(tn.read_integer(payload["d"]), tuple(tuple(row) for row in payload["F"]))
 
 
 def _load_path(spec: str):

@@ -21,16 +21,13 @@ class InexactDivision(ArithmeticError):
     """A Bareiss step left a remainder: the rows were not all integers."""
 
 
-def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
-    out = []
-    for row in rows:
-        if set(map(type, row)) <= {int}:  # bools and Fractions take the content path
-            out.append(list(row))
-            continue
-        fracs = [as_fraction(x) for x in row]
-        den = content(fracs).denominator
-        out.append([int(f * den) for f in fracs])
-    return out
+def integer_row(row: Sequence) -> list[int]:
+    """The row times the lcm of its denominators: integers in the same ratios."""
+    if set(map(type, row)) <= {int}:  # bools and Fractions take the content path
+        return list(row)
+    fracs = [as_fraction(x) for x in row]
+    den = content(fracs).denominator
+    return [int(f * den) for f in fracs]
 
 
 def _echelon(mat: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
@@ -73,7 +70,7 @@ def _echelon(mat: list[list[int]], ncols: int) -> tuple[list[list[int]], list[in
 
 def exact_rank(rows: Sequence[Sequence]) -> int:
     """Rank of a matrix with exactly-representable entries."""
-    mat = _integer_rows(rows)
+    mat = [integer_row(row) for row in rows]
     if not mat or not mat[0]:
         return 0
     _, pivots = _echelon(mat, len(mat[0]))
@@ -91,7 +88,7 @@ def solve_exact(a_rows: Sequence[Sequence], b: Sequence) -> tuple[list[Fraction]
     n = len(a_rows[0]) if m else 0
     if any(len(row) != n for row in a_rows) or len(b) != m:
         raise ValueError("inconsistent system dimensions")
-    aug = _integer_rows([list(row) + [rhs] for row, rhs in zip(a_rows, b)])
+    aug = [integer_row(list(row) + [rhs]) for row, rhs in zip(a_rows, b)]
     aug, pivots = _echelon(aug, n)
     rank = len(pivots)
     for i in range(rank, m):

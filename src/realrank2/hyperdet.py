@@ -57,10 +57,9 @@ def hyperdet_zero_tol(t: np.ndarray, scale: float = DEFAULT_ZERO_TOL_SCALE):
     """Zero threshold for hyperdet values of sub-blocks of t.
 
     The hyperdeterminant is quartic in the entries, hence the fourth power.
-    The binary-form discriminant tests use the same threshold on the form's
-    coefficients, passed as a float array once the caller knows the form is
-    inexact.
-    Exact tensors use an exact zero test.
+    The binary-form discriminant tests pass the form's Hankel matrix, which
+    holds every coordinate in the form's dtype.  Exact (object) arrays use
+    an exact zero test.
     """
     if is_exact(t):
         return 0
@@ -117,7 +116,7 @@ def _sweep_plan(shape: tuple[int, ...]) -> tuple[np.ndarray, tuple[str, ...]]:
     return idx, tuple(sel.label() for sel in selectors)
 
 
-def all_subhyperdets(t: np.ndarray, zero_tol_scale: float = DEFAULT_ZERO_TOL_SCALE) -> HyperdetReport:
+def all_subhyperdets(t: np.ndarray) -> HyperdetReport:
     """Hyperdeterminants of every 2x2x2 sub-block, with a scaled zero test.
 
     Gathers the eight entries of every block into rows and evaluates the
@@ -125,7 +124,7 @@ def all_subhyperdets(t: np.ndarray, zero_tol_scale: float = DEFAULT_ZERO_TOL_SCA
     entries' own (exact) arithmetic otherwise, each with the operations of
     `hyperdet222` in its order, so every value equals the per-block one.
     """
-    zero_tol = hyperdet_zero_tol(t, zero_tol_scale)
+    zero_tol = hyperdet_zero_tol(t)
     idx, labels = _sweep_plan(t.shape)
     rows = t.ravel()[idx]
     # any other entries as the Python scalars hyperdet222 sees: int64 must not wrap

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -20,10 +21,11 @@ class NotDivisible(ArithmeticError):
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, strings like '3/4' and floats (exactly) to Fraction."""
+    """Coerce ints (numpy's too), strings like '3/4' and floats (exactly) to
+    Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, (Rational, str)):
         return Fraction(value)
     if isinstance(value, float):
         return Fraction(value)

@@ -43,7 +43,8 @@ class NonFiniteEntry(ValueError):
 
 
 class MalformedEntry(ValueError):
-    """A boolean entry or coefficient, or a curve degree that is not an integer."""
+    """A boolean entry or coefficient, or a shape entry or degree that is not
+    an integer."""
 
 
 def reject_booleans(values) -> None:
@@ -58,14 +59,25 @@ def require_finite(values) -> None:
         raise NonFiniteEntry("entries must be finite numbers")
 
 
+def read_integer(value) -> int:
+    """A size or degree read from JSON, 4 or 4.0, where int() would truncate
+    2.5: booleans and fractions raise MalformedEntry, inf/NaN NonFiniteEntry."""
+    reject_booleans([value])
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    require_finite([value])
+    if not float(value).is_integer():
+        raise MalformedEntry(f"expected an integer, not {value!r}")
+    return int(float(value))
+
+
 def is_exact(t: np.ndarray) -> bool:
     return t.dtype == object
 
 
 def tensor(shape: Sequence[int], entries: Sequence) -> np.ndarray:
     """Build a tensor from row-major entries; exact inputs stay exact."""
-    reject_booleans(shape)
-    shape = tuple(int(n) for n in shape)
+    shape = tuple(read_integer(n) for n in shape)
     if any(n < 1 for n in shape):
         raise ShapeMismatch(f"invalid shape {shape}")
     flat = list(entries)
@@ -143,10 +155,9 @@ def exact_matrix_rank(matrix: np.ndarray) -> int:
     return exact_rank(np.asarray(matrix, dtype=object).tolist())
 
 
-def matrix_rank(matrix: np.ndarray, tol: float = 1e-8, exact: bool | None = None) -> int:
-    if exact is None:
-        exact = isinstance(matrix, np.ndarray) and matrix.dtype == object
-    return exact_matrix_rank(matrix) if exact else numeric_rank(matrix, tol)
+def matrix_rank(matrix: np.ndarray, tol: float = 1e-8) -> int:
+    """Exact rank of an object array, singular-value rank of any other."""
+    return exact_matrix_rank(matrix) if is_exact(matrix) else numeric_rank(matrix, tol)
 
 
 @dataclass(frozen=True)
@@ -304,8 +315,8 @@ def sym_to_json(f: SymTensorCoords) -> dict:
 
 def sym_from_json(payload: Mapping) -> SymTensorCoords:
     """Multidegrees omitted from the JSON coeffs count as zero."""
-    reject_booleans([payload["n"], payload["d"], *payload["coeffs"].values()])
-    n, d = int(payload["n"]), int(payload["d"])
+    n, d = read_integer(payload["n"]), read_integer(payload["d"])
+    reject_booleans(payload["coeffs"].values())
     coeffs = {}
     exact = all(isinstance(v, (int, str)) for v in payload["coeffs"].values())
     for key, value in payload["coeffs"].items():

@@ -164,6 +164,14 @@ def test_exact_symmetric_certificate_is_invariant_under_positive_scaling(nd, dat
     assert _signature(ce.certify_symmetric(scaled)) == _signature(ce.certify_symmetric(f))
 
 
+def test_exact_tensor_of_numpy_ints_certifies_like_python_ints():
+    entries = [Fraction(1, 2), 0, 0, -2, 0, -2, -2, 0]
+    python_ints = np.array(entries, dtype=object).reshape(2, 2, 2)
+    numpy_ints = np.array([v if isinstance(v, Fraction) else np.int64(v) for v in entries],
+                          dtype=object).reshape(2, 2, 2)
+    assert ce.certify_border_rank2(numpy_ints).to_json() == ce.certify_border_rank2(python_ints).to_json()
+
+
 def test_conjugate_fixture_golden():
     t = tn.tensor((2, 2, 2), [2, 0, 0, -2, 0, -2, -2, 0])
     cert = ce.certify_border_rank2(t)

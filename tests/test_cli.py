@@ -266,6 +266,10 @@ def test_non_finite_input_gets_no_verdict(tmp_path, capsys, argv, payload):
     (["certify", "--symmetric", "--file"], {"n": 2, "d": 3, "coeffs": {"3,0": True, "0,3": 1}}),
     (["certify", "--file"], {"shape": [True, 2, 2], "entries": [1, 0, 0, 1]}),
     (["certify", "--symmetric", "--file"], {"n": 2, "d": True, "coeffs": {"1,0": 1, "0,1": 2}}),
+    (["certify", "--file"], {"shape": [2.5, 2, 2], "entries": [1, 0, 0, 1, 0, 0, 0, 1]}),
+    (["decompose", "--file"], {"shape": [2, 2, 2.5], "entries": [1, 0, 0, 1, 0, 0, 0, 1]}),
+    (["certify", "--symmetric", "--file"], {"n": 2, "d": 3.7, "coeffs": {"3,0": 1, "0,3": 1}}),
+    (["certify", "--symmetric", "--file"], {"n": 2.5, "d": 3, "coeffs": {"3,0": 1, "0,3": 1}}),
 ])
 def test_malformed_tensor_curve_and_path_input_gets_no_verdict(tmp_path, capsys, argv, payload):
     path = tmp_path / "c.json"

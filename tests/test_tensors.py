@@ -79,7 +79,7 @@ def test_numeric_rank_of_rank_one_and_two_sums(shape, seed):
 
 def test_exact_matrix_rank_object_dtype():
     mat = np.array([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], dtype=object)
-    assert tn.matrix_rank(mat, exact=True) == 1
+    assert tn.matrix_rank(mat) == 1
 
 
 def test_squeeze_ones():
