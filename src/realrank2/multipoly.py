@@ -21,11 +21,10 @@ class NotDivisible(ArithmeticError):
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints (numpy's too), strings like '3/4' and floats (exactly) to
-    Fraction."""
+    """Coerce ints, strings like '3/4' and floats (exactly) to Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (Rational, str)):
+    if isinstance(value, (int, str, Rational)):  # Rational: numpy integers
         return Fraction(value)
     if isinstance(value, float):
         return Fraction(value)
