@@ -23,12 +23,12 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize("name, args", [
     ("verdict_census.py", ["--samples", "20"]),
+    ("tangential_quadrics_report.py", ["--nmax", "3", "--dmax", "5", "--spot-checks", "2"]),
+    ("scan_crossing_path.py", ["--nsamples", "5"]),
     # the census exits 1 when the Hankel route and the tensor route disagree
     ("verdict_census.py", ["--samples", "20", "--degree", "3"]),
     ("verdict_census.py", ["--samples", "20", "--degree", "5"]),
     ("verdict_census.py", ["--samples", "20", "--degree", "6"]),
-    ("tangential_quadrics_report.py", ["--nmax", "3", "--dmax", "5", "--spot-checks", "2"]),
-    ("scan_crossing_path.py", ["--nsamples", "5"]),
 ])
 def test_script_runs_at_small_size(name, args):
     done = run_script(name, *args)
