@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -53,6 +54,38 @@ def test_plucker_map_matches_two_point_span():
     den = s1 * t2 - s2 * t1
     direct = [(p[i] * q[j] - q[i] * p[j]) / den for i, j in sc.INDEX_PAIRS]
     assert line == direct
+
+
+def _random_curve(rng: random.Random, d: int) -> sc.CurveParam:
+    while True:
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d + 1)]
+                for _ in range(4)]
+        try:
+            return sc.CurveParam(d, rows)
+        except sc.BadCurve:
+            continue
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+def test_plucker_map_of_random_curves_is_the_divided_exterior_product(d):
+    """pm(s1 s2, s1 t2 + s2 t1, t1 t2) is p ^ q / (s1 t2 - s2 t1) for the
+    curve points p, q at (s1 : t1), (s2 : t2), with each coordinate's terms
+    in _degree_exponents(d - 1) order (float evaluation sums in that order)."""
+    rng = random.Random(d)
+    order = sc._degree_exponents(d - 1)
+    for _ in range(3):
+        curve = _random_curve(rng, d)
+        pm = sc.plucker_map(curve)
+        for coord in pm.polys:
+            assert list(coord.terms) == [e for e in order if e in coord.terms]
+        for _ in range(3):
+            s1, t1, s2, t2 = (Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4))
+            den = s1 * t2 - s2 * t1
+            if den == 0:
+                continue
+            p, q = curve.point(s1, t1), curve.point(s2, t2)
+            direct = [(p[i] * q[j] - q[i] * p[j]) / den for i, j in sc.INDEX_PAIRS]
+            assert pm.evaluate((s1 * s2, s1 * t2 + s2 * t1, t1 * t2)) == direct
 
 
 @settings(max_examples=25, deadline=None)
