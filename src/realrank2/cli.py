@@ -3,8 +3,8 @@
 Input schemas (JSON files):
 
   Tensor           {"shape": [2, 2, 2], "entries": [2, 0, 0, -2, 0, -2, -2, 0]}
-                   row-major entries; numbers, or "num/den" strings for exact
-                   rational input
+                   row-major entries; ints and "num/den" strings are exact,
+                   and one float entry makes every entry a float
   SymTensorCoords  {"n": 2, "d": 4, "coeffs": {"4,0": 1, "3,1": "1/2", ...}}
                    multidegree keys; same scalar conventions as Tensor
   CurveParam       {"d": 4, "F": [[1,0,0,0,0], [0,1,0,0,0], [0,0,0,1,0],
@@ -39,7 +39,7 @@ from . import jsontext
 from . import space_curve as sc
 from . import tableaux as tb
 from . import tensors as tn
-from .multipoly import MultiPoly, as_fraction
+from .multipoly import MultiPoly
 
 DEFAULT_SEED = 1729
 CSV_COMMANDS = ("curve-scan", "table1")
@@ -63,21 +63,10 @@ def _fmt(v) -> str:
     return format(v, ".17g") if isinstance(v, float) else str(v)
 
 
-def _parse_scalar(text: str):
-    """Exact Fraction unless the token is spelled as a float."""
-    token = text.strip()
-    if any(ch in token for ch in ".eE") and "/" not in token:
-        return float(token)
-    return as_fraction(token)
-
-
 def _parse_scalar_list(text: str) -> list:
-    values = [_parse_scalar(tok) for tok in text.split(",") if tok.strip()]
+    values = tn.read_scalars([tok for tok in text.split(",") if tok.strip()])
     if not values:
         raise UsageError(f"no values in {text!r}")
-    if any(isinstance(v, float) for v in values):
-        values = [float(v) for v in values]
-        tn.require_finite(values)
     return values
 
 
@@ -96,8 +85,8 @@ def _load_tensor(args):
 def _load_curve(spec: str) -> sc.CurveParam:
     if spec == "monomial-quartic":
         return sc.MONOMIAL_QUARTIC
-    payload = _load_json(spec)
-    return sc.CurveParam(tn.read_integer(payload["d"]), tuple(tuple(row) for row in payload["F"]))
+    d, rows = tn.read_fields(_load_json(spec), "d", "F")
+    return sc.CurveParam(tn.read_integer(d), rows)
 
 
 def _load_path(spec: str):
@@ -105,6 +94,7 @@ def _load_path(spec: str):
         return sc.CROSSING_PATH
     payload = _load_json(spec)
     rows = payload["coefficients"] if isinstance(payload, dict) else payload
+    rows = [tn.read_sequence(row) for row in tn.read_sequence(rows)]
     if len(rows) != 4 or any(len(r) != 2 for r in rows):
         raise UsageError("path needs a 4 x 2 coefficient matrix")
     return tuple(tuple(row) for row in rows)  # scan_path makes the entries exact
@@ -136,7 +126,7 @@ def _cmd_decompose(args):
     t = _load_tensor(args)
     if args.symmetric:
         t = tn.sym_to_tensor(t)
-    dec = dc.decompose_rank2(tn.to_float(t), args.tol, seed=args.seed)
+    dec = dc.decompose_rank2(t, args.tol, seed=args.seed)
     text = [f"kind: {dec.kind.value}", f"residual: {_fmt(dec.residual)}"]
     for i, term in enumerate(dec.terms):
         text.append(f"term {i}: weight {_fmt(complex(term.weight).real)}"

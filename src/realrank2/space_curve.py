@@ -25,8 +25,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import exactsolve as xs
-from .multipoly import MultiPoly, NotDivisible, as_fraction, resultant
-from .tensors import num_json, reject_booleans, require_finite
+from .multipoly import MultiPoly, as_fraction, resultant
+from .tensors import num_json, read_scalar, read_sequence
 from .unipoly import UniPoly, poly_gcd, real_roots
 
 
@@ -74,12 +74,9 @@ MAX_ELIMINATION_RETRIES = 8
 
 
 def _exact_entries(values) -> tuple[Fraction, ...]:
-    """Exact copies of coefficients read from outside; NonFiniteEntry for
-    an infinite or NaN float, MalformedEntry for a boolean."""
-    values = tuple(values)
-    reject_booleans(values)
-    require_finite([v for v in values if isinstance(v, float)])
-    return tuple(as_fraction(v) for v in values)
+    """Exact copies of numbers read from outside by read_scalar, floats
+    included."""
+    return tuple(as_fraction(read_scalar(v)) for v in read_sequence(values))
 
 
 @dataclass(frozen=True)
@@ -95,7 +92,7 @@ class CurveParam:
     def __post_init__(self):
         if self.d < 1:
             raise BadCurve("degree must be positive")
-        rows = tuple(_exact_entries(row) for row in self.F)
+        rows = tuple(_exact_entries(row) for row in read_sequence(self.F))
         if len(rows) != 4 or any(len(row) != self.d + 1 for row in rows):
             raise BadCurve("need four coefficient rows of length d + 1")
         object.__setattr__(self, "F", rows)
@@ -144,59 +141,33 @@ def _degree_exponents(deg: int) -> list[tuple[int, int, int]]:
 def plucker_map(curve: CurveParam) -> PluckerMap:
     """Build the six secant-line coordinates as degree d-1 polynomials.
 
-    Each divided difference of two curve points is exactly divisible by
-    s1 t2 - s2 t1; the symmetric quotient rewrites uniquely in the elementary
-    pair coordinates a = s1 s2, b = s1 t2 + s2 t1, c = t1 t2, found here by an
-    exact linear solve over the degree d-1 monomial basis.
+    In the pair coordinates a = s1 s2, b = s1 t2 + s2 t1, c = t1 t2, the
+    monomials s^(d-k) t^k and s^(d-l) t^l (k < l) at the two parameter points
+    span a^(d-l) c^k (X^m - Y^m) with X = s1 t2, Y = s2 t1, m = l - k; divided
+    by X - Y this is a^(d-l) c^k H_(m-1), where H_j, the sum of X^i Y^(j-i),
+    obeys H_0 = 1, H_1 = b, H_j = b H_(j-1) - a c H_(j-2).  Terms are stored
+    in _degree_exponents order, the order float evaluation sums them in.
     """
-    d = curve.d
-    ring = ("s1", "t1", "s2", "t2")
-    s1, t1, s2, t2 = (MultiPoly.variable(v, ring) for v in ring)
-    points = []
-    for sv, tv in ((s1, t1), (s2, t2)):
-        powers = [sv ** (d - k) * tv ** k for k in range(d + 1)]
-        points.append([
-            sum((p * c for c, p in zip(row, powers)), MultiPoly.zero(ring))
-            for row in curve.F
-        ])
-    den = s1 * t2 - s2 * t1
-    quotients = []
-    for i, j in INDEX_PAIRS:
-        try:
-            quotients.append((points[0][i] * points[1][j] - points[1][i] * points[0][j]).exact_div(den))
-        except NotDivisible as exc:
-            raise RewriteFailed("divided difference not divisible by the pair resolvent") from exc
-
-    basis_exps = _degree_exponents(d - 1)
-    a_sub, b_sub, c_sub = s1 * s2, s1 * t2 + s2 * t1, t1 * t2
-    expanded = [a_sub ** i * b_sub ** j * c_sub ** k for i, j, k in basis_exps]
-    support: set[tuple] = set()
-    for poly in expanded + quotients:
-        support.update(poly.terms)
-    rows = sorted(support)
-    matrix = [[m.terms.get(e, Fraction(0)) for m in expanded] for e in rows]
+    d, F = curve.d, curve.F
+    a, b, c = (MultiPoly.variable(v, PAIR_VARS) for v in PAIR_VARS)
+    H = [MultiPoly.constant(1, PAIR_VARS), b]
+    for _ in range(2, d):
+        H.append(b * H[-1] - a * c * H[-2])
+    spans = {(k, l): a ** (d - l) * c ** k * H[l - k - 1]
+             for l in range(d + 1) for k in range(l)}
+    order = _degree_exponents(d - 1)
     polys = []
-    for q in quotients:
-        rhs = [q.terms.get(e, Fraction(0)) for e in rows]
-        try:
-            solution, nullspace = xs.solve_exact(matrix, rhs)
-        except xs.Inconsistent as exc:
-            raise RewriteFailed("quotient is not symmetric in the two parameter points") from exc
-        if nullspace:
-            raise RewriteFailed("pair-coordinate monomials became dependent")
-        polys.append(MultiPoly(PAIR_VARS, {e: v for e, v in zip(basis_exps, solution) if v}))
+    for i, j in INDEX_PAIRS:
+        line = sum((span * (F[i][k] * F[j][l] - F[i][l] * F[j][k]) for (k, l), span in spans.items()),
+                   MultiPoly.zero(PAIR_VARS))
+        polys.append(MultiPoly(PAIR_VARS, {e: line.terms[e] for e in order if e in line.terms}))
     return PluckerMap(d, tuple(polys))
 
 
-def secant_system(pm: PluckerMap, u) -> list[MultiPoly]:
+def secant_system(pm: PluckerMap, u: Sequence[Fraction]) -> list[MultiPoly]:
     """The four point-on-line equations for u, degree d-1 in (a, b, c)."""
-    uu = [as_fraction(c) for c in u]
-    if len(uu) != 4:
-        raise DegenerateQuery("query point must have four coordinates")
-    if all(c == 0 for c in uu):
-        raise DegenerateQuery("query point must be nonzero")
     p01, p02, p03, p12, p13, p23 = pm.polys
-    w, x, y, z = uu
+    w, x, y, z = u
     return [
         p23 * x - p13 * y + p12 * z,
         p03 * y - p02 * z - p23 * w,
@@ -338,27 +309,22 @@ def _random_combination(rows: Sequence[MultiPoly], rng: random.Random) -> MultiP
     return zero
 
 
-def _elimination_variable(p: MultiPoly, q: MultiPoly) -> str:
-    best, best_score = PAIR_VARS[0], (-1, 0.0)
-    for v in PAIR_VARS:
-        coeffs_p = p.coefficients_in(v)
-        dp = len(coeffs_p) - 1
-        dq = len(q.coefficients_in(v)) - 1
-        lead = coeffs_p[-1]
-        weight = sum(abs(float(c)) for c in lead.terms.values()) if lead.terms else 0.0
-        score = (dp + dq, weight)
-        if score > best_score:
-            best, best_score = v, score
-    return best
+def _elimination_variable(coeffs: Mapping[str, tuple[list, list]]) -> str:
+    """The variable of highest combined degree in p and q, given their
+    coefficients in each; ties go to the heaviest leading coefficient in p,
+    then to the first variable."""
+    def score(v):
+        in_p, in_q = coeffs[v]
+        return len(in_p) + len(in_q), sum(abs(float(c)) for c in in_p[-1].terms.values())
+    return max(PAIR_VARS, key=score)
 
 
 def _binary_form_root_pairs(res: MultiPoly) -> list[tuple[complex, complex]]:
     """Projective roots of a binary form, as (value of var1, value of var2)."""
-    var_m, var_n = res.variables
     degree = res.total_degree()
     coeffs = [Fraction(0)] * (degree + 1)
     for e, c in res.terms.items():
-        coeffs[e[res.variables.index(var_m)]] = c
+        coeffs[e[0]] = c
     top = max(abs(c) for c in coeffs)
     floats = [float(c / top) for c in coeffs]
     pairs: list[tuple[complex, complex]] = []
@@ -373,9 +339,8 @@ def _binary_form_root_pairs(res: MultiPoly) -> list[tuple[complex, complex]]:
     return pairs
 
 
-def solve_secants(system: Sequence[MultiPoly], tol: float = 1e-8, *,
-                  curve: CurveParam | None = None, pm: PluckerMap | None = None,
-                  seed: int = 0) -> tuple[list[SecantSolution], int]:
+def solve_secants(system: Sequence[MultiPoly], tol: float, *,
+                  curve: CurveParam, pm: PluckerMap, seed: int) -> tuple[list[SecantSolution], int]:
     """All isolated solutions (a : b : c) of the secant system through u.
 
     Returns the real solutions as SecantSolution records plus the number of
@@ -383,8 +348,7 @@ def solve_secants(system: Sequence[MultiPoly], tol: float = 1e-8, *,
     integer combinations of the four rows; spurious intersections of the two
     combinations are discarded by checking residuals of all four rows.
     """
-    rows = [p if isinstance(p, MultiPoly) else MultiPoly(PAIR_VARS, p) for p in system]
-    nonzero = [p for p in rows if not p.is_zero()]
+    nonzero = [p for p in system if not p.is_zero()]
     if not nonzero:
         raise DegenerateQuery("all four equations vanish identically")
     prepared = [_prepare_row(p) for p in nonzero]
@@ -398,28 +362,27 @@ def solve_secants(system: Sequence[MultiPoly], tol: float = 1e-8, *,
         if all(p.evaluate(unit) == 0 for p in nonzero):
             candidates.append(np.eye(3)[k].astype(complex))
 
-    solved = False
     for _ in range(MAX_ELIMINATION_RETRIES):
         p = _random_combination(nonzero, rng)
         q = _random_combination(nonzero, rng)
         if p.is_zero() or q.is_zero():
             continue
-        var = _elimination_variable(p, q)
+        coeffs = {v: (p.coefficients_in(v), q.coefficients_in(v)) for v in PAIR_VARS}
+        var = _elimination_variable(coeffs)
         res = resultant(p, q, var)
         if res.is_zero():
             continue
         if res.is_constant():
-            solved = True  # no solutions away from the unit points
-            break
+            break  # no solutions away from the unit points
         keep = [v for v in PAIR_VARS if v != var]
         v_index = PAIR_VARS.index(var)
         for m0, n0 in _binary_form_root_pairs(res):
             assignment = {keep[0]: m0, keep[1]: n0}
             v_values: list = []
-            for source in (p, q):
-                coeffs_v = [c.evaluate(assignment) for c in source.coefficients_in(var)]
+            for source in coeffs[var]:
+                coeffs_v = [c.evaluate(assignment) for c in source]
                 scale = max(abs(c) for c in coeffs_v)
-                if scale == 0 or all(abs(c / scale) <= 1e-12 for c in coeffs_v):
+                if scale == 0:
                     continue
                 descending = [c / scale for c in reversed(coeffs_v)]
                 lead = next(i for i, c in enumerate(descending) if abs(c) > 1e-12)
@@ -439,9 +402,8 @@ def solve_secants(system: Sequence[MultiPoly], tol: float = 1e-8, *,
                 if norm == 0:
                     continue
                 candidates.append(point / norm)
-        solved = True
         break
-    if not solved:
+    else:
         raise ResultantIdenticallyZero(
             "every elimination collapsed; the query point may lie on the curve")
 
@@ -478,10 +440,8 @@ def solve_secants(system: Sequence[MultiPoly], tol: float = 1e-8, *,
         else:
             contact = TANGENT_CONTACT
         roots = _quadric_parameter_points(a, b, c)
-        curve_points = tuple(_curve_point_normalized(curve, s, t) for s, t in roots) if curve else ()
-        line_norm = None
-        if pm is not None:
-            line_norm = float(np.linalg.norm([float(v) for v in pm.evaluate((a, b, c))]))
+        curve_points = tuple(_curve_point_normalized(curve, s, t) for s, t in roots)
+        line_norm = float(np.linalg.norm([float(v) for v in pm.evaluate((a, b, c))]))
         solutions.append(SecantSolution((a, b, c), disc, contact, roots,
                                         curve_points, residual, line_norm, mult))
     solutions.sort(key=lambda s: s.abc)
@@ -536,13 +496,15 @@ def classify_point(curve: CurveParam, u, tol: float = 1e-8, *, seed: int = 0) ->
     """REAL_RANK_LE_2 iff some real secant line through u has a genuinely
     positive quadric discriminant (two real curve points) and nonzero line
     coordinates; otherwise REAL_RANK_GE_3."""
-    uu = [as_fraction(c) for c in u]
-    if all(c == 0 for c in uu):
+    u = _exact_entries(u)
+    if len(u) != 4:
+        raise DegenerateQuery("query point must have four coordinates")
+    if all(c == 0 for c in u):
         raise DegenerateQuery("query point must be nonzero")
-    if _on_curve(curve, uu):
+    if _on_curve(curve, u):
         raise DegenerateQuery("query point lies on the curve")
     pm = plucker_map(curve)
-    system = secant_system(pm, uu)
+    system = secant_system(pm, u)
     solutions, nonreal = solve_secants(system, tol, curve=curve, pm=pm, seed=seed)
     witness = next((s for s in solutions
                     if s.contact == TWO_REAL_POINTS and s.line_norm > LINE_NORM_FLOOR), None)

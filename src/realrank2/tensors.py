@@ -11,13 +11,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, isfinite
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .exactsolve import exact_rank
-from .multipoly import as_fraction
 
 Shape = tuple[int, ...]
 
@@ -43,14 +42,9 @@ class NonFiniteEntry(ValueError):
 
 
 class MalformedEntry(ValueError):
-    """A boolean entry or coefficient, or a shape entry or degree that is not
-    an integer."""
-
-
-def reject_booleans(values) -> None:
-    """Raise MalformedEntry if a value is a boolean: JSON `true` is not 1."""
-    if any(isinstance(v, (bool, np.bool_)) for v in values):
-        raise MalformedEntry("expected numbers, not booleans")
+    """Input that is not a number where one is expected (a boolean, null, a
+    list or an unreadable string), not an integer where one is expected, or
+    not the list or object its place needs."""
 
 
 def require_finite(values) -> None:
@@ -59,16 +53,70 @@ def require_finite(values) -> None:
         raise NonFiniteEntry("entries must be finite numbers")
 
 
-def read_integer(value) -> int:
-    """A size or degree read from JSON, 4 or 4.0, where int() would truncate
-    2.5: booleans and fractions raise MalformedEntry, inf/NaN NonFiniteEntry."""
-    reject_booleans([value])
+def read_scalar(value):
+    """One number from outside: an int or Fraction as it is, a finite float,
+    or a string, read as a float when spelled with a decimal point or an
+    exponent and no "/", exactly ("3", "-1/2") otherwise.  JSON `true` is
+    not 1: booleans, null, lists and unreadable strings raise MalformedEntry;
+    inf and NaN raise NonFiniteEntry."""
+    if isinstance(value, str):
+        token = value.strip()
+        try:
+            if "/" in token or not any(ch in token for ch in ".eE"):
+                return Fraction(token)
+            value = float(token)
+        except (ValueError, ZeroDivisionError):
+            raise MalformedEntry(f"not a number: {value!r}") from None
+    if isinstance(value, (float, np.floating)):
+        if not isfinite(value):
+            raise NonFiniteEntry("entries must be finite numbers")
+        return float(value)
+    if isinstance(value, (bool, np.bool_)):
+        raise MalformedEntry("expected numbers, not booleans")
     if isinstance(value, (int, np.integer)):
         return int(value)
-    require_finite([value])
-    if not float(value).is_integer():
+    if isinstance(value, Fraction):
+        return value
+    raise MalformedEntry(f"expected a number, not {type(value).__name__}")
+
+
+def read_sequence(values) -> list:
+    """A list read from outside; MalformedEntry for anything else."""
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise MalformedEntry(f"expected a list, not {type(values).__name__}")
+    return list(values)
+
+
+def read_scalars(values) -> list:
+    """Numbers read from outside under one rule: exact (ints and Fractions)
+    when every value is an int, a Fraction or an exact string, and all floats
+    as soon as one value is a float."""
+    values = read_sequence(values)
+    kinds = set(map(type, values))
+    if not kinds <= {int, float}:  # plain JSON numbers need no parse
+        values = [read_scalar(v) for v in values]
+        kinds = set(map(type, values))
+    if float in kinds:
+        values = list(map(float, values))
+        require_finite(values)
+    return values
+
+
+def read_fields(payload, *names) -> list:
+    """The named fields of a JSON object read from outside; MalformedEntry if
+    the payload is not an object, KeyError for a missing field."""
+    if not isinstance(payload, Mapping):
+        raise MalformedEntry(f"expected a JSON object with {', '.join(names)}")
+    return [payload[name] for name in names]
+
+
+def read_integer(value) -> int:
+    """A size or degree read from JSON, 4 or 4.0, where int() would truncate
+    2.5: non-integers raise MalformedEntry, inf/NaN NonFiniteEntry."""
+    number = read_scalar(value)
+    if number != int(number):
         raise MalformedEntry(f"expected an integer, not {value!r}")
-    return int(float(value))
+    return int(number)
 
 
 def is_exact(t: np.ndarray) -> bool:
@@ -76,23 +124,16 @@ def is_exact(t: np.ndarray) -> bool:
 
 
 def tensor(shape: Sequence[int], entries: Sequence) -> np.ndarray:
-    """Build a tensor from row-major entries; exact inputs stay exact."""
-    shape = tuple(read_integer(n) for n in shape)
+    """Build a tensor from row-major entries read by read_scalars: exact
+    entries give an object array, floats a float64 array."""
+    shape = tuple(read_integer(n) for n in read_sequence(shape))
     if any(n < 1 for n in shape):
         raise ShapeMismatch(f"invalid shape {shape}")
-    flat = list(entries)
+    flat = read_scalars(entries)
     expected = int(np.prod(shape))
     if len(flat) != expected:
         raise ShapeMismatch(f"expected {expected} entries, got {len(flat)}")
-    reject_booleans(flat)
-    if all(isinstance(v, (int, Fraction)) or isinstance(v, str) for v in flat):
-        arr = np.empty(expected, dtype=object)
-        for i, v in enumerate(flat):
-            arr[i] = as_fraction(v) if isinstance(v, str) else v
-        return arr.reshape(shape)
-    arr = np.asarray(flat, dtype=float)
-    require_finite(arr)
-    return arr.reshape(shape)
+    return np.array(flat, dtype=float if isinstance(flat[0], float) else object).reshape(shape)
 
 
 def to_float(t: np.ndarray) -> np.ndarray:
@@ -299,7 +340,7 @@ def tensor_to_json(t: np.ndarray) -> dict:
 
 
 def tensor_from_json(payload: Mapping) -> np.ndarray:
-    return tensor(payload["shape"], payload["entries"])
+    return tensor(*read_fields(payload, "shape", "entries"))
 
 
 def sym_to_json(f: SymTensorCoords) -> dict:
@@ -314,19 +355,23 @@ def sym_to_json(f: SymTensorCoords) -> dict:
 
 
 def sym_from_json(payload: Mapping) -> SymTensorCoords:
-    """Multidegrees omitted from the JSON coeffs count as zero."""
-    n, d = read_integer(payload["n"]), read_integer(payload["d"])
-    reject_booleans(payload["coeffs"].values())
+    """Multidegrees omitted from the JSON coeffs count as zero; every key is
+    checked against n and d before they are filled in."""
+    n, d, given = read_fields(payload, "n", "d", "coeffs")
+    n, d = read_integer(n), read_integer(d)
+    if not isinstance(given, Mapping):
+        raise MalformedEntry("coeffs must map multidegree keys to numbers")
+    values = read_scalars(list(given.values()))
     coeffs = {}
-    exact = all(isinstance(v, (int, str)) for v in payload["coeffs"].values())
-    for key, value in payload["coeffs"].items():
-        u = tuple(int(p) for p in key.split(","))
-        if isinstance(value, str):
-            coeffs[u] = as_fraction(value)
-        else:
-            coeffs[u] = value if exact else float(value)
-    if not exact:
-        require_finite(list(coeffs.values()))
+    for key, value in zip(given, values):
+        try:
+            u = tuple(int(p) for p in key.split(","))
+        except ValueError:
+            raise MalformedEntry(f"multidegree key {key!r} is not comma-separated integers") from None
+        if len(u) != n or any(e < 0 for e in u) or sum(u) != d:
+            raise ShapeMismatch(f"bad multidegree {u} for n={n}, d={d}")
+        coeffs[u] = value
+    zero = 0.0 if values and isinstance(values[0], float) else Fraction(0)
     for u in multidegrees(n, d):
-        coeffs.setdefault(u, Fraction(0) if exact else 0.0)
+        coeffs.setdefault(u, zero)
     return SymTensorCoords(n, d, coeffs)

@@ -270,6 +270,19 @@ def test_non_finite_input_gets_no_verdict(tmp_path, capsys, argv, payload):
     (["decompose", "--file"], {"shape": [2, 2, 2.5], "entries": [1, 0, 0, 1, 0, 0, 0, 1]}),
     (["certify", "--symmetric", "--file"], {"n": 2, "d": 3.7, "coeffs": {"3,0": 1, "0,3": 1}}),
     (["certify", "--symmetric", "--file"], {"n": 2.5, "d": 3, "coeffs": {"3,0": 1, "0,3": 1}}),
+    (["certify", "--file"], {"shape": [2, 2, 2], "entries": ["abc", 0, 0, 0, 0, 0, 0, 1]}),
+    (["certify", "--file"], {"shape": [2, 2, 2], "entries": [[1], 0, 0, 0, 0, 0, 0, 1]}),
+    (["certify", "--file"], {"shape": [2, 2, 2], "entries": [None, 0, 0, 0, 0, 0, 0, 1]}),
+    (["certify", "--file"], {"shape": [2, 2, 2], "entries": 5}),
+    (["certify", "--file"], [2, 2, 2]),
+    (["certify", "--symmetric", "--file"], [2, 3]),
+    (["certify", "--symmetric", "--file"], {"n": 2, "d": 3, "coeffs": {"a,b": 1}}),
+    (["certify", "--symmetric", "--file"], {"n": 2, "d": 3, "coeffs": 5}),
+    (["curve-scan", "--path", "crossing", "--curve"], {"d": 4, "F": 5}),
+    (["curve-scan", "--path", "crossing", "--curve"], [4, QUARTIC_ROWS]),
+    (["curve-scan", "--path", "crossing", "--curve"],
+     {"d": 4, "F": QUARTIC_ROWS[:3] + [[0, 0, 0, 0, None]]}),
+    (["curve-scan", "--curve", "monomial-quartic", "--path"], {"coefficients": 5}),
 ])
 def test_malformed_tensor_curve_and_path_input_gets_no_verdict(tmp_path, capsys, argv, payload):
     path = tmp_path / "c.json"
@@ -296,3 +309,53 @@ def test_repeated_main_calls_match_fresh_processes(capsys, conj_file):
                                capture_output=True, text=True, timeout=60)
         # stderr holds the resolved configuration, so a seed left over shows there
         assert run_cli(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["curve-classify", "--curve", "monomial-quartic", "--point", "1,2,3"], "DegenerateQuery"),
+    (["curve-classify", "--curve", "monomial-quartic", "--point", "1,2,3,nan"], "MalformedEntry"),
+    (["binary-form", "--d", "3", "--coords", "1,abc,0,1"], "MalformedEntry"),
+    (["binary-form", "--d", "3", "--coords", "1/0,0,0,1"], "MalformedEntry"),
+])
+def test_malformed_command_line_numbers_get_typed_errors(capsys, argv, error):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 1
+    assert out == ""
+    assert err.splitlines()[-1].startswith(f"error: {error}:")
+
+
+def test_exact_and_float_mix_reads_as_floats_in_every_file(capsys, tmp_path):
+    """One number rule: a "num/den" string next to a float reads as a float,
+    in tensor files as in symmetric files."""
+    payloads = {
+        "mixed": {"shape": [2, 2, 2], "entries": ["1/2", 0, 0, 0, 0, 0, 0, 1.5]},
+        "floats": {"shape": [2, 2, 2], "entries": [0.5, 0, 0, 0, 0, 0, 0, 1.5]},
+        "sym_mixed": {"n": 2, "d": 3, "coeffs": {"3,0": "1/2", "0,3": 1.5}},
+        "sym_floats": {"n": 2, "d": 3, "coeffs": {"3,0": 0.5, "0,3": 1.5}},
+    }
+    outs = {}
+    for name, payload in payloads.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        flag = ["--symmetric"] if name.startswith("sym") else []
+        status, outs[name], _ = run_cli(capsys, "certify", *flag, "--file", str(path))
+        assert status == 0
+    assert outs["mixed"] == outs["floats"]
+    assert outs["sym_mixed"] == outs["sym_floats"]
+    assert json.loads(outs["mixed"])["verdict"] == "REAL_RANK_TWO"
+
+
+def test_decompose_certifies_the_exact_tensor(capsys, tmp_path):
+    """A float copy of 1/10^10 passes as a real pair within 1e-8; the exact
+    tensor has border rank three, and decompose says so as certify does."""
+    entries = [0] * 27
+    entries[0], entries[13], entries[26] = 1, 1, "1/10000000000"
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps({"shape": [3, 3, 3], "entries": entries}))
+    status, out, _ = run_cli(capsys, "certify", "--file", str(path))
+    assert status == 0
+    assert json.loads(out)["verdict"] == "BORDER_RANK_EXCEEDS_TWO"
+    status, out, err = run_cli(capsys, "decompose", "--file", str(path))
+    assert status == 1
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: NotRankTwo:")

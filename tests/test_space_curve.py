@@ -218,6 +218,8 @@ def test_degenerate_queries_raise():
         sc.classify_point(QUARTIC, on_curve)
     with pytest.raises(sc.DegenerateQuery):
         sc.classify_point(QUARTIC, QUARTIC.point(1, 0))
+    with pytest.raises(sc.DegenerateQuery):
+        sc.classify_point(QUARTIC, [1, 2, 3])
 
 
 def test_bad_curves_rejected():

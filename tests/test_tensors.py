@@ -141,3 +141,30 @@ def test_sym_json_round_trip():
 def test_tensor_rejects_wrong_entry_count():
     with pytest.raises(tn.ShapeMismatch):
         tn.tensor((2, 2), [1, 2, 3])
+
+
+def test_read_scalars_is_exact_unless_a_value_is_a_float():
+    assert tn.read_scalars([1, "-1/2", "3", Fraction(2, 3)]) == [1, Fraction(-1, 2), 3, Fraction(2, 3)]
+    assert tn.read_scalars([1, "-1/2", 1.5]) == [1.0, -0.5, 1.5]
+    assert tn.read_scalars(["0.25", "1e-3", 2]) == [0.25, 0.001, 2.0]
+    assert all(type(v) is float for v in tn.read_scalars([np.float64(0.5), 1]))
+    for bad in ([True], [None], [[1]], ["abc"], ["1/0"], 5, "12"):
+        with pytest.raises(tn.MalformedEntry):
+            tn.read_scalars(bad)
+    for bad in ([float("inf")], [1, float("nan")], ["1e999"]):
+        with pytest.raises(tn.NonFiniteEntry):
+            tn.read_scalars(bad)
+
+
+def test_sym_from_json_checks_keys_before_filling_multidegrees(monkeypatch):
+    def no_fill(n, d):
+        raise AssertionError("multidegrees filled before the keys were checked")
+
+    monkeypatch.setattr(tn, "multidegrees", no_fill)
+    with pytest.raises(tn.ShapeMismatch):
+        tn.sym_from_json({"n": 2, "d": 10 ** 6, "coeffs": {"3,0": 1}})
+    for key in ("3,0,0", "-1,4"):
+        with pytest.raises(tn.ShapeMismatch):
+            tn.sym_from_json({"n": 2, "d": 3, "coeffs": {key: 1}})
+    with pytest.raises(tn.MalformedEntry):
+        tn.sym_from_json({"n": 2, "d": 3, "coeffs": {"a,b": 1}})
