@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import binary_forms as bf
@@ -61,6 +62,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(v) -> str:
     return format(v, ".17g") if isinstance(v, float) else str(v)
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if 0.0 <= value < 1.0:  # false for nan
+        return value
+    raise argparse.ArgumentTypeError(f"must be a finite number in [0, 1), not {text!r}")
 
 
 def _parse_scalar_list(text: str) -> list:
@@ -249,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "text", "csv"), default="json",
                         help="output format (csv: curve-scan and table1 only)")
-    common.add_argument("--tol", type=float, default=1e-8, help="numerical rank/residual tolerance")
+    common.add_argument("--tol", type=_tolerance, default=1e-8,
+                        help="numerical rank/residual tolerance, a finite number in [0, 1) (default 1e-8)")
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"PRNG seed (default {DEFAULT_SEED}; 0 requests entropy)")
 

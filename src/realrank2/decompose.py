@@ -23,6 +23,9 @@ import numpy as np
 from . import certify as ce
 from . import tensors as tn
 
+# ALS sweeps that polish a real or conjugate pair found from the pencil
+POLISH_SWEEPS = 3
+
 
 class ZeroTensor(ValueError):
     pass
@@ -242,23 +245,23 @@ def _weight_conj(t: np.ndarray, factors: list[np.ndarray]) -> complex:
     return complex(w[0], w[1])
 
 
-def _polish_real(t: np.ndarray, terms: list[RankOneTerm], sweeps: int = 3) -> list[RankOneTerm]:
+def _polish_real(t: np.ndarray, terms: list[RankOneTerm]) -> list[RankOneTerm]:
     # spread each weight evenly over its factors so the LS columns stay balanced
     scale = [abs(term.weight) ** (1.0 / t.ndim) for term in terms]
     sign = [1.0 if term.weight >= 0 else -1.0 for term in terms]
     mats = [np.stack([(sign[r] if m == 0 else 1.0) * scale[r] * terms[r].factors[m]
                       for r in range(2)], axis=1) for m in range(t.ndim)]
-    for _ in range(sweeps):
+    for _ in range(POLISH_SWEEPS):
         _als_sweep(t, mats)
     factor_sets = [term.factors for term in _unit_terms(mats)]
     ws = _weights_real(t, factor_sets)
     return [RankOneTerm(w, fs) for w, fs in zip(ws, factor_sets)]
 
 
-def _polish_conj(t: np.ndarray, term: RankOneTerm, sweeps: int = 3) -> RankOneTerm:
+def _polish_conj(t: np.ndarray, term: RankOneTerm) -> RankOneTerm:
     factors = [np.asarray(f, dtype=complex) for f in term.factors]
     w = complex(term.weight)
-    for _ in range(sweeps):
+    for _ in range(POLISH_SWEEPS):
         for m in range(t.ndim):
             rest = w * _khatri_rao([factors[k] for k in range(t.ndim) if k != m])
             g = np.stack([2.0 * rest.real, -2.0 * rest.imag], axis=1)

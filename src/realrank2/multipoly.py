@@ -9,9 +9,9 @@ extraction and therefore every piece of symbolic output in the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from numbers import Rational
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
+
+from .exactsolve import as_fraction, content, integer_det
 
 Scalar = Union[int, Fraction]
 
@@ -20,33 +20,9 @@ class NotDivisible(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
 
-def as_fraction(value) -> Fraction:
-    """Coerce ints, strings like '3/4' and floats (exactly) to Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str, Rational)):  # Rational: numpy integers
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
-
-
 def grlex_key(exponents: tuple) -> tuple:
     # graded lex: compare total degree first, then the exponent tuple itself
     return (sum(exponents), exponents)
-
-
-def content(values: Iterable) -> Fraction:
-    """gcd of the numerators over the lcm of the denominators of exact values.
-
-    Dividing by it leaves coprime integers; multiplying by its denominator
-    alone clears every denominator without touching a common factor.
-    """
-    num, den = 0, 1
-    for v in values:
-        num = gcd(num, v.numerator)
-        den = lcm(den, v.denominator)
-    return Fraction(num, den)
 
 
 class MultiPoly:
@@ -380,30 +356,6 @@ class NotForms(ValueError):
     most three of them, one the eliminated variable."""
 
 
-def _det_int(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    work = [row[:] for row in rows]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        pivot_row = next((i for i in range(k, n) if work[i][k]), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != k:
-            work[k], work[pivot_row] = work[pivot_row], work[k]
-            sign = -sign
-        top = work[k]
-        pivot = top[k]
-        for row in work[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - lead * top[j]) // prev
-        prev = pivot
-    return sign * work[-1][-1]
-
-
 def _horner(ascending: list[int], x: int) -> int:
     value = 0
     for c in reversed(ascending):
@@ -419,7 +371,7 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     remaining variables.  Scaled by Lp^n Lq^m (L the lcm of each input's
     denominators) it has integer coefficients, so it is the Newton
     interpolant of the integer Sylvester determinants at (x, 1) for
-    x = 0..D.  With one remaining variable or none, the value at 1 is its
+    x = 0..D, each taken by `exactsolve.integer_det`.  With one remaining variable or none, the value at 1 is its
     only coefficient.
     """
     variables = p.variables
@@ -448,7 +400,7 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
         desc_q = [_horner(c, x) for c in reversed(cq)]
         rows = [[0] * s + desc_p + [0] * (n - 1 - s) for s in range(n)]
         rows += [[0] * s + desc_q + [0] * (m - 1 - s) for s in range(m)]
-        return _det_int(rows)
+        return integer_det(rows)
 
     den = lp ** n * lq ** m
     if x_at is None:

@@ -24,8 +24,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import exactsolve as xs
-from .multipoly import MultiPoly, as_fraction, resultant
+from .exactsolve import as_fraction, exact_rank
+from .multipoly import MultiPoly, resultant
 from .tensors import num_json, read_scalar, read_sequence
 from .unipoly import UniPoly, poly_gcd, real_roots
 
@@ -35,7 +35,8 @@ class BadCurve(ValueError):
 
 
 class RewriteFailed(RuntimeError):
-    """A symmetric pair polynomial failed to rewrite in (a, b, c)."""
+    """Secant-line coordinates are not six polynomials satisfying the
+    quadratic line relation."""
 
 
 class DegenerateQuery(ValueError):
@@ -96,7 +97,7 @@ class CurveParam:
         if len(rows) != 4 or any(len(row) != self.d + 1 for row in rows):
             raise BadCurve("need four coefficient rows of length d + 1")
         object.__setattr__(self, "F", rows)
-        if xs.exact_rank(rows) != 4:
+        if exact_rank(rows) != 4:
             raise BadCurve("coefficient matrix must have rank 4 to span 3-space")
 
     def point(self, s, t):
@@ -115,7 +116,6 @@ class CurveParam:
 class PluckerMap:
     """Line coordinates of the secant spanned by the pair (a : b : c)."""
 
-    d: int
     polys: tuple[MultiPoly, ...]
 
     def __post_init__(self):
@@ -161,7 +161,7 @@ def plucker_map(curve: CurveParam) -> PluckerMap:
         line = sum((span * (F[i][k] * F[j][l] - F[i][l] * F[j][k]) for (k, l), span in spans.items()),
                    MultiPoly.zero(PAIR_VARS))
         polys.append(MultiPoly(PAIR_VARS, {e: line.terms[e] for e in order if e in line.terms}))
-    return PluckerMap(d, tuple(polys))
+    return PluckerMap(tuple(polys))
 
 
 def secant_system(pm: PluckerMap, u: Sequence[Fraction]) -> list[MultiPoly]:
@@ -207,39 +207,39 @@ class SecantSolution:
         }
 
 
-def _prepare_row(poly: MultiPoly) -> tuple[np.ndarray, np.ndarray]:
-    exps = np.array(sorted(poly.terms), dtype=np.int64)
-    scale = max(abs(c) for c in poly.terms.values())
-    coeffs = np.array([float(poly.terms[tuple(e)] / scale) for e in exps])
-    return exps, coeffs
+def _row_evaluator(rows: Sequence[MultiPoly]):
+    """Values and Jacobian in (a, b, c) of the rows over their largest
+    |coefficient|, as one function of a complex point.  The monomials come
+    from the union of the rows' exponents and its three shifts lowered by
+    one in a, b or c.  Each sum runs over its own row's terms in sorted
+    exponent order (for a partial, those with a positive exponent)."""
+    table = sorted(set().union(*(p.terms for p in rows)))
+    at = {e: i for i, e in enumerate(table)}
+    exps = np.array(table, dtype=np.int64)
+    # an exponent lowered below 0 is never read; 0 keeps it finite at p_k = 0
+    shifted = np.concatenate([exps] + [np.maximum(exps - unit, 0) for unit in np.eye(3, dtype=np.int64)])
+    parts = []
+    for poly in rows:
+        scale = max(abs(c) for c in poly.terms.values())
+        terms = [(e, float(poly.terms[e] / scale)) for e in sorted(poly.terms)]
+        part = [([at[e] for e, _ in terms], [c for _, c in terms])]  # the value, then each partial
+        for k in range(3):
+            lowered = [(e, c) for e, c in terms if e[k]]
+            part.append(([(k + 1) * len(table) + at[e] for e, _ in lowered], [c * e[k] for e, c in lowered]))
+        parts.append([(np.array(idx, dtype=np.intp), np.array(coeffs)) for idx, coeffs in part])
+
+    def evaluate(p) -> tuple[list[complex], list[list[complex]]]:
+        monomials = np.prod(np.asarray(p)[None, :] ** shifted, axis=1)
+        sums = [[complex(np.dot(coeffs, monomials[idx])) for idx, coeffs in part] for part in parts]
+        return [row[0] for row in sums], [row[1:] for row in sums]
+
+    return evaluate
 
 
-def _eval_prepared(row: tuple[np.ndarray, np.ndarray], p):
-    exps, coeffs = row
-    monomials = np.prod(np.asarray(p)[None, :] ** exps, axis=1)
-    return complex(np.dot(coeffs, monomials))
-
-
-def _gradient_rows(poly: MultiPoly) -> list[tuple[np.ndarray, np.ndarray]]:
-    grads = []
-    scale = max(abs(c) for c in poly.terms.values())
-    for k in range(3):
-        terms = {}
-        for e, c in poly.terms.items():
-            if e[k]:
-                lowered = tuple(ei - (i == k) for i, ei in enumerate(e))
-                terms[lowered] = terms.get(lowered, 0.0) + float(c / scale) * e[k]
-        exps = np.array(sorted(terms) or [(0, 0, 0)], dtype=np.int64)
-        coeffs = np.array([terms.get(tuple(e), 0.0) for e in exps])
-        grads.append((exps, coeffs))
-    return grads
-
-
-def _polish(prepared, gradients, p: np.ndarray) -> np.ndarray:
+def _polish(evaluate, p: np.ndarray) -> np.ndarray:
     for _ in range(4):
-        residual = np.array([_eval_prepared(row, p) for row in prepared])
-        jac = np.array([[_eval_prepared(g, p) for g in grow] for grow in gradients])
-        step, *_ = np.linalg.lstsq(jac, -residual, rcond=None)
+        values, jacobian = evaluate(p)
+        step, *_ = np.linalg.lstsq(np.array(jacobian), -np.array(values), rcond=None)
         step = step - p * (np.vdot(p, step) / np.vdot(p, p))
         if np.linalg.norm(step) < 1e-15:
             break
@@ -319,24 +319,24 @@ def _elimination_variable(coeffs: Mapping[str, tuple[list, list]]) -> str:
     return max(PAIR_VARS, key=score)
 
 
+def _projective_roots(descending, zero: float) -> tuple[list, bool]:
+    """Finite roots of a polynomial given highest degree first, and whether it
+    has a root at infinity.  Coefficients are scaled by the largest |c|
+    (exactly, for exact c); leading ones with |c| <= zero are dropped."""
+    top = max(abs(c) for c in descending)
+    scaled = [c / top for c in descending]
+    lead = next(i for i, c in enumerate(scaled) if abs(c) > zero)
+    tail = [float(c) if isinstance(c, Fraction) else c for c in scaled[lead:]]
+    return (list(np.roots(tail)) if len(tail) > 1 else []), lead > 0
+
+
 def _binary_form_root_pairs(res: MultiPoly) -> list[tuple[complex, complex]]:
     """Projective roots of a binary form, as (value of var1, value of var2)."""
-    degree = res.total_degree()
-    coeffs = [Fraction(0)] * (degree + 1)
+    coeffs = [Fraction(0)] * (res.total_degree() + 1)
     for e, c in res.terms.items():
         coeffs[e[0]] = c
-    top = max(abs(c) for c in coeffs)
-    floats = [float(c / top) for c in coeffs]
-    pairs: list[tuple[complex, complex]] = []
-    if coeffs[degree] == 0:
-        pairs.append((1.0 + 0.0j, 0.0 + 0.0j))
-    descending = list(reversed(floats))
-    leading = next((i for i, c in enumerate(descending) if c != 0.0), degree)
-    poly = descending[leading:]
-    if len(poly) > 1:
-        for root in np.roots(poly):
-            pairs.append((complex(root), 1.0 + 0.0j))
-    return pairs
+    finite, at_infinity = _projective_roots(coeffs[::-1], 0.0)
+    return [(1.0 + 0.0j, 0.0 + 0.0j)] * at_infinity + [(complex(root), 1.0 + 0.0j) for root in finite]
 
 
 def solve_secants(system: Sequence[MultiPoly], tol: float, *,
@@ -351,8 +351,7 @@ def solve_secants(system: Sequence[MultiPoly], tol: float, *,
     nonzero = [p for p in system if not p.is_zero()]
     if not nonzero:
         raise DegenerateQuery("all four equations vanish identically")
-    prepared = [_prepare_row(p) for p in nonzero]
-    gradients = [_gradient_rows(p) for p in nonzero]
+    evaluate = _row_evaluator(nonzero)
     rng = random.Random(seed)
 
     candidates: list[np.ndarray] = []
@@ -378,30 +377,18 @@ def solve_secants(system: Sequence[MultiPoly], tol: float, *,
         v_index = PAIR_VARS.index(var)
         for m0, n0 in _binary_form_root_pairs(res):
             assignment = {keep[0]: m0, keep[1]: n0}
-            v_values: list = []
             for source in coeffs[var]:
-                coeffs_v = [c.evaluate(assignment) for c in source]
-                scale = max(abs(c) for c in coeffs_v)
-                if scale == 0:
-                    continue
-                descending = [c / scale for c in reversed(coeffs_v)]
-                lead = next(i for i, c in enumerate(descending) if abs(c) > 1e-12)
-                if len(descending) - lead >= 2:
-                    v_values = list(np.roots(descending[lead:]))
-                if lead > 0:
-                    v_values.append(None)  # eliminated variable dominant: unit point
-                break
-            for v0 in v_values:
-                point = np.zeros(3, dtype=complex)
-                if v0 is None:
-                    point[v_index] = 1.0
-                else:
-                    point[[i for i in range(3) if i != v_index]] = (m0, n0)
-                    point[v_index] = v0
-                norm = np.linalg.norm(point)
-                if norm == 0:
-                    continue
-                candidates.append(point / norm)
+                values = [c.evaluate(assignment) for c in source]
+                if any(values):
+                    finite, at_infinity = _projective_roots(values[::-1], 1e-12)
+                    break
+            else:
+                continue
+            for v0 in finite:
+                point = np.insert(np.array([m0, n0]), v_index, v0)
+                candidates.append(point / np.linalg.norm(point))
+            if at_infinity:  # the eliminated variable dominates: its unit point
+                candidates.append(np.eye(3)[v_index].astype(complex))
         break
     else:
         raise ResultantIdenticallyZero(
@@ -409,8 +396,8 @@ def solve_secants(system: Sequence[MultiPoly], tol: float, *,
 
     verified: list[tuple[np.ndarray, float, int]] = []
     for cand in candidates:
-        point = _polish(prepared, gradients, cand)
-        residual = max(abs(_eval_prepared(row, point)) for row in prepared)
+        point = _polish(evaluate, cand)
+        residual = max(abs(value) for value in evaluate(point)[0])
         if residual > max(tol, 1e-7):
             continue
         for i, (existing, res_old, mult) in enumerate(verified):

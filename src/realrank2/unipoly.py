@@ -11,7 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .multipoly import MultiPoly, as_fraction, content
+from .exactsolve import as_fraction, content
+from .multipoly import MultiPoly
 
 ISOLATION_WIDTH = Fraction(1, 2 ** 40)
 MAX_REFINE_STEPS = 60

@@ -324,6 +324,23 @@ def test_malformed_command_line_numbers_get_typed_errors(capsys, argv, error):
     assert err.splitlines()[-1].startswith(f"error: {error}:")
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "1e400", "-1", "1"])
+@pytest.mark.parametrize("command", ["certify", "binary-form", "curve-classify"])
+def test_tolerance_outside_zero_to_one_is_a_usage_error(capsys, tmp_path, command, tol):
+    """A tolerance of nan, inf or 1 or more makes every singular value and
+    residual count as zero, so it would decide the verdict; it gets none."""
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"shape": [2, 2, 2], "entries": [1.0, 0, 0, 0, 0, 0, 0, 1]}))
+    argv = {"certify": ["certify", "--file", str(path)],
+            "binary-form": ["binary-form", "--d", "4", "--coords", "1.0,0,0,0,1"],
+            "curve-classify": ["curve-classify", "--curve", "monomial-quartic",
+                               "--point", "47,85/2,105/2,-43"]}[command]
+    status, out, err = run_cli(capsys, *argv, f"--tol={tol}")
+    assert status == 1
+    assert out == ""
+    assert err.splitlines()[-1] == f"error: argument --tol: must be a finite number in [0, 1), not {tol!r}"
+
+
 def test_exact_and_float_mix_reads_as_floats_in_every_file(capsys, tmp_path):
     """One number rule: a "num/den" string next to a float reads as a float,
     in tensor files as in symmetric files."""

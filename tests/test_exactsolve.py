@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import realrank2
-from realrank2.exactsolve import Inconsistent, exact_rank, solve_exact
+from realrank2.exactsolve import Inconsistent, exact_rank, integer_det, solve_exact
 
 dims = st.tuples(st.integers(1, 5), st.integers(1, 5))
 
@@ -60,6 +60,40 @@ def test_exact_rank_of_integer_rows_equals_rank_as_fractions(rows, data):
     assert rows == before  # elimination works on copies
 
 
+def cofactor_det(rows) -> Fraction:
+    """Laplace expansion along the first row, in Fractions."""
+    if not rows:
+        return Fraction(1)
+    return sum((-1) ** j * Fraction(x) * cofactor_det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j, x in enumerate(rows[0]))
+
+
+@st.composite
+def square_integer_matrices(draw):
+    """Square integer matrices of size 0..5, some singular (a row a multiple
+    of another, or a zero column) and some whose first column needs a swap."""
+    n = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(coefficients, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rows[i] = [draw(st.integers(-3, 3)) * x for x in rows[j]]
+    if n >= 1 and draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[k] = 0
+    if n >= 2 and draw(st.booleans()):
+        rows[0][0] = 0
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_integer_matrices())
+def test_integer_det_equals_cofactor_expansion(rows):
+    before = [list(row) for row in rows]
+    assert integer_det(rows) == cofactor_det(rows)
+    assert rows == before  # elimination works on copies
+
+
 def test_exact_rank_beats_floats_on_tiny_pivots():
     eps = Fraction(1, 10**40)
     rows = [[Fraction(1), Fraction(1)], [Fraction(1), 1 + eps]]
@@ -97,20 +131,23 @@ def test_nullspace_spans_kernel_of_rank_one_matrix():
 
 
 def test_echelon_raises_on_inexact_division_under_optimize():
-    # _echelon needs integer rows; with a Fraction the Bareiss division leaves
-    # a remainder, which must raise even when asserts are stripped by -O
+    # _echelon and integer_det need integer rows; with a Fraction the Bareiss
+    # division leaves a remainder, which must raise even when asserts are
+    # stripped by -O
     code = "\n".join([
         "from fractions import Fraction",
-        "from realrank2.exactsolve import InexactDivision, _echelon",
+        "from realrank2.exactsolve import InexactDivision, _echelon, integer_det",
         "assert False, 'asserts must be off'",
-        "try:",
-        "    _echelon([[Fraction(1, 2), 1], [1, 1]], 2)",
-        "except InexactDivision as exc:",
-        "    print(type(exc).__mro__[1].__name__)",
+        "for call in (lambda: _echelon([[Fraction(1, 2), 1], [1, 1]], 2),",
+        "             lambda: integer_det([[Fraction(1, 2), 1], [1, 1]])):",
+        "    try:",
+        "        call()",
+        "    except InexactDivision as exc:",
+        "        print(type(exc).__mro__[1].__name__)",
     ])
     src = str(Path(realrank2.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ArithmeticError"
+    assert proc.stdout.split() == ["ArithmeticError", "ArithmeticError"]

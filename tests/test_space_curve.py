@@ -88,6 +88,60 @@ def test_plucker_map_of_random_curves_is_the_divided_exterior_product(d):
             assert pm.evaluate((s1 * s2, s1 * t2 + s2 * t1, t1 * t2)) == direct
 
 
+def _partial(poly: MultiPoly, k: int) -> MultiPoly:
+    return MultiPoly(poly.variables, {tuple(x - (i == k) for i, x in enumerate(e)): c * e[k]
+                                      for e, c in poly.terms.items() if e[k]})
+
+
+def _term_magnitude(poly: MultiPoly, point) -> float:
+    """Sum of the absolute values of the terms: the scale of rounding error."""
+    return MultiPoly(poly.variables, {e: abs(c) for e, c in poly.terms.items()}).evaluate(
+        {v: abs(x) for v, x in point.items()})
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_row_evaluator_matches_scaled_rows_and_exact_partials(d):
+    """At complex points, _row_evaluator gives the values of each row over
+    its largest |coefficient| and of that quotient's exact partials."""
+    rng = random.Random(40 + d)
+    curve = sc.MONOMIAL_QUARTIC if d == 4 else _random_curve(rng, d)
+    pm = sc.plucker_map(curve)
+    for _ in range(3):
+        u = [Fraction(rng.randint(-20, 20), rng.randint(1, 3)) for _ in range(4)]
+        rows = [row for row in sc.secant_system(pm, u) if not row.is_zero()]
+        scaled = [row * (1 / max(abs(c) for c in row.terms.values())) for row in rows]
+        evaluate = sc._row_evaluator(rows)
+        for _ in range(4):
+            p = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(3)])
+            p = p / np.linalg.norm(p)
+            point = dict(zip(sc.PAIR_VARS, map(complex, p)))
+            values, jacobian = evaluate(p)
+            assert len(values) == len(jacobian) == len(rows)
+            for row, value, gradient in zip(scaled, values, jacobian):
+                for poly, got in [(row, value)] + [(_partial(row, k), gradient[k]) for k in range(3)]:
+                    assert abs(got - poly.evaluate(point)) <= 1e-12 * _term_magnitude(poly, point)
+
+
+@pytest.mark.parametrize("leading", [0, 1, 2])
+def test_projective_roots_read_leading_zeros_as_a_root_at_infinity(leading):
+    cubic = [1, 0, -7, 6]  # (x - 1)(x - 2)(x + 3)
+    cases = [
+        ([Fraction(0)] * leading + [Fraction(c) for c in cubic], 0.0),
+        ([1e-14 * (i + 1) for i in range(leading)] + [complex(c) for c in cubic], 1e-12),
+    ]
+    for descending, zero in cases:
+        finite, at_infinity = sc._projective_roots(descending, zero)
+        assert at_infinity == (leading > 0)
+        assert sorted(np.real(finite)) == pytest.approx([-3, 1, 2])
+        assert np.abs(np.imag(finite)).max() < 1e-12
+    # a tiny coefficient is a zero only up to the given threshold
+    finite, at_infinity = sc._projective_roots([Fraction(1, 10 ** 20)] + [Fraction(c) for c in cubic], 0.0)
+    assert (len(finite), at_infinity) == (4, False)
+    finite, at_infinity = sc._projective_roots([1e-20, 1.0, 0.0, -7.0, 6.0], 1e-12)
+    assert (len(finite), at_infinity) == (3, True)
+    assert sc._projective_roots([Fraction(0)] * leading + [Fraction(5)], 0.0) == ([], leading > 0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(-20, 20), min_size=4, max_size=4), st.integers(0, 100))
 def test_witness_secants_span_the_query_point(u, seed):
