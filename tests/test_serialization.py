@@ -1,11 +1,11 @@
 """Pinned serialized output: the exact text of every to_json form, of
 the certify, hyperdet and binary-form commands on exact input, of certify
 on each certification branch (float and exact), and of the decompose
-command on one float tensor per branch; also the quintic alternative
-test's answers, float and exact.
+command on one float tensor per branch, of curve-classify and curve-scan;
+also the quintic alternative test's answers, float and exact.
 
 The report objects are built by hand, so nothing here depends on LAPACK
-except the decompose goldens at the end, which pin its float digits.
+except the decompose and curve goldens, which pin its float digits.
 """
 
 from __future__ import annotations
@@ -450,3 +450,112 @@ def test_quintic_alternative_test_golden():
     got = [bf.quintic_alternative_test(bf.BinaryForm(5, coords)) for coords, _ in QUINTIC_GOLDENS]
     assert [type(v) for v in got] == [bool] * len(got)
     assert got == [want for _, want in QUINTIC_GOLDENS]
+
+
+# ----------------------------------------------------------- curve goldens
+# Polished secant coordinates (a : b : c) and everything derived from them,
+# to the last printed digit: the monomial quartic at a point with a real
+# secant through two real curve points and at one without, a random
+# quintic whose secant rows have 15 terms each, and a short scan with one
+# edge crossing.
+
+CURVE_FILES = {
+    "quintic.json": {"d": 5, "F": [[-3, -2, -3, 1, 0, 3], [-2, 4, -4, -1, 4, 1],
+                                   [-2, 4, -4, 4, 0, -3], [0, 4, 1, -2, 1, -1]]},
+    "segment.json": {"coefficients": [[3, 1], [1, 0], [-2, 1], [5, -2]]},
+}
+
+CURVE_GOLDENS = [
+    pytest.param(
+        ["curve-classify", "--curve", "monomial-quartic", "--point", "47,85/2,105/2,-43"], 0,
+        '{"label": "REAL_RANK_LE_2", "witness": {"abc": [0.6673579200873222, '
+        '-0.7265666505591208, 0.1635062958788552], "discriminant": 0.09143021154911912, '
+        '"contact": "TWO_REAL_POINTS", "roots": [[1.0, -0.7709063682904491], [1.0, '
+        '-0.3178147342688062]], "curve_points": [[0.7200139762953458, -0.5550633595842106, '
+        '-0.3298722832995674, 0.2543006439181477], [0.9525361432226687, -0.30273002123974596, '
+        '-0.030577610681370805, 0.009718015213274873]], "residual": 5.551115123125783e-17, '
+        '"line_norm": 0.4775576429309864, "multiplicity": 1}, '
+        '"solutions": [{"abc": [0.6673579200873222, -0.7265666505591208, 0.1635062958788552], '
+        '"discriminant": 0.09143021154911912, "contact": "TWO_REAL_POINTS", "roots": [[1.0, '
+        '-0.7709063682904491], [1.0, -0.3178147342688062]], '
+        '"curve_points": [[0.7200139762953458, -0.5550633595842106, -0.3298722832995674, '
+        '0.2543006439181477], [0.9525361432226687, -0.30273002123974596, -0.030577610681370805, '
+        '0.009718015213274873]], "residual": 5.551115123125783e-17, '
+        '"line_norm": 0.4775576429309864, "multiplicity": 1}], "nonreal_count": 2}',
+        id="quartic-le2"),
+    pytest.param(
+        ["curve-classify", "--curve", "monomial-quartic", "--point", "84,13,62,-38"], 2,
+        '{"label": "REAL_RANK_GE_3", "witness": null, "solutions": [{"abc": [0.6202202800012745, '
+        '-0.7084765447690666, 0.33673103478477506], "discriminant": -0.33345065222941317, '
+        '"contact": "CONJUGATE_POINTS", "roots": [[1.0, {"re": -0.571149128473847, '
+        '"im": -0.4655215896798477}], [{"re": 0.7751413898538482, "im": 0.6317878011923345}, '
+        '-0.736832190810423]], "curve_points": [[{"re": 0.7474682494823649, "im": 0.0}, '
+        '{"re": -0.4269158392537248, "im": -0.3479626077342435}, {"re": 0.13828646100062722, '
+        '"im": -0.2651209333322414}, {"re": -0.20240171002247082, "im": 0.08704825685667032}], '
+        '[{"re": 0.7474682494823649, "im": 6.577369416759368e-17}, {"re": -0.42691583925372484, '
+        '"im": 0.34796260773424353}, {"re": 0.1382864610006272, "im": 0.26512093333224135}, '
+        '{"re": -0.20240171002247076, "im": -0.08704825685667032}]], '
+        '"residual": 5.929829676339737e-17, "line_norm": 0.35583634454431085, '
+        '"multiplicity": 1}], "nonreal_count": 2}',
+        id="quartic-ge3"),
+    pytest.param(
+        ["curve-classify", "--curve", "quintic.json", "--point", "8,8,7,1"], 0,
+        '{"label": "REAL_RANK_LE_2", "witness": {"abc": [0.1888987614758133, '
+        '-0.8834081297589845, 0.4288441840443181], "discriminant": 0.45637738279595713, '
+        '"contact": "TWO_REAL_POINTS", "roots": [[0.24233864745246456, -1.0], [1.0, '
+        '-0.5501651716359321]], "curve_points": [[0.7162921111060994, 0.010248909004671073, '
+        '-0.6227746491957568, -0.31459864550007793], [0.37038351519774054, 0.584090552277917, '
+        '0.7022967191222959, 0.1686226459272366]], "residual": 2.7716314165470854e-17, '
+        '"line_norm": 15.163561507724106, "multiplicity": 1}, '
+        '"solutions": [{"abc": [0.1888987614758133, -0.8834081297589845, 0.4288441840443181], '
+        '"discriminant": 0.45637738279595713, "contact": "TWO_REAL_POINTS", '
+        '"roots": [[0.24233864745246456, -1.0], [1.0, -0.5501651716359321]], '
+        '"curve_points": [[0.7162921111060994, 0.010248909004671073, -0.6227746491957568, '
+        '-0.31459864550007793], [0.37038351519774054, 0.584090552277917, 0.7022967191222959, '
+        '0.1686226459272366]], "residual": 2.7716314165470854e-17, '
+        '"line_norm": 15.163561507724106, "multiplicity": 1}, {"abc": [0.5605223217439282, '
+        '-0.8028512145131302, -0.20308779919430958], "discriminant": 1.0999110515342445, '
+        '"contact": "TWO_REAL_POINTS", "roots": [[0.6054406745705966, -1.0], [1.0, '
+        '0.21936256482829813]], "curve_points": [[0.8917573864560908, -0.044601189931400206, '
+        '0.01204051718405173, -0.45014944574401744], [0.8679183768299944, 0.3198035320354933, '
+        '0.30972084681397233, -0.22026436186375478]], "residual": 1.9084185501446733e-17, '
+        '"line_norm": 6.066692480189351, "multiplicity": 1}, {"abc": [0.5700945686587272, '
+        '-0.2911568140530304, -0.7682576992235802], "discriminant": 1.8366904569999636, '
+        '"contact": "TWO_REAL_POINTS", "roots": [[0.6925337167885426, -1.0], [1.0, '
+        '0.9332563212213573]], "curve_points": [[0.8686814689722266, 0.06137281690215703, '
+        '0.28718008152608254, -0.3989404511758886], [0.8082599209046388, -0.20970334459312312, '
+        '0.11091111246932092, -0.5389240509167341]], "residual": 3.1761486516450147e-16, '
+        '"line_norm": 2.8526618059796016, "multiplicity": 1}, {"abc": [0.5803525331481298, '
+        '0.7509807557113417, 0.31499022495907897], "discriminant": -0.16724940443882508, '
+        '"contact": "CONJUGATE_POINTS", "roots": [[1.0, {"re": 0.6470039439973122, '
+        '"im": 0.3523387505324901}], [{"re": -0.8782220398272842, "im": -0.4782531220615334}, '
+        '-0.7367202309390406]], "curve_points": [[{"re": 0.857737545153047, '
+        '"im": 1.775348270578305e-17}, {"re": 0.17120255690188654, "im": -0.09802784365954743}, '
+        '{"re": -0.032636393872896304, "im": -0.11182411437148328}, {"re": -0.45320358605015615, '
+        '"im": -0.0800204526594668}], [{"re": 0.8577375451530468, "im": 5.346858520814733e-17}, '
+        '{"re": 0.1712025569018865, "im": 0.09802784365954743}, {"re": -0.03263639387289635, '
+        '"im": 0.11182411437148326}, {"re": -0.45320358605015615, "im": 0.0800204526594668}]], '
+        '"residual": 2.401092099149902e-16, "line_norm": 2.434462428508773, "multiplicity": 1}], '
+        '"nonreal_count": 2}',
+        id="quintic-file"),
+    pytest.param(
+        ["curve-scan", "--curve", "monomial-quartic", "--path", "segment.json", "--nsamples", "3"], 0,
+        '{"samples": [{"t": 0.0, "label": "REAL_RANK_GE_3", "real_secants": 1, '
+        '"two_real_point_secants": 0, "min_discriminant": -1.8820270804764114}, {"t": 0.5, '
+        '"label": "REAL_RANK_LE_2", "real_secants": 3, "two_real_point_secants": 2, '
+        '"min_discriminant": -1.9753084903159361}, {"t": 1.0, "label": "REAL_RANK_LE_2", '
+        '"real_secants": 3, "two_real_point_secants": 2, '
+        '"min_discriminant": -1.98033556755355}], '
+        '"transitions": [{"t_star": 0.26666227822076166, "kind": "EDGE", "rank_before": 3, '
+        '"rank_after": 2, "surface": "EDGE"}]}',
+        id="scan-segment"),
+]
+
+
+@pytest.mark.parametrize("argv, status, expected", CURVE_GOLDENS)
+def test_curve_cli_golden(tmp_path, capsys, argv, status, expected):
+    for name, payload in CURVE_FILES.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    argv = [str(tmp_path / arg) if arg in CURVE_FILES else arg for arg in argv]
+    assert main(argv) == status
+    assert capsys.readouterr().out == json.dumps(json.loads(expected), indent=2) + "\n"
