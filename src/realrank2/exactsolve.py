@@ -84,12 +84,13 @@ def _echelon(mat: list[list[int]], ncols: int) -> tuple[list[list[int]], list[in
             row_r = mat[r]
             lead = row_i[c]
             pivot = row_r[c]
-            for j in range(c, width):
+            for j in range(c + 1, width):
                 num = pivot * row_i[j] - lead * row_r[j]
                 q, rem = divmod(num, prev)
                 if rem:
                     raise InexactDivision("Bareiss division must be exact")
                 row_i[j] = q
+            row_i[c] = 0  # pivot * lead - lead * pivot; solve_exact reads this column
         prev = mat[r][c]
         pivots.append(c)
         r += 1

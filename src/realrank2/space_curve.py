@@ -208,44 +208,78 @@ class SecantSolution:
 
 
 def _row_evaluator(rows: Sequence[MultiPoly]):
-    """Values and Jacobian in (a, b, c) of the rows over their largest
-    |coefficient|, as one function of a complex point.  The monomials come
-    from the union of the rows' exponents and its three shifts lowered by
-    one in a, b or c.  Each sum runs over its own row's terms in sorted
-    exponent order (for a partial, those with a positive exponent)."""
+    """Values and Jacobians in (a, b, c) of the rows over their largest
+    |coefficient|, as one function of an (n, 3) stack of complex points:
+    values (n, rows) and Jacobians (n, rows, 3).  The monomials come from
+    the union of the rows' exponents and its three shifts lowered by one in
+    a, b or c.  Each sum runs over its own row's terms in sorted exponent
+    order (for a partial, those with a positive exponent), gathered
+    C-contiguous: BLAS may sum a strided row in another order than a
+    contiguous one (OpenBLAS's Haswell kernel does from 8 terms on)."""
     table = sorted(set().union(*(p.terms for p in rows)))
     at = {e: i for i, e in enumerate(table)}
     exps = np.array(table, dtype=np.int64)
     # an exponent lowered below 0 is never read; 0 keeps it finite at p_k = 0
     shifted = np.concatenate([exps] + [np.maximum(exps - unit, 0) for unit in np.eye(3, dtype=np.int64)])
-    parts = []
+    gather: list[int] = []
+    sums = []  # per row: the value, then each partial, as (span of gather, coefficients)
     for poly in rows:
         scale = max(abs(c) for c in poly.terms.values())
         terms = [(e, float(poly.terms[e] / scale)) for e in sorted(poly.terms)]
-        part = [([at[e] for e, _ in terms], [c for _, c in terms])]  # the value, then each partial
+        part = [([at[e] for e, _ in terms], [c for _, c in terms])]
         for k in range(3):
             lowered = [(e, c) for e, c in terms if e[k]]
             part.append(([(k + 1) * len(table) + at[e] for e, _ in lowered], [c * e[k] for e, c in lowered]))
-        parts.append([(np.array(idx, dtype=np.intp), np.array(coeffs)) for idx, coeffs in part])
+        for idx, coeffs in part:
+            sums.append((slice(len(gather), len(gather) + len(idx)), np.array(coeffs, dtype=complex)))
+            gather += idx
+    gather = np.array(gather, dtype=np.intp)
 
-    def evaluate(p) -> tuple[list[complex], list[list[complex]]]:
-        monomials = np.prod(np.asarray(p)[None, :] ** shifted, axis=1)
-        sums = [[complex(np.dot(coeffs, monomials[idx])) for idx, coeffs in part] for part in parts]
-        return [row[0] for row in sums], [row[1:] for row in sums]
+    def evaluate(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        monomials = np.prod(points[:, None, :] ** shifted, axis=2)
+        terms = np.ascontiguousarray(monomials[:, gather])
+        out = np.empty((len(points), len(sums)), dtype=complex)
+        for j, (span, coeffs) in enumerate(sums):
+            out[:, j] = np.vecdot(coeffs, terms[:, span])  # conjugates the real coefficients
+        out = out.reshape(len(points), len(rows), 4)
+        return out[:, :, 0], out[:, :, 1:]
 
     return evaluate
 
 
-def _polish(evaluate, p: np.ndarray) -> np.ndarray:
-    for _ in range(4):
-        values, jacobian = evaluate(p)
-        step, *_ = np.linalg.lstsq(np.array(jacobian), -np.array(values), rcond=None)
-        step = step - p * (np.vdot(p, step) / np.vdot(p, p))
-        if np.linalg.norm(step) < 1e-15:
+def _norms(points: np.ndarray) -> np.ndarray:
+    """2-norms of the rows, each summed as np.linalg.norm sums one vector."""
+    re, im = points.real, points.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+
+
+def _polish(evaluate, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projective least-squares Newton on an (n, 3) stack of unit points.
+
+    Each point takes the least-squares step of its rows with the component
+    along itself projected out, and stops once that step is below 1e-15 or
+    after 4 steps.  Returns the points and each one's largest |row value| at
+    the last evaluation, which is the point returned.
+    """
+    points = points.copy()
+    residuals = np.empty(len(points))
+    active = np.arange(len(points))
+    for step in range(5):
+        if not active.size:
             break
-        p = p + step
-        p = p / np.linalg.norm(p)
-    return p
+        values, jacobian = evaluate(points[active])
+        # hypot is Python's abs(complex) to the bit; np.abs is not
+        residuals[active] = np.hypot(values.real, values.imag).max(axis=1)
+        if step == 4:
+            break
+        steps = np.array([np.linalg.lstsq(jac, -val, rcond=None)[0] for jac, val in zip(jacobian, values)])
+        p = points[active]
+        steps -= p * (np.vecdot(p, steps) / np.vecdot(p, p))[:, None]
+        moving = _norms(steps) >= 1e-15
+        active = active[moving]
+        moved = p[moving] + steps[moving]
+        points[active] = moved / _norms(moved)[:, None]
+    return points, residuals
 
 
 def _projective_match(p: np.ndarray, q: np.ndarray) -> bool:
@@ -354,12 +388,12 @@ def solve_secants(system: Sequence[MultiPoly], tol: float, *,
     evaluate = _row_evaluator(nonzero)
     rng = random.Random(seed)
 
-    candidates: list[np.ndarray] = []
+    candidates: list = []  # rows of (a, b, c), normalized together below
     # projective unit points never appear in chart-based rooting; test exactly
     for k in range(3):
         unit = {v: int(i == k) for i, v in enumerate(PAIR_VARS)}
         if all(p.evaluate(unit) == 0 for p in nonzero):
-            candidates.append(np.eye(3)[k].astype(complex))
+            candidates.append(np.eye(3)[k])
 
     for _ in range(MAX_ELIMINATION_RETRIES):
         p = _random_combination(nonzero, rng)
@@ -385,19 +419,20 @@ def solve_secants(system: Sequence[MultiPoly], tol: float, *,
             else:
                 continue
             for v0 in finite:
-                point = np.insert(np.array([m0, n0]), v_index, v0)
-                candidates.append(point / np.linalg.norm(point))
+                point = [m0, n0]
+                point.insert(v_index, v0)
+                candidates.append(point)
             if at_infinity:  # the eliminated variable dominates: its unit point
-                candidates.append(np.eye(3)[v_index].astype(complex))
+                candidates.append(np.eye(3)[v_index])
         break
     else:
         raise ResultantIdenticallyZero(
             "every elimination collapsed; the query point may lie on the curve")
 
+    stack = np.array(candidates, dtype=complex).reshape(-1, 3)
+    points, residuals = _polish(evaluate, stack / _norms(stack)[:, None])
     verified: list[tuple[np.ndarray, float, int]] = []
-    for cand in candidates:
-        point = _polish(evaluate, cand)
-        residual = max(abs(value) for value in evaluate(point)[0])
+    for point, residual in zip(points, residuals.tolist()):
         if residual > max(tol, 1e-7):
             continue
         for i, (existing, res_old, mult) in enumerate(verified):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import realrank2
-from realrank2.exactsolve import Inconsistent, exact_rank, integer_det, solve_exact
+from realrank2.exactsolve import Inconsistent, _echelon, exact_rank, integer_det, solve_exact
 
 dims = st.tuples(st.integers(1, 5), st.integers(1, 5))
 
@@ -92,6 +92,22 @@ def test_integer_det_equals_cofactor_expansion(rows):
     before = [list(row) for row in rows]
     assert integer_det(rows) == cofactor_det(rows)
     assert rows == before  # elimination works on copies
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_rows(), st.integers(0, 5))
+def test_echelon_leaves_zeros_below_every_pivot(rows, ncols):
+    """Columns left of the carried ones are eliminated: below each pivot the
+    column is an explicit 0, and a row's first nonzero entry among them is
+    its pivot."""
+    ncols = min(ncols, len(rows[0]))
+    mat, pivots, _ = _echelon([list(row) for row in rows], ncols)
+    for r, c in enumerate(pivots):
+        assert mat[r][c] != 0
+        assert all(mat[i][c] == 0 for i in range(r + 1, len(mat)))
+        assert not any(mat[r][:c])
+    for i in range(len(pivots), len(mat)):
+        assert not any(mat[i][:ncols])
 
 
 def test_exact_rank_beats_floats_on_tiny_pivots():

@@ -101,8 +101,8 @@ def _term_magnitude(poly: MultiPoly, point) -> float:
 
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_row_evaluator_matches_scaled_rows_and_exact_partials(d):
-    """At complex points, _row_evaluator gives the values of each row over
-    its largest |coefficient| and of that quotient's exact partials."""
+    """At a stack of complex points, _row_evaluator gives the values of each
+    row over its largest |coefficient| and of that quotient's exact partials."""
     rng = random.Random(40 + d)
     curve = sc.MONOMIAL_QUARTIC if d == 4 else _random_curve(rng, d)
     pm = sc.plucker_map(curve)
@@ -110,16 +110,126 @@ def test_row_evaluator_matches_scaled_rows_and_exact_partials(d):
         u = [Fraction(rng.randint(-20, 20), rng.randint(1, 3)) for _ in range(4)]
         rows = [row for row in sc.secant_system(pm, u) if not row.is_zero()]
         scaled = [row * (1 / max(abs(c) for c in row.terms.values())) for row in rows]
-        evaluate = sc._row_evaluator(rows)
-        for _ in range(4):
-            p = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(3)])
-            p = p / np.linalg.norm(p)
+        points = _random_unit_points(rng, 4)
+        values, jacobian = sc._row_evaluator(rows)(points)
+        assert values.shape == (4, len(rows)) and jacobian.shape == (4, len(rows), 3)
+        for p, point_values, point_jacobian in zip(points, values, jacobian):
             point = dict(zip(sc.PAIR_VARS, map(complex, p)))
-            values, jacobian = evaluate(p)
-            assert len(values) == len(jacobian) == len(rows)
-            for row, value, gradient in zip(scaled, values, jacobian):
+            for row, value, gradient in zip(scaled, point_values, point_jacobian):
                 for poly, got in [(row, value)] + [(_partial(row, k), gradient[k]) for k in range(3)]:
                     assert abs(got - poly.evaluate(point)) <= 1e-12 * _term_magnitude(poly, point)
+
+
+def _random_unit_points(rng: random.Random, n: int) -> np.ndarray:
+    points = np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(3)] for _ in range(n)])
+    return points / np.linalg.norm(points, axis=1)[:, None]
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def _reference_evaluate(rows, p: np.ndarray):
+    """The loop the stacked evaluator replaces: at one point, one np.dot
+    per value and partial over the row's own terms in sorted order."""
+    values, jacobian = [], []
+    for row in rows:
+        scale = max(abs(c) for c in row.terms.values())
+        order = sorted(row.terms)
+        exps = np.array(order)
+        coeffs = np.array([float(row.terms[e] / scale) for e in order])
+        values.append(np.dot(coeffs, np.prod(p ** exps, axis=1)))
+        gradient = []
+        for k in range(3):
+            keep = exps[:, k] > 0
+            lowered = exps[keep] - np.eye(3, dtype=np.int64)[k]
+            gradient.append(np.dot(coeffs[keep] * exps[keep, k], np.prod(p ** lowered, axis=1)))
+        jacobian.append(gradient)
+    return np.array(values)[None], np.array(jacobian)[None]
+
+
+def _reference_polish(evaluate, p: np.ndarray):
+    """The one-candidate loop the stacked polish replaces, residual by
+    Python's abs at the point returned."""
+    for _ in range(4):
+        values, jacobian = evaluate(p[None])
+        step = np.linalg.lstsq(jacobian[0], -values[0], rcond=None)[0]
+        step = step - p * (np.vdot(p, step) / np.vdot(p, p))
+        if np.linalg.norm(step) < 1e-15:
+            break
+        p = p + step
+        p = p / np.linalg.norm(p)
+    return p[None], np.array([max(abs(complex(v)) for v in evaluate(p[None])[0][0])])
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+def test_stacked_row_evaluator_equals_one_point_stacks_bit_for_bit(d):
+    """Rows of degree d - 1 have up to (d + 1) d / 2 terms, 28 at d = 7.  A
+    stacked evaluation sums each point's terms in the order a one-point
+    stack and a per-point np.dot do, so no last bit moves with the stack's
+    size: BLAS may sum a strided row in another order."""
+    rng = random.Random(70 + d)
+    curve = _random_curve(rng, d)
+    u = [Fraction(rng.randint(-20, 20), rng.randint(1, 3)) for _ in range(4)]
+    rows = [row for row in sc.secant_system(sc.plucker_map(curve), u) if not row.is_zero()]
+    assert max(len(row.terms) for row in rows) == (d + 1) * d // 2
+    evaluate = sc._row_evaluator(rows)
+    points = _random_unit_points(rng, 12)
+    values, jacobian = evaluate(points)
+    for i in range(len(points)):
+        one_values, one_jacobian = evaluate(points[i:i + 1])
+        assert _same_bits(values[i:i + 1], one_values)
+        assert _same_bits(jacobian[i:i + 1], one_jacobian)
+        ref_values, ref_jacobian = _reference_evaluate(rows, points[i])
+        assert _same_bits(one_values, ref_values) and _same_bits(one_jacobian, ref_jacobian)
+
+
+def _counting(evaluate, sizes: list):
+    def counted(points):
+        sizes.append(len(points))
+        return evaluate(points)
+    return counted
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_polish_of_a_stack_equals_polish_of_each_candidate(d):
+    """Polishing a stack gives every candidate the bits it gets alone, in
+    the reversed stack and in the one-candidate loop, evaluates only the
+    candidates still moving, and stops each one at a step below 1e-15 or
+    after 4 steps, with the residual of its last evaluation."""
+    rng = random.Random(90 + d)
+    curve = sc.MONOMIAL_QUARTIC if d == 4 else _random_curve(rng, d)
+    u = [Fraction(rng.randint(-20, 20), rng.randint(1, 3)) for _ in range(4)]
+    pm = sc.plucker_map(curve)
+    rows = [row for row in sc.secant_system(pm, u) if not row.is_zero()]
+    evaluate = sc._row_evaluator(rows)
+    solutions = [s.abc for s in sc.classify_point(curve, u).solutions]
+    assert solutions
+    near = np.array(solutions) + 1e-6 * _random_unit_points(rng, len(solutions))
+    stack = np.concatenate([near / np.linalg.norm(near, axis=1)[:, None], _random_unit_points(rng, 6)])
+
+    sizes: list[int] = []
+    points, residuals = sc._polish(_counting(evaluate, sizes), stack)
+    assert len(sizes) <= 5 and sizes[0] == len(stack) and sizes == sorted(sizes, reverse=True)
+    assert residuals.shape == (len(stack),)
+    moves = []
+    for i in range(len(stack)):
+        one_sizes: list[int] = []
+        one_point, one_residual = sc._polish(_counting(evaluate, one_sizes), stack[i:i + 1])
+        assert _same_bits(points[i:i + 1], one_point) and _same_bits(residuals[i:i + 1], one_residual)
+        ref_point, ref_residual = _reference_polish(evaluate, stack[i])
+        assert _same_bits(one_point, ref_point) and _same_bits(one_residual, ref_residual)
+        moves.append(len(one_sizes) - 1)
+    # Euler's identity makes the projected step roundoff wherever J has full
+    # column rank: away from a solution it is below 1e-15 at once; 1e-6 off
+    # one, J is nearly of rank 2 and the amplified roundoff moves it 4 times
+    assert moves == [4] * len(solutions) + [0] * (len(stack) - len(solutions))
+    reversed_points, reversed_residuals = sc._polish(evaluate, stack[::-1])
+    assert _same_bits(points[::-1], reversed_points)
+    assert _same_bits(residuals[::-1], reversed_residuals)
+
+    empty_points, empty_residuals = sc._polish(evaluate, stack[:0])
+    assert empty_points.shape == (0, 3) and empty_residuals.shape == (0,)
 
 
 @pytest.mark.parametrize("leading", [0, 1, 2])
