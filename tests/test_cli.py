@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -184,6 +185,16 @@ def test_ideal_generators_labels(capsys):
     assert [g["label"] for g in payload["tangential_generators"]] == ["det_H", "Q"]
     assert len(payload["minors_2x2"]) == 9
     assert len(payload["minors_3x3"]) == 1
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("quadrics", "3", "4"), "59e8bafd2724dcd8cadea03fdcd88839a11b5da90abda944064358f389f12777"),
+    (("ideal", "--d", "5"), "d0cfc01149c94365e2d0f4dc49acb4fb945cc5aabd6ec3fd9a97f24556fe973c"),
+])
+def test_exact_generator_json_bytes(capsys, argv, digest):
+    status, out, _ = run_cli(capsys, *argv)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_config_echo_on_stderr(capsys):
