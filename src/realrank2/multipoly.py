@@ -115,21 +115,19 @@ class MultiPoly:
             terms[tuple(new)] = coeff
         return MultiPoly(variables, terms)
 
-    def _aligned(self, other: "MultiPoly") -> tuple["MultiPoly", "MultiPoly"]:
-        if self.variables == other.variables:
-            return self, other
-        union = list(self.variables) + [v for v in other.variables if v not in self.variables]
-        return self.extend(union), other.extend(union)
+    def _check_variables(self, other: "MultiPoly") -> None:
+        if self.variables != other.variables:
+            raise ValueError(f"variables differ: {self.variables} vs {other.variables}")
 
     # ------------------------------------------------------------ arithmetic
     def __add__(self, other):
         if not isinstance(other, MultiPoly):
             other = MultiPoly.constant(other, self.variables)
-        a, b = self._aligned(other)
-        terms = dict(a.terms)
-        for expo, coeff in b.terms.items():
+        self._check_variables(other)
+        terms = dict(self.terms)
+        for expo, coeff in other.terms.items():
             terms[expo] = terms.get(expo, Fraction(0)) + coeff
-        return MultiPoly(a.variables, terms)
+        return MultiPoly(self.variables, terms)
 
     __radd__ = __add__
 
@@ -148,13 +146,13 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             c = as_fraction(other)
             return MultiPoly(self.variables, {e: c * v for e, v in self.terms.items()})
-        a, b = self._aligned(other)
+        self._check_variables(other)
         terms: dict[tuple, Fraction] = {}
-        for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
                 expo = tuple(x + y for x, y in zip(ea, eb))
                 terms[expo] = terms.get(expo, Fraction(0)) + ca * cb
-        return MultiPoly(a.variables, terms)
+        return MultiPoly(self.variables, terms)
 
     __rmul__ = __mul__
 
@@ -175,8 +173,7 @@ class MultiPoly:
             if self.is_zero() and other == 0:
                 return True
             return self.is_constant() and not self.is_zero() and self.constant_value() == as_fraction(other)
-        a, b = self._aligned(other)
-        return a.terms == b.terms
+        return self.variables == other.variables and self.terms == other.terms
 
     __hash__ = None
 
@@ -195,13 +192,13 @@ class MultiPoly:
             if not c:
                 raise ZeroDivisionError("division by zero polynomial")
             return self * (Fraction(1) / c)
-        a, b = self._aligned(divisor)
-        if b.is_zero():
+        self._check_variables(divisor)
+        if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        if a.is_zero():
-            return a.zero_like()
-        lead_e, lead_c = b.leading_term()
-        rem = dict(a.terms)
+        if self.is_zero():
+            return self.zero_like()
+        lead_e, lead_c = divisor.leading_term()
+        rem = dict(self.terms)
         quot: dict[tuple, Fraction] = {}
         while rem:
             e = max(rem, key=grlex_key)
@@ -210,14 +207,14 @@ class MultiPoly:
                 raise NotDivisible("leading term not divisible")
             c = rem[e] / lead_c
             quot[diff] = quot.get(diff, Fraction(0)) + c
-            for eb, cb in b.terms.items():
+            for eb, cb in divisor.terms.items():
                 expo = tuple(x + y for x, y in zip(diff, eb))
                 val = rem.get(expo, Fraction(0)) - c * cb
                 if val:
                     rem[expo] = val
                 else:
                     rem.pop(expo, None)
-        return MultiPoly(a.variables, quot)
+        return MultiPoly(self.variables, quot)
 
     # ------------------------------------------------------------ evaluation
     def evaluate(self, values: Mapping[str, object]):
@@ -235,25 +232,6 @@ class MultiPoly:
                     term = term * v ** e
             total = total + term
         return total
-
-    def substitute(self, replacements: Mapping[str, object]) -> "MultiPoly":
-        """Substitute polynomials or scalars for a subset of the variables."""
-        keep = [v for v in self.variables if v not in replacements]
-        result = None
-        for expo, coeff in self.terms.items():
-            term = MultiPoly.constant(coeff, keep)
-            for v, e in zip(self.variables, expo):
-                if not e:
-                    continue
-                if v in replacements:
-                    rep = replacements[v]
-                    if not isinstance(rep, MultiPoly):
-                        rep = MultiPoly.constant(rep, keep)
-                    term = term * rep ** e
-                else:
-                    term = term * MultiPoly.monomial(keep, tuple(int(u == v) for u in keep)) ** e
-            result = term if result is None else result + term
-        return result if result is not None else MultiPoly.zero(keep)
 
     def coefficients_in(self, var: str) -> list["MultiPoly"]:
         """Coefficients w.r.t. one variable, ascending degree, over the rest."""
@@ -310,15 +288,6 @@ class MultiPoly:
                 for expo, coeff in self.sorted_terms()
             },
         }
-
-    @classmethod
-    def from_json(cls, payload: Mapping) -> "MultiPoly":
-        variables = tuple(payload["variables"])
-        terms = {
-            tuple(int(p) for p in key.split(",")) if key else (): as_fraction(value)
-            for key, value in payload["terms"].items()
-        }
-        return cls(variables, terms)
 
 
 def det_bareiss(matrix: list[list[MultiPoly]]) -> MultiPoly:

@@ -623,10 +623,18 @@ def _bisect_change(curve: CurveParam, path, lo: Fraction, hi: Fraction,
 
 
 def _fixture_polynomial(poly: MultiPoly, path) -> UniPoly:
-    t = MultiPoly.variable("t", ("t",))
-    replacements = {v: t * c1 + MultiPoly.constant(c0, ("t",))
-                    for v, (c0, c1) in zip(POINT_VARS, path)}
-    return UniPoly.from_multipoly(poly.substitute(replacements), "t")
+    """The fixture restricted to the path: each POINT_VARS coordinate is c0 + c1 t."""
+    if poly.variables != POINT_VARS:
+        raise ValueError(f"fixture variables {poly.variables} are not {POINT_VARS}")
+    lines = [UniPoly([c0, c1]) for c0, c1 in path]
+    total = UniPoly([])
+    for expo, coeff in poly.terms.items():
+        term = UniPoly([coeff])
+        for line, e in zip(lines, expo):
+            for _ in range(e):
+                term = term * line
+        total = total + term
+    return total
 
 
 def scan_path(curve: CurveParam, path, interval=(0, 1), nsamples: int = 21,

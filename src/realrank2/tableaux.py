@@ -99,10 +99,6 @@ def _param_variables(n: int) -> list[str]:
     return [f"a{i}" for i in range(1, n + 1)] + [f"b{i}" for i in range(1, n + 1)]
 
 
-def _param_monomial(n: int, a_exp: Sequence[int], b_exp: Sequence[int], coeff=1) -> MultiPoly:
-    return MultiPoly.monomial(_param_variables(n), tuple(a_exp) + tuple(b_exp), coeff)
-
-
 def target_polynomial(t: TwoRowTableau) -> MultiPoly:
     """Expand the tableau's polynomial in the 2n parameters a, b."""
     n = t.n
@@ -128,7 +124,7 @@ def target_polynomial(t: TwoRowTableau) -> MultiPoly:
                 a_exp[entry - 1] += 1
             else:
                 b_exp[entry - 1] += 1
-        total = total + _param_monomial(n, a_exp, b_exp)
+        total = total + MultiPoly.monomial(_param_variables(n), a_exp + b_exp)
     return poly * total
 
 
@@ -193,38 +189,51 @@ def comb_multi(d: int, u: Sequence[int]) -> int:
     return out
 
 
+def pushforward(quadric: MultiPoly, n: int, d: int) -> dict[tuple[int, ...], Fraction]:
+    """Terms of a quadric in the x_u under x_u -> a^u + b^u, keyed by exponent
+    vectors over (a1..an, b1..bn), zero coefficients dropped."""
+    coords = multidegrees(n, d)
+    zero = (0,) * n
+    push: dict[tuple[int, ...], Fraction] = {}
+    for key, c in quadric.terms.items():
+        u, v = (coords[i] for i, e in enumerate(key) for _ in range(e))
+        uv = tuple(x + y for x, y in zip(u, v))
+        # c x_u x_v -> c (a^(u+v) + a^u b^v + a^v b^u + b^(u+v))
+        for e in (uv + zero, u + v, v + u, zero + uv):
+            push[e] = push.get(e, 0) + c
+    return {e: c for e, c in push.items() if c}
+
+
 def preimage_quadric(t: TwoRowTableau, allow_k2: bool = False) -> QuadricGenerator:
     """The unique quadric in the x_u mapping to the tableau's polynomial.
 
     Every monomial of the target is a^u b^v with |u| = |v| = d, so the
     mixed part of sum c_uv (a^u + b^u)(a^v + b^v) determines the c_uv
-    directly; the full pushforward is then verified exactly and a
-    mismatch (which would contradict uniqueness of the preimage) raises
-    Inconsistent.
+    directly; the full pushforward is then compared with the target
+    exactly and a mismatch (which would contradict uniqueness of the
+    preimage) raises Inconsistent naming one differing exponent.
     """
     if t.k < 4 and not (allow_k2 and t.k == 2):
         raise BadShape("preimages vanish on the tangential variety only for k >= 4")
     n, d = t.n, t.d
     target = target_polynomial(t)
-    coords = multidegrees(n, d)
-    index = {u: i for i, u in enumerate(coords)}
-    names = coordinate_variables(n, d)
+    index = {u: i for i, u in enumerate(multidegrees(n, d))}
     terms: dict[tuple[int, ...], Fraction] = {}
     for exps, coeff in target.terms.items():
         u, v = exps[:n], exps[n:]
         if u > v:
             continue
-        key = [0] * len(coords)
+        key = [0] * len(index)
         key[index[u]] += 1
         key[index[v]] += 1
         terms[tuple(key)] = coeff / 2 if u == v else coeff
-    quadric = MultiPoly(names, terms)
-    push = quadric.substitute({
-        names[i]: _param_monomial(n, u, [0] * n) + _param_monomial(n, [0] * n, u)
-        for i, u in enumerate(coords)
-    })
-    if push != target.extend(push.variables):
-        raise Inconsistent(f"pushforward mismatch for {t.label()}")
+    quadric = MultiPoly(coordinate_variables(n, d), terms)
+    push = pushforward(quadric, n, d)
+    if push != target.terms:
+        e = min(e for e in push.keys() | target.terms.keys()
+                if push.get(e, 0) != target.terms.get(e, 0))
+        raise Inconsistent(f"pushforward mismatch for {t.label()}: exponent {e} pushes to "
+                           f"{push.get(e, 0)}, target has {target.terms.get(e, 0)}")
     return QuadricGenerator(t, quadric)
 
 
@@ -244,6 +253,8 @@ def quadric_basis(n: int, d: int) -> list[QuadricGenerator]:
             gens.append(QuadricGenerator(t, g.polynomial.normalized()))
     monomials = sorted({e for g in gens for e in g.polynomial.terms})
     rows = [[g.polynomial.terms.get(e, Fraction(0)) for e in monomials] for g in gens]
-    if exact_rank(rows) != len(gens):
-        raise Inconsistent(f"quadric basis for (n={n}, d={d}) is linearly dependent")
+    rank = exact_rank(rows)
+    if rank != len(gens):
+        raise Inconsistent(f"quadric basis for (n={n}, d={d}) is linearly dependent: "
+                           f"rank {rank} of {len(gens)} generators")
     return gens

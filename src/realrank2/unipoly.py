@@ -12,7 +12,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactsolve import as_fraction, content
-from .multipoly import MultiPoly
 
 ISOLATION_WIDTH = Fraction(1, 2 ** 40)
 MAX_REFINE_STEPS = 60
@@ -26,10 +25,6 @@ class UniPoly:
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def from_multipoly(cls, p: MultiPoly, var: str) -> "UniPoly":
-        return cls([part.constant_value() for part in p.coefficients_in(var)])
 
     @property
     def degree(self) -> int:

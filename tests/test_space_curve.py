@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import substitute
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,7 @@ from realrank2 import hyperdet as hd
 from realrank2 import space_curve as sc
 from realrank2.multipoly import MultiPoly
 from realrank2.tensors import NonFiniteEntry
-from realrank2.unipoly import real_roots
+from realrank2.unipoly import UniPoly, real_roots
 
 QUARTIC = sc.MONOMIAL_QUARTIC
 TWISTED_CUBIC = sc.CurveParam(3, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
@@ -400,6 +401,31 @@ def test_scan_argument_guards():
         sc.scan_path(QUARTIC, sc.CROSSING_PATH, nsamples=1)
     with pytest.raises(ValueError):
         sc.scan_path(QUARTIC, sc.CROSSING_PATH, interval=(1, 0))
+
+
+def restricted_by_substitution(poly: MultiPoly, path) -> UniPoly:
+    """The fixture along the path by substituting c0 + c1 t in MultiPoly arithmetic."""
+    t = MultiPoly.variable("t", ("t",))
+    replacements = {v: t * c1 + c0 for v, (c0, c1) in zip(sc.POINT_VARS, path)}
+    along = substitute(poly, replacements, ("t",))
+    return UniPoly([part.constant_value() for part in along.coefficients_in("t")])
+
+
+def test_fixture_polynomial_equals_substitution_oracle():
+    rng = random.Random(23)
+    paths = [tuple((Fraction(c0), Fraction(c1)) for c0, c1 in sc.CROSSING_PATH)]
+    paths += [tuple((Fraction(rng.randint(-99, 99), rng.randint(1, 9)),
+                     Fraction(rng.randint(-99, 99), rng.randint(1, 9))) for _ in sc.POINT_VARS)
+              for _ in range(50)]
+    for path in paths:
+        for poly in sc.MONOMIAL_QUARTIC_FIXTURES.values():
+            assert sc._fixture_polynomial(poly, path) == restricted_by_substitution(poly, path)
+
+
+def test_fixture_polynomial_needs_point_variables():
+    reordered = sc.TANGENTIAL_SEXTIC.extend(("x", "w", "y", "z"))
+    with pytest.raises(ValueError):
+        sc._fixture_polynomial(reordered, sc.CROSSING_PATH)
 
 
 def full_bisection_scan(curve, path, interval=(0, 1), nsamples=21, fixtures=None,

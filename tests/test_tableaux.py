@@ -5,14 +5,18 @@ from __future__ import annotations
 
 import functools
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from conftest import substitute
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realrank2 import tableaux as tb
+from realrank2.exactsolve import Inconsistent
 from realrank2.multipoly import MultiPoly
+from realrank2.tensors import multidegrees
 
 basis = functools.lru_cache(maxsize=None)(tb.quadric_basis)
 preimage = functools.lru_cache(maxsize=None)(tb.preimage_quadric)
@@ -120,6 +124,64 @@ def test_pushforward_reproduces_target(nd, seed):
     target_value = tb.target_polynomial(t).evaluate(
         {f"a{i + 1}": v for i, v in enumerate(a)} | {f"b{i + 1}": v for i, v in enumerate(b)})
     assert g.polynomial.evaluate(point) == target_value
+
+
+# every (n, d) a `quadrics` or `ideal` request of the benchmark builds a basis for
+BENCHMARK_SHAPES = [(2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (3, 4), (3, 5)]
+
+
+def substituted_pushforward(g: tb.QuadricGenerator) -> MultiPoly:
+    """The quadric with x_u -> a^u + b^u substituted in MultiPoly arithmetic."""
+    n = g.tableau.n
+    params = [f"a{i}" for i in range(1, n + 1)] + [f"b{i}" for i in range(1, n + 1)]
+    zero = (0,) * n
+    replacements = {name: MultiPoly(params, {u + zero: 1, zero + u: 1})
+                    for name, u in zip(g.polynomial.variables, multidegrees(n, g.tableau.d))}
+    return substitute(g.polynomial, replacements, params)
+
+
+@pytest.mark.parametrize("n, d", BENCHMARK_SHAPES)
+def test_pushforward_equals_substitution_oracle(n, d):
+    for k in range(4, d + 1, 2):
+        for t in tb.enumerate_tableaux(n, d, k):
+            g = preimage(t)
+            oracle = substituted_pushforward(g)
+            assert tb.pushforward(g.polynomial, n, d) == oracle.terms
+            assert oracle.terms == tb.target_polynomial(t).terms
+
+
+def test_changed_target_coefficient_raises_inconsistent(monkeypatch):
+    rng = random.Random(5)
+    original = tb.target_polynomial
+    for n, d in [(2, 4), (2, 5), (2, 6), (3, 4)]:
+        for t in tb.enumerate_tableaux(n, d, 4):
+            target = original(t)
+            e = rng.choice(sorted(target.terms))
+            changed = MultiPoly(target.variables, {**target.terms, e: target.terms[e] + 1})
+            monkeypatch.setattr(tb, "target_polynomial", lambda _t: changed)
+            with pytest.raises(Inconsistent, match=f"pushforward mismatch for {t.label()}: "):
+                tb.preimage_quadric(t)
+
+
+def test_pushforward_mismatch_names_the_exponent_and_both_coefficients(monkeypatch):
+    t = tb.TwoRowTableau(2, 4, 4, (1, 1, 1, 1), (2, 2, 2, 2))
+    target = tb.target_polynomial(t)
+    # a term a^u b^v with u > v does not enter the preimage: only it differs
+    e = max(e for e in target.terms if e[:2] > e[2:])
+    old = target.terms[e]
+    changed = MultiPoly(target.variables, {**target.terms, e: old + 1})
+    monkeypatch.setattr(tb, "target_polynomial", lambda _t: changed)
+    message = f"pushforward mismatch for f_1111_2222: exponent {e} pushes to {old}, target has {old + 1}"
+    with pytest.raises(Inconsistent, match=f"^{re.escape(message)}$"):
+        tb.preimage_quadric(t)
+
+
+def test_dependent_basis_names_rank_and_generator_count(monkeypatch):
+    original = tb.enumerate_tableaux
+    monkeypatch.setattr(tb, "enumerate_tableaux", lambda n, d, k: original(n, d, k) * 2)
+    message = "quadric basis for (n=2, d=5) is linearly dependent: rank 3 of 6 generators"
+    with pytest.raises(Inconsistent, match=f"^{re.escape(message)}$"):
+        tb.quadric_basis(2, 5)
 
 
 @settings(max_examples=30, deadline=None)
