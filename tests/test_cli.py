@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 import realrank2
+from realrank2 import certify as ce
+from realrank2 import tensors as tn
 from realrank2.cli import DEFAULT_SEED, main
 
 TABLE_TEXT = "\n".join([
@@ -387,3 +389,91 @@ def test_decompose_certifies_the_exact_tensor(capsys, tmp_path):
     assert status == 1
     assert out == ""
     assert err.splitlines()[-1].startswith("error: NotRankTwo:")
+
+
+# ------------------------------------------------ float sub-block reports
+# certify prints every sub-block hyperdeterminant of a float tensor: 3456 on
+# 4^4 and 5376 on 2^9.  One seeded tensor per family, pinned by digest.
+
+def _family_tensor(family: str, shape: tuple[int, ...], seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if family == "generic":
+        return rng.standard_normal(shape)
+    us = [rng.standard_normal(n) for n in shape]
+    vs = [rng.standard_normal(n) for n in shape]
+    if family == "rank-one":
+        return tn.outer(us)
+    if family == "real":
+        return tn.outer(us) + tn.outer(vs)
+    if family == "conjugate":
+        return 2.0 * tn.outer([u + 1j * v for u, v in zip(us, vs)]).real
+    return ce.tangential_witness(us, vs)
+
+
+@pytest.mark.parametrize("family, shape, seed, verdict, digest", [
+    ("real", (4,) * 4, 11, "REAL_RANK_TWO",
+     "68920cf14e625fe9b5911ec120683eef64b27791672ef55b42326ec0cd734f4b"),
+    ("conjugate", (4,) * 4, 12, "COMPLEX_RANK_TWO_REAL_RANK_HIGHER",
+     "ce3b80323a91709631bdc0bf4502bf577d0974c36b65ea32bc5480c3c43b9af1"),
+    ("tangential", (4,) * 4, 13, "REAL_BORDER_RANK_TWO_BOUNDARY",
+     "9aec5a5fe8a644aad99e2bf7cce39a4a0f257a5f44752d03f86da8ec32cf06d1"),
+    ("rank-one", (4,) * 4, 14, "RANK_AT_MOST_ONE",
+     "7f9f923f076639d9c272f5b242f5d46e02fe430339b0bc68761e175d12e0ce82"),
+    ("generic", (4,) * 4, 15, "BORDER_RANK_EXCEEDS_TWO",
+     "bc97141b963a52184dd04eb9322dc4b776a24cfb27e4e51b06e6f5ec6483ad76"),
+    ("real", (2,) * 9, 21, "REAL_RANK_TWO",
+     "07d47f12655a87ec2e7d9dbc561a2e786d45c1ba4fc6c3500fbaac673270b6eb"),
+    ("conjugate", (2,) * 9, 22, "COMPLEX_RANK_TWO_REAL_RANK_HIGHER",
+     "ca29627f12bd2a90dd7267ac851d1d4d4e9832841cf39a63db29b7209a9a6d55"),
+    ("tangential", (2,) * 9, 23, "REAL_BORDER_RANK_TWO_BOUNDARY",
+     "c1178d03da3f8d6121687c0ca0aca862641eb903206e9a5ce0cfe42ec8743025"),
+    ("rank-one", (2,) * 9, 24, "RANK_AT_MOST_ONE",
+     "517ce4dfd0288487a8d32224488679717b77bf66d63b0af0e3f6fffee4d36e74"),
+    ("generic", (2,) * 9, 25, "BORDER_RANK_EXCEEDS_TWO",
+     "8707b46b72ca971497010a30ce665cf422d5c9eeaaefa99e4c969792a2a254e6"),
+])
+def test_float_certify_stdout_bytes(capsys, tmp_path, family, shape, seed, verdict, digest):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(tn.tensor_to_json(_family_tensor(family, shape, seed))))
+    status, out, _ = run_cli(capsys, "certify", "--file", str(path))
+    assert status == 0
+    report = json.loads(out)
+    assert report["verdict"] == verdict
+    assert len(report["hyperdet"]["values"]) == {(4,) * 4: 3456, (2,) * 9: 5376}[shape]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Entries near 1e77 overflow the quartic of some sub-blocks to inf, or to
+# inf - inf = NaN.  A NaN compares false both ways, so it counts as zero;
+# the minimum is the first value unless that is NaN, then the first least
+# of the others.  Scale-free certification (ROADMAP item 1) replaces these.
+OVERFLOW_ENTRIES = {
+    "inf-nan-nan": [1.1e77, 1.1e77, -1.1e77, 1.1e77, 3e76, -1.1e77,
+                    1.1e77, -2e76, -1.1e77, 3e76, 1.1e77, -1.1e77],
+    "nan-inf-inf": [-2e76, 3e76, 3e76, -1.1e77, -1.1e77, 1.1e77,
+                    1.1e77, 1.1e77, 1.1e77, -2e76, 3e76, -2e76],
+}
+
+
+@pytest.mark.parametrize("name, command, values, min_value, digest", [
+    ("inf-nan-nan", "hyperdet", "inf nan nan", "inf",
+     "8fb7bf7ac0084eeae51b71a22202d622e9f5a402a06be930afdcee3955a9fe09"),
+    ("inf-nan-nan", "certify", "inf nan nan", "inf",
+     "cc89f99a568ed1f9c18dddfeeae5b15fcf51527c0b2ca712a9999025133f5ec5"),
+    ("nan-inf-inf", "hyperdet", "nan inf inf", "nan",
+     "6e6701dbcb47763e609c2f8f075c5dae1c5b4bc48f269fc849167f9dc1066f2f"),
+    ("nan-inf-inf", "certify", "nan inf inf", "nan",
+     "fd41d88e6b3db12f7c35ff9a0af9aaa47687e1e563a5fb5fc8078dfeb0b7f7a1"),
+])
+def test_overflowing_subblock_report_bytes(capsys, tmp_path, name, command, values, min_value, digest):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"shape": [2, 2, 3], "entries": OVERFLOW_ENTRIES[name]}))
+    status, out, _ = run_cli(capsys, command, "--file", str(path))
+    assert status == 0
+    report = json.loads(out)
+    report = report.get("hyperdet", report)
+    assert [repr(v["value"]) for v in report["values"]] == values.split()
+    assert repr(report["min_value"]) == min_value
+    assert report["argmin"] == report["values"][0]["selector"]
+    assert (report["num_positive"], report["num_zero"]) == ((1, 2) if values.startswith("inf") else (2, 1))
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -195,6 +195,43 @@ def test_report_sign_counts_and_argmin():
     assert report.min_value == -3.0
 
 
+def report_oracle(values, zero_tol):
+    """The sub-block report by one Python comparison per value and a
+    sequential min: the reference the value-column report must equal."""
+    num_pos = sum(1 for _, v in values if v > zero_tol)
+    num_neg = sum(1 for _, v in values if v < -zero_tol)
+    if values:
+        argmin, min_value = min(values, key=lambda kv: kv[1])
+    else:
+        argmin, min_value = None, None
+    return (num_pos, len(values) - num_pos - num_neg, num_neg), argmin, min_value
+
+
+INF, NAN = float("inf"), float("nan")
+report_floats = st.floats() | st.sampled_from([0.0, -0.0, INF, -INF, NAN])
+report_scalars = report_floats | st.integers(-10**30, 10**30) | st.fractions()
+
+
+def _summary(report):
+    return (report.num_positive, report.num_zero, report.num_negative), report.argmin, report.min_value
+
+
+@settings(max_examples=300, deadline=None)
+@example(column=[INF, NAN, NAN], zero_tol=0.0)
+@example(column=[NAN, INF, INF], zero_tol=1.0)
+@example(column=[NAN], zero_tol=0.0)
+@example(column=[-0.0, 0.0, -INF, NAN, -INF], zero_tol=0.0)
+@example(column=[], zero_tol=0)
+@given(st.lists(report_floats, max_size=12) | st.lists(report_scalars, max_size=12),
+       st.sampled_from([0, 0.0, 1e-9]) | st.floats(0, 1e300) | st.fractions(min_value=0))
+def test_report_counts_and_argmin_equal_the_sequential_oracle(column, zero_tol):
+    values = [(f"b{i}", v) for i, v in enumerate(column)]
+    want = report_oracle(values, zero_tol)
+    got = _summary(hd.report_from_values(values, zero_tol))
+    assert got[:2] == want[:2]
+    assert got[2] is want[2]  # the very value object: NaN and -0.0 included
+
+
 def test_zero_tol_scales_with_entry_size():
     small = hd.hyperdet_zero_tol(np.full((2, 2, 2), 1.0))
     big = hd.hyperdet_zero_tol(np.full((2, 2, 2), 10.0))
