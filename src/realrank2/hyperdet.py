@@ -92,14 +92,29 @@ class HyperdetReport:
 
 
 def report_from_values(values: list[tuple[str, object]], zero_tol) -> HyperdetReport:
-    num_pos = sum(1 for _, v in values if v > zero_tol)
-    num_neg = sum(1 for _, v in values if v < -zero_tol)
-    num_zero = len(values) - num_pos - num_neg
-    if values:
-        argmin, min_value = min(values, key=lambda kv: kv[1])
+    return _report(values, [v for _, v in values], zero_tol)
+
+
+def _report(values: list[tuple[str, object]], column, zero_tol) -> HyperdetReport:
+    """Sign counts and argmin of the (label, value) pairs, read from their
+    value column.  A float64 array, which comes with the float zero_tol of
+    float input, is counted by numpy.  Its argmin is that of a sequential
+    min, under which a NaN never compares less: index 0 when the first value
+    is NaN, else the first least of the others.  Any other column (exact
+    values, or a list of Python scalars) takes Python comparisons."""
+    if not values:
+        return HyperdetReport(values, None, None, 0, 0, 0, zero_tol)
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        num_pos = int(np.count_nonzero(column > zero_tol))
+        num_neg = int(np.count_nonzero(column < -zero_tol))
+        first = 0 if np.isnan(column[0]) else int(np.nanargmin(column))
     else:
-        argmin, min_value = None, None
-    return HyperdetReport(values, min_value, argmin, num_pos, num_zero, num_neg, zero_tol)
+        num_pos = sum(1 for v in column if v > zero_tol)
+        num_neg = sum(1 for v in column if v < -zero_tol)
+        first = min(range(len(column)), key=column.__getitem__)
+    argmin, min_value = values[first]
+    return HyperdetReport(values, min_value, argmin, num_pos, len(values) - num_pos - num_neg,
+                          num_neg, zero_tol)
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -130,8 +145,8 @@ def all_subhyperdets(t: np.ndarray) -> HyperdetReport:
     # any other entries as the Python scalars hyperdet222 sees: int64 must not wrap
     rows = rows.astype(np.float64 if rows.dtype.kind == "f" else object, copy=False)
     with np.errstate(over="ignore", invalid="ignore"):  # inf/nan silently, as Python floats do
-        values = _quartic(*rows).tolist()
-    return report_from_values(list(zip(labels, values)), zero_tol)
+        column = _quartic(*rows)
+    return _report(list(zip(labels, column.tolist())), column, zero_tol)
 
 
 # ----------------------------------------------------- symmetric restriction

@@ -99,10 +99,24 @@ def _param_variables(n: int) -> list[str]:
     return [f"a{i}" for i in range(1, n + 1)] + [f"b{i}" for i in range(1, n + 1)]
 
 
+def _times(p: dict, q: dict) -> dict:
+    """Product of two polynomials given as exponent -> integer coefficient
+    maps, terms in first-appearance order as `MultiPoly.__mul__` has them,
+    zero coefficients dropped."""
+    out: dict[tuple[int, ...], int] = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
 def target_polynomial(t: TwoRowTableau) -> MultiPoly:
-    """Expand the tableau's polynomial in the 2n parameters a, b."""
+    """Expand the tableau's polynomial in the 2n parameters a, b: the product
+    of the column brackets a_m b_v - a_v b_m with the sum, over the ways to
+    send d - k tail entries of mu to a and the rest to b, of the monomials."""
     n = t.n
-    poly = MultiPoly.constant(1, _param_variables(n))
+    poly = {(0,) * (2 * n): 1}
     for m, v in zip(t.mu, t.nu):
         am_bv = [0] * (2 * n)
         am_bv[m - 1] += 1
@@ -110,22 +124,16 @@ def target_polynomial(t: TwoRowTableau) -> MultiPoly:
         av_bm = [0] * (2 * n)
         av_bm[v - 1] += 1
         av_bm[n + m - 1] += 1
-        bracket = MultiPoly(_param_variables(n), {tuple(am_bv): Fraction(1),
-                                                  tuple(av_bm): Fraction(-1)})
-        poly = poly * bracket
+        poly = _times(poly, {tuple(am_bv): 1, tuple(av_bm): -1})
     tail = t.mu[t.k:]
-    total = MultiPoly.zero(_param_variables(n))
+    total: dict[tuple[int, ...], int] = {}
     for picks in itertools.combinations(range(len(tail)), t.d - t.k):
-        a_exp = [0] * n
-        b_exp = [0] * n
+        exps = [0] * (2 * n)
         chosen = set(picks)
         for j, entry in enumerate(tail):
-            if j in chosen:
-                a_exp[entry - 1] += 1
-            else:
-                b_exp[entry - 1] += 1
-        total = total + MultiPoly.monomial(_param_variables(n), a_exp + b_exp)
-    return poly * total
+            exps[entry - 1 + (0 if j in chosen else n)] += 1
+        total[tuple(exps)] = total.get(tuple(exps), 0) + 1
+    return MultiPoly(_param_variables(n), _times(poly, total))
 
 
 def coordinate_name(u: Sequence[int]) -> str:

@@ -19,6 +19,10 @@ import numpy as np
 from .exactsolve import exact_rank
 
 Shape = tuple[int, ...]
+# most coordinates C(n+d-1, d) a symmetric tensor file may ask for (a
+# binary form of degree 9999): every multidegree is filled in and certified,
+# so a few bytes of n and d must not ask for unbounded work
+MAX_SYM_COORDS = 10_000
 
 
 class ShapeMismatch(ValueError):
@@ -39,6 +43,10 @@ class InvalidSelector(ValueError):
 
 class NonFiniteEntry(ValueError):
     """An infinite or NaN entry: no rank or sign test is defined for it."""
+
+
+class TooManyCoordinates(ValueError):
+    """A symmetric tensor with more than MAX_SYM_COORDS coordinates."""
 
 
 class MalformedEntry(ValueError):
@@ -170,15 +178,6 @@ def flatten(t: np.ndarray, row_modes: Iterable[int]) -> np.ndarray:
     moved = np.transpose(t, rows + cols)
     nrow = int(np.prod([t.shape[m] for m in rows]))
     return moved.reshape(nrow, -1)
-
-
-def unflatten(matrix: np.ndarray, shape: Sequence[int], row_modes: Iterable[int]) -> np.ndarray:
-    shape = tuple(shape)
-    rows = _check_modes(len(shape), row_modes)
-    cols = tuple(m for m in range(len(shape)) if m not in rows)
-    interim = matrix.reshape([shape[m] for m in rows] + [shape[m] for m in cols])
-    inverse = np.argsort(rows + cols)
-    return np.transpose(interim, inverse)
 
 
 def numeric_rank(matrix: np.ndarray, tol: float = 1e-8) -> int:
@@ -322,7 +321,11 @@ def sym_to_tensor(f: SymTensorCoords) -> np.ndarray:
 
 def num_json(v):
     """JSON form of one scalar: "n" or "n/d" for a Fraction, int for an
-    integer, {"re", "im"} for a complex number, float otherwise."""
+    integer, {"re", "im"} for a complex number, float otherwise.  A plain
+    float or int is its own JSON form and returns before any isinstance test,
+    which on an ABC such as Fraction costs more than the rest of the call."""
+    if type(v) is float or type(v) is int:
+        return v
     if isinstance(v, Fraction):
         return str(v)
     if isinstance(v, (int, np.integer)):
@@ -354,9 +357,22 @@ def sym_to_json(f: SymTensorCoords) -> dict:
     }
 
 
+def _coordinates_exceed(n: int, d: int, limit: int) -> bool:
+    """Whether C(n+d-1, d) > limit.  C(n+d-1, k) grows with k up to
+    min(d, n-1), so the product stops as soon as it passes the limit and a
+    huge n or d costs no more than a small one."""
+    count = 1
+    for k in range(min(d, n - 1)):
+        count = count * (n + d - 1 - k) // (k + 1)
+        if count > limit:
+            break
+    return count > limit
+
+
 def sym_from_json(payload: Mapping) -> SymTensorCoords:
     """Multidegrees omitted from the JSON coeffs count as zero; every key is
-    checked against n and d before they are filled in."""
+    checked against n and d, and their coordinate count against
+    MAX_SYM_COORDS (TooManyCoordinates), before they are filled in."""
     n, d, given = read_fields(payload, "n", "d", "coeffs")
     n, d = read_integer(n), read_integer(d)
     if not isinstance(given, Mapping):
@@ -371,6 +387,8 @@ def sym_from_json(payload: Mapping) -> SymTensorCoords:
         if len(u) != n or any(e < 0 for e in u) or sum(u) != d:
             raise ShapeMismatch(f"bad multidegree {u} for n={n}, d={d}")
         coeffs[u] = value
+    if _coordinates_exceed(n, d, MAX_SYM_COORDS):
+        raise TooManyCoordinates(f"n={n}, d={d} has more than {MAX_SYM_COORDS} coordinates")
     zero = 0.0 if values and isinstance(values[0], float) else Fraction(0)
     for u in multidegrees(n, d):
         coeffs.setdefault(u, zero)

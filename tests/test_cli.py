@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +305,18 @@ def test_malformed_tensor_curve_and_path_input_gets_no_verdict(tmp_path, capsys,
     assert status == 1
     assert out == ""
     assert err.splitlines()[-1].startswith("error: MalformedEntry")
+
+
+def test_symmetric_file_asking_for_too_many_coordinates_gets_no_verdict(capsys, tmp_path):
+    path = tmp_path / "sym.json"
+    path.write_text('{"n": 2, "d": 100000, "coeffs": {"100000,0": 1}}')
+    assert path.stat().st_size == 48
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, "certify", "--symmetric", "--file", str(path))
+    assert time.perf_counter() - start < 2.0  # no multidegree is filled in
+    assert status == 1
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: TooManyCoordinates")
 
 
 def test_repeated_main_calls_match_fresh_processes(capsys, conj_file):

@@ -230,6 +230,11 @@ def test_report_counts_and_argmin_equal_the_sequential_oracle(column, zero_tol):
     got = _summary(hd.report_from_values(values, zero_tol))
     assert got[:2] == want[:2]
     assert got[2] is want[2]  # the very value object: NaN and -0.0 included
+    # the sweep's float64 value column, which comes with a float tolerance
+    if type(zero_tol) is float and all(type(v) is float for v in column):
+        got = _summary(hd._report(values, np.array(column, dtype=np.float64), zero_tol))
+        assert got[:2] == want[:2]
+        assert got[2] is want[2]
 
 
 def test_zero_tol_scales_with_entry_size():

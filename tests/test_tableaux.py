@@ -4,6 +4,7 @@ tangential variety out of the secant variety."""
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -148,6 +149,36 @@ def test_pushforward_equals_substitution_oracle(n, d):
             oracle = substituted_pushforward(g)
             assert tb.pushforward(g.polynomial, n, d) == oracle.terms
             assert oracle.terms == tb.target_polynomial(t).terms
+
+
+def ring_sum_target(t: tb.TwoRowTableau) -> MultiPoly:
+    """The tableau's polynomial with its tail sum built by MultiPoly additions."""
+    n = t.n
+    params = [f"a{i}" for i in range(1, n + 1)] + [f"b{i}" for i in range(1, n + 1)]
+    poly = MultiPoly.constant(1, params)
+    for m, v in zip(t.mu, t.nu):
+        am_bv, av_bm = [0] * (2 * n), [0] * (2 * n)
+        am_bv[m - 1] += 1
+        am_bv[n + v - 1] += 1
+        av_bm[v - 1] += 1
+        av_bm[n + m - 1] += 1
+        poly = poly * MultiPoly(params, {tuple(am_bv): 1, tuple(av_bm): -1})
+    tail = t.mu[t.k:]
+    total = MultiPoly.zero(params)
+    for picks in itertools.combinations(range(len(tail)), t.d - t.k):
+        exps = [0] * (2 * n)
+        for j, entry in enumerate(tail):
+            exps[entry - 1 + (0 if j in picks else n)] += 1
+        total = total + MultiPoly.monomial(params, exps)
+    return poly * total
+
+
+@pytest.mark.parametrize("n, d", BENCHMARK_SHAPES)
+def test_target_polynomial_equals_the_ring_sum_term_for_term(n, d):
+    # the same terms in the same order: the order feeds the printed generators
+    for k in range(0, d + 1, 2):
+        for t in tb.enumerate_tableaux(n, d, k):
+            assert list(tb.target_polynomial(t).terms.items()) == list(ring_sum_target(t).terms.items())
 
 
 def test_changed_target_coefficient_raises_inconsistent(monkeypatch):

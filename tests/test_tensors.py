@@ -23,14 +23,22 @@ def rand_tensor(rng: np.random.Generator, shape) -> np.ndarray:
 
 @settings(max_examples=50, deadline=None)
 @given(shapes, st.integers(0, 10_000))
-def test_flatten_unflatten_round_trip(shape, seed):
+def test_flatten_places_entries_by_row_and_column_multi_indices(shape, seed):
+    # entry (r, c) is t at the r-th row-mode and the c-th column-mode
+    # multi-index, both enumerated row-major in mode order
     rng = np.random.default_rng(seed)
     t = rand_tensor(rng, shape)
     for r in range(1, len(shape)):
         for rows in itertools.combinations(range(len(shape)), r):
+            cols = tuple(m for m in range(len(shape)) if m not in rows)
             mat = tn.flatten(t, rows)
-            assert mat.shape[0] == math.prod(shape[m] for m in rows)
-            assert np.array_equal(tn.unflatten(mat, shape, rows), t)
+            row_indices = list(itertools.product(*(range(shape[m]) for m in rows)))
+            col_indices = list(itertools.product(*(range(shape[m]) for m in cols)))
+            assert mat.shape == (len(row_indices), len(col_indices))
+            for i, row in enumerate(row_indices):
+                for j, col in enumerate(col_indices):
+                    index = dict(zip(rows + cols, row + col))
+                    assert mat[i, j] == t[tuple(index[m] for m in range(len(shape)))]
 
 
 def test_flatten_rejects_bad_modes():
@@ -168,3 +176,18 @@ def test_sym_from_json_checks_keys_before_filling_multidegrees(monkeypatch):
             tn.sym_from_json({"n": 2, "d": 3, "coeffs": {key: 1}})
     with pytest.raises(tn.MalformedEntry):
         tn.sym_from_json({"n": 2, "d": 3, "coeffs": {"a,b": 1}})
+
+
+def test_sym_from_json_bounds_the_coordinate_count_before_filling(monkeypatch):
+    limit = tn.MAX_SYM_COORDS
+    assert len(tn.sym_from_json({"n": 2, "d": limit - 1, "coeffs": {}}).coeffs) == limit
+    monkeypatch.setattr(tn, "multidegrees", lambda n, d: pytest.fail("filled past the limit"))
+    for n, d in ((2, limit), (2, 100_000), (3, 140), (10 ** 9, 10 ** 9), (10 ** 12, 3)):
+        with pytest.raises(tn.TooManyCoordinates):
+            tn.sym_from_json({"n": n, "d": d, "coeffs": {}})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 40), st.integers(0, 10 ** 6))
+def test_coordinate_bound_equals_the_binomial(n, d, limit):
+    assert tn._coordinates_exceed(n, d, limit) == (math.comb(n + d - 1, d) > limit)
