@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -385,6 +386,84 @@ def test_degenerate_queries_raise():
         sc.classify_point(QUARTIC, QUARTIC.point(1, 0))
     with pytest.raises(sc.DegenerateQuery):
         sc.classify_point(QUARTIC, [1, 2, 3])
+
+
+def _rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-30, 30), rng.randint(1, 4))
+
+
+UNIT_POINTS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _unit_line_point(rng: random.Random, curve: sc.CurveParam, k: int) -> list[Fraction]:
+    """A point on the line that the unit pair k stands for: the tangent at
+    (1 : 0) for a^(d-1), the secant through (1 : 0) and (0 : 1) for
+    b^(d-1), the tangent at (0 : 1) for c^(d-1).  All four rows vanish at
+    that unit point, so it is a secant candidate."""
+    i, j = ((0, 1), (0, curve.d), (curve.d, curve.d - 1))[k]
+    alpha, beta = _rational(rng) or 1, _rational(rng) or 1
+    return [alpha * row[i] + beta * row[j] for row in curve.F]
+
+
+def _rows_at(pm: sc.PluckerMap, u, abc) -> list:
+    """The four point-on-line equations at one pair, from its line coordinates."""
+    p01, p02, p03, p12, p13, p23 = pm.evaluate(abc)
+    w, x, y, z = u
+    return [p23 * x - p13 * y + p12 * z, p03 * y - p02 * z - p23 * w,
+            p13 * w - p03 * x + p01 * z, p02 * x - p12 * w - p01 * y]
+
+
+def classify_golden_cases(group: str) -> list[tuple[sc.CurveParam, list, int]]:
+    """Seeded (curve, point, seed) cases: random rational points on the
+    monomial quartic and on random curves of degree 3..7, points with zero
+    coordinates (a row loses a product or vanishes, or the point is on the
+    curve), and points whose secant candidates include a unit point."""
+    rng = random.Random(sum(map(ord, group)))
+    cases = []
+    if group == "quartic":
+        cases = [(QUARTIC, [_rational(rng) for _ in range(4)]) for _ in range(16)]
+    elif group == "random":
+        for d in range(3, 8):
+            curve = _random_curve(rng, d)
+            cases += [(curve, [_rational(rng) for _ in range(4)]) for _ in range(4)]
+    elif group == "zeros":
+        for curve in (QUARTIC, _random_curve(rng, 3), _random_curve(rng, 5)):
+            for zeros in ((0,), (1,), (2,), (3,), (0, 3), (1, 2), (1, 2, 3), (0, 1, 2)):
+                u = [_rational(rng) or 1 for _ in range(4)]
+                for k in zeros:
+                    u[k] = 0
+                cases.append((curve, u))
+    else:
+        for curve in (QUARTIC, _random_curve(rng, 4), _random_curve(rng, 6)):
+            cases += [(curve, _unit_line_point(rng, curve, k)) for k in range(3)]
+    return [(curve, u, rng.randint(0, 99)) for curve, u in cases]
+
+
+CLASSIFY_GOLDENS = {
+    "quartic": (16, "cc3a76465768f50861701a6429f2755b343d74850a9a588c1ae8968d4767f5d5"),
+    "random": (20, "45e4365d5bb79fe71cb739df1a0fcca5a31ab4ff65792239165e0269db8f10d6"),
+    "zeros": (24, "d4cd1e6c9bee933ea9f2cf21c0691a61a0f35f736a2b96ab3e07c79bde5f1f7b"),
+    "unit": (9, "774406ca572271fb6307b6ac934b9e3985c31b79e4eebfc683606cb745037773"),
+}
+
+
+@pytest.mark.parametrize("group", sorted(CLASSIFY_GOLDENS))
+def test_classify_point_json_goldens(group):
+    """classify_point(...).to_json() bytes, one line per case (the error's
+    name for a degenerate query), pinned by sha256: the secant system's term
+    order feeds the float arithmetic, so any reordering shows here."""
+    cases = classify_golden_cases(group)
+    digest = hashlib.sha256()
+    for curve, u, seed in cases:
+        if group == "unit":
+            pm = sc.plucker_map(curve)
+            assert any(all(v == 0 for v in _rows_at(pm, u, unit)) for unit in UNIT_POINTS)
+        try:
+            text = json.dumps(sc.classify_point(curve, u, seed=seed).to_json())
+        except sc.DegenerateQuery as exc:
+            text = type(exc).__name__
+        digest.update(text.encode() + b"\n")
+    assert (len(cases), digest.hexdigest()) == CLASSIFY_GOLDENS[group]
 
 
 def test_bad_curves_rejected():
