@@ -166,7 +166,9 @@ def certify_symmetric(f: tn.SymTensorCoords, tol: float = 1e-8) -> Certificate:
     discriminant quartics, which take exactly the same values as the full
     sub-block enumeration on the symmetric tensor.  For n >= 3 the tensor is
     certified directly, with the hyperdeterminant list reduced to one
-    sub-block per variable pair and multidegree of the fixed slots.
+    sub-block per variable pair and multidegree of the fixed slots; that
+    dense n^d array must have at most MAX_SYM_COORDS entries
+    (TooManyCoordinates otherwise).
     """
     if f.d <= 2:
         # a linear or quadratic form is a vector or symmetric matrix
@@ -181,6 +183,9 @@ def certify_symmetric(f: tn.SymTensorCoords, tol: float = 1e-8) -> Certificate:
         report = hd.report_from_values(values, hd.hyperdet_zero_tol(h))
         return _certificate(h, {"hankel": tn.matrix_rank(h, tol)}, None, report, tol)
 
+    if f.n ** f.d > tn.MAX_SYM_COORDS:
+        raise tn.TooManyCoordinates(f"n={f.n}, d={f.d}: the dense tensor has n^d = {f.n ** f.d} entries, "
+                                    f"more than {tn.MAX_SYM_COORDS}")
     t = _exact_or_finite(tn.sym_to_tensor(f))
     values = []
     for p in range(f.n):

@@ -233,19 +233,6 @@ class MultiPoly:
             total = total + term
         return total
 
-    def coefficients_in(self, var: str) -> list["MultiPoly"]:
-        """Coefficients w.r.t. one variable, ascending degree, over the rest."""
-        if var not in self.variables:
-            return [self]
-        k = self.variables.index(var)
-        rest = tuple(v for v in self.variables if v != var)
-        deg = max((e[k] for e in self.terms), default=0)
-        buckets: list[dict[tuple, Fraction]] = [dict() for _ in range(deg + 1)]
-        for expo, coeff in self.terms.items():
-            reduced = tuple(e for i, e in enumerate(expo) if i != k)
-            buckets[expo[k]][reduced] = coeff
-        return [MultiPoly(rest, b) for b in buckets]
-
     # ---------------------------------------------------------- presentation
     def content(self) -> Fraction:
         """Positive rational c with self/c integer coefficients of gcd 1."""

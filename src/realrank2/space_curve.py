@@ -17,14 +17,14 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .exactsolve import as_fraction, exact_rank
+from .exactsolve import as_fraction, content, exact_rank
 from .multipoly import MultiPoly, resultant
 from .tensors import num_json, read_scalar, read_sequence
 from .unipoly import UniPoly, poly_gcd, real_roots
@@ -114,9 +114,17 @@ class CurveParam:
 
 @dataclass(frozen=True)
 class PluckerMap:
-    """Line coordinates of the secant spanned by the pair (a : b : c)."""
+    """Line coordinates of the secant spanned by the pair (a : b : c).
+
+    table holds the same six polynomials as integer terms over one common
+    denominator den: polys[i].terms is {e: Fraction(c, den) for e, c in
+    table[i]}, in the same order.
+    """
 
     polys: tuple[MultiPoly, ...]
+    den: int = field(init=False, repr=False, compare=False)
+    table: tuple[tuple[tuple[tuple[int, int, int], int], ...], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.polys) != 6:
@@ -124,9 +132,11 @@ class PluckerMap:
         p01, p02, p03, p12, p13, p23 = self.polys
         if not (p01 * p23 - p02 * p13 + p03 * p12).is_zero():
             raise RewriteFailed("line coordinates must satisfy the quadratic line relation")
-
-    def __getitem__(self, pair: tuple[int, int]) -> MultiPoly:
-        return self.polys[INDEX_PAIRS.index(tuple(pair))]
+        den = content([c for p in self.polys for c in p.terms.values()]).denominator
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "table", tuple(
+            tuple((e, c.numerator * (den // c.denominator)) for e, c in p.terms.items())
+            for p in self.polys))
 
     def evaluate(self, abc) -> list:
         point = dict(zip(PAIR_VARS, abc))
@@ -164,16 +174,43 @@ def plucker_map(curve: CurveParam) -> PluckerMap:
     return PluckerMap(tuple(polys))
 
 
-def secant_system(pm: PluckerMap, u: Sequence[Fraction]) -> list[MultiPoly]:
-    """The four point-on-line equations for u, degree d-1 in (a, b, c)."""
-    p01, p02, p03, p12, p13, p23 = pm.polys
-    w, x, y, z = u
-    return [
-        p23 * x - p13 * y + p12 * z,
-        p03 * y - p02 * z - p23 * w,
-        p13 * w - p03 * x + p01 * z,
-        p02 * x - p12 * w - p01 * y,
-    ]
+def _accumulate(acc: dict, terms, scale: int) -> None:
+    """acc += scale * terms, in the term order a MultiPoly sum gives: an
+    exponent already in acc keeps its place, a new one is appended, one
+    that cancels is dropped once the sum is done, and a zero scale adds
+    nothing."""
+    if not scale:
+        return
+    cancelled = []
+    for e, c in terms:
+        value = acc.get(e, 0) + scale * c
+        acc[e] = value
+        if not value:
+            cancelled.append(e)
+    for e in cancelled:
+        del acc[e]
+
+
+def secant_rows(pm: PluckerMap, u: Sequence[Fraction]) -> tuple[list[dict], int]:
+    """The four point-on-line equations for u, degree d-1 in (a, b, c), as
+    integer terms over one denominator: (rows, den), row r being rows[r] / den.
+
+    u is scaled to integers U by its common denominator D, and den is D
+    times the table's.  Row 0 is p23 U1 - p13 U2 + p12 U3 summed left to
+    right, one product at a time, and so on: the order MultiPoly arithmetic
+    gives the terms, which the float back-substitution sums in.
+    """
+    scale = content(u).denominator
+    w, x, y, z = (c.numerator * (scale // c.denominator) for c in u)
+    p01, p02, p03, p12, p13, p23 = pm.table
+    rows = []
+    for products in (((p23, x), (p13, -y), (p12, z)), ((p03, y), (p02, -z), (p23, -w)),
+                     ((p13, w), (p03, -x), (p01, z)), ((p02, x), (p12, -w), (p01, -y))):
+        row: dict = {}
+        for terms, k in products:
+            _accumulate(row, terms, k)
+        rows.append(row)
+    return rows, scale * pm.den
 
 
 @dataclass(frozen=True)
@@ -207,8 +244,8 @@ class SecantSolution:
         }
 
 
-def _row_evaluator(rows: Sequence[MultiPoly]):
-    """Values and Jacobians in (a, b, c) of the rows over their largest
+def _row_evaluator(rows: Sequence[dict]):
+    """Values and Jacobians in (a, b, c) of the integer rows over their largest
     |coefficient|, as one function of an (n, 3) stack of complex points:
     values (n, rows) and Jacobians (n, rows, 3).  The monomials come from
     the union of the rows' exponents and its three shifts lowered by one in
@@ -216,16 +253,16 @@ def _row_evaluator(rows: Sequence[MultiPoly]):
     order (for a partial, those with a positive exponent), gathered
     C-contiguous: BLAS may sum a strided row in another order than a
     contiguous one (OpenBLAS's Haswell kernel does from 8 terms on)."""
-    table = sorted(set().union(*(p.terms for p in rows)))
+    table = sorted(set().union(*rows))
     at = {e: i for i, e in enumerate(table)}
     exps = np.array(table, dtype=np.int64)
     # an exponent lowered below 0 is never read; 0 keeps it finite at p_k = 0
     shifted = np.concatenate([exps] + [np.maximum(exps - unit, 0) for unit in np.eye(3, dtype=np.int64)])
     gather: list[int] = []
     sums = []  # per row: the value, then each partial, as (span of gather, coefficients)
-    for poly in rows:
-        scale = max(abs(c) for c in poly.terms.values())
-        terms = [(e, float(poly.terms[e] / scale)) for e in sorted(poly.terms)]
+    for row in rows:
+        scale = max(abs(c) for c in row.values())
+        terms = [(e, row[e] / scale) for e in sorted(row)]  # int / int rounds once
         part = [([at[e] for e, _ in terms], [c for _, c in terms])]
         for k in range(3):
             lowered = [(e, c) for e, c in terms if e[k]]
@@ -334,23 +371,49 @@ def _curve_point_normalized(curve: CurveParam, s, t):
     return tuple(complex(v) for v in values)
 
 
-def _random_combination(rows: Sequence[MultiPoly], rng: random.Random) -> MultiPoly:
-    zero = MultiPoly.zero(PAIR_VARS)
+def _random_combination(rows: Sequence[dict], rng: random.Random) -> dict:
+    """Sum of the rows times random integers in [-5, 5], drawn in row order
+    and added one row at a time; up to 20 draws until the sum is nonzero."""
     for _ in range(20):
-        combo = sum((row * rng.randint(-5, 5) for row in rows), zero)
-        if not combo.is_zero():
+        combo: dict = {}
+        for row in rows:
+            _accumulate(combo, row.items(), rng.randint(-5, 5))
+        if combo:
             return combo
-    return zero
+    return {}
 
 
-def _elimination_variable(coeffs: Mapping[str, tuple[list, list]]) -> str:
-    """The variable of highest combined degree in p and q, given their
-    coefficients in each; ties go to the heaviest leading coefficient in p,
-    then to the first variable."""
-    def score(v):
-        in_p, in_q = coeffs[v]
-        return len(in_p) + len(in_q), sum(abs(float(c)) for c in in_p[-1].terms.values())
-    return max(PAIR_VARS, key=score)
+def _coefficients_in(form: dict, k: int) -> list[dict]:
+    """Coefficients of a nonzero form in its k-th variable, ascending in
+    degree, each over the other two exponents in the form's term order."""
+    parts: list[dict] = [{} for _ in range(max(e[k] for e in form) + 1)]
+    for e, c in form.items():
+        parts[e[k]][e[:k] + e[k + 1:]] = c
+    return parts
+
+
+def _elimination_variable(p: dict, q: dict, den: int) -> int:
+    """Index of the variable of highest combined degree in the forms p / den
+    and q / den; ties go to the heaviest leading coefficient in p, summed as
+    floats in p's term order, then to the first variable."""
+    def score(k):
+        top = max(e[k] for e in p)
+        return top + max(e[k] for e in q), sum(abs(c / den) for e, c in p.items() if e[k] == top)
+    return max(range(3), key=score)
+
+
+def _evaluate_at(part: Sequence[tuple[tuple[int, int], float]], m, n):
+    """A form in two variables at (m, n), term by term as MultiPoly.evaluate
+    sums it at complex values."""
+    total = 0.0
+    for (i, j), c in part:
+        term = c
+        if i:
+            term = term * m ** i
+        if j:
+            term = term * n ** j
+        total = total + term
+    return total
 
 
 def _projective_roots(descending, zero: float) -> tuple[list, bool]:
@@ -373,46 +436,49 @@ def _binary_form_root_pairs(res: MultiPoly) -> list[tuple[complex, complex]]:
     return [(1.0 + 0.0j, 0.0 + 0.0j)] * at_infinity + [(complex(root), 1.0 + 0.0j) for root in finite]
 
 
-def solve_secants(system: Sequence[MultiPoly], tol: float, *,
+def solve_secants(rows: Sequence[dict], den: int, tol: float, *,
                   curve: CurveParam, pm: PluckerMap, seed: int) -> tuple[list[SecantSolution], int]:
-    """All isolated solutions (a : b : c) of the secant system through u.
+    """All isolated solutions (a : b : c) of the secant system through u,
+    given as integer rows over den (see secant_rows).
 
     Returns the real solutions as SecantSolution records plus the number of
     verified nonreal solutions.  Elimination uses the resultant of two random
     integer combinations of the four rows; spurious intersections of the two
     combinations are discarded by checking residuals of all four rows.
     """
-    nonzero = [p for p in system if not p.is_zero()]
+    nonzero = [row for row in rows if row]
     if not nonzero:
         raise DegenerateQuery("all four equations vanish identically")
     evaluate = _row_evaluator(nonzero)
     rng = random.Random(seed)
 
     candidates: list = []  # rows of (a, b, c), normalized together below
-    # projective unit points never appear in chart-based rooting; test exactly
+    # projective unit points never appear in chart-based rooting; a row of
+    # degree d - 1 vanishes at one exactly when it lacks that power's term
     for k in range(3):
-        unit = {v: int(i == k) for i, v in enumerate(PAIR_VARS)}
-        if all(p.evaluate(unit) == 0 for p in nonzero):
+        unit = tuple((curve.d - 1) * (i == k) for i in range(3))
+        if all(unit not in row for row in nonzero):
             candidates.append(np.eye(3)[k])
 
     for _ in range(MAX_ELIMINATION_RETRIES):
         p = _random_combination(nonzero, rng)
         q = _random_combination(nonzero, rng)
-        if p.is_zero() or q.is_zero():
+        if not p or not q:
             continue
-        coeffs = {v: (p.coefficients_in(v), q.coefficients_in(v)) for v in PAIR_VARS}
-        var = _elimination_variable(coeffs)
-        res = resultant(p, q, var)
+        v_index = _elimination_variable(p, q, den)
+        # p and q are den times the forms: a positive power of den scales the
+        # resultant, and its root finding divides by the largest |c| exactly
+        res = resultant(MultiPoly(PAIR_VARS, p), MultiPoly(PAIR_VARS, q), PAIR_VARS[v_index])
         if res.is_zero():
             continue
         if res.is_constant():
             break  # no solutions away from the unit points
-        keep = [v for v in PAIR_VARS if v != var]
-        v_index = PAIR_VARS.index(var)
+        # float(Fraction(c, den)) is c / den: both round the same rational once
+        sources = [[[(e, c / den) for e, c in part.items()] for part in _coefficients_in(f, v_index)]
+                   for f in (p, q)]
         for m0, n0 in _binary_form_root_pairs(res):
-            assignment = {keep[0]: m0, keep[1]: n0}
-            for source in coeffs[var]:
-                values = [c.evaluate(assignment) for c in source]
+            for source in sources:
+                values = [_evaluate_at(part, m0, n0) for part in source]
                 if any(values):
                     finite, at_infinity = _projective_roots(values[::-1], 1e-12)
                     break
@@ -526,8 +592,8 @@ def classify_point(curve: CurveParam, u, tol: float = 1e-8, *, seed: int = 0) ->
     if _on_curve(curve, u):
         raise DegenerateQuery("query point lies on the curve")
     pm = plucker_map(curve)
-    system = secant_system(pm, u)
-    solutions, nonreal = solve_secants(system, tol, curve=curve, pm=pm, seed=seed)
+    rows, den = secant_rows(pm, u)
+    solutions, nonreal = solve_secants(rows, den, tol, curve=curve, pm=pm, seed=seed)
     witness = next((s for s in solutions
                     if s.contact == TWO_REAL_POINTS and s.line_norm > LINE_NORM_FLOOR), None)
     label = REAL_RANK_LE_2 if witness is not None else REAL_RANK_GE_3

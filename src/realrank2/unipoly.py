@@ -185,7 +185,14 @@ def count_roots_halfopen(chain: list[UniPoly], lo: Fraction, hi: Fraction) -> in
 
 
 def _isolate(chain: list[UniPoly], lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint half-open intervals (a, b], each holding exactly one root."""
+    """Disjoint half-open intervals (a, b], each holding exactly one root.
+
+    Sturm counts split an interval while it holds several roots or f(a) = 0.
+    Once (a, b] holds one simple root and f(a) != 0, the root is in
+    (a, mid] exactly when f(mid) = 0 or the sign of f(mid) differs from that
+    of f(a): the same halves, from two values of f instead of two chains.
+    """
+    f = chain[0]
     out: list[tuple[Fraction, Fraction]] = []
     stack = [(lo, hi, count_roots_halfopen(chain, lo, hi))]
     while stack:
@@ -196,7 +203,10 @@ def _isolate(chain: list[UniPoly], lo: Fraction, hi: Fraction) -> list[tuple[Fra
             out.append((a, b))
             continue
         mid = (a + b) / 2
-        left = count_roots_halfopen(chain, a, mid)
+        if k == 1 and (sign_a := _sign(f(a))):
+            left = int(_sign(f(mid)) != sign_a)
+        else:
+            left = count_roots_halfopen(chain, a, mid)
         stack.append((a, mid, left))
         stack.append((mid, b, k - left))
     out.sort()

@@ -211,7 +211,7 @@ def test_criterion_06_crossing_path_scan():
 
 
 def test_criterion_07_plucker_goldens():
-    pm = sc.plucker_map(sc.MONOMIAL_QUARTIC)
+    pm = dict(zip(sc.INDEX_PAIRS, sc.plucker_map(sc.MONOMIAL_QUARTIC).polys))
     def pair_poly(terms):
         return MultiPoly(sc.PAIR_VARS, {e: Fraction(c) for e, c in terms.items()})
     ok = pm[0, 1] == pair_poly({(3, 0, 0): 1})

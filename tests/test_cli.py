@@ -319,6 +319,29 @@ def test_symmetric_file_asking_for_too_many_coordinates_gets_no_verdict(capsys, 
     assert err.splitlines()[-1].startswith("error: TooManyCoordinates")
 
 
+@pytest.mark.parametrize("n, d, admitted", [(3, 8, True), (3, 9, False), (3, 11, False),
+                                             (4, 6, True), (4, 7, False), (10, 4, True), (22, 3, False)])
+def test_symmetric_tensor_too_large_to_expand_gets_no_verdict(capsys, tmp_path, n, d, admitted):
+    """For n >= 3 certification expands the dense n^d array, so n^d, not the
+    coordinate count, is held to MAX_SYM_COORDS."""
+    keys = [",".join(str(d * (i == k)) for i in range(n)) for k in range(2)]
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps({"n": n, "d": d, "coeffs": {key: 1 for key in keys}}))
+    if (n, d) == (3, 11):
+        assert path.read_text() == '{"n": 3, "d": 11, "coeffs": {"11,0,0": 1, "0,11,0": 1}}'
+        assert path.stat().st_size == 55
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, "certify", "--symmetric", "--file", str(path))
+    if admitted:
+        assert status == 0 and "verdict" in json.loads(out)
+        return
+    assert time.perf_counter() - start < 1.0  # nothing is expanded
+    assert status == 1
+    assert out == ""
+    assert err.splitlines()[-1] == (f"error: TooManyCoordinates: n={n}, d={d}: the dense tensor has "
+                                    f"n^d = {n ** d} entries, more than 10000")
+
+
 def test_repeated_main_calls_match_fresh_processes(capsys, conj_file):
     """One parser serves every main() call in a process: a usage error,
     --seed 0 (which main turns into None) and --format text leave nothing

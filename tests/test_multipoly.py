@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import coefficients_in
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -96,7 +97,7 @@ def test_equality_needs_the_same_variable_tuple():
 def test_coefficients_in_reassembles():
     rng = random.Random(3)
     p = MultiPoly(VARS, {(2, 1, 0): Fraction(3), (0, 0, 2): Fraction(-1, 2), (1, 1, 1): 5})
-    parts = p.coefficients_in("y")
+    parts = coefficients_in(p, "y")
     y = MultiPoly.variable("y", VARS)
     total = MultiPoly.zero(VARS)
     power = MultiPoly.constant(1, VARS)
@@ -154,8 +155,8 @@ def test_resultant_product_formula():
 
 def sylvester_resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     """Reference: the Sylvester determinant with MultiPoly entries."""
-    cp = p.coefficients_in(var)
-    cq = q.coefficients_in(var)
+    cp = coefficients_in(p, var)
+    cq = coefficients_in(q, var)
     while len(cp) > 1 and cp[-1].is_zero():
         cp.pop()
     while len(cq) > 1 and cq[-1].is_zero():

@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import substitute
-from hypothesis import given, settings
+from conftest import coefficients_in, elimination_variable, random_combination, secant_system, substitute
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from realrank2 import hyperdet as hd
@@ -31,7 +31,7 @@ def poly(terms) -> MultiPoly:
 
 
 def test_plucker_map_goldens_for_monomial_quartic():
-    pm = sc.plucker_map(QUARTIC)
+    pm = dict(zip(sc.INDEX_PAIRS, sc.plucker_map(QUARTIC).polys))
     assert pm[0, 1] == poly({(3, 0, 0): 1})
     assert pm[0, 2] == poly({(1, 2, 0): 1, (2, 0, 1): -1})
     assert pm[0, 3] == poly({(0, 3, 0): 1, (1, 1, 1): -2})
@@ -90,6 +90,48 @@ def test_plucker_map_of_random_curves_is_the_divided_exterior_product(d):
             assert pm.evaluate((s1 * s2, s1 * t2 + s2 * t1, t1 * t2)) == direct
 
 
+def _over(form: dict, den: int) -> list:
+    return [(e, Fraction(c, den)) for e, c in form.items()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7), st.integers(0, 10 ** 6),
+       st.lists(st.fractions(-20, 20, max_denominator=6), min_size=4, max_size=4), st.integers(0, 99))
+def test_integer_pencil_equals_multipoly_secant_system(d, curve_seed, u, seed):
+    """The integer rows, their random combinations p and q, and every
+    coefficient list of p and q in each variable equal the MultiPoly sums
+    and products over den, term order included, on the monomial quartic
+    (d = 2 below) and on random curves of degree 3..7; the draws leave the
+    random state where the MultiPoly combinations leave it."""
+    assume(any(u))
+    curve = QUARTIC if d == 2 else _random_curve(random.Random(curve_seed), d)
+    pm = sc.plucker_map(curve)
+    rows, den = sc.secant_rows(pm, u)
+    oracle = secant_system(pm, u)
+    assert [_over(row, den) for row in rows] == [list(row.terms.items()) for row in oracle]
+    rows = [row for row in rows if row]
+    oracle = [row for row in oracle if not row.is_zero()]
+    assume(rows)
+    for k, unit in enumerate(UNIT_POINTS):
+        exponent = tuple((curve.d - 1) * e for e in unit)
+        assert all(exponent not in row for row in rows) == all(
+            row.evaluate(dict(zip(sc.PAIR_VARS, unit))) == 0 for row in oracle)
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        p, q = sc._random_combination(rows, rng), sc._random_combination(rows, rng)
+        p_oracle, q_oracle = random_combination(oracle, oracle_rng), random_combination(oracle, oracle_rng)
+        assert rng.getstate() == oracle_rng.getstate()
+        assert _over(p, den) == list(p_oracle.terms.items())
+        assert _over(q, den) == list(q_oracle.terms.items())
+        if not p or not q:
+            continue
+        for k, var in enumerate(sc.PAIR_VARS):
+            for form, form_oracle in ((p, p_oracle), (q, q_oracle)):
+                assert [_over(part, den) for part in sc._coefficients_in(form, k)] == [
+                    list(part.terms.items()) for part in coefficients_in(form_oracle, var)]
+        assert sc.PAIR_VARS[sc._elimination_variable(p, q, den)] == elimination_variable(p_oracle, q_oracle)
+
+
 def _partial(poly: MultiPoly, k: int) -> MultiPoly:
     return MultiPoly(poly.variables, {tuple(x - (i == k) for i, x in enumerate(e)): c * e[k]
                                       for e, c in poly.terms.items() if e[k]})
@@ -110,8 +152,9 @@ def test_row_evaluator_matches_scaled_rows_and_exact_partials(d):
     pm = sc.plucker_map(curve)
     for _ in range(3):
         u = [Fraction(rng.randint(-20, 20), rng.randint(1, 3)) for _ in range(4)]
-        rows = [row for row in sc.secant_system(pm, u) if not row.is_zero()]
-        scaled = [row * (1 / max(abs(c) for c in row.terms.values())) for row in rows]
+        rows = [row for row in sc.secant_rows(pm, u)[0] if row]
+        scaled = [MultiPoly(sc.PAIR_VARS, {e: Fraction(c, max(map(abs, row.values()))) for e, c in row.items()})
+                  for row in rows]
         points = _random_unit_points(rng, 4)
         values, jacobian = sc._row_evaluator(rows)(points)
         assert values.shape == (4, len(rows)) and jacobian.shape == (4, len(rows), 3)
@@ -136,10 +179,10 @@ def _reference_evaluate(rows, p: np.ndarray):
     per value and partial over the row's own terms in sorted order."""
     values, jacobian = [], []
     for row in rows:
-        scale = max(abs(c) for c in row.terms.values())
-        order = sorted(row.terms)
+        scale = max(abs(c) for c in row.values())
+        order = sorted(row)
         exps = np.array(order)
-        coeffs = np.array([float(row.terms[e] / scale) for e in order])
+        coeffs = np.array([float(Fraction(row[e], scale)) for e in order])
         values.append(np.dot(coeffs, np.prod(p ** exps, axis=1)))
         gradient = []
         for k in range(3):
@@ -173,8 +216,8 @@ def test_stacked_row_evaluator_equals_one_point_stacks_bit_for_bit(d):
     rng = random.Random(70 + d)
     curve = _random_curve(rng, d)
     u = [Fraction(rng.randint(-20, 20), rng.randint(1, 3)) for _ in range(4)]
-    rows = [row for row in sc.secant_system(sc.plucker_map(curve), u) if not row.is_zero()]
-    assert max(len(row.terms) for row in rows) == (d + 1) * d // 2
+    rows = [row for row in sc.secant_rows(sc.plucker_map(curve), u)[0] if row]
+    assert max(len(row) for row in rows) == (d + 1) * d // 2
     evaluate = sc._row_evaluator(rows)
     points = _random_unit_points(rng, 12)
     values, jacobian = evaluate(points)
@@ -203,7 +246,7 @@ def test_polish_of_a_stack_equals_polish_of_each_candidate(d):
     curve = sc.MONOMIAL_QUARTIC if d == 4 else _random_curve(rng, d)
     u = [Fraction(rng.randint(-20, 20), rng.randint(1, 3)) for _ in range(4)]
     pm = sc.plucker_map(curve)
-    rows = [row for row in sc.secant_system(pm, u) if not row.is_zero()]
+    rows = [row for row in sc.secant_rows(pm, u)[0] if row]
     evaluate = sc._row_evaluator(rows)
     solutions = [s.abc for s in sc.classify_point(curve, u).solutions]
     assert solutions
@@ -487,7 +530,7 @@ def restricted_by_substitution(poly: MultiPoly, path) -> UniPoly:
     t = MultiPoly.variable("t", ("t",))
     replacements = {v: t * c1 + c0 for v, (c0, c1) in zip(sc.POINT_VARS, path)}
     along = substitute(poly, replacements, ("t",))
-    return UniPoly([part.constant_value() for part in along.coefficients_in("t")])
+    return UniPoly([part.constant_value() for part in coefficients_in(along, "t")])
 
 
 def test_fixture_polynomial_equals_substitution_oracle():

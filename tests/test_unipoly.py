@@ -12,7 +12,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realrank2.unipoly import UniPoly, count_roots_halfopen, poly_gcd, real_roots, squarefree_decomposition, sturm_chain
+from realrank2.unipoly import (ISOLATION_WIDTH, UniPoly, _isolate, count_roots_halfopen, poly_gcd, real_roots,
+                              squarefree_decomposition, sturm_chain)
 
 int_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=7).map(UniPoly)
 
@@ -71,6 +72,46 @@ def test_sturm_count_on_known_roots():
     chain = sturm_chain(p)
     assert count_roots_halfopen(chain, Fraction(0), Fraction(5)) == 2
     assert count_roots_halfopen(chain, Fraction(-4), Fraction(5)) == 3
+
+
+def isolate_by_counts(chain, lo, hi):
+    """Bisection that splits every interval by Sturm counts: the reference
+    _isolate is tested against."""
+    out = []
+    stack = [(lo, hi, count_roots_halfopen(chain, lo, hi))]
+    while stack:
+        a, b, k = stack.pop()
+        if k == 0:
+            continue
+        if k == 1 and b - a <= ISOLATION_WIDTH:
+            out.append((a, b))
+            continue
+        mid = (a + b) / 2
+        left = count_roots_halfopen(chain, a, mid)
+        stack.append((a, mid, left))
+        stack.append((mid, b, k - left))
+    out.sort()
+    return out
+
+
+dyadic_roots = st.lists(st.tuples(st.integers(-12, 12), st.sampled_from([1, 2, 4, 8, 3])), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dyadic_roots, st.lists(st.integers(-9, 9), max_size=5), st.integers(-6, 2), st.integers(1, 12))
+def test_isolation_by_signs_gives_the_counted_intervals(roots, extra, lo, width):
+    """On the squarefree factors of (den x - num) products times a random
+    integer polynomial, _isolate returns the intervals of count-only
+    bisection, also when an interval end or a midpoint is a root."""
+    p = UniPoly(extra) if UniPoly(extra).degree >= 0 else UniPoly([1])
+    for num, den in roots:
+        p = p * UniPoly([-num, den])
+    lo, hi = Fraction(lo), Fraction(lo) + Fraction(width, 2)
+    for factor, _mult in squarefree_decomposition(p):
+        if factor.degree < 1:
+            continue
+        chain = sturm_chain(factor)
+        assert _isolate(chain, lo, hi) == isolate_by_counts(chain, lo, hi)
 
 
 @settings(max_examples=50, deadline=None)
