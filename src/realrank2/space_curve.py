@@ -373,7 +373,7 @@ def _curve_point_normalized(curve: CurveParam, s, t):
 
 def _random_combination(rows: Sequence[dict], rng: random.Random) -> dict:
     """Sum of the rows times random integers in [-5, 5], drawn in row order
-    and added one row at a time; up to 20 draws until the sum is nonzero."""
+    and added one row at a time; up to 20 attempts until the sum is nonzero."""
     for _ in range(20):
         combo: dict = {}
         for row in rows:

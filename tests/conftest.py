@@ -67,7 +67,7 @@ def secant_system(pm, u) -> list[MultiPoly]:
 
 def random_combination(rows: list[MultiPoly], rng: random.Random) -> MultiPoly:
     """Sum of the rows times random integers in [-5, 5] in MultiPoly
-    arithmetic; up to 20 draws until the sum is nonzero."""
+    arithmetic; up to 20 attempts until the sum is nonzero."""
     zero = MultiPoly.zero(rows[0].variables)
     for _ in range(20):
         combo = sum((row * rng.randint(-5, 5) for row in rows), zero)

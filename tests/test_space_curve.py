@@ -112,7 +112,7 @@ def test_integer_pencil_equals_multipoly_secant_system(d, curve_seed, u, seed):
     rows = [row for row in rows if row]
     oracle = [row for row in oracle if not row.is_zero()]
     assume(rows)
-    for k, unit in enumerate(UNIT_POINTS):
+    for unit in UNIT_POINTS:
         exponent = tuple((curve.d - 1) * e for e in unit)
         assert all(exponent not in row for row in rows) == all(
             row.evaluate(dict(zip(sc.PAIR_VARS, unit))) == 0 for row in oracle)

@@ -103,7 +103,7 @@ def test_isolation_by_signs_gives_the_counted_intervals(roots, extra, lo, width)
     """On the squarefree factors of (den x - num) products times a random
     integer polynomial, _isolate returns the intervals of count-only
     bisection, also when an interval end or a midpoint is a root."""
-    p = UniPoly(extra) if UniPoly(extra).degree >= 0 else UniPoly([1])
+    p = UniPoly(extra) if any(extra) else UniPoly([1])
     for num, den in roots:
         p = p * UniPoly([-num, den])
     lo, hi = Fraction(lo), Fraction(lo) + Fraction(width, 2)
