@@ -9,6 +9,7 @@ extraction and therefore every piece of symbolic output in the package.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence, Union
 
 from .exactsolve import as_fraction, content, integer_det
@@ -319,21 +320,25 @@ def _horner(ascending: list[int], x: int) -> int:
     return value
 
 
-def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
+def resultant(p, q, var: str, variables: Sequence[str] | None = None) -> MultiPoly:
     """Sylvester resultant of two forms eliminating `var`, exact.
 
+    p and q are MultiPolys or, given their `variables`, maps from exponent
+    vectors to int or Fraction coefficients, which are read as they are.
     With m, n the degrees in `var` and t_p, t_q the total degrees, the
     resultant is a form of degree D = (t_p - m) n + (t_q - n) m + m n in the
     remaining variables.  Scaled by Lp^n Lq^m (L the lcm of each input's
-    denominators) it has integer coefficients, so it is the Newton
-    interpolant of the integer Sylvester determinants at (x, 1) for
-    x = 0..D, each taken by `exactsolve.integer_det`.  With one remaining variable or none, the value at 1 is its
-    only coefficient.
+    denominators, 1 for integer forms) it has integer coefficients, so it is
+    the Newton interpolant of the integer Sylvester determinants at (x, 1)
+    for x = 0..D, each taken by `exactsolve.integer_det`.  With one
+    remaining variable or none, the value at 1 is its only coefficient.
     """
-    variables = p.variables
-    degrees = [{sum(e) for e in f.terms} for f in (p, q)]
-    if (q.variables != variables or var not in variables or len(variables) > 3
-            or any(len(d) != 1 for d in degrees)):
+    if variables is None:
+        # MultiPolys in different variables fail the test below as no variables
+        variables = p.variables if q.variables == p.variables else ()
+        p, q = p.terms, q.terms
+    degrees = [{sum(e) for e in f} for f in (p, q)]
+    if var not in variables or len(variables) > 3 or any(len(d) != 1 for d in degrees):
         raise NotForms("resultant needs two nonzero forms in the same at most three variables")
     k = variables.index(var)
     rest = variables[:k] + variables[k + 1:]
@@ -341,10 +346,10 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     x_at = variables.index(rest[0]) if len(rest) == 2 else None
     slices = []
     for f, (total,) in zip((p, q), degrees):
-        den = content(f.terms.values()).denominator
+        den = lcm(*(c.denominator for c in f.values()))
         # coefficient of var^i, as integer coefficients of x^0, x^1, ...
-        coeffs = [[0] * (total + 1) for _ in range(max(e[k] for e in f.terms) + 1)]
-        for e, c in f.terms.items():
+        coeffs = [[0] * (total + 1) for _ in range(max(e[k] for e in f) + 1)]
+        for e, c in f.items():
             coeffs[e[k]][0 if x_at is None else e[x_at]] += c.numerator * (den // c.denominator)
         slices.append((coeffs, total, den))
     (cp, tp, lp), (cq, tq, lq) = slices

@@ -23,8 +23,9 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .exactsolve import as_fraction, content, exact_rank
+from .exactsolve import as_fraction, content, exact_rank, integer_row
 from .multipoly import MultiPoly, resultant
 from .tensors import num_json, read_scalar, read_sequence
 from .unipoly import UniPoly, poly_gcd, real_roots
@@ -45,6 +46,10 @@ class DegenerateQuery(ValueError):
 
 class ResultantIdenticallyZero(RuntimeError):
     """Elimination collapsed: the secant system has no isolated solutions."""
+
+
+class FloatOverflow(ArithmeticError):
+    """A value of the secant system's float arithmetic overflows a double."""
 
 
 PAIR_VARS = ("a", "b", "c")
@@ -290,6 +295,23 @@ def _norms(points: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
+def _lstsq_did_not_converge(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq(jacobians: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """np.linalg.lstsq(J, b, rcond=None)[0] for every J, b of a (k, r, 3)
+    complex stack and its (k, r) right-hand sides, in one call of the gufunc
+    that lstsq runs (numpy's private _umath_linalg.lstsq): the same LAPACK
+    gelsd per matrix, lstsq's default cutoff eps * max(r, 3), and its error
+    handling, so a SVD that does not converge raises LinAlgError."""
+    rcond = np.finfo(float).eps * max(jacobians.shape[1], 3)
+    with np.errstate(call=_lstsq_did_not_converge, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        x = _umath_linalg.lstsq(jacobians, rhs[..., None], rcond, signature="DDd->Ddid")[0]
+    return x[..., 0]
+
+
 def _polish(evaluate, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Projective least-squares Newton on an (n, 3) stack of unit points.
 
@@ -309,7 +331,7 @@ def _polish(evaluate, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         residuals[active] = np.hypot(values.real, values.imag).max(axis=1)
         if step == 4:
             break
-        steps = np.array([np.linalg.lstsq(jac, -val, rcond=None)[0] for jac, val in zip(jacobian, values)])
+        steps = _lstsq(jacobian, -values)
         p = points[active]
         steps -= p * (np.vecdot(p, steps) / np.vecdot(p, p))[:, None]
         moving = _norms(steps) >= 1e-15
@@ -416,15 +438,43 @@ def _evaluate_at(part: Sequence[tuple[tuple[int, int], float]], m, n):
     return total
 
 
-def _projective_roots(descending, zero: float) -> tuple[list, bool]:
-    """Finite roots of a polynomial given highest degree first, and whether it
-    has a root at infinity.  Coefficients are scaled by the largest |c|
-    (exactly, for exact c); leading ones with |c| <= zero are dropped."""
-    top = max(abs(c) for c in descending)
-    scaled = [c / top for c in descending]
-    lead = next(i for i, c in enumerate(scaled) if abs(c) > zero)
-    tail = [float(c) if isinstance(c, Fraction) else c for c in scaled[lead:]]
-    return (list(np.roots(tail)) if len(tail) > 1 else []), lead > 0
+def _projective_roots(polys: Sequence[Sequence], zero: float) -> list[tuple[list, bool]]:
+    """For each polynomial, given highest degree first, its finite roots and
+    whether it has a root at infinity.  Coefficients are scaled by the
+    largest |c| (exactly, for exact c); leading ones with |c| <= zero are
+    dropped.  The finite roots are np.roots's of the rest, to the bit and in
+    its dtype: each companion matrix is built as np.roots builds it (zeros
+    at either end stripped, the trailing ones appended as roots at 0; first
+    row -p[1:] / p[0] over a subdiagonal of ones), and np.linalg.eigvals
+    runs once per stack of one size and dtype."""
+    shapes, groups = [], {}  # per polynomial (trailing zeros, at infinity); stripped arrays by kind
+    for descending in polys:
+        top = max(abs(c) for c in descending)
+        scaled = [c / top for c in descending]
+        lead = next(i for i, c in enumerate(scaled) if abs(c) > zero)
+        tail = np.array([float(c) if isinstance(c, Fraction) else c for c in scaled[lead:]])
+        nonzero = np.flatnonzero(tail)
+        stripped = tail[nonzero[0]:nonzero[-1] + 1]
+        groups.setdefault((len(stripped), stripped.dtype), []).append((len(shapes), stripped))
+        shapes.append((len(tail) - 1 - nonzero[-1], lead > 0))
+    roots: list = [None] * len(shapes)
+    for (size, dtype), members in groups.items():
+        if size == 1:
+            found = [np.array([])] * len(members)
+        else:
+            stack = np.array([p for _, p in members])
+            companion = np.zeros((len(members), size - 1, size - 1), dtype)
+            below = np.arange(size - 2)
+            companion[:, below + 1, below] = 1
+            companion[:, 0, :] = -stack[:, 1:] / stack[:, :1]
+            # eigvals drops a real stack's imaginary parts only when all vanish;
+            # np.roots of one real polynomial does so when its own do
+            found = [w.real if dtype.kind == "f" and not w.imag.any() else w
+                     for w in np.linalg.eigvals(companion)]
+        for (i, _), r in zip(members, found):
+            roots[i] = r
+    return [(list(np.concatenate((r, np.zeros(trailing, r.dtype)))), at_infinity)
+            for r, (trailing, at_infinity) in zip(roots, shapes)]
 
 
 def _binary_form_root_pairs(res: MultiPoly) -> list[tuple[complex, complex]]:
@@ -432,7 +482,7 @@ def _binary_form_root_pairs(res: MultiPoly) -> list[tuple[complex, complex]]:
     coeffs = [Fraction(0)] * (res.total_degree() + 1)
     for e, c in res.terms.items():
         coeffs[e[0]] = c
-    finite, at_infinity = _projective_roots(coeffs[::-1], 0.0)
+    [(finite, at_infinity)] = _projective_roots([coeffs[::-1]], 0.0)
     return [(1.0 + 0.0j, 0.0 + 0.0j)] * at_infinity + [(complex(root), 1.0 + 0.0j) for root in finite]
 
 
@@ -468,7 +518,7 @@ def solve_secants(rows: Sequence[dict], den: int, tol: float, *,
         v_index = _elimination_variable(p, q, den)
         # p and q are den times the forms: a positive power of den scales the
         # resultant, and its root finding divides by the largest |c| exactly
-        res = resultant(MultiPoly(PAIR_VARS, p), MultiPoly(PAIR_VARS, q), PAIR_VARS[v_index])
+        res = resultant(p, q, PAIR_VARS[v_index], PAIR_VARS)
         if res.is_zero():
             continue
         if res.is_constant():
@@ -476,14 +526,17 @@ def solve_secants(rows: Sequence[dict], den: int, tol: float, *,
         # float(Fraction(c, den)) is c / den: both round the same rational once
         sources = [[[(e, c / den) for e, c in part.items()] for part in _coefficients_in(f, v_index)]
                    for f in (p, q)]
+        pairs, backs = [], []  # root pairs and the first nonzero back-substitution at each
         for m0, n0 in _binary_form_root_pairs(res):
             for source in sources:
                 values = [_evaluate_at(part, m0, n0) for part in source]
+                if not all(map(cmath.isfinite, values)):  # complex products overflow to inf
+                    raise OverflowError("a back-substitution value is not finite")
                 if any(values):
-                    finite, at_infinity = _projective_roots(values[::-1], 1e-12)
+                    pairs.append((m0, n0))
+                    backs.append(values[::-1])
                     break
-            else:
-                continue
+        for (m0, n0), (finite, at_infinity) in zip(pairs, _projective_roots(backs, 1e-12)):
             for v0 in finite:
                 point = [m0, n0]
                 point.insert(v_index, v0)
@@ -537,15 +590,22 @@ def solve_secants(rows: Sequence[dict], den: int, tol: float, *,
 
 
 def _on_curve(curve: CurveParam, u: Sequence[Fraction]) -> bool:
-    """Exact test for u proportional to some (possibly complex) curve point."""
+    """Exact test for u proportional to some (possibly complex) curve point.
+
+    The pencils F_i u_j - F_j u_i are formed from u and F, each scaled to
+    integers by its common denominator, which scales every pencil by one
+    positive integer: their common roots, and which vanish, stay the same."""
+    U = integer_row(u)
+    flat = integer_row([c for row in curve.F for c in row])
+    F = [flat[k:k + curve.d + 1] for k in range(0, len(flat), curve.d + 1)]
     common: UniPoly | None = None
     infinity = True
     for i, j in INDEX_PAIRS:
-        coeffs = [curve.F[i][k] * u[j] - curve.F[j][k] * u[i] for k in range(curve.d + 1)]
-        if all(c == 0 for c in coeffs):
+        coeffs = [F[i][k] * U[j] - F[j][k] * U[i] for k in range(curve.d + 1)]
+        if not any(coeffs):
             continue
         infinity = infinity and coeffs[0] == 0
-        poly = UniPoly(list(reversed(coeffs)))
+        poly = UniPoly(coeffs[::-1])
         common = poly if common is None else poly_gcd(common, poly)
         if common.degree == 0 and not infinity:
             return False
@@ -593,7 +653,10 @@ def classify_point(curve: CurveParam, u, tol: float = 1e-8, *, seed: int = 0) ->
         raise DegenerateQuery("query point lies on the curve")
     pm = plucker_map(curve)
     rows, den = secant_rows(pm, u)
-    solutions, nonreal = solve_secants(rows, den, tol, curve=curve, pm=pm, seed=seed)
+    try:
+        solutions, nonreal = solve_secants(rows, den, tol, curve=curve, pm=pm, seed=seed)
+    except OverflowError as exc:
+        raise FloatOverflow(f"the secant system at this point overflows double precision ({exc})") from exc
     witness = next((s for s in solutions
                     if s.contact == TWO_REAL_POINTS and s.line_norm > LINE_NORM_FLOOR), None)
     label = REAL_RANK_LE_2 if witness is not None else REAL_RANK_GE_3

@@ -9,9 +9,10 @@ final refined root is reported as a double.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
-from .exactsolve import as_fraction, content
+from .exactsolve import as_fraction, content, integer_row
 
 ISOLATION_WIDTH = Fraction(1, 2 ** 40)
 MAX_REFINE_STEPS = 60
@@ -123,12 +124,41 @@ class UniPoly:
         return -out if out.coeffs[-1] < 0 else out
 
 
+def _primitive(ints: list[int]) -> list[int]:
+    """The integers over their gcd, signs kept; [] stays []."""
+    g = gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _primitive_remainder(a: list[int], b: list[int]) -> list[int]:
+    """Primitive part of a pseudo-remainder of a by b (ascending integers,
+    nonzero leading b[-1]); [] when b divides a.  Each step scales the
+    remainder by lc(b) / g and subtracts lc(r) / g times the shifted b,
+    g = gcd(lc(r), lc(b)): a nonzero multiple of the remainder over Q."""
+    r = a
+    lead = b[-1]
+    while len(r) >= len(b):
+        g = gcd(r[-1], lead)
+        x, y = lead // g, r[-1] // g
+        shift = len(r) - len(b)
+        r = [x * c for c in r[:shift]] + [x * c - y * d for c, d in zip(r[shift:], b)]
+        while r and not r[-1]:
+            r.pop()
+    return _primitive(r)
+
+
 def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    a, b = p, q
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, (r.primitive() if not r.is_zero() else r)
-    return a.primitive() if not a.is_zero() else a
+    """The primitive gcd with positive leading coefficient (zero for two
+    zeros), by the primitive integer remainder sequence (Collins,
+    "Subresultants and reduced polynomial remainder sequences", JACM 1967):
+    both inputs are scaled to primitive integers and each pseudo-remainder
+    is cut to its primitive part, so the sequence runs on small integers."""
+    a, b = (_primitive(integer_row(f.coeffs)) for f in (p, q))
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive_remainder(a, b)
+    return UniPoly([-c for c in a] if a and a[-1] < 0 else a)
 
 
 def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:

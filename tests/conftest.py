@@ -1,6 +1,7 @@
 """Shared test plumbing: the acceptance criteria report, a polynomial
-substitution oracle, and the MultiPoly secant system that the integer
-pencil of space_curve is tested against.
+substitution oracle, the MultiPoly secant system that the integer
+pencil of space_curve is tested against, and the Fraction gcd and on-curve
+test that the integer ones are tested against.
 
 test_acceptance.py records one line per criterion; printing them from the
 terminal-summary hook keeps them visible under pytest's output capture.
@@ -12,6 +13,7 @@ import random
 from fractions import Fraction
 
 from realrank2.multipoly import MultiPoly
+from realrank2.unipoly import UniPoly
 
 acceptance_results: list[str] = []
 
@@ -83,3 +85,33 @@ def elimination_variable(p: MultiPoly, q: MultiPoly) -> str:
         in_p, in_q = coefficients_in(p, v), coefficients_in(q, v)
         return len(in_p) + len(in_q), sum(abs(float(c)) for c in in_p[-1].terms.values())
     return max(p.variables, key=score)
+
+
+def fraction_poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
+    """The Euclidean gcd over the rationals, in Fraction arithmetic, each
+    remainder made primitive; primitive with positive leading coefficient."""
+    a, b = p, q
+    while not b.is_zero():
+        _, r = a.divmod(b)
+        a, b = b, (r.primitive() if not r.is_zero() else r)
+    return a.primitive() if not a.is_zero() else a
+
+
+def fraction_on_curve(curve, u) -> bool:
+    """u proportional to some (possibly complex) curve point: the pencils
+    F_i u_j - F_j u_i, in Fraction arithmetic, share a root, or all vanish
+    at (s : t) = (1 : 0)."""
+    common = None
+    infinity = True
+    for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+        coeffs = [curve.F[i][k] * u[j] - curve.F[j][k] * u[i] for k in range(curve.d + 1)]
+        if all(c == 0 for c in coeffs):
+            continue
+        infinity = infinity and coeffs[0] == 0
+        poly = UniPoly(list(reversed(coeffs)))
+        common = poly if common is None else fraction_poly_gcd(common, poly)
+        if common.degree == 0 and not infinity:
+            return False
+    if common is None:
+        return True
+    return infinity or common.degree >= 1

@@ -342,6 +342,22 @@ def test_symmetric_tensor_too_large_to_expand_gets_no_verdict(capsys, tmp_path, 
                                     f"n^d = {n ** d} entries, more than 10000")
 
 
+@pytest.mark.parametrize("point, cause", [
+    ("1e250,2,3,5", "complex exponentiation"),
+    ("1e300,1,1,1", "complex exponentiation"),
+    ("1e308,1,2,3", "integer division result too large for a float"),
+    ("1,1e188,3,5", "a back-substitution value is not finite"),
+])
+def test_far_out_query_point_reports_float_overflow(capsys, point, cause):
+    """The secant system is exact, but its root finding runs in doubles: a
+    point this far out overflows there and gets a typed error, not a verdict."""
+    status, out, err = run_cli(capsys, "curve-classify", "--curve", "monomial-quartic", "--point", point)
+    assert status == 1
+    assert out == ""
+    assert err.splitlines()[-1] == ("error: FloatOverflow: the secant system at this point "
+                                    f"overflows double precision ({cause})")
+
+
 def test_repeated_main_calls_match_fresh_processes(capsys, conj_file):
     """One parser serves every main() call in a process: a usage error,
     --seed 0 (which main turns into None) and --format text leave nothing

@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import coefficients_in, elimination_variable, random_combination, secant_system, substitute
+from conftest import (coefficients_in, elimination_variable, fraction_on_curve, random_combination, secant_system,
+                      substitute)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -277,6 +278,77 @@ def test_polish_of_a_stack_equals_polish_of_each_candidate(d):
     assert empty_points.shape == (0, 3) and empty_residuals.shape == (0,)
 
 
+def _random_systems(rng: np.random.Generator, k: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """k complex r x 3 Jacobians with right-hand sides: every fourth of rank
+    at most 1, every fourth of rank 2, and every fourth with its smallest
+    singular value 1e-16..1e-15 of its largest, around lstsq's cutoff
+    eps * max(r, 3)."""
+    def normal(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    jacobians = normal(k, r, 3)
+    jacobians[::4] = normal(len(jacobians[::4]), r, 1) * normal(len(jacobians[::4]), 1, 3)
+    jacobians[1::4, :, 2] = jacobians[1::4, :, 0] - 2j * jacobians[1::4, :, 1]
+    for i, ratio in zip(range(2, k, 4), np.logspace(-16, -15, k)[::4]):
+        u, _, vh = np.linalg.svd(normal(r, 3))
+        sigma = np.ones(min(r, 3))
+        sigma[-1] = ratio
+        jacobians[i] = (u[:, :len(sigma)] * sigma) @ vh[:len(sigma)]
+    return jacobians, normal(k, r)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_stacked_lstsq_equals_lstsq_of_each_system_bit_for_bit(r):
+    """One gufunc call on the stack runs the same gelsd with the same cutoff
+    as np.linalg.lstsq on each system, rank-deficient ones included."""
+    jacobians, rhs = _random_systems(np.random.default_rng(r), 60, r)
+    each = np.array([np.linalg.lstsq(jac, b, rcond=None)[0] for jac, b in zip(jacobians, rhs)])
+    assert _same_bits(sc._lstsq(jacobians, rhs), each)
+    assert sc._lstsq(jacobians[:0], rhs[:0]).shape == (0, 3)
+
+
+def test_stacked_lstsq_raises_as_lstsq_does_on_nan():
+    jacobians, rhs = _random_systems(np.random.default_rng(7), 5, 4)
+    jacobians[3, 1, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError) as each:
+        np.linalg.lstsq(jacobians[3], rhs[3], rcond=None)
+    with pytest.raises(np.linalg.LinAlgError) as stacked:
+        sc._lstsq(jacobians, rhs)
+    assert str(stacked.value) == str(each.value)
+
+
+def _roots_cases(rng: np.random.Generator) -> list[list]:
+    """Real, complex and exact coefficient lists (highest degree first) with
+    real, complex and repeated roots, zeros at either end, tiny leading
+    coefficients (one that rounds to 0.0), and tails of degree 1 and 0,
+    shuffled."""
+    cases = []
+    for n in (1, 2, 3, 4, 5, 7):
+        for _ in range(4):
+            real = rng.standard_normal(n)
+            cases += [list(real), list(real + 1j * rng.standard_normal(n)),
+                      list(np.atleast_1d(np.poly(rng.standard_normal(n - 1))))]
+    cases += [[2.0, 0.0, 0.0], [0.0, 1.0, -3.0, 0.0], [1j, 0j], [0.0, 5.0], [1e-14, 1.0, 0.0, -7.0, 6.0],
+              [1e-13j, 2.0 + 1j, 3.0], [1.0, -2.0, 1.0], [Fraction(0), Fraction(3), Fraction(-7, 2)],
+              [Fraction(1, 10 ** 20), Fraction(1), Fraction(0)], [Fraction(1, 10 ** 400), Fraction(1), Fraction(-2)]]
+    return [cases[i] for i in rng.permutation(len(cases))]
+
+
+@pytest.mark.parametrize("zero", [0.0, 1e-12])
+def test_stacked_roots_equal_np_roots_of_each_tail_bit_for_bit(zero):
+    """Leading coefficients at or below the threshold are dropped (a root at
+    infinity), and the roots of the rest, found by one eigvals call per size
+    and dtype, are np.roots's: same dtype, same bytes."""
+    cases = _roots_cases(np.random.default_rng(11))
+    for (finite, at_infinity), p in zip(sc._projective_roots(cases, zero), cases):
+        top = max(abs(c) for c in p)
+        scaled = [c / top for c in p]
+        lead = next(i for i, c in enumerate(scaled) if abs(c) > zero)
+        want = np.roots([float(c) if isinstance(c, Fraction) else c for c in scaled[lead:]])
+        assert at_infinity == (lead > 0)
+        got = np.array(finite, dtype=want.dtype)
+        assert all(type(v) is want.dtype.type for v in finite) and _same_bits(got, want), p
+
+
 @pytest.mark.parametrize("leading", [0, 1, 2])
 def test_projective_roots_read_leading_zeros_as_a_root_at_infinity(leading):
     cubic = [1, 0, -7, 6]  # (x - 1)(x - 2)(x + 3)
@@ -285,16 +357,16 @@ def test_projective_roots_read_leading_zeros_as_a_root_at_infinity(leading):
         ([1e-14 * (i + 1) for i in range(leading)] + [complex(c) for c in cubic], 1e-12),
     ]
     for descending, zero in cases:
-        finite, at_infinity = sc._projective_roots(descending, zero)
+        [(finite, at_infinity)] = sc._projective_roots([descending], zero)
         assert at_infinity == (leading > 0)
         assert sorted(np.real(finite)) == pytest.approx([-3, 1, 2])
         assert np.abs(np.imag(finite)).max() < 1e-12
     # a tiny coefficient is a zero only up to the given threshold
-    finite, at_infinity = sc._projective_roots([Fraction(1, 10 ** 20)] + [Fraction(c) for c in cubic], 0.0)
+    [(finite, at_infinity)] = sc._projective_roots([[Fraction(1, 10 ** 20)] + [Fraction(c) for c in cubic]], 0.0)
     assert (len(finite), at_infinity) == (4, False)
-    finite, at_infinity = sc._projective_roots([1e-20, 1.0, 0.0, -7.0, 6.0], 1e-12)
+    [(finite, at_infinity)] = sc._projective_roots([[1e-20, 1.0, 0.0, -7.0, 6.0]], 1e-12)
     assert (len(finite), at_infinity) == (3, True)
-    assert sc._projective_roots([Fraction(0)] * leading + [Fraction(5)], 0.0) == ([], leading > 0)
+    assert sc._projective_roots([[Fraction(0)] * leading + [Fraction(5)]], 0.0) == [([], leading > 0)]
 
 
 @settings(max_examples=25, deadline=None)
@@ -417,6 +489,26 @@ def test_report_serialization():
     assert lines[0] == "t,min_discriminant,real_secants,two_real_point_secants"
     assert len(lines) == 4
     assert float(lines[1].split(",")[0]) == 0.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(3, 7), st.integers(0, 10 ** 6), st.sampled_from(["on", "at (1 : 0)", "at (0 : 1)", "off"]),
+       st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool),
+       st.fractions(min_value=-9, max_value=9, max_denominator=7))
+def test_on_curve_equals_fraction_oracle(d, curve_seed, where, scale, s):
+    """The integer pencils and integer gcd decide on-curve as the Fraction
+    pencils and Euclid do: on the curve (at (s : 1), (1 : 0) and (0 : 1),
+    scaled) and off it."""
+    rng = random.Random(curve_seed)
+    curve = _random_curve(rng, d)
+    if where == "off":
+        u = [_rational(rng) for _ in range(4)]
+    else:
+        st_pair = {"on": (s, 1), "at (1 : 0)": (1, 0), "at (0 : 1)": (0, 1)}[where]
+        u = [scale * c for c in curve.point(*map(Fraction, st_pair))]
+    assert sc._on_curve(curve, u) == fraction_on_curve(curve, u)
+    if where != "off":
+        assert sc._on_curve(curve, u)
 
 
 def test_degenerate_queries_raise():

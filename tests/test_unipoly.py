@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+from conftest import fraction_poly_gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,6 +49,30 @@ def test_gcd_divides_both_and_contains_common_factor(p, q, g):
     # ... and the planted common factor divides d
     if not g.is_zero():
         d.exact_div(g.primitive())
+
+
+rational_polys = st.lists(st.fractions(min_value=-12, max_value=12, max_denominator=6),
+                         min_size=0, max_size=6).map(UniPoly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_polys, rational_polys, rational_polys, st.booleans())
+def test_gcd_equals_fraction_euclid_oracle(p, q, g, planted):
+    """The integer remainder sequence gives the primitive gcd with positive
+    leading coefficient that the Fraction Euclid gives, on pairs that include
+    zero, constants and (when planted) a common factor g."""
+    if planted:
+        p, q = p * g, q * g
+    assert poly_gcd(p, q) == fraction_poly_gcd(p, q)
+    assert poly_gcd(q, p) == fraction_poly_gcd(p, q)
+
+
+def test_gcd_of_zeros_and_constants():
+    zero, three = UniPoly([]), UniPoly([Fraction(-3, 2)])
+    line = UniPoly([Fraction(2, 3), -2])
+    assert poly_gcd(zero, zero) == zero
+    assert poly_gcd(zero, line) == poly_gcd(line, zero) == UniPoly([-1, 3])
+    assert poly_gcd(three, line) == poly_gcd(zero, three) == UniPoly([1])
 
 
 def test_gcd_of_shifted_products():
