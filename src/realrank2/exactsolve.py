@@ -22,7 +22,9 @@ class Inconsistent(ValueError):
 
 
 class InexactDivision(ArithmeticError):
-    """A Bareiss step left a remainder: the rows were not all integers."""
+    """An integer division that must be exact left a remainder: a Bareiss
+    step on rows that were not all integers, or a polynomial division by a
+    non-divisor."""
 
 
 def as_fraction(value) -> Fraction:

@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ from numpy.linalg import _umath_linalg
 from .exactsolve import as_fraction, content, exact_rank, integer_row
 from .multipoly import MultiPoly, resultant
 from .tensors import num_json, read_scalar, read_sequence
-from .unipoly import UniPoly, poly_gcd, real_roots
+from .unipoly import poly_gcd, real_roots
 
 
 class BadCurve(ValueError):
@@ -598,20 +599,19 @@ def _on_curve(curve: CurveParam, u: Sequence[Fraction]) -> bool:
     U = integer_row(u)
     flat = integer_row([c for row in curve.F for c in row])
     F = [flat[k:k + curve.d + 1] for k in range(0, len(flat), curve.d + 1)]
-    common: UniPoly | None = None
+    common: list[int] = []
     infinity = True
     for i, j in INDEX_PAIRS:
         coeffs = [F[i][k] * U[j] - F[j][k] * U[i] for k in range(curve.d + 1)]
         if not any(coeffs):
             continue
         infinity = infinity and coeffs[0] == 0
-        poly = UniPoly(coeffs[::-1])
-        common = poly if common is None else poly_gcd(common, poly)
-        if common.degree == 0 and not infinity:
+        common = poly_gcd(common, coeffs[::-1])
+        if len(common) == 1 and not infinity:
             return False
-    if common is None:
+    if not common:
         return True  # u is proportional to every curve point difference: on a line curve
-    return infinity or common.degree >= 1
+    return infinity or len(common) > 1
 
 
 @dataclass(frozen=True)
@@ -751,18 +751,18 @@ def _bisect_change(curve: CurveParam, path, lo: Fraction, hi: Fraction,
     return float((lo + hi) / 2), None
 
 
-def _fixture_polynomial(poly: MultiPoly, path) -> UniPoly:
-    """The fixture restricted to the path: each POINT_VARS coordinate is c0 + c1 t."""
+def _fixture_polynomial(poly: MultiPoly, path) -> list[Fraction]:
+    """The fixture restricted to the path, ascending in t: each POINT_VARS
+    coordinate is c0 + c1 t."""
     if poly.variables != POINT_VARS:
         raise ValueError(f"fixture variables {poly.variables} are not {POINT_VARS}")
-    lines = [UniPoly([c0, c1]) for c0, c1 in path]
-    total = UniPoly([])
+    total: list[Fraction] = []
     for expo, coeff in poly.terms.items():
-        term = UniPoly([coeff])
-        for line, e in zip(lines, expo):
+        term = [coeff]
+        for (c0, c1), e in zip(path, expo):
             for _ in range(e):
-                term = term * line
-        total = total + term
+                term = [a * c0 + b * c1 for a, b in zip(term + [0], [0] + term)]
+        total = [a + b for a, b in zip_longest(total, term, fillvalue=0)]
     return total
 
 
@@ -790,7 +790,7 @@ def scan_path(curve: CurveParam, path, interval=(0, 1), nsamples: int = 21,
     fixture_roots: list[tuple[float, str]] = []
     for kind, poly in (fixtures or {}).items():
         along = _fixture_polynomial(poly, path)
-        if along.is_zero():
+        if not any(along):
             continue
         for root, _mult in real_roots(along, lo, hi, tol=1e-13):
             fixture_roots.append((root, kind))

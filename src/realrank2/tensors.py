@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isfinite
+from math import comb, isfinite, prod
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -138,7 +138,7 @@ def tensor(shape: Sequence[int], entries: Sequence) -> np.ndarray:
     if any(n < 1 for n in shape):
         raise ShapeMismatch(f"invalid shape {shape}")
     flat = read_scalars(entries)
-    expected = int(np.prod(shape))
+    expected = prod(shape)  # Python ints: np.prod wraps past int64
     if len(flat) != expected:
         raise ShapeMismatch(f"expected {expected} entries, got {len(flat)}")
     return np.array(flat, dtype=float if isinstance(flat[0], float) else object).reshape(shape)
@@ -344,17 +344,6 @@ def tensor_to_json(t: np.ndarray) -> dict:
 
 def tensor_from_json(payload: Mapping) -> np.ndarray:
     return tensor(*read_fields(payload, "shape", "entries"))
-
-
-def sym_to_json(f: SymTensorCoords) -> dict:
-    return {
-        "n": f.n,
-        "d": f.d,
-        "coeffs": {
-            ",".join(str(e) for e in u): num_json(v)
-            for u, v in sorted(f.coeffs.items(), reverse=True)
-        },
-    }
 
 
 def _coordinates_exceed(n: int, d: int, limit: int) -> bool:

@@ -1,127 +1,37 @@
-"""Univariate polynomials with exact Sturm-sequence real root isolation.
+"""Univariate integer polynomials with exact Sturm-sequence real root isolation.
 
-Coefficients are stored ascending by degree as Fractions.  Isolation runs in
-exact arithmetic (floats are converted to their exact binary rational value),
-so root counts and interval signs are never subject to rounding; only the
-final refined root is reported as a double.
+A polynomial is a list of integer coefficients, ascending by degree, and
+trimmed (no trailing zero; [] is zero) where a function says so.
+`real_roots` reads any exact coefficients (floats are read as their exact
+binary rational value) and scales them to integers once.  Every gcd,
+square-free part and Sturm chain comes from one primitive integer remainder
+sequence, and the sign of f at a rational interval end comes from integer
+Horner on the homogenized form, so root counts and interval signs are never
+subject to rounding; only the final refined root is reported as a double.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 from typing import Sequence
 
-from .exactsolve import as_fraction, content, integer_row
+from .exactsolve import InexactDivision, as_fraction, integer_row
 
 ISOLATION_WIDTH = Fraction(1, 2 ** 40)
 MAX_REFINE_STEPS = 60
 
 
-class UniPoly:
-    __slots__ = ("coeffs",)
+def _trimmed(coeffs: Sequence[int]) -> list[int]:
+    out = list(coeffs)
+    while out and not out[-1]:
+        out.pop()
+    return out
 
-    def __init__(self, coeffs: Sequence):
-        cs = [as_fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __call__(self, x):
-        if isinstance(x, float):
-            total = 0.0
-            for c in reversed(self.coeffs):
-                total = total * x + float(c)
-            return total
-        x = as_fraction(x)
-        total = Fraction(0)
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
-
-    def __eq__(self, other):
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"UniPoly({[str(c) for c in self.coeffs]})"
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
-
-    def __sub__(self, other):
-        return self + UniPoly([-c for c in other.coeffs])
-
-    def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if not isinstance(other, UniPoly):
-            c = as_fraction(other)
-            return UniPoly([c * v for v in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return UniPoly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dq = len(rem) - len(div)
-        if dq < 0:
-            return UniPoly([]), UniPoly(rem)
-        quot = [Fraction(0)] * (dq + 1)
-        inv_lead = 1 / div[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + len(div) - 1] * inv_lead
-            quot[k] = c
-            if c:
-                for j, d in enumerate(div):
-                    rem[k + j] -= c * d
-        return UniPoly(quot), UniPoly(rem[: len(div) - 1])
-
-    def exact_div(self, other: "UniPoly") -> "UniPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ArithmeticError("inexact univariate division")
-        return q
-
-    def scaled_by_positive_content(self) -> "UniPoly":
-        """Divide by the (positive) content; signs of all values preserved."""
-        if self.is_zero():
-            return self
-        return self * (1 / content(self.coeffs))
-
-    def primitive(self) -> "UniPoly":
-        """Content-one version with positive leading coefficient."""
-        if self.is_zero():
-            return self
-        out = self.scaled_by_positive_content()
-        return -out if out.coeffs[-1] < 0 else out
+def _derivative(p: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(p)][1:]
 
 
 def _primitive(ints: list[int]) -> list[int]:
@@ -130,11 +40,39 @@ def _primitive(ints: list[int]) -> list[int]:
     return [c // g for c in ints]
 
 
+def _positive(p: list[int]) -> list[int]:
+    """p, negated when its leading coefficient is negative."""
+    return [-c for c in p] if p and p[-1] < 0 else p
+
+
+def _exact_div(a: list[int], b: list[int]) -> list[int]:
+    """a / b for a primitive b that divides a over the rationals: by Gauss's
+    lemma the quotient has integer coefficients.  Raises InexactDivision
+    when b does not divide a."""
+    rem = list(a)
+    quot = [0] * (len(a) - len(b) + 1)
+    lead = b[-1]
+    for k in range(len(quot) - 1, -1, -1):
+        c, r = divmod(rem[k + len(b) - 1], lead)
+        if r:
+            raise InexactDivision("univariate division must be exact")
+        quot[k] = c
+        if c:
+            for j, d in enumerate(b):
+                rem[k + j] -= c * d
+    if any(rem[:len(b) - 1]):
+        raise InexactDivision("univariate division must be exact")
+    return quot
+
+
 def _primitive_remainder(a: list[int], b: list[int]) -> list[int]:
-    """Primitive part of a pseudo-remainder of a by b (ascending integers,
-    nonzero leading b[-1]); [] when b divides a.  Each step scales the
-    remainder by lc(b) / g and subtracts lc(r) / g times the shifted b,
-    g = gcd(lc(r), lc(b)): a nonzero multiple of the remainder over Q."""
+    """Primitive part of a positive multiple of the remainder of a by b
+    (trimmed ascending integers, b nonzero); [] when b divides a.  Each step
+    scales the remainder by |lc(b)| / g and subtracts sign(lc(b)) lc(r) / g
+    times the shifted b, g = gcd(lc(r), lc(b)): a positive factor times the
+    step of long division over Q, so the signs of a Sturm chain survive."""
+    if b[-1] < 0:
+        b = [-c for c in b]
     r = a
     lead = b[-1]
     while len(r) >= len(b):
@@ -147,74 +85,85 @@ def _primitive_remainder(a: list[int], b: list[int]) -> list[int]:
     return _primitive(r)
 
 
-def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """The primitive gcd with positive leading coefficient (zero for two
-    zeros), by the primitive integer remainder sequence (Collins,
-    "Subresultants and reduced polynomial remainder sequences", JACM 1967):
-    both inputs are scaled to primitive integers and each pseudo-remainder
-    is cut to its primitive part, so the sequence runs on small integers."""
-    a, b = (_primitive(integer_row(f.coeffs)) for f in (p, q))
+def poly_gcd(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    """The primitive gcd of two integer polynomials (ascending, trailing
+    zeros allowed) with positive leading coefficient, [] for two zeros, by
+    the primitive integer remainder sequence (Collins, "Subresultants and
+    reduced polynomial remainder sequences", JACM 1967): each
+    pseudo-remainder is cut to its primitive part, so the sequence runs on
+    small integers."""
+    a, b = _primitive(_trimmed(p)), _primitive(_trimmed(q))
     if len(a) < len(b):
         a, b = b, a
     while b:
         a, b = b, _primitive_remainder(a, b)
-    return UniPoly([-c for c in a] if a and a[-1] < 0 else a)
+    return _positive(a)
 
 
-def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Yun's algorithm: [(f_i, i)] with p proportional to the product f_i^i."""
-    p = p.primitive()
-    if p.degree < 1:
+def squarefree_decomposition(p: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's algorithm on a trimmed integer polynomial: [(f_i, i)] with p
+    proportional to the product f_i^i, each f_i primitive with positive
+    leading coefficient."""
+    p = _positive(_primitive(p))
+    if len(p) < 2:
         return []
-    dp = p.derivative()
+    dp = _derivative(p)
     a = poly_gcd(p, dp)
-    if a.degree == 0:
+    if len(a) == 1:
         return [(p, 1)]
-    b = p.exact_div(a)
-    c = dp.exact_div(a)
-    out: list[tuple[UniPoly, int]] = []
+    b = _exact_div(p, a)
+    c = _exact_div(dp, a)
+    out: list[tuple[list[int], int]] = []
     i = 1
-    while b.degree > 0:
-        d = c - b.derivative()
-        g = b.primitive() if d.is_zero() else poly_gcd(b, d)
-        if g.degree > 0:
+    while len(b) > 1:
+        d = [x - y for x, y in zip_longest(c, _derivative(b), fillvalue=0)]
+        g = poly_gcd(b, d)
+        if len(g) > 1:
             out.append((g, i))
-        b = b.exact_div(g)
-        c = UniPoly([]) if d.is_zero() else d.exact_div(g)
+        b = _exact_div(b, g)
+        c = _exact_div(d, g)
         i += 1
     return out
 
 
-def sturm_chain(p: UniPoly) -> list[UniPoly]:
-    """Sturm sequence of a squarefree p; positive rescaling only per element."""
-    chain = [p.scaled_by_positive_content()]
-    d = p.derivative()
-    if d.is_zero():
+def sturm_chain(p: list[int]) -> list[list[int]]:
+    """Sturm sequence of a trimmed squarefree p, each element cut to its
+    primitive part by a positive factor."""
+    chain = [_primitive(p)]
+    d = _derivative(p)
+    if not d:
         return chain
-    chain.append(d.scaled_by_positive_content())
-    while chain[-1].degree > 0:
-        _, rem = chain[-2].divmod(chain[-1])
-        if rem.is_zero():
+    chain.append(_primitive(d))
+    while len(chain[-1]) > 1:
+        rem = _primitive_remainder(chain[-2], chain[-1])
+        if not rem:
             break
-        chain.append((-rem).scaled_by_positive_content())
+        chain.append([-c for c in rem])
     return chain
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+def _sign_at(f: list[int], x: Fraction) -> int:
+    """Sign of f(x) for nonzero f: with x = n/d, d > 0, the sign of
+    d^deg f(x), the homogenized sum of f_i n^i d^(deg - i)."""
+    n, d = x.numerator, x.denominator
+    total, power = f[-1], 1
+    for c in f[-2::-1]:
+        power *= d
+        total = total * n + c * power
+    return (total > 0) - (total < 0)
 
 
-def _variations(chain: list[UniPoly], x: Fraction) -> int:
-    signs = [s for s in (_sign(f(x)) for f in chain) if s != 0]
+def _variations(chain: list[list[int]], x: Fraction) -> int:
+    signs = [s for s in (_sign_at(f, x) for f in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots_halfopen(chain: list[UniPoly], lo: Fraction, hi: Fraction) -> int:
+def count_roots_halfopen(chain: list[list[int]], lo: Fraction, hi: Fraction) -> int:
     """Distinct real roots in (lo, hi] of the squarefree chain head."""
     return _variations(chain, lo) - _variations(chain, hi)
 
 
-def _isolate(chain: list[UniPoly], lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+def _isolate(chain: list[list[int]], lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
     """Disjoint half-open intervals (a, b], each holding exactly one root.
 
     Sturm counts split an interval while it holds several roots or f(a) = 0.
@@ -233,8 +182,8 @@ def _isolate(chain: list[UniPoly], lo: Fraction, hi: Fraction) -> list[tuple[Fra
             out.append((a, b))
             continue
         mid = (a + b) / 2
-        if k == 1 and (sign_a := _sign(f(a))):
-            left = int(_sign(f(mid)) != sign_a)
+        if k == 1 and (sign_a := _sign_at(f, a)):
+            left = int(_sign_at(f, mid) != sign_a)
         else:
             left = count_roots_halfopen(chain, a, mid)
         stack.append((a, mid, left))
@@ -243,15 +192,22 @@ def _isolate(chain: list[UniPoly], lo: Fraction, hi: Fraction) -> list[tuple[Fra
     return out
 
 
-def _refine(f: UniPoly, chain: list[UniPoly], a: Fraction, b: Fraction, tol: float) -> float:
+def _horner(coeffs: list[float], x: float) -> float:
+    total = 0.0
+    for c in reversed(coeffs):
+        total = total * x + c
+    return total
+
+
+def _refine(f: list[int], chain: list[list[int]], a: Fraction, b: Fraction, tol: float) -> float:
     """Polish the single root of f inside (a, b]; exact signs guard Newton."""
-    if f(b) == 0:
+    if _sign_at(f, b) == 0:
         return float(b)
     guard = 0
-    while f(a) == 0:
+    while _sign_at(f, a) == 0:
         # rare: a coincides with a root outside this half-open interval
         mid = (a + b) / 2
-        if f(mid) == 0:
+        if _sign_at(f, mid) == 0:
             return float(mid)
         if count_roots_halfopen(chain, mid, b) == 1:
             a = mid
@@ -260,24 +216,25 @@ def _refine(f: UniPoly, chain: list[UniPoly], a: Fraction, b: Fraction, tol: flo
         guard += 1
         if guard > 200:
             return float((a + b) / 2)
-    sign_a = _sign(f(a))
-    scale = max(abs(c) for c in f.coeffs)
-    fn = UniPoly([c / scale for c in f.coeffs])
-    dfn = fn.derivative()
+    sign_a = _sign_at(f, a)
+    # each int / int rounds the exact ratio once, as float(Fraction) would
+    scale = max(abs(c) for c in f)
+    fn = [c / scale for c in f]
+    dfn = [(i * c) / scale for i, c in enumerate(f)][1:]
     x = float((a + b) / 2)
     for _ in range(MAX_REFINE_STEPS):
-        val = fn(x)
-        der = dfn(x)
+        val = _horner(fn, x)
+        der = _horner(dfn, x)
         if der == 0.0:
             break
         step = val / der
         nxt = x - step
         if not (float(a) <= nxt <= float(b)):
             mid = (a + b) / 2
-            v = f(mid)
+            v = _sign_at(f, mid)
             if v == 0:
                 return float(mid)
-            if _sign(v) == sign_a:
+            if v == sign_a:
                 a = mid
             else:
                 b = mid
@@ -289,34 +246,30 @@ def _refine(f: UniPoly, chain: list[UniPoly], a: Fraction, b: Fraction, tol: flo
     return x
 
 
-def real_roots(p: UniPoly | Sequence, lo, hi, tol: float = 1e-12) -> list[tuple[float, int]]:
-    """All real roots of p in [lo, hi] as (root, multiplicity), ascending.
+def real_roots(p: Sequence, lo, hi, tol: float = 1e-12) -> list[tuple[float, int]]:
+    """All real roots in [lo, hi] of the polynomial with exact ascending
+    coefficients p (ints, Fractions or floats), as (root, multiplicity),
+    ascending.
 
     Root counts and isolation come from exact Sturm sequences; every returned
     value is within max(tol, isolation width) of the exact root.
     """
-    if not isinstance(p, UniPoly):
-        p = UniPoly(p)
-    if p.is_zero():
+    p = _trimmed(integer_row(p))
+    if not p:
         raise ValueError("zero polynomial has every point as a root")
     lo = as_fraction(lo)
     hi = as_fraction(hi)
     if lo > hi:
         raise ValueError("empty interval")
-    if p.degree == 0:
-        return []
     found: list[tuple[float, int]] = []
-    for factor, mult in squarefree_decomposition(p):
-        if factor.degree < 1:
-            continue
-        f = factor
-        if f(lo) == 0:
+    for f, mult in squarefree_decomposition(p):
+        if _sign_at(f, lo) == 0:
             found.append((float(lo), mult))
-            f = f.exact_div(UniPoly([-lo, 1]))
-        if hi != lo and not f.is_zero() and f.degree > 0 and f(hi) == 0:
+            f = _exact_div(f, [-lo.numerator, lo.denominator])
+        if hi != lo and len(f) > 1 and _sign_at(f, hi) == 0:
             found.append((float(hi), mult))
-            f = f.exact_div(UniPoly([-hi, 1]))
-        if f.degree < 1:
+            f = _exact_div(f, [-hi.numerator, hi.denominator])
+        if len(f) < 2:
             continue
         chain = sturm_chain(f)
         for a, b in _isolate(chain, lo, hi):

@@ -1,7 +1,8 @@
 """Shared test plumbing: the acceptance criteria report, a polynomial
 substitution oracle, the MultiPoly secant system that the integer
-pencil of space_curve is tested against, and the Fraction gcd and on-curve
-test that the integer ones are tested against.
+pencil of space_curve is tested against, and the univariate Fraction
+arithmetic (gcd, Sturm chain, square-free factors, on-curve test) that the
+integer remainder sequence of unipoly is tested against.
 
 test_acceptance.py records one line per criterion; printing them from the
 terminal-summary hook keeps them visible under pytest's output capture.
@@ -12,8 +13,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from realrank2.exactsolve import content
 from realrank2.multipoly import MultiPoly
-from realrank2.unipoly import UniPoly
 
 acceptance_results: list[str] = []
 
@@ -87,14 +88,87 @@ def elimination_variable(p: MultiPoly, q: MultiPoly) -> str:
     return max(p.variables, key=score)
 
 
-def fraction_poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
+def fraction_trim(p) -> list[Fraction]:
+    """Ascending Fraction coefficients with trailing zeros dropped."""
+    out = [Fraction(c) for c in p]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def fraction_mul(p, q) -> list[Fraction]:
+    if not p or not q:
+        return []
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return fraction_trim(out)
+
+
+def fraction_divmod(a, b) -> tuple[list[Fraction], list[Fraction]]:
+    """Long division over Q of trimmed lists, b nonzero: (quotient, remainder)."""
+    rem, quot = [Fraction(c) for c in a], [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        quot[k] = rem[k + len(b) - 1] / b[-1]
+        for j, d in enumerate(b):
+            rem[k + j] -= quot[k] * d
+    return fraction_trim(quot), fraction_trim(rem[:len(b) - 1])
+
+
+def fraction_primitive(p) -> list[Fraction]:
+    """p over its content, with positive leading coefficient; [] stays []."""
+    if not p:
+        return []
+    scale = content(p) if p[-1] > 0 else -content(p)
+    return [c / scale for c in p]
+
+
+def fraction_derivative(p) -> list[Fraction]:
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def fraction_poly_gcd(p, q) -> list[Fraction]:
     """The Euclidean gcd over the rationals, in Fraction arithmetic, each
     remainder made primitive; primitive with positive leading coefficient."""
-    a, b = p, q
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, (r.primitive() if not r.is_zero() else r)
-    return a.primitive() if not a.is_zero() else a
+    a, b = fraction_trim(p), fraction_trim(q)
+    while b:
+        a, b = b, fraction_primitive(fraction_divmod(a, b)[1])
+    return fraction_primitive(a)
+
+
+def fraction_sturm_chain(p) -> list[list[Fraction]]:
+    """The Sturm sequence of a trimmed p over Q: p, p', then each negated
+    remainder, unscaled, until a constant or a zero remainder."""
+    chain = [list(p)]
+    if len(p) > 1:
+        chain.append(fraction_derivative(p))
+    while len(chain) > 1 and len(chain[-1]) > 1:
+        rem = fraction_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    return chain
+
+
+def fraction_squarefree(p) -> list[tuple[list[Fraction], int]]:
+    """Square-free factors by repeated gcds (Musser's algorithm, not Yun's):
+    with a = gcd(p, p') and b = p / a, each gcd(a, b) strips one power."""
+    p = fraction_primitive(fraction_trim(p))
+    if len(p) < 2:
+        return []
+    a = fraction_poly_gcd(p, fraction_derivative(p))
+    b = fraction_divmod(p, a)[0]
+    out, i = [], 1
+    while len(b) > 1:
+        c = fraction_poly_gcd(a, b)
+        factor = fraction_primitive(fraction_divmod(b, c)[0])
+        if len(factor) > 1:
+            out.append((factor, i))
+        a = fraction_divmod(a, c)[0]
+        b = c
+        i += 1
+    return out
 
 
 def fraction_on_curve(curve, u) -> bool:
@@ -108,10 +182,10 @@ def fraction_on_curve(curve, u) -> bool:
         if all(c == 0 for c in coeffs):
             continue
         infinity = infinity and coeffs[0] == 0
-        poly = UniPoly(list(reversed(coeffs)))
+        poly = fraction_trim(reversed(coeffs))
         common = poly if common is None else fraction_poly_gcd(common, poly)
-        if common.degree == 0 and not infinity:
+        if len(common) == 1 and not infinity:
             return False
     if common is None:
         return True
-    return infinity or common.degree >= 1
+    return infinity or len(common) > 1

@@ -307,6 +307,16 @@ def test_malformed_tensor_curve_and_path_input_gets_no_verdict(tmp_path, capsys,
     assert err.splitlines()[-1].startswith("error: MalformedEntry")
 
 
+def test_shape_whose_entry_count_wraps_int64_gets_shape_mismatch(capsys, tmp_path):
+    # 2^32 * 2^32 is 0 in int64 arithmetic, which matched the empty entry list
+    path = tmp_path / "t.json"
+    path.write_text('{"shape": [4294967296, 4294967296, 1], "entries": []}')
+    status, out, err = run_cli(capsys, "certify", "--file", str(path))
+    assert status == 1
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: ShapeMismatch")
+
+
 def test_symmetric_file_asking_for_too_many_coordinates_gets_no_verdict(capsys, tmp_path):
     path = tmp_path / "sym.json"
     path.write_text('{"n": 2, "d": 100000, "coeffs": {"100000,0": 1}}')

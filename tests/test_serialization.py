@@ -82,15 +82,6 @@ def test_tensor_to_json_entries():
         '{"shape": [2, 2], "entries": [1.0, -2.5, 1e-300, 3.0]}')
 
 
-def test_sym_to_json():
-    exact = tn.SymTensorCoords(2, 2, {(2, 0): Fraction(1, 3), (1, 1): 2, (0, 2): Fraction(-5)})
-    assert json.dumps(tn.sym_to_json(exact)) == (
-        '{"n": 2, "d": 2, "coeffs": {"2,0": "1/3", "1,1": 2, "0,2": "-5"}}')
-    floats = tn.SymTensorCoords(2, 2, {(2, 0): 0.1, (1, 1): -2.0, (0, 2): np.float64(0.7)})
-    assert json.dumps(tn.sym_to_json(floats)) == (
-        '{"n": 2, "d": 2, "coeffs": {"2,0": 0.1, "1,1": -2.0, "0,2": 0.7}}')
-
-
 def test_rank_one_term_json():
     real = dc.RankOneTerm(2.5, [np.array([0.6, 0.8]), np.array([1.0, 0.0])])
     assert json.dumps(real.to_json()) == '{"weight": 2.5, "factors": [[0.6, 0.8], [1.0, 0.0]]}'

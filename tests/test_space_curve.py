@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import (coefficients_in, elimination_variable, fraction_on_curve, random_combination, secant_system,
-                      substitute)
+from conftest import (coefficients_in, elimination_variable, fraction_on_curve, fraction_trim, random_combination,
+                      secant_system, substitute)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +18,7 @@ from realrank2 import hyperdet as hd
 from realrank2 import space_curve as sc
 from realrank2.multipoly import MultiPoly
 from realrank2.tensors import NonFiniteEntry
-from realrank2.unipoly import UniPoly, real_roots
+from realrank2.unipoly import real_roots
 
 QUARTIC = sc.MONOMIAL_QUARTIC
 TWISTED_CUBIC = sc.CurveParam(3, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
@@ -617,12 +617,12 @@ def test_scan_argument_guards():
         sc.scan_path(QUARTIC, sc.CROSSING_PATH, interval=(1, 0))
 
 
-def restricted_by_substitution(poly: MultiPoly, path) -> UniPoly:
+def restricted_by_substitution(poly: MultiPoly, path) -> list[Fraction]:
     """The fixture along the path by substituting c0 + c1 t in MultiPoly arithmetic."""
     t = MultiPoly.variable("t", ("t",))
     replacements = {v: t * c1 + c0 for v, (c0, c1) in zip(sc.POINT_VARS, path)}
     along = substitute(poly, replacements, ("t",))
-    return UniPoly([part.constant_value() for part in coefficients_in(along, "t")])
+    return fraction_trim(part.constant_value() for part in coefficients_in(along, "t"))
 
 
 def test_fixture_polynomial_equals_substitution_oracle():
@@ -633,7 +633,7 @@ def test_fixture_polynomial_equals_substitution_oracle():
               for _ in range(50)]
     for path in paths:
         for poly in sc.MONOMIAL_QUARTIC_FIXTURES.values():
-            assert sc._fixture_polynomial(poly, path) == restricted_by_substitution(poly, path)
+            assert fraction_trim(sc._fixture_polynomial(poly, path)) == restricted_by_substitution(poly, path)
 
 
 def test_fixture_polynomial_needs_point_variables():
