@@ -1,11 +1,10 @@
 """Exact rational linear algebra via fraction-free (Bareiss) elimination:
-ranks, integer determinants and solutions of linear systems.
+ranks and solutions of linear systems.
 
 Rows are rescaled to integers once, then eliminated with the Bareiss update,
 whose division by the previous pivot is exact over the integers.  This keeps
-intermediate entries as single determinants instead of products of pivots,
-and the last pivot of a square matrix is its determinant up to the sign of
-the row swaps.  This is the package's bottom exact layer: the rational
+intermediate entries as single determinants instead of products of pivots.
+This is the package's bottom exact layer: the rational
 coercion and content helpers live here too.
 """
 
@@ -60,16 +59,15 @@ def integer_row(row: Sequence) -> list[int]:
     return [int(f * den) for f in fracs]
 
 
-def _echelon(mat: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int], int]:
+def _echelon(mat: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
     """Bareiss forward elimination on the leading ncols columns.
 
-    Returns the eliminated matrix (trailing columns carried along), the
-    pivot column list and the sign of the row swaps made.
+    Returns the eliminated matrix (trailing columns carried along) and the
+    pivot column list.
     """
     m = len(mat)
     width = len(mat[0]) if m else 0
     pivots: list[int] = []
-    sign = 1
     r = 0
     prev = 1
     for c in range(ncols):
@@ -78,7 +76,6 @@ def _echelon(mat: list[list[int]], ncols: int) -> tuple[list[list[int]], list[in
             continue
         if pivot_row != r:
             mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-            sign = -sign
         for i in range(r + 1, m):
             if not any(mat[i][c:]):
                 continue
@@ -98,7 +95,7 @@ def _echelon(mat: list[list[int]], ncols: int) -> tuple[list[list[int]], list[in
         r += 1
         if r == m:
             break
-    return mat, pivots, sign
+    return mat, pivots
 
 
 def exact_rank(rows: Sequence[Sequence]) -> int:
@@ -106,18 +103,8 @@ def exact_rank(rows: Sequence[Sequence]) -> int:
     mat = [integer_row(row) for row in rows]
     if not mat or not mat[0]:
         return 0
-    _, pivots, _ = _echelon(mat, len(mat[0]))
+    _, pivots = _echelon(mat, len(mat[0]))
     return len(pivots)
-
-
-def integer_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix: its last Bareiss pivot with
-    the sign of the row swaps, 0 when a column has no pivot, 1 when empty."""
-    n = len(rows)
-    mat, pivots, sign = _echelon([list(row) for row in rows], n)
-    if len(pivots) < n:
-        return 0
-    return sign * mat[-1][-1] if n else 1
 
 
 def solve_exact(a_rows: Sequence[Sequence], b: Sequence) -> tuple[list[Fraction], list[list[Fraction]]]:
@@ -132,7 +119,7 @@ def solve_exact(a_rows: Sequence[Sequence], b: Sequence) -> tuple[list[Fraction]
     if any(len(row) != n for row in a_rows) or len(b) != m:
         raise ValueError("inconsistent system dimensions")
     aug = [integer_row(list(row) + [rhs]) for row, rhs in zip(a_rows, b)]
-    aug, pivots, _ = _echelon(aug, n)
+    aug, pivots = _echelon(aug, n)
     rank = len(pivots)
     for i in range(rank, m):
         if all(v == 0 for v in aug[i][:n]) and aug[i][n] != 0:

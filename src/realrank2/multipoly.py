@@ -9,10 +9,12 @@ extraction and therefore every piece of symbolic output in the package.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
 from typing import Mapping, Sequence, Union
 
-from .exactsolve import as_fraction, content, integer_det
+from .exactsolve import as_fraction, content
+from .unipoly import _exact_div, _trimmed
 
 Scalar = Union[int, Fraction]
 
@@ -313,25 +315,76 @@ class NotForms(ValueError):
     most three of them, one the eliminated variable."""
 
 
-def _horner(ascending: list[int], x: int) -> int:
-    value = 0
-    for c in reversed(ascending):
-        value = value * x + c
-    return value
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two trimmed ascending integer lists, trimmed."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+    return out
 
 
-def resultant(p, q, var: str, variables: Sequence[str] | None = None) -> MultiPoly:
-    """Sylvester resultant of two forms eliminating `var`, exact.
+def _add(a: list[int], b: list[int]) -> list[int]:
+    """a + b for ascending integer lists, trimmed."""
+    return _trimmed([x + y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _sub(a: list[int], b: list[int]) -> list[int]:
+    """a - b for ascending integer lists, trimmed."""
+    return _trimmed([x - y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _det(rows: list[list[list[int]]]) -> list[int]:
+    """Determinant of a square matrix over Z[x] (entries trimmed ascending
+    integer lists), by one Bareiss elimination: each update divides by the
+    previous pivot with `unipoly._exact_div`, which raises InexactDivision
+    on a remainder; [1] when empty, [] when zero."""
+    n = len(rows)
+    work = [list(row) for row in rows]
+    sign, prev = 1, [1]
+    for k in range(n - 1):
+        pivot_row = next((i for i in range(k, n) if work[i][k]), None)
+        if pivot_row is None:
+            return []
+        if pivot_row != k:
+            work[k], work[pivot_row] = work[pivot_row], work[k]
+            sign = -sign
+        pivot = work[k][k]
+        for i in range(k + 1, n):
+            lead = work[i][k]
+            for j in range(k + 1, n):
+                num = _sub(_mul(pivot, work[i][j]), _mul(lead, work[k][j]))
+                work[i][j] = num if k == 0 else _exact_div(num, prev)
+        prev = pivot
+    det = work[-1][-1] if n else [1]
+    return det if sign == 1 else [-c for c in det]
+
+
+def resultant(p, q, var: str, variables: Sequence[str] | None = None) -> list[int]:
+    """Resultant of two forms eliminating `var`, exact, as ascending ints.
 
     p and q are MultiPolys or, given their `variables`, maps from exponent
-    vectors to int or Fraction coefficients, which are read as they are.
-    With m, n the degrees in `var` and t_p, t_q the total degrees, the
-    resultant is a form of degree D = (t_p - m) n + (t_q - n) m + m n in the
-    remaining variables.  Scaled by Lp^n Lq^m (L the lcm of each input's
-    denominators, 1 for integer forms) it has integer coefficients, so it is
-    the Newton interpolant of the integer Sylvester determinants at (x, 1)
-    for x = 0..D, each taken by `exactsolve.integer_det`.  With one
-    remaining variable or none, the value at 1 is its only coefficient.
+    vectors to int or Fraction coefficients.  Each is first scaled to
+    integer coefficients by the lcm L of its denominators (1 for integer
+    forms), so with m, n the degrees in `var` the result is Lp^n Lq^m times
+    the resultant: a form of degree D = (t_p - m) n + (t_q - n) m + m n in
+    the remaining variables, t_p and t_q the total degrees.  It comes back
+    as D + 1 ints, entry j the coefficient of the terms of degree j in the
+    first remaining variable: with two left, (x, y), of x^j y^(D - j); with
+    one, only entry D can be nonzero; with none, the resultant is 0 unless
+    D is 0.
+
+    The kernel is the Cayley-Bezout form (Cox, Little and O'Shea, *Using
+    Algebraic Geometry*, ch. 3).  With y set to 1 each coefficient of p and
+    q in `var` is an integer polynomial in x; the form of lower degree is
+    padded to k = max(m, n), the k x k Bezout matrix of
+    (p(s) q(t) - p(t) q(s)) / (s - t) is taken over Z[x] by one Bareiss
+    elimination, and Res_{k,k} = (-1)^(k(k-1)/2) det(Bez), which is
+    lc^(k - min(m, n)) Res_{m,n} for lc the leading coefficient of the
+    form of higher degree.
     """
     if variables is None:
         # MultiPolys in different variables fail the test below as no variables
@@ -351,31 +404,27 @@ def resultant(p, q, var: str, variables: Sequence[str] | None = None) -> MultiPo
         coeffs = [[0] * (total + 1) for _ in range(max(e[k] for e in f) + 1)]
         for e, c in f.items():
             coeffs[e[k]][0 if x_at is None else e[x_at]] += c.numerator * (den // c.denominator)
-        slices.append((coeffs, total, den))
-    (cp, tp, lp), (cq, tq, lq) = slices
+        slices.append(([_trimmed(c) for c in coeffs], total))
+    (cp, tp), (cq, tq) = slices
     m, n = len(cp) - 1, len(cq) - 1
     degree = (tp - m) * n + (tq - n) * m + m * n
-
-    def sylvester_det(x: int) -> int:
-        desc_p = [_horner(c, x) for c in reversed(cp)]
-        desc_q = [_horner(c, x) for c in reversed(cq)]
-        rows = [[0] * s + desc_p + [0] * (n - 1 - s) for s in range(n)]
-        rows += [[0] * s + desc_q + [0] * (m - 1 - s) for s in range(m)]
-        return integer_det(rows)
-
-    den = lp ** n * lq ** m
+    # Res_{m,n}(p, q) = (-1)^(mn) Res_{n,m}(q, p): put the higher degree first
+    swaps = m * n if m < n else 0
+    if m < n:
+        cp, cq, m, n = cq, cp, n, m
+    cq = cq + [[]] * (m - n)
+    bezout = [[[] for _ in range(m)] for _ in range(m)]
+    for a in range(1, m + 1):
+        for b in range(a):
+            c = _sub(_mul(cp[a], cq[b]), _mul(cp[b], cq[a]))
+            # (s^a t^b - s^b t^a) / (s - t) is the sum of s^(b+r) t^(a-1-r), r < a - b
+            for r in range(a - b if c else 0):
+                bezout[b + r][a - 1 - r] = _add(bezout[b + r][a - 1 - r], c)
+    res = _det(bezout)
+    for _ in range(m - n):  # the padding factor lc^(m - n)
+        res = _exact_div(res, cp[m])
+    if (swaps + m * (m - 1) // 2) % 2:
+        res = [-c for c in res]
     if x_at is None:
-        value = sylvester_det(1)
-        terms = {(degree,) * len(rest): Fraction(value, den)} if value else {}
-        return MultiPoly(rest, terms)
-    # divided differences on the nodes 0..D stay integers for an integer polynomial
-    newton = [sylvester_det(x) for x in range(degree + 1)]
-    for order in range(1, degree + 1):
-        for i in range(degree, order - 1, -1):
-            newton[i] = (newton[i] - newton[i - 1]) // order
-    mono = [newton[degree]] + [0] * degree
-    for node in range(degree - 1, -1, -1):
-        for j in range(degree, 0, -1):
-            mono[j] = mono[j - 1] - node * mono[j]
-        mono[0] = newton[node] - node * mono[0]
-    return MultiPoly(rest, {(j, degree - j): Fraction(c, den) for j, c in enumerate(mono) if c})
+        res = [0] * degree + res
+    return res + [0] * (degree + 1 - len(res))

@@ -91,10 +91,17 @@ class CurveParam:
     """Rational curve (s : t) -> (F0 : F1 : F2 : F3) of degree d in 3-space.
 
     Row k of F lists the coefficients of F_k on s^d, s^{d-1} t, ..., t^d.
+    F_float and F_complex hold its rows cast once, which is what casting
+    each coefficient at every point gives (complex(Fraction) is
+    complex(float(Fraction))); F_int holds the rows scaled to integers by
+    the common denominator of all of F.
     """
 
     d: int
     F: tuple[tuple[Fraction, ...], ...]
+    F_float: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+    F_complex: tuple[tuple[complex, ...], ...] = field(init=False, repr=False, compare=False)
+    F_int: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -105,17 +112,22 @@ class CurveParam:
         object.__setattr__(self, "F", rows)
         if exact_rank(rows) != 4:
             raise BadCurve("coefficient matrix must have rank 4 to span 3-space")
+        flat = integer_row([c for row in rows for c in row])
+        object.__setattr__(self, "F_float", tuple(tuple(map(float, row)) for row in rows))
+        object.__setattr__(self, "F_complex", tuple(tuple(map(complex, row)) for row in rows))
+        object.__setattr__(self, "F_int", tuple(
+            tuple(flat[k:k + self.d + 1]) for k in range(0, len(flat), self.d + 1)))
 
     def point(self, s, t):
         """Image of the parameter value (s : t) as an unnormalized 4-vector."""
         if isinstance(s, (int, Fraction)) and isinstance(t, (int, Fraction)):
-            cast = as_fraction
+            rows = self.F
         elif isinstance(s, complex) or isinstance(t, complex):
-            cast = complex
+            rows = self.F_complex
         else:
-            cast = float
+            rows = self.F_float
         powers = [s ** (self.d - k) * t ** k for k in range(self.d + 1)]
-        return [sum(cast(c) * p for c, p in zip(row, powers)) for row in self.F]
+        return [sum(c * p for c, p in zip(row, powers)) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -442,7 +454,8 @@ def _evaluate_at(part: Sequence[tuple[tuple[int, int], float]], m, n):
 def _projective_roots(polys: Sequence[Sequence], zero: float) -> list[tuple[list, bool]]:
     """For each polynomial, given highest degree first, its finite roots and
     whether it has a root at infinity.  Coefficients are scaled by the
-    largest |c| (exactly, for exact c); leading ones with |c| <= zero are
+    largest |c| (each int c / top rounds the exact ratio once, as
+    float(Fraction(c, top)) does); leading ones with |c| <= zero are
     dropped.  The finite roots are np.roots's of the rest, to the bit and in
     its dtype: each companion matrix is built as np.roots builds it (zeros
     at either end stripped, the trailing ones appended as roots at 0; first
@@ -453,7 +466,7 @@ def _projective_roots(polys: Sequence[Sequence], zero: float) -> list[tuple[list
         top = max(abs(c) for c in descending)
         scaled = [c / top for c in descending]
         lead = next(i for i, c in enumerate(scaled) if abs(c) > zero)
-        tail = np.array([float(c) if isinstance(c, Fraction) else c for c in scaled[lead:]])
+        tail = np.array(scaled[lead:])
         nonzero = np.flatnonzero(tail)
         stripped = tail[nonzero[0]:nonzero[-1] + 1]
         groups.setdefault((len(stripped), stripped.dtype), []).append((len(shapes), stripped))
@@ -478,12 +491,11 @@ def _projective_roots(polys: Sequence[Sequence], zero: float) -> list[tuple[list
             for r, (trailing, at_infinity) in zip(roots, shapes)]
 
 
-def _binary_form_root_pairs(res: MultiPoly) -> list[tuple[complex, complex]]:
-    """Projective roots of a binary form, as (value of var1, value of var2)."""
-    coeffs = [Fraction(0)] * (res.total_degree() + 1)
-    for e, c in res.terms.items():
-        coeffs[e[0]] = c
-    [(finite, at_infinity)] = _projective_roots([coeffs[::-1]], 0.0)
+def _binary_form_root_pairs(res: list[int]) -> list[tuple[complex, complex]]:
+    """Projective roots of a binary form of degree D, given as D + 1 ints
+    ascending in var1 (entry j on var1^j var2^(D - j)), as (value of var1,
+    value of var2)."""
+    [(finite, at_infinity)] = _projective_roots([res[::-1]], 0.0)
     return [(1.0 + 0.0j, 0.0 + 0.0j)] * at_infinity + [(complex(root), 1.0 + 0.0j) for root in finite]
 
 
@@ -518,12 +530,12 @@ def solve_secants(rows: Sequence[dict], den: int, tol: float, *,
             continue
         v_index = _elimination_variable(p, q, den)
         # p and q are den times the forms: a positive power of den scales the
-        # resultant, and its root finding divides by the largest |c| exactly
+        # resultant, and cancels in each c / max|c| its root finding rounds once
         res = resultant(p, q, PAIR_VARS[v_index], PAIR_VARS)
-        if res.is_zero():
+        if not any(res):
             continue
-        if res.is_constant():
-            break  # no solutions away from the unit points
+        if len(res) == 1:
+            break  # a nonzero constant: no solutions away from the unit points
         # float(Fraction(c, den)) is c / den: both round the same rational once
         sources = [[[(e, c / den) for e, c in part.items()] for part in _coefficients_in(f, v_index)]
                    for f in (p, q)]
@@ -597,8 +609,7 @@ def _on_curve(curve: CurveParam, u: Sequence[Fraction]) -> bool:
     integers by its common denominator, which scales every pencil by one
     positive integer: their common roots, and which vanish, stay the same."""
     U = integer_row(u)
-    flat = integer_row([c for row in curve.F for c in row])
-    F = [flat[k:k + curve.d + 1] for k in range(0, len(flat), curve.d + 1)]
+    F = curve.F_int
     common: list[int] = []
     infinity = True
     for i, j in INDEX_PAIRS:

@@ -1,8 +1,10 @@
 """Shared test plumbing: the acceptance criteria report, a polynomial
-substitution oracle, the MultiPoly secant system that the integer
-pencil of space_curve is tested against, and the univariate Fraction
-arithmetic (gcd, Sturm chain, square-free factors, on-curve test) that the
-integer remainder sequence of unipoly is tested against.
+substitution oracle, the cofactor determinant and the Sylvester resultant
+that the Bareiss and Bezout kernels of multipoly are tested against, the
+MultiPoly secant system that the integer pencil of space_curve is tested
+against, and the univariate Fraction arithmetic (gcd, Sturm chain,
+square-free factors, on-curve test) that the integer remainder sequence of
+unipoly is tested against.
 
 test_acceptance.py records one line per criterion; printing them from the
 terminal-summary hook keeps them visible under pytest's output capture.
@@ -14,7 +16,7 @@ import random
 from fractions import Fraction
 
 from realrank2.exactsolve import content
-from realrank2.multipoly import MultiPoly
+from realrank2.multipoly import MultiPoly, det_bareiss
 
 acceptance_results: list[str] = []
 
@@ -53,6 +55,36 @@ def coefficients_in(poly: MultiPoly, var: str) -> list[MultiPoly]:
         reduced = tuple(e for i, e in enumerate(expo) if i != k)
         buckets[expo[k]][reduced] = coeff
     return [MultiPoly(rest, b) for b in buckets]
+
+
+def cofactor_det(rows):
+    """Laplace expansion along the first row, in the entries' own exact
+    arithmetic (ints, Fractions or MultiPolys); 1 when empty."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * cofactor_det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j, x in enumerate(rows[0]))
+
+
+def sylvester_resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
+    """The Sylvester determinant with MultiPoly entries: the resultant of
+    two polynomials eliminating var, over the remaining variables."""
+    cp = coefficients_in(p, var)
+    cq = coefficients_in(q, var)
+    while len(cp) > 1 and cp[-1].is_zero():
+        cp.pop()
+    while len(cq) > 1 and cq[-1].is_zero():
+        cq.pop()
+    m, n = len(cp) - 1, len(cq) - 1
+    if m == 0:
+        return cp[0] ** n
+    if n == 0:
+        return cq[0] ** m
+    size = m + n
+    zero = cp[0].zero_like()
+    rows = [[zero] * s + cp[::-1] + [zero] * (size - m - 1 - s) for s in range(n)]
+    rows += [[zero] * s + cq[::-1] + [zero] * (size - n - 1 - s) for s in range(m)]
+    return det_bareiss(rows)
 
 
 def secant_system(pm, u) -> list[MultiPoly]:

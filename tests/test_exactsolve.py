@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import realrank2
-from realrank2.exactsolve import Inconsistent, _echelon, exact_rank, integer_det, solve_exact
+from realrank2.exactsolve import Inconsistent, _echelon, exact_rank, solve_exact
 
 dims = st.tuples(st.integers(1, 5), st.integers(1, 5))
 
@@ -60,40 +60,6 @@ def test_exact_rank_of_integer_rows_equals_rank_as_fractions(rows, data):
     assert rows == before  # elimination works on copies
 
 
-def cofactor_det(rows) -> Fraction:
-    """Laplace expansion along the first row, in Fractions."""
-    if not rows:
-        return Fraction(1)
-    return sum((-1) ** j * Fraction(x) * cofactor_det([row[:j] + row[j + 1:] for row in rows[1:]])
-               for j, x in enumerate(rows[0]))
-
-
-@st.composite
-def square_integer_matrices(draw):
-    """Square integer matrices of size 0..5, some singular (a row a multiple
-    of another, or a zero column) and some whose first column needs a swap."""
-    n = draw(st.integers(0, 5))
-    rows = draw(st.lists(st.lists(coefficients, min_size=n, max_size=n), min_size=n, max_size=n))
-    if n >= 2 and draw(st.booleans()):
-        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-        rows[i] = [draw(st.integers(-3, 3)) * x for x in rows[j]]
-    if n >= 1 and draw(st.booleans()):
-        k = draw(st.integers(0, n - 1))
-        for row in rows:
-            row[k] = 0
-    if n >= 2 and draw(st.booleans()):
-        rows[0][0] = 0
-    return rows
-
-
-@settings(max_examples=150, deadline=None)
-@given(square_integer_matrices())
-def test_integer_det_equals_cofactor_expansion(rows):
-    before = [list(row) for row in rows]
-    assert integer_det(rows) == cofactor_det(rows)
-    assert rows == before  # elimination works on copies
-
-
 @settings(max_examples=100, deadline=None)
 @given(integer_rows(), st.integers(0, 5))
 def test_echelon_leaves_zeros_below_every_pivot(rows, ncols):
@@ -101,7 +67,7 @@ def test_echelon_leaves_zeros_below_every_pivot(rows, ncols):
     column is an explicit 0, and a row's first nonzero entry among them is
     its pivot."""
     ncols = min(ncols, len(rows[0]))
-    mat, pivots, _ = _echelon([list(row) for row in rows], ncols)
+    mat, pivots = _echelon([list(row) for row in rows], ncols)
     for r, c in enumerate(pivots):
         assert mat[r][c] != 0
         assert all(mat[i][c] == 0 for i in range(r + 1, len(mat)))
@@ -147,23 +113,20 @@ def test_nullspace_spans_kernel_of_rank_one_matrix():
 
 
 def test_echelon_raises_on_inexact_division_under_optimize():
-    # _echelon and integer_det need integer rows; with a Fraction the Bareiss
-    # division leaves a remainder, which must raise even when asserts are
-    # stripped by -O
+    # _echelon needs integer rows; with a Fraction the Bareiss division
+    # leaves a remainder, which must raise even when asserts are stripped by -O
     code = "\n".join([
         "from fractions import Fraction",
-        "from realrank2.exactsolve import InexactDivision, _echelon, integer_det",
+        "from realrank2.exactsolve import InexactDivision, _echelon",
         "assert False, 'asserts must be off'",
-        "for call in (lambda: _echelon([[Fraction(1, 2), 1], [1, 1]], 2),",
-        "             lambda: integer_det([[Fraction(1, 2), 1], [1, 1]])):",
-        "    try:",
-        "        call()",
-        "    except InexactDivision as exc:",
-        "        print(type(exc).__mro__[1].__name__)",
+        "try:",
+        "    _echelon([[Fraction(1, 2), 1], [1, 1]], 2)",
+        "except InexactDivision as exc:",
+        "    print(type(exc).__mro__[1].__name__)",
     ])
     src = str(Path(realrank2.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ArithmeticError", "ArithmeticError"]
+    assert proc.stdout.split() == ["ArithmeticError"]

@@ -1,20 +1,23 @@
 """Exact multivariate polynomial ring: arithmetic, division, determinants,
-resultants.  Oracles are independent evaluations at random rational points
-and, for resultants, the Sylvester determinant over MultiPoly entries."""
+resultants.  Oracles are independent evaluations at random rational points,
+cofactor expansion for determinants and, for resultants, the Sylvester
+determinant over MultiPoly entries."""
 
 from __future__ import annotations
 
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from conftest import coefficients_in
+from conftest import coefficients_in, cofactor_det, sylvester_resultant
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realrank2.multipoly import (MultiPoly, NotDivisible, NotForms, as_fraction, det_bareiss, grlex_key,
-                                  resultant)
+from realrank2.multipoly import (MultiPoly, NotDivisible, NotForms, _det, _mul, as_fraction, det_bareiss,
+                                  grlex_key, resultant)
+from realrank2.unipoly import _trimmed
 
 VARS = ("x", "y", "z")
 
@@ -127,6 +130,37 @@ def test_det_bareiss_matches_cofactor_expansion():
     assert det == cof
 
 
+square_zx_matrices = st.integers(0, 5).flatmap(lambda n: st.lists(
+    st.lists(st.lists(st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70)), max_size=3),
+             min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_zx_matrices, st.data())
+def test_bareiss_over_zx_equals_cofactor_expansion(rows, data):
+    """Entries are integer polynomials of degree up to 2 (constant ones
+    cover integer matrices); some matrices are singular (a row a multiple of
+    another, or a zero column) and some need a row swap."""
+    n = len(rows)
+    if n >= 2 and data.draw(st.booleans()):
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        factor = data.draw(st.lists(st.integers(-3, 3), max_size=2))
+        rows[i] = [_mul(factor, x) for x in rows[j]]
+    if n >= 1 and data.draw(st.booleans()):
+        k = data.draw(st.integers(0, n - 1))
+        for row in rows:
+            row[k] = []
+    if n >= 2 and data.draw(st.booleans()):
+        rows[0][0] = []
+    rows = [[_trimmed(x) for x in row] for row in rows]
+    before = [list(row) for row in rows]
+    det = _det(rows)
+    expected = cofactor_det([[MultiPoly(("x",), {(i,): c for i, c in enumerate(x)}) for x in row] for row in rows])
+    assert MultiPoly(("x",), {(i,): c for i, c in enumerate(det)}) == expected
+    assert det == _trimmed(det)
+    assert rows == before  # elimination works on copies
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5))
 def test_resultant_vanishes_iff_common_root(a, b, c, d):
@@ -137,40 +171,26 @@ def test_resultant_vanishes_iff_common_root(a, b, c, d):
     q = (x - c * y) * (x - d * y)
     res = resultant(p, q, "x")
     shares = {a, b} & {c, d}
-    point = {"y": Fraction(1)}
-    value = res.evaluate(point)
-    assert (value == 0) == bool(shares)
+    assert (not any(res)) == bool(shares)
 
 
 def test_resultant_product_formula():
-    # res_x(p, q) over y=1 equals lead^deg * prod q(root) for exact roots
+    # res_x(p, q) = lead^deg * prod q(root) for exact roots, on y^4
     x = MultiPoly.variable("x", ("x", "y"))
     y = MultiPoly.variable("y", ("x", "y"))
     p = (x - 2 * y) * (x + 3 * y)
     q = x * x - 5 * y * y
-    res = resultant(p, q, "x").evaluate({"y": Fraction(1)})
-    expected = (Fraction(4) - 5) * (Fraction(9) - 5)
-    assert res == expected
+    assert resultant(p, q, "x") == [0, 0, 0, 0, (4 - 5) * (9 - 5)]
 
 
-def sylvester_resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
-    """Reference: the Sylvester determinant with MultiPoly entries."""
-    cp = coefficients_in(p, var)
-    cq = coefficients_in(q, var)
-    while len(cp) > 1 and cp[-1].is_zero():
-        cp.pop()
-    while len(cq) > 1 and cq[-1].is_zero():
-        cq.pop()
-    m, n = len(cp) - 1, len(cq) - 1
-    if m == 0:
-        return cp[0] ** n
-    if n == 0:
-        return cq[0] ** m
-    size = m + n
-    zero = cp[0].zero_like()
-    rows = [[zero] * s + cp[::-1] + [zero] * (size - m - 1 - s) for s in range(n)]
-    rows += [[zero] * s + cq[::-1] + [zero] * (size - n - 1 - s) for s in range(m)]
-    return det_bareiss(rows)
+def _as_list(res: MultiPoly, degree: int) -> list[int]:
+    """An oracle resultant in the layout of `resultant`: degree + 1 ints,
+    entry j on the terms of degree j in the first remaining variable."""
+    out = [0] * (degree + 1)
+    for e, c in res.terms.items():
+        assert c.denominator == 1
+        out[e[0] if len(e) == 2 else degree if e else 0] = int(c)
+    return out
 
 
 @st.composite
@@ -183,20 +203,25 @@ def forms(draw, variables, degree, max_var_degree=None):
     return MultiPoly(variables, terms)
 
 
-RESULTANT_CASES = ("generic", "vanishing_lead", "common_factor", "m0", "n0", "one_left")
+RESULTANT_CASES = ("generic", "vanishing_lead", "common_factor", "m0", "n0", "one_left", "none_left")
 
 
 @pytest.mark.parametrize("case", RESULTANT_CASES)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_resultant_matches_sylvester_oracle(case, data):
+    """Forms of degree 1..7 in one and two variables and 1..5 in three,
+    with rational coefficients: the result is the oracle's on the forms
+    scaled to integers."""
     # the eliminated variable comes first in `names`; it is rotated into place
-    names = ("y", "z") if case == "one_left" else ("x", "y", "z")
-    deg_p, deg_q = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    names = {"one_left": ("y", "z"), "none_left": ("z",)}.get(case, ("x", "y", "z"))
+    extra = {"vanishing_lead": 2, "common_factor": 1}.get(case, 0)
+    top = (7 if len(names) < 3 else 5) - extra
+    deg_p, deg_q = data.draw(st.integers(1, top)), data.draw(st.integers(1, top))
     p = data.draw(forms(names, deg_p, 0 if case == "m0" else None))
     q = data.draw(forms(names, deg_q, 0 if case == "n0" else None))
     if case == "vanishing_lead":
-        # the leading coefficient in the eliminated variable vanishes at the node x = 0
+        # the leading coefficient in the eliminated variable vanishes at x = 0
         p = p * MultiPoly.variable(names[1], names) * MultiPoly.variable(names[-1], names)
     if case == "common_factor":
         shared = (MultiPoly.variable(names[0], names)
@@ -205,18 +230,37 @@ def test_resultant_matches_sylvester_oracle(case, data):
     shift = data.draw(st.integers(0, len(names) - 1))
     order = names[shift:] + names[:shift]
     p, q = p.extend(order), q.extend(order)
+    lp, lq = (lcm(*(c.denominator for c in f.terms.values())) for f in (p, q))
+    (m, tp), (n, tq) = ((max(e[order.index(names[0])] for e in f.terms), f.total_degree()) for f in (p, q))
     res = resultant(p, q, names[0])
-    expected = sylvester_resultant(p, q, names[0])
-    assert res.variables == expected.variables
-    assert res.terms == expected.terms
+    assert res == _as_list(sylvester_resultant(p * lp, q * lq, names[0]), (tp - m) * n + (tq - n) * m + m * n)
     if case == "common_factor":
-        assert res.is_zero()
+        assert not any(res)
+
+
+@pytest.mark.parametrize("forms, expected", [
+    # m = 2 > n = 1: p(y) = y^2 - y z, the root of q is x = y
+    (lambda x, y, z: (x ** 2 - y * z, x - y), [0, -1, 1]),
+    # m = 1 < n = 3 and back: (-1)^(mn) swaps the sign
+    (lambda x, y, z: (x - y, x ** 3 - y * z ** 2), [0, -1, 0, 1]),
+    (lambda x, y, z: (x ** 3 - y * z ** 2, x - y), [0, 1, 0, -1]),
+    # k = 1: det [[2, 3y], [5, -z]] = -15 y - 2 z
+    (lambda x, y, z: (2 * x + 3 * y, 5 * x - z), [-2, -15]),
+    # the common factor x - y: zero, of degree 4
+    (lambda x, y, z: ((x - y) * (x + z), (x - y) * (2 * x - 3 * z)), [0, 0, 0, 0, 0]),
+    # m = 0: Res(3, q) = 3^2, a constant
+    (lambda x, y, z: (3 * x ** 0, x ** 2 + y ** 2 + z ** 2), [9]),
+])
+def test_resultant_examples(forms, expected):
+    p, q = forms(*(MultiPoly.variable(v, VARS) for v in VARS))
+    assert resultant(p, q, "x") == expected
 
 
 def test_resultant_with_nothing_left_is_a_constant():
     x = MultiPoly.variable("x", ("x",))
-    assert resultant(3 * x, Fraction(1, 2) * x ** 0, "x") == MultiPoly.constant(Fraction(1, 2), ())
-    assert resultant(3 * x, 2 * x ** 2, "x").is_zero()
+    # 1/2 is cleared to 1 first: Res(3x, 1) = 1
+    assert resultant(3 * x, Fraction(1, 2) * x ** 0, "x") == [1]
+    assert resultant(3 * x, 2 * x ** 2, "x") == [0, 0, 0]
 
 
 @pytest.mark.parametrize("p, q, var", [

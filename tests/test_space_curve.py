@@ -317,10 +317,10 @@ def test_stacked_lstsq_raises_as_lstsq_does_on_nan():
 
 
 def _roots_cases(rng: np.random.Generator) -> list[list]:
-    """Real, complex and exact coefficient lists (highest degree first) with
-    real, complex and repeated roots, zeros at either end, tiny leading
-    coefficients (one that rounds to 0.0), and tails of degree 1 and 0,
-    shuffled."""
+    """Real, complex and integer coefficient lists (highest degree first)
+    with real, complex and repeated roots, zeros at either end, tiny leading
+    coefficients (one whose ratio to the largest rounds to 0.0), and tails
+    of degree 1 and 0, shuffled."""
     cases = []
     for n in (1, 2, 3, 4, 5, 7):
         for _ in range(4):
@@ -328,8 +328,8 @@ def _roots_cases(rng: np.random.Generator) -> list[list]:
             cases += [list(real), list(real + 1j * rng.standard_normal(n)),
                       list(np.atleast_1d(np.poly(rng.standard_normal(n - 1))))]
     cases += [[2.0, 0.0, 0.0], [0.0, 1.0, -3.0, 0.0], [1j, 0j], [0.0, 5.0], [1e-14, 1.0, 0.0, -7.0, 6.0],
-              [1e-13j, 2.0 + 1j, 3.0], [1.0, -2.0, 1.0], [Fraction(0), Fraction(3), Fraction(-7, 2)],
-              [Fraction(1, 10 ** 20), Fraction(1), Fraction(0)], [Fraction(1, 10 ** 400), Fraction(1), Fraction(-2)]]
+              [1e-13j, 2.0 + 1j, 3.0], [1.0, -2.0, 1.0], [0, 6, -7],
+              [1, 10 ** 20, 0], [1, 10 ** 400, -2 * 10 ** 400]]
     return [cases[i] for i in rng.permutation(len(cases))]
 
 
@@ -343,7 +343,7 @@ def test_stacked_roots_equal_np_roots_of_each_tail_bit_for_bit(zero):
         top = max(abs(c) for c in p)
         scaled = [c / top for c in p]
         lead = next(i for i, c in enumerate(scaled) if abs(c) > zero)
-        want = np.roots([float(c) if isinstance(c, Fraction) else c for c in scaled[lead:]])
+        want = np.roots(scaled[lead:])
         assert at_infinity == (lead > 0)
         got = np.array(finite, dtype=want.dtype)
         assert all(type(v) is want.dtype.type for v in finite) and _same_bits(got, want), p
@@ -353,7 +353,7 @@ def test_stacked_roots_equal_np_roots_of_each_tail_bit_for_bit(zero):
 def test_projective_roots_read_leading_zeros_as_a_root_at_infinity(leading):
     cubic = [1, 0, -7, 6]  # (x - 1)(x - 2)(x + 3)
     cases = [
-        ([Fraction(0)] * leading + [Fraction(c) for c in cubic], 0.0),
+        ([0] * leading + cubic, 0.0),
         ([1e-14 * (i + 1) for i in range(leading)] + [complex(c) for c in cubic], 1e-12),
     ]
     for descending, zero in cases:
@@ -362,11 +362,11 @@ def test_projective_roots_read_leading_zeros_as_a_root_at_infinity(leading):
         assert sorted(np.real(finite)) == pytest.approx([-3, 1, 2])
         assert np.abs(np.imag(finite)).max() < 1e-12
     # a tiny coefficient is a zero only up to the given threshold
-    [(finite, at_infinity)] = sc._projective_roots([[Fraction(1, 10 ** 20)] + [Fraction(c) for c in cubic]], 0.0)
+    [(finite, at_infinity)] = sc._projective_roots([[1] + [10 ** 20 * c for c in cubic]], 0.0)
     assert (len(finite), at_infinity) == (4, False)
     [(finite, at_infinity)] = sc._projective_roots([[1e-20, 1.0, 0.0, -7.0, 6.0]], 1e-12)
     assert (len(finite), at_infinity) == (3, True)
-    assert sc._projective_roots([[Fraction(0)] * leading + [Fraction(5)]], 0.0) == [([], leading > 0)]
+    assert sc._projective_roots([[0] * leading + [5]], 0.0) == [([], leading > 0)]
 
 
 @settings(max_examples=25, deadline=None)
@@ -489,6 +489,37 @@ def test_report_serialization():
     assert lines[0] == "t,min_discriminant,real_secants,two_real_point_secants"
     assert len(lines) == 4
     assert float(lines[1].split(",")[0]) == 0.0
+
+
+def _bits(v) -> tuple:
+    return (v.real.hex(), v.imag.hex()) if isinstance(v, complex) else (v.hex(),)
+
+
+@pytest.mark.parametrize("s, t", [
+    (Fraction(2, 3), Fraction(-5)), (3, Fraction(1, 7)),
+    (0.3, -1.7), (2, 0.1), (1e-3, 1e3),
+    (0.3 + 0.1j, 1 - 2j), (-0.7, 0.25j), (1, 1j),
+])
+def test_point_equals_casting_each_coefficient_to_the_bit(s, t):
+    """The cached float and complex rows give what casting each Fraction of
+    F at every call gives, value for value and bit for bit."""
+    rng = random.Random(17)
+    for d in (3, 4, 6):
+        curve = _random_curve(rng, d)
+        if isinstance(s, (int, Fraction)) and isinstance(t, (int, Fraction)):
+            cast = Fraction
+        elif isinstance(s, complex) or isinstance(t, complex):
+            cast = complex
+        else:
+            cast = float
+        powers = [s ** (d - k) * t ** k for k in range(d + 1)]
+        want = [sum(cast(c) * p for c, p in zip(row, powers)) for row in curve.F]
+        got = curve.point(s, t)
+        assert [type(v) for v in got] == [type(v) for v in want]
+        if cast is Fraction:
+            assert got == want
+        else:
+            assert [_bits(v) for v in got] == [_bits(v) for v in want]
 
 
 @settings(max_examples=80, deadline=None)

@@ -291,14 +291,19 @@ def test_high_precision_root():
 
 def test_exact_division_raises_on_a_non_divisor_under_optimize():
     # x^2 + 1 by x + 1 leaves the remainder 2; x + 1 by 2x + 1 stops at the
-    # first quotient coefficient, 1/2; both must raise with asserts stripped
+    # first quotient coefficient, 1/2; the Bareiss elimination over Z[x] of
+    # diag(3, 1, 1/2) divides 9/2 by the first pivot 3 at its second step;
+    # all must raise with asserts stripped
     code = "\n".join([
+        "from fractions import Fraction",
         "from realrank2.exactsolve import InexactDivision",
+        "from realrank2.multipoly import _det",
         "from realrank2.unipoly import _exact_div",
         "assert False, 'asserts must be off'",
-        "for a, b in (([1, 0, 1], [1, 1]), ([1, 1], [1, 2])):",
+        "for call in (lambda: _exact_div([1, 0, 1], [1, 1]), lambda: _exact_div([1, 1], [1, 2]),",
+        "             lambda: _det([[[3], [], []], [[], [1], []], [[], [], [Fraction(1, 2)]]])):",
         "    try:",
-        "        _exact_div(a, b)",
+        "        call()",
         "    except InexactDivision as exc:",
         "        print(type(exc).__mro__[1].__name__)",
     ])
@@ -307,4 +312,4 @@ def test_exact_division_raises_on_a_non_divisor_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ArithmeticError", "ArithmeticError"]
+    assert proc.stdout.split() == ["ArithmeticError"] * 3
