@@ -8,11 +8,12 @@ rank-one tensors has nonpositive hyperdeterminant.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import jsontext
 from .multipoly import MultiPoly, det_bareiss
 from .tensors import (
     enumerate_subblocks,
@@ -69,9 +70,14 @@ def hyperdet_zero_tol(t: np.ndarray, scale: float = DEFAULT_ZERO_TOL_SCALE):
 
 @dataclass
 class HyperdetReport:
-    """All 2x2x2 sub-block hyperdeterminants of a tensor, with sign counts."""
+    """All 2x2x2 sub-block hyperdeterminants of a tensor, with sign counts.
 
-    values: list[tuple[str, object]]
+    `values`, the (label, value) pairs, may be given as any sequence; it is
+    kept as `jsontext.Rows` of two columns, labels and values (a sweep's
+    labels are its shape's plan's), and `to_json` writes the same columns
+    as the rows {"selector": label, "value": value}."""
+
+    values: Sequence[tuple[str, object]]
     min_value: object
     argmin: str | None
     num_positive: int
@@ -79,9 +85,16 @@ class HyperdetReport:
     num_negative: int
     zero_tol: object
 
+    def __post_init__(self):
+        if type(self.values) is not jsontext.Rows:
+            self.values = jsontext.Rows(([k for k, _ in self.values], [v for _, v in self.values]))
+
     def to_json(self) -> dict:
+        labels, column = self.values.columns
+        if not set(map(type, column)) <= {float, int}:
+            column = list(map(num_json, column))
         return {
-            "values": [{"selector": k, "value": num_json(v)} for k, v in self.values],
+            "values": jsontext.Rows((labels, column), ("selector", "value")),
             "min_value": num_json(self.min_value) if self.min_value is not None else None,
             "argmin": self.argmin,
             "num_positive": self.num_positive,
@@ -91,11 +104,11 @@ class HyperdetReport:
         }
 
 
-def report_from_values(values: list[tuple[str, object]], zero_tol) -> HyperdetReport:
+def report_from_values(values: Sequence[tuple[str, object]], zero_tol) -> HyperdetReport:
     return _report(values, [v for _, v in values], zero_tol)
 
 
-def _report(values: list[tuple[str, object]], column, zero_tol) -> HyperdetReport:
+def _report(values: Sequence[tuple[str, object]], column, zero_tol) -> HyperdetReport:
     """Sign counts and argmin of the (label, value) pairs, read from their
     value column.  A float64 array, which comes with the float zero_tol of
     float input, is counted by numpy.  Its argmin is that of a sequential
@@ -118,9 +131,10 @@ def _report(values: list[tuple[str, object]], column, zero_tol) -> HyperdetRepor
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _sweep_plan(shape: tuple[int, ...]) -> tuple[np.ndarray, tuple[str, ...]]:
+def _sweep_plan(shape: tuple[int, ...]) -> tuple[np.ndarray, jsontext.Column]:
     """Flat indices (8, blocks) of the entries x000 .. x111 of every 2x2x2
-    sub-block of a shape, in `enumerate_subblocks` order, and their labels."""
+    sub-block of a shape, in `enumerate_subblocks` order, and their labels,
+    which keep their JSON text."""
     selectors = enumerate_subblocks(shape)
     size = int(np.prod(shape))
     flat = np.arange(size).reshape(shape)
@@ -128,7 +142,7 @@ def _sweep_plan(shape: tuple[int, ...]) -> tuple[np.ndarray, tuple[str, ...]]:
     idx = np.array(blocks, dtype=np.min_scalar_type(size - 1)).reshape(-1, 8)
     idx = np.ascontiguousarray(idx.T)
     idx.flags.writeable = False  # shared by every call on this shape
-    return idx, tuple(sel.label() for sel in selectors)
+    return idx, jsontext.Column(sel.label() for sel in selectors)
 
 
 def all_subhyperdets(t: np.ndarray) -> HyperdetReport:
@@ -146,7 +160,7 @@ def all_subhyperdets(t: np.ndarray) -> HyperdetReport:
     rows = rows.astype(np.float64 if rows.dtype.kind == "f" else object, copy=False)
     with np.errstate(over="ignore", invalid="ignore"):  # inf/nan silently, as Python floats do
         column = _quartic(*rows)
-    return _report(list(zip(labels, column.tolist())), column, zero_tol)
+    return _report(jsontext.Rows((labels, column.tolist())), column, zero_tol)
 
 
 # ----------------------------------------------------- symmetric restriction

@@ -5,17 +5,20 @@ generator step per token; for a certificate's thousands of sub-block rows
 that cost several times the certification itself.  Here every scalar goes
 through the C-level helper the encoder itself uses
 (`encode_basestring_ascii`, `int.__repr__`, `float.__repr__`, with NaN and
-the infinities spelled as `json` spells them), and a list of dicts that
-share one tuple of str keys and hold only scalar values is rendered from
-one template built per list, a column at a time.  Any other shape takes the
-plain recursive path.  Dict keys are coerced as `json` coerces them;
-values `json` cannot write raise TypeError, and circular containers
-ValueError, as `json.dumps` does.
+the infinities spelled as `json` spells them).  A sub-block report's rows
+come as `Rows`, a list held as its columns, and are rendered a column at
+a time: each column becomes a list of texts, and one join interleaves
+them with the fixed text between them, with no dict per row.  Everything
+else takes the plain recursive path.  Dict keys are coerced as `json`
+coerces them; values `json` cannot write raise TypeError, and circular
+containers ValueError, as `json.dumps` does.
 """
 
 from __future__ import annotations
 
+import math
 from json.encoder import encode_basestring_ascii as _string
+from typing import Sequence
 
 _INDENT = "  "
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -26,7 +29,7 @@ def _float(x) -> str:
     return _NONFINITE.get(text, text)
 
 
-# scalars by exact type, for the template path
+# scalars by exact type, for columns
 _SCALAR = {
     str: _string,
     int: int.__repr__,
@@ -62,13 +65,20 @@ def _key(key) -> str:
     return '"' + text + '"'
 
 
-def _column(values) -> list[str] | None:
+def _column(values) -> Sequence[str] | None:
     """JSON texts of one column of row values; None unless every value is
-    a scalar of an exact type in _SCALAR."""
-    kinds = set(map(type, values))
-    if kinds == {float}:
+    a float (of any float type, as `json` prints those) or a scalar of an
+    exact type in _SCALAR."""
+    if type(values) is Column:
+        return values.texts
+    try:
         texts = list(map(float.__repr__, values))
-        return list(map(_NONFINITE.get, texts, texts))
+    except TypeError:  # some value is not a float
+        pass
+    else:
+        # a finite sum means no NaN and no infinity among the values
+        return texts if math.isfinite(sum(values)) else list(map(_NONFINITE.get, texts, texts))
+    kinds = set(map(type, values))
     if not kinds <= _SCALAR.keys():
         return None
     if len(kinds) == 1:
@@ -76,28 +86,108 @@ def _column(values) -> list[str] | None:
     return [_SCALAR[type(v)](v) for v in values]
 
 
-def _rows(items, newline: str) -> str | None:
-    """The items of a list of dicts that share one tuple of str keys and
-    hold only scalars, each placed at `newline` and rendered from one
-    template; None for a list of any other shape."""
-    first = items[0]
-    if type(first) is not dict or not first:
-        return None
-    keys = tuple(first)
+class Column(tuple):
+    """A tuple of JSON scalars that keeps their JSON texts, for a column
+    that many outputs repeat, such as the sub-block labels of one shape:
+    `dumps` reads the texts instead of encoding the values again."""
+
+    def __new__(cls, values):
+        values = tuple(values)
+        column = super().__new__(cls, values)
+        texts = _column(values)  # a tuple: a cached column is shared by every caller
+        column.texts = None if texts is None else tuple(texts)
+        return column
+
+
+def _as_list(method):
+    """`method` of list, applied to the list that rows stand for, and to
+    the list of any rows argument."""
+    def read(self, *args):
+        args = [list(a) if isinstance(a, Rows) else a for a in args]
+        result = method(list(self), *args)
+        if result is NotImplemented and any(isinstance(a, tuple) for a in args):
+            # the tuple's own method would answer from the empty tuple
+            raise TypeError(f"{method.__name__} is not supported between a list and a tuple")
+        return result
+    return read
+
+
+class Rows(tuple):
+    """A list held as its columns: row i is the dict {keys[j]: columns[j][i]}
+    or, without keys, the tuple (columns[0][i], columns[1][i], ...).
+
+    A tuple subclass, so that both `json` encoders write it as an array,
+    which they do by iterating it; the tuple itself holds no items.  Every
+    read answers as the list of rows does: len, truth, iteration, indexing,
+    `in`, `count` and `index`, comparisons, `+` and `*` (which give lists)
+    and repr; copies and pickles are rows again.  So rows equal only the
+    list they stand for, or rows that stand for an equal list.  `dumps`
+    renders keyed rows of scalars a column at a time and never builds
+    their dicts.
+    """
+
+    def __new__(cls, columns: Sequence[Sequence], keys: Sequence[str] | None = None):
+        if not columns or len(set(map(len, columns))) != 1 or keys is not None and len(keys) != len(columns):
+            raise ValueError("rows need at least one column, all of one length, and a key for each")
+        rows = super().__new__(cls)
+        rows.columns, rows.keys = tuple(columns), keys
+        return rows
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def __iter__(self):
+        rows = zip(*self.columns)
+        return rows if self.keys is None else (dict(zip(self.keys, row)) for row in rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        row = tuple(column[i] for column in self.columns)
+        return row if self.keys is None else dict(zip(self.keys, row))
+
+    def __eq__(self, other):
+        # a list never equals a tuple, whose own test would read the empty tuple
+        if isinstance(other, tuple) and not isinstance(other, Rows):
+            return False
+        return list.__eq__(list(self), list(other) if isinstance(other, Rows) else other)
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    __lt__, __le__, __gt__, __ge__ = map(_as_list, (list.__lt__, list.__le__, list.__gt__, list.__ge__))
+    __contains__, count, index = map(_as_list, (list.__contains__, list.count, list.index))
+    __add__, __mul__, __rmul__, __repr__ = map(_as_list, (list.__add__, list.__mul__, list.__rmul__, list.__repr__))
+
+    def __radd__(self, other):
+        return other + list(self)
+
+    def __reduce__(self):
+        return Rows, (self.columns, self.keys)
+
+
+def _rows(rows: Rows, newline: str) -> list[str] | None:
+    """The text of keyed rows, each placed at `newline`, as pieces to join;
+    None unless every key is a str and every value a scalar."""
     # str keys only: 1, 1.0 and True are equal keys that json spells apart
-    if any(type(k) is not str for k in keys):
+    if rows.keys is None or any(type(k) is not str for k in rows.keys):
         return None
-    if set(map(type, items)) != {dict} or not all(map(keys.__eq__, map(tuple, items))):
+    texts = list(map(_column, rows.columns))
+    if None in texts:
         return None
-    columns = []
-    for values in zip(*map(dict.values, items)):
-        texts = _column(values)
-        if texts is None:
-            return None
-        columns.append(texts)
+    # a row is lead_0 text_0 lead_1 text_1 ..., where lead_0 also closes the row before
     inner = newline + _INDENT
-    template = "{" + ",".join(inner + _string(k).replace("%", "%%") + ": %s" for k in keys) + newline + "}"
-    return ("," + newline).join(map(template.__mod__, zip(*columns)))
+    leads = ["," + inner + _string(k) + ": " for k in rows.keys]
+    opening = "{" + leads[0][1:]
+    leads[0] = newline + "}," + newline + opening
+    width = 2 * len(leads)
+    parts = [text for lead in leads for text in (lead, None)] * len(rows)
+    for j, column in enumerate(texts):
+        parts[2 * j + 1::width] = column
+    parts[0] = opening
+    parts.append(newline + "}")
+    return parts
 
 
 def _write(x, newline: str, out: list[str], markers: dict) -> None:
@@ -116,9 +206,11 @@ def _write(x, newline: str, out: list[str], markers: dict) -> None:
     markers[id(x)] = x
     inner = newline + _INDENT
     if is_list:
-        rows = _rows(x, inner)
+        rows = _rows(x, inner) if type(x) is Rows else None
         if rows is not None:
-            out += ("[", inner, rows, newline, "]")
+            out += ("[", inner)
+            out += rows
+            out += (newline, "]")
         else:
             out.append("[")
             for i, item in enumerate(x):

@@ -307,7 +307,15 @@ def index_multidegree(index: Sequence[int], n: int) -> tuple[int, ...]:
 
 
 def sym_to_tensor(f: SymTensorCoords) -> np.ndarray:
-    """Symmetric tensor with t[i_1 .. i_d] = x_(multidegree of the index)."""
+    """Symmetric tensor with t[i_1 .. i_d] = x_(multidegree of the index).
+
+    For d >= 3 its n^d entries must number at most MAX_SYM_COORDS
+    (TooManyCoordinates otherwise, before anything is expanded).  For
+    d <= 2 they are fewer than twice the coordinates, which
+    `sym_from_json` already holds to MAX_SYM_COORDS."""
+    if f.d >= 3 and f.n ** f.d > MAX_SYM_COORDS:
+        raise TooManyCoordinates(f"n={f.n}, d={f.d}: the dense tensor has n^d = {f.n ** f.d} entries, "
+                                 f"more than {MAX_SYM_COORDS}")
     shape = (f.n,) * f.d
     exact = f.is_exact()
     t = np.empty(shape, dtype=object if exact else float)

@@ -172,6 +172,37 @@ def test_exact_tensor_of_numpy_ints_certifies_like_python_ints():
     assert ce.certify_border_rank2(numpy_ints).to_json() == ce.certify_border_rank2(python_ints).to_json()
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_certificate_json_equality_sees_every_subblock_value(exact):
+    """to_json() compares by its content: a certificate that differs from
+    another in one sub-block value alone has unequal JSON, and the JSON
+    survives a round trip through text.  This keeps the to_json()
+    comparisons of other tests (numpy ints against Python ints) meaningful."""
+    t = real_pair(np.random.default_rng(31), (2, 2, 3))
+    if exact:
+        t = np.array([Fraction(round(v * 8), 8) for v in t.ravel()], dtype=object).reshape(t.shape)
+    cert = ce.certify_border_rank2(t)
+    payload = cert.to_json()
+    assert json.loads(json.dumps(payload)) == payload
+    assert payload == json.loads(json.dumps(payload))
+    report = cert.hyperdet_report
+    for i, (label, value) in enumerate(report.values):
+        values = list(report.values)
+        values[i] = (label, value + 1 if exact else math.nextafter(value, math.inf))
+        changed = hd.HyperdetReport(values, report.min_value, report.argmin, report.num_positive,
+                                    report.num_zero, report.num_negative, report.zero_tol)
+        other = ce.Certificate(cert.flattening_ranks, cert.max_flattening_rank, changed, cert.verdict,
+                               cert.tolerances).to_json()
+        assert other != payload and payload != other
+        assert not other == payload
+        assert other["hyperdet"]["values"] != payload["hyperdet"]["values"]
+        assert other["hyperdet"]["values"] != json.loads(json.dumps(payload))["hyperdet"]["values"]
+        assert other["hyperdet"]["values"] != [] and other["hyperdet"]["values"] != ()
+        del other["hyperdet"]["values"], payload["hyperdet"]["values"]
+        assert other == payload  # nothing else differs
+        payload = cert.to_json()
+
+
 def test_conjugate_fixture_golden():
     t = tn.tensor((2, 2, 2), [2, 0, 0, -2, 0, -2, -2, 0])
     cert = ce.certify_border_rank2(t)

@@ -15,6 +15,8 @@ import pytest
 
 import realrank2
 from realrank2 import certify as ce
+from realrank2 import decompose as dc
+from realrank2 import hyperdet as hd
 from realrank2 import tensors as tn
 from realrank2.cli import DEFAULT_SEED, main
 
@@ -352,6 +354,47 @@ def test_symmetric_tensor_too_large_to_expand_gets_no_verdict(capsys, tmp_path, 
                                     f"n^d = {n ** d} entries, more than 10000")
 
 
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a refused input reached the computation")
+
+
+@pytest.mark.parametrize("command", ["hyperdet", "decompose"])
+@pytest.mark.parametrize("n, d", [(3, 9), (3, 11), (2, 14), (22, 3)])
+def test_symmetric_tensor_too_large_to_expand_is_refused_by_every_command(
+        capsys, tmp_path, monkeypatch, command, n, d):
+    """hyperdet and decompose expand the dense n^d array too, so they refuse
+    it as certify does: the same message, exit 1 and nothing on stdout.  For
+    n = 2, which certify takes by the Hankel route, the limit is theirs alone."""
+    keys = [",".join(str(d * (i == k)) for i in range(n)) for k in range(2)]
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps({"n": n, "d": d, "coeffs": {key: 1 for key in keys}}))
+    # a refusal that fails must not go on to sweep or decompose the dense tensor
+    monkeypatch.setattr(hd, "all_subhyperdets", _unreachable)
+    monkeypatch.setattr(dc, "decompose_rank2", _unreachable)
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, command, "--symmetric", "--file", str(path))
+    assert time.perf_counter() - start < 1.0  # nothing is expanded
+    assert status == 1
+    assert out == ""
+    message = f"error: TooManyCoordinates: n={n}, d={d}: the dense tensor has n^d = {n ** d} entries, more than 10000"
+    assert err.splitlines()[-1] == message
+    if n > 2:
+        assert run_cli(capsys, "certify", "--symmetric", "--file", str(path))[2].splitlines()[-1] == message
+
+
+def test_symmetric_matrix_beyond_the_dense_limit_is_still_read(capsys, tmp_path):
+    # d <= 2: n = 140 has 9870 coordinates and a 19600-entry matrix, which
+    # is no larger than twice the coordinates and stays admitted
+    n = 140
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps({"n": n, "d": 2, "coeffs": {",".join(str(2 * (i == k)) for i in range(n)): 1
+                                                           for k in range(2)}}))
+    status, out, _ = run_cli(capsys, "certify", "--symmetric", "--file", str(path))
+    assert status == 0 and json.loads(out)["verdict"] == "REAL_RANK_TWO"
+    status, _, err = run_cli(capsys, "hyperdet", "--symmetric", "--file", str(path))
+    assert status == 1 and err.splitlines()[-1].startswith("error: ArityTooSmall")
+
+
 @pytest.mark.parametrize("point, cause", [
     ("1e250,2,3,5", "complex exponentiation"),
     ("1e300,1,1,1", "complex exponentiation"),
@@ -539,3 +582,41 @@ def test_overflowing_subblock_report_bytes(capsys, tmp_path, name, command, valu
     assert report["argmin"] == report["values"][0]["selector"]
     assert (report["num_positive"], report["num_zero"]) == ((1, 2) if values.startswith("inf") else (2, 1))
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# An exact report whose value column mixes ints (a sub-block of integer
+# entries) and "n/d" strings (sub-blocks with a fraction), as the hyperdet
+# command prints it; min_value is an int.
+EXACT_MIXED_HYPERDET = """\
+{
+  "values": [
+    {
+      "selector": "modes[1:(0,1),2:(0,1),3:(0,1)]",
+      "value": -255
+    },
+    {
+      "selector": "modes[1:(0,1),2:(0,1),3:(0,2)]",
+      "value": "249/16"
+    },
+    {
+      "selector": "modes[1:(0,1),2:(0,1),3:(1,2)]",
+      "value": "160/9"
+    }
+  ],
+  "min_value": -255,
+  "argmin": "modes[1:(0,1),2:(0,1),3:(0,1)]",
+  "num_positive": 2,
+  "num_zero": 0,
+  "num_negative": 1,
+  "zero_tol": 0
+}
+"""
+
+
+def test_exact_subblock_report_with_ints_and_fractions_bytes(capsys, tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"shape": [2, 2, 3],
+                                "entries": [1, -2, "1/2", 3, 1, 0, 2, 0, "-2/3", -1, 5, "3/4"]}))
+    status, out, _ = run_cli(capsys, "hyperdet", "--file", str(path))
+    assert status == 0
+    assert out == EXACT_MIXED_HYPERDET

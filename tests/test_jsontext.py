@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 from realrank2 import certify as ce
 from realrank2 import hyperdet as hd
 from realrank2 import jsontext
+from realrank2 import tensors as tn
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.1125369292536007e-308, 2.2250738585072014e-308,
                   1.7976931348623157e308, math.nan, math.inf, -math.inf]
@@ -76,9 +80,11 @@ def test_sub_block_rows_equal_json_dumps(rows):
 def test_certificate_equals_json_dumps():
     t = np.random.default_rng(3).standard_normal((2, 2, 3, 2))
     payload = ce.certify_border_rank2(t).to_json()
-    overflowed = [("a", math.nan), ("b", math.inf), ("c", -math.inf), ("d", -0.0)]
-    payload["overflowed"] = hd.report_from_values(overflowed, 0.0).to_json()
-    assert jsontext.dumps(payload) == json.dumps(payload, indent=2)
+    # float columns with NaN, with infinities but no NaN, and of finite values whose sum overflows
+    for overflowed in ([math.nan, math.inf, -math.inf, -0.0], [math.inf, 1.0], [-0.0, -math.inf],
+                       [1.7976931348623157e308] * 2):
+        payload["overflowed"] = hd.report_from_values([(str(v), v) for v in overflowed], 0.0).to_json()
+        assert jsontext.dumps(payload) == json.dumps(payload, indent=2)
 
 
 @pytest.mark.parametrize("payload", [
@@ -131,3 +137,90 @@ def test_circular_container_raises_value_error():
     loop.append(loop)
     with pytest.raises(ValueError, match="Circular reference"):
         jsontext.dumps(loop)
+
+
+# sub-block values as reports hold them: floats (NaN, infinities, -0.0 and
+# subnormals among them), ints past 2^64, and Fractions, which print as "n/d"
+report_values = st.one_of(floats, ints, st.fractions(), st.integers(-9, 9).map(Fraction))
+# a column of floats alone, as a float tensor's sweep gives, takes its own path in the writer
+reports = st.one_of(st.lists(st.tuples(texts, report_values), max_size=8),
+                    st.lists(st.tuples(texts, floats), max_size=8)).map(lambda pairs: hd.report_from_values(pairs, 0))
+
+
+def _as_dicts(report: hd.HyperdetReport) -> list[dict]:
+    """The list of dicts a report's JSON rows stand for."""
+    return [{"selector": k, "value": tn.num_json(v)} for k, v in report.values]
+
+
+def _certificate(report: hd.HyperdetReport) -> ce.Certificate:
+    return ce.Certificate({"mode_1": 2}, 2, report, ce.Verdict.REAL_RANK_TWO,
+                          {"rank_tol": "exact", "hyperdet_zero_tol": 0})
+
+
+@settings(max_examples=300, deadline=None)
+@given(reports, reports, st.data())
+def test_columnar_rows_read_as_the_list_of_dicts(report, other, data):
+    rows, dicts = report.to_json()["values"], _as_dicts(report)
+    # written: alone, at depth 1 (the hyperdet command) and depth 2 (certify)
+    for indent in (None, 2):
+        assert json.dumps(rows, indent=indent) == json.dumps(dicts, indent=indent)
+    assert jsontext.dumps(rows) == json.dumps(dicts, indent=2)
+    depth_1, depth_2 = report.to_json(), _certificate(report).to_json()
+    for payload, listed in [(depth_1, dict(depth_1, values=dicts)),
+                            (depth_2, dict(depth_2, hyperdet=dict(depth_2["hyperdet"], values=dicts)))]:
+        assert jsontext.dumps(payload) == json.dumps(listed, indent=2) == json.dumps(payload, indent=2)
+        assert json.dumps(payload) == json.dumps(listed)
+        read_back = json.loads(json.dumps(payload), parse_constant=str)  # NaN, whose == is False, as a str
+        assert (payload == read_back) is (listed == read_back)
+    # compared: with the list, with another report's rows (equal or not) and with []
+    if data.draw(st.booleans()):
+        other = hd.report_from_values(list(report.values), 0)
+    other_rows, other_dicts = other.to_json()["values"], _as_dicts(other)
+    for a, b, want in [(rows, dicts, True), (rows, other_rows, dicts == other_dicts),
+                       (rows, other_dicts, dicts == other_dicts), (rows, [], dicts == []),
+                       (rows, list(rows), True), (rows, rows, True)]:
+        assert (a == b) is want and (b == a) is want
+        assert (a != b) is not want and (b != a) is not want
+    assert rows != tuple(dicts) and tuple(dicts) != rows  # a list never equals a tuple
+    # the report's own (label, value) pairs compare as their list, too
+    pairs = list(report.values)
+    assert report.values == pairs and pairs == report.values and report.values != pairs + [("", 0)]
+    assert (report.values == other.values) is (pairs == list(other.values)) is (report == other)
+    assert (report.values != []) is bool(pairs)
+    # read: len, truth, iteration, indexing, membership, repr, copies
+    assert len(rows) == len(dicts) and bool(rows) is bool(dicts)
+    assert list(rows) == dicts and list(reversed(rows)) == dicts[::-1]
+    for i in range(-len(dicts), len(dicts)):
+        assert rows[i] == dicts[i] and rows.index(rows[i]) == dicts.index(dicts[i])
+        assert rows[i] in rows and rows.count(rows[i]) == dicts.count(dicts[i])
+    with pytest.raises(IndexError):
+        rows[len(dicts)]
+    assert rows[1:] == dicts[1:] and rows[::-1] == dicts[::-1]
+    assert {"selector": None, "value": None} not in rows
+    assert repr(rows) == repr(dicts)
+    assert rows + [1] == dicts + [1] and 2 * rows == dicts * 2 == rows * 2
+    for copied in (copy.copy(rows), copy.deepcopy(rows), pickle.loads(pickle.dumps(rows))):
+        assert type(copied) is jsontext.Rows and json.dumps(copied) == json.dumps(dicts)  # a pickled NaN is a new NaN
+    with pytest.raises(TypeError):
+        hash(rows)
+    with pytest.raises(TypeError):
+        rows < ()  # noqa: B015
+    with pytest.raises(TypeError):
+        () + rows  # noqa: B018
+
+
+def test_empty_report_rows():
+    rows = hd.report_from_values([], 0).to_json()["values"]
+    assert rows == [] and [] == rows and not rows and len(rows) == 0
+    assert rows != () and list(rows) == []
+    assert json.dumps(rows) == json.dumps(rows, indent=2) == jsontext.dumps(rows) == "[]"
+
+
+def test_rows_of_non_scalar_values_or_without_keys_take_the_plain_path():
+    rows = jsontext.Rows((("a", "b"), [{"re": 1.0, "im": -0.5}, [1, "x"]]), ("selector", "value"))
+    pairs = jsontext.Rows((("a", "b"), [1.5, 2]))
+    for payload in ({"values": rows}, {"pairs": pairs}):
+        assert jsontext.dumps(payload) == json.dumps(payload, indent=2)
+    for columns, keys in [((("a",), []), ("selector", "value")), ((("a",), [1]), ("selector",)), ((), None)]:
+        with pytest.raises(ValueError):
+            jsontext.Rows(columns, keys)
