@@ -195,6 +195,9 @@ def test_ideal_generators_labels(capsys):
 @pytest.mark.parametrize("argv, digest", [
     (("quadrics", "3", "4"), "59e8bafd2724dcd8cadea03fdcd88839a11b5da90abda944064358f389f12777"),
     (("ideal", "--d", "5"), "d0cfc01149c94365e2d0f4dc49acb4fb945cc5aabd6ec3fd9a97f24556fe973c"),
+    (("ideal", "--d", "3"), "a880e5d0a7f3fbf8e7bd90f107c9e4872fdcb598fbc0d2074468c476644bb119"),
+    (("ideal", "--d", "4"), "cdabcc76af1685ac746c411516b9a0515346030a344412a3cd64c204bb944dde"),
+    (("ideal", "--d", "8"), "0b7723477eb5bb11d9c501a500d2d63bad60ac52d40662beee6d2ab2ad3e0b6b"),
 ])
 def test_exact_generator_json_bytes(capsys, argv, digest):
     status, out, _ = run_cli(capsys, *argv)
