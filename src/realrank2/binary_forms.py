@@ -168,9 +168,9 @@ class IdealReport:
     tangential_generators: list[tuple[str, MultiPoly]]
 
 
-def _symbolic_hankel(d: int) -> list[list[MultiPoly]]:
-    names = [f"x{i}" for i in range(d + 1)]
-    return [[MultiPoly.variable(names[r + c], names) for c in range(d - 1)]
+def _symbolic_hankel(d: int) -> list[list[dict]]:
+    """H[r][c] = x_{r+c} as term maps over x_0 .. x_d."""
+    return [[{tuple(int(k == r + c) for k in range(d + 1)): 1} for c in range(d - 1)]
             for r in range(3)]
 
 
@@ -179,22 +179,19 @@ def tau_sigma_ideal_report(d: int) -> IdealReport:
     variety), and the tangential-variety generators appropriate for d."""
     if d < 3:
         raise DegreeTooSmall("ideal report needs degree >= 3")
+    names = [f"x{i}" for i in range(d + 1)]
     h = _symbolic_hankel(d)
-    minors2 = []
-    for rows in itertools.combinations(range(3), 2):
-        for cols in itertools.combinations(range(d - 1), 2):
-            m = det_bareiss([[h[r][c] for c in cols] for r in rows])
-            minors2.append(m.normalized())
-    minors3 = []
-    for cols in itertools.combinations(range(d - 1), 3):
-        m = det_bareiss([[h[r][c] for c in cols] for r in range(3)])
-        minors3.append(m.normalized())
+
+    def minor(rows, cols) -> MultiPoly:
+        return MultiPoly(names, det_bareiss([[h[r][c] for c in cols] for r in rows])).normalized()
+
+    minors2 = [minor(rows, cols) for rows in itertools.combinations(range(3), 2)
+               for cols in itertools.combinations(range(d - 1), 2)]
+    minors3 = [minor(range(3), cols) for cols in itertools.combinations(range(d - 1), 3)]
     if d == 3:
         tau = [("D", hd.cubic_discriminant_determinant().normalized())]
     elif d == 4:
-        det_h = det_bareiss([[h[r][c] for c in range(3)] for r in range(3)])
-        q = quadric_basis(2, 4)[0].polynomial
-        tau = [("det_H", det_h.normalized()), ("Q", q)]
+        tau = [("det_H", minor(range(3), range(3))), ("Q", quadric_basis(2, 4)[0].polynomial)]
     else:
         tau = [(g.tableau.label(), g.polynomial) for g in quadric_basis(2, d)]
     return IdealReport(d, minors2, minors3, tau)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -150,9 +151,11 @@ def _cmd_hyperdet(args):
     if args.symmetric:
         t = tn.sym_to_tensor(t)
     report = hd.all_subhyperdets(t)
-    text = [f"{label}: {_fmt(value)}" for label, value in report.values]
-    text.append(f"signs: {report.num_positive} positive, {report.num_zero} zero, "
-                f"{report.num_negative} negative (zero tolerance {_fmt(report.zero_tol)})")
+    # one line per sub-block: formatted only when `run` joins them for --format text
+    text = itertools.chain(
+        (f"{label}: {_fmt(value)}" for label, value in report.values),
+        [f"signs: {report.num_positive} positive, {report.num_zero} zero, "
+         f"{report.num_negative} negative (zero tolerance {_fmt(report.zero_tol)})"])
     return 0, report.to_json(), text
 
 

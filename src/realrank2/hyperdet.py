@@ -184,27 +184,19 @@ def discriminant_quartic(coords: Sequence, i: int):
     )
 
 
-def discriminant_quartic_poly(d: int, i: int, names: Sequence[str] | None = None) -> MultiPoly:
-    """D_i as an exact polynomial in the coordinates x_0 .. x_d."""
-    if names is None:
-        names = tuple(f"x{j}" for j in range(d + 1))
-    coords = [MultiPoly.variable(nm, names) for nm in names]
-    return discriminant_quartic(coords, i)
-
-
 def cubic_discriminant_determinant() -> MultiPoly:
     """The binary-cubic discriminant as the classical 4x4 determinant.
 
     The matrix is the Sylvester resultant of the two rows of the cubic's
     catalecticant; expanding it gives exactly D_0.
     """
-    names = ("x0", "x1", "x2", "x3")
-    x0, x1, x2, x3 = (MultiPoly.variable(nm, names) for nm in names)
-    zero = MultiPoly.zero(names)
+    def x(i, c=1):
+        return {tuple(int(k == i) for k in range(4)): c}
+
     rows = [
-        [x0, 2 * x1, x2, zero],
-        [zero, x0, 2 * x1, x2],
-        [x1, 2 * x2, x3, zero],
-        [zero, x1, 2 * x2, x3],
+        [x(0), x(1, 2), x(2), {}],
+        [{}, x(0), x(1, 2), x(2)],
+        [x(1), x(2, 2), x(3), {}],
+        [{}, x(1), x(2, 2), x(3)],
     ]
-    return det_bareiss(rows)
+    return MultiPoly(("x0", "x1", "x2", "x3"), det_bareiss(rows))

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .exactsolve import as_fraction, content, exact_rank, integer_row
-from .multipoly import MultiPoly, resultant
+from .multipoly import MultiPoly, resultant, times
 from .tensors import num_json, read_scalar, read_sequence
 from .unipoly import poly_gcd, real_roots
 
@@ -134,27 +134,27 @@ class CurveParam:
 class PluckerMap:
     """Line coordinates of the secant spanned by the pair (a : b : c).
 
-    table holds the same six polynomials as integer terms over one common
-    denominator den: polys[i].terms is {e: Fraction(c, den) for e, c in
-    table[i]}, in the same order.
+    table holds the six polynomials p01, p02, p03, p12, p13, p23 as integer
+    terms over one common denominator den; polys holds them as MultiPolys,
+    polys[i].terms being {e: Fraction(c, den) for e, c in table[i]}, in the
+    same order.
     """
 
-    polys: tuple[MultiPoly, ...]
-    den: int = field(init=False, repr=False, compare=False)
-    table: tuple[tuple[tuple[tuple[int, int, int], int], ...], ...] = field(
-        init=False, repr=False, compare=False)
+    table: tuple[tuple[tuple[tuple[int, int, int], int], ...], ...]
+    den: int
+    polys: tuple[MultiPoly, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.polys) != 6:
+        if len(self.table) != 6:
             raise RewriteFailed("a line in 3-space has six coordinates")
-        p01, p02, p03, p12, p13, p23 = self.polys
-        if not (p01 * p23 - p02 * p13 + p03 * p12).is_zero():
+        p01, p02, p03, p12, p13, p23 = map(dict, self.table)
+        relation = times(p01, p23)
+        _accumulate(relation, times(p02, p13).items(), -1)
+        _accumulate(relation, times(p03, p12).items(), 1)
+        if relation:
             raise RewriteFailed("line coordinates must satisfy the quadratic line relation")
-        den = content([c for p in self.polys for c in p.terms.values()]).denominator
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "table", tuple(
-            tuple((e, c.numerator * (den // c.denominator)) for e, c in p.terms.items())
-            for p in self.polys))
+        object.__setattr__(self, "polys", tuple(
+            MultiPoly(PAIR_VARS, {e: Fraction(c, self.den) for e, c in terms}) for terms in self.table))
 
     def evaluate(self, abc) -> list:
         point = dict(zip(PAIR_VARS, abc))
@@ -173,30 +173,36 @@ def plucker_map(curve: CurveParam) -> PluckerMap:
     monomials s^(d-k) t^k and s^(d-l) t^l (k < l) at the two parameter points
     span a^(d-l) c^k (X^m - Y^m) with X = s1 t2, Y = s2 t1, m = l - k; divided
     by X - Y this is a^(d-l) c^k H_(m-1), where H_j, the sum of X^i Y^(j-i),
-    obeys H_0 = 1, H_1 = b, H_j = b H_(j-1) - a c H_(j-2).  Terms are stored
-    in _degree_exponents order, the order float evaluation sums them in.
+    obeys H_0 = 1, H_1 = b, H_j = b H_(j-1) - a c H_(j-2).  The coordinates
+    are summed in integers from curve.F_int, F times the common denominator
+    L of its entries, and so are L^2 times the true ones; the table holds
+    them over their gcd g, scaled by the numerator of g / L^2, whose
+    denominator is den.  Terms are stored in _degree_exponents order, the
+    order float evaluation sums them in.
     """
-    d, F = curve.d, curve.F
-    a, b, c = (MultiPoly.variable(v, PAIR_VARS) for v in PAIR_VARS)
-    H = [MultiPoly.constant(1, PAIR_VARS), b]
+    d, F = curve.d, curve.F_int
+    H = [{(0, 0, 0): 1}, {(0, 1, 0): 1}]
     for _ in range(2, d):
-        H.append(b * H[-1] - a * c * H[-2])
-    spans = {(k, l): a ** (d - l) * c ** k * H[l - k - 1]
-             for l in range(d + 1) for k in range(l)}
+        h = times({(0, 1, 0): 1}, H[-1])
+        _accumulate(h, times({(1, 0, 1): 1}, H[-2]).items(), -1)
+        H.append(h)
+    lines: list[dict] = [{} for _ in INDEX_PAIRS]
+    for l in range(d + 1):
+        for k in range(l):
+            span = times({(d - l, 0, k): 1}, H[l - k - 1]).items()
+            for line, (i, j) in zip(lines, INDEX_PAIRS):
+                _accumulate(line, span, F[i][k] * F[j][l] - F[i][l] * F[j][k])
+    common = math.gcd(*(c for line in lines for c in line.values()))
+    scale = Fraction(common, content(c for row in curve.F for c in row).denominator ** 2)
     order = _degree_exponents(d - 1)
-    polys = []
-    for i, j in INDEX_PAIRS:
-        line = sum((span * (F[i][k] * F[j][l] - F[i][l] * F[j][k]) for (k, l), span in spans.items()),
-                   MultiPoly.zero(PAIR_VARS))
-        polys.append(MultiPoly(PAIR_VARS, {e: line.terms[e] for e in order if e in line.terms}))
-    return PluckerMap(tuple(polys))
+    return PluckerMap(tuple(tuple((e, line[e] // common * scale.numerator) for e in order if e in line)
+                            for line in lines), scale.denominator)
 
 
 def _accumulate(acc: dict, terms, scale: int) -> None:
-    """acc += scale * terms, in the term order a MultiPoly sum gives: an
-    exponent already in acc keeps its place, a new one is appended, one
-    that cancels is dropped once the sum is done, and a zero scale adds
-    nothing."""
+    """acc += scale * terms, in first-appearance order: an exponent already
+    in acc keeps its place, a new one is appended, one that cancels is
+    dropped once the sum is done, and a zero scale adds nothing."""
     if not scale:
         return
     cancelled = []
@@ -215,8 +221,9 @@ def secant_rows(pm: PluckerMap, u: Sequence[Fraction]) -> tuple[list[dict], int]
 
     u is scaled to integers U by its common denominator D, and den is D
     times the table's.  Row 0 is p23 U1 - p13 U2 + p12 U3 summed left to
-    right, one product at a time, and so on: the order MultiPoly arithmetic
-    gives the terms, which the float back-substitution sums in.
+    right, one product at a time, and so on; the terms come in the
+    first-appearance order of `_accumulate`, which the float
+    back-substitution sums in.
     """
     scale = content(u).denominator
     w, x, y, z = (c.numerator * (scale // c.denominator) for c in u)
@@ -438,8 +445,9 @@ def _elimination_variable(p: dict, q: dict, den: int) -> int:
 
 
 def _evaluate_at(part: Sequence[tuple[tuple[int, int], float]], m, n):
-    """A form in two variables at (m, n), term by term as MultiPoly.evaluate
-    sums it at complex values."""
+    """A form in two variables at (m, n), summed term by term in the part's
+    order, each term its coefficient times m^i times n^j (a factor with a
+    zero exponent left out)."""
     total = 0.0
     for (i, j), c in part:
         term = c
@@ -764,17 +772,24 @@ def _bisect_change(curve: CurveParam, path, lo: Fraction, hi: Fraction,
 
 def _fixture_polynomial(poly: MultiPoly, path) -> list[Fraction]:
     """The fixture restricted to the path, ascending in t: each POINT_VARS
-    coordinate is c0 + c1 t."""
+    coordinate is c0 + c1 t.  The expansion runs in integers: the path is
+    scaled by the common denominator D of its entries and the coefficients
+    by theirs, C, a term of degree m times D^(top - m) for the top degree,
+    and the sum is divided by C D^top once at the end."""
     if poly.variables != POINT_VARS:
         raise ValueError(f"fixture variables {poly.variables} are not {POINT_VARS}")
-    total: list[Fraction] = []
+    scale = content(c for row in path for c in row).denominator
+    lines = [(int(c0 * scale), int(c1 * scale)) for c0, c1 in path]
+    den = poly.content().denominator
+    top = max((sum(e) for e in poly.terms), default=0)
+    total: list[int] = []
     for expo, coeff in poly.terms.items():
-        term = [coeff]
-        for (c0, c1), e in zip(path, expo):
+        term = [int(coeff * den) * scale ** (top - sum(expo))]
+        for (c0, c1), e in zip(lines, expo):
             for _ in range(e):
                 term = [a * c0 + b * c1 for a, b in zip(term + [0], [0] + term)]
         total = [a + b for a, b in zip_longest(total, term, fillvalue=0)]
-    return total
+    return [Fraction(c, den * scale ** top) for c in total]
 
 
 def scan_path(curve: CurveParam, path, interval=(0, 1), nsamples: int = 21,

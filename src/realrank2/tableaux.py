@@ -16,7 +16,7 @@ from math import comb
 from typing import Sequence
 
 from .exactsolve import Inconsistent, exact_rank
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, times
 from .tensors import multidegrees
 
 
@@ -99,18 +99,6 @@ def _param_variables(n: int) -> list[str]:
     return [f"a{i}" for i in range(1, n + 1)] + [f"b{i}" for i in range(1, n + 1)]
 
 
-def _times(p: dict, q: dict) -> dict:
-    """Product of two polynomials given as exponent -> integer coefficient
-    maps, terms in first-appearance order as `MultiPoly.__mul__` has them,
-    zero coefficients dropped."""
-    out: dict[tuple[int, ...], int] = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
-
-
 def target_polynomial(t: TwoRowTableau) -> MultiPoly:
     """Expand the tableau's polynomial in the 2n parameters a, b: the product
     of the column brackets a_m b_v - a_v b_m with the sum, over the ways to
@@ -124,7 +112,7 @@ def target_polynomial(t: TwoRowTableau) -> MultiPoly:
         av_bm = [0] * (2 * n)
         av_bm[v - 1] += 1
         av_bm[n + m - 1] += 1
-        poly = _times(poly, {tuple(am_bv): 1, tuple(av_bm): -1})
+        poly = times(poly, {tuple(am_bv): 1, tuple(av_bm): -1})
     tail = t.mu[t.k:]
     total: dict[tuple[int, ...], int] = {}
     for picks in itertools.combinations(range(len(tail)), t.d - t.k):
@@ -133,7 +121,7 @@ def target_polynomial(t: TwoRowTableau) -> MultiPoly:
         for j, entry in enumerate(tail):
             exps[entry - 1 + (0 if j in chosen else n)] += 1
         total[tuple(exps)] = total.get(tuple(exps), 0) + 1
-    return MultiPoly(_param_variables(n), _times(poly, total))
+    return MultiPoly(_param_variables(n), times(poly, total))
 
 
 def coordinate_name(u: Sequence[int]) -> str:

@@ -1,10 +1,12 @@
-"""Shared test plumbing: the acceptance criteria report, a polynomial
-substitution oracle, the cofactor determinant and the Sylvester resultant
-that the Bareiss and Bezout kernels of multipoly are tested against, the
-MultiPoly secant system that the integer pencil of space_curve is tested
-against, and the univariate Fraction arithmetic (gcd, Sturm chain,
-square-free factors, on-curve test) that the integer remainder sequence of
-unipoly is tested against.
+"""Shared test plumbing: the acceptance criteria report; `Poly`, MultiPoly
+with the exact ring arithmetic, and its fraction-free Bareiss determinant,
+the oracle that the library's term-map products, Leibniz determinants and
+Plucker tables are tested against; a polynomial substitution oracle, the
+cofactor determinant and the Sylvester resultant that the Bareiss and
+Bezout kernels of multipoly are tested against; the Poly secant system that
+the integer pencil of space_curve is tested against; and the univariate
+Fraction arithmetic (gcd, Sturm chain, square-free factors, on-curve test)
+that the integer remainder sequence of unipoly is tested against.
 
 test_acceptance.py records one line per criterion; printing them from the
 terminal-summary hook keeps them visible under pytest's output capture.
@@ -14,9 +16,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Sequence
 
-from realrank2.exactsolve import content
-from realrank2.multipoly import MultiPoly, det_bareiss
+from realrank2 import hyperdet as hd
+from realrank2.exactsolve import as_fraction, content
+from realrank2.multipoly import MultiPoly, grlex_key
 
 acceptance_results: list[str] = []
 
@@ -29,24 +33,215 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(line)
 
 
-def substitute(poly: MultiPoly, replacements: dict, variables) -> MultiPoly:
+class NotDivisible(ArithmeticError):
+    """Raised when an exact polynomial division leaves a remainder."""
+
+
+class Poly(MultiPoly):
+    """A MultiPoly with exact ring arithmetic over the rationals: + - * **,
+    exact division, reindexing.  Arithmetic needs equal variable tuples;
+    scalars are constants.  `ring` lifts a library MultiPoly into it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls, variables: Sequence[str] = ()) -> "Poly":
+        return cls(variables, {})
+
+    @classmethod
+    def constant(cls, value, variables: Sequence[str] = ()) -> "Poly":
+        return cls(variables, {tuple([0] * len(variables)): value})
+
+    @classmethod
+    def variable(cls, name: str, variables: Sequence[str] | None = None) -> "Poly":
+        variables = (name,) if variables is None else tuple(variables)
+        return cls(variables, {tuple(int(v == name) for v in variables): 1})
+
+    @classmethod
+    def monomial(cls, variables: Sequence[str], exponents: Sequence[int], coeff=1) -> "Poly":
+        return cls(variables, {tuple(exponents): coeff})
+
+    def zero_like(self) -> "Poly":
+        return Poly.zero(self.variables)
+
+    def one_like(self) -> "Poly":
+        return Poly.constant(1, self.variables)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def is_constant(self) -> bool:
+        return all(sum(e) == 0 for e in self.terms)
+
+    def constant_value(self) -> Fraction:
+        if self.is_zero():
+            return Fraction(0)
+        if not self.is_constant():
+            raise ValueError("polynomial is not constant")
+        return next(iter(self.terms.values()))
+
+    def total_degree(self) -> int:
+        return max((sum(e) for e in self.terms), default=0)
+
+    def leading_term(self) -> tuple[tuple, Fraction]:
+        """Leading (exponent, coefficient) under graded lex.  Zero poly raises."""
+        if not self.terms:
+            raise ValueError("zero polynomial has no leading term")
+        return self.sorted_terms()[0]
+
+    def extend(self, variables: Sequence[str]) -> "Poly":
+        """Reindex onto a superset of the current variables."""
+        variables = tuple(variables)
+        idx = [variables.index(v) for v in self.variables]
+        terms = {}
+        for expo, coeff in self.terms.items():
+            new = [0] * len(variables)
+            for i, e in zip(idx, expo):
+                new[i] = e
+            terms[tuple(new)] = coeff
+        return Poly(variables, terms)
+
+    def _lift(self, other) -> "Poly":
+        if not isinstance(other, MultiPoly):
+            return Poly.constant(other, self.variables)
+        if self.variables != other.variables:
+            raise ValueError(f"variables differ: {self.variables} vs {other.variables}")
+        return other
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for expo, coeff in self._lift(other).terms.items():
+            terms[expo] = terms.get(expo, Fraction(0)) + coeff
+        return Poly(self.variables, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly(self.variables, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -ring(self._lift(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        terms: dict[tuple, Fraction] = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in self._lift(other).terms.items():
+                expo = tuple(x + y for x, y in zip(ea, eb))
+                terms[expo] = terms.get(expo, Fraction(0)) + ca * cb
+        return Poly(self.variables, terms)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power")
+        result = self.one_like()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return result
+
+    def __eq__(self, other):
+        if not isinstance(other, MultiPoly):
+            return self == Poly.constant(as_fraction(other), self.variables)
+        return super().__eq__(other)
+
+    __hash__ = None
+
+    def exact_div(self, divisor) -> "Poly":
+        """Exact division; raises NotDivisible if the quotient is not polynomial.
+
+        Leading-term reduction under graded lex terminates because the leading
+        monomial of the remainder strictly decreases at every step.
+        """
+        divisor = self._lift(divisor)
+        if not divisor.terms:
+            raise ZeroDivisionError("division by zero polynomial")
+        lead_e, lead_c = ring(divisor).leading_term()
+        rem = dict(self.terms)
+        quot: dict[tuple, Fraction] = {}
+        while rem:
+            e = max(rem, key=grlex_key)
+            diff = tuple(x - y for x, y in zip(e, lead_e))
+            if any(d < 0 for d in diff):
+                raise NotDivisible("leading term not divisible")
+            c = rem[e] / lead_c
+            quot[diff] = quot.get(diff, Fraction(0)) + c
+            for eb, cb in divisor.terms.items():
+                expo = tuple(x + y for x, y in zip(diff, eb))
+                val = rem.get(expo, Fraction(0)) - c * cb
+                if val:
+                    rem[expo] = val
+                else:
+                    rem.pop(expo, None)
+        return Poly(self.variables, quot)
+
+
+def ring(poly: MultiPoly) -> Poly:
+    """The polynomial with the oracle's ring arithmetic."""
+    return Poly(poly.variables, poly.terms)
+
+
+def bareiss_det(matrix: list[list[Poly]]) -> Poly:
+    """Exact determinant of a square Poly matrix, fraction-free.
+
+    The Bareiss update divides by the previous pivot, which is exact over any
+    integral domain, so intermediate entries stay polynomial.
+    """
+    n = len(matrix)
+    if n == 0:
+        raise ValueError("empty matrix")
+    work = [[ring(col) for col in row] for row in matrix]
+    sign = 1
+    prev: Poly | None = None
+    for k in range(n - 1):
+        pivot_row = next((i for i in range(k, n) if not work[i][k].is_zero()), None)
+        if pivot_row is None:
+            return work[0][0].zero_like()
+        if pivot_row != k:
+            work[k], work[pivot_row] = work[pivot_row], work[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = work[i][j] * work[k][k] - work[i][k] * work[k][j]
+                work[i][j] = num if prev is None else num.exact_div(prev)
+            work[i][k] = work[i][k].zero_like()
+        prev = work[k][k]
+    result = work[-1][-1]
+    return result if sign == 1 else -result
+
+
+def discriminant_quartic_poly(d: int, i: int, names: Sequence[str] | None = None) -> Poly:
+    """D_i as an exact polynomial in the coordinates x_0 .. x_d."""
+    if names is None:
+        names = tuple(f"x{j}" for j in range(d + 1))
+    return hd.discriminant_quartic([Poly.variable(nm, names) for nm in names], i)
+
+
+def substitute(poly: MultiPoly, replacements: dict, variables) -> Poly:
     """poly with every variable replaced by a polynomial in `variables`,
-    expanded term by term in MultiPoly arithmetic: the reference that the
+    expanded term by term in Poly arithmetic: the reference that the
     library's exponent-arithmetic pushforwards and restrictions are tested
     against."""
-    total = MultiPoly.zero(variables)
+    total = Poly.zero(variables)
     for expo, coeff in poly.terms.items():
-        term = MultiPoly.constant(coeff, variables)
+        term = Poly.constant(coeff, variables)
         for var, e in zip(poly.variables, expo):
-            term = term * replacements[var] ** e
+            term = term * ring(replacements[var]) ** e
         total = total + term
     return total
 
 
-def coefficients_in(poly: MultiPoly, var: str) -> list[MultiPoly]:
+def coefficients_in(poly: MultiPoly, var: str) -> list[Poly]:
     """Coefficients w.r.t. one variable, ascending degree, over the rest."""
     if var not in poly.variables:
-        return [poly]
+        return [ring(poly)]
     k = poly.variables.index(var)
     rest = tuple(v for v in poly.variables if v != var)
     deg = max((e[k] for e in poly.terms), default=0)
@@ -54,20 +249,20 @@ def coefficients_in(poly: MultiPoly, var: str) -> list[MultiPoly]:
     for expo, coeff in poly.terms.items():
         reduced = tuple(e for i, e in enumerate(expo) if i != k)
         buckets[expo[k]][reduced] = coeff
-    return [MultiPoly(rest, b) for b in buckets]
+    return [Poly(rest, b) for b in buckets]
 
 
 def cofactor_det(rows):
     """Laplace expansion along the first row, in the entries' own exact
-    arithmetic (ints, Fractions or MultiPolys); 1 when empty."""
+    arithmetic (ints, Fractions or Polys); 1 when empty."""
     if not rows:
         return 1
     return sum((-1) ** j * x * cofactor_det([row[:j] + row[j + 1:] for row in rows[1:]])
                for j, x in enumerate(rows[0]))
 
 
-def sylvester_resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
-    """The Sylvester determinant with MultiPoly entries: the resultant of
+def sylvester_resultant(p: MultiPoly, q: MultiPoly, var: str) -> Poly:
+    """The Sylvester determinant with Poly entries: the resultant of
     two polynomials eliminating var, over the remaining variables."""
     cp = coefficients_in(p, var)
     cq = coefficients_in(q, var)
@@ -84,13 +279,13 @@ def sylvester_resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     zero = cp[0].zero_like()
     rows = [[zero] * s + cp[::-1] + [zero] * (size - m - 1 - s) for s in range(n)]
     rows += [[zero] * s + cq[::-1] + [zero] * (size - n - 1 - s) for s in range(m)]
-    return det_bareiss(rows)
+    return bareiss_det(rows)
 
 
-def secant_system(pm, u) -> list[MultiPoly]:
+def secant_system(pm, u) -> list[Poly]:
     """The four point-on-line equations for u, degree d-1 in (a, b, c), as
-    MultiPoly sums and products of the PluckerMap's polynomials."""
-    p01, p02, p03, p12, p13, p23 = pm.polys
+    Poly sums and products of the PluckerMap's polynomials."""
+    p01, p02, p03, p12, p13, p23 = map(ring, pm.polys)
     w, x, y, z = u
     return [
         p23 * x - p13 * y + p12 * z,
@@ -100,10 +295,10 @@ def secant_system(pm, u) -> list[MultiPoly]:
     ]
 
 
-def random_combination(rows: list[MultiPoly], rng: random.Random) -> MultiPoly:
-    """Sum of the rows times random integers in [-5, 5] in MultiPoly
+def random_combination(rows: list[Poly], rng: random.Random) -> Poly:
+    """Sum of the rows times random integers in [-5, 5] in Poly
     arithmetic; up to 20 attempts until the sum is nonzero."""
-    zero = MultiPoly.zero(rows[0].variables)
+    zero = Poly.zero(rows[0].variables)
     for _ in range(20):
         combo = sum((row * rng.randint(-5, 5) for row in rows), zero)
         if not combo.is_zero():

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
-from conftest import acceptance_results
+from conftest import Poly, acceptance_results, bareiss_det, discriminant_quartic_poly
 
 from realrank2 import binary_forms as bf
 from realrank2 import certify as ce
@@ -231,8 +231,14 @@ def test_criterion_08_cubic_discriminant_determinant():
         [(("x0", "x0", "x3", "x3"), 1), (("x0", "x1", "x2", "x3"), -6),
          (("x1", "x1", "x2", "x2"), -3), (("x1", "x1", "x1", "x3"), 4),
          (("x0", "x2", "x2", "x2"), 4)])
+    x0, x1, x2, x3 = (Poly.variable(nm, det.variables) for nm in det.variables)
+    zero = x0.zero_like()
+    oracle = bareiss_det([[x0, 2 * x1, x2, zero], [zero, x0, 2 * x1, x2],
+                          [x1, 2 * x2, x3, zero], [zero, x1, 2 * x2, x3]])
+    quartic = discriminant_quartic_poly(3, 0, names=det.variables)
     ok = det == displayed
-    ok &= det == hd.discriminant_quartic_poly(3, 0, names=det.variables)
+    ok &= det == quartic
+    ok &= oracle == quartic
     record(8, "4x4 determinant expands to the displayed discriminant quartic",
            ok, "exact symbolic equality")
 

@@ -15,6 +15,7 @@ import pytest
 
 import realrank2
 from realrank2 import certify as ce
+from realrank2 import cli
 from realrank2 import decompose as dc
 from realrank2 import hyperdet as hd
 from realrank2 import tensors as tn
@@ -109,6 +110,25 @@ def test_hyperdet_text_golden(capsys, conj_file):
     assert status == 0
     assert out == ("modes[1:(0,1),2:(0,1),3:(0,1)]: -64\n"
                    "signs: 0 positive, 0 zero, 1 negative (zero tolerance 0)\n")
+
+
+def test_hyperdet_formats_block_lines_only_for_text(capsys, monkeypatch, tmp_path):
+    """Under the default JSON output the per-block text lines are never
+    built: `_fmt` runs at most once (the signs line), not once per block;
+    under --format text it formats every block."""
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(tn.tensor_to_json(_family_tensor("real", (2,) * 5, 3))))
+    calls = []
+    fmt = cli._fmt
+    monkeypatch.setattr(cli, "_fmt", lambda v: calls.append(v) or fmt(v))
+    status, out, _ = run_cli(capsys, "hyperdet", "--file", str(path))
+    blocks = len(json.loads(out)["values"])
+    assert status == 0 and blocks == 40
+    assert len(calls) <= 1
+    calls.clear()
+    status, out, _ = run_cli(capsys, "hyperdet", "--file", str(path), "--format", "text")
+    assert status == 0 and len(out.splitlines()) == blocks + 1
+    assert len(calls) == blocks + 1
 
 
 def test_decompose_real_pair_and_determinism(capsys, real_pair_file):

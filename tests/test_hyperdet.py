@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import discriminant_quartic_poly
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -265,7 +266,7 @@ def test_cubic_discriminant_determinant_identity():
     # the first shifted discriminant of a binary cubic equals the 4x4
     # bilinear-form determinant, as polynomials
     det_poly = hd.cubic_discriminant_determinant()
-    disc_poly = hd.discriminant_quartic_poly(3, 0, names=det_poly.variables)
+    disc_poly = discriminant_quartic_poly(3, 0, names=det_poly.variables)
     assert det_poly == disc_poly
 
 

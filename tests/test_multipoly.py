@@ -1,7 +1,9 @@
-"""Exact multivariate polynomial ring: arithmetic, division, determinants,
-resultants.  Oracles are independent evaluations at random rational points,
-cofactor expansion for determinants and, for resultants, the Sylvester
-determinant over MultiPoly entries."""
+"""Exact multivariate polynomials: the printed record, the term-map
+product and determinant, resultants, and the ring arithmetic of the test
+oracle.  Oracles are independent evaluations at random rational points,
+cofactor expansion and the fraction-free Bareiss elimination of
+conftest.Poly for determinants and, for resultants, the Sylvester
+determinant over Poly entries."""
 
 from __future__ import annotations
 
@@ -11,19 +13,19 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from conftest import coefficients_in, cofactor_det, sylvester_resultant
+from conftest import NotDivisible, Poly, bareiss_det, coefficients_in, cofactor_det, sylvester_resultant
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realrank2.multipoly import (MultiPoly, NotDivisible, NotForms, _det, _mul, as_fraction, det_bareiss,
-                                  grlex_key, resultant)
+from realrank2 import binary_forms as bf
+from realrank2.multipoly import MultiPoly, NotForms, _det, _mul, as_fraction, det_bareiss, grlex_key, resultant, times
 from realrank2.unipoly import _trimmed
 
 VARS = ("x", "y", "z")
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 exponents = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
-polys = st.dictionaries(exponents, coeffs, max_size=6).map(lambda t: MultiPoly(VARS, t))
+polys = st.dictionaries(exponents, coeffs, max_size=6).map(lambda t: Poly(VARS, t))
 
 
 def rand_point(rng: random.Random) -> dict:
@@ -38,7 +40,7 @@ def test_zero_coefficients_dropped():
 
 def test_grlex_leading_term():
     p = MultiPoly(VARS, {(2, 0, 0): 1, (1, 1, 1): 1, (0, 0, 2): 1})
-    assert p.leading_term()[0] == (1, 1, 1)
+    assert [e for e, _ in p.sorted_terms()] == [(1, 1, 1), (2, 0, 0), (0, 0, 2)]
     assert grlex_key((2, 0, 0)) < grlex_key((1, 1, 1))
 
 
@@ -53,6 +55,14 @@ def test_as_fraction_parses_ratio_strings():
     assert as_fraction(2) == Fraction(2)
 
 
+def test_times_keeps_first_appearance_order_and_drops_cancellations():
+    # (x + y)(x - y) = x^2 - y^2: the xy terms cancel
+    p = {(1, 0): 1, (0, 1): 1}
+    q = {(1, 0): 1, (0, 1): -1}
+    assert list(times(p, q).items()) == [((2, 0), 1), ((0, 2), -1)]
+    assert times(p, {}) == {}
+
+
 @settings(max_examples=50, deadline=None)
 @given(polys, polys, polys)
 def test_ring_axioms_via_evaluation(p, q, r):
@@ -62,6 +72,7 @@ def test_ring_axioms_via_evaluation(p, q, r):
     assert (p * q).evaluate(pt) == p.evaluate(pt) * q.evaluate(pt)
     assert ((p + q) * r).evaluate(pt) == (p * r + q * r).evaluate(pt)
     assert (p - p).is_zero()
+    assert MultiPoly(VARS, times(p.terms, q.terms)) == p * q
 
 
 @settings(max_examples=50, deadline=None)
@@ -73,8 +84,8 @@ def test_exact_div_recovers_factor(p, q):
 
 
 def test_exact_div_raises_on_non_multiple():
-    x = MultiPoly.variable("x", VARS)
-    y = MultiPoly.variable("y", VARS)
+    x = Poly.variable("x", VARS)
+    y = Poly.variable("y", VARS)
     with pytest.raises(NotDivisible):
         (x * x + y).exact_div(x)
 
@@ -82,8 +93,8 @@ def test_exact_div_raises_on_non_multiple():
 @pytest.mark.parametrize("op", [
     lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p * q, lambda p, q: p.exact_div(q)])
 def test_arithmetic_across_variable_tuples_raises(op):
-    p = MultiPoly(VARS, {(1, 0, 0): 1})
-    q = MultiPoly(("x", "y"), {(1, 0): 1})
+    p = Poly(VARS, {(1, 0, 0): 1})
+    q = Poly(("x", "y"), {(1, 0): 1})
     with pytest.raises(ValueError, match="variables differ"):
         op(p, q)
     with pytest.raises(ValueError, match="variables differ"):
@@ -92,18 +103,17 @@ def test_arithmetic_across_variable_tuples_raises(op):
 
 def test_equality_needs_the_same_variable_tuple():
     p = MultiPoly(VARS, {(1, 0, 0): 1})
-    assert p != p.extend(("z", "y", "x"))
+    assert p != MultiPoly(("z", "y", "x"), {(0, 0, 1): 1})
     assert p != MultiPoly(("x", "y"), {(1, 0): 1})
-    assert p == p.extend(VARS)
+    assert p == Poly(VARS, {(1, 0, 0): 1}) == p
 
 
 def test_coefficients_in_reassembles():
-    rng = random.Random(3)
-    p = MultiPoly(VARS, {(2, 1, 0): Fraction(3), (0, 0, 2): Fraction(-1, 2), (1, 1, 1): 5})
+    p = Poly(VARS, {(2, 1, 0): Fraction(3), (0, 0, 2): Fraction(-1, 2), (1, 1, 1): 5})
     parts = coefficients_in(p, "y")
-    y = MultiPoly.variable("y", VARS)
-    total = MultiPoly.zero(VARS)
-    power = MultiPoly.constant(1, VARS)
+    y = Poly.variable("y", VARS)
+    total = Poly.zero(VARS)
+    power = Poly.constant(1, VARS)
     for part in parts:
         total = total + part.extend(VARS) * power
         power = power * y
@@ -114,20 +124,43 @@ def test_content_and_normalized():
     p = MultiPoly(VARS, {(1, 0, 0): Fraction(4, 3), (0, 1, 0): Fraction(-2, 3)})
     n = p.normalized()
     assert n.content() == 1
-    assert n.leading_term()[1] > 0
     assert n == MultiPoly(VARS, {(1, 0, 0): 2, (0, 1, 0): -1})
+    # a negative leading coefficient flips every sign
+    m = MultiPoly(VARS, {(1, 0, 0): Fraction(-4, 3), (0, 0, 0): Fraction(2, 3)}).normalized()
+    assert m == MultiPoly(VARS, {(1, 0, 0): 2, (0, 0, 0): -1})
+    assert m.sorted_terms()[0][1] > 0
+    assert MultiPoly(VARS).normalized() == MultiPoly(VARS)
 
 
 def test_det_bareiss_matches_cofactor_expansion():
+    """Term-map determinants of sizes 1..4, some entries zero, against the
+    cofactor expansion and the oracle's Bareiss elimination in Poly
+    arithmetic."""
     rng = random.Random(5)
     names = ("a", "b", "c", "d")
-    mat = [[MultiPoly(names, {tuple(rng.randint(0, 1) for _ in names): Fraction(rng.randint(-4, 4))})
-            for _ in range(3)] for _ in range(3)]
-    det = det_bareiss(mat)
-    cof = (mat[0][0] * (mat[1][1] * mat[2][2] - mat[1][2] * mat[2][1])
-           - mat[0][1] * (mat[1][0] * mat[2][2] - mat[1][2] * mat[2][0])
-           + mat[0][2] * (mat[1][0] * mat[2][1] - mat[1][1] * mat[2][0]))
-    assert det == cof
+    for n in range(1, 5):
+        for _ in range(12):
+            mat = [[{tuple(rng.randint(0, 1) for _ in names): rng.randint(-4, 4)} if rng.random() < 0.8 else {}
+                    for _ in range(n)] for _ in range(n)]
+            mat = [[{e: c for e, c in entry.items() if c} for entry in row] for row in mat]
+            entries = [[Poly(names, entry) for entry in row] for row in mat]
+            det = MultiPoly(names, det_bareiss(mat))
+            assert det == cofactor_det(entries)
+            assert det == bareiss_det(entries)
+    with pytest.raises(ValueError):
+        det_bareiss([])
+
+
+@pytest.mark.parametrize("d", range(3, 13))
+def test_det_bareiss_equals_the_oracle_on_every_symbolic_hankel_minor(d):
+    names = [f"x{i}" for i in range(d + 1)]
+    h = bf._symbolic_hankel(d)
+    for size in (2, 3):
+        for rows in itertools.combinations(range(3), size):
+            for cols in itertools.combinations(range(d - 1), size):
+                matrix = [[h[r][c] for c in cols] for r in rows]
+                oracle = bareiss_det([[Poly(names, entry) for entry in row] for row in matrix])
+                assert MultiPoly(names, det_bareiss(matrix)) == oracle
 
 
 square_zx_matrices = st.integers(0, 5).flatmap(lambda n: st.lists(
@@ -155,8 +188,8 @@ def test_bareiss_over_zx_equals_cofactor_expansion(rows, data):
     rows = [[_trimmed(x) for x in row] for row in rows]
     before = [list(row) for row in rows]
     det = _det(rows)
-    expected = cofactor_det([[MultiPoly(("x",), {(i,): c for i, c in enumerate(x)}) for x in row] for row in rows])
-    assert MultiPoly(("x",), {(i,): c for i, c in enumerate(det)}) == expected
+    expected = cofactor_det([[Poly(("x",), {(i,): c for i, c in enumerate(x)}) for x in row] for row in rows])
+    assert Poly(("x",), {(i,): c for i, c in enumerate(det)}) == expected
     assert det == _trimmed(det)
     assert rows == before  # elimination works on copies
 
@@ -165,8 +198,8 @@ def test_bareiss_over_zx_equals_cofactor_expansion(rows, data):
 @given(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5))
 def test_resultant_vanishes_iff_common_root(a, b, c, d):
     # p = (x - a y)(x - b y), q = (x - c y)(x - d y): res = 0 iff roots meet
-    x = MultiPoly.variable("x", ("x", "y"))
-    y = MultiPoly.variable("y", ("x", "y"))
+    x = Poly.variable("x", ("x", "y"))
+    y = Poly.variable("y", ("x", "y"))
     p = (x - a * y) * (x - b * y)
     q = (x - c * y) * (x - d * y)
     res = resultant(p, q, "x")
@@ -176,14 +209,14 @@ def test_resultant_vanishes_iff_common_root(a, b, c, d):
 
 def test_resultant_product_formula():
     # res_x(p, q) = lead^deg * prod q(root) for exact roots, on y^4
-    x = MultiPoly.variable("x", ("x", "y"))
-    y = MultiPoly.variable("y", ("x", "y"))
+    x = Poly.variable("x", ("x", "y"))
+    y = Poly.variable("y", ("x", "y"))
     p = (x - 2 * y) * (x + 3 * y)
     q = x * x - 5 * y * y
     assert resultant(p, q, "x") == [0, 0, 0, 0, (4 - 5) * (9 - 5)]
 
 
-def _as_list(res: MultiPoly, degree: int) -> list[int]:
+def _as_list(res: Poly, degree: int) -> list[int]:
     """An oracle resultant in the layout of `resultant`: degree + 1 ints,
     entry j on the terms of degree j in the first remaining variable."""
     out = [0] * (degree + 1)
@@ -200,7 +233,7 @@ def forms(draw, variables, degree, max_var_degree=None):
                  if sum(e) == degree and e[0] <= var_degree]
     terms = draw(st.dictionaries(st.sampled_from(monomials), coeffs.filter(bool),
                                  min_size=1, max_size=len(monomials)))
-    return MultiPoly(variables, terms)
+    return Poly(variables, terms)
 
 
 RESULTANT_CASES = ("generic", "vanishing_lead", "common_factor", "m0", "n0", "one_left", "none_left")
@@ -222,10 +255,10 @@ def test_resultant_matches_sylvester_oracle(case, data):
     q = data.draw(forms(names, deg_q, 0 if case == "n0" else None))
     if case == "vanishing_lead":
         # the leading coefficient in the eliminated variable vanishes at x = 0
-        p = p * MultiPoly.variable(names[1], names) * MultiPoly.variable(names[-1], names)
+        p = p * Poly.variable(names[1], names) * Poly.variable(names[-1], names)
     if case == "common_factor":
-        shared = (MultiPoly.variable(names[0], names)
-                  + data.draw(coeffs) * MultiPoly.variable(names[-1], names))
+        shared = (Poly.variable(names[0], names)
+                  + data.draw(coeffs) * Poly.variable(names[-1], names))
         p, q = p * shared, q * shared
     shift = data.draw(st.integers(0, len(names) - 1))
     order = names[shift:] + names[:shift]
@@ -252,12 +285,12 @@ def test_resultant_matches_sylvester_oracle(case, data):
     (lambda x, y, z: (3 * x ** 0, x ** 2 + y ** 2 + z ** 2), [9]),
 ])
 def test_resultant_examples(forms, expected):
-    p, q = forms(*(MultiPoly.variable(v, VARS) for v in VARS))
+    p, q = forms(*(Poly.variable(v, VARS) for v in VARS))
     assert resultant(p, q, "x") == expected
 
 
 def test_resultant_with_nothing_left_is_a_constant():
-    x = MultiPoly.variable("x", ("x",))
+    x = Poly.variable("x", ("x",))
     # 1/2 is cleared to 1 first: Res(3x, 1) = 1
     assert resultant(3 * x, Fraction(1, 2) * x ** 0, "x") == [1]
     assert resultant(3 * x, 2 * x ** 2, "x") == [0, 0, 0]
@@ -266,7 +299,7 @@ def test_resultant_with_nothing_left_is_a_constant():
 @pytest.mark.parametrize("p, q, var", [
     (MultiPoly(VARS, {(1, 0, 0): 1, (0, 0, 0): 1}), MultiPoly(VARS, {(0, 1, 0): 1}), "x"),
     (MultiPoly(VARS, {(1, 0, 0): 1}), MultiPoly(VARS, {(0, 1, 1): 1, (0, 0, 1): 2}), "x"),
-    (MultiPoly(VARS, {(1, 0, 0): 1}), MultiPoly.zero(VARS), "x"),
+    (MultiPoly(VARS, {(1, 0, 0): 1}), MultiPoly(VARS), "x"),
     (MultiPoly(VARS, {(1, 0, 0): 1}), MultiPoly(("x", "y"), {(0, 1): 1}), "x"),
     (MultiPoly(VARS, {(1, 0, 0): 1}), MultiPoly(VARS, {(0, 1, 0): 1}), "w"),
     (MultiPoly(("w",) + VARS, {(1, 0, 0, 0): 1}), MultiPoly(("w",) + VARS, {(0, 1, 0, 0): 1}), "w"),

@@ -4,18 +4,24 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import (coefficients_in, elimination_variable, fraction_on_curve, fraction_trim, random_combination,
-                      secant_system, substitute)
+from conftest import (Poly, coefficients_in, elimination_variable, fraction_on_curve, fraction_trim,
+                      random_combination, ring, secant_system, substitute)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import realrank2
 from realrank2 import hyperdet as hd
 from realrank2 import space_curve as sc
+from realrank2.exactsolve import content
 from realrank2.multipoly import MultiPoly
 from realrank2.tensors import NonFiniteEntry
 from realrank2.unipoly import real_roots
@@ -43,8 +49,87 @@ def test_plucker_map_goldens_for_monomial_quartic():
 
 def test_plucker_relation_holds_identically():
     for curve in (QUARTIC, TWISTED_CUBIC):
-        p01, p02, p03, p12, p13, p23 = sc.plucker_map(curve).polys
+        p01, p02, p03, p12, p13, p23 = map(ring, sc.plucker_map(curve).polys)
         assert (p01 * p23 - p02 * p13 + p03 * p12).is_zero()
+
+
+def ring_plucker_polys(curve: sc.CurveParam) -> list[Poly]:
+    """The six coordinates by the H recurrence in Poly arithmetic, on the
+    curve's Fraction rows, terms in _degree_exponents(d - 1) order."""
+    d, F = curve.d, curve.F
+    a, b, c = (Poly.variable(v, sc.PAIR_VARS) for v in sc.PAIR_VARS)
+    H = [Poly.constant(1, sc.PAIR_VARS), b]
+    for _ in range(2, d):
+        H.append(b * H[-1] - a * c * H[-2])
+    order = sc._degree_exponents(d - 1)
+    polys = []
+    for i, j in sc.INDEX_PAIRS:
+        line = sum((a ** (d - l) * c ** k * H[l - k - 1] * (F[i][k] * F[j][l] - F[i][l] * F[j][k])
+                    for l in range(d + 1) for k in range(l)), Poly.zero(sc.PAIR_VARS))
+        polys.append(Poly(sc.PAIR_VARS, {e: line.terms[e] for e in order if e in line.terms}))
+    return polys
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
+def test_plucker_table_equals_the_ring_build(d):
+    """The integer table over den is the ring build term for term and in
+    order, and den is the common denominator of its coefficients, on
+    random curves with Fraction and with integer rows."""
+    rng = random.Random(80 + d)
+    curves = [_random_curve(rng, d) for _ in range(4)]
+    curves.append(sc.CurveParam(d, [[c * 6 for c in row] for row in curves[0].F]))
+    if d == 4:
+        curves.append(QUARTIC)
+    for curve in curves:
+        pm = sc.plucker_map(curve)
+        oracle = ring_plucker_polys(curve)
+        assert [[(e, Fraction(c, pm.den)) for e, c in terms] for terms in pm.table] == [
+            list(p.terms.items()) for p in oracle]
+        assert pm.den == content([c for p in oracle for c in p.terms.values()]).denominator
+        assert pm.polys == tuple(oracle)
+
+
+def _monomial_quartic_table() -> list[dict]:
+    return [dict(terms) for terms in sc.plucker_map(QUARTIC).table]
+
+
+def test_plucker_map_refuses_coordinates_off_the_line_relation():
+    table = _monomial_quartic_table()
+    table[5] = {(0, 0, 3): 2}  # p01 p23 - p02 p13 + p03 p12 = a^3 c^3 != 0
+    with pytest.raises(sc.RewriteFailed, match="line relation"):
+        sc.PluckerMap(tuple(tuple(terms.items()) for terms in table), 1)
+    table = _monomial_quartic_table()
+    table[1], table[2] = table[2], table[1]
+    with pytest.raises(sc.RewriteFailed, match="line relation"):
+        sc.PluckerMap(tuple(tuple(terms.items()) for terms in table), 1)
+
+
+def test_plucker_map_refuses_five_coordinates():
+    table = tuple(tuple(terms.items()) for terms in _monomial_quartic_table()[:5])
+    with pytest.raises(sc.RewriteFailed, match="six coordinates"):
+        sc.PluckerMap(table, 1)
+
+
+def test_plucker_map_refuses_off_relation_coordinates_under_optimize():
+    # the line-relation and count checks are `if ... raise`: both must
+    # raise with asserts stripped
+    code = "\n".join([
+        "from realrank2 import space_curve as sc",
+        "assert False, 'asserts must be off'",
+        "table = [tuple(terms) for terms in sc.plucker_map(sc.MONOMIAL_QUARTIC).table]",
+        "table[5] = (((0, 0, 3), 2),)",
+        "for rows in (table, table[:5]):",
+        "    try:",
+        "        sc.PluckerMap(tuple(rows), 1)",
+        "    except sc.RewriteFailed as exc:",
+        "        print(exc)",
+    ])
+    src = str(Path(realrank2.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["line coordinates must satisfy the quadratic line relation",
+                                        "a line in 3-space has six coordinates"]
 
 
 def test_plucker_map_matches_two_point_span():
@@ -649,8 +734,8 @@ def test_scan_argument_guards():
 
 
 def restricted_by_substitution(poly: MultiPoly, path) -> list[Fraction]:
-    """The fixture along the path by substituting c0 + c1 t in MultiPoly arithmetic."""
-    t = MultiPoly.variable("t", ("t",))
+    """The fixture along the path by substituting c0 + c1 t in Poly arithmetic."""
+    t = Poly.variable("t", ("t",))
     replacements = {v: t * c1 + c0 for v, (c0, c1) in zip(sc.POINT_VARS, path)}
     along = substitute(poly, replacements, ("t",))
     return fraction_trim(part.constant_value() for part in coefficients_in(along, "t"))
@@ -668,7 +753,8 @@ def test_fixture_polynomial_equals_substitution_oracle():
 
 
 def test_fixture_polynomial_needs_point_variables():
-    reordered = sc.TANGENTIAL_SEXTIC.extend(("x", "w", "y", "z"))
+    reordered = MultiPoly(("x", "w", "y", "z"), {(x, w, y, z): c for (w, x, y, z), c
+                                                 in sc.TANGENTIAL_SEXTIC.terms.items()})
     with pytest.raises(ValueError):
         sc._fixture_polynomial(reordered, sc.CROSSING_PATH)
 

@@ -10,7 +10,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from conftest import substitute
+from conftest import Poly, substitute
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -131,8 +131,8 @@ def test_pushforward_reproduces_target(nd, seed):
 BENCHMARK_SHAPES = [(2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (3, 4), (3, 5)]
 
 
-def substituted_pushforward(g: tb.QuadricGenerator) -> MultiPoly:
-    """The quadric with x_u -> a^u + b^u substituted in MultiPoly arithmetic."""
+def substituted_pushforward(g: tb.QuadricGenerator) -> Poly:
+    """The quadric with x_u -> a^u + b^u substituted in Poly arithmetic."""
     n = g.tableau.n
     params = [f"a{i}" for i in range(1, n + 1)] + [f"b{i}" for i in range(1, n + 1)]
     zero = (0,) * n
@@ -151,25 +151,25 @@ def test_pushforward_equals_substitution_oracle(n, d):
             assert oracle.terms == tb.target_polynomial(t).terms
 
 
-def ring_sum_target(t: tb.TwoRowTableau) -> MultiPoly:
-    """The tableau's polynomial with its tail sum built by MultiPoly additions."""
+def ring_sum_target(t: tb.TwoRowTableau) -> Poly:
+    """The tableau's polynomial with its tail sum built by Poly additions."""
     n = t.n
     params = [f"a{i}" for i in range(1, n + 1)] + [f"b{i}" for i in range(1, n + 1)]
-    poly = MultiPoly.constant(1, params)
+    poly = Poly.constant(1, params)
     for m, v in zip(t.mu, t.nu):
         am_bv, av_bm = [0] * (2 * n), [0] * (2 * n)
         am_bv[m - 1] += 1
         am_bv[n + v - 1] += 1
         av_bm[v - 1] += 1
         av_bm[n + m - 1] += 1
-        poly = poly * MultiPoly(params, {tuple(am_bv): 1, tuple(av_bm): -1})
+        poly = poly * Poly(params, {tuple(am_bv): 1, tuple(av_bm): -1})
     tail = t.mu[t.k:]
-    total = MultiPoly.zero(params)
+    total = Poly.zero(params)
     for picks in itertools.combinations(range(len(tail)), t.d - t.k):
         exps = [0] * (2 * n)
         for j, entry in enumerate(tail):
             exps[entry - 1 + (0 if j in picks else n)] += 1
-        total = total + MultiPoly.monomial(params, exps)
+        total = total + Poly.monomial(params, exps)
     return poly * total
 
 
