@@ -643,3 +643,30 @@ def test_exact_subblock_report_with_ints_and_fractions_bytes(capsys, tmp_path):
     status, out, _ = run_cli(capsys, "hyperdet", "--file", str(path))
     assert status == 0
     assert out == EXACT_MIXED_HYPERDET
+
+
+# Sweep plans of shapes the benchmark never sends: a mode of size 1 (its
+# blocks carry a fixed index 0), mixed sizes in and out of mode order, and
+# an exact 2^6.  Pinned by the digest of the hyperdet command's JSON.
+@pytest.mark.parametrize("family, shape, seed, blocks, digest", [
+    ("real", (3, 1, 2, 2), 31, 3,
+     "a1108018d4117f5fdef14343cbe5e5d3b649ab915f6e0ad4e4383adbe8025827"),
+    ("generic", (2, 3, 4), 32, 18,
+     "a91929fac5af8250189c08ec2ae317013b7fc1eac18a2f23b390cd76b136613f"),
+    ("conjugate", (5, 2, 2, 3), 33, 165,
+     "e5d7638abc1059d530897eab8d88e7ff5897cde347b29eab3551063d6e3a6a88"),
+    ("exact", (2,) * 6, 34, 160,
+     "a199a5723b2642f7f5d1f81938c953d9a557edf36bce4ad1f5d77f61c0cad966"),
+])
+def test_hyperdet_stdout_bytes_on_unbenchmarked_shapes(capsys, tmp_path, family, shape, seed, blocks, digest):
+    if family == "exact":
+        entries = np.random.default_rng(seed).integers(-9, 10, size=int(np.prod(shape))).tolist()
+        t = tn.tensor(shape, entries)
+    else:
+        t = _family_tensor(family, shape, seed)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(tn.tensor_to_json(t)))
+    status, out, _ = run_cli(capsys, "hyperdet", "--file", str(path))
+    assert status == 0
+    assert len(json.loads(out)["values"]) == blocks
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
