@@ -162,7 +162,8 @@ def _cmd_hyperdet(args):
 def _cmd_quadrics(args):
     basis = tb.quadric_basis(args.n, args.d)
     payload = [_poly_json(g.tableau.label(), g.polynomial) for g in basis]
-    text = [f"{g.tableau.label()} = {g.polynomial.to_text()}" for g in basis]
+    # the lines reuse the payload's texts and are built only for --format text
+    text = (f"{g['label']} = {g['text']}" for g in payload)
     return 0, payload, text
 
 
@@ -187,12 +188,14 @@ def _cmd_ideal(args):
         "minors_3x3": [p.to_text() for p in report.minors_3x3],
         "tangential_generators": [_poly_json(label, p) for label, p in report.tangential_generators],
     }
-    text = [f"curve (2x2 minors), {len(report.minors_2x2)} generators:"]
-    text += [f"  {p.to_text()}" for p in report.minors_2x2]
-    text.append(f"secant variety (3x3 minors), {len(report.minors_3x3)} generators:")
-    text += [f"  {p.to_text()}" for p in report.minors_3x3]
-    text.append(f"tangential variety, {len(report.tangential_generators)} generators:")
-    text += [f"  {label} = {p.to_text()}" for label, p in report.tangential_generators]
+    # the lines reuse the payload's texts and are built only for --format text
+    text = itertools.chain(
+        [f"curve (2x2 minors), {len(report.minors_2x2)} generators:"],
+        (f"  {p}" for p in payload["minors_2x2"]),
+        [f"secant variety (3x3 minors), {len(report.minors_3x3)} generators:"],
+        (f"  {p}" for p in payload["minors_3x3"]),
+        [f"tangential variety, {len(report.tangential_generators)} generators:"],
+        (f"  {g['label']} = {g['text']}" for g in payload["tangential_generators"]))
     return 0, payload, text
 
 

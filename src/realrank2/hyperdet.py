@@ -8,20 +8,16 @@ rank-one tensors has nonpositive hyperdeterminant.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
+from math import prod
 from typing import Sequence
 
 import numpy as np
 
 from . import jsontext
 from .multipoly import MultiPoly, det_bareiss
-from .tensors import (
-    enumerate_subblocks,
-    extract_subblock,
-    is_exact,
-    num_json,
-    ShapeMismatch,
-)
+from .tensors import ArityTooSmall, is_exact, num_json, ShapeMismatch
 
 DEFAULT_ZERO_TOL_SCALE = 1e-10
 # shapes whose sub-block gather plan all_subhyperdets keeps
@@ -133,16 +129,45 @@ def _report(values: Sequence[tuple[str, object]], column, zero_tol) -> HyperdetR
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _sweep_plan(shape: tuple[int, ...]) -> tuple[np.ndarray, jsontext.Column]:
     """Flat indices (8, blocks) of the entries x000 .. x111 of every 2x2x2
-    sub-block of a shape, in `enumerate_subblocks` order, and their labels,
-    which keep their JSON text."""
-    selectors = enumerate_subblocks(shape)
-    size = int(np.prod(shape))
-    flat = np.arange(size).reshape(shape)
-    blocks = [extract_subblock(flat, sel).ravel() for sel in selectors]
-    idx = np.array(blocks, dtype=np.min_scalar_type(size - 1)).reshape(-1, 8)
-    idx = np.ascontiguousarray(idx.T)
+    sub-block of a shape, and their labels, which keep their JSON text.
+
+    Blocks come triple of free modes by triple (in combinations order), then
+    row-major over the free modes' index pairs (i < j, lexicographic) and the
+    remaining modes' fixed indices.  A triple's indices are one broadcast sum
+    of offsets (index times stride) over the axes (three corner bits, three
+    pair lists, fixed indices); its labels join pre-formatted per-mode
+    pieces in the same row-major order.
+    """
+    d = len(shape)
+    if d < 3:
+        raise ArityTooSmall("sub-blocks need at least three modes")
+    strides = [prod(shape[m + 1:]) for m in range(d)]
+    pairs = [list(itertools.combinations(range(n), 2)) for n in shape]
+    pair_offsets = [np.array(p, dtype=np.intp).reshape(-1, 2).T * stride  # (corner, pair)
+                    for p, stride in zip(pairs, strides)]
+    pair_texts = [[f"{m + 1}:({i},{j})" for i, j in p] for m, p in enumerate(pairs)]
+    fixed_texts = [[f"{m + 1}={i}" for i in range(n)] for m, n in enumerate(shape)]
+    blocks, labels = [np.empty((8, 0), dtype=np.intp)], []
+    for free in itertools.combinations(range(d), 3):
+        if any(shape[m] < 2 for m in free):  # no pair: skip the triple's work
+            continue
+        others = [m for m in range(d) if m not in free]
+        fixed = np.zeros(1, dtype=np.intp)  # row-major over the other modes
+        for m in others:
+            fixed = np.add.outer(fixed, np.arange(shape[m]) * strides[m]).ravel()
+        offsets = [fixed]  # 1-D: broadcasts along the last axis
+        for k, m in enumerate(free):
+            axes = [1] * 7
+            axes[k], axes[3 + k] = pair_offsets[m].shape
+            offsets.append(pair_offsets[m].reshape(axes))
+        blocks.append(sum(offsets).reshape(8, -1))
+        heads = [f"modes[{','.join(p)}]" for p in itertools.product(*(pair_texts[m] for m in free))]
+        tails = [f" fixed[{','.join(p)}]" if p else ""
+                 for p in itertools.product(*(fixed_texts[m] for m in others))]
+        labels += [head + tail for head in heads for tail in tails]
+    idx = np.concatenate(blocks, axis=1).astype(np.min_scalar_type(prod(shape) - 1))
     idx.flags.writeable = False  # shared by every call on this shape
-    return idx, jsontext.Column(sel.label() for sel in selectors)
+    return idx, jsontext.Column(labels)
 
 
 def all_subhyperdets(t: np.ndarray) -> HyperdetReport:

@@ -248,7 +248,12 @@ def quadric_basis(n: int, d: int) -> list[QuadricGenerator]:
             g = preimage_quadric(t)
             gens.append(QuadricGenerator(t, g.polynomial.normalized()))
     monomials = sorted({e for g in gens for e in g.polynomial.terms})
-    rows = [[g.polynomial.terms.get(e, Fraction(0)) for e in monomials] for g in gens]
+    rows = []
+    for g in gens:  # content one: integer coefficients, handed on as ints
+        if any(c.denominator != 1 for c in g.polynomial.terms.values()):
+            raise NonIntegral(f"normalized generator {g.tableau.label()} has a non-integer coefficient")
+        coeffs = {e: c.numerator for e, c in g.polynomial.terms.items()}
+        rows.append([coeffs.get(e, 0) for e in monomials])
     rank = exact_rank(rows)
     if rank != len(gens):
         raise Inconsistent(f"quadric basis for (n={n}, d={d}) is linearly dependent: "

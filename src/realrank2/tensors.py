@@ -1,4 +1,4 @@
-"""Dense tensors, flattenings, 2x2x2 sub-block enumeration, symmetric coords.
+"""Dense tensors, flattenings, symmetric coords.
 
 Tensors are numpy arrays in row-major entry order: float64 for numeric work,
 object dtype holding ints/Fractions when every entry is exactly representable.
@@ -8,7 +8,6 @@ from 1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isfinite, prod
@@ -34,10 +33,6 @@ class InvalidModes(ValueError):
 
 
 class ArityTooSmall(ValueError):
-    pass
-
-
-class InvalidSelector(ValueError):
     pass
 
 
@@ -198,58 +193,6 @@ def exact_matrix_rank(matrix: np.ndarray) -> int:
 def matrix_rank(matrix: np.ndarray, tol: float = 1e-8) -> int:
     """Exact rank of an object array, singular-value rank of any other."""
     return exact_matrix_rank(matrix) if is_exact(matrix) else numeric_rank(matrix, tol)
-
-
-@dataclass(frozen=True)
-class SubBlockSelector:
-    """A 2x2x2 sub-block: three free modes, an index pair per free mode, and
-    a fixed index for every remaining mode."""
-
-    free_modes: tuple[int, int, int]
-    index_pairs: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
-    fixed: tuple[tuple[int, int], ...]
-
-    def label(self) -> str:
-        pairs = ",".join(f"{m + 1}:({i},{j})" for m, (i, j) in zip(self.free_modes, self.index_pairs))
-        fixed = ",".join(f"{m + 1}={i}" for m, i in self.fixed)
-        return f"modes[{pairs}]" + (f" fixed[{fixed}]" if fixed else "")
-
-
-def enumerate_subblocks(shape: Sequence[int]) -> list[SubBlockSelector]:
-    """Every 2x2x2 sub-block selector of a tensor shape, deterministic order."""
-    shape = tuple(shape)
-    d = len(shape)
-    if d < 3:
-        raise ArityTooSmall("sub-blocks need at least three modes")
-    out: list[SubBlockSelector] = []
-    for free in itertools.combinations(range(d), 3):
-        if any(shape[m] < 2 for m in free):
-            continue
-        others = [m for m in range(d) if m not in free]
-        pair_choices = [list(itertools.combinations(range(shape[m]), 2)) for m in free]
-        for pairs in itertools.product(*pair_choices):
-            for fixed_vals in itertools.product(*[range(shape[m]) for m in others]):
-                out.append(SubBlockSelector(free, tuple(pairs), tuple(zip(others, fixed_vals))))
-    return out
-
-
-def extract_subblock(t: np.ndarray, selector: SubBlockSelector) -> np.ndarray:
-    if len(selector.free_modes) != 3:
-        raise InvalidSelector("selector must have exactly three free modes")
-    idx: list[object] = [None] * t.ndim
-    for m, value in selector.fixed:
-        if not (0 <= value < t.shape[m]):
-            raise InvalidSelector(f"fixed index {value} out of range in mode {m}")
-        idx[m] = value
-    out = np.empty((2, 2, 2), dtype=t.dtype)
-    for eps in itertools.product((0, 1), repeat=3):
-        pos = list(idx)
-        for m, pair, e in zip(selector.free_modes, selector.index_pairs, eps):
-            if not (0 <= pair[0] < pair[1] < t.shape[m]):
-                raise InvalidSelector(f"bad index pair {pair} in mode {m}")
-            pos[m] = pair[e]
-        out[eps] = t[tuple(pos)]
-    return out
 
 
 def squeeze_ones(t: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Shared test plumbing: the acceptance criteria report; `Poly`, MultiPoly
 with the exact ring arithmetic, and its fraction-free Bareiss determinant,
 the oracle that the library's term-map products, Leibniz determinants and
-Plucker tables are tested against; a polynomial substitution oracle, the
+Plucker tables are tested against; the 2x2x2 sub-block selectors, one per
+block, and their one-block gather, the oracle that the hyperdeterminant
+sweep plan is tested against; a polynomial substitution oracle, the
 cofactor determinant and the Sylvester resultant that the Bareiss and
 Bezout kernels of multipoly are tested against; the Poly secant system that
 the integer pencil of space_curve is tested against; and the univariate
@@ -14,11 +16,16 @@ terminal-summary hook keeps them visible under pytest's output capture.
 
 from __future__ import annotations
 
+import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from realrank2 import hyperdet as hd
+from realrank2 import tensors as tn
 from realrank2.exactsolve import as_fraction, content
 from realrank2.multipoly import MultiPoly, grlex_key
 
@@ -222,6 +229,64 @@ def discriminant_quartic_poly(d: int, i: int, names: Sequence[str] | None = None
     if names is None:
         names = tuple(f"x{j}" for j in range(d + 1))
     return hd.discriminant_quartic([Poly.variable(nm, names) for nm in names], i)
+
+
+class InvalidSelector(ValueError):
+    """A selector that does not name a 2x2x2 sub-block of the tensor."""
+
+
+@dataclass(frozen=True)
+class SubBlockSelector:
+    """A 2x2x2 sub-block: three free modes, an index pair per free mode, and
+    a fixed index for every remaining mode."""
+
+    free_modes: tuple[int, int, int]
+    index_pairs: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
+    fixed: tuple[tuple[int, int], ...]
+
+    def label(self) -> str:
+        pairs = ",".join(f"{m + 1}:({i},{j})" for m, (i, j) in zip(self.free_modes, self.index_pairs))
+        fixed = ",".join(f"{m + 1}={i}" for m, i in self.fixed)
+        return f"modes[{pairs}]" + (f" fixed[{fixed}]" if fixed else "")
+
+
+def enumerate_subblocks(shape: Sequence[int]) -> list[SubBlockSelector]:
+    """Every 2x2x2 sub-block selector of a tensor shape, deterministic order."""
+    shape = tuple(shape)
+    d = len(shape)
+    if d < 3:
+        raise tn.ArityTooSmall("sub-blocks need at least three modes")
+    out: list[SubBlockSelector] = []
+    for free in itertools.combinations(range(d), 3):
+        if any(shape[m] < 2 for m in free):
+            continue
+        others = [m for m in range(d) if m not in free]
+        pair_choices = [list(itertools.combinations(range(shape[m]), 2)) for m in free]
+        for pairs in itertools.product(*pair_choices):
+            for fixed_vals in itertools.product(*[range(shape[m]) for m in others]):
+                out.append(SubBlockSelector(free, tuple(pairs), tuple(zip(others, fixed_vals))))
+    return out
+
+
+def extract_subblock(t: np.ndarray, selector: SubBlockSelector) -> np.ndarray:
+    """The 2x2x2 array of t's entries at the selector's index pairs, with
+    entry [e0, e1, e2] at index pair element e_k of free mode k."""
+    if len(selector.free_modes) != 3:
+        raise InvalidSelector("selector must have exactly three free modes")
+    idx: list[object] = [None] * t.ndim
+    for m, value in selector.fixed:
+        if not (0 <= value < t.shape[m]):
+            raise InvalidSelector(f"fixed index {value} out of range in mode {m}")
+        idx[m] = value
+    out = np.empty((2, 2, 2), dtype=t.dtype)
+    for eps in itertools.product((0, 1), repeat=3):
+        pos = list(idx)
+        for m, pair, e in zip(selector.free_modes, selector.index_pairs, eps):
+            if not (0 <= pair[0] < pair[1] < t.shape[m]):
+                raise InvalidSelector(f"bad index pair {pair} in mode {m}")
+            pos[m] = pair[e]
+        out[eps] = t[tuple(pos)]
+    return out
 
 
 def substitute(poly: MultiPoly, replacements: dict, variables) -> Poly:

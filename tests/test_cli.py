@@ -20,6 +20,7 @@ from realrank2 import decompose as dc
 from realrank2 import hyperdet as hd
 from realrank2 import tensors as tn
 from realrank2.cli import DEFAULT_SEED, main
+from realrank2.multipoly import MultiPoly
 
 TABLE_TEXT = "\n".join([
     "n\\d        4        5        6        7        8        9       10",
@@ -129,6 +130,28 @@ def test_hyperdet_formats_block_lines_only_for_text(capsys, monkeypatch, tmp_pat
     status, out, _ = run_cli(capsys, "hyperdet", "--file", str(path), "--format", "text")
     assert status == 0 and len(out.splitlines()) == blocks + 1
     assert len(calls) == blocks + 1
+
+
+@pytest.mark.parametrize("argv", [("quadrics", "3", "4"), ("ideal", "--d", "5")])
+def test_generator_polynomials_are_printed_once(capsys, monkeypatch, argv):
+    """`MultiPoly.to_text` runs once per polynomial, for the payload's text,
+    under the default JSON output and under --format text alike: the text
+    lines reuse those texts and are built only for --format text."""
+    calls = []
+    to_text = MultiPoly.to_text
+    monkeypatch.setattr(MultiPoly, "to_text", lambda self: calls.append(self) or to_text(self))
+    status, out, _ = run_cli(capsys, *argv)
+    payload = json.loads(out)
+    if argv[0] == "quadrics":
+        polys = len(payload)
+    else:
+        polys = sum(len(payload[k]) for k in ("minors_2x2", "minors_3x3", "tangential_generators"))
+    assert status == 0 and polys > 1
+    assert len(calls) == polys
+    calls.clear()
+    status, out, _ = run_cli(capsys, *argv, "--format", "text")
+    assert status == 0 and len(out.splitlines()) == polys + (3 if argv[0] == "ideal" else 0)
+    assert len(calls) == polys
 
 
 def test_decompose_real_pair_and_determinism(capsys, real_pair_file):

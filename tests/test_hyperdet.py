@@ -3,18 +3,21 @@ reports, and the shifted cubic discriminants of binary forms."""
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import random
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import discriminant_quartic_poly
+from conftest import discriminant_quartic_poly, enumerate_subblocks, extract_subblock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from realrank2 import hyperdet as hd
+from realrank2 import jsontext
 from realrank2 import tensors as tn
 
 
@@ -143,8 +146,8 @@ def test_sweep_equals_per_block_oracle(shape, kind, seed):
     # bit for bit and with the same type, in enumerate_subblocks order
     t = _random_tensor(shape, kind, seed)
     report = hd.all_subhyperdets(t)
-    want = [(sel.label(), hd.hyperdet222(tn.extract_subblock(t, sel)))
-            for sel in tn.enumerate_subblocks(t.shape)]
+    want = [(sel.label(), hd.hyperdet222(extract_subblock(t, sel)))
+            for sel in enumerate_subblocks(t.shape)]
     assert report.values == want
     assert [type(v) for _, v in report.values] == [type(v) for _, v in want]
     oracle = hd.report_from_values(want, hd.hyperdet_zero_tol(t))
@@ -169,24 +172,63 @@ def test_sweep_needs_order_three(shape):
         hd.all_subhyperdets(np.ones(shape))
 
 
-def test_sweep_plan_is_built_once_per_shape(monkeypatch):
+def test_sweep_plan_is_built_once_per_shape():
     hd._sweep_plan.cache_clear()
-    calls = []
-
-    def enumerate_once(shape):
-        calls.append(tuple(shape))
-        if len(calls) > 1:
-            raise AssertionError(f"sub-blocks of {shape} enumerated again")
-        return tn.enumerate_subblocks(shape)
-
-    monkeypatch.setattr(hd, "enumerate_subblocks", enumerate_once)
     t = np.random.default_rng(0).standard_normal((3, 2, 4))
     first = hd.all_subhyperdets(t)
     again = hd.all_subhyperdets(_random_tensor((3, 2, 4), "int", 1))
-    assert calls == [(3, 2, 4)]
+    info = hd._sweep_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1), f"plan of (3, 2, 4) built {info.misses} times"
     assert [k for k, _ in again.values] == [k for k, _ in first.values]
     idx, labels = hd._sweep_plan((3, 2, 4))
     assert idx.shape == (8, len(labels)) and idx.dtype.itemsize <= 4
+
+
+MAX_PLAN_BLOCKS = 3000
+
+
+def _block_count(shape) -> int:
+    return sum(math.prod(math.comb(shape[m], 2) if m in free else shape[m] for m in range(len(shape)))
+               for free in itertools.combinations(range(len(shape)), 3))
+
+
+def _capped(shape) -> tuple[int, ...]:
+    """The shape with its largest modes shrunk until it has at most
+    MAX_PLAN_BLOCKS sub-blocks."""
+    shape = list(shape)
+    while _block_count(shape) > MAX_PLAN_BLOCKS:
+        shape[shape.index(max(shape))] -= 1
+    return tuple(shape)
+
+
+def plan_oracle(shape) -> tuple[np.ndarray, list[str]]:
+    """The sweep plan gathered one selector at a time: each block's eight
+    flat indices from `extract_subblock` on the array of flat indices."""
+    selectors = enumerate_subblocks(shape)
+    size = math.prod(shape)
+    flat = np.arange(size).reshape(shape)
+    blocks = [extract_subblock(flat, sel).ravel() for sel in selectors]
+    idx = np.array(blocks, dtype=np.min_scalar_type(size - 1)).reshape(-1, 8)
+    return np.ascontiguousarray(idx.T), [sel.label() for sel in selectors]
+
+
+@settings(max_examples=100, deadline=None)
+@example(shape=(1, 1, 1))
+@example(shape=(3, 1, 2, 2))
+@example(shape=(2, 3, 4))
+@example(shape=(3, 2, 5, 2))
+@example(shape=(5, 2, 2, 3))
+@example(shape=(2,) * 6)
+@given(st.lists(st.integers(1, 5), min_size=3, max_size=6).map(_capped))
+def test_sweep_plan_equals_the_per_selector_gather(shape):
+    hd._sweep_plan.cache_clear()
+    idx, labels = hd._sweep_plan(shape)
+    want_idx, want_labels = plan_oracle(shape)
+    assert idx.dtype == want_idx.dtype and idx.shape == want_idx.shape == (8, _block_count(shape))
+    assert np.array_equal(idx, want_idx)
+    assert idx.flags.c_contiguous and not idx.flags.writeable
+    assert type(labels) is jsontext.Column and list(labels) == want_labels
+    assert labels.texts == tuple(json.dumps(label) for label in want_labels)
 
 
 def test_report_sign_counts_and_argmin():

@@ -5,15 +5,20 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import Poly, substitute
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import realrank2
 from realrank2 import tableaux as tb
 from realrank2.exactsolve import Inconsistent
 from realrank2.multipoly import MultiPoly
@@ -213,6 +218,29 @@ def test_dependent_basis_names_rank_and_generator_count(monkeypatch):
     message = "quadric basis for (n=2, d=5) is linearly dependent: rank 3 of 6 generators"
     with pytest.raises(Inconsistent, match=f"^{re.escape(message)}$"):
         tb.quadric_basis(2, 5)
+
+
+def test_non_integral_generator_is_refused_even_under_python_O():
+    # the rank check takes the normalized generators' coefficients as ints;
+    # one that is not an integer raises, and the check is no assert
+    code = "\n".join([
+        "from fractions import Fraction",
+        "from realrank2 import tableaux as tb",
+        "from realrank2.multipoly import MultiPoly",
+        "assert False, 'asserts must be off'",
+        "normalized = MultiPoly.normalized",
+        "MultiPoly.normalized = lambda self: MultiPoly(self.variables, "
+        "{e: c / 2 for e, c in normalized(self).terms.items()})",
+        "try:",
+        "    tb.quadric_basis(2, 4)",
+        "except tb.NonIntegral as exc:",
+        "    print(exc)",
+    ])
+    src = str(Path(realrank2.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "normalized generator f_1111_2222 has a non-integer coefficient\n"
 
 
 @settings(max_examples=30, deadline=None)

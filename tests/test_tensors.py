@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import enumerate_subblocks, extract_subblock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,13 +64,13 @@ def test_subblock_count_formula(shape):
         for m in range(d):
             ways *= math.comb(shape[m], 2) if m in triple else shape[m]
         expected += ways
-    assert len(tn.enumerate_subblocks(shape)) == expected
+    assert len(enumerate_subblocks(shape)) == expected
 
 
 def test_extract_subblock_entries():
     t = np.arange(24).reshape(2, 3, 4)
-    sel = tn.enumerate_subblocks(t.shape)[0]
-    block = tn.extract_subblock(t, sel)
+    sel = enumerate_subblocks(t.shape)[0]
+    block = extract_subblock(t, sel)
     assert block.shape == (2, 2, 2)
 
 
