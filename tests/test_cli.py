@@ -693,3 +693,59 @@ def test_hyperdet_stdout_bytes_on_unbenchmarked_shapes(capsys, tmp_path, family,
     assert status == 0
     assert len(json.loads(out)["values"]) == blocks
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Exact tensors on both sides of the int64 sweep's bound B = 24898 (the
+# largest B with 24·B^4 <= 2^63 - 1), past 2^63, and of Fractions only.
+# "tied-at-bound" repeats its mode-3 slices, so four blocks share the least
+# value and two are zero.  Pinned by the digest of each command's stdout.
+SWEEP_BOUND = 24898
+B, B1 = SWEEP_BOUND, SWEEP_BOUND + 1
+EXACT_SWEEP_TENSORS = {
+    "at-bound": ([2, 2, 2], [B, B, B, B, B, -B, -B, B]),
+    "past-bound": ([2, 2, 2], [B1, B1, B1, B1, B1, -B1, -B1, B1]),
+    "past-2^63": ([2, 2, 2], [10**21, 3, -7 * 10**20, 10**21 + 1, 5, -10**21, 2 * 10**20 + 7, 10**21 - 3]),
+    "tied-at-bound": ([2, 2, 4], [B, 5, B, 5, -3, B, -3, B, 7, -B, 7, -B, B, 11, B, 11]),
+    "fraction": ([2, 2, 2], ["1/2", "-3/4", "2/3", "1/5", "-5/7", "3", "1/9", "-2"]),
+}
+
+
+@pytest.mark.parametrize("name, argv, digest", [
+    ("at-bound", ("hyperdet",),
+     "4d17dfad02b697c4bac93e9882387cfeeeda449d0d84c8fd9c7426c6cf06b665"),
+    ("at-bound", ("hyperdet", "--format", "text"),
+     "6351a68326616bb5a667f584b7733d28173f903c00b129865411dcab385f52ec"),
+    ("at-bound", ("certify",),
+     "8524af78f487b93f419c70ee8b2362e92fbb7dbfea8cd4078cba09542616262a"),
+    ("past-bound", ("hyperdet",),
+     "00265d14b3849d12ef6568403a9c2d3f05612c577df26bacb128403d50323134"),
+    ("past-bound", ("hyperdet", "--format", "text"),
+     "969020964eea0e95b343c8b75d9e7f35ce07e3ef0b9788cb80e6d699b2d37d0f"),
+    ("past-bound", ("certify",),
+     "1481a0f6f2cc8f534a90bf9a85d7b3e923f633513bbf81292f1633f4dbdef9ba"),
+    ("past-2^63", ("hyperdet",),
+     "88852ced4590809ad90a389f60a0fe83e8090690a407eca17b22c8a0e47c817e"),
+    ("past-2^63", ("hyperdet", "--format", "text"),
+     "ee0552dbe1a33ffee53f0fbf53bf0c999ab5ae927bfa628ad3c265caa93978e7"),
+    ("past-2^63", ("certify",),
+     "b816d0e84ed6f46115ef5d618692534f09f60bb46851434024e3ba6c9a0f0811"),
+    ("tied-at-bound", ("hyperdet",),
+     "39aecd6c753f87bc076b823602761ccbab351d6f6ad38c2117acb645a76831bc"),
+    ("tied-at-bound", ("hyperdet", "--format", "text"),
+     "a8483bf966fe44e8ef91fcc695f1b60889d8b07fd81bea05357a0e8cac2800a7"),
+    ("tied-at-bound", ("certify",),
+     "56ee9bfa8adfed3f48187dc1a89060dbbce3450338dce7c20e40ba9a5ae93ca0"),
+    ("fraction", ("hyperdet",),
+     "b53d092423f2969e9a0de05ee924bce3dcaa8d7266fa8e96db940ede647bc9e3"),
+    ("fraction", ("hyperdet", "--format", "text"),
+     "1996a0150b06d4cf5a06e4ee93c4e7b9c639f643cf972d1fe1c30a68f886f34c"),
+    ("fraction", ("certify",),
+     "1bc34b028311b12bfdf9bc422b1c28bc895628357cd3b439107be8aeaddc57e9"),
+])
+def test_exact_sweep_stdout_bytes_across_the_int64_bound(capsys, tmp_path, name, argv, digest):
+    shape, entries = EXACT_SWEEP_TENSORS[name]
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"shape": shape, "entries": entries}))
+    status, out, _ = run_cli(capsys, argv[0], "--file", str(path), *argv[1:])
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
