@@ -6,6 +6,10 @@ whose division by the previous pivot is exact over the integers.  This keeps
 intermediate entries as single determinants instead of products of pivots.
 This is the package's bottom exact layer: the rational
 coercion and content helpers live here too.
+
+`rank_mod_p` is the cheap lower bound: the rank of an integer matrix modulo
+the prime MODULAR_PRIME, eliminated in int64.  A full rank mod p proves full
+rank over Q, since a minor that is nonzero mod p is a nonzero integer.
 """
 
 from __future__ import annotations
@@ -14,6 +18,11 @@ from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Sequence
+
+import numpy as np
+
+# residues stay below 2^31, so a product of two fits in an int64
+MODULAR_PRIME = 2**31 - 1
 
 
 class Inconsistent(ValueError):
@@ -105,6 +114,29 @@ def exact_rank(rows: Sequence[Sequence]) -> int:
         return 0
     _, pivots = _echelon(mat, len(mat[0]))
     return len(pivots)
+
+
+def rank_mod_p(rows: Sequence[Sequence[int]]) -> int:
+    """Rank modulo MODULAR_PRIME of a matrix of ints: at most its rank over Q,
+    and equal to it unless p divides every maximal nonzero minor.
+
+    Row by row: a row that is nonzero after the earlier pivots' eliminations
+    is a pivot row, scaled to a leading 1 and eliminated from the rows below.
+    """
+    p = MODULAR_PRIME
+    mat = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
+    rank = 0
+    for i in range(len(mat)):
+        nonzero = np.flatnonzero(mat[i])
+        if not nonzero.size:
+            continue
+        c = nonzero[0]
+        pivot_row = mat[i] * pow(int(mat[i, c]), -1, p) % p
+        below = mat[i + 1:]  # a view: eliminated in place
+        below -= np.outer(below[:, c], pivot_row) % p
+        below %= p
+        rank += 1
+    return rank
 
 
 def solve_exact(a_rows: Sequence[Sequence], b: Sequence) -> tuple[list[Fraction], list[list[Fraction]]]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from math import prod
+from math import isqrt, prod
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +22,10 @@ from .tensors import ArityTooSmall, is_exact, num_json, ShapeMismatch
 DEFAULT_ZERO_TOL_SCALE = 1e-10
 # shapes whose sub-block gather plan all_subhyperdets keeps
 PLAN_CACHE_SIZE = 16
+# The largest B with 24·B^4 <= 2^63 - 1 (24898).  24 is the sum of the absolute
+# coefficients of _quartic's terms, so with every |entry| <= B no product and
+# no partial sum of the quartic leaves int64.
+INT64_SWEEP_BOUND = isqrt(isqrt((2**63 - 1) // 24))
 
 
 def _quartic(x000, x001, x010, x011, x100, x101, x110, x111):
@@ -106,17 +110,18 @@ def report_from_values(values: Sequence[tuple[str, object]], zero_tol) -> Hyperd
 
 def _report(values: Sequence[tuple[str, object]], column, zero_tol) -> HyperdetReport:
     """Sign counts and argmin of the (label, value) pairs, read from their
-    value column.  A float64 array, which comes with the float zero_tol of
-    float input, is counted by numpy.  Its argmin is that of a sequential
-    min, under which a NaN never compares less: index 0 when the first value
-    is NaN, else the first least of the others.  Any other column (exact
-    values, or a list of Python scalars) takes Python comparisons."""
+    value column.  A numpy column of the sweep, float64 with the float
+    zero_tol of float input or int64 with the exact zero_tol 0, is counted by
+    numpy.  Its argmin is that of a sequential min, under which a NaN never
+    compares less: index 0 when the first value is NaN, else the first least
+    of the others.  Any other column (exact values, or a list of Python
+    scalars) takes Python comparisons."""
     if not values:
         return HyperdetReport(values, None, None, 0, 0, 0, zero_tol)
-    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+    if isinstance(column, np.ndarray) and column.dtype in (np.float64, np.int64):
         num_pos = int(np.count_nonzero(column > zero_tol))
         num_neg = int(np.count_nonzero(column < -zero_tol))
-        first = 0 if np.isnan(column[0]) else int(np.nanargmin(column))
+        first = 0 if column.dtype == np.float64 and np.isnan(column[0]) else int(np.nanargmin(column))
     else:
         num_pos = sum(1 for v in column if v > zero_tol)
         num_neg = sum(1 for v in column if v < -zero_tol)
@@ -170,21 +175,32 @@ def _sweep_plan(shape: tuple[int, ...]) -> tuple[np.ndarray, jsontext.Column]:
     return idx, jsontext.Column(labels)
 
 
+def _fits_int64(flat: np.ndarray) -> bool:
+    """Whether int64 evaluates the quartic on these entries exactly: every
+    entry is exactly an int (bools and Fractions are not) of absolute value
+    at most INT64_SWEEP_BOUND."""
+    return (flat.dtype == object and set(map(type, flat)) <= {int}
+            and max(map(abs, flat), default=0) <= INT64_SWEEP_BOUND)
+
+
 def all_subhyperdets(t: np.ndarray) -> HyperdetReport:
     """Hyperdeterminants of every 2x2x2 sub-block, with a scaled zero test.
 
     Gathers the eight entries of every block into rows and evaluates the
-    quartic once on whole rows: float64 arithmetic for float tensors, the
-    entries' own (exact) arithmetic otherwise, each with the operations of
-    `hyperdet222` in its order, so every value equals the per-block one.
+    quartic once on whole rows: float64 arithmetic for float tensors, int64
+    for int entries under INT64_SWEEP_BOUND, the entries' own (exact)
+    arithmetic otherwise, each with the operations of `hyperdet222` in its
+    order, so every value equals the per-block one and has its type.
     """
     zero_tol = hyperdet_zero_tol(t)
     idx, labels = _sweep_plan(t.shape)
-    rows = t.ravel()[idx]
-    # any other entries as the Python scalars hyperdet222 sees: int64 must not wrap
-    rows = rows.astype(np.float64 if rows.dtype.kind == "f" else object, copy=False)
+    flat = t.ravel()
+    if _fits_int64(flat):
+        flat = flat.astype(np.int64)
+    else:  # any other entries as the Python scalars hyperdet222 sees: int64 must not wrap
+        flat = flat.astype(np.float64 if flat.dtype.kind == "f" else object, copy=False)
     with np.errstate(over="ignore", invalid="ignore"):  # inf/nan silently, as Python floats do
-        column = _quartic(*rows)
+        column = _quartic(*flat[idx])
     return _report(jsontext.Rows((labels, column.tolist())), column, zero_tol)
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import realrank2
-from realrank2.exactsolve import Inconsistent, _echelon, exact_rank, solve_exact
+from realrank2.exactsolve import MODULAR_PRIME, Inconsistent, _echelon, exact_rank, rank_mod_p, solve_exact
 
 dims = st.tuples(st.integers(1, 5), st.integers(1, 5))
 
@@ -74,6 +74,67 @@ def test_echelon_leaves_zeros_below_every_pivot(rows, ncols):
         assert not any(mat[r][:c])
     for i in range(len(pivots), len(mat)):
         assert not any(mat[i][:ncols])
+
+
+P = MODULAR_PRIME
+modular_coefficients = coefficients | st.sampled_from([P, -P, 2 * P, P - 1, P + 1, 2**63, -2**63 - 1])
+
+
+@st.composite
+def modular_rows(draw):
+    """Integer rows C·B as in integer_rows, with multiples of p and entries
+    past 2^63 among the basis coefficients."""
+    m, n = draw(dims)
+    k = draw(st.integers(1, min(m, n)))
+    basis = draw(st.lists(st.lists(modular_coefficients, min_size=n, max_size=n), min_size=k, max_size=k))
+    mix = draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=m, max_size=m))
+    return [[sum(c * b[j] for c, b in zip(row, basis)) for j in range(n)] for row in mix]
+
+
+@settings(max_examples=150, deadline=None)
+@given(modular_rows())
+def test_rank_mod_p_is_a_lower_bound_on_the_rank(rows):
+    before = [list(row) for row in rows]
+    assert rank_mod_p(rows) <= exact_rank(rows)
+    assert rows == before
+
+
+@st.composite
+def full_rank_rows(draw):
+    """m x n integer rows, m <= n, of full rank with a maximal minor ±1, so of
+    full rank mod every prime: the rows [±I | X] under a column permutation,
+    mixed by a unimodular product of row operations."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, n))
+    rows = [[draw(st.sampled_from([1, -1])) if i == j else 0 for j in range(m)]
+            + draw(st.lists(modular_coefficients, min_size=n - m, max_size=n - m)) for i in range(m)]
+    perm = draw(st.permutations(range(n)))
+    rows = [[row[j] for j in perm] for row in rows]
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        if i != j:
+            f = draw(st.integers(-5, 5))
+            rows[i] = [a + f * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_rank_rows())
+def test_rank_mod_p_equals_the_rank_on_full_rank_rows(rows):
+    assert rank_mod_p(rows) == exact_rank(rows) == len(rows)
+
+
+def test_full_rank_over_q_but_singular_mod_p_needs_the_exact_rank():
+    # det = p: full rank over Q, singular mod p, so the modular rank
+    # certifies nothing and the Bareiss rank has to decide
+    rows = [[P, 1], [0, 1]]
+    assert rank_mod_p(rows) == 1
+    assert exact_rank(rows) == 2
+    assert rank_mod_p([[P + 1, 1], [0, 1]]) == 2
+
+
+def test_rank_mod_p_of_empty_matrices():
+    assert rank_mod_p([]) == rank_mod_p([[]]) == rank_mod_p([[0, 0], [0, 0]]) == 0
 
 
 def test_exact_rank_beats_floats_on_tiny_pivots():

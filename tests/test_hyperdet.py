@@ -6,16 +6,21 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import discriminant_quartic_poly, enumerate_subblocks, extract_subblock
+from conftest import Poly, discriminant_quartic_poly, enumerate_subblocks, extract_subblock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import realrank2
 from realrank2 import hyperdet as hd
 from realrank2 import jsontext
 from realrank2 import tensors as tn
@@ -166,6 +171,108 @@ def test_sweep_overflows_silently_like_hyperdet222():
     assert report.values[0][1] == float("inf")
 
 
+BOUND = hd.INT64_SWEEP_BOUND
+
+
+def test_int64_sweep_bound_is_the_largest_that_no_partial_sum_overflows():
+    # 24 is the sum of |coefficient| over the quartic's terms, so 24·B^4
+    # bounds every product and every partial sum of entries of size <= B
+    names = tuple(f"x{i}" for i in range(8))
+    quartic = hd._quartic(*(Poly.variable(name, names) for name in names))
+    assert len(quartic.terms) == 12
+    weight = sum(abs(c) for c in quartic.terms.values())
+    assert weight == 24
+    assert weight * BOUND**4 <= 2**63 - 1 < weight * (BOUND + 1) ** 4
+    assert BOUND == 24898
+
+
+def _quartic_row_dtypes(monkeypatch) -> list:
+    seen = []
+    quartic = hd._quartic
+    monkeypatch.setattr(hd, "_quartic", lambda *rows: seen.append(rows[0].dtype) or quartic(*rows))
+    return seen
+
+
+@pytest.mark.parametrize("entries, dtype", [
+    ([BOUND, -BOUND, 3, 0, -7, 1, BOUND, 2], np.int64),
+    ([BOUND + 1, -BOUND, 3, 0, -7, 1, BOUND, 2], object),
+    ([-BOUND - 1, 0, 0, 0, 0, 0, 0, 1], object),
+    ([10**21, 0, 0, 0, 0, 0, 0, 1], object),
+    ([True, 0, 0, 0, 0, 0, 0, 1], object),
+    ([Fraction(3), 0, 0, 0, 0, 0, 0, 1], object),
+    ([np.int64(3), 0, 0, 0, 0, 0, 0, 1], object),
+])
+def test_int64_sweep_is_taken_exactly_for_ints_within_the_bound(monkeypatch, entries, dtype):
+    t = np.empty(8, dtype=object)
+    t[:] = entries
+    t = t.reshape(2, 2, 2)
+    want = hd.hyperdet222(t)
+    seen = _quartic_row_dtypes(monkeypatch)
+    value = hd.all_subhyperdets(t).values[0][1]
+    assert seen == [np.dtype(dtype)]
+    assert value == want and type(value) is type(want)
+
+
+SWEEP_TOPS = [9, BOUND, BOUND + 1, 2**63, 10**21]
+
+
+@st.composite
+def exact_sweep_tensors(draw):
+    """Object tensors of ints with max |entry| exactly `top` (small, at the
+    bound, just past it, past 2^63), some mixed with bools or Fractions."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=3, max_size=5).map(tuple))
+    top = draw(st.sampled_from(SWEEP_TOPS))
+    mix = draw(st.sampled_from(["int", "int", "bool", "fraction"]))
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    size = math.prod(shape)
+    entries = [rng.randint(-top, top) for _ in range(size)]
+    entries[rng.randrange(size)] = rng.choice([top, -top])
+    for _ in range(rng.randint(1, 3) if mix != "int" else 0):
+        entries[rng.randrange(size)] = (rng.choice([True, False]) if mix == "bool"
+                                        else Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
+    t = np.empty(size, dtype=object)
+    t[:] = entries
+    return t.reshape(shape)
+
+
+@settings(max_examples=80, deadline=None)
+@example(t=np.array([BOUND] * 7 + [-BOUND], dtype=object).reshape(2, 2, 2))
+@example(t=np.array([BOUND + 1] * 5 + [-BOUND - 1] * 2 + [BOUND + 1], dtype=object).reshape(2, 2, 2))
+@given(exact_sweep_tensors())
+def test_exact_sweep_equals_the_python_int_oracle_on_both_sides_of_the_bound(t):
+    # every block's hyperdet222 over Python ints, with the type it has there;
+    # the sign counts and the argmin as Python comparisons read them
+    report = hd.all_subhyperdets(t)
+    want = [(sel.label(), hd.hyperdet222(extract_subblock(t, sel)))
+            for sel in enumerate_subblocks(t.shape)]
+    assert report.values == want
+    assert [type(v) for _, v in report.values] == [type(v) for _, v in want]
+    if not any(type(v) is Fraction for v in t.flat):
+        assert all(type(v) is int for _, v in report.values)
+    oracle = hd.report_from_values(want, 0)
+    assert _summary(report) == _summary(oracle)
+    assert type(report.min_value) is type(oracle.min_value)
+
+
+def test_one_past_the_bound_stays_exact_under_optimize():
+    # the bound is an if, not an assert: under -O an entry of B + 1, and
+    # entries whose quartic leaves int64, still take Python ints
+    code = "\n".join([
+        "import numpy as np",
+        "from realrank2 import hyperdet as hd",
+        "assert False, 'asserts must be off'",
+        "b = hd.INT64_SWEEP_BOUND + 1",
+        "for entries in ([b, b, b, b, b, -b, -b, b], [10**5, 10**5, 10**5, 10**5, 10**5, -10**5, -10**5, 10**5]):",
+        "    value = hd.all_subhyperdets(np.array(entries, dtype=object).reshape(2, 2, 2)).values[0][1]",
+        "    print(type(value).__name__, value == 16 * entries[0] ** 4)",
+    ])
+    src = str(Path(realrank2.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["int", "True", "int", "True"]
+
+
 @pytest.mark.parametrize("shape", [(4,), (2, 2)])
 def test_sweep_needs_order_three(shape):
     with pytest.raises(tn.ArityTooSmall):
@@ -265,6 +372,7 @@ def _summary(report):
 @example(column=[NAN], zero_tol=0.0)
 @example(column=[-0.0, 0.0, -INF, NAN, -INF], zero_tol=0.0)
 @example(column=[], zero_tol=0)
+@example(column=[3, -2**62, 0, -2**62, 5], zero_tol=0)
 @given(st.lists(report_floats, max_size=12) | st.lists(report_scalars, max_size=12),
        st.sampled_from([0, 0.0, 1e-9]) | st.floats(0, 1e300) | st.fractions(min_value=0))
 def test_report_counts_and_argmin_equal_the_sequential_oracle(column, zero_tol):
@@ -276,6 +384,11 @@ def test_report_counts_and_argmin_equal_the_sequential_oracle(column, zero_tol):
     # the sweep's float64 value column, which comes with a float tolerance
     if type(zero_tol) is float and all(type(v) is float for v in column):
         got = _summary(hd._report(values, np.array(column, dtype=np.float64), zero_tol))
+        assert got[:2] == want[:2]
+        assert got[2] is want[2]
+    # the exact int64 sweep's value column, which comes with the exact tolerance 0
+    if zero_tol == 0 and all(type(v) is int and abs(v) < 2**63 for v in column):
+        got = _summary(hd._report(values, np.array(column, dtype=np.int64), 0))
         assert got[:2] == want[:2]
         assert got[2] is want[2]
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import realrank2
 from realrank2 import tableaux as tb
-from realrank2.exactsolve import Inconsistent
+from realrank2.exactsolve import MODULAR_PRIME, Inconsistent
 from realrank2.multipoly import MultiPoly
 from realrank2.tensors import multidegrees
 
@@ -218,6 +218,40 @@ def test_dependent_basis_names_rank_and_generator_count(monkeypatch):
     message = "quadric basis for (n=2, d=5) is linearly dependent: rank 3 of 6 generators"
     with pytest.raises(Inconsistent, match=f"^{re.escape(message)}$"):
         tb.quadric_basis(2, 5)
+
+
+def _exact_rank_calls(monkeypatch) -> list:
+    calls = []
+    exact_rank = tb.exact_rank
+    monkeypatch.setattr(tb, "exact_rank", lambda rows: calls.append(len(rows)) or exact_rank(rows))
+    return calls
+
+
+def test_independence_is_certified_mod_p_without_the_exact_rank(monkeypatch):
+    calls = _exact_rank_calls(monkeypatch)
+    assert len(tb.quadric_basis(3, 5)) == 60
+    assert len(tb.quadric_basis(2, 6)) == 6
+    assert calls == []
+
+
+def test_basis_stands_when_the_rank_mod_p_is_short(monkeypatch):
+    # a short rank mod p proves nothing: the Bareiss rank decides, and it is full
+    want = tb.quadric_basis(3, 4)
+    calls = _exact_rank_calls(monkeypatch)
+    monkeypatch.setattr(tb, "rank_mod_p", lambda rows: 0)
+    assert tb.quadric_basis(3, 4) == want
+    assert calls == [len(want)]
+
+
+def test_rows_singular_mod_p_but_independent_over_q_fall_back(monkeypatch):
+    # every coefficient times p: each row is 0 mod p, the rank over Q is full
+    normalized = MultiPoly.normalized
+    monkeypatch.setattr(MultiPoly, "normalized", lambda self: MultiPoly(
+        self.variables, {e: c * MODULAR_PRIME for e, c in normalized(self).terms.items()}))
+    calls = _exact_rank_calls(monkeypatch)
+    basis = tb.quadric_basis(2, 6)
+    assert calls == [len(basis)] == [6]
+    assert all(c % MODULAR_PRIME == 0 for g in basis for c in g.polynomial.terms.values())
 
 
 def test_non_integral_generator_is_refused_even_under_python_O():
