@@ -171,7 +171,7 @@ def test_sweep_overflows_silently_like_hyperdet222():
     assert report.values[0][1] == float("inf")
 
 
-BOUND = hd.INT64_SWEEP_BOUND
+BOUND = 24898  # written out, so that the tests below do not follow a changed bound
 
 
 def test_int64_sweep_bound_is_the_largest_that_no_partial_sum_overflows():
@@ -183,14 +183,7 @@ def test_int64_sweep_bound_is_the_largest_that_no_partial_sum_overflows():
     weight = sum(abs(c) for c in quartic.terms.values())
     assert weight == 24
     assert weight * BOUND**4 <= 2**63 - 1 < weight * (BOUND + 1) ** 4
-    assert BOUND == 24898
-
-
-def _quartic_row_dtypes(monkeypatch) -> list:
-    seen = []
-    quartic = hd._quartic
-    monkeypatch.setattr(hd, "_quartic", lambda *rows: seen.append(rows[0].dtype) or quartic(*rows))
-    return seen
+    assert hd.INT64_SWEEP_BOUND == BOUND
 
 
 @pytest.mark.parametrize("entries, dtype", [
@@ -207,7 +200,8 @@ def test_int64_sweep_is_taken_exactly_for_ints_within_the_bound(monkeypatch, ent
     t[:] = entries
     t = t.reshape(2, 2, 2)
     want = hd.hyperdet222(t)
-    seen = _quartic_row_dtypes(monkeypatch)
+    seen, quartic = [], hd._quartic
+    monkeypatch.setattr(hd, "_quartic", lambda *rows: seen.append(rows[0].dtype) or quartic(*rows))
     value = hd.all_subhyperdets(t).values[0][1]
     assert seen == [np.dtype(dtype)]
     assert value == want and type(value) is type(want)
@@ -261,7 +255,7 @@ def test_one_past_the_bound_stays_exact_under_optimize():
         "import numpy as np",
         "from realrank2 import hyperdet as hd",
         "assert False, 'asserts must be off'",
-        "b = hd.INT64_SWEEP_BOUND + 1",
+        f"b = {BOUND + 1}",
         "for entries in ([b, b, b, b, b, -b, -b, b], [10**5, 10**5, 10**5, 10**5, 10**5, -10**5, -10**5, 10**5]):",
         "    value = hd.all_subhyperdets(np.array(entries, dtype=object).reshape(2, 2, 2)).values[0][1]",
         "    print(type(value).__name__, value == 16 * entries[0] ** 4)",
