@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -747,5 +748,85 @@ def test_exact_sweep_stdout_bytes_across_the_int64_bound(capsys, tmp_path, name,
     path = tmp_path / "t.json"
     path.write_text(json.dumps({"shape": shape, "entries": entries}))
     status, out, _ = run_cli(capsys, argv[0], "--file", str(path), *argv[1:])
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Exact flattening ranks near the int64 Gram bound: a wide flattening (r < c)
+# is ranked on its r x r Gram matrix, in int64 only when c * B^2 <= 2^63 - 1
+# (B = max |entry|).  Both shapes below have 64-column single-mode
+# flattenings, whose edge is B = isqrt((2^63 - 1) // 64); the 2^7's merged
+# 4 x 32 flattenings stay in int64 past it.  Each tensor is B times a
+# (1, -1)-power minus e_1 x ... x e_1, so the diagonal of every Gram matrix
+# sits within 2B of c * B^2; "rank-3" adds a third term.  Pinned by the
+# digest of `certify`'s stdout.
+GRAM_BOUND_64 = 379625062
+
+
+def _gram_edge(shape, b, third=False):
+    signs = tn.outer([np.array([1, -1] * (n // 2), dtype=object) for n in shape])
+    entries = (b * signs).ravel().tolist()
+    entries[0] -= 1
+    if third:  # plus e_2 x ... x e_2: merged flattenings of rank 3
+        entries[-1] += 1
+    return list(shape), entries
+
+
+def _fraction_pair():
+    # a real rank-two 2 x 2 x 4 with Fraction factors, written as "n/d"
+    a = tn.outer([np.array([Fraction(1, 2), Fraction(-2, 3)], dtype=object),
+                  np.array([Fraction(3, 5), 1], dtype=object),
+                  np.array([1, Fraction(1, 7), Fraction(-5, 4), 2], dtype=object)])
+    b = tn.outer([np.array([1, Fraction(1, 3)], dtype=object),
+                  np.array([Fraction(-1, 2), Fraction(7, 9)], dtype=object),
+                  np.array([Fraction(2, 11), 0, 1, Fraction(-3, 2)], dtype=object)])
+    return [2, 2, 4], [str(v) for v in (a + b).ravel()]
+
+
+GRAM_TENSORS = {
+    "2^7-at-bound": _gram_edge((2,) * 7, GRAM_BOUND_64),
+    "2^7-past-bound": _gram_edge((2,) * 7, GRAM_BOUND_64 + 1),
+    "2^7-past-bound-rank-3": _gram_edge((2,) * 7, GRAM_BOUND_64 + 1, third=True),
+    "4^4-at-bound": _gram_edge((4,) * 4, GRAM_BOUND_64),
+    "4^4-at-bound-rank-3": _gram_edge((4,) * 4, GRAM_BOUND_64, third=True),
+    "4^4-past-bound": _gram_edge((4,) * 4, GRAM_BOUND_64 + 1),
+    "fraction-2x2x4": _fraction_pair(),
+}
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("2^7-at-bound",
+     "74b82ed73c51d318cbd40058fc685b599d7b9257fa5fb8e717d402ff38deaebe"),
+    ("2^7-past-bound",
+     "02f57c143f1781bb545ad618a433bca91002f898a6e18034f413bc60408f0b7e"),
+    ("2^7-past-bound-rank-3",
+     "b569adbba300fabf7d8f8cdaa1644bd9d559113916d738bd37148e6f1e221b80"),
+    ("4^4-at-bound",
+     "62ef0b946bb67d1c9e35ee2d7b346502472dbf114d54fe4c1f81a045db41ee5b"),
+    ("4^4-at-bound-rank-3",
+     "9db998edbb1c1781f4ffe75ad6a0f189a53d5f7c6ee47d01fd49461a9a800323"),
+    ("4^4-past-bound",
+     "be1d37ad7a971d0143d41cc29404a73c8c8172c9dac0f9cfe98091f598d95edc"),
+    ("fraction-2x2x4",
+     "4e7954bd8ba92a3c637e95ee282cc5de2578350ae1dd7319df919935eadd6886"),
+])
+def test_exact_flattening_rank_stdout_bytes_across_the_gram_bound(capsys, tmp_path, name, digest):
+    shape, entries = GRAM_TENSORS[name]
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"shape": shape, "entries": entries}))
+    status, out, _ = run_cli(capsys, "certify", "--file", str(path))
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# a degree-6 binary form has a 3 x 5 Hankel matrix, ranked on its Gram matrix
+@pytest.mark.parametrize("coords, digest", [
+    ("2,3,5,9,17,33,65",
+     "1c151b334d5eb66e8f11283a672afb17ac2be236e27182e13bc4fc9ff36ed086"),
+    ("1/2,-3,2/7,5,-1,4/3,9",
+     "8ba7d0db1430b76d2e64ab1fea60ffcd0ec8d1b0288046c361dd34a965aa3985"),
+])
+def test_binary_form_degree_six_stdout_bytes(capsys, coords, digest):
+    status, out, _ = run_cli(capsys, "binary-form", "--d", "6", "--coords=" + coords)
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
