@@ -109,15 +109,15 @@ def _certificate(t: np.ndarray, ranks: dict[str, int], merged_ranks: dict[str, i
 
 
 def _flattening_certificate(t: np.ndarray, tol: float, report: hd.HyperdetReport) -> Certificate:
-    ranks = {_mode_label([m]): tn.matrix_rank(tn.flatten(t, [m]), tol) for m in range(t.ndim)}
     # single-mode ranks of a 2 x ... x 2 tensor are bounded by 2 no matter
     # what, so for order >= 4 the two-mode flattenings carry the border-rank
     # obstruction and have to be checked unconditionally
-    merged = None
-    if t.ndim >= 4:
-        merged = {_mode_label(pair): tn.matrix_rank(tn.flatten(t, pair), tol)
-                  for pair in itertools.combinations(range(t.ndim), 2)}
-    return _certificate(t, ranks, merged, report, tol)
+    singles = [(m,) for m in range(t.ndim)]
+    pairs = list(itertools.combinations(range(t.ndim), 2)) if t.ndim >= 4 else []
+    ranks = tn.flattening_ranks(t, singles + pairs, tol)
+    single = dict(zip(map(_mode_label, singles), ranks))
+    merged = dict(zip(map(_mode_label, pairs), ranks[len(singles):])) or None
+    return _certificate(t, single, merged, report, tol)
 
 
 def _matrix_certificate(t: np.ndarray, tol: float) -> Certificate:

@@ -85,6 +85,7 @@ def _echelon(mat: list[list[int]], ncols: int) -> tuple[list[list[int]], list[in
             continue
         if pivot_row != r:
             mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        live = False  # whether a row below keeps a nonzero leading entry
         for i in range(r + 1, m):
             if not any(mat[i][c:]):
                 continue
@@ -99,11 +100,12 @@ def _echelon(mat: list[list[int]], ncols: int) -> tuple[list[list[int]], list[in
                     raise InexactDivision("Bareiss division must be exact")
                 row_i[j] = q
             row_i[c] = 0  # pivot * lead - lead * pivot; solve_exact reads this column
+            live = live or any(row_i[c + 1:ncols])
         prev = mat[r][c]
         pivots.append(c)
         r += 1
-        if r == m:
-            break
+        if not live:
+            break  # every row below is zero in the leading columns: no pivot can follow
     return mat, pivots
 
 

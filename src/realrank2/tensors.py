@@ -8,6 +8,7 @@ from 1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isfinite, prod
@@ -15,13 +16,17 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .exactsolve import exact_rank
+from .exactsolve import exact_rank, integer_row
 
 Shape = tuple[int, ...]
 # most coordinates C(n+d-1, d) a symmetric tensor file may ask for (a
 # binary form of degree 9999): every multidegree is filled in and certified,
 # so a few bytes of n and d must not ask for unbounded work
 MAX_SYM_COORDS = 10_000
+# a Gram matrix is built in int64 only when c * B^2 is at most this
+INT64_MAX = 2**63 - 1
+# tensor shapes whose flattening gather plan flattening_ranks keeps
+FLATTENING_PLAN_CACHE_SIZE = 16
 
 
 class ShapeMismatch(ValueError):
@@ -175,24 +180,95 @@ def flatten(t: np.ndarray, row_modes: Iterable[int]) -> np.ndarray:
     return moved.reshape(nrow, -1)
 
 
-def numeric_rank(matrix: np.ndarray, tol: float = 1e-8) -> int:
-    """Rank by singular values above tol * sigma_max."""
-    m = to_float(np.asarray(matrix))
+def numeric_rank(matrix: np.ndarray, tol: float = 1e-8):
+    """Rank by singular values above tol * sigma_max: one int for a matrix,
+    a list for a (k, r, c) stack, whose k matrices take one SVD call.  The
+    stack is made C-contiguous first, so each matrix's singular values are
+    bit for bit those of its own call."""
+    m = np.ascontiguousarray(to_float(np.asarray(matrix)))
     if m.size == 0:
-        return 0
+        return 0 if m.ndim == 2 else [0] * len(m)
     s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    ranks = np.count_nonzero(s > tol * s[..., :1], axis=-1)
+    return int(ranks) if m.ndim == 2 else ranks.tolist()
 
 
-def exact_matrix_rank(matrix: np.ndarray) -> int:
-    return exact_rank(np.asarray(matrix, dtype=object).tolist())
+def _integers(t: np.ndarray) -> tuple[np.ndarray, int]:
+    """t scaled to integers by the lcm of its denominators (ranks do not
+    change), int64 when every entry fits and Python ints otherwise, and B,
+    its largest absolute entry."""
+    flat = integer_row(t.ravel().tolist())
+    bound = max(map(abs, flat), default=0)
+    return np.array(flat, dtype=np.int64 if bound <= INT64_MAX else object).reshape(t.shape), bound
 
 
-def matrix_rank(matrix: np.ndarray, tol: float = 1e-8) -> int:
-    """Exact rank of an object array, singular-value rank of any other."""
+def exact_matrix_rank(matrix: np.ndarray):
+    """Exact rank of a matrix of ints and Fractions (object dtype) or of
+    int64s: one int for a matrix, a list for a (k, r, c) stack.
+
+    Rank is invariant under scaling and transposition, so an object stack is
+    scaled to integers once and every stack is turned so that r <= c.  A wide
+    matrix M (r < c) is ranked on its r x r Gram matrix M M^T, whose rank
+    over Q is M's.  The Gram stack is one batched matmul: in int64 when
+    c * B^2 <= INT64_MAX (B = max |entry|), which bounds every product and
+    partial sum, and in Python ints otherwise.  Each Gram or square matrix
+    gets one exact_rank.
+    """
+    m = np.asarray(matrix)
+    stack = m if m.ndim == 3 else m[None]
+    if stack.dtype == np.int64:
+        bound = max(int(stack.max(initial=0)), -int(stack.min(initial=0)))
+    else:
+        stack, bound = _integers(stack)
+    k, r, c = stack.shape
+    if r > c:
+        stack = stack.transpose(0, 2, 1)
+        r, c = c, r
+    if r < c:
+        if c * bound * bound > INT64_MAX:
+            stack = stack.astype(object)
+        stack = stack @ stack.transpose(0, 2, 1)
+    ranks = [exact_rank(rows) for rows in stack.tolist()]
+    return ranks if m.ndim == 3 else ranks[0]
+
+
+def matrix_rank(matrix: np.ndarray, tol: float = 1e-8):
+    """Exact rank of an object array, singular-value rank of any other; a
+    (k, r, c) stack gets a list of k ranks."""
     return exact_matrix_rank(matrix) if is_exact(matrix) else numeric_rank(matrix, tol)
+
+
+@functools.lru_cache(maxsize=FLATTENING_PLAN_CACHE_SIZE)
+def _flattening_plan(shape: Shape, selections: tuple[tuple[int, ...], ...]) -> tuple:
+    """The flattenings of a tensor of this shape, grouped by matrix shape:
+    per group, the positions of its selections and a read-only (k, r, c)
+    array of flat entry indices that gathers their stack in one step."""
+    index = np.arange(prod(shape)).reshape(shape)
+    groups: dict[tuple[int, int], list[tuple[int, np.ndarray]]] = {}
+    for i, s in enumerate(selections):
+        mat = flatten(index, s)
+        groups.setdefault(mat.shape, []).append((i, mat))
+    plan = []
+    for members in groups.values():
+        idx = np.stack([mat for _, mat in members])
+        idx.flags.writeable = False  # shared by every call on this shape
+        plan.append((tuple(i for i, _ in members), idx))
+    return tuple(plan)
+
+
+def flattening_ranks(t: np.ndarray, selections: Iterable[Iterable[int]], tol: float = 1e-8) -> list[int]:
+    """matrix_rank(flatten(t, s), tol) for each row-mode selection s, with
+    one rank call per matrix shape, on the stack of that shape's
+    flattenings.  An exact tensor is scaled to integers once, first."""
+    selections = tuple(tuple(s) for s in selections)
+    exact = is_exact(t)
+    flat = (_integers(t)[0] if exact else t).ravel()
+    ranks = [0] * len(selections)
+    for where, idx in _flattening_plan(t.shape, selections):
+        stack = flat[idx]
+        for i, rank in zip(where, exact_matrix_rank(stack) if exact else numeric_rank(stack, tol)):
+            ranks[i] = rank
+    return ranks
 
 
 def squeeze_ones(t: np.ndarray) -> np.ndarray:

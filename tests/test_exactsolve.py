@@ -191,3 +191,38 @@ def test_echelon_raises_on_inexact_division_under_optimize():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["ArithmeticError"]
+
+
+def test_inconsistent_row_after_the_last_pivot_still_raises():
+    # after the first pivot every row below is zero in the coefficient
+    # columns, so elimination stops there; the right-hand side 4 of the last
+    # row is not 3 * 1 and must still be seen
+    a = [[1, 2, 3], [2, 4, 6], [3, 6, 9]]
+    with pytest.raises(Inconsistent):
+        solve_exact(a, [1, 2, 4])
+    x, nullspace = solve_exact(a, [1, 2, 3])
+    assert x == [1, 0, 0] and len(nullspace) == 2
+    with pytest.raises(Inconsistent):  # two pivots, then a zero row
+        solve_exact([[1, 0, 2, 1], [0, 1, 1, 1], [1, 1, 3, 2]], [1, 1, 3])
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_rank_is_right_when_rows_vanish_after_one_or_two_pivots(rank):
+    # a 4 x 64 product of integer factors of rank 1 or 2: elimination stops
+    # after `rank` pivots with the rows below all zero
+    rng = random.Random(rank)
+    left = [[rng.randint(-5, 5) for _ in range(rank)] for _ in range(4)]
+    right = [[rng.randint(-5, 5) for _ in range(64)] for _ in range(rank)]
+    left[0][0] = right[0][0] = 1
+    if rank == 2:
+        left[1][:2], right[1][:2] = [0, 1], [0, 1]
+    rows = [[sum(left[i][k] * right[k][j] for k in range(rank)) for j in range(64)] for i in range(4)]
+    assert exact_rank(rows) == rank
+    mat, pivots = _echelon([row[:] for row in rows], 64)
+    assert pivots == list(range(rank))
+    assert not any(any(row) for row in mat[rank:])
+    # a leading zero column and a zero row between the pivot rows
+    padded = [[0] + row for row in rows]
+    padded.insert(1, [0] * 65)
+    assert exact_rank(padded) == rank
+    assert exact_rank([row + [0] * 3 for row in rows] + [[0] * 67]) == rank

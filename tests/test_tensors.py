@@ -5,8 +5,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,9 @@ from conftest import enumerate_subblocks, extract_subblock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from realrank2 import certify as ce
 from realrank2 import tensors as tn
+from realrank2.exactsolve import exact_rank
 
 shapes = st.lists(st.integers(2, 4), min_size=3, max_size=4).map(tuple)
 
@@ -193,3 +199,166 @@ def test_sym_from_json_bounds_the_coordinate_count_before_filling(monkeypatch):
 @given(st.integers(1, 40), st.integers(0, 40), st.integers(0, 10 ** 6))
 def test_coordinate_bound_equals_the_binomial(n, d, limit):
     assert tn._coordinates_exceed(n, d, limit) == (math.comb(n + d - 1, d) > limit)
+
+
+# ------------------------------------------------- flattening ranks by stack
+
+def _selections(ndim: int) -> list[tuple[int, ...]]:
+    """The row-mode selections certification ranks: every single mode, and
+    every pair of modes from order 4 on."""
+    pairs = list(itertools.combinations(range(ndim), 2)) if ndim >= 4 else []
+    return [(m,) for m in range(ndim)] + pairs
+
+
+def _long_sides(shape) -> list[int]:
+    return sorted({max(mat.shape) for mat in (tn.flatten(np.zeros(shape), s)
+                                              for s in _selections(len(shape)))})
+
+
+def _gram_edge(c: int) -> int:
+    """The largest B with c * B^2 <= 2^63 - 1."""
+    return math.isqrt((2**63 - 1) // c)
+
+
+def _oracle(t: np.ndarray) -> list[int]:
+    return [exact_rank(tn.flatten(t, s).tolist()) for s in _selections(t.ndim)]
+
+
+@st.composite
+def exact_tensors(draw):
+    """Orders 3-6, sizes 1-4 (at most 256 entries): the zero tensor, a sum
+    of 1-4 integer rank-one terms (over a common denominator), or such a sum
+    scaled so that its largest entry sits at, or one past, the int64 Gram
+    bound of one of its flattenings' long sides."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=3, max_size=6)
+                       .filter(lambda s: math.prod(s) <= 256)))
+    kind = draw(st.sampled_from(["zero", "sum", "edge"]))
+    if kind == "zero":
+        return np.zeros(shape, dtype=int).astype(object)
+    seed = draw(st.integers(0, 10_000))
+    rng = np.random.default_rng(seed)
+    terms = draw(st.integers(1, 4))
+    t = sum(tn.outer([np.array(rng.integers(-3, 4, n).tolist(), dtype=object) for n in shape])
+            for _ in range(terms))
+    if kind == "sum":
+        return t / Fraction(draw(st.integers(1, 6)))
+    b = _gram_edge(draw(st.sampled_from(_long_sides(shape)))) + draw(st.integers(0, 1))
+    peak = max(map(abs, t.ravel().tolist()))
+    t = t * (b // peak) if peak else t
+    t.ravel()[draw(st.integers(0, t.size - 1))] = draw(st.sampled_from([b, -b]))
+    return t
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_tensors())
+def test_exact_flattening_ranks_equal_the_rank_of_each_dense_flattening(t):
+    assert tn.flattening_ranks(t, _selections(t.ndim)) == _oracle(t)
+
+
+def _sign_tensor(shape, b: int) -> np.ndarray:
+    """b times a (1, -1)-power, minus e_1 x ... x e_1: rank two, max |entry| b."""
+    t = b * tn.outer([np.array([1, -1] * (n // 2), dtype=object) for n in shape])
+    t.ravel()[0] -= 1
+    return t
+
+
+@pytest.mark.parametrize("past", [0, 1])
+def test_gram_past_the_int64_bound_is_taken_in_python_ints(monkeypatch, past):
+    # the 4 x 64 single-mode flattenings of a 4^4 sit at (past=0) or one past
+    # (past=1) the bound: the Gram matrices exact_rank receives are exactly
+    # M M^T either way, and only past the bound do they leave int64
+    t = _sign_tensor((4, 4, 4, 4), _gram_edge(64) + past)
+    seen = []
+    monkeypatch.setattr(tn, "exact_rank", lambda rows: seen.append(rows) or exact_rank(rows))
+    assert tn.flattening_ranks(t, _selections(4)) == _oracle(t) == [2] * 10
+    for m, gram in zip(range(4), seen):  # the single modes come first
+        rows = tn.flatten(t, [m]).tolist()
+        assert gram == [[sum(x * y for x, y in zip(a, b)) for b in rows] for a in rows]
+        assert (max(max(row) for row in gram) > 2**63 - 1) == bool(past)
+    assert [len(rows) for rows in seen] == [4] * 4 + [16] * 6  # merged: 16 x 16, no Gram
+
+
+def test_gram_bound_holds_under_optimize():
+    # the bound is an if, not an assert: under -O the Gram matrices of a 4^4
+    # one past it still leave int64, and its ranks are those of its dense
+    # flattenings
+    b = _gram_edge(64) + 1
+    code = "\n".join([
+        "import numpy as np",
+        "from realrank2 import tensors as tn",
+        "from realrank2.exactsolve import exact_rank",
+        "assert False, 'asserts must be off'",
+        f"t = {b} * tn.outer([np.array([1, -1, 1, -1], dtype=object)] * 4)",
+        "t.ravel()[0] -= 1",
+        "grams = []",
+        "tn.exact_rank = lambda rows: grams.append(rows) or exact_rank(rows)",
+        "print(tn.exact_matrix_rank(np.stack([tn.flatten(t, [m]) for m in range(4)])))",
+        "print(max(x for rows in grams for row in rows for x in row) > 2**63 - 1)",
+        "sels = [(m,) for m in range(4)] + [(i, j) for i in range(4) for j in range(i + 1, 4)]",
+        "print(tn.flattening_ranks(t, sels) == [exact_rank(tn.flatten(t, s).tolist()) for s in sels])",
+    ])
+    src = str(Path(tn.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:3] == ["[2, 2, 2, 2]", "True", "True"]
+
+
+def test_exact_matrix_rank_of_a_stack_and_of_each_matrix():
+    # tall, wide and square members; Fractions are scaled per stack
+    rng = np.random.default_rng(7)
+    for shape in ((5, 3, 7), (4, 6, 2), (3, 4, 4)):
+        stack = np.array(rng.integers(-2, 3, shape).tolist(), dtype=object) / Fraction(3)
+        stack[0] = 0
+        assert tn.exact_matrix_rank(stack) == [exact_rank(m.tolist()) for m in stack]
+        assert [tn.matrix_rank(m) for m in stack] == tn.matrix_rank(stack)
+
+
+# the shapes of the float benchmark, and 2 x 3 x 4, whose flattenings all
+# have different shapes, so each stack holds one matrix
+FLOAT_SHAPES = ((2, 2, 2), (3, 3, 3), (2,) * 5, (4, 4, 4), (6, 6, 6), (4, 4, 4, 4), (2,) * 9)
+
+
+def _float_draw(rng: np.random.Generator, family: str, shape) -> np.ndarray:
+    if family == "generic":
+        return rng.standard_normal(shape)
+    a = [rng.standard_normal(n) for n in shape]
+    if family == "rank-one":
+        return tn.outer(a)
+    b = [rng.standard_normal(n) for n in shape]
+    if family == "real":
+        return tn.outer(a) + tn.outer(b)
+    return 2 * tn.outer([x + 1j * y for x, y in zip(a, b)]).real  # a conjugate pair
+
+
+@pytest.mark.parametrize("shape", FLOAT_SHAPES + ((2, 3, 4),))
+def test_stacked_singular_values_equal_each_flattenings_own_bit_for_bit(monkeypatch, shape):
+    t = _float_draw(np.random.default_rng(len(shape)), "real", shape)
+    svd = np.linalg.svd
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append((a, svd(a, **kw))) or calls[-1][1])
+    sels = _selections(t.ndim)
+    tn.flattening_ranks(t, sels)
+    monkeypatch.undo()
+    assert all(a.ndim == 3 and a.flags.c_contiguous for a, _ in calls)
+    assert len(calls) == len({tn.flatten(t, s).shape for s in sels})
+    stacked = [values for _, out in calls for values in out]
+    mats = [mat for a, _ in calls for mat in a]
+    assert len(stacked) == len(sels)
+    for mat, values in zip(mats, stacked):
+        assert np.array_equal(values, svd(mat, compute_uv=False))
+    assert sorted(map(bytes, map(np.ascontiguousarray, mats))) == \
+        sorted(bytes(np.ascontiguousarray(tn.flatten(t, s))) for s in sels)
+    if shape == (2, 3, 4):
+        assert [a.shape[0] for a, _ in calls] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("family", ["real", "conjugate", "generic", "rank-one"])
+@pytest.mark.parametrize("shape", FLOAT_SHAPES)
+def test_float_flattening_ranks_equal_the_rank_of_each_flattening(family, shape):
+    t = _float_draw(np.random.default_rng(sum(shape)), family, shape)
+    sels = _selections(t.ndim)
+    own = [tn.numeric_rank(tn.flatten(t, s)) for s in sels]
+    assert tn.flattening_ranks(t, sels) == own
+    labels = ["mode_" + "_".join(str(m + 1) for m in s) for s in sels]
+    assert ce.certify_border_rank2(t).flattening_ranks == dict(zip(labels, own))
