@@ -220,7 +220,7 @@ def exact_matrix_rank(matrix: np.ndarray):
         bound = max(int(stack.max(initial=0)), -int(stack.min(initial=0)))
     else:
         stack, bound = _integers(stack)
-    k, r, c = stack.shape
+    r, c = stack.shape[1:]
     if r > c:
         stack = stack.transpose(0, 2, 1)
         r, c = c, r
