@@ -242,6 +242,18 @@ def test_ideal_generators_labels(capsys):
     (("ideal", "--d", "3"), "a880e5d0a7f3fbf8e7bd90f107c9e4872fdcb598fbc0d2074468c476644bb119"),
     (("ideal", "--d", "4"), "cdabcc76af1685ac746c411516b9a0515346030a344412a3cd64c204bb944dde"),
     (("ideal", "--d", "8"), "0b7723477eb5bb11d9c501a500d2d63bad60ac52d40662beee6d2ab2ad3e0b6b"),
+    (("quadrics", "3", "5"), "35e9d758db84596cbd0ac38d1c772032bd6f2bd1ac19b625c26ec7eac165e39a"),
+    (("quadrics", "3", "5", "--format", "text"),
+     "c8687411e7919321cbdc13e07016e56a182efc751927c5444cdaabd1613d49cc"),
+    (("quadrics", "2", "8"), "d7fb36a19183859fc02e9aaea9678a789c827c5c8d041546a92e4e780a3d2205"),
+    (("quadrics", "2", "8", "--format", "text"),
+     "5d98c5a56318180b8caa2823bc3414e45cf569a6dd09da064b70d97eb35eeb10"),
+    (("ideal", "--d", "6"), "7e3ee549bdd3182fd7f388d46c4724bf902f5575b7aef10732fa128ceefdaa51"),
+    (("ideal", "--d", "6", "--format", "text"),
+     "27e210048c4817c3fb95224ad628ba868b53b98017da2e176e095854403b1e30"),
+    (("ideal", "--d", "7"), "7ab86bd4946d94f3d60045b5f589e517da91ce343ec7a0ce91454744bc8e05a5"),
+    (("ideal", "--d", "7", "--format", "text"),
+     "33d6aa44fdc46e103bc8244e955c24133ccc6915cffc04e0b24b5eb7d11a1039"),
 ])
 def test_exact_generator_json_bytes(capsys, argv, digest):
     status, out, _ = run_cli(capsys, *argv)
