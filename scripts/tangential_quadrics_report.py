@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from realrank2 import tableaux as tb
+from realrank2.multipoly import evaluate, to_text
 
 
 @dataclass
@@ -55,16 +56,16 @@ def main() -> int:
     basis = tb.quadric_basis(n, d)
     print(f"\nbasis for n={n}, d={d} ({len(basis)} quadrics):")
     for g in basis:
-        print(f"  {g.tableau.label()} = {g.polynomial.to_text()}")
+        print(f"  {g.tableau.label()} = {to_text(g.polynomial)}")
 
     rng = random.Random(cfg.seed)
-    names = tb.coordinate_variables(n, d)
+    names = basis[0].polynomial.variables
     failures = 0
     for _ in range(cfg.spot_checks):
         a = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
         b = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
         point = dict(zip(names, tb.tangential_point(a, b, d)))
-        failures += sum(1 for g in basis if g.polynomial.evaluate(point) != 0)
+        failures += sum(1 for g in basis if evaluate(g.polynomial, point) != 0)
     print(f"\nspot check: {cfg.spot_checks} random tangential points, "
           f"{len(basis) * cfg.spot_checks} exact evaluations, {failures} nonzero")
     return 1 if failures else 0

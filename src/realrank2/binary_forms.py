@@ -26,7 +26,7 @@ from . import certify as ce
 from . import decompose as dc
 from . import hyperdet as hd
 from . import tensors as tn
-from .multipoly import MultiPoly, det_bareiss
+from .multipoly import Polynomial, det_bareiss, evaluate, normalized
 from .tableaux import DegreeTooSmall, quadric_basis
 
 
@@ -142,7 +142,7 @@ def _effective_coefficient(term) -> float:
 
 
 @functools.cache
-def _quintic_quadrics() -> tuple[MultiPoly, ...]:
+def _quintic_quadrics() -> tuple[Polynomial, ...]:
     # shared by every call: callers only evaluate the polynomials
     return tuple(g.polynomial for g in quadric_basis(2, 5))
 
@@ -155,7 +155,7 @@ def quintic_alternative_test(f: BinaryForm) -> bool:
         raise WrongDegree("this test is specific to degree 5")
     q0, q1, q2 = _quintic_quadrics()
     point = {name: c for name, c in zip(q0.variables, f.coords)}
-    v0, v1, v2 = (q.evaluate(point) for q in (q0, q1, q2))
+    v0, v1, v2 = (evaluate(q, point) for q in (q0, q1, q2))
     h = hankel(f)
     return bool(tn.matrix_rank(h) <= 2 and v1 * v1 - 4 * v0 * v2 >= -hd.hyperdet_zero_tol(h))
 
@@ -163,9 +163,9 @@ def quintic_alternative_test(f: BinaryForm) -> bool:
 @dataclass
 class IdealReport:
     d: int
-    minors_2x2: list[MultiPoly]
-    minors_3x3: list[MultiPoly]
-    tangential_generators: list[tuple[str, MultiPoly]]
+    minors_2x2: list[Polynomial]
+    minors_3x3: list[Polynomial]
+    tangential_generators: list[tuple[str, Polynomial]]
 
 
 def _symbolic_hankel(d: int) -> list[list[dict]]:
@@ -179,17 +179,17 @@ def tau_sigma_ideal_report(d: int) -> IdealReport:
     variety), and the tangential-variety generators appropriate for d."""
     if d < 3:
         raise DegreeTooSmall("ideal report needs degree >= 3")
-    names = [f"x{i}" for i in range(d + 1)]
+    names = tuple(f"x{i}" for i in range(d + 1))
     h = _symbolic_hankel(d)
 
-    def minor(rows, cols) -> MultiPoly:
-        return MultiPoly(names, det_bareiss([[h[r][c] for c in cols] for r in rows])).normalized()
+    def minor(rows, cols) -> Polynomial:
+        return Polynomial(names, normalized(det_bareiss([[h[r][c] for c in cols] for r in rows])))
 
     minors2 = [minor(rows, cols) for rows in itertools.combinations(range(3), 2)
                for cols in itertools.combinations(range(d - 1), 2)]
     minors3 = [minor(range(3), cols) for cols in itertools.combinations(range(d - 1), 3)]
     if d == 3:
-        tau = [("D", hd.cubic_discriminant_determinant().normalized())]
+        tau = [("D", Polynomial(names, normalized(hd.cubic_discriminant_determinant().terms)))]
     elif d == 4:
         tau = [("det_H", minor(range(3), range(3))), ("Q", quadric_basis(2, 4)[0].polynomial)]
     else:

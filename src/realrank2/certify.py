@@ -60,15 +60,17 @@ class Certificate:
         }
 
 
-def _exact_or_finite(t: np.ndarray) -> np.ndarray:
+def _exact_or_finite(t: np.ndarray) -> tuple[np.ndarray, int | None]:
     """The one input rule of certification, read from the dtype: an exact
-    (object) tensor is scaled to integers by the lcm of its denominators, as
-    verdicts are invariant under positive scaling and integer arithmetic is
-    much faster; a float tensor must be finite."""
+    (object) tensor is scaled to Python ints by the lcm of its denominators,
+    as verdicts are invariant under positive scaling and integer arithmetic
+    is much faster, and comes with B = max |entry| for the sweep and the
+    ranks to read; a float tensor must be finite, and comes with None."""
     if tn.is_exact(t):
-        return np.array(integer_row(t.ravel().tolist()), dtype=object).reshape(t.shape)
+        flat = integer_row(t.ravel().tolist())
+        return np.array(flat, dtype=object).reshape(t.shape), max(map(abs, flat), default=0)
     tn.require_finite(t)
-    return t
+    return t, None
 
 
 def _mode_label(modes: Sequence[int]) -> str:
@@ -108,13 +110,14 @@ def _certificate(t: np.ndarray, ranks: dict[str, int], merged_ranks: dict[str, i
                        {"rank_tol": "exact" if tn.is_exact(t) else tol, "hyperdet_zero_tol": report.zero_tol})
 
 
-def _flattening_certificate(t: np.ndarray, tol: float, report: hd.HyperdetReport) -> Certificate:
+def _flattening_certificate(t: np.ndarray, tol: float, report: hd.HyperdetReport,
+                            bound: int | None) -> Certificate:
     # single-mode ranks of a 2 x ... x 2 tensor are bounded by 2 no matter
     # what, so for order >= 4 the two-mode flattenings carry the border-rank
     # obstruction and have to be checked unconditionally
     singles = [(m,) for m in range(t.ndim)]
     pairs = list(itertools.combinations(range(t.ndim), 2)) if t.ndim >= 4 else []
-    ranks = tn.flattening_ranks(t, singles + pairs, tol)
+    ranks = tn.flattening_ranks(t, singles + pairs, tol, bound)
     single = dict(zip(map(_mode_label, singles), ranks))
     merged = dict(zip(map(_mode_label, pairs), ranks[len(singles):])) or None
     return _certificate(t, single, merged, report, tol)
@@ -134,10 +137,11 @@ def certify_border_rank2(t: np.ndarray, tol: float = 1e-8) -> Certificate:
         raise tn.ArityTooSmall("certification needs an order >= 3 tensor")
     if any(n < 1 for n in t.shape):
         raise tn.ShapeMismatch(f"bad tensor shape {t.shape}")
-    t = tn.squeeze_ones(_exact_or_finite(t))
+    t, bound = _exact_or_finite(t)
+    t = tn.squeeze_ones(t)
     if t.ndim <= 2:
         return _matrix_certificate(t, tol)
-    return _flattening_certificate(t, tol, hd.all_subhyperdets(t))
+    return _flattening_certificate(t, tol, hd.all_subhyperdets(t, bound), bound)
 
 
 def tangential_witness(xs: Sequence, ys: Sequence) -> np.ndarray:
@@ -172,18 +176,18 @@ def certify_symmetric(f: tn.SymTensorCoords, tol: float = 1e-8) -> Certificate:
     """
     if f.d <= 2:
         # a linear or quadratic form is a vector or symmetric matrix
-        return _matrix_certificate(np.atleast_2d(_exact_or_finite(tn.sym_to_tensor(f))), tol)
+        return _matrix_certificate(np.atleast_2d(_exact_or_finite(tn.sym_to_tensor(f))[0]), tol)
     if f.n == 2:
         # imported here because binary_forms imports this module
         from . import binary_forms as bf
 
         form = bf.BinaryForm(f.d, [f.coeffs[(f.d - i, i)] for i in range(f.d + 1)])
-        h = _exact_or_finite(bf.hankel(form))  # every coordinate, in the form's dtype
+        h = _exact_or_finite(bf.hankel(form))[0]  # every coordinate, in the form's dtype
         values = [(f"D{i}", v) for i, v in enumerate(bf.discriminant_values(form))]
         report = hd.report_from_values(values, hd.hyperdet_zero_tol(h))
         return _certificate(h, {"hankel": tn.matrix_rank(h, tol)}, None, report, tol)
 
-    t = _exact_or_finite(tn.sym_to_tensor(f))
+    t, bound = _exact_or_finite(tn.sym_to_tensor(f))
     values = []
     for p in range(f.n):
         for q in range(p + 1, f.n):
@@ -196,4 +200,4 @@ def certify_symmetric(f: tn.SymTensorCoords, tol: float = 1e-8) -> Certificate:
                     coords.append(f.coeffs[tuple(u)])
                 label = f"pair({p + 1},{q + 1})@" + ",".join(str(e) for e in w)
                 values.append((label, hd.discriminant_quartic(coords, 0)))
-    return _flattening_certificate(t, tol, hd.report_from_values(values, hd.hyperdet_zero_tol(t)))
+    return _flattening_certificate(t, tol, hd.report_from_values(values, hd.hyperdet_zero_tol(t)), bound)

@@ -38,10 +38,10 @@ from . import certify as ce
 from . import decompose as dc
 from . import hyperdet as hd
 from . import jsontext
+from . import multipoly as mp
 from . import space_curve as sc
 from . import tableaux as tb
 from . import tensors as tn
-from .multipoly import MultiPoly
 
 DEFAULT_SEED = 1729
 CSV_COMMANDS = ("curve-scan", "table1")
@@ -112,8 +112,8 @@ def _load_path(spec: str):
     return tuple(tuple(row) for row in rows)  # scan_path makes the entries exact
 
 
-def _poly_json(label: str, poly: MultiPoly) -> dict:
-    return {"label": label, "text": poly.to_text(), "polynomial": poly.to_json()}
+def _poly_json(label: str, poly: mp.Polynomial) -> dict:
+    return {"label": label, "text": mp.to_text(poly), "polynomial": mp.to_json(poly)}
 
 
 # ---------------------------------------------------------------- commands
@@ -184,8 +184,8 @@ def _cmd_ideal(args):
     report = bf.tau_sigma_ideal_report(args.d)
     payload = {
         "d": report.d,
-        "minors_2x2": [p.to_text() for p in report.minors_2x2],
-        "minors_3x3": [p.to_text() for p in report.minors_3x3],
+        "minors_2x2": [mp.to_text(p) for p in report.minors_2x2],
+        "minors_3x3": [mp.to_text(p) for p in report.minors_3x3],
         "tangential_generators": [_poly_json(label, p) for label, p in report.tangential_generators],
     }
     # the lines reuse the payload's texts and are built only for --format text

@@ -8,7 +8,7 @@ This is the package's bottom exact layer: the rational
 coercion and content helpers live here too.
 
 `rank_mod_p` is the cheap lower bound: the rank of an integer matrix modulo
-the prime MODULAR_PRIME, eliminated in int64.  A full rank mod p proves full
+the prime MODULAR_PRIME, by sparse row reduction.  A full rank mod p proves full
 rank over Q, since a minor that is nonzero mod p is a nonzero integer.
 """
 
@@ -19,9 +19,7 @@ from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Sequence
 
-import numpy as np
-
-# residues stay below 2^31, so a product of two fits in an int64
+# the Mersenne prime 2^31 - 1
 MODULAR_PRIME = 2**31 - 1
 
 
@@ -122,23 +120,24 @@ def rank_mod_p(rows: Sequence[Sequence[int]]) -> int:
     """Rank modulo MODULAR_PRIME of a matrix of ints: at most its rank over Q,
     and equal to it unless p divides every maximal nonzero minor.
 
-    Row by row: a row that is nonzero after the earlier pivots' eliminations
-    is a pivot row, scaled to a leading 1 and eliminated from the rows below.
+    Row by row on sparse residues (column -> nonzero residue), so sparse
+    rows cost near their nonzeros: the earlier pivot rows clear each row's
+    leading column until it vanishes or leads at a new column, where it
+    becomes a pivot row, scaled to a leading 1.
     """
     p = MODULAR_PRIME
-    mat = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
-    rank = 0
-    for i in range(len(mat)):
-        nonzero = np.flatnonzero(mat[i])
-        if not nonzero.size:
-            continue
-        c = nonzero[0]
-        pivot_row = mat[i] * pow(int(mat[i, c]), -1, p) % p
-        below = mat[i + 1:]  # a view: eliminated in place
-        below -= np.outer(below[:, c], pivot_row) % p
-        below %= p
-        rank += 1
-    return rank
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        residues = {j: x % p for j, x in enumerate(row) if x % p}
+        while residues and (c := min(residues)) in pivots:
+            factor = residues[c]
+            for j, x in pivots[c].items():
+                residues[j] = (residues.get(j, 0) - factor * x) % p
+            residues = {j: x for j, x in residues.items() if x}
+        if residues:
+            inverse = pow(residues[c], -1, p)
+            pivots[c] = {j: x * inverse % p for j, x in residues.items()}
+    return len(pivots)
 
 
 def solve_exact(a_rows: Sequence[Sequence], b: Sequence) -> tuple[list[Fraction], list[list[Fraction]]]:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import jsontext
-from .multipoly import MultiPoly, det_bareiss
+from .multipoly import Polynomial, det_bareiss
 from .tensors import ArityTooSmall, is_exact, num_json, ShapeMismatch
 
 DEFAULT_ZERO_TOL_SCALE = 1e-10
@@ -175,27 +175,24 @@ def _sweep_plan(shape: tuple[int, ...]) -> tuple[np.ndarray, jsontext.Column]:
     return idx, jsontext.Column(labels)
 
 
-def _fits_int64(flat: np.ndarray) -> bool:
-    """Whether int64 evaluates the quartic on these entries exactly: every
-    entry is exactly an int (bools and Fractions are not) of absolute value
-    at most INT64_SWEEP_BOUND."""
-    return (flat.dtype == object and set(map(type, flat)) <= {int}
-            and max(map(abs, flat), default=0) <= INT64_SWEEP_BOUND)
-
-
-def all_subhyperdets(t: np.ndarray) -> HyperdetReport:
+def all_subhyperdets(t: np.ndarray, bound: int | None = None) -> HyperdetReport:
     """Hyperdeterminants of every 2x2x2 sub-block, with a scaled zero test.
 
     Gathers the eight entries of every block into rows and evaluates the
     quartic once on whole rows: float64 arithmetic for float tensors, int64
-    for int entries under INT64_SWEEP_BOUND, the entries' own (exact)
+    when every entry is exactly an int (bools and Fractions are not) of
+    absolute value at most INT64_SWEEP_BOUND, the entries' own (exact)
     arithmetic otherwise, each with the operations of `hyperdet222` in its
-    order, so every value equals the per-block one and has its type.
+    order, so every value equals the per-block one and has its type.  A
+    caller that has scaled t to Python ints passes their largest |entry| as
+    bound, and the entries are not read again to find it.
     """
     zero_tol = hyperdet_zero_tol(t)
     idx, labels = _sweep_plan(t.shape)
     flat = t.ravel()
-    if _fits_int64(flat):
+    if bound is None and flat.dtype == object and set(map(type, flat)) <= {int}:
+        bound = max(map(abs, flat), default=0)
+    if bound is not None and bound <= INT64_SWEEP_BOUND:
         flat = flat.astype(np.int64)
     else:  # any other entries as the Python scalars hyperdet222 sees: int64 must not wrap
         flat = flat.astype(np.float64 if flat.dtype.kind == "f" else object, copy=False)
@@ -225,7 +222,7 @@ def discriminant_quartic(coords: Sequence, i: int):
     )
 
 
-def cubic_discriminant_determinant() -> MultiPoly:
+def cubic_discriminant_determinant() -> Polynomial:
     """The binary-cubic discriminant as the classical 4x4 determinant.
 
     The matrix is the Sylvester resultant of the two rows of the cubic's
@@ -240,4 +237,4 @@ def cubic_discriminant_determinant() -> MultiPoly:
         [x(1), x(2, 2), x(3), {}],
         [{}, x(1), x(2, 2), x(3)],
     ]
-    return MultiPoly(("x0", "x1", "x2", "x3"), det_bareiss(rows))
+    return Polynomial(("x0", "x1", "x2", "x3"), det_bareiss(rows))

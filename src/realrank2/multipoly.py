@@ -1,12 +1,15 @@
 """Exact multivariate polynomials: the printed record and the term-map kernels.
 
-A `MultiPoly` is a tuple of variable names plus a map from exponent vectors
-to nonzero Fraction coefficients.  Its canonical term order is graded
-lexicographic in the declared variable order; it fixes printing and
-therefore every piece of symbolic output in the package.  Computation runs
-on plain term maps (exponent -> integer coefficient): `times` multiplies
-two, `det_bareiss` expands a determinant of them, and `resultant`
-eliminates a variable from two forms over Z[x].
+A `Polynomial` is a tuple of variable names, a term map from exponent
+vectors to nonzero integer coefficients, and one positive denominator
+`den` (1 unless a coefficient is rational).  Its canonical term order is
+graded lexicographic in the declared variable order; it fixes printing and
+therefore every piece of symbolic output in the package: `to_text`,
+`to_json`, and `normalized`, the normal form of an integer term map.
+`evaluate` sums the terms in their own order.  Computation runs on plain
+term maps (exponent -> integer coefficient): `times` multiplies two,
+`det_bareiss` expands a determinant of them, and `resultant` eliminates a
+variable from two forms over Z[x].
 """
 
 from __future__ import annotations
@@ -15,13 +18,20 @@ import functools
 import itertools
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm
-from typing import Mapping, Sequence, Union
+from math import gcd, lcm
+from operator import add
+from typing import Mapping, NamedTuple, Sequence
 
-from .exactsolve import as_fraction, content
 from .unipoly import _exact_div, _trimmed
 
-Scalar = Union[int, Fraction]
+
+class Polynomial(NamedTuple):
+    """variables, integer terms keyed by exponent vectors, and the common
+    denominator of the coefficients: the polynomial is terms / den."""
+
+    variables: tuple[str, ...]
+    terms: dict[tuple[int, ...], int]
+    den: int = 1
 
 
 def grlex_key(exponents: tuple) -> tuple:
@@ -29,101 +39,56 @@ def grlex_key(exponents: tuple) -> tuple:
     return (sum(exponents), exponents)
 
 
-class MultiPoly:
-    """A printed record: variables and exact terms, with the content,
-    normal form, evaluation and text/JSON forms the CLI prints.  Symbolic
-    builders compute on integer term maps (`times`, `det_bareiss`) and wrap
-    the result."""
+def sorted_terms(p: Polynomial) -> list[tuple[tuple, int | Fraction]]:
+    """(exponent, coefficient) pairs, graded lex descending, each
+    coefficient over den (an int when den is 1)."""
+    order = sorted(p.terms.items(), key=lambda term: grlex_key(term[0]), reverse=True)
+    return order if p.den == 1 else [(e, Fraction(c, p.den)) for e, c in order]
 
-    __slots__ = ("variables", "terms")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping[tuple, Scalar] | None = None):
-        self.variables = tuple(variables)
-        if len(set(self.variables)) != len(self.variables):
-            raise ValueError("duplicate variable names")
-        clean: dict[tuple, Fraction] = {}
-        for expo, coeff in (terms or {}).items():
-            expo = tuple(int(e) for e in expo)
-            if len(expo) != len(self.variables) or any(e < 0 for e in expo):
-                raise ValueError(f"bad exponent vector {expo} for variables {self.variables}")
-            c = as_fraction(coeff)
-            if c:
-                clean[expo] = clean.get(expo, Fraction(0)) + c
-                if not clean[expo]:
-                    del clean[expo]
-        self.terms = clean
+def normalized(terms: dict) -> dict:
+    """An integer term map over the gcd of its coefficients, with the
+    graded-lex leading coefficient positive; the terms keep their order."""
+    if not terms:
+        return terms
+    scale = gcd(*terms.values())
+    if terms[max(terms, key=grlex_key)] < 0:
+        scale = -scale
+    return {e: c // scale for e, c in terms.items()}
 
-    def sorted_terms(self) -> list[tuple[tuple, Fraction]]:
-        """(exponent, coefficient) pairs, graded lex descending."""
-        return [(e, self.terms[e]) for e in sorted(self.terms, key=grlex_key, reverse=True)]
 
-    def __eq__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+def evaluate(p: Polynomial, values: Mapping[str, object]):
+    """Value at a full assignment of the variables, summed in term order.
+    Exact values give a Fraction; otherwise each term starts from the
+    correctly rounded float c / den."""
+    vals = [values[v] for v in p.variables]
+    exact = all(isinstance(v, (int, Fraction)) for v in vals)
+    total = 0 if exact else 0.0
+    for expo, coeff in p.terms.items():
+        term = coeff if exact else coeff / p.den
+        for v, e in zip(vals, expo):
+            if e:
+                term = term * v ** e
+        total = total + term
+    return Fraction(total, p.den) if exact else total
 
-    __hash__ = None
 
-    def __repr__(self):
-        return f"MultiPoly({self.to_text()!r})"
+def to_text(p: Polynomial) -> str:
+    # printed smallest term first, so normalized polynomials read the way
+    # low-degree identities are usually written (3*x2^2 - 4*x1*x3 + 1*x0*x4)
+    text = ""
+    for expo, coeff in reversed(sorted_terms(p)):
+        mono = "*".join([f"{v}^{e}" if e > 1 else v for v, e in zip(p.variables, expo) if e])
+        body = f"{abs(coeff)}*{mono}" if mono else str(abs(coeff))
+        text += (f" {'-' if coeff < 0 else '+'} " if text else "-" if coeff < 0 else "") + body
+    return text or "0"
 
-    def evaluate(self, values: Mapping[str, object]):
-        """Evaluate at a full assignment.  Exact inputs give a Fraction."""
-        missing = [v for v in self.variables if v not in values]
-        if missing:
-            raise ValueError(f"missing values for {missing}")
-        vals = [values[v] for v in self.variables]
-        exact = all(isinstance(v, (int, Fraction)) for v in vals)
-        total = Fraction(0) if exact else 0.0
-        for expo, coeff in self.terms.items():
-            term = coeff if exact else float(coeff)
-            for v, e in zip(vals, expo):
-                if e:
-                    term = term * v ** e
-            total = total + term
-        return total
 
-    def content(self) -> Fraction:
-        """Positive rational c with self/c integer coefficients of gcd 1."""
-        return content(self.terms.values()) if self.terms else Fraction(1)
-
-    def normalized(self) -> "MultiPoly":
-        """Clear denominators, reduce content to 1, leading coefficient > 0."""
-        if not self.terms:
-            return self
-        scale = self.content()
-        if self.sorted_terms()[0][1] < 0:
-            scale = -scale
-        return type(self)(self.variables, {e: c / scale for e, c in self.terms.items()})
-
-    def to_text(self) -> str:
-        # printed smallest term first, so normalized polynomials read the way
-        # low-degree identities are usually written (3*x2^2 - 4*x1*x3 + 1*x0*x4)
-        if not self.terms:
-            return "0"
-        chunks = []
-        for expo, coeff in reversed(self.sorted_terms()):
-            mono = "*".join(
-                f"{v}^{e}" if e > 1 else v
-                for v, e in zip(self.variables, expo)
-                if e
-            )
-            body = f"{abs(coeff)}*{mono}" if mono else str(abs(coeff))
-            chunks.append(("-" if coeff < 0 else "+", body))
-        sign, body = chunks[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in chunks[1:]:
-            text += f" {sign} {body}"
-        return text
-
-    def to_json(self) -> dict:
-        return {
-            "variables": list(self.variables),
-            "terms": {
-                ",".join(str(e) for e in expo): str(coeff)
-                for expo, coeff in self.sorted_terms()
-            },
-        }
+def to_json(p: Polynomial) -> dict:
+    return {
+        "variables": list(p.variables),
+        "terms": {",".join(map(str, expo)): str(coeff) for expo, coeff in sorted_terms(p)},
+    }
 
 
 def times(p: dict, q: dict) -> dict:
@@ -136,7 +101,7 @@ def times(p: dict, q: dict) -> dict:
     out: dict[tuple[int, ...], int] = {}
     for ea, ca in p.items():
         for eb, cb in q.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
+            e = tuple(map(add, ea, eb))
             out[e] = out.get(e, 0) + ca * cb
     return {e: c for e, c in out.items() if c}
 
@@ -224,8 +189,9 @@ def _det(rows: list[list[list[int]]]) -> list[int]:
 def resultant(p, q, var: str, variables: Sequence[str] | None = None) -> list[int]:
     """Resultant of two forms eliminating `var`, exact, as ascending ints.
 
-    p and q are MultiPolys or, given their `variables`, maps from exponent
-    vectors to int or Fraction coefficients.  Each is first scaled to
+    p and q are objects with `variables` and `terms` (a `Polynomial`'s den,
+    a constant factor, is not read) or, given their `variables`, maps from
+    exponent vectors to int or Fraction coefficients.  Each is first scaled to
     integer coefficients by the lcm L of its denominators (1 for integer
     forms), so with m, n the degrees in `var` the result is Lp^n Lq^m times
     the resultant: a form of degree D = (t_p - m) n + (t_q - n) m + m n in
@@ -245,7 +211,7 @@ def resultant(p, q, var: str, variables: Sequence[str] | None = None) -> list[in
     form of higher degree.
     """
     if variables is None:
-        # MultiPolys in different variables fail the test below as no variables
+        # polynomials in different variables fail the test below as no variables
         variables = p.variables if q.variables == p.variables else ()
         p, q = p.terms, q.terms
     degrees = [{sum(e) for e in f} for f in (p, q)]

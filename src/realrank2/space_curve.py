@@ -27,7 +27,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .exactsolve import as_fraction, content, exact_rank, integer_row
-from .multipoly import MultiPoly, resultant, times
+from .multipoly import Polynomial, evaluate, resultant, times
 from .tensors import num_json, read_scalar, read_sequence
 from .unipoly import poly_gcd, real_roots
 
@@ -135,30 +135,30 @@ class PluckerMap:
     """Line coordinates of the secant spanned by the pair (a : b : c).
 
     table holds the six polynomials p01, p02, p03, p12, p13, p23 as integer
-    terms over one common denominator den; polys holds them as MultiPolys,
-    polys[i].terms being {e: Fraction(c, den) for e, c in table[i]}, in the
-    same order.
+    terms over one common denominator den; polys holds them as
+    `Polynomial`s in PAIR_VARS over den, with the table's terms in the same
+    order.
     """
 
     table: tuple[tuple[tuple[tuple[int, int, int], int], ...], ...]
     den: int
-    polys: tuple[MultiPoly, ...] = field(init=False, repr=False, compare=False)
+    polys: tuple[Polynomial, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.table) != 6:
             raise RewriteFailed("a line in 3-space has six coordinates")
-        p01, p02, p03, p12, p13, p23 = map(dict, self.table)
+        polys = tuple(Polynomial(PAIR_VARS, dict(terms), self.den) for terms in self.table)
+        p01, p02, p03, p12, p13, p23 = (p.terms for p in polys)
         relation = times(p01, p23)
         _accumulate(relation, times(p02, p13).items(), -1)
         _accumulate(relation, times(p03, p12).items(), 1)
         if relation:
             raise RewriteFailed("line coordinates must satisfy the quadratic line relation")
-        object.__setattr__(self, "polys", tuple(
-            MultiPoly(PAIR_VARS, {e: Fraction(c, self.den) for e, c in terms}) for terms in self.table))
+        object.__setattr__(self, "polys", polys)
 
     def evaluate(self, abc) -> list:
         point = dict(zip(PAIR_VARS, abc))
-        return [p.evaluate(point) for p in self.polys]
+        return [evaluate(p, point) for p in self.polys]
 
 
 def _degree_exponents(deg: int) -> list[tuple[int, int, int]]:
@@ -770,21 +770,21 @@ def _bisect_change(curve: CurveParam, path, lo: Fraction, hi: Fraction,
     return float((lo + hi) / 2), None
 
 
-def _fixture_polynomial(poly: MultiPoly, path) -> list[Fraction]:
+def _fixture_polynomial(poly: Polynomial, path) -> list[Fraction]:
     """The fixture restricted to the path, ascending in t: each POINT_VARS
     coordinate is c0 + c1 t.  The expansion runs in integers: the path is
-    scaled by the common denominator D of its entries and the coefficients
-    by theirs, C, a term of degree m times D^(top - m) for the top degree,
-    and the sum is divided by C D^top once at the end."""
+    scaled by the common denominator D of its entries, a term of degree m
+    times D^(top - m) for the top degree, and the sum is divided by the
+    fixture's den times D^top once at the end."""
     if poly.variables != POINT_VARS:
         raise ValueError(f"fixture variables {poly.variables} are not {POINT_VARS}")
     scale = content(c for row in path for c in row).denominator
     lines = [(int(c0 * scale), int(c1 * scale)) for c0, c1 in path]
-    den = poly.content().denominator
+    den = poly.den
     top = max((sum(e) for e in poly.terms), default=0)
     total: list[int] = []
     for expo, coeff in poly.terms.items():
-        term = [int(coeff * den) * scale ** (top - sum(expo))]
+        term = [coeff * scale ** (top - sum(expo))]
         for (c0, c1), e in zip(lines, expo):
             for _ in range(e):
                 term = [a * c0 + b * c1 for a, b in zip(term + [0], [0] + term)]
@@ -793,7 +793,7 @@ def _fixture_polynomial(poly: MultiPoly, path) -> list[Fraction]:
 
 
 def scan_path(curve: CurveParam, path, interval=(0, 1), nsamples: int = 21,
-              fixtures: Mapping[str, MultiPoly] | None = None, tol: float = 1e-8,
+              fixtures: Mapping[str, Polynomial] | None = None, tol: float = 1e-8,
               *, seed: int = 0) -> PathReport:
     """Classify u(t) = path(t) along the interval and localize every change.
 
@@ -865,11 +865,11 @@ MONOMIAL_QUARTIC = CurveParam(4, (
 
 # ruled sextic surfaces bounding the real rank two region of the monomial
 # quartic: contact locus of tangent lines, and of the edge (bitangent) lines
-TANGENTIAL_SEXTIC = MultiPoly(POINT_VARS, {
+TANGENTIAL_SEXTIC = Polynomial(POINT_VARS, {
     (0, 3, 3, 0): 16, (2, 0, 4, 0): -27, (1, 2, 2, 1): 6,
     (0, 4, 0, 2): -27, (2, 1, 1, 2): 48, (3, 0, 0, 3): -16,
 })
-EDGE_SEXTIC = MultiPoly(POINT_VARS, {
+EDGE_SEXTIC = Polynomial(POINT_VARS, {
     (0, 3, 3, 0): 32, (2, 0, 4, 0): -27, (1, 2, 2, 1): -6,
     (0, 4, 0, 2): -27, (2, 1, 1, 2): 24, (3, 0, 0, 3): 4,
 })

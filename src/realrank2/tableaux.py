@@ -10,13 +10,15 @@ x_u -> a^u + b^u is the generator.  All arithmetic is exact.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add
 from typing import Sequence
 
 from .exactsolve import Inconsistent, exact_rank, rank_mod_p
-from .multipoly import MultiPoly, times
+from .multipoly import Polynomial, normalized, times
 from .tensors import multidegrees
 
 
@@ -61,7 +63,7 @@ class TwoRowTableau:
 @dataclass(frozen=True)
 class QuadricGenerator:
     tableau: TwoRowTableau
-    polynomial: MultiPoly
+    polynomial: Polynomial
 
 
 def _check_shape(n: int, d: int, k: int) -> None:
@@ -95,14 +97,11 @@ def hook_length_dim(n: int, d: int, k: int) -> int:
     return int(value)
 
 
-def _param_variables(n: int) -> list[str]:
-    return [f"a{i}" for i in range(1, n + 1)] + [f"b{i}" for i in range(1, n + 1)]
-
-
-def target_polynomial(t: TwoRowTableau) -> MultiPoly:
-    """Expand the tableau's polynomial in the 2n parameters a, b: the product
-    of the column brackets a_m b_v - a_v b_m with the sum, over the ways to
-    send d - k tail entries of mu to a and the rest to b, of the monomials."""
+def target_polynomial(t: TwoRowTableau) -> dict[tuple[int, ...], int]:
+    """Expand the tableau's polynomial in the 2n parameters a1..an, b1..bn,
+    as an integer term map: the product of the column brackets
+    a_m b_v - a_v b_m with the sum, over the ways to send d - k tail entries
+    of mu to a and the rest to b, of the monomials."""
     n = t.n
     poly = {(0,) * (2 * n): 1}
     for m, v in zip(t.mu, t.nu):
@@ -114,14 +113,19 @@ def target_polynomial(t: TwoRowTableau) -> MultiPoly:
         av_bm[n + m - 1] += 1
         poly = times(poly, {tuple(am_bv): 1, tuple(av_bm): -1})
     tail = t.mu[t.k:]
+    all_b = [0] * (2 * n)
+    for entry in tail:
+        all_b[n + entry - 1] += 1
+    # tail is sorted, so picks of equal entries are equal tuples: counted
+    # once each, in the order of their first pick
     total: dict[tuple[int, ...], int] = {}
-    for picks in itertools.combinations(range(len(tail)), t.d - t.k):
-        exps = [0] * (2 * n)
-        chosen = set(picks)
-        for j, entry in enumerate(tail):
-            exps[entry - 1 + (0 if j in chosen else n)] += 1
-        total[tuple(exps)] = total.get(tuple(exps), 0) + 1
-    return MultiPoly(_param_variables(n), times(poly, total))
+    for picks, count in Counter(itertools.combinations(tail, t.d - t.k)).items():
+        exps = all_b.copy()
+        for entry in picks:
+            exps[entry - 1] += 1
+            exps[n + entry - 1] -= 1
+        total[tuple(exps)] = count
+    return times(poly, total)
 
 
 def coordinate_name(u: Sequence[int]) -> str:
@@ -131,10 +135,6 @@ def coordinate_name(u: Sequence[int]) -> str:
     if all(c <= 9 for c in u):
         return "x" + "".join(map(str, u))
     return "x" + "_".join(map(str, u))
-
-
-def coordinate_variables(n: int, d: int) -> list[str]:
-    return [coordinate_name(u) for u in multidegrees(n, d)]
 
 
 def secant_point(a: Sequence, b: Sequence, d: int) -> list[Fraction]:
@@ -185,23 +185,26 @@ def comb_multi(d: int, u: Sequence[int]) -> int:
     return out
 
 
-def pushforward(quadric: MultiPoly, n: int, d: int) -> dict[tuple[int, ...], Fraction]:
+def pushforward(quadric: dict[tuple[int, int], int], coords: Sequence[tuple[int, ...]]) -> dict:
     """Terms of a quadric in the x_u under x_u -> a^u + b^u, keyed by exponent
-    vectors over (a1..an, b1..bn), zero coefficients dropped."""
-    coords = multidegrees(n, d)
-    zero = (0,) * n
-    push: dict[tuple[int, ...], Fraction] = {}
-    for key, c in quadric.terms.items():
-        u, v = (coords[i] for i, e in enumerate(key) for _ in range(e))
-        uv = tuple(x + y for x, y in zip(u, v))
+    vectors over (a1..an, b1..bn), zero coefficients dropped.  The quadric is
+    an integer map keyed by the index pair (i, j), i <= j, of x_i x_j, with
+    coords[i] the multidegree of x_i."""
+    zero = (0,) * len(coords[0])
+    push: dict[tuple[int, ...], int] = {}
+    for (i, j), c in quadric.items():
+        u, v = coords[i], coords[j]
+        uv = tuple(map(add, u, v))
         # c x_u x_v -> c (a^(u+v) + a^u b^v + a^v b^u + b^(u+v))
         for e in (uv + zero, u + v, v + u, zero + uv):
             push[e] = push.get(e, 0) + c
     return {e: c for e, c in push.items() if c}
 
 
-def preimage_quadric(t: TwoRowTableau, allow_k2: bool = False) -> QuadricGenerator:
-    """The unique quadric in the x_u mapping to the tableau's polynomial.
+def _doubled_preimage(t: TwoRowTableau, coords: Sequence[tuple[int, ...]],
+                      index: dict[tuple[int, ...], int]) -> dict[tuple[int, int], int]:
+    """Twice the unique quadric mapping to the tableau's polynomial, keyed
+    by index pairs (i, j), i <= j, in the target's term order.
 
     Every monomial of the target is a^u b^v with |u| = |v| = d, so the
     mixed part of sum c_uv (a^u + b^u)(a^v + b^v) determines the c_uv
@@ -209,28 +212,43 @@ def preimage_quadric(t: TwoRowTableau, allow_k2: bool = False) -> QuadricGenerat
     exactly and a mismatch (which would contradict uniqueness of the
     preimage) raises Inconsistent naming one differing exponent.
     """
-    if t.k < 4 and not (allow_k2 and t.k == 2):
-        raise BadShape("preimages vanish on the tangential variety only for k >= 4")
-    n, d = t.n, t.d
+    n = t.n
     target = target_polynomial(t)
-    index = {u: i for i, u in enumerate(multidegrees(n, d))}
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for exps, coeff in target.terms.items():
+    doubled: dict[tuple[int, int], int] = {}
+    for exps, coeff in target.items():
         u, v = exps[:n], exps[n:]
         if u > v:
             continue
-        key = [0] * len(index)
-        key[index[u]] += 1
-        key[index[v]] += 1
-        terms[tuple(key)] = coeff / 2 if u == v else coeff
-    quadric = MultiPoly(coordinate_variables(n, d), terms)
-    push = pushforward(quadric, n, d)
-    if push != target.terms:
-        e = min(e for e in push.keys() | target.terms.keys()
-                if push.get(e, 0) != target.terms.get(e, 0))
+        i, j = index[u], index[v]
+        doubled[(i, j) if i <= j else (j, i)] = coeff if u == v else 2 * coeff
+    push = pushforward(doubled, coords)
+    if push != {e: 2 * c for e, c in target.items()}:
+        e = min(e for e in push.keys() | target.keys() if push.get(e, 0) != 2 * target.get(e, 0))
         raise Inconsistent(f"pushforward mismatch for {t.label()}: exponent {e} pushes to "
-                           f"{push.get(e, 0)}, target has {target.terms.get(e, 0)}")
-    return QuadricGenerator(t, quadric)
+                           f"{Fraction(push.get(e, 0), 2)}, target has {target.get(e, 0)}")
+    return doubled
+
+
+def _by_exponent(quadric: dict[tuple[int, int], int], units: Sequence[tuple[int, ...]]) -> dict:
+    """The quadric keyed by exponent vectors, units[i] that of x_i, in its own term order."""
+    return {tuple(map(add, units[i], units[j])): c for (i, j), c in quadric.items()}
+
+
+def _units(size: int) -> list[tuple[int, ...]]:
+    return [tuple(int(k == i) for k in range(size)) for i in range(size)]
+
+
+def preimage_quadric(t: TwoRowTableau, allow_k2: bool = False) -> QuadricGenerator:
+    """The unique quadric in the x_u mapping to the tableau's polynomial."""
+    if t.k < 4 and not (allow_k2 and t.k == 2):
+        raise BadShape("preimages vanish on the tangential variety only for k >= 4")
+    coords = multidegrees(t.n, t.d)
+    doubled = _doubled_preimage(t, coords, {u: i for i, u in enumerate(coords)})
+    # the pushforward's a^(2u) coefficient, twice the target's, is the
+    # x_u^2 coefficient of 2Q plus twice each x_v x_w one with v + w = 2u:
+    # so every coefficient of 2Q is even
+    terms = _by_exponent({pair: c // 2 for pair, c in doubled.items()}, _units(len(coords)))
+    return QuadricGenerator(t, Polynomial(tuple(map(coordinate_name, coords)), terms))
 
 
 def quadric_basis(n: int, d: int) -> list[QuadricGenerator]:
@@ -239,22 +257,23 @@ def quadric_basis(n: int, d: int) -> list[QuadricGenerator]:
     Union over even k in {4..d}; normalized to integer coefficients with
     content one and positive leading coefficient; exact linear
     independence of the result is checked: by the rank modulo a prime, which
-    proves it when full, and by the Bareiss rank when it is not.
+    proves it when full, and by the Bareiss rank when it is not.  The
+    coordinate names and multidegrees are built once per call.
     """
     if d <= 3:
         raise DegreeTooSmall("no quadrics vanish on the tangential variety for d <= 3")
-    gens = []
-    for k in range(4, d + 1, 2):
-        for t in enumerate_tableaux(n, d, k):
-            g = preimage_quadric(t)
-            gens.append(QuadricGenerator(t, g.polynomial.normalized()))
-    monomials = sorted({e for g in gens for e in g.polynomial.terms})
-    rows = []
-    for g in gens:  # content one: integer coefficients, handed on as ints
-        if any(c.denominator != 1 for c in g.polynomial.terms.values()):
-            raise NonIntegral(f"normalized generator {g.tableau.label()} has a non-integer coefficient")
-        coeffs = {e: c.numerator for e, c in g.polynomial.terms.items()}
-        rows.append([coeffs.get(e, 0) for e in monomials])
+    coords = multidegrees(n, d)
+    index = {u: i for i, u in enumerate(coords)}
+    names = tuple(map(coordinate_name, coords))
+    units = _units(len(coords))
+    gens = [QuadricGenerator(t, Polynomial(names, normalized(_by_exponent(
+                _doubled_preimage(t, coords, index), units))))
+            for k in range(4, d + 1, 2) for t in enumerate_tableaux(n, d, k)]
+    column = {e: j for j, e in enumerate(sorted({e for g in gens for e in g.polynomial.terms}))}
+    rows = [[0] * len(column) for _ in gens]
+    for row, g in zip(rows, gens):
+        for e, c in g.polynomial.terms.items():
+            row[column[e]] = c
     if rank_mod_p(rows) != len(gens):  # no certificate: the exact rank decides
         rank = exact_rank(rows)
         if rank != len(gens):

@@ -193,18 +193,21 @@ def numeric_rank(matrix: np.ndarray, tol: float = 1e-8):
     return int(ranks) if m.ndim == 2 else ranks.tolist()
 
 
-def _integers(t: np.ndarray) -> tuple[np.ndarray, int]:
+def _integers(t: np.ndarray, bound: int | None = None) -> tuple[np.ndarray, int]:
     """t scaled to integers by the lcm of its denominators (ranks do not
     change), int64 when every entry fits and Python ints otherwise, and B,
-    its largest absolute entry."""
+    its largest absolute entry; t of Python ints may come with B."""
+    if bound is not None:
+        return (t.astype(np.int64) if bound <= INT64_MAX else t), bound
     flat = integer_row(t.ravel().tolist())
     bound = max(map(abs, flat), default=0)
     return np.array(flat, dtype=np.int64 if bound <= INT64_MAX else object).reshape(t.shape), bound
 
 
-def exact_matrix_rank(matrix: np.ndarray):
+def exact_matrix_rank(matrix: np.ndarray, bound: int | None = None):
     """Exact rank of a matrix of ints and Fractions (object dtype) or of
-    int64s: one int for a matrix, a list for a (k, r, c) stack.
+    int64s: one int for a matrix, a list for a (k, r, c) stack.  An object
+    matrix of Python ints may come with bound, its largest |entry|.
 
     Rank is invariant under scaling and transposition, so an object stack is
     scaled to integers once and every stack is turned so that r <= c.  A wide
@@ -219,7 +222,7 @@ def exact_matrix_rank(matrix: np.ndarray):
     if stack.dtype == np.int64:
         bound = max(int(stack.max(initial=0)), -int(stack.min(initial=0)))
     else:
-        stack, bound = _integers(stack)
+        stack, bound = _integers(stack, bound)
     r, c = stack.shape[1:]
     if r > c:
         stack = stack.transpose(0, 2, 1)
@@ -256,17 +259,21 @@ def _flattening_plan(shape: Shape, selections: tuple[tuple[int, ...], ...]) -> t
     return tuple(plan)
 
 
-def flattening_ranks(t: np.ndarray, selections: Iterable[Iterable[int]], tol: float = 1e-8) -> list[int]:
+def flattening_ranks(t: np.ndarray, selections: Iterable[Iterable[int]], tol: float = 1e-8,
+                     bound: int | None = None) -> list[int]:
     """matrix_rank(flatten(t, s), tol) for each row-mode selection s, with
     one rank call per matrix shape, on the stack of that shape's
-    flattenings.  An exact tensor is scaled to integers once, first."""
+    flattenings.  An exact tensor is scaled to integers once, first; one of
+    Python ints may come with bound, its largest |entry|."""
     selections = tuple(tuple(s) for s in selections)
     exact = is_exact(t)
-    flat = (_integers(t)[0] if exact else t).ravel()
+    if exact:
+        t, bound = _integers(t, bound)
+    flat = t.ravel()
     ranks = [0] * len(selections)
     for where, idx in _flattening_plan(t.shape, selections):
         stack = flat[idx]
-        for i, rank in zip(where, exact_matrix_rank(stack) if exact else numeric_rank(stack, tol)):
+        for i, rank in zip(where, exact_matrix_rank(stack, bound) if exact else numeric_rank(stack, tol)):
             ranks[i] = rank
     return ranks
 

@@ -1,14 +1,18 @@
-"""Shared test plumbing: the acceptance criteria report; `Poly`, MultiPoly
-with the exact ring arithmetic, and its fraction-free Bareiss determinant,
-the oracle that the library's term-map products, Leibniz determinants and
-Plucker tables are tested against; the 2x2x2 sub-block selectors, one per
-block, and their one-block gather, the oracle that the hyperdeterminant
-sweep plan is tested against; a polynomial substitution oracle, the
-cofactor determinant and the Sylvester resultant that the Bareiss and
-Bezout kernels of multipoly are tested against; the Poly secant system that
-the integer pencil of space_curve is tested against; and the univariate
-Fraction arithmetic (gcd, Sturm chain, square-free factors, on-curve test)
-that the integer remainder sequence of unipoly is tested against.
+"""Shared test plumbing: the acceptance criteria report; `Poly`, the oracle
+polynomial (exact Fraction terms with the content, normal form, evaluation
+and text/JSON forms, plus the exact ring arithmetic) that the library's
+printing functions, term-map products, Leibniz determinants and Plucker
+tables are tested against, `ring`, which lifts a library `Polynomial`
+into it, and its fraction-free Bareiss determinant; the coordinate names
+x_u of a Veronese; the 2x2x2 sub-block
+selectors, one per block, and their one-block gather, the oracle that the
+hyperdeterminant sweep plan is tested against; a polynomial substitution
+oracle, the cofactor determinant and the Sylvester resultant that the
+Bareiss and Bezout kernels of multipoly are tested against; the Poly secant
+system that the integer pencil of space_curve is tested against; and the
+univariate Fraction arithmetic (gcd, Sturm chain, square-free factors,
+on-curve test) that the integer remainder sequence of unipoly is tested
+against.
 
 test_acceptance.py records one line per criterion; printing them from the
 terminal-summary hook keeps them visible under pytest's output capture.
@@ -20,14 +24,15 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from realrank2 import hyperdet as hd
+from realrank2 import tableaux as tb
 from realrank2 import tensors as tn
 from realrank2.exactsolve import as_fraction, content
-from realrank2.multipoly import MultiPoly, grlex_key
+from realrank2.multipoly import Polynomial, grlex_key
 
 acceptance_results: list[str] = []
 
@@ -44,12 +49,30 @@ class NotDivisible(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
 
-class Poly(MultiPoly):
-    """A MultiPoly with exact ring arithmetic over the rationals: + - * **,
-    exact division, reindexing.  Arithmetic needs equal variable tuples;
-    scalars are constants.  `ring` lifts a library MultiPoly into it."""
+class Poly:
+    """Variables and exact Fraction terms, with the content, normal form,
+    evaluation and text/JSON forms the library prints, and exact ring
+    arithmetic over the rationals: + - * **, exact division, reindexing.
+    Arithmetic needs equal variable tuples; scalars are constants.  `ring`
+    lifts a library `Polynomial` into it."""
 
-    __slots__ = ()
+    __slots__ = ("variables", "terms")
+
+    def __init__(self, variables: Sequence[str], terms: Mapping[tuple, object] | None = None):
+        self.variables = tuple(variables)
+        if len(set(self.variables)) != len(self.variables):
+            raise ValueError("duplicate variable names")
+        clean: dict[tuple, Fraction] = {}
+        for expo, coeff in (terms or {}).items():
+            expo = tuple(int(e) for e in expo)
+            if len(expo) != len(self.variables) or any(e < 0 for e in expo):
+                raise ValueError(f"bad exponent vector {expo} for variables {self.variables}")
+            c = as_fraction(coeff)
+            if c:
+                clean[expo] = clean.get(expo, Fraction(0)) + c
+                if not clean[expo]:
+                    del clean[expo]
+        self.terms = clean
 
     @classmethod
     def zero(cls, variables: Sequence[str] = ()) -> "Poly":
@@ -67,6 +90,69 @@ class Poly(MultiPoly):
     @classmethod
     def monomial(cls, variables: Sequence[str], exponents: Sequence[int], coeff=1) -> "Poly":
         return cls(variables, {tuple(exponents): coeff})
+
+    def sorted_terms(self) -> list[tuple[tuple, Fraction]]:
+        """(exponent, coefficient) pairs, graded lex descending."""
+        return [(e, self.terms[e]) for e in sorted(self.terms, key=grlex_key, reverse=True)]
+
+    def __repr__(self):
+        return f"Poly({self.to_text()!r})"
+
+    def evaluate(self, values: Mapping[str, object]):
+        """Evaluate at a full assignment.  Exact inputs give a Fraction."""
+        missing = [v for v in self.variables if v not in values]
+        if missing:
+            raise ValueError(f"missing values for {missing}")
+        vals = [values[v] for v in self.variables]
+        exact = all(isinstance(v, (int, Fraction)) for v in vals)
+        total = Fraction(0) if exact else 0.0
+        for expo, coeff in self.terms.items():
+            term = coeff if exact else float(coeff)
+            for v, e in zip(vals, expo):
+                if e:
+                    term = term * v ** e
+            total = total + term
+        return total
+
+    def content(self) -> Fraction:
+        """Positive rational c with self/c integer coefficients of gcd 1."""
+        return content(self.terms.values()) if self.terms else Fraction(1)
+
+    def normalized(self) -> "Poly":
+        """Clear denominators, reduce content to 1, leading coefficient > 0."""
+        if not self.terms:
+            return self
+        scale = self.content()
+        if self.sorted_terms()[0][1] < 0:
+            scale = -scale
+        return Poly(self.variables, {e: c / scale for e, c in self.terms.items()})
+
+    def to_text(self) -> str:
+        if not self.terms:
+            return "0"
+        chunks = []
+        for expo, coeff in reversed(self.sorted_terms()):
+            mono = "*".join(
+                f"{v}^{e}" if e > 1 else v
+                for v, e in zip(self.variables, expo)
+                if e
+            )
+            body = f"{abs(coeff)}*{mono}" if mono else str(abs(coeff))
+            chunks.append(("-" if coeff < 0 else "+", body))
+        sign, body = chunks[0]
+        text = ("-" if sign == "-" else "") + body
+        for sign, body in chunks[1:]:
+            text += f" {sign} {body}"
+        return text
+
+    def to_json(self) -> dict:
+        return {
+            "variables": list(self.variables),
+            "terms": {
+                ",".join(str(e) for e in expo): str(coeff)
+                for expo, coeff in self.sorted_terms()
+            },
+        }
 
     def zero_like(self) -> "Poly":
         return Poly.zero(self.variables)
@@ -109,7 +195,7 @@ class Poly(MultiPoly):
         return Poly(variables, terms)
 
     def _lift(self, other) -> "Poly":
-        if not isinstance(other, MultiPoly):
+        if not isinstance(other, Poly):
             return Poly.constant(other, self.variables)
         if self.variables != other.variables:
             raise ValueError(f"variables differ: {self.variables} vs {other.variables}")
@@ -155,9 +241,9 @@ class Poly(MultiPoly):
         return result
 
     def __eq__(self, other):
-        if not isinstance(other, MultiPoly):
+        if not isinstance(other, Poly):
             return self == Poly.constant(as_fraction(other), self.variables)
-        return super().__eq__(other)
+        return self.variables == other.variables and self.terms == other.terms
 
     __hash__ = None
 
@@ -190,9 +276,17 @@ class Poly(MultiPoly):
         return Poly(self.variables, quot)
 
 
-def ring(poly: MultiPoly) -> Poly:
-    """The polynomial with the oracle's ring arithmetic."""
-    return Poly(poly.variables, poly.terms)
+def coordinate_names(n: int, d: int) -> list[str]:
+    """The names x_u of the degree-d coordinates in n variables, in multidegree order."""
+    return [tb.coordinate_name(u) for u in tn.multidegrees(n, d)]
+
+
+def ring(poly: Poly | Polynomial) -> Poly:
+    """The oracle's copy of a polynomial: a library `Polynomial` lifted with
+    its terms over its den, or a Poly copied."""
+    if isinstance(poly, Poly):
+        return Poly(poly.variables, poly.terms)
+    return Poly(poly.variables, {e: Fraction(c, poly.den) for e, c in poly.terms.items()})
 
 
 def bareiss_det(matrix: list[list[Poly]]) -> Poly:
@@ -289,7 +383,7 @@ def extract_subblock(t: np.ndarray, selector: SubBlockSelector) -> np.ndarray:
     return out
 
 
-def substitute(poly: MultiPoly, replacements: dict, variables) -> Poly:
+def substitute(poly: Poly, replacements: dict, variables) -> Poly:
     """poly with every variable replaced by a polynomial in `variables`,
     expanded term by term in Poly arithmetic: the reference that the
     library's exponent-arithmetic pushforwards and restrictions are tested
@@ -303,7 +397,7 @@ def substitute(poly: MultiPoly, replacements: dict, variables) -> Poly:
     return total
 
 
-def coefficients_in(poly: MultiPoly, var: str) -> list[Poly]:
+def coefficients_in(poly: Poly, var: str) -> list[Poly]:
     """Coefficients w.r.t. one variable, ascending degree, over the rest."""
     if var not in poly.variables:
         return [ring(poly)]
@@ -326,7 +420,7 @@ def cofactor_det(rows):
                for j, x in enumerate(rows[0]))
 
 
-def sylvester_resultant(p: MultiPoly, q: MultiPoly, var: str) -> Poly:
+def sylvester_resultant(p: Poly, q: Poly, var: str) -> Poly:
     """The Sylvester determinant with Poly entries: the resultant of
     two polynomials eliminating var, over the remaining variables."""
     cp = coefficients_in(p, var)
@@ -371,7 +465,7 @@ def random_combination(rows: list[Poly], rng: random.Random) -> Poly:
     return zero
 
 
-def elimination_variable(p: MultiPoly, q: MultiPoly) -> str:
+def elimination_variable(p: Poly, q: Poly) -> str:
     """The variable of highest combined degree in p and q; ties go to the
     heaviest leading coefficient in p, then to the first variable."""
     def score(v):

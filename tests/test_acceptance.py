@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
-from conftest import Poly, acceptance_results, bareiss_det, discriminant_quartic_poly
+from conftest import Poly, acceptance_results, bareiss_det, coordinate_names, discriminant_quartic_poly, ring
 
 from realrank2 import binary_forms as bf
 from realrank2 import certify as ce
@@ -20,7 +20,7 @@ from realrank2 import hyperdet as hd
 from realrank2 import space_curve as sc
 from realrank2 import tableaux as tb
 from realrank2 import tensors as tn
-from realrank2.multipoly import MultiPoly
+from realrank2.multipoly import evaluate
 
 SEED = 20260814
 
@@ -43,17 +43,17 @@ def record(num: int, name: str, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def poly_from_names(variables, name_terms) -> MultiPoly:
+def poly_from_names(variables, name_terms) -> Poly:
     terms = {}
     for names, coeff in name_terms:
         key = [0] * len(variables)
         for name in names:
             key[variables.index(name)] += 1
         terms[tuple(key)] = Fraction(coeff)
-    return MultiPoly(variables, terms)
+    return Poly(variables, terms)
 
 
-def exact_scalar_multiple(p: MultiPoly, q: MultiPoly) -> bool:
+def exact_scalar_multiple(p: Poly, q: Poly) -> bool:
     if set(p.terms) != set(q.terms) or not p.terms:
         return p.terms == q.terms
     anchor = next(iter(p.terms))
@@ -146,21 +146,21 @@ def test_criterion_03_quadric_space_dimension_table():
 
 def test_criterion_04_golden_preimage_polynomials():
     conic = tb.preimage_quadric(tb.TwoRowTableau(2, 2, 2, (1, 1), (2, 2)), allow_k2=True)
-    ok = conic.polynomial == poly_from_names(
+    ok = ring(conic.polynomial) == poly_from_names(
         conic.polynomial.variables, [(("x0", "x2"), 1), (("x1", "x1"), -1)])
 
     quartic = tb.preimage_quadric(tb.TwoRowTableau(2, 4, 4, (1, 1, 1, 1), (2, 2, 2, 2)))
-    ok &= quartic.polynomial == poly_from_names(
+    ok &= ring(quartic.polynomial) == poly_from_names(
         quartic.polynomial.variables,
         [(("x0", "x4"), 1), (("x1", "x3"), -4), (("x2", "x2"), 3)])
 
     tern1 = tb.preimage_quadric(tb.TwoRowTableau(3, 4, 4, (1, 1, 1, 1), (2, 2, 2, 2)))
-    ok &= tern1.polynomial == poly_from_names(
+    ok &= ring(tern1.polynomial) == poly_from_names(
         tern1.polynomial.variables,
         [(("x400", "x040"), 1), (("x310", "x130"), -4), (("x220", "x220"), 3)])
 
     tern2 = tb.preimage_quadric(tb.TwoRowTableau(3, 4, 4, (1, 1, 1, 2), (2, 3, 3, 3)))
-    ok &= tern2.polynomial == poly_from_names(
+    ok &= ring(tern2.polynomial) == poly_from_names(
         tern2.polynomial.variables,
         [(("x310", "x013"), 1), (("x301", "x022"), -1), (("x220", "x103"), -1),
          (("x211", "x112"), -1), (("x202", "x121"), 2)])
@@ -168,7 +168,7 @@ def test_criterion_04_golden_preimage_polynomials():
 
 
 def test_criterion_05_quintic_quadric_basis():
-    basis = [g.polynomial for g in tb.quadric_basis(2, 5)]
+    basis = [ring(g.polynomial) for g in tb.quadric_basis(2, 5)]
     variables = basis[0].variables
     expected = [
         poly_from_names(variables, [(("x2", "x2"), 3), (("x1", "x3"), -4), (("x0", "x4"), 1)]),
@@ -181,7 +181,7 @@ def test_criterion_05_quintic_quadric_basis():
     quartic = tb.quadric_basis(2, 4)
     q_vars = quartic[0].polynomial.variables
     q_want = poly_from_names(q_vars, [(("x0", "x4"), 1), (("x1", "x3"), -4), (("x2", "x2"), 3)])
-    ok &= len(quartic) == 1 and exact_scalar_multiple(quartic[0].polynomial, q_want)
+    ok &= len(quartic) == 1 and exact_scalar_multiple(ring(quartic[0].polynomial), q_want)
     record(5, "degree-5 quadric basis matches the three displayed quadrics", ok,
            "3 quintic generators + 1 quartic generator, exact up to scaling")
 
@@ -211,9 +211,9 @@ def test_criterion_06_crossing_path_scan():
 
 
 def test_criterion_07_plucker_goldens():
-    pm = dict(zip(sc.INDEX_PAIRS, sc.plucker_map(sc.MONOMIAL_QUARTIC).polys))
+    pm = dict(zip(sc.INDEX_PAIRS, map(ring, sc.plucker_map(sc.MONOMIAL_QUARTIC).polys)))
     def pair_poly(terms):
-        return MultiPoly(sc.PAIR_VARS, {e: Fraction(c) for e, c in terms.items()})
+        return Poly(sc.PAIR_VARS, {e: Fraction(c) for e, c in terms.items()})
     ok = pm[0, 1] == pair_poly({(3, 0, 0): 1})
     ok &= pm[0, 2] == pair_poly({(1, 2, 0): 1, (2, 0, 1): -1})
     ok &= pm[0, 3] == pair_poly({(0, 3, 0): 1, (1, 1, 1): -2})
@@ -225,7 +225,7 @@ def test_criterion_07_plucker_goldens():
 
 
 def test_criterion_08_cubic_discriminant_determinant():
-    det = hd.cubic_discriminant_determinant()
+    det = ring(hd.cubic_discriminant_determinant())
     displayed = poly_from_names(
         det.variables,
         [(("x0", "x0", "x3", "x3"), 1), (("x0", "x1", "x2", "x3"), -6),
@@ -293,12 +293,12 @@ def test_criterion_11_tangential_vanishing():
     checked = 0
     for n, d in ((2, 5), (2, 6), (3, 4), (3, 5)):
         basis = tb.quadric_basis(n, d)
-        names = tb.coordinate_variables(n, d)
+        names = coordinate_names(n, d)
         for _ in range(50):
             a = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
             b = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
             point = dict(zip(names, tb.tangential_point(a, b, d)))
-            ok &= all(g.polynomial.evaluate(point) == 0 for g in basis)
+            ok &= all(evaluate(g.polynomial, point) == 0 for g in basis)
             checked += len(basis)
         low = tb.preimage_quadric(tb.enumerate_tableaux(n, d, 2)[0], allow_k2=True)
         nonzero = False
@@ -306,7 +306,7 @@ def test_criterion_11_tangential_vanishing():
             a = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
             b = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
             point = dict(zip(names, tb.tangential_point(a, b, d)))
-            if low.polynomial.evaluate(point) != 0:
+            if evaluate(low.polynomial, point) != 0:
                 nonzero = True
                 break
         ok &= nonzero

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from realrank2 import binary_forms as bf
 from realrank2 import certify as ce
 from realrank2 import tensors as tn
+from realrank2.multipoly import evaluate
 from realrank2.tableaux import DegreeTooSmall, secant_point, tangential_point
 
 IN_LOCUS = {ce.Verdict.RANK_AT_MOST_ONE, ce.Verdict.REAL_RANK_TWO,
@@ -131,7 +132,7 @@ def test_quartic_boundary_geometry():
     assert bf.discriminant_values(f) == [0, 0]
     report = bf.tau_sigma_ideal_report(4)
     q = dict(report.tangential_generators)["Q"]
-    assert q.evaluate({f"x{i}": c for i, c in enumerate(f.coords)}) == 1
+    assert evaluate(q, {f"x{i}": c for i, c in enumerate(f.coords)}) == 1
 
 
 def test_hankel_layout_and_rank():
@@ -153,8 +154,7 @@ def test_ideal_report_structure():
     cubic = bf.tau_sigma_ideal_report(3)
     assert [label for label, _ in cubic.tangential_generators] == ["D"]
     coords = [Fraction(3), Fraction(-1), Fraction(2), Fraction(5)]
-    value = cubic.tangential_generators[0][1].evaluate(
-        {f"x{i}": c for i, c in enumerate(coords)})
+    value = evaluate(cubic.tangential_generators[0][1], {f"x{i}": c for i, c in enumerate(coords)})
     assert value == bf.discriminant_values(bf.BinaryForm(3, coords))[0]
 
     quintic = bf.tau_sigma_ideal_report(5)
@@ -168,7 +168,7 @@ def test_secant_points_kill_3x3_minors(a, b):
     coords = secant_point(a, b, 5)
     point = {f"x{i}": c for i, c in enumerate(coords)}
     for m in bf.tau_sigma_ideal_report(5).minors_3x3:
-        assert m.evaluate(point) == 0
+        assert evaluate(m, point) == 0
 
 
 def test_from_plain_coeffs_unscales():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from realrank2 import certify as ce
 from realrank2 import hyperdet as hd
 from realrank2 import tensors as tn
+from realrank2.exactsolve import exact_rank
 
 SHAPES = [(2, 2, 2), (3, 2, 2), (2, 2, 2, 2), (3, 3, 3)]
 
@@ -296,3 +297,36 @@ def test_non_finite_float_input_is_rejected(bad):
         ce.certify_symmetric(f)
     with pytest.raises(tn.NonFiniteEntry):
         tn.tensor([2, 2, 2], list(t.ravel()))
+
+
+@pytest.mark.parametrize("top, sweep, stacks", [
+    (hd.INT64_SWEEP_BOUND, np.int64, np.int64),
+    (hd.INT64_SWEEP_BOUND + 1, object, np.int64),
+    (tn.INT64_MAX + 1, object, object),
+])
+def test_exact_input_is_scaled_to_integers_once(monkeypatch, top, sweep, stacks):
+    """A Fraction 2^4 whose entries scale, by 3, to ints of largest |entry|
+    top: certification scales it in one pass, and hands that bound on, so
+    the sweep takes int64 exactly within INT64_SWEEP_BOUND and the
+    flattening stacks within INT64_MAX, and neither scans the entries to
+    scale or bound them again."""
+    rng = random.Random(top)
+    scaled = [rng.randint(-top, top) for _ in range(16)]
+    scaled[rng.randrange(16)] = top
+    t = np.array([Fraction(c, 3) for c in scaled], dtype=object).reshape((2,) * 4)
+    scalings, sweeps, ranked = [], [], []
+    integer_row, quartic, exact_matrix_rank = ce.integer_row, hd._quartic, tn.exact_matrix_rank
+    monkeypatch.setattr(ce, "integer_row", lambda row: scalings.append(len(row)) or integer_row(row))
+    monkeypatch.setattr(tn, "integer_row", lambda row: scalings.append(len(row)) or integer_row(row))
+    monkeypatch.setattr(hd, "_quartic", lambda *rows: sweeps.append(rows[0].dtype) or quartic(*rows))
+    monkeypatch.setattr(tn, "exact_matrix_rank",
+                        lambda stack, bound=None: ranked.append(stack.dtype) or exact_matrix_rank(stack, bound))
+    cert = ce.certify_border_rank2(t)
+    assert scalings == [16]
+    assert sweeps == [np.dtype(sweep)] and ranked == [np.dtype(stacks)] * 2
+    ints = np.array(scaled, dtype=object).reshape(t.shape)
+    singles = [(m,) for m in range(4)]
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    assert [cert.flattening_ranks[ce._mode_label(s)] for s in singles + pairs] == [
+        exact_rank(tn.flatten(ints, s).tolist()) for s in singles + pairs]
+    assert cert.hyperdet_report.values == hd.all_subhyperdets(ints).values

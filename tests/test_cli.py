@@ -19,9 +19,9 @@ from realrank2 import certify as ce
 from realrank2 import cli
 from realrank2 import decompose as dc
 from realrank2 import hyperdet as hd
+from realrank2 import multipoly as mp
 from realrank2 import tensors as tn
 from realrank2.cli import DEFAULT_SEED, main
-from realrank2.multipoly import MultiPoly
 
 TABLE_TEXT = "\n".join([
     "n\\d        4        5        6        7        8        9       10",
@@ -135,12 +135,12 @@ def test_hyperdet_formats_block_lines_only_for_text(capsys, monkeypatch, tmp_pat
 
 @pytest.mark.parametrize("argv", [("quadrics", "3", "4"), ("ideal", "--d", "5")])
 def test_generator_polynomials_are_printed_once(capsys, monkeypatch, argv):
-    """`MultiPoly.to_text` runs once per polynomial, for the payload's text,
+    """`multipoly.to_text` runs once per polynomial, for the payload's text,
     under the default JSON output and under --format text alike: the text
     lines reuse those texts and are built only for --format text."""
     calls = []
-    to_text = MultiPoly.to_text
-    monkeypatch.setattr(MultiPoly, "to_text", lambda self: calls.append(self) or to_text(self))
+    to_text = mp.to_text
+    monkeypatch.setattr(mp, "to_text", lambda p: calls.append(p) or to_text(p))
     status, out, _ = run_cli(capsys, *argv)
     payload = json.loads(out)
     if argv[0] == "quadrics":

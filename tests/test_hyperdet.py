@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import Poly, discriminant_quartic_poly, enumerate_subblocks, extract_subblock
+from conftest import Poly, discriminant_quartic_poly, enumerate_subblocks, extract_subblock, ring
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -414,7 +414,7 @@ def test_discriminant_quartic_equals_subblock_hyperdet(d, seed):
 def test_cubic_discriminant_determinant_identity():
     # the first shifted discriminant of a binary cubic equals the 4x4
     # bilinear-form determinant, as polynomials
-    det_poly = hd.cubic_discriminant_determinant()
+    det_poly = ring(hd.cubic_discriminant_determinant())
     disc_poly = discriminant_quartic_poly(3, 0, names=det_poly.variables)
     assert det_poly == disc_poly
 

@@ -1,9 +1,10 @@
-"""Exact multivariate polynomials: the printed record, the term-map
-product and determinant, resultants, and the ring arithmetic of the test
-oracle.  Oracles are independent evaluations at random rational points,
-cofactor expansion and the fraction-free Bareiss elimination of
-conftest.Poly for determinants and, for resultants, the Sylvester
-determinant over Poly entries."""
+"""Exact multivariate polynomials: the printing, normal form and
+evaluation functions, the term-map product and determinant, resultants,
+and the ring arithmetic of the test oracle.  Oracles are conftest.Poly's
+own text, JSON, normal form and evaluation for the printing functions,
+independent evaluations at random rational points, cofactor expansion and
+the fraction-free Bareiss elimination of conftest.Poly for determinants
+and, for resultants, the Sylvester determinant over Poly entries."""
 
 from __future__ import annotations
 
@@ -13,12 +14,14 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from conftest import NotDivisible, Poly, bareiss_det, coefficients_in, cofactor_det, sylvester_resultant
+from conftest import NotDivisible, Poly, bareiss_det, coefficients_in, cofactor_det, ring, sylvester_resultant
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realrank2 import binary_forms as bf
-from realrank2.multipoly import MultiPoly, NotForms, _det, _mul, as_fraction, det_bareiss, grlex_key, resultant, times
+from realrank2 import multipoly as mp
+from realrank2.exactsolve import as_fraction
+from realrank2.multipoly import NotForms, Polynomial, _det, _mul, det_bareiss, grlex_key, resultant, times
 from realrank2.unipoly import _trimmed
 
 VARS = ("x", "y", "z")
@@ -33,21 +36,21 @@ def rand_point(rng: random.Random) -> dict:
 
 
 def test_zero_coefficients_dropped():
-    p = MultiPoly(VARS, {(1, 0, 0): Fraction(0), (0, 1, 0): Fraction(2)})
+    p = Poly(VARS, {(1, 0, 0): Fraction(0), (0, 1, 0): Fraction(2)})
     assert (1, 0, 0) not in p.terms
-    assert p == MultiPoly(VARS, {(0, 1, 0): 2})
+    assert p == Poly(VARS, {(0, 1, 0): 2})
 
 
 def test_grlex_leading_term():
-    p = MultiPoly(VARS, {(2, 0, 0): 1, (1, 1, 1): 1, (0, 0, 2): 1})
-    assert [e for e, _ in p.sorted_terms()] == [(1, 1, 1), (2, 0, 0), (0, 0, 2)]
+    p = Polynomial(VARS, {(2, 0, 0): 1, (1, 1, 1): 1, (0, 0, 2): 1})
+    assert [e for e, _ in mp.sorted_terms(p)] == [(1, 1, 1), (2, 0, 0), (0, 0, 2)]
     assert grlex_key((2, 0, 0)) < grlex_key((1, 1, 1))
 
 
 def test_to_text_ascending_golden():
-    p = MultiPoly(("x0", "x1", "x2", "x3", "x4"),
-                  {(1, 0, 0, 0, 1): 1, (0, 1, 0, 1, 0): -4, (0, 0, 2, 0, 0): 3})
-    assert p.to_text() == "3*x2^2 - 4*x1*x3 + 1*x0*x4"
+    p = Polynomial(("x0", "x1", "x2", "x3", "x4"),
+                   {(1, 0, 0, 0, 1): 1, (0, 1, 0, 1, 0): -4, (0, 0, 2, 0, 0): 3})
+    assert mp.to_text(p) == "3*x2^2 - 4*x1*x3 + 1*x0*x4"
 
 
 def test_as_fraction_parses_ratio_strings():
@@ -63,6 +66,44 @@ def test_times_keeps_first_appearance_order_and_drops_cancellations():
     assert times(p, {}) == {}
 
 
+# coordinate names as `tableaux.coordinate_name` writes them, with
+# multi-digit multidegrees among them, and parameter names
+NAMES = ("x0", "x12", "x220", "x1_10_0", "x0_11_1", "a1", "b2")
+int_maps = st.dictionaries(st.lists(st.integers(0, 12), min_size=4, max_size=4).map(tuple),
+                           st.integers(-10**6, 10**6).filter(bool), max_size=5)
+
+
+@st.composite
+def printed_polynomials(draw):
+    """Integer term maps over 1..4 of NAMES with exponents up to 12: a
+    product of two maps (so terms cancel, some down to the zero
+    polynomial), or the zero map itself, over a den of 1 or more."""
+    size = draw(st.integers(1, 4))
+    variables = tuple(draw(st.permutations(NAMES))[:size])
+    p, q = (draw(int_maps) for _ in range(2))
+    lhs, rhs = ({e[:size]: c for e, c in f.items()} for f in (p, q))
+    if draw(st.booleans()):  # (lhs)(lhs with every odd-degree term negated) cancels
+        rhs = {e: c if sum(e) % 2 == 0 else -c for e, c in lhs.items()}
+    terms = times(lhs, rhs) if draw(st.booleans()) else {}
+    return Polynomial(variables, terms, draw(st.sampled_from([1, 1, 2, 6, 10**9 + 7])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(printed_polynomials(), st.data())
+def test_printing_normal_form_and_evaluation_equal_the_oracle(p, data):
+    """to_text, to_json and evaluate of an integer term map over den equal
+    the oracle Poly's, evaluation bit for bit on floats; normalized on the
+    integer terms equals the oracle's normal form."""
+    oracle = ring(p)
+    assert mp.to_text(p) == oracle.to_text()
+    assert mp.to_json(p) == oracle.to_json()
+    assert ring(Polynomial(p.variables, mp.normalized(p.terms))) == ring(Polynomial(p.variables, p.terms)).normalized()
+    exact = {v: data.draw(st.fractions(-5, 5, max_denominator=7)) for v in p.variables}
+    assert mp.evaluate(p, exact) == oracle.evaluate(exact)
+    floats = {v: data.draw(st.floats(-3, 3, allow_nan=False)) for v in p.variables}
+    assert mp.evaluate(p, floats).hex() == oracle.evaluate(floats).hex()
+
+
 @settings(max_examples=50, deadline=None)
 @given(polys, polys, polys)
 def test_ring_axioms_via_evaluation(p, q, r):
@@ -72,7 +113,7 @@ def test_ring_axioms_via_evaluation(p, q, r):
     assert (p * q).evaluate(pt) == p.evaluate(pt) * q.evaluate(pt)
     assert ((p + q) * r).evaluate(pt) == (p * r + q * r).evaluate(pt)
     assert (p - p).is_zero()
-    assert MultiPoly(VARS, times(p.terms, q.terms)) == p * q
+    assert Poly(VARS, times(p.terms, q.terms)) == p * q
 
 
 @settings(max_examples=50, deadline=None)
@@ -102,10 +143,10 @@ def test_arithmetic_across_variable_tuples_raises(op):
 
 
 def test_equality_needs_the_same_variable_tuple():
-    p = MultiPoly(VARS, {(1, 0, 0): 1})
-    assert p != MultiPoly(("z", "y", "x"), {(0, 0, 1): 1})
-    assert p != MultiPoly(("x", "y"), {(1, 0): 1})
-    assert p == Poly(VARS, {(1, 0, 0): 1}) == p
+    p = Poly(VARS, {(1, 0, 0): 1})
+    assert p != Poly(("z", "y", "x"), {(0, 0, 1): 1})
+    assert p != Poly(("x", "y"), {(1, 0): 1})
+    assert p == ring(Polynomial(VARS, {(1, 0, 0): 1})) == p
 
 
 def test_coefficients_in_reassembles():
@@ -121,15 +162,18 @@ def test_coefficients_in_reassembles():
 
 
 def test_content_and_normalized():
-    p = MultiPoly(VARS, {(1, 0, 0): Fraction(4, 3), (0, 1, 0): Fraction(-2, 3)})
+    p = Poly(VARS, {(1, 0, 0): Fraction(4, 3), (0, 1, 0): Fraction(-2, 3)})
     n = p.normalized()
     assert n.content() == 1
-    assert n == MultiPoly(VARS, {(1, 0, 0): 2, (0, 1, 0): -1})
+    assert n == Poly(VARS, {(1, 0, 0): 2, (0, 1, 0): -1})
     # a negative leading coefficient flips every sign
-    m = MultiPoly(VARS, {(1, 0, 0): Fraction(-4, 3), (0, 0, 0): Fraction(2, 3)}).normalized()
-    assert m == MultiPoly(VARS, {(1, 0, 0): 2, (0, 0, 0): -1})
+    m = Poly(VARS, {(1, 0, 0): Fraction(-4, 3), (0, 0, 0): Fraction(2, 3)}).normalized()
+    assert m == Poly(VARS, {(1, 0, 0): 2, (0, 0, 0): -1})
     assert m.sorted_terms()[0][1] > 0
-    assert MultiPoly(VARS).normalized() == MultiPoly(VARS)
+    assert Poly(VARS).normalized() == Poly(VARS)
+    # the library's normal form of integer terms: gcd 4, leading term -8 x
+    assert mp.normalized({(0, 1, 0): 4, (1, 0, 0): -8}) == {(0, 1, 0): -1, (1, 0, 0): 2}
+    assert mp.normalized({}) == {}
 
 
 def test_det_bareiss_matches_cofactor_expansion():
@@ -144,7 +188,7 @@ def test_det_bareiss_matches_cofactor_expansion():
                     for _ in range(n)] for _ in range(n)]
             mat = [[{e: c for e, c in entry.items() if c} for entry in row] for row in mat]
             entries = [[Poly(names, entry) for entry in row] for row in mat]
-            det = MultiPoly(names, det_bareiss(mat))
+            det = ring(Polynomial(names, det_bareiss(mat)))
             assert det == cofactor_det(entries)
             assert det == bareiss_det(entries)
     with pytest.raises(ValueError):
@@ -160,7 +204,7 @@ def test_det_bareiss_equals_the_oracle_on_every_symbolic_hankel_minor(d):
             for cols in itertools.combinations(range(d - 1), size):
                 matrix = [[h[r][c] for c in cols] for r in rows]
                 oracle = bareiss_det([[Poly(names, entry) for entry in row] for row in matrix])
-                assert MultiPoly(names, det_bareiss(matrix)) == oracle
+                assert ring(Polynomial(names, det_bareiss(matrix))) == oracle
 
 
 square_zx_matrices = st.integers(0, 5).flatmap(lambda n: st.lists(
@@ -297,12 +341,12 @@ def test_resultant_with_nothing_left_is_a_constant():
 
 
 @pytest.mark.parametrize("p, q, var", [
-    (MultiPoly(VARS, {(1, 0, 0): 1, (0, 0, 0): 1}), MultiPoly(VARS, {(0, 1, 0): 1}), "x"),
-    (MultiPoly(VARS, {(1, 0, 0): 1}), MultiPoly(VARS, {(0, 1, 1): 1, (0, 0, 1): 2}), "x"),
-    (MultiPoly(VARS, {(1, 0, 0): 1}), MultiPoly(VARS), "x"),
-    (MultiPoly(VARS, {(1, 0, 0): 1}), MultiPoly(("x", "y"), {(0, 1): 1}), "x"),
-    (MultiPoly(VARS, {(1, 0, 0): 1}), MultiPoly(VARS, {(0, 1, 0): 1}), "w"),
-    (MultiPoly(("w",) + VARS, {(1, 0, 0, 0): 1}), MultiPoly(("w",) + VARS, {(0, 1, 0, 0): 1}), "w"),
+    (Polynomial(VARS, {(1, 0, 0): 1, (0, 0, 0): 1}), Polynomial(VARS, {(0, 1, 0): 1}), "x"),
+    (Polynomial(VARS, {(1, 0, 0): 1}), Polynomial(VARS, {(0, 1, 1): 1, (0, 0, 1): 2}), "x"),
+    (Polynomial(VARS, {(1, 0, 0): 1}), Polynomial(VARS, {}), "x"),
+    (Polynomial(VARS, {(1, 0, 0): 1}), Polynomial(("x", "y"), {(0, 1): 1}), "x"),
+    (Polynomial(VARS, {(1, 0, 0): 1}), Polynomial(VARS, {(0, 1, 0): 1}), "w"),
+    (Polynomial(("w",) + VARS, {(1, 0, 0, 0): 1}), Polynomial(("w",) + VARS, {(0, 1, 0, 0): 1}), "w"),
 ])
 def test_resultant_rejects_non_forms(p, q, var):
     with pytest.raises(NotForms):

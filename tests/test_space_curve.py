@@ -22,7 +22,7 @@ import realrank2
 from realrank2 import hyperdet as hd
 from realrank2 import space_curve as sc
 from realrank2.exactsolve import content
-from realrank2.multipoly import MultiPoly
+from realrank2.multipoly import Polynomial, evaluate
 from realrank2.tensors import NonFiniteEntry
 from realrank2.unipoly import real_roots
 
@@ -33,12 +33,12 @@ T_STARS = (0.41616468475415957221, 0.50734775284175190900,
            0.64786245578375696533, 0.81105706603104911043)
 
 
-def poly(terms) -> MultiPoly:
-    return MultiPoly(sc.PAIR_VARS, {e: Fraction(c) for e, c in terms.items()})
+def poly(terms) -> Poly:
+    return Poly(sc.PAIR_VARS, {e: Fraction(c) for e, c in terms.items()})
 
 
 def test_plucker_map_goldens_for_monomial_quartic():
-    pm = dict(zip(sc.INDEX_PAIRS, sc.plucker_map(QUARTIC).polys))
+    pm = dict(zip(sc.INDEX_PAIRS, map(ring, sc.plucker_map(QUARTIC).polys)))
     assert pm[0, 1] == poly({(3, 0, 0): 1})
     assert pm[0, 2] == poly({(1, 2, 0): 1, (2, 0, 1): -1})
     assert pm[0, 3] == poly({(0, 3, 0): 1, (1, 1, 1): -2})
@@ -86,7 +86,7 @@ def test_plucker_table_equals_the_ring_build(d):
         assert [[(e, Fraction(c, pm.den)) for e, c in terms] for terms in pm.table] == [
             list(p.terms.items()) for p in oracle]
         assert pm.den == content([c for p in oracle for c in p.terms.values()]).denominator
-        assert pm.polys == tuple(oracle)
+        assert tuple(map(ring, pm.polys)) == tuple(oracle)
 
 
 def _monomial_quartic_table() -> list[dict]:
@@ -185,10 +185,10 @@ def _over(form: dict, den: int) -> list:
        st.lists(st.fractions(-20, 20, max_denominator=6), min_size=4, max_size=4), st.integers(0, 99))
 def test_integer_pencil_equals_multipoly_secant_system(d, curve_seed, u, seed):
     """The integer rows, their random combinations p and q, and every
-    coefficient list of p and q in each variable equal the MultiPoly sums
+    coefficient list of p and q in each variable equal the oracle Poly sums
     and products over den, term order included, on the monomial quartic
     (d = 2 below) and on random curves of degree 3..7; the draws leave the
-    random state where the MultiPoly combinations leave it."""
+    random state where the oracle Poly combinations leave it."""
     assume(any(u))
     curve = QUARTIC if d == 2 else _random_curve(random.Random(curve_seed), d)
     pm = sc.plucker_map(curve)
@@ -218,14 +218,14 @@ def test_integer_pencil_equals_multipoly_secant_system(d, curve_seed, u, seed):
         assert sc.PAIR_VARS[sc._elimination_variable(p, q, den)] == elimination_variable(p_oracle, q_oracle)
 
 
-def _partial(poly: MultiPoly, k: int) -> MultiPoly:
-    return MultiPoly(poly.variables, {tuple(x - (i == k) for i, x in enumerate(e)): c * e[k]
-                                      for e, c in poly.terms.items() if e[k]})
+def _partial(poly: Poly, k: int) -> Poly:
+    return Poly(poly.variables, {tuple(x - (i == k) for i, x in enumerate(e)): c * e[k]
+                                 for e, c in poly.terms.items() if e[k]})
 
 
-def _term_magnitude(poly: MultiPoly, point) -> float:
+def _term_magnitude(poly: Poly, point) -> float:
     """Sum of the absolute values of the terms: the scale of rounding error."""
-    return MultiPoly(poly.variables, {e: abs(c) for e, c in poly.terms.items()}).evaluate(
+    return Poly(poly.variables, {e: abs(c) for e, c in poly.terms.items()}).evaluate(
         {v: abs(x) for v, x in point.items()})
 
 
@@ -239,7 +239,7 @@ def test_row_evaluator_matches_scaled_rows_and_exact_partials(d):
     for _ in range(3):
         u = [Fraction(rng.randint(-20, 20), rng.randint(1, 3)) for _ in range(4)]
         rows = [row for row in sc.secant_rows(pm, u)[0] if row]
-        scaled = [MultiPoly(sc.PAIR_VARS, {e: Fraction(c, max(map(abs, row.values()))) for e, c in row.items()})
+        scaled = [Poly(sc.PAIR_VARS, {e: Fraction(c, max(map(abs, row.values()))) for e, c in row.items()})
                   for row in rows]
         points = _random_unit_points(rng, 4)
         values, jacobian = sc._row_evaluator(rows)(points)
@@ -538,8 +538,8 @@ def test_scan_localizes_all_four_boundary_crossings():
         surface = sc.MONOMIAL_QUARTIC_FIXTURES[tr.surface]
         point = {v: c0 + c1 * Fraction(tr.t_star).limit_denominator(10 ** 15)
                  for v, (c0, c1) in zip(sc.POINT_VARS, sc.CROSSING_PATH)}
-        value = float(surface.evaluate(point))
-        scale = max(abs(float(c)) for c in surface.terms.values()) * 100.0 ** 3
+        value = float(evaluate(surface, point))
+        scale = max(abs(c / surface.den) for c in surface.terms.values()) * 100.0 ** 3
         assert abs(value) <= 1e-9 * scale
 
 
@@ -733,11 +733,11 @@ def test_scan_argument_guards():
         sc.scan_path(QUARTIC, sc.CROSSING_PATH, interval=(1, 0))
 
 
-def restricted_by_substitution(poly: MultiPoly, path) -> list[Fraction]:
+def restricted_by_substitution(poly: Polynomial, path) -> list[Fraction]:
     """The fixture along the path by substituting c0 + c1 t in Poly arithmetic."""
     t = Poly.variable("t", ("t",))
     replacements = {v: t * c1 + c0 for v, (c0, c1) in zip(sc.POINT_VARS, path)}
-    along = substitute(poly, replacements, ("t",))
+    along = substitute(ring(poly), replacements, ("t",))
     return fraction_trim(part.constant_value() for part in coefficients_in(along, "t"))
 
 
@@ -753,8 +753,8 @@ def test_fixture_polynomial_equals_substitution_oracle():
 
 
 def test_fixture_polynomial_needs_point_variables():
-    reordered = MultiPoly(("x", "w", "y", "z"), {(x, w, y, z): c for (w, x, y, z), c
-                                                 in sc.TANGENTIAL_SEXTIC.terms.items()})
+    reordered = Polynomial(("x", "w", "y", "z"), {(x, w, y, z): c for (w, x, y, z), c
+                                                  in sc.TANGENTIAL_SEXTIC.terms.items()})
     with pytest.raises(ValueError):
         sc._fixture_polynomial(reordered, sc.CROSSING_PATH)
 
@@ -802,10 +802,13 @@ def full_bisection_scan(curve, path, interval=(0, 1), nsamples=21, fixtures=None
     return sc.PathReport(tuple(samples), tuple(transitions))
 
 
-def decoy_fixture(t0: Fraction) -> MultiPoly:
-    """A linear form in (w, x, y, z) vanishing on the crossing path at t0."""
+def decoy_fixture(t0: Fraction) -> Polynomial:
+    """A linear form in (w, x, y, z) vanishing on the crossing path at t0,
+    as integer terms over t0's denominator."""
     (w0, w1), (x0, x1) = sc.CROSSING_PATH[:2]
-    return MultiPoly(sc.POINT_VARS, {(1, 0, 0, 0): x0 + x1 * t0, (0, 1, 0, 0): -(w0 + w1 * t0)})
+    den = t0.denominator
+    return Polynomial(sc.POINT_VARS, {(1, 0, 0, 0): x0 * den + x1 * t0.numerator,
+                                      (0, 1, 0, 0): -(w0 * den + w1 * t0.numerator)}, den)
 
 
 @pytest.fixture
