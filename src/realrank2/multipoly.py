@@ -7,9 +7,10 @@ graded lexicographic in the declared variable order; it fixes printing and
 therefore every piece of symbolic output in the package: `to_text`,
 `to_json`, and `normalized`, the normal form of an integer term map.
 `evaluate` sums the terms in their own order.  Computation runs on plain
-term maps (exponent -> integer coefficient): `times` multiplies two,
-`det_bareiss` expands a determinant of them, and `resultant` eliminates a
-variable from two forms over Z[x].
+term maps (exponent -> integer coefficient): `accumulate` sums a stream
+of terms into one, `times` multiplies two, `det_bareiss` expands a
+determinant of them, and `resultant` eliminates a variable from two forms
+in the Z[x] arithmetic of `unipoly`.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from itertools import zip_longest
 from math import gcd, lcm
 from operator import add
 from typing import Mapping, NamedTuple, Sequence
 
-from .unipoly import _exact_div, _trimmed
+from .unipoly import _add, _det, _exact_div, _mul, _sub, _trimmed
 
 
 class Polynomial(NamedTuple):
@@ -91,19 +91,27 @@ def to_json(p: Polynomial) -> dict:
     }
 
 
-def times(p: dict, q: dict) -> dict:
-    """Product of two polynomials given as exponent -> coefficient maps.
+def accumulate(acc: dict, terms, scale: int = 1) -> dict:
+    """acc += scale * terms for a term map acc and a stream of (exponent,
+    coefficient) pairs, in place; acc is returned.  The pairs are added in
+    stream order: an exponent already in acc keeps its place, a new one is
+    appended where it first appears, and the exponents whose sum is zero
+    are dropped at the end."""
+    if scale:
+        get = acc.get
+        for e, c in terms:
+            acc[e] = get(e, 0) + scale * c
+    if 0 in acc.values():
+        for e in [e for e, c in acc.items() if not c]:
+            del acc[e]
+    return acc
 
-    Terms come in first-appearance order (for each term of p in order, each
-    term of q in order, a new exponent appended where it first appears);
-    exponents whose coefficients cancel are dropped.
-    """
-    out: dict[tuple[int, ...], int] = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            e = tuple(map(add, ea, eb))
-            out[e] = out.get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
+
+def times(p: dict, q: dict) -> dict:
+    """Product of two term maps: one `accumulate` over the products of each
+    term of p, in order, with each term of q, in order."""
+    return accumulate({}, [(tuple(map(add, ea, eb)), ca * cb)
+                           for ea, ca in p.items() for eb, cb in q.items()])
 
 
 def det_bareiss(matrix: list[list[dict]]) -> dict:
@@ -113,77 +121,28 @@ def det_bareiss(matrix: list[list[dict]]) -> dict:
     is zero).  The symbolic matrices the package takes determinants of are
     at most 4 x 4 (2 or 6 products for the Hankel minors, 24 for the
     cubic discriminant), so the expansion is Leibniz's sum over
-    permutations, each product taken by `times`.  It is not an
-    elimination: it keeps the name `det_bareiss` because the benchmark's
-    tracer and its per-layer metrics (`multipoly.det_bareiss_calls`,
-    `multipoly.det_bareiss_ms`) find it, in this module and where
-    `hyperdet` and `binary_forms` import it, by that name.
+    permutations, each product taken by `times` and all of them summed by
+    one `accumulate`.  It is not an elimination: it keeps the name
+    `det_bareiss` because the benchmark's tracer and its per-layer metrics
+    (`multipoly.det_bareiss_calls`, `multipoly.det_bareiss_ms`) find it, in
+    this module and where `hyperdet` and `binary_forms` import it, by that
+    name.
     """
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
-    det: dict = {}
+    terms = []
     for perm in itertools.permutations(range(n)):
         entries = [row[j] for row, j in zip(matrix, perm)]
-        if not all(entries):
-            continue
-        sign = -1 if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 else 1
-        for e, c in functools.reduce(times, entries).items():
-            det[e] = det.get(e, 0) + sign * c
-    return {e: c for e, c in det.items() if c}
+        if all(entries):
+            sign = -1 if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 else 1
+            terms += [(e, sign * c) for e, c in functools.reduce(times, entries).items()]
+    return accumulate({}, terms)
 
 
 class NotForms(ValueError):
     """Resultant input is not two nonzero forms in the same variables, at
     most three of them, one the eliminated variable."""
-
-
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    """Product of two trimmed ascending integer lists, trimmed."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                out[i + j] += c * d
-    return out
-
-
-def _add(a: list[int], b: list[int]) -> list[int]:
-    """a + b for ascending integer lists, trimmed."""
-    return _trimmed([x + y for x, y in zip_longest(a, b, fillvalue=0)])
-
-
-def _sub(a: list[int], b: list[int]) -> list[int]:
-    """a - b for ascending integer lists, trimmed."""
-    return _trimmed([x - y for x, y in zip_longest(a, b, fillvalue=0)])
-
-
-def _det(rows: list[list[list[int]]]) -> list[int]:
-    """Determinant of a square matrix over Z[x] (entries trimmed ascending
-    integer lists), by one Bareiss elimination: each update divides by the
-    previous pivot with `unipoly._exact_div`, which raises InexactDivision
-    on a remainder; [1] when empty, [] when zero."""
-    n = len(rows)
-    work = [list(row) for row in rows]
-    sign, prev = 1, [1]
-    for k in range(n - 1):
-        pivot_row = next((i for i in range(k, n) if work[i][k]), None)
-        if pivot_row is None:
-            return []
-        if pivot_row != k:
-            work[k], work[pivot_row] = work[pivot_row], work[k]
-            sign = -sign
-        pivot = work[k][k]
-        for i in range(k + 1, n):
-            lead = work[i][k]
-            for j in range(k + 1, n):
-                num = _sub(_mul(pivot, work[i][j]), _mul(lead, work[k][j]))
-                work[i][j] = num if k == 0 else _exact_div(num, prev)
-        prev = pivot
-    det = work[-1][-1] if n else [1]
-    return det if sign == 1 else [-c for c in det]
 
 
 def resultant(p, q, var: str, variables: Sequence[str] | None = None) -> list[int]:

@@ -20,16 +20,15 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
 from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .exactsolve import as_fraction, content, exact_rank, integer_row
-from .multipoly import Polynomial, evaluate, resultant, times
+from .multipoly import Polynomial, accumulate, evaluate, resultant, times
 from .tensors import num_json, read_scalar, read_sequence
-from .unipoly import poly_gcd, real_roots
+from .unipoly import _add, _mul, poly_gcd, real_roots
 
 
 class BadCurve(ValueError):
@@ -134,27 +133,25 @@ class CurveParam:
 class PluckerMap:
     """Line coordinates of the secant spanned by the pair (a : b : c).
 
-    table holds the six polynomials p01, p02, p03, p12, p13, p23 as integer
-    terms over one common denominator den; polys holds them as
-    `Polynomial`s in PAIR_VARS over den, with the table's terms in the same
-    order.
+    polys holds the six polynomials p01, p02, p03, p12, p13, p23 as
+    `Polynomial`s in PAIR_VARS over one common denominator, den.
     """
 
-    table: tuple[tuple[tuple[tuple[int, int, int], int], ...], ...]
-    den: int
-    polys: tuple[Polynomial, ...] = field(init=False, repr=False, compare=False)
+    polys: tuple[Polynomial, ...]
 
     def __post_init__(self):
-        if len(self.table) != 6:
+        if len(self.polys) != 6:
             raise RewriteFailed("a line in 3-space has six coordinates")
-        polys = tuple(Polynomial(PAIR_VARS, dict(terms), self.den) for terms in self.table)
-        p01, p02, p03, p12, p13, p23 = (p.terms for p in polys)
-        relation = times(p01, p23)
-        _accumulate(relation, times(p02, p13).items(), -1)
-        _accumulate(relation, times(p03, p12).items(), 1)
-        if relation:
+        if len({p.den for p in self.polys}) != 1:
+            raise RewriteFailed("line coordinates must share one denominator")
+        p01, p02, p03, p12, p13, p23 = (p.terms for p in self.polys)
+        relation = accumulate(times(p01, p23), times(p02, p13).items(), -1)
+        if accumulate(relation, times(p03, p12).items()):
             raise RewriteFailed("line coordinates must satisfy the quadratic line relation")
-        object.__setattr__(self, "polys", polys)
+
+    @property
+    def den(self) -> int:
+        return self.polys[0].den
 
     def evaluate(self, abc) -> list:
         point = dict(zip(PAIR_VARS, abc))
@@ -175,7 +172,7 @@ def plucker_map(curve: CurveParam) -> PluckerMap:
     by X - Y this is a^(d-l) c^k H_(m-1), where H_j, the sum of X^i Y^(j-i),
     obeys H_0 = 1, H_1 = b, H_j = b H_(j-1) - a c H_(j-2).  The coordinates
     are summed in integers from curve.F_int, F times the common denominator
-    L of its entries, and so are L^2 times the true ones; the table holds
+    L of its entries, and so are L^2 times the true ones; the map holds
     them over their gcd g, scaled by the numerator of g / L^2, whose
     denominator is den.  Terms are stored in _degree_exponents order, the
     order float evaluation sums them in.
@@ -183,36 +180,19 @@ def plucker_map(curve: CurveParam) -> PluckerMap:
     d, F = curve.d, curve.F_int
     H = [{(0, 0, 0): 1}, {(0, 1, 0): 1}]
     for _ in range(2, d):
-        h = times({(0, 1, 0): 1}, H[-1])
-        _accumulate(h, times({(1, 0, 1): 1}, H[-2]).items(), -1)
-        H.append(h)
+        H.append(accumulate(times({(0, 1, 0): 1}, H[-1]), times({(1, 0, 1): 1}, H[-2]).items(), -1))
     lines: list[dict] = [{} for _ in INDEX_PAIRS]
     for l in range(d + 1):
         for k in range(l):
             span = times({(d - l, 0, k): 1}, H[l - k - 1]).items()
             for line, (i, j) in zip(lines, INDEX_PAIRS):
-                _accumulate(line, span, F[i][k] * F[j][l] - F[i][l] * F[j][k])
+                accumulate(line, span, F[i][k] * F[j][l] - F[i][l] * F[j][k])
     common = math.gcd(*(c for line in lines for c in line.values()))
     scale = Fraction(common, content(c for row in curve.F for c in row).denominator ** 2)
     order = _degree_exponents(d - 1)
-    return PluckerMap(tuple(tuple((e, line[e] // common * scale.numerator) for e in order if e in line)
-                            for line in lines), scale.denominator)
-
-
-def _accumulate(acc: dict, terms, scale: int) -> None:
-    """acc += scale * terms, in first-appearance order: an exponent already
-    in acc keeps its place, a new one is appended, one that cancels is
-    dropped once the sum is done, and a zero scale adds nothing."""
-    if not scale:
-        return
-    cancelled = []
-    for e, c in terms:
-        value = acc.get(e, 0) + scale * c
-        acc[e] = value
-        if not value:
-            cancelled.append(e)
-    for e in cancelled:
-        del acc[e]
+    return PluckerMap(tuple(Polynomial(PAIR_VARS, {e: line[e] // common * scale.numerator
+                                                   for e in order if e in line}, scale.denominator)
+                            for line in lines))
 
 
 def secant_rows(pm: PluckerMap, u: Sequence[Fraction]) -> tuple[list[dict], int]:
@@ -220,20 +200,20 @@ def secant_rows(pm: PluckerMap, u: Sequence[Fraction]) -> tuple[list[dict], int]
     integer terms over one denominator: (rows, den), row r being rows[r] / den.
 
     u is scaled to integers U by its common denominator D, and den is D
-    times the table's.  Row 0 is p23 U1 - p13 U2 + p12 U3 summed left to
+    times the map's.  Row 0 is p23 U1 - p13 U2 + p12 U3 summed left to
     right, one product at a time, and so on; the terms come in the
-    first-appearance order of `_accumulate`, which the float
+    first-appearance order of `accumulate`, which the float
     back-substitution sums in.
     """
     scale = content(u).denominator
     w, x, y, z = (c.numerator * (scale // c.denominator) for c in u)
-    p01, p02, p03, p12, p13, p23 = pm.table
+    p01, p02, p03, p12, p13, p23 = (p.terms.items() for p in pm.polys)
     rows = []
     for products in (((p23, x), (p13, -y), (p12, z)), ((p03, y), (p02, -z), (p23, -w)),
                      ((p13, w), (p03, -x), (p01, z)), ((p02, x), (p12, -w), (p01, -y))):
         row: dict = {}
         for terms, k in products:
-            _accumulate(row, terms, k)
+            accumulate(row, terms, k)
         rows.append(row)
     return rows, scale * pm.den
 
@@ -419,7 +399,7 @@ def _random_combination(rows: Sequence[dict], rng: random.Random) -> dict:
     for _ in range(20):
         combo: dict = {}
         for row in rows:
-            _accumulate(combo, row.items(), rng.randint(-5, 5))
+            accumulate(combo, row.items(), rng.randint(-5, 5))
         if combo:
             return combo
     return {}
@@ -787,8 +767,8 @@ def _fixture_polynomial(poly: Polynomial, path) -> list[Fraction]:
         term = [coeff * scale ** (top - sum(expo))]
         for (c0, c1), e in zip(lines, expo):
             for _ in range(e):
-                term = [a * c0 + b * c1 for a, b in zip(term + [0], [0] + term)]
-        total = [a + b for a, b in zip_longest(total, term, fillvalue=0)]
+                term = _mul(term, [c0, c1])
+        total = _add(total, term)
     return [Fraction(c, den * scale ** top) for c in total]
 
 

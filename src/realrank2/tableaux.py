@@ -9,16 +9,16 @@ x_u -> a^u + b^u is the generator.  All arithmetic is exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from operator import add
 from typing import Sequence
 
 from .exactsolve import Inconsistent, exact_rank, rank_mod_p
-from .multipoly import Polynomial, normalized, times
+from .multipoly import Polynomial, accumulate, normalized, times
 from .tensors import multidegrees
 
 
@@ -103,7 +103,7 @@ def target_polynomial(t: TwoRowTableau) -> dict[tuple[int, ...], int]:
     a_m b_v - a_v b_m with the sum, over the ways to send d - k tail entries
     of mu to a and the rest to b, of the monomials."""
     n = t.n
-    poly = {(0,) * (2 * n): 1}
+    factors = []  # the brackets, then the tail sum
     for m, v in zip(t.mu, t.nu):
         am_bv = [0] * (2 * n)
         am_bv[m - 1] += 1
@@ -111,21 +111,25 @@ def target_polynomial(t: TwoRowTableau) -> dict[tuple[int, ...], int]:
         av_bm = [0] * (2 * n)
         av_bm[v - 1] += 1
         av_bm[n + m - 1] += 1
-        poly = times(poly, {tuple(am_bv): 1, tuple(av_bm): -1})
+        factors.append({tuple(am_bv): 1, tuple(av_bm): -1})
     tail = t.mu[t.k:]
     all_b = [0] * (2 * n)
     for entry in tail:
         all_b[n + entry - 1] += 1
-    # tail is sorted, so picks of equal entries are equal tuples: counted
-    # once each, in the order of their first pick
+    # a pick of d - k tail entries, k_v of the m_v copies of each entry v, is
+    # made in prod C(m_v, k_v) ways (0 when some k_v > m_v); sorted picks of
+    # the distinct entries come in the order combinations(tail, d - k) first
+    # meets them, more copies of the smaller entries first
     total: dict[tuple[int, ...], int] = {}
-    for picks, count in Counter(itertools.combinations(tail, t.d - t.k)).items():
+    for picks in itertools.combinations_with_replacement(sorted(set(tail)), t.d - t.k):
         exps = all_b.copy()
         for entry in picks:
             exps[entry - 1] += 1
             exps[n + entry - 1] -= 1
-        total[tuple(exps)] = count
-    return times(poly, total)
+        count = prod(map(comb, all_b[n:], exps[:n]))
+        if count:
+            total[tuple(exps)] = count
+    return functools.reduce(times, factors + [total])
 
 
 def coordinate_name(u: Sequence[int]) -> str:
@@ -191,14 +195,13 @@ def pushforward(quadric: dict[tuple[int, int], int], coords: Sequence[tuple[int,
     an integer map keyed by the index pair (i, j), i <= j, of x_i x_j, with
     coords[i] the multidegree of x_i."""
     zero = (0,) * len(coords[0])
-    push: dict[tuple[int, ...], int] = {}
+    images = []
     for (i, j), c in quadric.items():
         u, v = coords[i], coords[j]
         uv = tuple(map(add, u, v))
         # c x_u x_v -> c (a^(u+v) + a^u b^v + a^v b^u + b^(u+v))
-        for e in (uv + zero, u + v, v + u, zero + uv):
-            push[e] = push.get(e, 0) + c
-    return {e: c for e, c in push.items() if c}
+        images += [(uv + zero, c), (u + v, c), (v + u, c), (zero + uv, c)]
+    return accumulate({}, images)
 
 
 def _doubled_preimage(t: TwoRowTableau, coords: Sequence[tuple[int, ...]],

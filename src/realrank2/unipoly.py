@@ -8,6 +8,8 @@ square-free part and Sturm chain comes from one primitive integer remainder
 sequence, and the sign of f at a rational interval end comes from integer
 Horner on the homogenized form, so root counts and interval signs are never
 subject to rounding; only the final refined root is reported as a double.
+All Z[x] arithmetic of the package lives here: `_add`, `_sub`, `_mul`,
+`_exact_div` and the Bareiss determinant `_det`.
 """
 
 from __future__ import annotations
@@ -45,6 +47,28 @@ def _positive(p: list[int]) -> list[int]:
     return [-c for c in p] if p and p[-1] < 0 else p
 
 
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two trimmed ascending integer lists, trimmed."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+    return out
+
+
+def _add(a: list[int], b: list[int]) -> list[int]:
+    """a + b for ascending integer lists, trimmed."""
+    return _trimmed([x + y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _sub(a: list[int], b: list[int]) -> list[int]:
+    """a - b for ascending integer lists, trimmed."""
+    return _trimmed([x - y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
 def _exact_div(a: list[int], b: list[int]) -> list[int]:
     """a / b for a primitive b that divides a over the rationals: by Gauss's
     lemma the quotient has integer coefficients.  Raises InexactDivision
@@ -63,6 +87,32 @@ def _exact_div(a: list[int], b: list[int]) -> list[int]:
     if any(rem[:len(b) - 1]):
         raise InexactDivision("univariate division must be exact")
     return quot
+
+
+def _det(rows: list[list[list[int]]]) -> list[int]:
+    """Determinant of a square matrix over Z[x] (entries trimmed ascending
+    integer lists), by one Bareiss elimination: each update divides by the
+    previous pivot with `_exact_div`, which raises InexactDivision on a
+    remainder; [1] when empty, [] when zero."""
+    n = len(rows)
+    work = [list(row) for row in rows]
+    sign, prev = 1, [1]
+    for k in range(n - 1):
+        pivot_row = next((i for i in range(k, n) if work[i][k]), None)
+        if pivot_row is None:
+            return []
+        if pivot_row != k:
+            work[k], work[pivot_row] = work[pivot_row], work[k]
+            sign = -sign
+        pivot = work[k][k]
+        for i in range(k + 1, n):
+            lead = work[i][k]
+            for j in range(k + 1, n):
+                num = _sub(_mul(pivot, work[i][j]), _mul(lead, work[k][j]))
+                work[i][j] = num if k == 0 else _exact_div(num, prev)
+        prev = pivot
+    det = work[-1][-1] if n else [1]
+    return det if sign == 1 else [-c for c in det]
 
 
 def _primitive_remainder(a: list[int], b: list[int]) -> list[int]:
@@ -116,7 +166,7 @@ def squarefree_decomposition(p: list[int]) -> list[tuple[list[int], int]]:
     out: list[tuple[list[int], int]] = []
     i = 1
     while len(b) > 1:
-        d = [x - y for x, y in zip_longest(c, _derivative(b), fillvalue=0)]
+        d = _sub(c, _derivative(b))
         g = poly_gcd(b, d)
         if len(g) > 1:
             out.append((g, i))

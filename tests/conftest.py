@@ -2,8 +2,9 @@
 polynomial (exact Fraction terms with the content, normal form, evaluation
 and text/JSON forms, plus the exact ring arithmetic) that the library's
 printing functions, term-map products, Leibniz determinants and Plucker
-tables are tested against, `ring`, which lifts a library `Polynomial`
-into it, and its fraction-free Bareiss determinant; the coordinate names
+tables are tested against, the reference term-map accumulator, `ring`,
+which lifts a library `Polynomial` into it, and its fraction-free Bareiss
+determinant; the coordinate names
 x_u of a Veronese; the 2x2x2 sub-block
 selectors, one per block, and their one-block gather, the oracle that the
 hyperdeterminant sweep plan is tested against; a polynomial substitution
@@ -274,6 +275,19 @@ class Poly:
                 else:
                     rem.pop(expo, None)
         return Poly(self.variables, quot)
+
+
+def reference_accumulate(acc: Mapping, terms, scale: int = 1) -> dict:
+    """acc plus scale times the (exponent, coefficient) stream, as a new term
+    map: exponents in order of first appearance, coefficients summed, the
+    exponents whose sum is zero dropped at the end."""
+    order, sums = list(acc), dict(acc)
+    for e, c in terms:
+        if e not in sums:
+            order.append(e)
+            sums[e] = 0
+        sums[e] += scale * c
+    return {e: sums[e] for e in order if sums[e]}
 
 
 def coordinate_names(n: int, d: int) -> list[str]:

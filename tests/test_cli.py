@@ -254,6 +254,16 @@ def test_ideal_generators_labels(capsys):
     (("ideal", "--d", "7"), "7ab86bd4946d94f3d60045b5f589e517da91ce343ec7a0ce91454744bc8e05a5"),
     (("ideal", "--d", "7", "--format", "text"),
      "33d6aa44fdc46e103bc8244e955c24133ccc6915cffc04e0b24b5eb7d11a1039"),
+    # tails that repeat entries more often than the cases above do
+    (("quadrics", "2", "12"), "9c94f629a535b5a7388175c474369d0f9d26e3d0ce19d771b0af09d883e9a149"),
+    (("quadrics", "2", "12", "--format", "text"),
+     "d9646c991c809a7f9b78181c3c736462bed5335c3d574e6e89ebb1cf40eb8673"),
+    (("quadrics", "3", "6"), "78d4d132b92194f1930497fc3a384549d6685745b6685209d35f7b12eba2b7a7"),
+    (("quadrics", "3", "6", "--format", "text"),
+     "51bb14cd487e45e242f6200c97a89569142c6bfe92bf14ee5b83fb16ae56fc61"),
+    (("ideal", "--d", "12"), "68a8f3e882cd1f2247b9cdc041a5eec9b119e90fbee182fedaa8af982cab64ce"),
+    (("ideal", "--d", "12", "--format", "text"),
+     "b47837333a9ccadc2042deac2b9a0f57119637cc8fae3cf6c56ca1d58463f1ad"),
 ])
 def test_exact_generator_json_bytes(capsys, argv, digest):
     status, out, _ = run_cli(capsys, *argv)

@@ -8,21 +8,24 @@ and, for resultants, the Sylvester determinant over Poly entries."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
-from conftest import NotDivisible, Poly, bareiss_det, coefficients_in, cofactor_det, ring, sylvester_resultant
-from hypothesis import given, settings
+from conftest import (NotDivisible, Poly, bareiss_det, coefficients_in, cofactor_det, reference_accumulate, ring,
+                      sylvester_resultant)
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from realrank2 import binary_forms as bf
+from realrank2 import hyperdet as hd
 from realrank2 import multipoly as mp
 from realrank2.exactsolve import as_fraction
-from realrank2.multipoly import NotForms, Polynomial, _det, _mul, det_bareiss, grlex_key, resultant, times
-from realrank2.unipoly import _trimmed
+from realrank2.multipoly import NotForms, Polynomial, det_bareiss, grlex_key, resultant, times
+from realrank2.unipoly import _det, _mul, _trimmed
 
 VARS = ("x", "y", "z")
 
@@ -64,6 +67,61 @@ def test_times_keeps_first_appearance_order_and_drops_cancellations():
     q = {(1, 0): 1, (0, 1): -1}
     assert list(times(p, q).items()) == [((2, 0), 1), ((0, 2), -1)]
     assert times(p, {}) == {}
+
+
+# few exponents and small coefficients, so streams repeat exponents and sums cancel
+small_exponents = st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
+small_coeffs = st.integers(-3, 3).filter(bool)
+small_maps = st.dictionaries(small_exponents, small_coeffs, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_maps, st.lists(st.tuples(small_exponents, small_coeffs), max_size=12), st.integers(-2, 2))
+@example({}, [((1, 0), 1), ((1, 0), -1), ((1, 0), 2)], 1)  # a running sum passes through zero and leaves it
+@example({(0, 1): 2}, [((0, 1), 1), ((1, 0), -1)], -2)  # an exponent of acc cancels
+@example({(0, 1): 2}, [((1, 0), 5)], 0)
+def test_accumulate_equals_the_reference_item_for_item(acc, terms, scale):
+    expected = reference_accumulate(acc, terms, scale)
+    assert mp.accumulate(acc, iter(terms), scale) is acc  # in place, one pass over the stream
+    assert list(acc.items()) == list(expected.items())
+
+
+def reference_times(p: dict, q: dict) -> dict:
+    return reference_accumulate({}, [(tuple(a + b for a, b in zip(ea, eb)), ca * cb)
+                                     for ea, ca in p.items() for eb, cb in q.items()])
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_maps, small_maps)
+def test_times_is_the_reference_sum_of_the_product_stream(p, q):
+    assert list(times(p, q).items()) == list(reference_times(p, q).items())
+
+
+def reference_leibniz(matrix: list[list[dict]]) -> dict:
+    """Leibniz's sum over permutations in itertools order, each product of
+    entries taken left to right, summed by the reference accumulator."""
+    stream = []
+    for perm in itertools.permutations(range(len(matrix))):
+        entries = [row[j] for row, j in zip(matrix, perm)]
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        product = functools.reduce(reference_times, entries)
+        stream += [(e, sign * c) for e, c in product.items()]
+    return reference_accumulate({}, stream)
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_det_bareiss_sums_each_hankel_minor_in_leibniz_order(d):
+    h = bf._symbolic_hankel(d)
+    for size in (2, 3):
+        for rows in itertools.combinations(range(3), size):
+            for cols in itertools.combinations(range(d - 1), size):
+                matrix = [[h[r][c] for c in cols] for r in rows]
+                assert list(det_bareiss(matrix).items()) == list(reference_leibniz(matrix).items())
+
+
+def test_cubic_discriminant_determinant_term_order_golden():
+    assert list(hd.cubic_discriminant_determinant().terms.items()) == [
+        ((2, 0, 0, 2), 1), ((1, 1, 1, 1), -6), ((1, 0, 3, 0), 4), ((0, 3, 0, 1), 4), ((0, 2, 2, 0), -3)]
 
 
 # coordinate names as `tableaux.coordinate_name` writes them, with

@@ -83,31 +83,41 @@ def test_plucker_table_equals_the_ring_build(d):
     for curve in curves:
         pm = sc.plucker_map(curve)
         oracle = ring_plucker_polys(curve)
-        assert [[(e, Fraction(c, pm.den)) for e, c in terms] for terms in pm.table] == [
+        assert [[(e, Fraction(c, pm.den)) for e, c in p.terms.items()] for p in pm.polys] == [
             list(p.terms.items()) for p in oracle]
         assert pm.den == content([c for p in oracle for c in p.terms.values()]).denominator
         assert tuple(map(ring, pm.polys)) == tuple(oracle)
 
 
 def _monomial_quartic_table() -> list[dict]:
-    return [dict(terms) for terms in sc.plucker_map(QUARTIC).table]
+    return [dict(p.terms) for p in sc.plucker_map(QUARTIC).polys]
+
+
+def _plucker_map(table) -> sc.PluckerMap:
+    return sc.PluckerMap(tuple(Polynomial(sc.PAIR_VARS, terms) for terms in table))
 
 
 def test_plucker_map_refuses_coordinates_off_the_line_relation():
     table = _monomial_quartic_table()
     table[5] = {(0, 0, 3): 2}  # p01 p23 - p02 p13 + p03 p12 = a^3 c^3 != 0
     with pytest.raises(sc.RewriteFailed, match="line relation"):
-        sc.PluckerMap(tuple(tuple(terms.items()) for terms in table), 1)
+        _plucker_map(table)
     table = _monomial_quartic_table()
     table[1], table[2] = table[2], table[1]
     with pytest.raises(sc.RewriteFailed, match="line relation"):
-        sc.PluckerMap(tuple(tuple(terms.items()) for terms in table), 1)
+        _plucker_map(table)
 
 
 def test_plucker_map_refuses_five_coordinates():
-    table = tuple(tuple(terms.items()) for terms in _monomial_quartic_table()[:5])
     with pytest.raises(sc.RewriteFailed, match="six coordinates"):
-        sc.PluckerMap(table, 1)
+        _plucker_map(_monomial_quartic_table()[:5])
+
+
+def test_plucker_map_refuses_coordinates_over_different_denominators():
+    polys = list(sc.plucker_map(QUARTIC).polys)
+    polys[5] = polys[5]._replace(den=2)
+    with pytest.raises(sc.RewriteFailed, match="one denominator"):
+        sc.PluckerMap(tuple(polys))
 
 
 def test_plucker_map_refuses_off_relation_coordinates_under_optimize():
@@ -116,11 +126,11 @@ def test_plucker_map_refuses_off_relation_coordinates_under_optimize():
     code = "\n".join([
         "from realrank2 import space_curve as sc",
         "assert False, 'asserts must be off'",
-        "table = [tuple(terms) for terms in sc.plucker_map(sc.MONOMIAL_QUARTIC).table]",
-        "table[5] = (((0, 0, 3), 2),)",
-        "for rows in (table, table[:5]):",
+        "polys = list(sc.plucker_map(sc.MONOMIAL_QUARTIC).polys)",
+        "polys[5] = polys[5]._replace(terms={(0, 0, 3): 2})",
+        "for rows in (polys, polys[:5]):",
         "    try:",
-        "        sc.PluckerMap(tuple(rows), 1)",
+        "        sc.PluckerMap(tuple(rows))",
         "    except sc.RewriteFailed as exc:",
         "        print(exc)",
     ])

@@ -7,10 +7,11 @@ import functools
 import itertools
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import Poly, coordinate_names, ring, substitute
+from conftest import Poly, coordinate_names, reference_accumulate, ring, substitute
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -188,6 +189,59 @@ def test_target_polynomial_equals_the_ring_sum_term_for_term(n, d):
     for k in range(0, d + 1, 2):
         for t in tb.enumerate_tableaux(n, d, k):
             assert list(tb.target_polynomial(t).items()) == list(ring_sum_target(t).terms.items())
+
+
+def counted_target(t: tb.TwoRowTableau) -> dict:
+    """The tableau's polynomial with its tail sum counted over every index
+    pick of itertools.combinations, in the order the picks first appear."""
+    n = t.n
+    poly = {(0,) * (2 * n): 1}
+    for m, v in zip(t.mu, t.nu):
+        am_bv, av_bm = [0] * (2 * n), [0] * (2 * n)
+        am_bv[m - 1] += 1
+        am_bv[n + v - 1] += 1
+        av_bm[v - 1] += 1
+        av_bm[n + m - 1] += 1
+        poly = mp.times(poly, {tuple(am_bv): 1, tuple(av_bm): -1})
+    tail = t.mu[t.k:]
+    total = {}
+    for picks, count in Counter(itertools.combinations(tail, t.d - t.k)).items():
+        exps = [0] * (2 * n)
+        for entry in tail:
+            exps[n + entry - 1] += 1
+        for entry in picks:
+            exps[entry - 1] += 1
+            exps[n + entry - 1] -= 1
+        total[tuple(exps)] = count
+    return mp.times(poly, total)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_target_polynomial_equals_the_counted_tail_item_for_item(n):
+    for d in range(4, 9):
+        for k in range(0, d + 1, 2):
+            for t in tb.enumerate_tableaux(n, d, k):
+                assert list(tb.target_polynomial(t).items()) == list(counted_target(t).items())
+
+
+def test_degree_20_binary_basis_has_the_hook_length_count():
+    # its tails have about 2 * 10^10 index picks: they are counted per distinct entry
+    assert len(tb.quadric_basis(2, 20)) == sum(tb.hook_length_dim(2, 20, k) for k in range(4, 21, 2))
+
+
+@pytest.mark.parametrize("n, d", BENCHMARK_SHAPES)
+def test_pushforward_sums_the_four_images_in_order(n, d):
+    coords = multidegrees(n, d)
+    zero = (0,) * n
+    for k in range(4, d + 1, 2):
+        for t in tb.enumerate_tableaux(n, d, k):
+            quadric = index_pairs(preimage(t))
+            images = []
+            for (i, j), c in quadric.items():
+                u, v = coords[i], coords[j]
+                uv = tuple(a + b for a, b in zip(u, v))
+                images += [(uv + zero, c), (u + v, c), (v + u, c), (zero + uv, c)]
+            assert list(tb.pushforward(quadric, coords).items()) == list(reference_accumulate({}, images).items())
 
 
 def test_changed_target_coefficient_raises_inconsistent(monkeypatch):

@@ -297,8 +297,7 @@ def test_exact_division_raises_on_a_non_divisor_under_optimize():
     code = "\n".join([
         "from fractions import Fraction",
         "from realrank2.exactsolve import InexactDivision",
-        "from realrank2.multipoly import _det",
-        "from realrank2.unipoly import _exact_div",
+        "from realrank2.unipoly import _det, _exact_div",
         "assert False, 'asserts must be off'",
         "for call in (lambda: _exact_div([1, 0, 1], [1, 1]), lambda: _exact_div([1, 1], [1, 2]),",
         "             lambda: _det([[[3], [], []], [[], [1], []], [[], [], [Fraction(1, 2)]]])):",
