@@ -27,7 +27,6 @@ import numpy as np
 
 from . import hyperdet as hd
 from . import tensors as tn
-from .exactsolve import integer_row
 
 
 class Verdict(str, enum.Enum):
@@ -60,17 +59,16 @@ class Certificate:
         }
 
 
-def _exact_or_finite(t: np.ndarray) -> tuple[np.ndarray, int | None]:
+def _exact_or_finite(t: np.ndarray) -> np.ndarray:
     """The one input rule of certification, read from the dtype: an exact
-    (object) tensor is scaled to Python ints by the lcm of its denominators,
-    as verdicts are invariant under positive scaling and integer arithmetic
-    is much faster, and comes with B = max |entry| for the sweep and the
-    ranks to read; a float tensor must be finite, and comes with None."""
+    (object, integer or boolean) tensor is scaled to integers by
+    `tn.integers`, as verdicts are invariant under positive scaling and
+    integer arithmetic is much faster, and its dtype, int64 or Python ints,
+    tells the sweep and the ranks how; a float tensor must be finite."""
     if tn.is_exact(t):
-        flat = integer_row(t.ravel().tolist())
-        return np.array(flat, dtype=object).reshape(t.shape), max(map(abs, flat), default=0)
+        return tn.integers(t)
     tn.require_finite(t)
-    return t, None
+    return t
 
 
 def _mode_label(modes: Sequence[int]) -> str:
@@ -110,14 +108,13 @@ def _certificate(t: np.ndarray, ranks: dict[str, int], merged_ranks: dict[str, i
                        {"rank_tol": "exact" if tn.is_exact(t) else tol, "hyperdet_zero_tol": report.zero_tol})
 
 
-def _flattening_certificate(t: np.ndarray, tol: float, report: hd.HyperdetReport,
-                            bound: int | None) -> Certificate:
+def _flattening_certificate(t: np.ndarray, tol: float, report: hd.HyperdetReport) -> Certificate:
     # single-mode ranks of a 2 x ... x 2 tensor are bounded by 2 no matter
     # what, so for order >= 4 the two-mode flattenings carry the border-rank
     # obstruction and have to be checked unconditionally
     singles = [(m,) for m in range(t.ndim)]
     pairs = list(itertools.combinations(range(t.ndim), 2)) if t.ndim >= 4 else []
-    ranks = tn.flattening_ranks(t, singles + pairs, tol, bound)
+    ranks = tn.flattening_ranks(t, singles + pairs, tol)
     single = dict(zip(map(_mode_label, singles), ranks))
     merged = dict(zip(map(_mode_label, pairs), ranks[len(singles):])) or None
     return _certificate(t, single, merged, report, tol)
@@ -137,11 +134,10 @@ def certify_border_rank2(t: np.ndarray, tol: float = 1e-8) -> Certificate:
         raise tn.ArityTooSmall("certification needs an order >= 3 tensor")
     if any(n < 1 for n in t.shape):
         raise tn.ShapeMismatch(f"bad tensor shape {t.shape}")
-    t, bound = _exact_or_finite(t)
-    t = tn.squeeze_ones(t)
+    t = tn.squeeze_ones(_exact_or_finite(t))
     if t.ndim <= 2:
         return _matrix_certificate(t, tol)
-    return _flattening_certificate(t, tol, hd.all_subhyperdets(t, bound), bound)
+    return _flattening_certificate(t, tol, hd.all_subhyperdets(t))
 
 
 def tangential_witness(xs: Sequence, ys: Sequence) -> np.ndarray:
@@ -176,18 +172,18 @@ def certify_symmetric(f: tn.SymTensorCoords, tol: float = 1e-8) -> Certificate:
     """
     if f.d <= 2:
         # a linear or quadratic form is a vector or symmetric matrix
-        return _matrix_certificate(np.atleast_2d(_exact_or_finite(tn.sym_to_tensor(f))[0]), tol)
+        return _matrix_certificate(np.atleast_2d(_exact_or_finite(tn.sym_to_tensor(f))), tol)
     if f.n == 2:
         # imported here because binary_forms imports this module
         from . import binary_forms as bf
 
         form = bf.BinaryForm(f.d, [f.coeffs[(f.d - i, i)] for i in range(f.d + 1)])
-        h = _exact_or_finite(bf.hankel(form))[0]  # every coordinate, in the form's dtype
+        h = _exact_or_finite(bf.hankel(form))  # every coordinate, in the form's dtype
         values = [(f"D{i}", v) for i, v in enumerate(bf.discriminant_values(form))]
         report = hd.report_from_values(values, hd.hyperdet_zero_tol(h))
         return _certificate(h, {"hankel": tn.matrix_rank(h, tol)}, None, report, tol)
 
-    t, bound = _exact_or_finite(tn.sym_to_tensor(f))
+    t = _exact_or_finite(tn.sym_to_tensor(f))
     values = []
     for p in range(f.n):
         for q in range(p + 1, f.n):
@@ -200,4 +196,4 @@ def certify_symmetric(f: tn.SymTensorCoords, tol: float = 1e-8) -> Certificate:
                     coords.append(f.coeffs[tuple(u)])
                 label = f"pair({p + 1},{q + 1})@" + ",".join(str(e) for e in w)
                 values.append((label, hd.discriminant_quartic(coords, 0)))
-    return _flattening_certificate(t, tol, hd.report_from_values(values, hd.hyperdet_zero_tol(t)), bound)
+    return _flattening_certificate(t, tol, hd.report_from_values(values, hd.hyperdet_zero_tol(t)))

@@ -104,8 +104,7 @@ def _load_curve(spec: str) -> sc.CurveParam:
 def _load_path(spec: str):
     if spec == "crossing":
         return sc.CROSSING_PATH
-    payload = _load_json(spec)
-    rows = payload["coefficients"] if isinstance(payload, dict) else payload
+    [rows] = tn.read_fields(_load_json(spec), "coefficients")
     rows = [tn.read_sequence(row) for row in tn.read_sequence(rows)]
     if len(rows) != 4 or any(len(r) != 2 for r in rows):
         raise UsageError("path needs a 4 x 2 coefficient matrix")

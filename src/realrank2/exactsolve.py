@@ -1,11 +1,13 @@
 """Exact rational linear algebra via fraction-free (Bareiss) elimination:
 ranks and solutions of linear systems.
 
-Rows are rescaled to integers once, then eliminated with the Bareiss update,
-whose division by the previous pivot is exact over the integers.  This keeps
-intermediate entries as single determinants instead of products of pivots.
-This is the package's bottom exact layer: the rational
-coercion and content helpers live here too.
+Rows are rescaled to integers once, by `integer_row`, then eliminated with
+the Bareiss update, whose division by the previous pivot is exact over the
+integers.  This keeps intermediate entries as single determinants instead
+of products of pivots.  This is the package's bottom exact layer: the
+rational coercion and content helpers live here too, and
+`tensors.integers`, the one scaler of exact arrays, scales through
+`integer_row`.
 
 `rank_mod_p` is the cheap lower bound: the rank of an integer matrix modulo
 the prime MODULAR_PRIME, by sparse row reduction.  A full rank mod p proves full

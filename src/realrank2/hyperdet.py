@@ -7,6 +7,7 @@ rank-one tensors has nonpositive hyperdeterminant.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import jsontext
 from .multipoly import Polynomial, det_bareiss
-from .tensors import ArityTooSmall, is_exact, num_json, ShapeMismatch
+from .tensors import ArityTooSmall, is_exact, num_json, peak, ShapeMismatch
 
 DEFAULT_ZERO_TOL_SCALE = 1e-10
 # shapes whose sub-block gather plan all_subhyperdets keeps
@@ -59,8 +60,8 @@ def hyperdet_zero_tol(t: np.ndarray, scale: float = DEFAULT_ZERO_TOL_SCALE):
 
     The hyperdeterminant is quartic in the entries, hence the fourth power.
     The binary-form discriminant tests pass the form's Hankel matrix, which
-    holds every coordinate in the form's dtype.  Exact (object) arrays use
-    an exact zero test.
+    holds every coordinate in the form's dtype.  Exact (object, integer or
+    boolean) arrays use an exact zero test.
     """
     if is_exact(t):
         return 0
@@ -175,25 +176,27 @@ def _sweep_plan(shape: tuple[int, ...]) -> tuple[np.ndarray, jsontext.Column]:
     return idx, jsontext.Column(labels)
 
 
-def all_subhyperdets(t: np.ndarray, bound: int | None = None) -> HyperdetReport:
+def all_subhyperdets(t: np.ndarray) -> HyperdetReport:
     """Hyperdeterminants of every 2x2x2 sub-block, with a scaled zero test.
 
     Gathers the eight entries of every block into rows and evaluates the
     quartic once on whole rows: float64 arithmetic for float tensors, int64
-    when every entry is exactly an int (bools and Fractions are not) of
-    absolute value at most INT64_SWEEP_BOUND, the entries' own (exact)
-    arithmetic otherwise, each with the operations of `hyperdet222` in its
-    order, so every value equals the per-block one and has its type.  A
-    caller that has scaled t to Python ints passes their largest |entry| as
-    bound, and the entries are not read again to find it.
+    when every entry is an integer (a numpy integer or boolean, or a Python
+    int in an object array; not a Fraction or a bool there) of absolute
+    value at most INT64_SWEEP_BOUND, the entries' own (exact) arithmetic
+    otherwise, each with the operations of `hyperdet222` in its order, so
+    every value equals the per-block one and has its type.  numpy reads the
+    bound: an object array of Python ints is converted to int64 only when
+    they all fit, and counts as past the bound otherwise.
     """
     zero_tol = hyperdet_zero_tol(t)
     idx, labels = _sweep_plan(t.shape)
     flat = t.ravel()
-    if bound is None and flat.dtype == object and set(map(type, flat)) <= {int}:
-        bound = max(map(abs, flat), default=0)
-    if bound is not None and bound <= INT64_SWEEP_BOUND:
-        flat = flat.astype(np.int64)
+    if flat.dtype == object and set(map(type, flat)) <= {int}:
+        with contextlib.suppress(OverflowError):  # past int64: past the bound too
+            flat = flat.astype(np.int64)
+    if flat.dtype.kind in "iub" and peak(flat) <= INT64_SWEEP_BOUND:
+        flat = flat.astype(np.int64, copy=False)
     else:  # any other entries as the Python scalars hyperdet222 sees: int64 must not wrap
         flat = flat.astype(np.float64 if flat.dtype.kind == "f" else object, copy=False)
     with np.errstate(over="ignore", invalid="ignore"):  # inf/nan silently, as Python floats do

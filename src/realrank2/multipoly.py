@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import add
 from typing import Mapping, NamedTuple, Sequence
 
@@ -141,24 +141,20 @@ def det_bareiss(matrix: list[list[dict]]) -> dict:
 
 
 class NotForms(ValueError):
-    """Resultant input is not two nonzero forms in the same variables, at
+    """Resultant input is not two nonzero forms in the given variables, at
     most three of them, one the eliminated variable."""
 
 
-def resultant(p, q, var: str, variables: Sequence[str] | None = None) -> list[int]:
+def resultant(p: dict, q: dict, var: str, variables: Sequence[str]) -> list[int]:
     """Resultant of two forms eliminating `var`, exact, as ascending ints.
 
-    p and q are objects with `variables` and `terms` (a `Polynomial`'s den,
-    a constant factor, is not read) or, given their `variables`, maps from
-    exponent vectors to int or Fraction coefficients.  Each is first scaled to
-    integer coefficients by the lcm L of its denominators (1 for integer
-    forms), so with m, n the degrees in `var` the result is Lp^n Lq^m times
-    the resultant: a form of degree D = (t_p - m) n + (t_q - n) m + m n in
-    the remaining variables, t_p and t_q the total degrees.  It comes back
-    as D + 1 ints, entry j the coefficient of the terms of degree j in the
-    first remaining variable: with two left, (x, y), of x^j y^(D - j); with
-    one, only entry D can be nonzero; with none, the resultant is 0 unless
-    D is 0.
+    p and q are integer term maps (exponent vector -> int) in `variables`.
+    With m, n their degrees in `var` and t_p, t_q their total degrees, the
+    resultant is a form of degree D = (t_p - m) n + (t_q - n) m + m n in
+    the remaining variables.  It comes back as D + 1 ints, entry j the
+    coefficient of the terms of degree j in the first remaining variable:
+    with two left, (x, y), of x^j y^(D - j); with one, only entry D can be
+    nonzero; with none, the resultant is 0 unless D is 0.
 
     The kernel is the Cayley-Bezout form (Cox, Little and O'Shea, *Using
     Algebraic Geometry*, ch. 3).  With y set to 1 each coefficient of p and
@@ -169,10 +165,6 @@ def resultant(p, q, var: str, variables: Sequence[str] | None = None) -> list[in
     lc^(k - min(m, n)) Res_{m,n} for lc the leading coefficient of the
     form of higher degree.
     """
-    if variables is None:
-        # polynomials in different variables fail the test below as no variables
-        variables = p.variables if q.variables == p.variables else ()
-        p, q = p.terms, q.terms
     degrees = [{sum(e) for e in f} for f in (p, q)]
     if var not in variables or len(variables) > 3 or any(len(d) != 1 for d in degrees):
         raise NotForms("resultant needs two nonzero forms in the same at most three variables")
@@ -182,11 +174,10 @@ def resultant(p, q, var: str, variables: Sequence[str] | None = None) -> list[in
     x_at = variables.index(rest[0]) if len(rest) == 2 else None
     slices = []
     for f, (total,) in zip((p, q), degrees):
-        den = lcm(*(c.denominator for c in f.values()))
         # coefficient of var^i, as integer coefficients of x^0, x^1, ...
         coeffs = [[0] * (total + 1) for _ in range(max(e[k] for e in f) + 1)]
         for e, c in f.items():
-            coeffs[e[k]][0 if x_at is None else e[x_at]] += c.numerator * (den // c.denominator)
+            coeffs[e[k]][0 if x_at is None else e[x_at]] += c
         slices.append(([_trimmed(c) for c in coeffs], total))
     (cp, tp), (cq, tq) = slices
     m, n = len(cp) - 1, len(cq) - 1

@@ -750,17 +750,17 @@ def _bisect_change(curve: CurveParam, path, lo: Fraction, hi: Fraction,
     return float((lo + hi) / 2), None
 
 
-def _fixture_polynomial(poly: Polynomial, path) -> list[Fraction]:
-    """The fixture restricted to the path, ascending in t: each POINT_VARS
-    coordinate is c0 + c1 t.  The expansion runs in integers: the path is
-    scaled by the common denominator D of its entries, a term of degree m
-    times D^(top - m) for the top degree, and the sum is divided by the
-    fixture's den times D^top once at the end."""
+def _fixture_polynomial(poly: Polynomial, path) -> list[int]:
+    """The fixture restricted to the path, ascending in t, times the
+    positive integer den * D^top, so it has the same real roots: each
+    POINT_VARS coordinate is c0 + c1 t, D is the common denominator of the
+    path's entries, den the fixture's and top its top degree.  The
+    expansion runs in integers: the path is scaled by D, and a term of
+    degree m is multiplied by D^(top - m)."""
     if poly.variables != POINT_VARS:
         raise ValueError(f"fixture variables {poly.variables} are not {POINT_VARS}")
     scale = content(c for row in path for c in row).denominator
     lines = [(int(c0 * scale), int(c1 * scale)) for c0, c1 in path]
-    den = poly.den
     top = max((sum(e) for e in poly.terms), default=0)
     total: list[int] = []
     for expo, coeff in poly.terms.items():
@@ -769,7 +769,7 @@ def _fixture_polynomial(poly: Polynomial, path) -> list[Fraction]:
             for _ in range(e):
                 term = _mul(term, [c0, c1])
         total = _add(total, term)
-    return [Fraction(c, den * scale ** top) for c in total]
+    return total
 
 
 def scan_path(curve: CurveParam, path, interval=(0, 1), nsamples: int = 21,

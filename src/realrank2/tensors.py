@@ -2,6 +2,8 @@
 
 Tensors are numpy arrays in row-major entry order: float64 for numeric work,
 object dtype holding ints/Fractions when every entry is exactly representable.
+Integer and boolean arrays are exact too; `integers` scales any exact array
+to int64 or, past int64, to Python ints.
 Mode indices are 0-based throughout the API; serialized reports label modes
 from 1.
 """
@@ -128,7 +130,8 @@ def read_integer(value) -> int:
 
 
 def is_exact(t: np.ndarray) -> bool:
-    return t.dtype == object
+    """Object (ints and Fractions), integer or boolean dtype."""
+    return t.dtype.kind in "Oiub"
 
 
 def tensor(shape: Sequence[int], entries: Sequence) -> np.ndarray:
@@ -193,42 +196,42 @@ def numeric_rank(matrix: np.ndarray, tol: float = 1e-8):
     return int(ranks) if m.ndim == 2 else ranks.tolist()
 
 
-def _integers(t: np.ndarray, bound: int | None = None) -> tuple[np.ndarray, int]:
-    """t scaled to integers by the lcm of its denominators (ranks do not
-    change), int64 when every entry fits and Python ints otherwise, and B,
-    its largest absolute entry; t of Python ints may come with B."""
-    if bound is not None:
-        return (t.astype(np.int64) if bound <= INT64_MAX else t), bound
+def integers(t: np.ndarray) -> np.ndarray:
+    """An exact array scaled to integers by the lcm of its denominators
+    (ranks and signs do not change): int64 when max |entry| <= INT64_MAX,
+    Python ints (object dtype) otherwise.  The one place an exact array
+    becomes integers: the kernels below read an int64 array's bound by
+    numpy and count an object array as past every int64 bound."""
     flat = integer_row(t.ravel().tolist())
-    bound = max(map(abs, flat), default=0)
-    return np.array(flat, dtype=np.int64 if bound <= INT64_MAX else object).reshape(t.shape), bound
+    dtype = np.int64 if max(map(abs, flat), default=0) <= INT64_MAX else object
+    return np.array(flat, dtype=dtype).reshape(t.shape)
 
 
-def exact_matrix_rank(matrix: np.ndarray, bound: int | None = None):
-    """Exact rank of a matrix of ints and Fractions (object dtype) or of
-    int64s: one int for a matrix, a list for a (k, r, c) stack.  An object
-    matrix of Python ints may come with bound, its largest |entry|.
+def peak(a: np.ndarray) -> int:
+    """max |entry| of an integer or boolean array, read by numpy."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
-    Rank is invariant under scaling and transposition, so an object stack is
-    scaled to integers once and every stack is turned so that r <= c.  A wide
-    matrix M (r < c) is ranked on its r x r Gram matrix M M^T, whose rank
-    over Q is M's.  The Gram stack is one batched matmul: in int64 when
-    c * B^2 <= INT64_MAX (B = max |entry|), which bounds every product and
-    partial sum, and in Python ints otherwise.  Each Gram or square matrix
-    gets one exact_rank.
+
+def exact_matrix_rank(matrix: np.ndarray):
+    """Exact rank of an exact matrix: one int for a matrix, a list for a
+    (k, r, c) stack.  Object entries may be ints or Fractions; certification
+    hands over the output of `integers`.
+
+    Rank is invariant under transposition, so every stack is turned so
+    that r <= c.  A wide matrix M (r < c) is ranked on its r x r Gram matrix
+    M M^T, whose rank over Q is M's.  The Gram stack is one batched matmul:
+    in int64 when M is int64 and c * B^2 <= INT64_MAX (B = max |entry|),
+    which bounds every product and partial sum, and in the entries' Python
+    arithmetic otherwise.  Each Gram or square matrix gets one exact_rank.
     """
     m = np.asarray(matrix)
     stack = m if m.ndim == 3 else m[None]
-    if stack.dtype == np.int64:
-        bound = max(int(stack.max(initial=0)), -int(stack.min(initial=0)))
-    else:
-        stack, bound = _integers(stack, bound)
     r, c = stack.shape[1:]
     if r > c:
         stack = stack.transpose(0, 2, 1)
         r, c = c, r
     if r < c:
-        if c * bound * bound > INT64_MAX:
+        if stack.dtype != np.int64 or c * peak(stack) ** 2 > INT64_MAX:
             stack = stack.astype(object)
         stack = stack @ stack.transpose(0, 2, 1)
     ranks = [exact_rank(rows) for rows in stack.tolist()]
@@ -236,7 +239,7 @@ def exact_matrix_rank(matrix: np.ndarray, bound: int | None = None):
 
 
 def matrix_rank(matrix: np.ndarray, tol: float = 1e-8):
-    """Exact rank of an object array, singular-value rank of any other; a
+    """Exact rank of an exact array, singular-value rank of any other; a
     (k, r, c) stack gets a list of k ranks."""
     return exact_matrix_rank(matrix) if is_exact(matrix) else numeric_rank(matrix, tol)
 
@@ -259,21 +262,17 @@ def _flattening_plan(shape: Shape, selections: tuple[tuple[int, ...], ...]) -> t
     return tuple(plan)
 
 
-def flattening_ranks(t: np.ndarray, selections: Iterable[Iterable[int]], tol: float = 1e-8,
-                     bound: int | None = None) -> list[int]:
+def flattening_ranks(t: np.ndarray, selections: Iterable[Iterable[int]], tol: float = 1e-8) -> list[int]:
     """matrix_rank(flatten(t, s), tol) for each row-mode selection s, with
     one rank call per matrix shape, on the stack of that shape's
-    flattenings.  An exact tensor is scaled to integers once, first; one of
-    Python ints may come with bound, its largest |entry|."""
+    flattenings.  Certification scales an exact tensor by `integers` first."""
     selections = tuple(tuple(s) for s in selections)
     exact = is_exact(t)
-    if exact:
-        t, bound = _integers(t, bound)
     flat = t.ravel()
     ranks = [0] * len(selections)
     for where, idx in _flattening_plan(t.shape, selections):
         stack = flat[idx]
-        for i, rank in zip(where, exact_matrix_rank(stack, bound) if exact else numeric_rank(stack, tol)):
+        for i, rank in zip(where, exact_matrix_rank(stack) if exact else numeric_rank(stack, tol)):
             ranks[i] = rank
     return ranks
 

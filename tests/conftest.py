@@ -3,8 +3,9 @@ polynomial (exact Fraction terms with the content, normal form, evaluation
 and text/JSON forms, plus the exact ring arithmetic) that the library's
 printing functions, term-map products, Leibniz determinants and Plucker
 tables are tested against, the reference term-map accumulator, `ring`,
-which lifts a library `Polynomial` into it, and its fraction-free Bareiss
-determinant; the coordinate names
+which lifts a library `Polynomial` into it, `int_form`, which turns an
+integer Poly into the term map a resultant takes, and its fraction-free
+Bareiss determinant; the coordinate names
 x_u of a Veronese; the 2x2x2 sub-block
 selectors, one per block, and their one-block gather, the oracle that the
 hyperdeterminant sweep plan is tested against; a polynomial substitution
@@ -301,6 +302,14 @@ def ring(poly: Poly | Polynomial) -> Poly:
     if isinstance(poly, Poly):
         return Poly(poly.variables, poly.terms)
     return Poly(poly.variables, {e: Fraction(c, poly.den) for e, c in poly.terms.items()})
+
+
+def int_form(poly: Poly) -> tuple[dict[tuple, int], tuple[str, ...]]:
+    """A Poly with integer coefficients as the integer term map and the
+    variables that `multipoly.resultant` takes."""
+    if any(c.denominator != 1 for c in poly.terms.values()):
+        raise ValueError(f"{poly} has a non-integer coefficient")
+    return {e: int(c) for e, c in poly.terms.items()}, poly.variables
 
 
 def bareiss_det(matrix: list[list[Poly]]) -> Poly:

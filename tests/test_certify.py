@@ -173,6 +173,56 @@ def test_exact_tensor_of_numpy_ints_certifies_like_python_ints():
     assert ce.certify_border_rank2(numpy_ints).to_json() == ce.certify_border_rank2(python_ints).to_json()
 
 
+def _as_python_ints(t: np.ndarray) -> np.ndarray:
+    return np.array(t.ravel().tolist(), dtype=object).reshape(t.shape)
+
+
+def test_int64_tensor_certifies_exactly():
+    # the float route reads this as rank one: sigma_2 / sigma_1 = 1e-9 is
+    # below the relative tolerance, and 1e18 below the float zero test
+    t = np.array([10**9, 0, 0, 0, 0, 0, 0, 1], dtype=np.int64).reshape(2, 2, 2)
+    cert = ce.certify_border_rank2(t)
+    assert cert.verdict == ce.Verdict.REAL_RANK_TWO
+    assert set(cert.flattening_ranks.values()) == {2}
+    assert cert.tolerances == {"rank_tol": "exact", "hyperdet_zero_tol": 0}
+    assert cert.hyperdet_report.values == [(cert.hyperdet_report.argmin, 10**18)]
+    assert cert.to_json() == ce.certify_border_rank2(_as_python_ints(t)).to_json()
+
+
+@pytest.mark.parametrize("t", [
+    np.array([[[200, 0], [0, 3]], [[0, 7], [255, 1]]], dtype=np.uint8),
+    np.array([True, False, False, False, False, False, False, True]).reshape(2, 2, 2),
+], ids=["uint8", "bool-diagonal"])
+def test_integer_and_boolean_dtypes_certify_like_python_ints(t):
+    cert = ce.certify_border_rank2(t)
+    assert cert.tolerances["rank_tol"] == "exact"
+    assert cert.to_json() == ce.certify_border_rank2(_as_python_ints(t)).to_json()
+
+
+# entries near the int64 sweep bound and near the int64 range's ends
+NEAR_TOPS = [hd.INT64_SWEEP_BOUND, hd.INT64_SWEEP_BOUND + 1, tn.INT64_MAX]
+near_int64_entries = st.one_of(
+    st.integers(-3, 3),
+    st.builds(lambda top, off, sign: sign * (top - off), st.sampled_from(NEAR_TOPS), st.integers(0, 2),
+              st.sampled_from([1, -1])),
+    st.just(-tn.INT64_MAX - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 2, 2), (2, 2, 3), (2, 2, 2, 2)]).flatmap(
+    lambda shape: st.tuples(st.just(shape), st.lists(near_int64_entries, min_size=math.prod(shape),
+                                                     max_size=math.prod(shape)))))
+def test_exact_tensor_certifies_alike_as_fractions_python_ints_and_int64(drawn):
+    shape, entries = drawn
+    fractions = np.array([Fraction(v) for v in entries], dtype=object).reshape(shape)
+    python_ints = np.array(entries, dtype=object).reshape(shape)
+    int64 = np.array(entries, dtype=np.int64).reshape(shape)
+    want = ce.certify_border_rank2(fractions).to_json()
+    assert ce.certify_border_rank2(python_ints).to_json() == want
+    assert ce.certify_border_rank2(int64).to_json() == want
+
+
 @pytest.mark.parametrize("exact", [False, True])
 def test_certificate_json_equality_sees_every_subblock_value(exact):
     """to_json() compares by its content: a certificate that differs from
@@ -306,21 +356,21 @@ def test_non_finite_float_input_is_rejected(bad):
 ])
 def test_exact_input_is_scaled_to_integers_once(monkeypatch, top, sweep, stacks):
     """A Fraction 2^4 whose entries scale, by 3, to ints of largest |entry|
-    top: certification scales it in one pass, and hands that bound on, so
-    the sweep takes int64 exactly within INT64_SWEEP_BOUND and the
-    flattening stacks within INT64_MAX, and neither scans the entries to
-    scale or bound them again."""
+    top: certification scales it in one pass of `tn.integers`, whose dtype,
+    int64 within INT64_MAX and Python ints past it, tells the kernels the
+    rest.  The sweep reads an int64 array's bound by numpy and takes int64
+    exactly within INT64_SWEEP_BOUND, the flattening stacks stay in the
+    scaled dtype, and neither calls the scaler again."""
     rng = random.Random(top)
     scaled = [rng.randint(-top, top) for _ in range(16)]
     scaled[rng.randrange(16)] = top
     t = np.array([Fraction(c, 3) for c in scaled], dtype=object).reshape((2,) * 4)
     scalings, sweeps, ranked = [], [], []
-    integer_row, quartic, exact_matrix_rank = ce.integer_row, hd._quartic, tn.exact_matrix_rank
-    monkeypatch.setattr(ce, "integer_row", lambda row: scalings.append(len(row)) or integer_row(row))
-    monkeypatch.setattr(tn, "integer_row", lambda row: scalings.append(len(row)) or integer_row(row))
+    integers, quartic, exact_matrix_rank = tn.integers, hd._quartic, tn.exact_matrix_rank
+    monkeypatch.setattr(tn, "integers", lambda a: scalings.append(a.size) or integers(a))
     monkeypatch.setattr(hd, "_quartic", lambda *rows: sweeps.append(rows[0].dtype) or quartic(*rows))
     monkeypatch.setattr(tn, "exact_matrix_rank",
-                        lambda stack, bound=None: ranked.append(stack.dtype) or exact_matrix_rank(stack, bound))
+                        lambda stack: ranked.append(stack.dtype) or exact_matrix_rank(stack))
     cert = ce.certify_border_rank2(t)
     assert scalings == [16]
     assert sweeps == [np.dtype(sweep)] and ranked == [np.dtype(stacks)] * 2

@@ -368,6 +368,8 @@ def test_non_finite_input_gets_no_verdict(tmp_path, capsys, argv, payload):
     (["curve-scan", "--path", "crossing", "--curve"],
      {"d": 4, "F": QUARTIC_ROWS[:3] + [[0, 0, 0, 0, None]]}),
     (["curve-scan", "--curve", "monomial-quartic", "--path"], {"coefficients": 5}),
+    # a path file is an object with "coefficients"; a bare list of rows is not read
+    (["curve-scan", "--curve", "monomial-quartic", "--path"], [[84, -74], [13, 59], [62, 1], [-38, -10]]),
 ])
 def test_malformed_tensor_curve_and_path_input_gets_no_verdict(tmp_path, capsys, argv, payload):
     path = tmp_path / "c.json"
@@ -772,6 +774,21 @@ def test_exact_sweep_stdout_bytes_across_the_int64_bound(capsys, tmp_path, name,
     status, out, _ = run_cli(capsys, argv[0], "--file", str(path), *argv[1:])
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, dtype", [
+    ("at-bound", np.int64), ("past-bound", object), ("past-2^63", object), ("fraction", object)])
+def test_hyperdet_file_sweeps_python_ints_in_int64_and_fractions_unscaled(monkeypatch, capsys, tmp_path,
+                                                                          name, dtype):
+    shape, entries = EXACT_SWEEP_TENSORS[name]
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"shape": shape, "entries": entries}))
+    want = tn.num_json(hd.hyperdet222(tn.tensor(shape, entries)))  # unscaled, in the entries' type
+    seen, quartic = [], hd._quartic
+    monkeypatch.setattr(hd, "_quartic", lambda *rows: seen.append(rows[0].dtype) or quartic(*rows))
+    status, out, _ = run_cli(capsys, "hyperdet", "--file", str(path))
+    assert status == 0 and seen == [np.dtype(dtype)]
+    assert json.loads(out)["values"][0]["value"] == want
 
 
 # Exact flattening ranks near the int64 Gram bound: a wide flattening (r < c)

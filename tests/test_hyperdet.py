@@ -207,6 +207,28 @@ def test_int64_sweep_is_taken_exactly_for_ints_within_the_bound(monkeypatch, ent
     assert value == want and type(value) is type(want)
 
 
+@pytest.mark.parametrize("t, dtype", [
+    (np.array([BOUND, -BOUND, 3, 0, -7, 1, BOUND, 2], dtype=np.int64), np.int64),
+    (np.array([-BOUND, 0, 0, 0, 0, 0, 0, 1], dtype=np.int64), np.int64),
+    (np.array([BOUND + 1, -BOUND, 3, 0, -7, 1, BOUND, 2], dtype=np.int64), object),
+    (np.array([-BOUND - 1, 0, 0, 0, 0, 0, 0, 1], dtype=np.int64), object),
+    (np.array([-2**63, 0, 0, 0, 0, 0, 0, 1], dtype=np.int64), object),
+    (np.array([255, 0, 0, 0, 0, 0, 0, 1], dtype=np.uint8), np.int64),
+    (np.array([True, False, False, False, False, False, False, True]), np.int64),
+])
+def test_numpy_integer_tensor_sweeps_in_int64_only_within_the_bound(monkeypatch, t, dtype):
+    # numpy reads the bound; past it, on either sign, the values are
+    # Python ints, as hyperdet222 computes them from the entries' tolist()
+    t = t.reshape(2, 2, 2)
+    want = hd.hyperdet222(t)
+    seen, quartic = [], hd._quartic
+    monkeypatch.setattr(hd, "_quartic", lambda *rows: seen.append(rows[0].dtype) or quartic(*rows))
+    report = hd.all_subhyperdets(t)
+    assert seen == [np.dtype(dtype)]
+    assert report.values[0][1] == want and type(report.values[0][1]) is int
+    assert report.zero_tol == 0
+
+
 SWEEP_TOPS = [9, BOUND, BOUND + 1, 2**63, 10**21]
 
 

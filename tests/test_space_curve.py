@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -752,14 +753,21 @@ def restricted_by_substitution(poly: Polynomial, path) -> list[Fraction]:
 
 
 def test_fixture_polynomial_equals_substitution_oracle():
+    # the integer restriction is the true one times the positive factor
+    # den * D^6: den the fixture's denominator, D the lcm of the path's
+    # denominators and 6 the sextics' top degree
     rng = random.Random(23)
     paths = [tuple((Fraction(c0), Fraction(c1)) for c0, c1 in sc.CROSSING_PATH)]
     paths += [tuple((Fraction(rng.randint(-99, 99), rng.randint(1, 9)),
                      Fraction(rng.randint(-99, 99), rng.randint(1, 9))) for _ in sc.POINT_VARS)
               for _ in range(50)]
     for path in paths:
+        factor_d = math.lcm(*(c.denominator for row in path for c in row)) ** 6
         for poly in sc.MONOMIAL_QUARTIC_FIXTURES.values():
-            assert fraction_trim(sc._fixture_polynomial(poly, path)) == restricted_by_substitution(poly, path)
+            assert max(sum(e) for e in poly.terms) == 6
+            along = sc._fixture_polynomial(poly, path)
+            assert all(type(c) is int for c in along)
+            assert fraction_trim(along) == [poly.den * factor_d * c for c in restricted_by_substitution(poly, path)]
 
 
 def test_fixture_polynomial_needs_point_variables():

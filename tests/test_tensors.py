@@ -98,6 +98,56 @@ def test_exact_matrix_rank_object_dtype():
     assert tn.matrix_rank(mat) == 1
 
 
+def test_matrix_rank_of_an_int64_matrix_is_exact():
+    # sigma_2 / sigma_1 = 1e-9 is below the float rank's relative tolerance
+    mat = np.array([[10**9, 0, 0], [0, 1, 0]], dtype=np.int64)
+    assert tn.numeric_rank(mat) == 1
+    assert tn.matrix_rank(mat) == 2
+    assert tn.matrix_rank(np.stack([mat, 0 * mat])) == [2, 0]
+
+
+INT64_MIN = -tn.INT64_MAX - 1
+
+
+@pytest.mark.parametrize("entries, dtype, want", [
+    (np.array([tn.INT64_MAX, 0, -tn.INT64_MAX], dtype=object), np.int64, None),
+    (np.array([INT64_MIN, 0, 1], dtype=object), object, None),
+    (np.array([tn.INT64_MAX + 1, 0, 1], dtype=object), object, None),
+    (np.array([INT64_MIN, 0, 1], dtype=np.int64), object, None),
+    (np.array([tn.INT64_MAX, 0, 1], dtype=np.int64), np.int64, None),
+    (np.array([tn.INT64_MAX + 1, 0, 1], dtype=np.uint64), object, None),
+    (np.array([255, 0, 1], dtype=np.uint8), np.int64, None),
+    (np.array([True, False, True]), np.int64, [1, 0, 1]),
+    (np.array([Fraction(1, 2), Fraction(-1, 3), 0], dtype=object), np.int64, [3, -2, 0]),
+    (np.array([Fraction(tn.INT64_MAX, 2), Fraction(1, 3), 0], dtype=object), object,
+     [3 * tn.INT64_MAX, 2, 0]),
+])
+def test_integers_is_int64_exactly_when_every_entry_fits(entries, dtype, want):
+    # int64 exactly when max |entry| <= 2^63 - 1: -2^63 fits in int64 but
+    # its absolute value does not, so it takes Python ints too
+    got = tn.integers(entries.reshape(1, 3))
+    assert got.shape == (1, 3) and got.dtype == np.dtype(dtype)
+    assert got.ravel().tolist() == (entries.tolist() if want is None else want)
+    assert all(type(v) is int for v in got.ravel().tolist())
+
+
+def test_integers_choice_holds_under_optimize():
+    # the int64 / Python int choice is an if, not an assert
+    code = "\n".join([
+        "import numpy as np",
+        "from realrank2 import tensors as tn",
+        "assert False, 'asserts must be off'",
+        "for entries in ([2**63 - 1, -(2**63 - 1)], [-2**63, 0], [2**63, 0]):",
+        "    print(tn.integers(np.array(entries, dtype=object)).dtype)",
+        "print(tn.integers(np.array([-2**63, 0], dtype=np.int64)).dtype)",
+    ])
+    src = str(Path(tn.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["int64", "object", "object", "object"]
+
+
 def test_squeeze_ones():
     t = np.zeros((1, 3, 1, 2))
     assert tn.squeeze_ones(t).shape == (3, 2)
@@ -305,7 +355,7 @@ def test_gram_bound_holds_under_optimize():
 
 
 def test_exact_matrix_rank_of_a_stack_and_of_each_matrix():
-    # tall, wide and square members; Fractions are scaled per stack
+    # tall, wide and square members; Fractions are ranked exactly
     rng = np.random.default_rng(7)
     for shape in ((5, 3, 7), (4, 6, 2), (3, 4, 4)):
         stack = np.array(rng.integers(-2, 3, shape).tolist(), dtype=object) / Fraction(3)
