@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -269,6 +270,80 @@ def test_exact_generator_json_bytes(capsys, argv, digest):
     status, out, _ = run_cli(capsys, *argv)
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _sym_golden_payload(n: int, d: int, exact: bool) -> dict:
+    """x_u = a^u - b^u / 2, a real pair, plus c^u for even d, with small
+    integer vectors a, b, c; the float copy divides every coordinate by 3."""
+    a, b, c = (1, 2, -1, 3)[:n], (2, -1, 1, 1)[:n], (1, 1, 2, -2)[:n]
+    coeffs = {}
+    for u in tn.multidegrees(n, d):
+        x = math.prod(map(pow, a, u)) - Fraction(math.prod(map(pow, b, u)), 2)
+        if d % 2 == 0:
+            x += math.prod(map(pow, c, u))
+        coeffs[",".join(map(str, u))] = str(x) if exact else float(x) / 3
+    return {"n": n, "d": d, "coeffs": coeffs}
+
+
+# sha256 of the stdout of `certify --symmetric`, JSON then --format text
+SYM_CERTIFY_DIGESTS = {
+    (3, 3, True): ("8b58d43ad113d704a2555cd4d7a29736fbe74b33a41ba93e5680a19fcbe1cbe3",
+                    "a81c0ce73b3b7634af64bfcb6feb050184c3d95dd42ed90984b1150a0e152e61"),
+    (3, 3, False): ("e0f60d91de5d4fc34ef8d5235411d389a3f2626aac4f63893460af989946a039",
+                    "a13a3b83bf8e5fab17ecf5b6b011b17226ea218a67aa0e42cbcdc6795a1566f5"),
+    (3, 4, True): ("776dc6f11c9825580f714ad806e8b75af12d10a4b24f5f813643526765108a22",
+                    "ea8f15c98c021ec0e6af83034eec3b9cc62afada4aa5f58bb84f51fbd0ab3b43"),
+    (3, 4, False): ("50f6b0bf2efa04960c0c6f47ad712797d191e48a8f89e596cf9d6a8e35ebfd94",
+                    "b1ad3bc233e1a1fe5769f0091f2d8187e3c867377a6998564d052a9fce324044"),
+    (3, 5, True): ("84c88dea337ce98321c256d7bff1d4f0a7355e1d82cee05064bce30ce44cf157",
+                    "ba1247747ccdef7996f7227615f1ca1a9e77bcd417b3829db644790213202560"),
+    (3, 5, False): ("124676b513ad4981f004165baf8a013903d62ec41fd5d973021d942563601770",
+                    "631072f37a1f41e6bb9253cf7c8220f3358ce299a19746710a7295ace86dad8a"),
+    (3, 6, True): ("1beee922637e113a8c70c2bd5937289679fd01eaee0536f8b087b605f74a471e",
+                    "2d9b1402e61fdd10f8ebc46ee04382a91ac02740e715cf83e20d7b4b3605e341"),
+    (3, 6, False): ("903847d01bce81390b8dc6370b8152d46ac4703a9f3596aa20b058a4a82bf9ea",
+                    "631246a76dcb2620d7061eab03a7897d513b854d8d00b0977fd803f249a52615"),
+    (3, 7, True): ("14c1662980c608e58905c143c010b4cd4fe9bf07d9a1c990f0124a5f295ce6e9",
+                    "42512bba9de6f43bbdc0b2e3fda8ae739cbf48839f52678b1ac8cf64790c6bf5"),
+    (3, 7, False): ("3baab2d8fdfc5476554500fbdea955c7a8d027bffecfc79e1a4b78f17b473cfc",
+                    "acb4dcbffd662c8a0908c28c98ea4602e5d89046ae9d3ccd58cfeaadbb88a2b6"),
+    (3, 8, True): ("4cc1e53059eabd7c116585bbf18bca147e8cf8e3bb22577548f8ac0d0d9d7eb5",
+                    "aec0fddb4a39442497a5cae437dfa0ed362911bc9fb1070c70130b71c598f782"),
+    (3, 8, False): ("760b7620aa85b94c4879d98b9111054fa221c7102b5306af5d08ce819f0c2d21",
+                    "b7ea752408e5e9dbd9e94c15c4dd39b6b29505cc9606e9cfd110f84997c7a66c"),
+    (4, 4, True): ("a6770425c017208647bdc4ebe8fc429e083f9aeec66afeb06a1912ad1db92b4c",
+                    "3074a3dae2c4cc6d5c54851e94af50f68f6c4d29218cd824088d6a4c409e68a4"),
+    (4, 4, False): ("1f47c54b11762461c47240fa3f86b9b0d0db2d39d7034049c4c54d792a636ccc",
+                    "830bd802aabff68597bc90d781264a722ece3c0c1e02533d0f4d83ea665dad5a"),
+    (4, 5, True): ("1b130ed367702198bb6c2ff766698fd6c5bb08cd69777fc39c26657be20bb57e",
+                    "27c3be612b1167601bf4bbddc472ae4cba3dabc2e83293367efb5c3bd49b61ed"),
+    (4, 5, False): ("4f64ce15788d64752fa0f65029aa88c8b56db4ebe14506f6648fb4025139bd1e",
+                    "6463d568b19bf1438739efe7b2c93a73efcaf1a7e4ba1df1690293123000a0d4"),
+    (4, 6, True): ("3d80b5109fe9374b303defa53d9c0b780ebfd25aaed41d47e7bb42b19b709bb3",
+                    "dfa6b3fab7736e674056d046ad818c08af35cdf9a59913f8644660725a50216b"),
+    (4, 6, False): ("5b7f6b7c1611841f9d6e271312bd020462ee022bf0779d78de30b67c1b6cae2a",
+                    "1c810903cc3136f2017b1786d1c2cf3f2242e79c1157b8cece234bf1cebd748c"),
+    (1, 5, True): ("b7f6371e0c9e5ce201d57d156a607e971ab665233dcfad1a9a159add7b468feb",
+                    "9dce2215cfb0136687afd70574da6ab86643f35a170aa81eeba4ba09b07ac165"),
+    (1, 5, False): ("a0de359530aa4692f6f1cb109e79e55d25a9db00c0b2dc5df98804a621538052",
+                    "9dce2215cfb0136687afd70574da6ab86643f35a170aa81eeba4ba09b07ac165"),
+    (3, 2, True): ("642997541e2b571db96c68cbd51fbcac2f7e7da409832b2f3537ca8658249253",
+                    "a0a955e965cade7030b57f6d350e22be5247aaf1532754d4b71ddaaf601acf9c"),
+    (3, 2, False): ("87c4864d806ff684943aa01cdb05b9d218d49b6fa6c7ea0813962ef95f92601b",
+                    "a0a955e965cade7030b57f6d350e22be5247aaf1532754d4b71ddaaf601acf9c"),
+}
+
+
+@pytest.mark.parametrize("n, d, exact", list(SYM_CERTIFY_DIGESTS))
+def test_symmetric_certificate_bytes(capsys, tmp_path, n, d, exact):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(_sym_golden_payload(n, d, exact)))
+    digests = []
+    for fmt in ("json", "text"):
+        status, out, _ = run_cli(capsys, "certify", "--symmetric", "--file", str(path), "--format", fmt)
+        assert status == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == SYM_CERTIFY_DIGESTS[n, d, exact]
 
 
 def test_config_echo_on_stderr(capsys):
