@@ -27,7 +27,7 @@ from . import decompose as dc
 from . import hyperdet as hd
 from . import tensors as tn
 from .multipoly import Polynomial, det_bareiss, evaluate, normalized
-from .tableaux import DegreeTooSmall, quadric_basis
+from .tableaux import MAX_GENERATORS, DegreeTooSmall, TooManyGenerators, quadric_basis
 
 
 class WrongDegree(ValueError):
@@ -90,17 +90,6 @@ def hankel(f: BinaryForm) -> np.ndarray:
     dtype = object if f.is_exact() else float
     return np.array([[f.coords[r + c] for c in range(f.d - 1)] for r in range(3)],
                     dtype=dtype)
-
-
-def hankel_rank(f: BinaryForm, tol: float = 1e-8) -> int:
-    return tn.matrix_rank(hankel(f), tol)
-
-
-def discriminant_values(f: BinaryForm) -> list:
-    """D_0 .. D_{d-3} evaluated on the form's coordinates."""
-    if f.d < 3:
-        raise DegreeTooSmall("discriminant quartics need degree >= 3")
-    return [hd.discriminant_quartic(f.coords, i) for i in range(f.d - 2)]
 
 
 def classify_binary_form(f: BinaryForm, tol: float = 1e-8) -> BinaryFormVerdict:
@@ -176,9 +165,13 @@ def _symbolic_hankel(d: int) -> list[list[dict]]:
 
 def tau_sigma_ideal_report(d: int) -> IdealReport:
     """Exact generators: 2x2 minors of H (the curve), 3x3 minors (its secant
-    variety), and the tangential-variety generators appropriate for d."""
+    variety), and the tangential-variety generators appropriate for d;
+    TooManyGenerators before any is built past MAX_GENERATORS minors."""
     if d < 3:
         raise DegreeTooSmall("ideal report needs degree >= 3")
+    minors = 3 * comb(d - 1, 2) + comb(d - 1, 3)
+    if minors > MAX_GENERATORS:
+        raise TooManyGenerators(f"the ideal for d={d} has {minors} minors, more than {MAX_GENERATORS}")
     names = tuple(f"x{i}" for i in range(d + 1))
     h = _symbolic_hankel(d)
 

@@ -14,19 +14,32 @@ The decision procedure combines flattening ranks with the signs of every
 The boundary verdict is deliberately cautious: a tensor can sit on the
 hyperdeterminantal boundary and still have real rank two (for example
 e1^(x)4 + e2^(x)4), and the certificate does not attempt to resolve that.
+
+A symmetric tensor is certified from its coordinates, never expanded: its
+flattenings are its catalecticants Cat(1, d-1) and Cat(2, d-2), and its
+sub-block hyperdeterminants the shifted discriminants of binary cubics.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
+import math
 from dataclasses import dataclass
+from operator import add
 from typing import Sequence
 
 import numpy as np
 
 from . import hyperdet as hd
 from . import tensors as tn
+
+# (n, d) pairs whose catalecticant and quartic plan certify_symmetric keeps
+SYMMETRIC_PLAN_CACHE_SIZE = 16
+# most quartics, Cat(2, d-2) entries and flattening ranks certify_symmetric
+# takes on: the largest binary form, of degree 9999, has a 3 x 9998 Hankel matrix
+MAX_SYMMETRIC_WORK = 3 * tn.MAX_SYM_COORDS
 
 
 class Verdict(str, enum.Enum):
@@ -108,21 +121,9 @@ def _certificate(t: np.ndarray, ranks: dict[str, int], merged_ranks: dict[str, i
                        {"rank_tol": "exact" if tn.is_exact(t) else tol, "hyperdet_zero_tol": report.zero_tol})
 
 
-def _flattening_certificate(t: np.ndarray, tol: float, report: hd.HyperdetReport) -> Certificate:
-    # single-mode ranks of a 2 x ... x 2 tensor are bounded by 2 no matter
-    # what, so for order >= 4 the two-mode flattenings carry the border-rank
-    # obstruction and have to be checked unconditionally
-    singles = [(m,) for m in range(t.ndim)]
-    pairs = list(itertools.combinations(range(t.ndim), 2)) if t.ndim >= 4 else []
-    ranks = tn.flattening_ranks(t, singles + pairs, tol)
-    single = dict(zip(map(_mode_label, singles), ranks))
-    merged = dict(zip(map(_mode_label, pairs), ranks[len(singles):])) or None
-    return _certificate(t, single, merged, report, tol)
-
-
 def _matrix_certificate(t: np.ndarray, tol: float) -> Certificate:
     # after squeezing size-1 modes away a tensor of order <= 2 is a matrix
-    mat = t.reshape(t.shape[0], -1) if t.ndim >= 1 else t.reshape(1, 1)
+    mat = t.reshape(t.shape[0], -1)
     # no sub-blocks: the empty report records the rank tolerance
     report = hd.report_from_values([], 0 if tn.is_exact(t) else tol)
     return _certificate(t, {"matrix": tn.matrix_rank(mat, tol)}, None, report, tol)
@@ -137,7 +138,15 @@ def certify_border_rank2(t: np.ndarray, tol: float = 1e-8) -> Certificate:
     t = tn.squeeze_ones(_exact_or_finite(t))
     if t.ndim <= 2:
         return _matrix_certificate(t, tol)
-    return _flattening_certificate(t, tol, hd.all_subhyperdets(t))
+    # single-mode ranks of a 2 x ... x 2 tensor are bounded by 2 no matter
+    # what, so for order >= 4 the two-mode flattenings carry the border-rank
+    # obstruction and have to be checked unconditionally
+    singles = [(m,) for m in range(t.ndim)]
+    pairs = list(itertools.combinations(range(t.ndim), 2)) if t.ndim >= 4 else []
+    ranks = tn.flattening_ranks(t, singles + pairs, tol)
+    single = dict(zip(map(_mode_label, singles), ranks))
+    merged = dict(zip(map(_mode_label, pairs), ranks[len(singles):])) or None
+    return _certificate(t, single, merged, hd.all_subhyperdets(t), tol)
 
 
 def tangential_witness(xs: Sequence, ys: Sequence) -> np.ndarray:
@@ -159,41 +168,83 @@ def tangential_witness(xs: Sequence, ys: Sequence) -> np.ndarray:
     return total
 
 
+def _catalecticant(n: int, d: int, k: int, where: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Cat(k, d-k), whose entry at row a (|a| = k) and column b (|b| = d-k),
+    both in multidegrees order, is x_(a+b): the positions of those
+    coordinates, and log sqrt(binom(k; a) binom(d-k; b)) by lgamma, as
+    `tn.comb_multi` takes seconds on the 9998 columns of degree 9999."""
+    rows, cols = tn.multidegrees(n, k), tn.multidegrees(n, d - k)
+    index = np.array([[where[tuple(map(add, a, b))] for b in cols] for a in rows], dtype=np.intp)
+    half_log = [[(math.lgamma(m + 1) - sum(math.lgamma(e + 1) for e in u)) / 2 for u in us]
+                for m, us in ((k, rows), (d - k, cols))]
+    return index, np.add.outer(*half_log)
+
+
+@functools.lru_cache(maxsize=SYMMETRIC_PLAN_CACHE_SIZE)
+def _symmetric_plan(n: int, d: int) -> tuple[list, list, list]:
+    """What `certify_symmetric` reads for one (n, d), built once: the
+    coordinate order, multidegrees(n, d); per catalecticant, its index, half
+    log weights and flattening labels (for d <= 2 the form's one matrix, for
+    n = 2 the Hankel matrix Cat(2, d-2), else Cat(1, d-1) for the single-mode
+    ones and, for d >= 4, Cat(2, d-2) for the merged ones); per quartic, one
+    per variable pair and multidegree w of the fixed slots (D_i for w =
+    (d-3-i, i) when n = 2), its label and four coordinate positions.  First,
+    TooManyCoordinates past MAX_SYMMETRIC_WORK quartics, Cat(2, d-2) entries
+    (the most of any catalecticant) or flattening ranks (n = 1 has one
+    coordinate for every d)."""
+    if d >= 3:
+        quartics = math.comb(n, 2) * math.comb(n + d - 4, d - 3)
+        rows, cols = math.comb(n + 1, 2), math.comb(n + d - 3, d - 2)
+        labels = 1 if n == 2 else math.comb(d + 1, 2)
+        if max(quartics, rows * cols, labels) > MAX_SYMMETRIC_WORK:
+            raise tn.TooManyCoordinates(
+                f"n={n}, d={d}: {quartics} discriminant quartics, {rows * cols} catalecticant entries "
+                f"({rows} x {cols}) and {labels} flattening ranks; certification takes at most "
+                f"{MAX_SYMMETRIC_WORK} of each")
+    coords = tn.multidegrees(n, d)
+    where = {u: i for i, u in enumerate(coords)}
+    if d <= 2:
+        return coords, [(*_catalecticant(n, d, max(d - 1, 0), where), ["matrix"])], []
+    if n == 2:
+        cats = [(*_catalecticant(n, d, 2, where), ["hankel"])]
+    else:
+        cats = [(*_catalecticant(n, d, 1, where), [_mode_label((m,)) for m in range(d)])]
+        if d >= 4:
+            pairs = itertools.combinations(range(d), 2)
+            cats.append((*_catalecticant(n, d, 2, where), list(map(_mode_label, pairs))))
+    quartics = [(f"D{i}" if n == 2 else f"pair({p + 1},{q + 1})@" + ",".join(map(str, w)),
+                 [where[tuple(e + (3 - k) * (m == p) + k * (m == q) for m, e in enumerate(w))] for k in range(4)])
+                for p, q in itertools.combinations(range(n), 2) for i, w in enumerate(tn.multidegrees(n, d - 3))]
+    return coords, cats, quartics
+
+
+def _weighted(cat: np.ndarray, half_log: np.ndarray) -> np.ndarray:
+    """A float catalecticant times its weights exp(half_log), which gives it
+    the dense flattening's Gram matrix and singular values; formed in logs and
+    divided by its largest entry past 1, as weights overflow a double from
+    degree about 1030 on, and scaling leaves the rank as it is."""
+    with np.errstate(divide="ignore"):  # log 0 = -inf, whose exp is 0
+        logs = np.log(np.abs(cat)) + half_log
+    return np.copysign(np.exp(logs - max(logs.max(), 0.0)), cat)
+
+
 def certify_symmetric(f: tn.SymTensorCoords, tol: float = 1e-8) -> Certificate:
     """Certificate for a symmetric tensor given in scaled monomial coordinates.
 
-    Binary forms (n = 2) use the 3 x (d-1) Hankel rank plus the d-2 shifted
-    discriminant quartics, which take exactly the same values as the full
-    sub-block enumeration on the symmetric tensor.  For n >= 3 the tensor is
-    certified directly, with the hyperdeterminant list reduced to one
-    sub-block per variable pair and multidegree of the fixed slots; that
-    dense n^d array must have at most MAX_SYM_COORDS entries
-    (`sym_to_tensor` raises TooManyCoordinates otherwise).
+    The flattenings of a symmetric tensor are its catalecticants, and its
+    sub-block hyperdeterminants are shifted binary cubic discriminants of
+    four coordinates, so the dense n^d tensor is never built.  Exact
+    coordinates are scaled to integers once; a float catalecticant is
+    weighted to have the dense flattening's singular values.
     """
-    if f.d <= 2:
-        # a linear or quadratic form is a vector or symmetric matrix
-        return _matrix_certificate(np.atleast_2d(_exact_or_finite(tn.sym_to_tensor(f))), tol)
-    if f.n == 2:
-        # imported here because binary_forms imports this module
-        from . import binary_forms as bf
-
-        form = bf.BinaryForm(f.d, [f.coeffs[(f.d - i, i)] for i in range(f.d + 1)])
-        h = _exact_or_finite(bf.hankel(form))  # every coordinate, in the form's dtype
-        values = [(f"D{i}", v) for i, v in enumerate(bf.discriminant_values(form))]
-        report = hd.report_from_values(values, hd.hyperdet_zero_tol(h))
-        return _certificate(h, {"hankel": tn.matrix_rank(h, tol)}, None, report, tol)
-
-    t = _exact_or_finite(tn.sym_to_tensor(f))
-    values = []
-    for p in range(f.n):
-        for q in range(p + 1, f.n):
-            for w in tn.multidegrees(f.n, f.d - 3):
-                coords = []
-                for k in range(4):
-                    u = list(w)
-                    u[p] += 3 - k
-                    u[q] += k
-                    coords.append(f.coeffs[tuple(u)])
-                label = f"pair({p + 1},{q + 1})@" + ",".join(str(e) for e in w)
-                values.append((label, hd.discriminant_quartic(coords, 0)))
-    return _flattening_certificate(t, tol, hd.report_from_values(values, hd.hyperdet_zero_tol(t)))
+    coords, cats, quartics = _symmetric_plan(f.n, f.d)
+    raw = [f.coeffs[u] for u in coords]
+    x = _exact_or_finite(np.array(raw, dtype=object if f.is_exact() else float))
+    if f.d <= 2:  # a vector or a symmetric matrix, whose weights are all 1
+        return _matrix_certificate(x[cats[0][0]], tol)
+    single, *merged = [dict.fromkeys(labels, tn.matrix_rank(x[index] if tn.is_exact(x) else
+                                                             _weighted(x[index], half_log), tol))
+                       for index, half_log, labels in cats]
+    values = [(label, hd.discriminant_quartic([raw[i] for i in at], 0)) for label, at in quartics]
+    report = hd.report_from_values(values, hd.hyperdet_zero_tol(x))
+    return _certificate(x, single, merged[0] if merged else None, report, tol)

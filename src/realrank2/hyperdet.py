@@ -59,8 +59,8 @@ def hyperdet_zero_tol(t: np.ndarray, scale: float = DEFAULT_ZERO_TOL_SCALE):
     """Zero threshold for hyperdet values of sub-blocks of t.
 
     The hyperdeterminant is quartic in the entries, hence the fourth power.
-    The binary-form discriminant tests pass the form's Hankel matrix, which
-    holds every coordinate in the form's dtype.  Exact (object, integer or
+    Symmetric certificates pass the coordinate vector, and the quintic test
+    the form's Hankel matrix.  Exact (object, integer or
     boolean) arrays use an exact zero test.
     """
     if is_exact(t):

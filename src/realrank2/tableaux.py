@@ -19,11 +19,21 @@ from typing import Sequence
 
 from .exactsolve import Inconsistent, exact_rank, rank_mod_p
 from .multipoly import Polynomial, accumulate, normalized, times
-from .tensors import multidegrees
+from .tensors import comb_multi, multidegrees
+
+
+# most generators quadric_basis or the ideal report builds, so that a few bytes
+# of argv cannot ask for unbounded work: quadric_basis(4, 6), the largest in
+# use, has 1711; quadric_basis(2, 65) has 1891 and takes about 2 s
+MAX_GENERATORS = 2000
 
 
 class BadShape(ValueError):
     pass
+
+
+class TooManyGenerators(ValueError):
+    """A generator set larger than MAX_GENERATORS, refused before it is built."""
 
 
 class NonIntegral(ArithmeticError):
@@ -179,16 +189,6 @@ def tangential_point(a: Sequence, b: Sequence, d: int) -> list[Fraction]:
     return out
 
 
-def comb_multi(d: int, u: Sequence[int]) -> int:
-    """Multinomial coefficient binom(d; u)."""
-    out = 1
-    rest = d
-    for e in u:
-        out *= comb(rest, e)
-        rest -= e
-    return out
-
-
 def pushforward(quadric: dict[tuple[int, int], int], coords: Sequence[tuple[int, ...]]) -> dict:
     """Terms of a quadric in the x_u under x_u -> a^u + b^u, keyed by exponent
     vectors over (a1..an, b1..bn), zero coefficients dropped.  The quadric is
@@ -261,10 +261,16 @@ def quadric_basis(n: int, d: int) -> list[QuadricGenerator]:
     content one and positive leading coefficient; exact linear
     independence of the result is checked: by the rank modulo a prime, which
     proves it when full, and by the Bareiss rank when it is not.  The
-    coordinate names and multidegrees are built once per call.
+    coordinate names and multidegrees are built once per call.  BadShape for
+    n < 2 and TooManyGenerators past MAX_GENERATORS, before anything is built.
     """
     if d <= 3:
         raise DegreeTooSmall("no quadrics vanish on the tangential variety for d <= 3")
+    _check_shape(n, d, 4)
+    # each of the (d - 2) // 2 hook-length terms is at least 1; stop once past the limit
+    counts = itertools.accumulate(hook_length_dim(n, d, k) for k in range(4, d + 1, 2))
+    if (d - 2) // 2 > MAX_GENERATORS or any(count > MAX_GENERATORS for count in counts):
+        raise TooManyGenerators(f"the quadric basis for n={n}, d={d} has more than {MAX_GENERATORS} generators")
     coords = multidegrees(n, d)
     index = {u: i for i, u in enumerate(coords)}
     names = tuple(map(coordinate_name, coords))

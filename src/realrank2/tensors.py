@@ -314,13 +314,26 @@ class SymTensorCoords:
 
 
 def multidegrees(n: int, d: int) -> list[tuple[int, ...]]:
-    """All multidegrees of total degree d in n slots, descending lex."""
+    """All multidegrees of total degree d in n slots, descending lex;
+    ShapeMismatch unless n >= 1 and d >= 0."""
+    if n < 1 or d < 0:
+        raise ShapeMismatch(f"need n >= 1 and d >= 0, got n={n}, d={d}")
     if n == 1:
         return [(d,)]
     out = []
     for first in range(d, -1, -1):
         for rest in multidegrees(n - 1, d - first):
             out.append((first,) + rest)
+    return out
+
+
+def comb_multi(d: int, u: Sequence[int]) -> int:
+    """Multinomial coefficient binom(d; u)."""
+    out = 1
+    rest = d
+    for e in u:
+        out *= comb(rest, e)
+        rest -= e
     return out
 
 
@@ -332,7 +345,9 @@ def index_multidegree(index: Sequence[int], n: int) -> tuple[int, ...]:
 
 
 def sym_to_tensor(f: SymTensorCoords) -> np.ndarray:
-    """Symmetric tensor with t[i_1 .. i_d] = x_(multidegree of the index).
+    """Symmetric tensor with t[i_1 .. i_d] = x_(multidegree of the index),
+    for `hyperdet --symmetric` and `decompose --symmetric`; certification
+    reads catalecticants of the coordinates and never expands.
 
     For d >= 3 its n^d entries must number at most MAX_SYM_COORDS
     (TooManyCoordinates otherwise, before anything is expanded).  For

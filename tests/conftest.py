@@ -6,7 +6,9 @@ tables are tested against, the reference term-map accumulator, `ring`,
 which lifts a library `Polynomial` into it, `int_form`, which turns an
 integer Poly into the term map a resultant takes, and its fraction-free
 Bareiss determinant; the coordinate names
-x_u of a Veronese; the 2x2x2 sub-block
+x_u of a Veronese; the dense flattening ranks (`sym_to_tensor`, `flatten`
+and a Fraction elimination rank) that catalecticant ranks are tested
+against; the 2x2x2 sub-block
 selectors, one per block, and their one-block gather, the oracle that the
 hyperdeterminant sweep plan is tested against; a polynomial substitution
 oracle, the cofactor determinant and the Sylvester resultant that the
@@ -294,6 +296,31 @@ def reference_accumulate(acc: Mapping, terms, scale: int = 1) -> dict:
 def coordinate_names(n: int, d: int) -> list[str]:
     """The names x_u of the degree-d coordinates in n variables, in multidegree order."""
     return [tb.coordinate_name(u) for u in tn.multidegrees(n, d)]
+
+
+def fraction_rank(rows) -> int:
+    """Rank over the rationals by Gaussian elimination on Fractions."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                factor = rows[i][col] / rows[rank][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def dense_flattening_ranks(f: tn.SymTensorCoords, selections: Sequence[Sequence[int]]) -> list[int]:
+    """Exact ranks of the flattenings of the dense n^d tensor of exact
+    symmetric coordinates, one per selection of row modes: the oracle that
+    the catalecticant ranks of `certify_symmetric` are tested against."""
+    t = tn.sym_to_tensor(f)
+    return [fraction_rank(tn.flatten(t, modes).tolist()) for modes in selections]
 
 
 def ring(poly: Poly | Polynomial) -> Poly:

@@ -129,7 +129,7 @@ def test_quartic_boundary_geometry():
     f = bf.BinaryForm(4, [1, 0, 0, 0, 1])
     h = bf.hankel(f)
     assert tn.matrix_rank(h, 0.0) == 2
-    assert bf.discriminant_values(f) == [0, 0]
+    assert bf.classify_binary_form(f).d_values == [0, 0]
     report = bf.tau_sigma_ideal_report(4)
     q = dict(report.tangential_generators)["Q"]
     assert evaluate(q, {f"x{i}": c for i, c in enumerate(f.coords)}) == 1
@@ -140,7 +140,7 @@ def test_hankel_layout_and_rank():
     h = bf.hankel(f)
     assert h.shape == (3, 4)
     assert [[int(v) for v in row] for row in h] == [[0, 1, 2, 3], [1, 2, 3, 4], [2, 3, 4, 5]]
-    assert bf.hankel_rank(f) == 2
+    assert bf.classify_binary_form(f).hankel_rank == 2
 
 
 def test_ideal_report_structure():
@@ -155,7 +155,7 @@ def test_ideal_report_structure():
     assert [label for label, _ in cubic.tangential_generators] == ["D"]
     coords = [Fraction(3), Fraction(-1), Fraction(2), Fraction(5)]
     value = evaluate(cubic.tangential_generators[0][1], {f"x{i}": c for i, c in enumerate(coords)})
-    assert value == bf.discriminant_values(bf.BinaryForm(3, coords))[0]
+    assert value == bf.classify_binary_form(bf.BinaryForm(3, coords)).d_values[0]
 
     quintic = bf.tau_sigma_ideal_report(5)
     assert [label for label, _ in quintic.tangential_generators] == [

@@ -3,6 +3,7 @@ goldens for the named fixture tensors."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -17,6 +18,8 @@ from realrank2 import certify as ce
 from realrank2 import hyperdet as hd
 from realrank2 import tensors as tn
 from realrank2.exactsolve import exact_rank
+
+from conftest import dense_flattening_ranks
 
 SHAPES = [(2, 2, 2), (3, 2, 2), (2, 2, 2, 2), (3, 3, 3)]
 
@@ -104,6 +107,61 @@ def test_oracle_equivalence_symmetric_vs_tensor(d, seed):
     sym = ce.certify_symmetric(f)
     full = ce.certify_border_rank2(tn.sym_to_tensor(f))
     assert sym.verdict == full.verdict
+
+
+def _label_modes(label: str) -> tuple[int, ...]:
+    """Row modes of a certificate's flattening label: the Hankel matrix of a
+    binary form is its merged flattening on the first two modes."""
+    return (0, 1) if label == "hankel" else tuple(int(m) - 1 for m in label.split("_")[1:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(3, 6), st.data())
+def test_catalecticant_ranks_equal_dense_flattening_ranks(n, d, data):
+    """An exact symmetric tensor of rank at most r = 1..4, sum of w_j v_j^(x)d
+    over small integer vectors: every flattening rank of its certificate is
+    the rank of that flattening of the dense tensor."""
+    r = data.draw(st.integers(1, 4))
+    vectors = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=r, max_size=r))
+    weights = data.draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=r, max_size=r))
+    f = tn.SymTensorCoords(n, d, {u: sum(w * math.prod(map(pow, v, u)) for w, v in zip(weights, vectors))
+                                  for u in tn.multidegrees(n, d)})
+    ranks = ce.certify_symmetric(f).flattening_ranks
+    singles = [(m,) for m in range(d)]
+    pairs = [tuple(p) for p in itertools.combinations(range(d), 2)] if d >= 4 else []
+    assert list(map(_label_modes, ranks)) == ([(0, 1)] if n == 2 else singles + pairs)
+    assert list(ranks.values()) == dense_flattening_ranks(f, list(map(_label_modes, ranks)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(3, 6), st.integers(0, 10_000), st.sampled_from([1e-3, 1.0, 1e3]))
+def test_weighted_catalecticant_has_the_dense_flattening_singular_values(n, d, seed, scale):
+    """A float catalecticant weighted by the square roots of its rows' and
+    columns' multinomial counts has the dense flattening's singular values,
+    up to the one positive factor that keeps its entries at most 1."""
+    rng = np.random.default_rng(seed)
+    degrees = tn.multidegrees(n, d)
+    f = tn.SymTensorCoords(n, d, dict(zip(degrees, (scale * rng.standard_normal(len(degrees))).tolist())))
+    t = tn.sym_to_tensor(f)
+    coords, cats, _ = ce._symmetric_plan(n, d)
+    x = np.array([f.coeffs[u] for u in coords])
+    for index, half_log, labels in cats:
+        s = np.linalg.svd(ce._weighted(x[index], half_log), compute_uv=False)
+        dense = np.linalg.svd(tn.flatten(t, _label_modes(labels[0])), compute_uv=False)
+        np.testing.assert_allclose(s * (dense[0] / s[0]), dense[:len(s)], rtol=0, atol=1e-12 * dense[0])
+        assert np.all(dense[len(s):] <= 1e-12 * dense[0])
+
+
+def test_symmetric_certificate_never_expands_the_dense_tensor(monkeypatch):
+    """certify_symmetric reads catalecticants for every n and d, exact or
+    float, and never calls sym_to_tensor."""
+    monkeypatch.setattr(tn, "sym_to_tensor", lambda f: pytest.fail("certify_symmetric expanded the tensor"))
+    ce._symmetric_plan.cache_clear()
+    for n in range(1, 5):
+        for d in range(0, 7):
+            coeffs = {u: Fraction(i % 5 - 2, 1 + i % 3) for i, u in enumerate(tn.multidegrees(n, d))}
+            for f in (coeffs, {u: float(v) for u, v in coeffs.items()}):
+                assert ce.certify_symmetric(tn.SymTensorCoords(n, d, f)).verdict in ce.Verdict
 
 
 small_st = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))

@@ -21,6 +21,7 @@ from realrank2 import cli
 from realrank2 import decompose as dc
 from realrank2 import hyperdet as hd
 from realrank2 import multipoly as mp
+from realrank2 import tableaux as tb
 from realrank2 import tensors as tn
 from realrank2.cli import DEFAULT_SEED, main
 
@@ -465,6 +466,41 @@ def test_shape_whose_entry_count_wraps_int64_gets_shape_mismatch(capsys, tmp_pat
     assert err.splitlines()[-1].startswith("error: ShapeMismatch")
 
 
+@pytest.mark.parametrize("command", ["certify", "hyperdet"])
+@pytest.mark.parametrize("n, d", [(0, 3), (-1, 2), (2, -2), (0, -1)])
+def test_symmetric_file_with_no_slots_or_a_negative_degree_gets_shape_mismatch(capsys, tmp_path, command, n, d):
+    # n = 0 once recursed without end in multidegrees, and d < 0 reached math.comb
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps({"n": n, "d": d, "coeffs": {}}))
+    status, out, err = run_cli(capsys, command, "--symmetric", "--file", str(path))
+    assert status == 1
+    assert out == ""
+    assert err.splitlines()[-1] == f"error: ShapeMismatch: need n >= 1 and d >= 0, got n={n}, d={d}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("quadrics", "4", "10"), "the quadric basis for n=4, d=10 has more than 2000 generators"),
+    (("quadrics", "6", "8"), "the quadric basis for n=6, d=8 has more than 2000 generators"),
+    (("quadrics", "2", "66"), "the quadric basis for n=2, d=66 has more than 2000 generators"),
+    (("quadrics", "2", "100000000"), "the quadric basis for n=2, d=100000000 has more than 2000 generators"),
+    (("ideal", "--d", "400"), "the ideal for d=400 has 10745602 minors, more than 2000"),
+    (("ideal", "--d", "60"), "the ideal for d=60 has 37642 minors, more than 2000"),
+    (("ideal", "--d", "23"), "the ideal for d=23 has 2233 minors, more than 2000"),
+])
+def test_generator_sets_past_the_limit_are_refused_before_they_are_built(capsys, monkeypatch, argv, message):
+    """A few bytes of argv cannot ask for unbounded work: past MAX_GENERATORS
+    (2000; quadrics 4 6, the largest basis in use, has 1711) the count alone
+    refuses the request."""
+    monkeypatch.setattr(tb, "enumerate_tableaux", _unreachable)
+    monkeypatch.setattr("realrank2.binary_forms.det_bareiss", _unreachable)
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert status == 1
+    assert out == ""
+    assert err.splitlines()[-1] == f"error: TooManyGenerators: {message}"
+
+
 def test_symmetric_file_asking_for_too_many_coordinates_gets_no_verdict(capsys, tmp_path):
     path = tmp_path / "sym.json"
     path.write_text('{"n": 2, "d": 100000, "coeffs": {"100000,0": 1}}')
@@ -479,25 +515,68 @@ def test_symmetric_file_asking_for_too_many_coordinates_gets_no_verdict(capsys, 
 
 @pytest.mark.parametrize("n, d, admitted", [(3, 8, True), (3, 9, False), (3, 11, False),
                                              (4, 6, True), (4, 7, False), (10, 4, True), (22, 3, False)])
-def test_symmetric_tensor_too_large_to_expand_gets_no_verdict(capsys, tmp_path, n, d, admitted):
-    """For n >= 3 certification expands the dense n^d array, so n^d, not the
-    coordinate count, is held to MAX_SYM_COORDS."""
+def test_symmetric_tensor_too_large_to_expand_gets_no_verdict(capsys, tmp_path, monkeypatch, n, d, admitted):
+    """`admitted` says whether the dense n^d array is within MAX_SYM_COORDS.
+    certify reads catalecticants and never expands it, so each of these
+    files gets a verdict in well under a second; one too large to expand
+    gets no verdict from hyperdet, which does expand it."""
     keys = [",".join(str(d * (i == k)) for i in range(n)) for k in range(2)]
     path = tmp_path / "sym.json"
     path.write_text(json.dumps({"n": n, "d": d, "coeffs": {key: 1 for key in keys}}))
     if (n, d) == (3, 11):
         assert path.read_text() == '{"n": 3, "d": 11, "coeffs": {"11,0,0": 1, "0,11,0": 1}}'
         assert path.stat().st_size == 55
+    monkeypatch.setattr(tn, "sym_to_tensor", _unreachable)
     start = time.perf_counter()
     status, out, err = run_cli(capsys, "certify", "--symmetric", "--file", str(path))
-    if admitted:
-        assert status == 0 and "verdict" in json.loads(out)
-        return
     assert time.perf_counter() - start < 1.0  # nothing is expanded
+    # e1^d + e2^d: the cubic discriminant is positive, every higher one zero
+    assert status == 0 and json.loads(out)["verdict"] == ("REAL_RANK_TWO" if d == 3 else
+                                                          "REAL_BORDER_RANK_TWO_BOUNDARY")
+    if admitted:
+        return
+    monkeypatch.undo()
+    monkeypatch.setattr(hd, "all_subhyperdets", _unreachable)
+    status, out, err = run_cli(capsys, "hyperdet", "--symmetric", "--file", str(path))
     assert status == 1
     assert out == ""
     assert err.splitlines()[-1] == (f"error: TooManyCoordinates: n={n}, d={d}: the dense tensor has "
                                     f"n^d = {n ** d} entries, more than 10000")
+
+
+@pytest.mark.parametrize("n, d, quartics, rows, cols, labels", [
+    (3, 139, 28359, 6, 9591, 9730), (4, 37, 46620, 10, 8436, 703), (6, 12, 30030, 21, 3003, 78),
+    (3, 101, 14850, 6, 5050, 5151), (1, 245, 0, 1, 1, 30135)])
+def test_symmetric_certificate_past_the_work_bound_gets_no_verdict(capsys, tmp_path, monkeypatch,
+                                                                    n, d, quartics, rows, cols, labels):
+    """Within MAX_SYM_COORDS coordinates, a file can still ask for more
+    discriminant quartics, Cat(2, d-2) entries or flattening ranks (n = 1
+    has one coordinate for every d) than MAX_SYMMETRIC_WORK (30000):
+    refused before any catalecticant is built."""
+    keys = [",".join(str(d * (i == k)) for i in range(n)) for k in range(min(n, 2))]
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps({"n": n, "d": d, "coeffs": {key: 1 for key in keys}}))
+    monkeypatch.setattr(ce, "_catalecticant", _unreachable)
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, "certify", "--symmetric", "--file", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert status == 1
+    assert out == ""
+    assert err.splitlines()[-1] == (f"error: TooManyCoordinates: n={n}, d={d}: {quartics} discriminant quartics, "
+                                    f"{rows * cols} catalecticant entries ({rows} x {cols}) and {labels} "
+                                    "flattening ranks; certification takes at most 30000 of each")
+
+
+def test_symmetric_certificate_at_the_work_bound_gets_a_verdict(capsys, tmp_path):
+    """n = 3, d = 100 has a 6 x 4950 Cat(2, d-2), just within the bound, and
+    a binary form of degree 9999, the most coordinates a file may hold, a
+    3 x 9998 Hankel matrix."""
+    for n, d in ((3, 100), (2, 9999)):
+        keys = [",".join(str(d * (i == k)) for i in range(n)) for k in range(2)]
+        path = tmp_path / "sym.json"
+        path.write_text(json.dumps({"n": n, "d": d, "coeffs": {key: 1 for key in keys}}))
+        status, out, _ = run_cli(capsys, "certify", "--symmetric", "--file", str(path))
+        assert status == 0 and json.loads(out)["verdict"] == "REAL_BORDER_RANK_TWO_BOUNDARY"
 
 
 def _unreachable(*args, **kwargs):
@@ -508,9 +587,9 @@ def _unreachable(*args, **kwargs):
 @pytest.mark.parametrize("n, d", [(3, 9), (3, 11), (2, 14), (22, 3)])
 def test_symmetric_tensor_too_large_to_expand_is_refused_by_every_command(
         capsys, tmp_path, monkeypatch, command, n, d):
-    """hyperdet and decompose expand the dense n^d array too, so they refuse
-    it as certify does: the same message, exit 1 and nothing on stdout.  For
-    n = 2, which certify takes by the Hankel route, the limit is theirs alone."""
+    """hyperdet and decompose expand the dense n^d array, so they refuse it:
+    the same message, exit 1 and nothing on stdout.  certify never expands,
+    and gives the same file a verdict."""
     keys = [",".join(str(d * (i == k)) for i in range(n)) for k in range(2)]
     path = tmp_path / "sym.json"
     path.write_text(json.dumps({"n": n, "d": d, "coeffs": {key: 1 for key in keys}}))
@@ -525,7 +604,9 @@ def test_symmetric_tensor_too_large_to_expand_is_refused_by_every_command(
     message = f"error: TooManyCoordinates: n={n}, d={d}: the dense tensor has n^d = {n ** d} entries, more than 10000"
     assert err.splitlines()[-1] == message
     if n > 2:
-        assert run_cli(capsys, "certify", "--symmetric", "--file", str(path))[2].splitlines()[-1] == message
+        status, out, _ = run_cli(capsys, "certify", "--symmetric", "--file", str(path))
+        assert status == 0 and json.loads(out)["verdict"] == ("REAL_RANK_TWO" if d == 3 else
+                                                              "REAL_BORDER_RANK_TWO_BOUNDARY")
 
 
 def test_symmetric_matrix_beyond_the_dense_limit_is_still_read(capsys, tmp_path):
@@ -580,6 +661,8 @@ def test_repeated_main_calls_match_fresh_processes(capsys, conj_file):
     (["curve-classify", "--curve", "monomial-quartic", "--point", "1,2,3,nan"], "MalformedEntry"),
     (["binary-form", "--d", "3", "--coords", "1,abc,0,1"], "MalformedEntry"),
     (["binary-form", "--d", "3", "--coords", "1/0,0,0,1"], "MalformedEntry"),
+    (["quadrics", "0", "4"], "BadShape"),
+    (["quadrics", "-2", "5"], "BadShape"),
 ])
 def test_malformed_command_line_numbers_get_typed_errors(capsys, argv, error):
     status, out, err = run_cli(capsys, *argv)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 import re
 from collections import Counter
@@ -351,6 +352,22 @@ def test_preimage_rejects_small_k_without_flag():
 def test_quadric_basis_rejects_low_degree():
     with pytest.raises(tb.DegreeTooSmall):
         basis(2, 3)
+
+
+@pytest.mark.parametrize("n, d, exceeds", [(4, 6, False), (2, 65, False), (2, 66, True), (3, 10, False),
+                                            (3, 11, True), (4, 7, True), (2, 2 * tb.MAX_GENERATORS + 4, True)])
+def test_quadric_count_is_held_to_the_generator_limit(monkeypatch, n, d, exceeds):
+    """The count that refuses a basis is the hook-length sum, stopped once it
+    passes the limit; a degree with more terms than the limit needs none.
+    No tableau is enumerated here: an admitted basis comes back empty."""
+    total = sum(tb.hook_length_dim(n, d, k) for k in range(4, d + 1, 2)) if d < 100 else math.inf
+    assert (total > tb.MAX_GENERATORS) == exceeds
+    monkeypatch.setattr(tb, "enumerate_tableaux", lambda n, d, k: [])
+    if exceeds:
+        with pytest.raises(tb.TooManyGenerators):
+            tb.quadric_basis(n, d)
+    else:
+        assert tb.quadric_basis(n, d) == []
 
 
 def test_coordinate_name_conventions():
