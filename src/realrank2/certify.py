@@ -170,62 +170,55 @@ def tangential_witness(xs: Sequence, ys: Sequence) -> np.ndarray:
 
 def _catalecticant(n: int, d: int, k: int, where: dict) -> tuple[np.ndarray, np.ndarray]:
     """Cat(k, d-k), whose entry at row a (|a| = k) and column b (|b| = d-k),
-    both in multidegrees order, is x_(a+b): the positions of those
-    coordinates, and log sqrt(binom(k; a) binom(d-k; b)) by lgamma, as
-    `tn.comb_multi` takes seconds on the 9998 columns of degree 9999."""
+    both in multidegrees order, is x_(a+b): read-only positions of those
+    coordinates, and weights sqrt(binom(k; a) binom(d-k; b)) over their
+    largest, which give a float catalecticant the dense flattening's singular
+    values up to one factor.  A binary form's Hankel matrix keeps weights 1,
+    as `binary-form` ranks it: weights up to 2^(d/2) would sink its end
+    entries below the relative rank tolerance at high degree."""
     rows, cols = tn.multidegrees(n, k), tn.multidegrees(n, d - k)
     index = np.array([[where[tuple(map(add, a, b))] for b in cols] for a in rows], dtype=np.intp)
-    half_log = [[(math.lgamma(m + 1) - sum(math.lgamma(e + 1) for e in u)) / 2 for u in us]
-                for m, us in ((k, rows), (d - k, cols))]
-    return index, np.add.outer(*half_log)
+    weights = np.ones(index.shape)
+    if n != 2:
+        weights = np.sqrt(np.outer(*([float(tn.comb_multi(m, u)) for u in us] for m, us in ((k, rows), (d - k, cols)))))
+        weights /= weights.max()
+    index.flags.writeable = weights.flags.writeable = False
+    return index, weights
 
 
 @functools.lru_cache(maxsize=SYMMETRIC_PLAN_CACHE_SIZE)
-def _symmetric_plan(n: int, d: int) -> tuple[list, list, list]:
-    """What `certify_symmetric` reads for one (n, d), built once: the
-    coordinate order, multidegrees(n, d); per catalecticant, its index, half
-    log weights and flattening labels (for d <= 2 the form's one matrix, for
-    n = 2 the Hankel matrix Cat(2, d-2), else Cat(1, d-1) for the single-mode
-    ones and, for d >= 4, Cat(2, d-2) for the merged ones); per quartic, one
-    per variable pair and multidegree w of the fixed slots (D_i for w =
-    (d-3-i, i) when n = 2), its label and four coordinate positions.  First,
-    TooManyCoordinates past MAX_SYMMETRIC_WORK quartics, Cat(2, d-2) entries
-    (the most of any catalecticant) or flattening ranks (n = 1 has one
-    coordinate for every d)."""
+def _symmetric_plan(n: int, d: int) -> tuple[tuple, tuple, tuple]:
+    """What `certify_symmetric` reads for one (n, d), shared by every call:
+    the coordinate order, multidegrees(n, d); per catalecticant, its index,
+    weights and flattening labels (for d <= 2 the form's one matrix, for n = 2
+    the Hankel matrix Cat(2, d-2), else Cat(1, d-1) for the single-mode ones
+    and, for d >= 4, Cat(2, d-2) for the merged ones); per quartic, one per
+    variable pair and multidegree w of the fixed slots (D_i for w = (d-3-i, i)
+    when n = 2), its label and four coordinate positions.  TooManyCoordinates
+    first, past MAX_SYMMETRIC_WORK quartics, Cat(2, d-2) entries or labels."""
     if d >= 3:
-        quartics = math.comb(n, 2) * math.comb(n + d - 4, d - 3)
         rows, cols = math.comb(n + 1, 2), math.comb(n + d - 3, d - 2)
-        labels = 1 if n == 2 else math.comb(d + 1, 2)
-        if max(quartics, rows * cols, labels) > MAX_SYMMETRIC_WORK:
+        work = math.comb(n, 2) * math.comb(n + d - 4, d - 3), rows * cols, 1 if n == 2 else math.comb(d + 1, 2)
+        if max(work) > MAX_SYMMETRIC_WORK:
             raise tn.TooManyCoordinates(
-                f"n={n}, d={d}: {quartics} discriminant quartics, {rows * cols} catalecticant entries "
-                f"({rows} x {cols}) and {labels} flattening ranks; certification takes at most "
-                f"{MAX_SYMMETRIC_WORK} of each")
-    coords = tn.multidegrees(n, d)
+                f"n={n}, d={d}: {work[0]} discriminant quartics, {work[1]} catalecticant entries ({rows} x {cols}) "
+                f"and {work[2]} flattening ranks; certification takes at most {MAX_SYMMETRIC_WORK} of each")
+    coords = tuple(tn.multidegrees(n, d))
     where = {u: i for i, u in enumerate(coords)}
     if d <= 2:
-        return coords, [(*_catalecticant(n, d, max(d - 1, 0), where), ["matrix"])], []
+        return coords, ((*_catalecticant(n, d, max(d - 1, 0), where), ("matrix",)),), ()
     if n == 2:
-        cats = [(*_catalecticant(n, d, 2, where), ["hankel"])]
+        cats = ((*_catalecticant(n, d, 2, where), ("hankel",)),)
     else:
-        cats = [(*_catalecticant(n, d, 1, where), [_mode_label((m,)) for m in range(d)])]
+        cats = ((*_catalecticant(n, d, 1, where), tuple(_mode_label((m,)) for m in range(d))),)
         if d >= 4:
             pairs = itertools.combinations(range(d), 2)
-            cats.append((*_catalecticant(n, d, 2, where), list(map(_mode_label, pairs))))
-    quartics = [(f"D{i}" if n == 2 else f"pair({p + 1},{q + 1})@" + ",".join(map(str, w)),
-                 [where[tuple(e + (3 - k) * (m == p) + k * (m == q) for m, e in enumerate(w))] for k in range(4)])
-                for p, q in itertools.combinations(range(n), 2) for i, w in enumerate(tn.multidegrees(n, d - 3))]
+            cats += ((*_catalecticant(n, d, 2, where), tuple(map(_mode_label, pairs))),)
+    quartics = tuple((f"D{i}" if n == 2 else f"pair({p + 1},{q + 1})@" + ",".join(map(str, w)),
+                      tuple(where[tuple(e + (3 - k) * (m == p) + k * (m == q) for m, e in enumerate(w))]
+                            for k in range(4)))
+                     for p, q in itertools.combinations(range(n), 2) for i, w in enumerate(tn.multidegrees(n, d - 3)))
     return coords, cats, quartics
-
-
-def _weighted(cat: np.ndarray, half_log: np.ndarray) -> np.ndarray:
-    """A float catalecticant times its weights exp(half_log), which gives it
-    the dense flattening's Gram matrix and singular values; formed in logs and
-    divided by its largest entry past 1, as weights overflow a double from
-    degree about 1030 on, and scaling leaves the rank as it is."""
-    with np.errstate(divide="ignore"):  # log 0 = -inf, whose exp is 0
-        logs = np.log(np.abs(cat)) + half_log
-    return np.copysign(np.exp(logs - max(logs.max(), 0.0)), cat)
 
 
 def certify_symmetric(f: tn.SymTensorCoords, tol: float = 1e-8) -> Certificate:
@@ -234,17 +227,18 @@ def certify_symmetric(f: tn.SymTensorCoords, tol: float = 1e-8) -> Certificate:
     The flattenings of a symmetric tensor are its catalecticants, and its
     sub-block hyperdeterminants are shifted binary cubic discriminants of
     four coordinates, so the dense n^d tensor is never built.  Exact
-    coordinates are scaled to integers once; a float catalecticant is
-    weighted to have the dense flattening's singular values.
+    coordinates are scaled to integers once; a float catalecticant other
+    than a binary form's Hankel matrix is weighted to have the dense
+    flattening's singular values.
     """
     coords, cats, quartics = _symmetric_plan(f.n, f.d)
     raw = [f.coeffs[u] for u in coords]
     x = _exact_or_finite(np.array(raw, dtype=object if f.is_exact() else float))
     if f.d <= 2:  # a vector or a symmetric matrix, whose weights are all 1
         return _matrix_certificate(x[cats[0][0]], tol)
-    single, *merged = [dict.fromkeys(labels, tn.matrix_rank(x[index] if tn.is_exact(x) else
-                                                             _weighted(x[index], half_log), tol))
-                       for index, half_log, labels in cats]
+    exact = tn.is_exact(x)
+    single, *merged = [dict.fromkeys(labels, tn.matrix_rank(x[index] if exact else x[index] * weights, tol))
+                       for index, weights, labels in cats]
     values = [(label, hd.discriminant_quartic([raw[i] for i in at], 0)) for label, at in quartics]
     report = hd.report_from_values(values, hd.hyperdet_zero_tol(x))
     return _certificate(x, single, merged[0] if merged else None, report, tol)

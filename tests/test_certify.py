@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from realrank2 import binary_forms as bf
 from realrank2 import certify as ce
 from realrank2 import hyperdet as hd
 from realrank2 import tensors as tn
@@ -134,22 +135,50 @@ def test_catalecticant_ranks_equal_dense_flattening_ranks(n, d, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 4), st.integers(3, 6), st.integers(0, 10_000), st.sampled_from([1e-3, 1.0, 1e3]))
+@given(st.sampled_from([1, 3, 4]), st.integers(3, 6), st.integers(0, 10_000), st.sampled_from([1e-3, 1.0, 1e3]))
 def test_weighted_catalecticant_has_the_dense_flattening_singular_values(n, d, seed, scale):
     """A float catalecticant weighted by the square roots of its rows' and
     columns' multinomial counts has the dense flattening's singular values,
-    up to the one positive factor that keeps its entries at most 1."""
+    up to the one positive factor that keeps the weights at most 1."""
     rng = np.random.default_rng(seed)
     degrees = tn.multidegrees(n, d)
     f = tn.SymTensorCoords(n, d, dict(zip(degrees, (scale * rng.standard_normal(len(degrees))).tolist())))
     t = tn.sym_to_tensor(f)
     coords, cats, _ = ce._symmetric_plan(n, d)
     x = np.array([f.coeffs[u] for u in coords])
-    for index, half_log, labels in cats:
-        s = np.linalg.svd(ce._weighted(x[index], half_log), compute_uv=False)
+    for index, weights, labels in cats:
+        s = np.linalg.svd(x[index] * weights, compute_uv=False)
         dense = np.linalg.svd(tn.flatten(t, _label_modes(labels[0])), compute_uv=False)
         np.testing.assert_allclose(s * (dense[0] / s[0]), dense[:len(s)], rtol=0, atol=1e-12 * dense[0])
         assert np.all(dense[len(s):] <= 1e-12 * dense[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 400), st.integers(1, 3), st.integers(0, 10_000))
+def test_float_binary_form_rank_is_the_unweighted_hankel_rank(d, r, seed):
+    """A float binary form is ranked on its Hankel matrix as it stands, the
+    rank `binary-form` prints, at every degree: weighting it like the dense
+    flattening would sink its end entries below the relative tolerance."""
+    rng = np.random.default_rng(seed)
+    form = bf.BinaryForm(d, sum(w * np.array([a ** (d - i) * b ** i for i in range(d + 1)])
+                                for w, (a, b) in zip(rng.choice([-2.0, -1.0, 1.0, 3.0], r),
+                                                     rng.uniform(-1, 1, (r, 2)))).tolist())
+    assert ce.certify_symmetric(form.to_sym()).flattening_ranks == {"hankel": tn.matrix_rank(bf.hankel(form))}
+    _, cats, _ = ce._symmetric_plan(2, d)
+    assert [labels for _, _, labels in cats] == [("hankel",)] and np.all(cats[0][1] == 1)
+
+
+def test_symmetric_plan_is_read_only():
+    """The cached plan is shared by every certificate of its (n, d): its
+    containers are tuples and its arrays cannot be written to."""
+    for n, d in [(2, 5), (3, 4), (3, 2), (1, 3)]:
+        coords, cats, quartics = ce._symmetric_plan(n, d)
+        assert all(type(part) is tuple for part in (coords, cats, quartics, *cats, *quartics))
+        for index, weights, labels in cats:
+            assert type(labels) is tuple
+            for array in (index, weights):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0, 0] = 0
 
 
 def test_symmetric_certificate_never_expands_the_dense_tensor(monkeypatch):

@@ -347,6 +347,40 @@ def test_symmetric_certificate_bytes(capsys, tmp_path, n, d, exact):
     assert tuple(digests) == SYM_CERTIFY_DIGESTS[n, d, exact]
 
 
+# sha256 of the stdout of `binary-form` and `certify --symmetric`, JSON then
+# --format text, on float forms of high degree with scaled coordinates
+# 2, 1, .., 1, last: e1^60 + (e1+e2)^60, of real rank two, and e1^9999 +
+# e2^9999 + (e1+e2)^9999, of border rank three.  Their Hankel matrices are
+# ranked as they stand: weights up to 2^(d/2) would sink the end entries
+# below the relative rank tolerance and give both rank one.
+HIGH_DEGREE_FORM_DIGESTS = {
+    (60, 1.0): {"binary-form": ("630edd0f4559cf0d1b0f2e1599cd9cede80d81330de65c789661f12698fb1a95",
+                                "1087db8966becd426a1d26ddb28aeb5ff06d8d99fa2723525b94853ef3ab9a21"),
+                "certify": ("4c972ae9cf2d8d3ed27b0a0a2406c679f97549c18c8a17e7fad64ceeefa4ee8d",
+                            "33421a27db6a899e7fe0a7f95fbab978969b98fb9fb99c055acf8e733b8815f0")},
+    (9999, 2.0): {"binary-form": ("df823075f3c0e611544157791b2545dac465a5ec705406cd8e7c23aa5cd3602d",
+                                  "9aee7f5637dc4b217a4cfa8aba4c2658c55ce880402a8949ece37b4e72029017"),
+                  "certify": ("22a30ff231940981410ccd4987384dcbe3defb875246e398d22f7811fbfaf31b",
+                              "10caa13f0804f405ed516b8437b813026db371db4dd0ae3006e6e48aa11bfec3")},
+}
+
+
+@pytest.mark.parametrize("d, last", list(HIGH_DEGREE_FORM_DIGESTS))
+def test_high_degree_float_binary_form_bytes(capsys, tmp_path, d, last):
+    coords = [2.0] + [1.0] * (d - 1) + [last]
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"n": 2, "d": d, "coeffs": {f"{d - i},{i}": v for i, v in enumerate(coords)}}))
+    argvs = {"binary-form": ["binary-form", "--d", str(d), "--coords", ",".join(map(repr, coords))],
+             "certify": ["certify", "--symmetric", "--file", str(path)]}
+    for command, argv in argvs.items():
+        digests = []
+        for fmt in ("json", "text"):
+            status, out, _ = run_cli(capsys, *argv, "--format", fmt)
+            assert status == 0
+            digests.append(hashlib.sha256(out.encode()).hexdigest())
+        assert tuple(digests) == HIGH_DEGREE_FORM_DIGESTS[d, last][command]
+
+
 def test_config_echo_on_stderr(capsys):
     _, _, err = run_cli(capsys, "table1")
     first = err.splitlines()[0]
