@@ -4,8 +4,10 @@
 Samples forms from three families (random integer coordinates, sums of two
 real d-th powers, sums of conjugate d-th powers), classifies each with the
 Hankel/discriminant route, cross-checks the tensor-certificate route, and
-prints the verdict histogram.  Every disagreement between the two routes is
-reported; there should be none.
+prints the verdict histogram.  For d = 4 it also checks each stratum label
+against the family drawn: a sum of two real fourth powers of Hankel rank two
+is ++0, and a conjugate pair of Hankel rank two is cpx.  Every disagreement
+is reported and makes the exit status 1; there should be none.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ def parse_args() -> Config:
     parser.add_argument("--seed", type=int, default=1729)
     args = parser.parse_args()
     return Config(args.degree, args.samples, args.bound, args.seed)
+
+
+# the quartic stratum of each family whose Hankel matrix has rank two
+FAMILY_STRATA = {"real pair": bf.STRATUM_PSD_PAIR, "conjugate pair": bf.STRATUM_CONJ}
 
 
 def conjugate_coords(d: int, alpha, beta) -> list[Fraction]:
@@ -88,6 +94,10 @@ def main() -> int:
             disagreements += 1
             print(f"DISAGREEMENT on {form.coords}: "
                   f"{verdict.verdict.value} vs {tensor_verdict.value}")
+        expected = FAMILY_STRATA.get(family) if cfg.degree == 4 and verdict.hankel_rank == 2 else None
+        if expected is not None and verdict.strata != expected:
+            disagreements += 1
+            print(f"DISAGREEMENT on {form.coords}: {family} labelled {verdict.strata}, not {expected}")
 
     print(f"degree {cfg.degree}, {cfg.samples} forms, seed {cfg.seed}\n")
     width = max(len(v) for _, v in census) if census else 10
@@ -99,7 +109,7 @@ def main() -> int:
             print(f"  {verdict:<{width}} {n:>6}")
     if strata:
         print("quartic strata:", dict(sorted(strata.items())))
-    print(f"\nroute disagreements: {disagreements}")
+    print(f"\ndisagreements: {disagreements}")
     return 1 if disagreements else 0
 
 

@@ -23,7 +23,6 @@ from math import comb
 import numpy as np
 
 from . import certify as ce
-from . import decompose as dc
 from . import hyperdet as hd
 from . import tensors as tn
 from .multipoly import Polynomial, det_bareiss, evaluate, normalized
@@ -38,6 +37,9 @@ STRATUM_PSD_PAIR = "++0"
 STRATUM_INDEF_PAIR = "+-0"
 STRATUM_CONJ = "cpx"
 STRATUM_RANK_ONE = "RANK_ONE"
+
+# |q1^2 - 4 q0 q2| of a float quartic's unit kernel quadric q at most this is 0
+QUARTIC_TANGENT_TOL = 1e-12
 
 
 @dataclass
@@ -94,40 +96,41 @@ def hankel(f: BinaryForm) -> np.ndarray:
 
 def classify_binary_form(f: BinaryForm, tol: float = 1e-8) -> BinaryFormVerdict:
     """Verdict on the same lattice as tensor certificates; for d = 4 also a
-    stratum label from the shape of the explicit decomposition."""
+    stratum label from the Hankel matrix."""
     if f.d < 3:
         raise DegreeTooSmall("classification needs degree >= 3")
     cert = ce.certify_symmetric(f.to_sym(), tol)
-    strata = None
-    if f.d == 4:
-        strata = _strata_label(f, cert, tol)
-    return BinaryFormVerdict(cert.flattening_ranks["hankel"],
-                             [v for _, v in cert.hyperdet_report.values], cert.verdict, strata)
+    return BinaryFormVerdict(cert.flattening_ranks["hankel"], [v for _, v in cert.hyperdet_report.values],
+                             cert.verdict, _strata_label(f, cert) if f.d == 4 else None)
 
 
-def _strata_label(f: BinaryForm, cert: ce.Certificate, tol: float) -> str | None:
+def _strata_label(f: BinaryForm, cert: ce.Certificate) -> str | None:
+    """Sylvester's rule on the Hankel matrix H of a quartic of Hankel rank
+    two: its kernel quadric q (H q = 0) vanishes on the pair's linear forms,
+    so disc = q1^2 - 4 q0 q2 > 0 means a real pair, < 0 a conjugate pair and
+    0 a tangential form; a real pair is ++0 when H is semidefinite."""
     if cert.verdict == ce.Verdict.RANK_AT_MOST_ONE:
         return STRATUM_RANK_ONE
     if cert.verdict == ce.Verdict.BORDER_RANK_EXCEEDS_TWO:
         return None
-    dec = dc.decompose_rank2(tn.sym_to_tensor(f.to_sym()), tol, cert=cert)
-    if dec.kind == dc.DecompositionKind.CONJUGATE_PAIR:
-        return STRATUM_CONJ
-    if dec.kind == dc.DecompositionKind.REAL_PAIR:
-        w1, w2 = (_effective_coefficient(term) for term in dec.terms)
-        return STRATUM_PSD_PAIR if w1 * w2 > 0 else STRATUM_INDEF_PAIR
-    return None
-
-
-def _effective_coefficient(term) -> float:
-    # coefficient c of the symmetric power c * x^{(x)d}: a sign hidden in one
-    # factor (the decomposition spreads magnitudes, not orientations) must
-    # count the same as a negative weight; invariant under x -> -x as d is even
-    x = term.factors[0] / np.linalg.norm(term.factors[0])
-    out = float(np.real(term.weight))
-    for fac in term.factors:
-        out *= float(np.dot(fac, x))
-    return out
+    h = hankel(f)
+    if f.is_exact():
+        # the first independent pair of rows spans the row space, and the
+        # principal 2 x 2 minors sum to the eigenvalue product as det H = 0
+        h, zero = tn.integers(h).tolist(), 0
+        q = next(q for q in ((a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+                             for a, b in itertools.combinations(h, 2)) if any(q))
+        product = sum(h[i][i] * h[j][j] - h[i][j] ** 2 for i, j in itertools.combinations(range(3), 2))
+    else:
+        # a power of two puts max |H| in [0.5, 1): no overflow, and no rounding
+        # but of entries it pushes below the normal range
+        lam, vec = np.linalg.eigh(np.ldexp(h, -np.frexp(np.abs(h).max())[1]))
+        small, mid, big = np.argsort(np.abs(lam))
+        q, product, zero = vec[:, small], lam[mid] * lam[big], QUARTIC_TANGENT_TOL
+    disc = q[1] * q[1] - 4 * q[0] * q[2]
+    if abs(disc) <= zero:
+        return None
+    return STRATUM_CONJ if disc < 0 else STRATUM_PSD_PAIR if product > 0 else STRATUM_INDEF_PAIR
 
 
 @functools.cache

@@ -294,17 +294,13 @@ _ALLOWED = {
 }
 
 
-def decompose_rank2(t: np.ndarray, tol: float = 1e-8, seed: int = 0,
-                    cert: ce.Certificate | None = None) -> Rank2Decomposition:
+def decompose_rank2(t: np.ndarray, tol: float = 1e-8, seed: int = 0) -> Rank2Decomposition:
     """Decompose a certified real (border) rank-two tensor.
 
-    `cert` is a certificate the caller already holds for t; without one, t
-    is certified here.  Raises NotRankTwo when the certificate excludes
-    (border) rank two, and IllConditioned when every slice combination of
-    the pencil is singular.
+    Raises NotRankTwo when the certificate excludes (border) rank two, and
+    IllConditioned when every slice combination of the pencil is singular.
     """
-    if cert is None:
-        cert = ce.certify_border_rank2(t, tol)
+    cert = ce.certify_border_rank2(t, tol)
     if cert.verdict not in _ALLOWED:
         raise NotRankTwo(f"certificate verdict {cert.verdict.value}")
     tf = tn.to_float(t)

@@ -8,7 +8,8 @@ integer Poly into the term map a resultant takes, and its fraction-free
 Bareiss determinant; the coordinate names
 x_u of a Veronese; the dense flattening ranks (`sym_to_tensor`, `flatten`
 and a Fraction elimination rank) that catalecticant ranks are tested
-against; the 2x2x2 sub-block
+against; the dense-decomposition stratum label of a binary quartic that
+the Hankel-matrix label is tested against; the 2x2x2 sub-block
 selectors, one per block, and their one-block gather, the oracle that the
 hyperdeterminant sweep plan is tested against; a polynomial substitution
 oracle, the cofactor determinant and the Sylvester resultant that the
@@ -29,9 +30,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
+from unittest import mock
 
 import numpy as np
 
+from realrank2 import binary_forms as bf
+from realrank2 import certify as ce
+from realrank2 import decompose as dc
 from realrank2 import hyperdet as hd
 from realrank2 import tableaux as tb
 from realrank2 import tensors as tn
@@ -321,6 +326,30 @@ def dense_flattening_ranks(f: tn.SymTensorCoords, selections: Sequence[Sequence[
     the catalecticant ranks of `certify_symmetric` are tested against."""
     t = tn.sym_to_tensor(f)
     return [fraction_rank(tn.flatten(t, modes).tolist()) for modes in selections]
+
+
+def reference_strata_label(f, tol: float = 1e-8) -> str | None:
+    """The d = 4 stratum label by the dense route, the oracle of the
+    Hankel-matrix label: decompose the expanded 2^4 tensor under the form's
+    own certificate and read the signs of a real pair's two weights, each
+    times the signs its factors hide (d is even, so a factor's sign counts
+    through its overlap with the first factor)."""
+    cert = ce.certify_symmetric(f.to_sym(), tol)
+    if cert.verdict == ce.Verdict.RANK_AT_MOST_ONE:
+        return bf.STRATUM_RANK_ONE
+    if cert.verdict == ce.Verdict.BORDER_RANK_EXCEEDS_TWO:
+        return None
+    with mock.patch.object(ce, "certify_border_rank2", lambda *args: cert):
+        dec = dc.decompose_rank2(tn.sym_to_tensor(f.to_sym()), tol)
+    if dec.kind == dc.DecompositionKind.CONJUGATE_PAIR:
+        return bf.STRATUM_CONJ
+    if dec.kind != dc.DecompositionKind.REAL_PAIR:
+        return None
+    weights = []
+    for term in dec.terms:
+        x = term.factors[0] / np.linalg.norm(term.factors[0])
+        weights.append(float(np.real(term.weight)) * np.prod([float(np.dot(fac, x)) for fac in term.factors]))
+    return bf.STRATUM_PSD_PAIR if weights[0] * weights[1] > 0 else bf.STRATUM_INDEF_PAIR
 
 
 def ring(poly: Poly | Polynomial) -> Poly:

@@ -3,6 +3,7 @@ with the tensor-certificate route."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,12 @@ from hypothesis import strategies as st
 
 from realrank2 import binary_forms as bf
 from realrank2 import certify as ce
+from realrank2 import decompose as dc
 from realrank2 import tensors as tn
 from realrank2.multipoly import evaluate
 from realrank2.tableaux import DegreeTooSmall, secant_point, tangential_point
+
+from conftest import reference_strata_label
 
 IN_LOCUS = {ce.Verdict.RANK_AT_MOST_ONE, ce.Verdict.REAL_RANK_TWO,
             ce.Verdict.REAL_BORDER_RANK_TWO_BOUNDARY}
@@ -35,12 +39,13 @@ def conjugate_pair_form(d: int, p, q) -> bf.BinaryForm:
 
 
 def test_classify_quartic_goldens(monkeypatch):
-    # the strata label decomposes with the Hankel-route certificate it
-    # already holds: certifying the expanded tensor again would fail here
-    def certify_again(*args, **kwargs):
-        raise AssertionError("d = 4 form certified twice")
+    # the strata label is read off the Hankel matrix: neither the expanded
+    # tensor's certificate nor a decomposition of it may be asked for
+    def dense_route(*args, **kwargs):
+        raise AssertionError("d = 4 form took the dense route")
 
-    monkeypatch.setattr(ce, "certify_border_rank2", certify_again)
+    monkeypatch.setattr(ce, "certify_border_rank2", dense_route)
+    monkeypatch.setattr(dc, "decompose_rank2", dense_route)
     plus = bf.classify_binary_form(bf.BinaryForm(4, [1, 0, 0, 0, 1]))
     assert plus.verdict == ce.Verdict.REAL_BORDER_RANK_TWO_BOUNDARY
     assert plus.strata == bf.STRATUM_PSD_PAIR
@@ -67,6 +72,95 @@ def test_classify_quartic_goldens(monkeypatch):
     assert generic.verdict == ce.Verdict.BORDER_RANK_EXCEEDS_TWO
     assert generic.strata is None
     assert generic.hankel_rank == 3
+
+
+QUARTIC_FAMILIES = ["pair ++", "pair +-", "conjugate", "tangent", "rank one", "boundary"]
+
+
+def exact_conjugate_pair(d: int, p, q) -> list[Fraction]:
+    """Scaled coordinates 2 Re(l^(d-i) m^i) of (l s + m t)^d + conjugate,
+    l = p1 + i p2, m = q1 + i q2, in Gaussian rationals."""
+    def mul(u, v):
+        return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+    coords = []
+    for i in range(d + 1):
+        z = (Fraction(1), Fraction(0))
+        for factor in [p] * (d - i) + [q] * i:
+            z = mul(z, factor)
+        coords.append(2 * z[0])
+    return coords
+
+
+def quartic(family: str, a, b) -> bf.BinaryForm:
+    """An exact quartic of one family: a^4 + b^4 or a^4 - b^4 for linear
+    forms a, b; a conjugate pair; the tangent form a^3 b; a^4; or
+    a1 s^4 + b2 t^4, whose discriminants D0 and D1 vanish, so that the
+    certificate says REAL_BORDER_RANK_TWO_BOUNDARY."""
+    power = [[Fraction(v[0]) ** (4 - i) * Fraction(v[1]) ** i for i in range(5)] for v in (a, b)]
+    coords = {"pair ++": lambda: secant_point(a, b, 4),
+              "pair +-": lambda: [x - y for x, y in zip(*power)],
+              "conjugate": lambda: exact_conjugate_pair(4, a, b),
+              "tangent": lambda: tangential_point(a, b, 4),
+              "rank one": lambda: power[0],
+              "boundary": lambda: [a[0], 0, 0, 0, b[1]]}[family]()
+    return bf.BinaryForm(4, coords)
+
+
+def family_label(family: str, a, b) -> str | None:
+    """The label a quartic of the family must get when its Hankel matrix has rank two."""
+    if family == "boundary":
+        return bf.STRATUM_PSD_PAIR if a[0] * b[1] > 0 else bf.STRATUM_INDEF_PAIR
+    return {"pair ++": bf.STRATUM_PSD_PAIR, "pair +-": bf.STRATUM_INDEF_PAIR,
+            "conjugate": bf.STRATUM_CONJ, "tangent": None}[family]
+
+
+def float_copy(f: bf.BinaryForm, scale: float = 1.0) -> bf.BinaryForm:
+    return bf.BinaryForm(f.d, [float(c) * scale for c in f.coords])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(QUARTIC_FAMILIES), st.tuples(small_fracs, small_fracs),
+       st.tuples(small_fracs, small_fracs))
+def test_exact_quartic_label_matches_the_dense_route_and_the_family(family, a, b):
+    f = quartic(family, a, b)
+    got = bf.classify_binary_form(f)
+    assert got.strata == reference_strata_label(f)
+    if got.hankel_rank == 2:
+        assert got.strata == family_label(family, a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(QUARTIC_FAMILIES), st.tuples(small_fracs, small_fracs),
+       st.tuples(small_fracs, small_fracs), st.integers(-6, 6))
+def test_float_quartic_label_matches_the_dense_route(family, a, b, k):
+    f = float_copy(quartic(family, a, b), 10.0 ** k)
+    assert bf.classify_binary_form(f).strata == reference_strata_label(f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(QUARTIC_FAMILIES), st.tuples(small_fracs, small_fracs),
+       st.tuples(small_fracs, small_fracs), st.integers(-200, 200))
+def test_float_quartic_label_is_unchanged_by_a_power_of_two(family, a, b, j):
+    f = float_copy(quartic(family, a, b))
+    scaled = bf.BinaryForm(4, [math.ldexp(c, j) for c in f.coords])
+    assert bf.classify_binary_form(scaled).strata == bf.classify_binary_form(f).strata
+
+
+def test_float_quartic_tangent_threshold():
+    """|q1^2 - 4 q0 q2| <= 1e-12 for the unit kernel quadric q of a float
+    quartic reads as a double root.  H q = 0 for q = (0, e, 1) when
+    x = (0, 1, -e, e^2, -e^3), a real pair with disc = e^2 / (1 + e^2), and
+    for q = (e^2, 0, 1) when x = (0, 1, 0, -e^2, 0), a conjugate pair with
+    disc = -4 e^2 / (1 + e^4); both Hankel matrices are well conditioned."""
+    assert bf.QUARTIC_TANGENT_TOL == 1e-12
+
+    def label(coords):
+        return bf.classify_binary_form(bf.BinaryForm(4, coords)).strata
+
+    for e, pair, conj in ((2e-6, bf.STRATUM_INDEF_PAIR, bf.STRATUM_CONJ), (4e-7, None, None)):
+        assert label([0.0, 1.0, -e, e * e, -e ** 3]) == pair
+        assert label([0.0, 1.0, 0.0, -e * e, 0.0]) == conj
 
 
 def test_cubic_real_rank_two_versus_three():

@@ -230,6 +230,25 @@ def test_binary_form_conjugate_text(capsys):
     assert "strata: cpx" in out
 
 
+def test_binary_quartic_at_1e_minus_200_gets_the_label_of_its_unit_twin(capsys):
+    """x = 1e-200 * (1, 0, 1, 0, 1) underflows D0 and D1 to 0, so its
+    certificate reads the boundary, while 1, 0, 1, 0, 1, a sum of two real
+    fourth powers, has real rank two.  The label is read off the Hankel
+    matrix, prescaled by a power of two, and is the twin's ++0."""
+    argv = ["binary-form", "--d", "4", "--coords", "1e-200,0,1e-200,0,1e-200"]
+    status, out, _ = run_cli(capsys, *argv)
+    assert status == 0
+    assert out == ('{\n  "hankel_rank": 2,\n  "d_values": [\n    0.0,\n    0.0\n  ],\n'
+                   '  "verdict": "REAL_BORDER_RANK_TWO_BOUNDARY",\n  "strata": "++0"\n}\n')
+    status, out, _ = run_cli(capsys, *argv, "--format", "text")
+    assert status == 0
+    assert out == ("verdict: REAL_BORDER_RANK_TWO_BOUNDARY\nhankel rank: 2\n"
+                   "discriminants: D0=0 D1=0\nstrata: ++0\n")
+    status, out, _ = run_cli(capsys, "binary-form", "--d", "4", "--coords", "1,0,1,0,1", "--format", "text")
+    assert status == 0
+    assert out == "verdict: REAL_RANK_TWO\nhankel rank: 2\ndiscriminants: D0=4 D1=4\nstrata: ++0\n"
+
+
 def test_ideal_generators_labels(capsys):
     status, out, _ = run_cli(capsys, "ideal", "--d", "4")
     payload = json.loads(out)
