@@ -27,13 +27,16 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import add
 from typing import Sequence
 
 import numpy as np
 
 from . import hyperdet as hd
+from . import jsontext
 from . import tensors as tn
+from .exactsolve import content
 
 # (n, d) pairs whose catalecticant and quartic plan certify_symmetric keeps
 SYMMETRIC_PLAN_CACHE_SIZE = 16
@@ -125,7 +128,7 @@ def _matrix_certificate(t: np.ndarray, tol: float) -> Certificate:
     # after squeezing size-1 modes away a tensor of order <= 2 is a matrix
     mat = t.reshape(t.shape[0], -1)
     # no sub-blocks: the empty report records the rank tolerance
-    report = hd.report_from_values([], 0 if tn.is_exact(t) else tol)
+    report = hd.report_from_column([], [], 0 if tn.is_exact(t) else tol)
     return _certificate(t, {"matrix": tn.matrix_rank(mat, tol)}, None, report, tol)
 
 
@@ -187,15 +190,16 @@ def _catalecticant(n: int, d: int, k: int, where: dict) -> tuple[np.ndarray, np.
 
 
 @functools.lru_cache(maxsize=SYMMETRIC_PLAN_CACHE_SIZE)
-def _symmetric_plan(n: int, d: int) -> tuple[tuple, tuple, tuple]:
+def _symmetric_plan(n: int, d: int) -> tuple[tuple, tuple, tuple[np.ndarray, jsontext.Column]]:
     """What `certify_symmetric` reads for one (n, d), shared by every call:
     the coordinate order, multidegrees(n, d); per catalecticant, its index,
     weights and flattening labels (for d <= 2 the form's one matrix, for n = 2
     the Hankel matrix Cat(2, d-2), else Cat(1, d-1) for the single-mode ones
-    and, for d >= 4, Cat(2, d-2) for the merged ones); per quartic, one per
-    variable pair and multidegree w of the fixed slots (D_i for w = (d-3-i, i)
-    when n = 2), its label and four coordinate positions.  TooManyCoordinates
-    first, past MAX_SYMMETRIC_WORK quartics, Cat(2, d-2) entries or labels."""
+    and, for d >= 4, Cat(2, d-2) for the merged ones); as the sweep plan, the
+    quartics' (4, q) coordinate positions and labels, one per variable pair
+    and multidegree w of the fixed slots (D_i for w = (d-3-i, i) when n = 2).
+    TooManyCoordinates first, past MAX_SYMMETRIC_WORK quartics, Cat(2, d-2)
+    entries or labels."""
     if d >= 3:
         rows, cols = math.comb(n + 1, 2), math.comb(n + d - 3, d - 2)
         work = math.comb(n, 2) * math.comb(n + d - 4, d - 3), rows * cols, 1 if n == 2 else math.comb(d + 1, 2)
@@ -206,19 +210,21 @@ def _symmetric_plan(n: int, d: int) -> tuple[tuple, tuple, tuple]:
     coords = tuple(tn.multidegrees(n, d))
     where = {u: i for i, u in enumerate(coords)}
     if d <= 2:
-        return coords, ((*_catalecticant(n, d, max(d - 1, 0), where), ("matrix",)),), ()
-    if n == 2:
+        cats = ((*_catalecticant(n, d, max(d - 1, 0), where), ("matrix",)),)
+    elif n == 2:
         cats = ((*_catalecticant(n, d, 2, where), ("hankel",)),)
     else:
         cats = ((*_catalecticant(n, d, 1, where), tuple(_mode_label((m,)) for m in range(d))),)
         if d >= 4:
             pairs = itertools.combinations(range(d), 2)
             cats += ((*_catalecticant(n, d, 2, where), tuple(map(_mode_label, pairs))),)
-    quartics = tuple((f"D{i}" if n == 2 else f"pair({p + 1},{q + 1})@" + ",".join(map(str, w)),
-                      tuple(where[tuple(e + (3 - k) * (m == p) + k * (m == q) for m, e in enumerate(w))]
-                            for k in range(4)))
-                     for p, q in itertools.combinations(range(n), 2) for i, w in enumerate(tn.multidegrees(n, d - 3)))
-    return coords, cats, quartics
+    quartics = [(f"D{i}" if n == 2 else f"pair({p + 1},{q + 1})@" + ",".join(map(str, w)),
+                 [where[tuple(e + (3 - k) * (m == p) + k * (m == q) for m, e in enumerate(w))] for k in range(4)])
+                for p, q in itertools.combinations(range(n), 2)
+                for i, w in enumerate(tn.multidegrees(n, d - 3) if d >= 3 else [])]
+    index = np.array([at for _, at in quartics], dtype=np.intp).reshape(-1, 4).T.copy()
+    index.flags.writeable = False
+    return coords, cats, (index, jsontext.Column(label for label, _ in quartics))
 
 
 def certify_symmetric(f: tn.SymTensorCoords, tol: float = 1e-8) -> Certificate:
@@ -227,11 +233,11 @@ def certify_symmetric(f: tn.SymTensorCoords, tol: float = 1e-8) -> Certificate:
     The flattenings of a symmetric tensor are its catalecticants, and its
     sub-block hyperdeterminants are shifted binary cubic discriminants of
     four coordinates, so the dense n^d tensor is never built.  Exact
-    coordinates are scaled to integers once; a float catalecticant other
-    than a binary form's Hankel matrix is weighted to have the dense
-    flattening's singular values.
+    coordinates are scaled to integers once, for the ranks and the quartics
+    alike; a float catalecticant other than a binary form's Hankel
+    matrix is weighted to have the dense flattening's singular values.
     """
-    coords, cats, quartics = _symmetric_plan(f.n, f.d)
+    coords, cats, (positions, names) = _symmetric_plan(f.n, f.d)
     raw = [f.coeffs[u] for u in coords]
     x = _exact_or_finite(np.array(raw, dtype=object if f.is_exact() else float))
     if f.d <= 2:  # a vector or a symmetric matrix, whose weights are all 1
@@ -239,6 +245,12 @@ def certify_symmetric(f: tn.SymTensorCoords, tol: float = 1e-8) -> Certificate:
     exact = tn.is_exact(x)
     single, *merged = [dict.fromkeys(labels, tn.matrix_rank(x[index] if exact else x[index] * weights, tol))
                        for index, weights, labels in cats]
-    values = [(label, hd.discriminant_quartic([raw[i] for i in at], 0)) for label, at in quartics]
-    report = hd.report_from_values(values, hd.hyperdet_zero_tol(x))
+    column = hd.kernel_column(hd.cubic_discriminant, x, positions)
+    values = column.astype(object)  # x = c·raw, c the lcm of raw's denominators,
+    if exact and not set(map(type, raw)) <= {int}:  # so D(raw) = D(x) / c^4: an int iff all four are
+        c4 = content(raw).denominator ** 4
+        whole = np.array([isinstance(v, int) for v in raw])[positions].all(axis=0)
+        values[whole] //= c4
+        values[~whole] /= Fraction(c4)
+    report = hd.report_from_column(jsontext.Rows((names, values.tolist())), column, hd.hyperdet_zero_tol(x))
     return _certificate(x, single, merged[0] if merged else None, report, tol)

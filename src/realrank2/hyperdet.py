@@ -23,9 +23,9 @@ from .tensors import ArityTooSmall, is_exact, num_json, peak, ShapeMismatch
 DEFAULT_ZERO_TOL_SCALE = 1e-10
 # shapes whose sub-block gather plan all_subhyperdets keeps
 PLAN_CACHE_SIZE = 16
-# The largest B with 24·B^4 <= 2^63 - 1 (24898).  24 is the sum of the absolute
-# coefficients of _quartic's terms, so with every |entry| <= B no product and
-# no partial sum of the quartic leaves int64.
+# The largest B with 24·B^4 <= 2^63 - 1 (24898).  The absolute coefficients
+# of the terms sum to 24 in _quartic and to 18 in cubic_discriminant, so with
+# every |entry| <= B no product and no partial sum of either leaves int64.
 INT64_SWEEP_BOUND = isqrt(isqrt((2**63 - 1) // 24))
 
 
@@ -105,18 +105,14 @@ class HyperdetReport:
         }
 
 
-def report_from_values(values: Sequence[tuple[str, object]], zero_tol) -> HyperdetReport:
-    return _report(values, [v for _, v in values], zero_tol)
-
-
-def _report(values: Sequence[tuple[str, object]], column, zero_tol) -> HyperdetReport:
+def report_from_column(values: Sequence[tuple[str, object]], column, zero_tol) -> HyperdetReport:
     """Sign counts and argmin of the (label, value) pairs, read from their
-    value column.  A numpy column of the sweep, float64 with the float
-    zero_tol of float input or int64 with the exact zero_tol 0, is counted by
-    numpy.  Its argmin is that of a sequential min, under which a NaN never
-    compares less: index 0 when the first value is NaN, else the first least
-    of the others.  Any other column (exact values, or a list of Python
-    scalars) takes Python comparisons."""
+    value column or, under the exact zero_tol 0, a positive multiple of it.
+    A float64 or int64 column of `kernel_column` is counted by numpy, and its
+    argmin is that of a sequential min, under which a NaN never compares
+    less: index 0 when the first value is NaN, else the first least of the
+    others.  Any other column (exact values, or a list of Python scalars)
+    takes Python comparisons."""
     if not values:
         return HyperdetReport(values, None, None, 0, 0, 0, zero_tol)
     if isinstance(column, np.ndarray) and column.dtype in (np.float64, np.int64):
@@ -176,46 +172,42 @@ def _sweep_plan(shape: tuple[int, ...]) -> tuple[np.ndarray, jsontext.Column]:
     return idx, jsontext.Column(labels)
 
 
-def all_subhyperdets(t: np.ndarray) -> HyperdetReport:
-    """Hyperdeterminants of every 2x2x2 sub-block, with a scaled zero test.
-
-    Gathers the eight entries of every block into rows and evaluates the
-    quartic once on whole rows: float64 arithmetic for float tensors, int64
-    when every entry is an integer (a numpy integer or boolean, or a Python
-    int in an object array; not a Fraction or a bool there) of absolute
-    value at most INT64_SWEEP_BOUND, the entries' own (exact) arithmetic
-    otherwise, each with the operations of `hyperdet222` in its order, so
-    every value equals the per-block one and has its type.  numpy reads the
-    bound: an object array of Python ints is converted to int64 only when
-    they all fit, and counts as past the bound otherwise.
-    """
-    zero_tol = hyperdet_zero_tol(t)
-    idx, labels = _sweep_plan(t.shape)
-    flat = t.ravel()
+def kernel_column(kernel, flat: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """kernel(*flat[idx]): the kernel once on whole rows, gathered from the
+    1-D array flat by an index plan, one row per argument.  In float64 for
+    float entries, in int64 when every entry is an integer (a numpy integer
+    or boolean, or a Python int in an object array; not a Fraction or a
+    bool there) of absolute value at most INT64_SWEEP_BOUND, in the entries'
+    own (exact) arithmetic otherwise, each with the kernel's operations in
+    its order, so every value equals the kernel's on the scalars and has
+    its type.  numpy reads the bound: an object array of Python ints is
+    converted to int64 only when they all fit, and counts as past it
+    otherwise."""
     if flat.dtype == object and set(map(type, flat)) <= {int}:
         with contextlib.suppress(OverflowError):  # past int64: past the bound too
             flat = flat.astype(np.int64)
     if flat.dtype.kind in "iub" and peak(flat) <= INT64_SWEEP_BOUND:
         flat = flat.astype(np.int64, copy=False)
-    else:  # any other entries as the Python scalars hyperdet222 sees: int64 must not wrap
+    else:  # any other entries as the Python scalars the kernel sees: int64 must not wrap
         flat = flat.astype(np.float64 if flat.dtype.kind == "f" else object, copy=False)
     with np.errstate(over="ignore", invalid="ignore"):  # inf/nan silently, as Python floats do
-        column = _quartic(*flat[idx])
-    return _report(jsontext.Rows((labels, column.tolist())), column, zero_tol)
+        return kernel(*flat[idx])
+
+
+def all_subhyperdets(t: np.ndarray) -> HyperdetReport:
+    """Hyperdeterminants of every 2x2x2 sub-block, `_quartic` on the column
+    of the shape's plan, with a scaled zero test."""
+    idx, labels = _sweep_plan(t.shape)
+    values = kernel_column(_quartic, t.ravel(), idx)
+    return report_from_column(jsontext.Rows((labels, values.tolist())), values, hyperdet_zero_tol(t))
 
 
 # ----------------------------------------------------- symmetric restriction
 
-def discriminant_quartic(coords: Sequence, i: int):
-    """Shifted binary-cubic discriminant D_i on coordinates (x_i .. x_{i+3}).
-
-    Equals the hyperdeterminant of any 2x2x2 sub-block of the symmetric
-    tensor whose fixed indices sum to i.
-    """
-    d = len(coords) - 1
-    if not 0 <= i <= d - 3:
-        raise ValueError(f"need 0 <= i <= d-3 = {d - 3}, got {i}")
-    a, b, c, e = coords[i], coords[i + 1], coords[i + 2], coords[i + 3]
+def cubic_discriminant(a, b, c, e):
+    """The shifted binary-cubic discriminant D_i of (a, b, c, e) = (x_i ..
+    x_{i+3}), scalars or numpy rows: the hyperdeterminant of any 2x2x2
+    sub-block of the symmetric tensor whose fixed indices sum to i."""
     return (
         a * a * e * e
         - 6 * a * b * c * e

@@ -357,12 +357,8 @@ def sym_to_tensor(f: SymTensorCoords) -> np.ndarray:
         raise TooManyCoordinates(f"n={f.n}, d={f.d}: the dense tensor has n^d = {f.n ** f.d} entries, "
                                  f"more than {MAX_SYM_COORDS}")
     shape = (f.n,) * f.d
-    exact = f.is_exact()
-    t = np.empty(shape, dtype=object if exact else float)
-    for index in np.ndindex(shape):
-        v = f.coeffs[index_multidegree(index, f.n)]
-        t[index] = v if exact else float(v)
-    return t
+    entries = [f.coeffs[index_multidegree(index, f.n)] for index in np.ndindex(shape)]
+    return np.array(entries, dtype=object if f.is_exact() else float).reshape(shape)
 
 
 # --------------------------------------------------------------------- JSON
@@ -426,7 +422,7 @@ def sym_from_json(payload: Mapping) -> SymTensorCoords:
         coeffs[u] = value
     if _coordinates_exceed(n, d, MAX_SYM_COORDS):
         raise TooManyCoordinates(f"n={n}, d={d} has more than {MAX_SYM_COORDS} coordinates")
-    zero = 0.0 if values and isinstance(values[0], float) else Fraction(0)
+    zero = 0.0 if values and isinstance(values[0], float) else 0
     for u in multidegrees(n, d):
         coeffs.setdefault(u, zero)
     return SymTensorCoords(n, d, coeffs)

@@ -11,7 +11,8 @@ and a Fraction elimination rank) that catalecticant ranks are tested
 against; the dense-decomposition stratum label of a binary quartic that
 the Hankel-matrix label is tested against; the 2x2x2 sub-block
 selectors, one per block, and their one-block gather, the oracle that the
-hyperdeterminant sweep plan is tested against; a polynomial substitution
+hyperdeterminant sweep plan is tested against; the scalar shifted cubic
+discriminant that the column kernel is tested against; a polynomial substitution
 oracle, the cofactor determinant and the Sylvester resultant that the
 Bareiss and Bezout kernels of multipoly are tested against; the Poly secant
 system that the integer pencil of space_curve is tested against; and the
@@ -397,11 +398,32 @@ def bareiss_det(matrix: list[list[Poly]]) -> Poly:
     return result if sign == 1 else -result
 
 
+def discriminant_quartic(coords: Sequence, i: int):
+    """Shifted binary-cubic discriminant D_i on coordinates (x_i .. x_{i+3}),
+    one scalar at a time in the coordinates' own arithmetic: the oracle of
+    the column kernel `hyperdet.cubic_discriminant`.
+
+    Equals the hyperdeterminant of any 2x2x2 sub-block of the symmetric
+    tensor whose fixed indices sum to i.
+    """
+    d = len(coords) - 1
+    if not 0 <= i <= d - 3:
+        raise ValueError(f"need 0 <= i <= d-3 = {d - 3}, got {i}")
+    a, b, c, e = coords[i], coords[i + 1], coords[i + 2], coords[i + 3]
+    return (
+        a * a * e * e
+        - 6 * a * b * c * e
+        - 3 * b * b * c * c
+        + 4 * b * b * b * e
+        + 4 * a * c * c * c
+    )
+
+
 def discriminant_quartic_poly(d: int, i: int, names: Sequence[str] | None = None) -> Poly:
     """D_i as an exact polynomial in the coordinates x_0 .. x_d."""
     if names is None:
         names = tuple(f"x{j}" for j in range(d + 1))
-    return hd.discriminant_quartic([Poly.variable(nm, names) for nm in names], i)
+    return discriminant_quartic([Poly.variable(nm, names) for nm in names], i)
 
 
 class InvalidSelector(ValueError):

@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 from realrank2 import binary_forms as bf
 from realrank2 import certify as ce
 from realrank2 import hyperdet as hd
+from realrank2 import jsontext
 from realrank2 import tensors as tn
 from realrank2.exactsolve import exact_rank
 
-from conftest import dense_flattening_ranks
+from conftest import dense_flattening_ranks, discriminant_quartic
 
 SHAPES = [(2, 2, 2), (3, 2, 2), (2, 2, 2, 2), (3, 3, 3)]
 
@@ -170,15 +171,82 @@ def test_float_binary_form_rank_is_the_unweighted_hankel_rank(d, r, seed):
 
 def test_symmetric_plan_is_read_only():
     """The cached plan is shared by every certificate of its (n, d): its
-    containers are tuples and its arrays cannot be written to."""
-    for n, d in [(2, 5), (3, 4), (3, 2), (1, 3)]:
+    containers are tuples, its arrays cannot be written to, and its quartics
+    come in the sweep plan's form, a (4, q) intp index and a Column of
+    labels (empty for d <= 2 and for n = 1)."""
+    for n, d, q in [(2, 5, 3), (3, 4, 9), (3, 2, 0), (1, 3, 0)]:
         coords, cats, quartics = ce._symmetric_plan(n, d)
-        assert all(type(part) is tuple for part in (coords, cats, quartics, *cats, *quartics))
-        for index, weights, labels in cats:
+        assert all(type(part) is tuple for part in (coords, cats, quartics, *cats))
+        index, labels = quartics
+        assert index.shape == (4, q) and index.dtype == np.intp
+        assert type(labels) is jsontext.Column and len(labels) == q
+        for array in (index, *(a for cat in cats for a in cat[:2])):
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0
+        for _, _, labels in cats:
             assert type(labels) is tuple
-            for array in (index, weights):
-                with pytest.raises(ValueError, match="read-only"):
-                    array[0, 0] = 0
+
+
+# entries at both sides of INT64_SWEEP_BOUND (24898), the int64 bound of
+# both kernels, and of 26754, the largest B with 18·B^4 <= 2^63 - 1, the
+# discriminant's own; and past int64
+QUARTIC_TOPS = [24898, 24899, 26754, 26755, 2**63]
+
+
+@st.composite
+def quartic_forms(draw):
+    """Symmetric tensors of int, Fraction (thirds), mixed or float
+    (sevenths, rounded) coordinates, some of them at ±top (or one less)
+    for one top of QUARTIC_TOPS."""
+    n, d = draw(st.sampled_from([(2, 3), (2, 4), (2, 6), (3, 3), (3, 4), (4, 3)]))
+    kind = draw(st.sampled_from(["int", "fraction", "mixed", "float"]))
+    top = draw(st.sampled_from(QUARTIC_TOPS))
+    degrees = tn.multidegrees(n, d)
+    numbers = draw(st.lists(st.one_of(st.integers(-5, 5), st.sampled_from([top, -top, top - 1, 1 - top])),
+                            min_size=len(degrees), max_size=len(degrees)))
+    thirds = draw(st.lists(st.booleans(), min_size=len(degrees), max_size=len(degrees)))
+    coords = [v / 7 if kind == "float" else Fraction(v, 3) if kind == "fraction" or kind == "mixed" and third
+              else v for v, third in zip(numbers, thirds)]
+    return tn.SymTensorCoords(n, d, dict(zip(degrees, coords)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(quartic_forms())
+def test_quartic_column_equals_the_scalar_oracle_in_value_and_type(f):
+    """Every shifted discriminant of a symmetric certificate is the scalar
+    D of its four raw coordinates, in value and in type (an int where all
+    four are ints, a Fraction where one is, a float, bit for bit, for float
+    coordinates), and the report counts and picks them as Python does."""
+    report = ce.certify_symmetric(f).hyperdet_report
+    want = []
+    for p, q in itertools.combinations(range(f.n), 2):
+        for i, w in enumerate(tn.multidegrees(f.n, f.d - 3)):
+            four = [f.coeffs[tuple(e + (3 - k) * (m == p) + k * (m == q) for m, e in enumerate(w))]
+                    for k in range(4)]
+            label = f"D{i}" if f.n == 2 else f"pair({p + 1},{q + 1})@" + ",".join(map(str, w))
+            want.append((label, discriminant_quartic(four, 0)))
+    assert list(report.values) == want
+    assert [type(v) for _, v in report.values] == [type(v) for _, v in want]
+    oracle = hd.report_from_column(want, [v for _, v in want], report.zero_tol)
+    assert (report.min_value, report.argmin, report.num_positive, report.num_zero, report.num_negative) == (
+        oracle.min_value, oracle.argmin, oracle.num_positive, oracle.num_zero, oracle.num_negative)
+    assert type(report.min_value) is type(oracle.min_value)
+
+
+@pytest.mark.parametrize("top, dtype", [(24898, np.int64), (24899, object), (26754, object), (26755, object),
+                                        (2**63, object)])
+def test_quartic_column_takes_int64_exactly_within_the_sweep_bound(monkeypatch, top, dtype):
+    """One bound for both kernels: int64 up to INT64_SWEEP_BOUND, Python ints
+    past it, although the discriminant alone would fit up to 26754."""
+    assert hd.INT64_SWEEP_BOUND == 24898
+    seen, kernel = [], hd.cubic_discriminant
+    monkeypatch.setattr(hd, "cubic_discriminant", lambda *rows: seen.append(rows[0].dtype) or kernel(*rows))
+    coords = [top, -top, 3, top, -1]
+    report = ce.certify_symmetric(tn.SymTensorCoords(2, 4, {(4 - i, i): c for i, c in enumerate(coords)}))
+    assert seen == [np.dtype(dtype)]
+    want = [(f"D{i}", discriminant_quartic(coords, i)) for i in range(2)]
+    assert list(report.hyperdet_report.values) == want
+    assert all(type(v) is int for _, v in report.hyperdet_report.values)
 
 
 def test_symmetric_certificate_never_expands_the_dense_tensor(monkeypatch):

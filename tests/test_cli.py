@@ -109,6 +109,26 @@ def test_certify_symmetric_coordinates(capsys, tmp_path):
     assert json.loads(out)["verdict"] == "REAL_BORDER_RANK_TWO_BOUNDARY"
 
 
+@pytest.mark.parametrize("command", ["certify", "hyperdet"])
+def test_omitted_exact_coordinates_print_as_written_out_zeros(capsys, tmp_path, command):
+    """An exact file's omitted coordinates are the int 0, as if written out:
+    both spellings print the same JSON and text bytes, with int values."""
+    omitted = {"4,0": 1, "0,4": 1}
+    spelled = {"4,0": 1, "3,1": 0, "2,2": 0, "1,3": 0, "0,4": 1}
+    outs = []
+    for coeffs in (omitted, spelled):
+        path = tmp_path / "sym.json"
+        path.write_text(json.dumps({"n": 2, "d": 4, "coeffs": coeffs}))
+        for fmt in ("json", "text"):
+            status, out, _ = run_cli(capsys, command, "--symmetric", "--file", str(path), "--format", fmt)
+            assert status == 0
+            outs.append(out)
+    assert outs[:2] == outs[2:]
+    payload = json.loads(outs[0])
+    rows = (payload["hyperdet"] if command == "certify" else payload)["values"]
+    assert rows and all(type(row["value"]) is int for row in rows)
+
+
 def test_hyperdet_text_golden(capsys, conj_file):
     status, out, _ = run_cli(capsys, "hyperdet", "--file", conj_file, "--format", "text")
     assert status == 0

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import Poly, discriminant_quartic_poly, enumerate_subblocks, extract_subblock, ring
+from conftest import (Poly, discriminant_quartic, discriminant_quartic_poly, enumerate_subblocks, extract_subblock,
+                      ring)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -155,7 +156,7 @@ def test_sweep_equals_per_block_oracle(shape, kind, seed):
             for sel in enumerate_subblocks(t.shape)]
     assert report.values == want
     assert [type(v) for _, v in report.values] == [type(v) for _, v in want]
-    oracle = hd.report_from_values(want, hd.hyperdet_zero_tol(t))
+    oracle = hd.report_from_column(want, [v for _, v in want], hd.hyperdet_zero_tol(t))
     assert json.dumps(report.to_json()) == json.dumps(oracle.to_json())
     if not want:
         assert report.argmin is None and hd._sweep_plan(shape)[0].size == 0
@@ -265,7 +266,7 @@ def test_exact_sweep_equals_the_python_int_oracle_on_both_sides_of_the_bound(t):
     assert [type(v) for _, v in report.values] == [type(v) for _, v in want]
     if not any(type(v) is Fraction for v in t.flat):
         assert all(type(v) is int for _, v in report.values)
-    oracle = hd.report_from_values(want, 0)
+    oracle = hd.report_from_column(want, [v for _, v in want], 0)
     assert _summary(report) == _summary(oracle)
     assert type(report.min_value) is type(oracle.min_value)
 
@@ -355,7 +356,7 @@ def test_sweep_plan_equals_the_per_selector_gather(shape):
 
 
 def test_report_sign_counts_and_argmin():
-    report = hd.report_from_values([("a", 2.0), ("b", -3.0), ("c", 0.0)], zero_tol=1e-9)
+    report = hd.report_from_column([("a", 2.0), ("b", -3.0), ("c", 0.0)], [2.0, -3.0, 0.0], zero_tol=1e-9)
     assert (report.num_positive, report.num_zero, report.num_negative) == (1, 1, 1)
     assert report.argmin == "b"
     assert report.min_value == -3.0
@@ -394,17 +395,17 @@ def _summary(report):
 def test_report_counts_and_argmin_equal_the_sequential_oracle(column, zero_tol):
     values = [(f"b{i}", v) for i, v in enumerate(column)]
     want = report_oracle(values, zero_tol)
-    got = _summary(hd.report_from_values(values, zero_tol))
+    got = _summary(hd.report_from_column(values, column, zero_tol))
     assert got[:2] == want[:2]
     assert got[2] is want[2]  # the very value object: NaN and -0.0 included
     # the sweep's float64 value column, which comes with a float tolerance
     if type(zero_tol) is float and all(type(v) is float for v in column):
-        got = _summary(hd._report(values, np.array(column, dtype=np.float64), zero_tol))
+        got = _summary(hd.report_from_column(values, np.array(column, dtype=np.float64), zero_tol))
         assert got[:2] == want[:2]
         assert got[2] is want[2]
     # the exact int64 sweep's value column, which comes with the exact tolerance 0
     if zero_tol == 0 and all(type(v) is int and abs(v) < 2**63 for v in column):
-        got = _summary(hd._report(values, np.array(column, dtype=np.int64), 0))
+        got = _summary(hd.report_from_column(values, np.array(column, dtype=np.int64), 0))
         assert got[:2] == want[:2]
         assert got[2] is want[2]
 
@@ -427,7 +428,7 @@ def test_discriminant_quartic_equals_subblock_hyperdet(d, seed):
     t = tn.sym_to_tensor(f)
     for i in range(d - 2):
         window = coords[i:i + 4]
-        d_val = hd.discriminant_quartic(window, 0)
+        d_val = discriminant_quartic(window, 0)
         fixed = (0,) * (d - 3 - i) + (1,) * i
         sub = t[(slice(None), slice(None), slice(None)) + fixed]
         assert d_val == hd.hyperdet222(sub)
@@ -443,11 +444,11 @@ def test_cubic_discriminant_determinant_identity():
 
 def test_discriminant_quartic_known_values():
     # s^4 - t^4 scaled coords (1,0,0,0,-1): both windows vanish
-    assert hd.discriminant_quartic([Fraction(1), 0, 0, 0, Fraction(-1)], 0) == 0
-    assert hd.discriminant_quartic([Fraction(1), 0, 0, 0, Fraction(-1)], 1) == 0
+    assert discriminant_quartic([Fraction(1), 0, 0, 0, Fraction(-1)], 0) == 0
+    assert discriminant_quartic([Fraction(1), 0, 0, 0, Fraction(-1)], 1) == 0
     # s^3 t: tangential point, discriminant zero
-    assert hd.discriminant_quartic([0, Fraction(1, 3), 0, 0], 0) == 0
+    assert discriminant_quartic([0, Fraction(1, 3), 0, 0], 0) == 0
     # s^3 + s t^2 = ((s + t/sqrt3)^3 + (s - t/sqrt3)^3)/2: real rank two
-    assert hd.discriminant_quartic([Fraction(1), 0, Fraction(1, 3), 0], 0) > 0
+    assert discriminant_quartic([Fraction(1), 0, Fraction(1, 3), 0], 0) > 0
     # s^3 - s t^2 has three distinct real roots: real rank three
-    assert hd.discriminant_quartic([Fraction(1), 0, Fraction(-1, 3), 0], 0) < 0
+    assert discriminant_quartic([Fraction(1), 0, Fraction(-1, 3), 0], 0) < 0

@@ -83,7 +83,7 @@ def test_certificate_equals_json_dumps():
     # float columns with NaN, with infinities but no NaN, and of finite values whose sum overflows
     for overflowed in ([math.nan, math.inf, -math.inf, -0.0], [math.inf, 1.0], [-0.0, -math.inf],
                        [1.7976931348623157e308] * 2):
-        payload["overflowed"] = hd.report_from_values([(str(v), v) for v in overflowed], 0.0).to_json()
+        payload["overflowed"] = hd.report_from_column([(str(v), v) for v in overflowed], overflowed, 0.0).to_json()
         assert jsontext.dumps(payload) == json.dumps(payload, indent=2)
 
 
@@ -144,7 +144,8 @@ def test_circular_container_raises_value_error():
 report_values = st.one_of(floats, ints, st.fractions(), st.integers(-9, 9).map(Fraction))
 # a column of floats alone, as a float tensor's sweep gives, takes its own path in the writer
 reports = st.one_of(st.lists(st.tuples(texts, report_values), max_size=8),
-                    st.lists(st.tuples(texts, floats), max_size=8)).map(lambda pairs: hd.report_from_values(pairs, 0))
+                    st.lists(st.tuples(texts, floats), max_size=8)).map(
+    lambda pairs: hd.report_from_column(pairs, [v for _, v in pairs], 0))
 
 
 def _as_dicts(report: hd.HyperdetReport) -> list[dict]:
@@ -174,7 +175,7 @@ def test_columnar_rows_read_as_the_list_of_dicts(report, other, data):
         assert (payload == read_back) is (listed == read_back)
     # compared: with the list, with another report's rows (equal or not) and with []
     if data.draw(st.booleans()):
-        other = hd.report_from_values(list(report.values), 0)
+        other = hd.report_from_column(list(report.values), [v for _, v in report.values], 0)
     other_rows, other_dicts = other.to_json()["values"], _as_dicts(other)
     for a, b, want in [(rows, dicts, True), (rows, other_rows, dicts == other_dicts),
                        (rows, other_dicts, dicts == other_dicts), (rows, [], dicts == []),
@@ -210,7 +211,7 @@ def test_columnar_rows_read_as_the_list_of_dicts(report, other, data):
 
 
 def test_empty_report_rows():
-    rows = hd.report_from_values([], 0).to_json()["values"]
+    rows = hd.report_from_column([], [], 0).to_json()["values"]
     assert rows == [] and [] == rows and not rows and len(rows) == 0
     assert rows != () and list(rows) == []
     assert json.dumps(rows) == json.dumps(rows, indent=2) == jsontext.dumps(rows) == "[]"

@@ -14,13 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import (Poly, coefficients_in, elimination_variable, fraction_on_curve, fraction_trim,
-                      random_combination, ring, secant_system, substitute)
+from conftest import (Poly, coefficients_in, discriminant_quartic, elimination_variable, fraction_on_curve,
+                      fraction_trim, random_combination, ring, secant_system, substitute)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import realrank2
-from realrank2 import hyperdet as hd
 from realrank2 import space_curve as sc
 from realrank2.exactsolve import content
 from realrank2.multipoly import Polynomial, evaluate
@@ -508,7 +507,7 @@ def test_secant_solutions_reproduce_their_pair_quadric(u):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(-9, 9), min_size=4, max_size=4))
 def test_twisted_cubic_agrees_with_discriminant_sign(u):
-    d_value = hd.discriminant_quartic([Fraction(c) for c in u], 0)
+    d_value = discriminant_quartic([Fraction(c) for c in u], 0)
     if d_value == 0:
         return
     label = sc.classify_point(TWISTED_CUBIC, u).label
