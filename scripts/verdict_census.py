@@ -89,7 +89,7 @@ def main() -> int:
         census[(family, verdict.verdict.value)] += 1
         if verdict.strata is not None:
             strata[verdict.strata] += 1
-        tensor_verdict = ce.certify_border_rank2(tn.sym_to_tensor(form.to_sym())).verdict
+        tensor_verdict = ce.certify_border_rank2(tn.sym_to_tensor(form)).verdict
         if tensor_verdict != verdict.verdict:
             disagreements += 1
             print(f"DISAGREEMENT on {form.coords}: "

@@ -42,21 +42,13 @@ STRATUM_RANK_ONE = "RANK_ONE"
 QUARTIC_TANGENT_TOL = 1e-12
 
 
-@dataclass
-class BinaryForm:
-    d: int
-    coords: list
+class BinaryForm(tn.SymTensorCoords):
+    """The n = 2 record: x_0..x_d are already in multidegrees(2, d) order."""
 
-    def __post_init__(self):
-        if len(self.coords) != self.d + 1:
-            raise WrongDegree(f"degree {self.d} needs {self.d + 1} coordinates")
-
-    def is_exact(self) -> bool:
-        return all(isinstance(c, (int, Fraction)) for c in self.coords)
-
-    def to_sym(self) -> tn.SymTensorCoords:
-        return tn.SymTensorCoords(2, self.d, {(self.d - i, i): c
-                                              for i, c in enumerate(self.coords)})
+    def __init__(self, d: int, coords: list):
+        if len(coords) != d + 1:
+            raise WrongDegree(f"degree {d} needs {d + 1} coordinates")
+        super().__init__(2, d, coords)
 
 
 def from_plain_coeffs(d: int, coeffs: list) -> BinaryForm:
@@ -99,7 +91,7 @@ def classify_binary_form(f: BinaryForm, tol: float = 1e-8) -> BinaryFormVerdict:
     stratum label from the Hankel matrix."""
     if f.d < 3:
         raise DegreeTooSmall("classification needs degree >= 3")
-    cert = ce.certify_symmetric(f.to_sym(), tol)
+    cert = ce.certify_symmetric(f, tol)
     return BinaryFormVerdict(cert.flattening_ranks["hankel"], [v for _, v in cert.hyperdet_report.values],
                              cert.verdict, _strata_label(f, cert) if f.d == 4 else None)
 

@@ -190,9 +190,9 @@ def _catalecticant(n: int, d: int, k: int, where: dict) -> tuple[np.ndarray, np.
 
 
 @functools.lru_cache(maxsize=SYMMETRIC_PLAN_CACHE_SIZE)
-def _symmetric_plan(n: int, d: int) -> tuple[tuple, tuple, tuple[np.ndarray, jsontext.Column]]:
+def _symmetric_plan(n: int, d: int) -> tuple[tuple, tuple[np.ndarray, jsontext.Column]]:
     """What `certify_symmetric` reads for one (n, d), shared by every call:
-    the coordinate order, multidegrees(n, d); per catalecticant, its index,
+    per catalecticant, its index over the multidegrees(n, d) coordinates,
     weights and flattening labels (for d <= 2 the form's one matrix, for n = 2
     the Hankel matrix Cat(2, d-2), else Cat(1, d-1) for the single-mode ones
     and, for d >= 4, Cat(2, d-2) for the merged ones); as the sweep plan, the
@@ -207,8 +207,7 @@ def _symmetric_plan(n: int, d: int) -> tuple[tuple, tuple, tuple[np.ndarray, jso
             raise tn.TooManyCoordinates(
                 f"n={n}, d={d}: {work[0]} discriminant quartics, {work[1]} catalecticant entries ({rows} x {cols}) "
                 f"and {work[2]} flattening ranks; certification takes at most {MAX_SYMMETRIC_WORK} of each")
-    coords = tuple(tn.multidegrees(n, d))
-    where = {u: i for i, u in enumerate(coords)}
+    where = {u: i for i, u in enumerate(tn.multidegrees(n, d))}
     if d <= 2:
         cats = ((*_catalecticant(n, d, max(d - 1, 0), where), ("matrix",)),)
     elif n == 2:
@@ -224,7 +223,7 @@ def _symmetric_plan(n: int, d: int) -> tuple[tuple, tuple, tuple[np.ndarray, jso
                 for i, w in enumerate(tn.multidegrees(n, d - 3) if d >= 3 else [])]
     index = np.array([at for _, at in quartics], dtype=np.intp).reshape(-1, 4).T.copy()
     index.flags.writeable = False
-    return coords, cats, (index, jsontext.Column(label for label, _ in quartics))
+    return cats, (index, jsontext.Column(label for label, _ in quartics))
 
 
 def certify_symmetric(f: tn.SymTensorCoords, tol: float = 1e-8) -> Certificate:
@@ -237,8 +236,8 @@ def certify_symmetric(f: tn.SymTensorCoords, tol: float = 1e-8) -> Certificate:
     alike; a float catalecticant other than a binary form's Hankel
     matrix is weighted to have the dense flattening's singular values.
     """
-    coords, cats, (positions, names) = _symmetric_plan(f.n, f.d)
-    raw = [f.coeffs[u] for u in coords]
+    cats, (positions, names) = _symmetric_plan(f.n, f.d)
+    raw = f.coords
     x = _exact_or_finite(np.array(raw, dtype=object if f.is_exact() else float))
     if f.d <= 2:  # a vector or a symmetric matrix, whose weights are all 1
         return _matrix_certificate(x[cats[0][0]], tol)

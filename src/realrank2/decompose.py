@@ -306,7 +306,7 @@ def decompose_rank2(t: np.ndarray, tol: float = 1e-8, seed: int = 0) -> Rank2Dec
     tf = tn.to_float(t)
     rng = np.random.default_rng(seed)
 
-    bases, core = _compress(tf, 1e-8)
+    bases, core = _compress(tf, tol)
     active = [m for m in range(tf.ndim) if bases[m].shape[1] == 2]
     if len(active) < 2:
         raise NotRankTwo("fewer than two modes with a two-dimensional span")

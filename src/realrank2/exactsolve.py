@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 # the Mersenne prime 2^31 - 1
 MODULAR_PRIME = 2**31 - 1
@@ -118,19 +118,20 @@ def exact_rank(rows: Sequence[Sequence]) -> int:
     return len(pivots)
 
 
-def rank_mod_p(rows: Sequence[Sequence[int]]) -> int:
-    """Rank modulo MODULAR_PRIME of a matrix of ints: at most its rank over Q,
-    and equal to it unless p divides every maximal nonzero minor.
+def rank_mod_p(rows: Iterable[Mapping[int, int]]) -> int:
+    """Rank modulo MODULAR_PRIME of a matrix of ints, each row given sparse as
+    {column: entry} over int columns: at most its rank over Q, and equal to
+    it unless p divides every maximal nonzero minor.
 
-    Row by row on sparse residues (column -> nonzero residue), so sparse
-    rows cost near their nonzeros: the earlier pivot rows clear each row's
+    Row by row on sparse residues (column -> nonzero residue), so rows
+    cost near their nonzeros: the earlier pivot rows clear each row's
     leading column until it vanishes or leads at a new column, where it
     becomes a pivot row, scaled to a leading 1.
     """
     p = MODULAR_PRIME
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        residues = {j: x % p for j, x in enumerate(row) if x % p}
+        residues = {j: x % p for j, x in row.items() if x % p}
         while residues and (c := min(residues)) in pivots:
             factor = residues[c]
             for j, x in pivots[c].items():

@@ -52,6 +52,10 @@ class FloatOverflow(ArithmeticError):
     """A value of the secant system's float arithmetic overflows a double."""
 
 
+class TooManySamples(ValueError):
+    """A scan of more than MAX_SAMPLES points, refused before any is built."""
+
+
 PAIR_VARS = ("a", "b", "c")
 POINT_VARS = ("w", "x", "y", "z")
 INDEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -77,6 +81,10 @@ SNAP_MARGIN = Fraction(1, 10 ** 12)
 SNAP_REACH = as_fraction(FIXTURE_MATCH_WINDOW) + SNAP_MARGIN
 SNAP_WITHIN = as_fraction(FIXTURE_MATCH_WINDOW) - SNAP_MARGIN
 MAX_ELIMINATION_RETRIES = 8
+# each sample is one classify_point, about 1 ms on the crossing path, so a
+# few bytes of argv cannot ask for unbounded work: 2000 samples of it take
+# about 2 s, as MAX_GENERATORS admits for a quadric basis
+MAX_SAMPLES = 2000
 
 
 def _exact_entries(values) -> tuple[Fraction, ...]:
@@ -782,10 +790,12 @@ def scan_path(curve: CurveParam, path, interval=(0, 1), nsamples: int = 21,
     matched to the fixture root it crosses and reported at that root's
     high-precision value; bisection stops early once only one root can be
     that match.  Fixture roots that do not change the classification are
-    reported too, flagged NO_RANK_CHANGE.
+    reported too, flagged NO_RANK_CHANGE.  TooManySamples past MAX_SAMPLES.
     """
     if nsamples < 2:
         raise ValueError("need at least two samples")
+    if nsamples > MAX_SAMPLES:
+        raise TooManySamples(f"{nsamples} samples, more than {MAX_SAMPLES}")
     path = tuple((c0, c1) for c0, c1 in (_exact_entries(row) for row in path))
     lo, hi = (as_fraction(v) for v in interval)
     if hi <= lo:

@@ -279,12 +279,9 @@ def quadric_basis(n: int, d: int) -> list[QuadricGenerator]:
                 _doubled_preimage(t, coords, index), units))))
             for k in range(4, d + 1, 2) for t in enumerate_tableaux(n, d, k)]
     column = {e: j for j, e in enumerate(sorted({e for g in gens for e in g.polynomial.terms}))}
-    rows = [[0] * len(column) for _ in gens]
-    for row, g in zip(rows, gens):
-        for e, c in g.polynomial.terms.items():
-            row[column[e]] = c
-    if rank_mod_p(rows) != len(gens):  # no certificate: the exact rank decides
-        rank = exact_rank(rows)
+    rows = [{column[e]: c for e, c in g.polynomial.terms.items()} for g in gens]
+    if rank_mod_p(rows) != len(gens):  # no certificate: the exact rank decides, on dense rows
+        rank = exact_rank([[row.get(j, 0) for j in range(len(column))] for row in rows])
         if rank != len(gens):
             raise Inconsistent(f"quadric basis for (n={n}, d={d}) is linearly dependent: "
                                f"rank {rank} of {len(gens)} generators")

@@ -291,26 +291,24 @@ def squeeze_ones(t: np.ndarray) -> np.ndarray:
 class SymTensorCoords:
     """Coordinates of a symmetric tensor in the scaled monomial basis.
 
-    coeffs maps each multidegree u (|u| = d, length n) to the coordinate x_u;
-    the corresponding polynomial is sum of binom(d, u) x_u t^u.
+    coords lists the coordinate x_u of each multidegree u (|u| = d, length
+    n) in multidegrees(n, d) order; the corresponding polynomial is sum of
+    binom(d, u) x_u t^u.
     """
 
     n: int
     d: int
-    coeffs: dict[tuple[int, ...], object]
+    coords: list
 
     def __post_init__(self):
         expected = comb(self.n + self.d - 1, self.d)
-        if len(self.coeffs) != expected:
+        if len(self.coords) != expected:
             raise ShapeMismatch(
-                f"need {expected} coordinates for n={self.n}, d={self.d}, got {len(self.coeffs)}"
+                f"need {expected} coordinates for n={self.n}, d={self.d}, got {len(self.coords)}"
             )
-        for u in self.coeffs:
-            if len(u) != self.n or any(e < 0 for e in u) or sum(u) != self.d:
-                raise ShapeMismatch(f"bad multidegree {u}")
 
     def is_exact(self) -> bool:
-        return all(isinstance(v, (int, Fraction)) for v in self.coeffs.values())
+        return all(isinstance(v, (int, Fraction)) for v in self.coords)
 
 
 def multidegrees(n: int, d: int) -> list[tuple[int, ...]]:
@@ -357,7 +355,8 @@ def sym_to_tensor(f: SymTensorCoords) -> np.ndarray:
         raise TooManyCoordinates(f"n={f.n}, d={f.d}: the dense tensor has n^d = {f.n ** f.d} entries, "
                                  f"more than {MAX_SYM_COORDS}")
     shape = (f.n,) * f.d
-    entries = [f.coeffs[index_multidegree(index, f.n)] for index in np.ndindex(shape)]
+    where = {u: i for i, u in enumerate(multidegrees(f.n, f.d))}
+    entries = [f.coords[where[index_multidegree(index, f.n)]] for index in np.ndindex(shape)]
     return np.array(entries, dtype=object if f.is_exact() else float).reshape(shape)
 
 
@@ -423,6 +422,4 @@ def sym_from_json(payload: Mapping) -> SymTensorCoords:
     if _coordinates_exceed(n, d, MAX_SYM_COORDS):
         raise TooManyCoordinates(f"n={n}, d={d} has more than {MAX_SYM_COORDS} coordinates")
     zero = 0.0 if values and isinstance(values[0], float) else 0
-    for u in multidegrees(n, d):
-        coeffs.setdefault(u, zero)
-    return SymTensorCoords(n, d, coeffs)
+    return SymTensorCoords(n, d, [coeffs.get(u, zero) for u in multidegrees(n, d)])

@@ -335,13 +335,13 @@ def reference_strata_label(f, tol: float = 1e-8) -> str | None:
     own certificate and read the signs of a real pair's two weights, each
     times the signs its factors hide (d is even, so a factor's sign counts
     through its overlap with the first factor)."""
-    cert = ce.certify_symmetric(f.to_sym(), tol)
+    cert = ce.certify_symmetric(f, tol)
     if cert.verdict == ce.Verdict.RANK_AT_MOST_ONE:
         return bf.STRATUM_RANK_ONE
     if cert.verdict == ce.Verdict.BORDER_RANK_EXCEEDS_TWO:
         return None
     with mock.patch.object(ce, "certify_border_rank2", lambda *args: cert):
-        dec = dc.decompose_rank2(tn.sym_to_tensor(f.to_sym()), tol)
+        dec = dc.decompose_rank2(tn.sym_to_tensor(f), tol)
     if dec.kind == dc.DecompositionKind.CONJUGATE_PAIR:
         return bf.STRATUM_CONJ
     if dec.kind != dc.DecompositionKind.REAL_PAIR:

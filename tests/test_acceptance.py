@@ -262,7 +262,7 @@ def test_criterion_09_oracle_equivalence():
                 coords = conjugate_pair_coords(d, alpha, beta)
             f = bf.BinaryForm(d, coords)
             direct = bf.classify_binary_form(f).verdict
-            via_tensor = ce.certify_border_rank2(tn.sym_to_tensor(f.to_sym())).verdict
+            via_tensor = ce.certify_border_rank2(tn.sym_to_tensor(f)).verdict
             disagreements += direct != via_tensor
     elapsed = time.perf_counter() - start
     record(9, "form classifier agrees with the tensor certificate route",

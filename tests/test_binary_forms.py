@@ -189,7 +189,7 @@ def test_verdict_agrees_with_tensor_route(d, coords):
     coords = (coords + [0] * 7)[:d + 1]
     f = bf.BinaryForm(d, [Fraction(c) for c in coords])
     direct = bf.classify_binary_form(f).verdict
-    via_tensor = ce.certify_border_rank2(tn.sym_to_tensor(f.to_sym())).verdict
+    via_tensor = ce.certify_border_rank2(tn.sym_to_tensor(f)).verdict
     assert direct == via_tensor
 
 

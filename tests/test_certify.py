@@ -105,7 +105,7 @@ def test_oracle_equivalence_symmetric_vs_tensor(d, seed):
         a, b = rng.randint(1, 4), rng.randint(-4, 4)
         r1, r2 = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))
         coords = [a * r1 ** i + b * r2 ** i for i in range(d + 1)]
-    f = tn.SymTensorCoords(2, d, {(d - i, i): c for i, c in enumerate(coords)})
+    f = tn.SymTensorCoords(2, d, coords)
     sym = ce.certify_symmetric(f)
     full = ce.certify_border_rank2(tn.sym_to_tensor(f))
     assert sym.verdict == full.verdict
@@ -126,8 +126,8 @@ def test_catalecticant_ranks_equal_dense_flattening_ranks(n, d, data):
     r = data.draw(st.integers(1, 4))
     vectors = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=r, max_size=r))
     weights = data.draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=r, max_size=r))
-    f = tn.SymTensorCoords(n, d, {u: sum(w * math.prod(map(pow, v, u)) for w, v in zip(weights, vectors))
-                                  for u in tn.multidegrees(n, d)})
+    f = tn.SymTensorCoords(n, d, [sum(w * math.prod(map(pow, v, u)) for w, v in zip(weights, vectors))
+                                  for u in tn.multidegrees(n, d)])
     ranks = ce.certify_symmetric(f).flattening_ranks
     singles = [(m,) for m in range(d)]
     pairs = [tuple(p) for p in itertools.combinations(range(d), 2)] if d >= 4 else []
@@ -143,10 +143,10 @@ def test_weighted_catalecticant_has_the_dense_flattening_singular_values(n, d, s
     up to the one positive factor that keeps the weights at most 1."""
     rng = np.random.default_rng(seed)
     degrees = tn.multidegrees(n, d)
-    f = tn.SymTensorCoords(n, d, dict(zip(degrees, (scale * rng.standard_normal(len(degrees))).tolist())))
+    f = tn.SymTensorCoords(n, d, (scale * rng.standard_normal(len(degrees))).tolist())
     t = tn.sym_to_tensor(f)
-    coords, cats, _ = ce._symmetric_plan(n, d)
-    x = np.array([f.coeffs[u] for u in coords])
+    cats, _ = ce._symmetric_plan(n, d)
+    x = np.array(f.coords)
     for index, weights, labels in cats:
         s = np.linalg.svd(x[index] * weights, compute_uv=False)
         dense = np.linalg.svd(tn.flatten(t, _label_modes(labels[0])), compute_uv=False)
@@ -164,8 +164,8 @@ def test_float_binary_form_rank_is_the_unweighted_hankel_rank(d, r, seed):
     form = bf.BinaryForm(d, sum(w * np.array([a ** (d - i) * b ** i for i in range(d + 1)])
                                 for w, (a, b) in zip(rng.choice([-2.0, -1.0, 1.0, 3.0], r),
                                                      rng.uniform(-1, 1, (r, 2)))).tolist())
-    assert ce.certify_symmetric(form.to_sym()).flattening_ranks == {"hankel": tn.matrix_rank(bf.hankel(form))}
-    _, cats, _ = ce._symmetric_plan(2, d)
+    assert ce.certify_symmetric(form).flattening_ranks == {"hankel": tn.matrix_rank(bf.hankel(form))}
+    cats, _ = ce._symmetric_plan(2, d)
     assert [labels for _, _, labels in cats] == [("hankel",)] and np.all(cats[0][1] == 1)
 
 
@@ -175,8 +175,8 @@ def test_symmetric_plan_is_read_only():
     come in the sweep plan's form, a (4, q) intp index and a Column of
     labels (empty for d <= 2 and for n = 1)."""
     for n, d, q in [(2, 5, 3), (3, 4, 9), (3, 2, 0), (1, 3, 0)]:
-        coords, cats, quartics = ce._symmetric_plan(n, d)
-        assert all(type(part) is tuple for part in (coords, cats, quartics, *cats))
+        cats, quartics = ce._symmetric_plan(n, d)
+        assert all(type(part) is tuple for part in (cats, quartics, *cats))
         index, labels = quartics
         assert index.shape == (4, q) and index.dtype == np.intp
         assert type(labels) is jsontext.Column and len(labels) == q
@@ -207,7 +207,7 @@ def quartic_forms(draw):
     thirds = draw(st.lists(st.booleans(), min_size=len(degrees), max_size=len(degrees)))
     coords = [v / 7 if kind == "float" else Fraction(v, 3) if kind == "fraction" or kind == "mixed" and third
               else v for v, third in zip(numbers, thirds)]
-    return tn.SymTensorCoords(n, d, dict(zip(degrees, coords)))
+    return tn.SymTensorCoords(n, d, coords)
 
 
 @settings(max_examples=120, deadline=None)
@@ -218,10 +218,11 @@ def test_quartic_column_equals_the_scalar_oracle_in_value_and_type(f):
     four are ints, a Fraction where one is, a float, bit for bit, for float
     coordinates), and the report counts and picks them as Python does."""
     report = ce.certify_symmetric(f).hyperdet_report
+    at = dict(zip(tn.multidegrees(f.n, f.d), f.coords))
     want = []
     for p, q in itertools.combinations(range(f.n), 2):
         for i, w in enumerate(tn.multidegrees(f.n, f.d - 3)):
-            four = [f.coeffs[tuple(e + (3 - k) * (m == p) + k * (m == q) for m, e in enumerate(w))]
+            four = [at[tuple(e + (3 - k) * (m == p) + k * (m == q) for m, e in enumerate(w))]
                     for k in range(4)]
             label = f"D{i}" if f.n == 2 else f"pair({p + 1},{q + 1})@" + ",".join(map(str, w))
             want.append((label, discriminant_quartic(four, 0)))
@@ -242,7 +243,7 @@ def test_quartic_column_takes_int64_exactly_within_the_sweep_bound(monkeypatch, 
     seen, kernel = [], hd.cubic_discriminant
     monkeypatch.setattr(hd, "cubic_discriminant", lambda *rows: seen.append(rows[0].dtype) or kernel(*rows))
     coords = [top, -top, 3, top, -1]
-    report = ce.certify_symmetric(tn.SymTensorCoords(2, 4, {(4 - i, i): c for i, c in enumerate(coords)}))
+    report = ce.certify_symmetric(tn.SymTensorCoords(2, 4, coords))
     assert seen == [np.dtype(dtype)]
     want = [(f"D{i}", discriminant_quartic(coords, i)) for i in range(2)]
     assert list(report.hyperdet_report.values) == want
@@ -256,8 +257,8 @@ def test_symmetric_certificate_never_expands_the_dense_tensor(monkeypatch):
     ce._symmetric_plan.cache_clear()
     for n in range(1, 5):
         for d in range(0, 7):
-            coeffs = {u: Fraction(i % 5 - 2, 1 + i % 3) for i, u in enumerate(tn.multidegrees(n, d))}
-            for f in (coeffs, {u: float(v) for u, v in coeffs.items()}):
+            coords = [Fraction(i % 5 - 2, 1 + i % 3) for i in range(len(tn.multidegrees(n, d)))]
+            for f in (coords, [float(v) for v in coords]):
                 assert ce.certify_symmetric(tn.SymTensorCoords(n, d, f)).verdict in ce.Verdict
 
 
@@ -315,8 +316,8 @@ def test_exact_symmetric_certificate_is_invariant_under_positive_scaling(nd, dat
         z = [complex(a, b) for a, b in zip(re, im)]
         return [math.prod(z[k] ** e for k, e in enumerate(u)) for u in degrees]
 
-    f = tn.SymTensorCoords(n, d, dict(zip(degrees, data.draw(exact_coords(n, products)))))
-    scaled = tn.SymTensorCoords(n, d, {u: c * v for u, v in f.coeffs.items()})
+    f = tn.SymTensorCoords(n, d, data.draw(exact_coords(n, products)))
+    scaled = tn.SymTensorCoords(n, d, [c * v for v in f.coords])
     assert _signature(ce.certify_symmetric(scaled)) == _signature(ce.certify_symmetric(f))
 
 
@@ -434,7 +435,7 @@ def test_merged_flattenings_catch_border_rank_three():
     # generic binary quartic: single-mode ranks are capped at 2 by shape,
     # only the merged two-mode flattening (the Hankel) sees rank three
     coords = [Fraction(c) for c in (-4, -1, -2, -1, -5)]
-    f = tn.SymTensorCoords(2, 4, {(4 - i, i): c for i, c in enumerate(coords)})
+    f = tn.SymTensorCoords(2, 4, coords)
     t = tn.sym_to_tensor(f)
     cert = ce.certify_border_rank2(t)
     assert cert.verdict == ce.Verdict.BORDER_RANK_EXCEEDS_TWO
@@ -469,10 +470,10 @@ def test_arity_too_small():
 
 def test_symmetric_low_degree_forms():
     # degree <= 2 forms certify through the matrix path without error
-    quad = tn.SymTensorCoords(2, 2, {(2, 0): Fraction(1), (1, 1): Fraction(0), (0, 2): Fraction(1)})
+    quad = tn.SymTensorCoords(2, 2, [Fraction(1), Fraction(0), Fraction(1)])
     cert = ce.certify_symmetric(quad)
     assert cert.verdict == ce.Verdict.REAL_RANK_TWO
-    lin = tn.SymTensorCoords(3, 1, {(1, 0, 0): Fraction(2), (0, 1, 0): Fraction(0), (0, 0, 1): Fraction(1)})
+    lin = tn.SymTensorCoords(3, 1, [Fraction(2), Fraction(0), Fraction(1)])
     assert ce.certify_symmetric(lin).verdict == ce.Verdict.RANK_AT_MOST_ONE
 
 
@@ -497,7 +498,7 @@ def test_non_finite_float_input_is_rejected(bad):
     t[1, 0, 1] = bad
     with pytest.raises(tn.NonFiniteEntry):
         ce.certify_border_rank2(t)
-    f = tn.SymTensorCoords(2, 3, {(3, 0): 1.0, (2, 1): 0.0, (1, 2): bad, (0, 3): 1.0})
+    f = tn.SymTensorCoords(2, 3, [1.0, 0.0, bad, 1.0])
     with pytest.raises(tn.NonFiniteEntry):
         ce.certify_symmetric(f)
     with pytest.raises(tn.NonFiniteEntry):

@@ -574,6 +574,20 @@ def test_generator_sets_past_the_limit_are_refused_before_they_are_built(capsys,
     assert err.splitlines()[-1] == f"error: TooManyGenerators: {message}"
 
 
+def test_scan_past_the_sample_limit_is_refused_before_any_sample(capsys, monkeypatch):
+    """Each sample costs about 1 ms, so --nsamples past MAX_SAMPLES (2000)
+    is refused before a sample point is built."""
+    limit = realrank2.space_curve.MAX_SAMPLES
+    assert limit == 2000
+    monkeypatch.setattr("realrank2.space_curve.as_fraction", _unreachable)
+    monkeypatch.setattr("realrank2.space_curve.classify_point", _unreachable)
+    status, out, err = run_cli(capsys, "curve-scan", "--curve", "monomial-quartic", "--path", "crossing",
+                               "--nsamples", str(limit + 1))
+    assert status == 1
+    assert out == ""
+    assert err.splitlines()[-1] == f"error: TooManySamples: {limit + 1} samples, more than {limit}"
+
+
 def test_symmetric_file_asking_for_too_many_coordinates_gets_no_verdict(capsys, tmp_path):
     path = tmp_path / "sym.json"
     path.write_text('{"n": 2, "d": 100000, "coeffs": {"100000,0": 1}}')

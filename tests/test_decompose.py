@@ -74,6 +74,24 @@ def test_orthogonal_two_term_golden():
     assert dec.residual <= 1e-12
 
 
+def test_decompose_compresses_at_the_certificate_tolerance():
+    # a second term 1e-10 the size of the first: every mode rank is 2 at
+    # tol 1e-12, so the modes must be compressed to two columns at 1e-12 too
+    rng = np.random.default_rng(3)
+    a, b = [rng.standard_normal(2) for _ in range(3)], [rng.standard_normal(2) for _ in range(3)]
+    t = tn.outer(a) + 1e-10 * tn.outer(b)
+    cert = ce.certify_border_rank2(t, 1e-12)
+    assert cert.verdict == ce.Verdict.REAL_BORDER_RANK_TWO_BOUNDARY
+    assert set(cert.flattening_ranks.values()) == {2}
+    dec = dc.decompose_rank2(t, 1e-12)
+    assert dec.kind == dc.DecompositionKind.REAL_PAIR
+    assert dec.residual <= 1e-14
+    weights = sorted(abs(term.weight) for term in dec.terms)
+    assert weights[0] == pytest.approx(2.9e-10, rel=0.01) and weights[1] == pytest.approx(1.156, rel=0.001)
+    with pytest.raises(dc.NotRankTwo):
+        dc.decompose_rank2(t)  # at the default 1e-8 the second term is noise
+
+
 def test_tangential_witness_decomposes_tangentially():
     xs = [np.array([1.0, 0.0])] * 3
     ys = [np.array([0.0, 1.0])] * 3

@@ -424,7 +424,7 @@ def test_discriminant_quartic_equals_subblock_hyperdet(d, seed):
     # hyperdeterminant of a 2x2x2 sub-block of its symmetric tensor
     rng = random.Random(seed)
     coords = [Fraction(rng.randint(-5, 5)) for _ in range(d + 1)]
-    f = tn.SymTensorCoords(2, d, {(d - i, i): c for i, c in enumerate(coords)})
+    f = tn.SymTensorCoords(2, d, coords)
     t = tn.sym_to_tensor(f)
     for i in range(d - 2):
         window = coords[i:i + 4]
