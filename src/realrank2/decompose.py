@@ -97,6 +97,29 @@ class Rank2Decomposition:
         return out
 
 
+def _unfoldings(t: np.ndarray) -> list[np.ndarray]:
+    """The mode-m flattening of t for every mode m."""
+    return [tn.flatten(t, [m]) for m in range(t.ndim)]
+
+
+def _same_shapes(arrays: Sequence[np.ndarray]) -> list[list[int]]:
+    """Indices of the arrays grouped by shape, groups in first-seen order."""
+    shapes = [a.shape for a in arrays]
+    return [[i for i, s in enumerate(shapes) if s == shape] for shape in dict.fromkeys(shapes)]
+
+
+def _mode_svds(unfoldings: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """U and the singular values of the thin SVD of every unfolding.  Those of
+    one shape take one call on their C-contiguous stack, which gives each
+    matrix the bits of its own call."""
+    out = [None] * len(unfoldings)
+    for group in _same_shapes(unfoldings):
+        us, ss, _ = np.linalg.svd(np.stack([unfoldings[m] for m in group]), full_matrices=False)
+        for m, u, s in zip(group, us, ss):
+            out[m] = u, s
+    return out
+
+
 def _khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
     """Column-wise Kronecker product of (n_k, r) factor matrices, left to right.
 
@@ -121,15 +144,13 @@ def best_rank_one(t: np.ndarray, max_iters: int = 200, tol: float = 1e-12,
     norm2 = float(np.vdot(t, t).real)
     if norm2 == 0.0:
         raise ZeroTensor("cannot approximate the zero tensor")
-    factors = []
-    for m in range(t.ndim):
-        u, _, _ = np.linalg.svd(tn.flatten(t, [m]), full_matrices=False)
-        factors.append(u[:, 0].copy())
+    unfoldings = _unfoldings(t)
+    factors = [u[:, 0].copy() for u, _ in _mode_svds(unfoldings)]
     overlap = 0.0
     for _ in range(max_iters):
         prev = [f.copy() for f in factors]
         for m in range(t.ndim):
-            v = tn.flatten(t, [m]) @ _khatri_rao([factors[k] for k in range(t.ndim) if k != m])
+            v = unfoldings[m] @ _khatri_rao([factors[k] for k in range(t.ndim) if k != m])
             nv = np.linalg.norm(v)
             if nv > 0:
                 factors[m] = v / nv
@@ -142,11 +163,11 @@ def best_rank_one(t: np.ndarray, max_iters: int = 200, tol: float = 1e-12,
     return RankOneTerm(overlap, factors), distance
 
 
-def _als_sweep(t: np.ndarray, mats: list[np.ndarray]) -> None:
+def _als_sweep(unfoldings: list[np.ndarray], mats: list[np.ndarray]) -> None:
     """One ALS sweep: refit each factor matrix in turn by least squares."""
-    for m in range(t.ndim):
-        k_mat = _khatri_rao([mats[k] for k in range(t.ndim) if k != m])
-        sol, *_ = np.linalg.lstsq(k_mat, tn.flatten(t, [m]).T, rcond=None)
+    for m, unfolding in enumerate(unfoldings):
+        k_mat = _khatri_rao([mats[k] for k in range(len(mats)) if k != m])
+        sol, *_ = np.linalg.lstsq(k_mat, unfolding.T, rcond=None)
         mats[m] = sol.T
 
 
@@ -174,12 +195,13 @@ def als_low_rank(t: np.ndarray, rank: int = 2, max_sweeps: int = 200, tol: float
     t = tn.to_float(t)
     rng = np.random.default_rng(seed)
     tvec = t.ravel()
+    unfoldings = _unfoldings(t)
     best: tuple[float, list[np.ndarray]] | None = None
     for _ in range(max(restarts, 1)):
         mats = [rng.standard_normal((n, rank)) for n in t.shape]
         prev_err = np.inf
         for _ in range(max_sweeps):
-            _als_sweep(t, mats)
+            _als_sweep(unfoldings, mats)
             err = np.linalg.norm(tvec - _khatri_rao(mats).sum(axis=1))
             if prev_err - err < tol * (1.0 + err):
                 break
@@ -189,11 +211,18 @@ def als_low_rank(t: np.ndarray, rank: int = 2, max_sweeps: int = 200, tol: float
     return _unit_terms(best[1])
 
 
-def _orth_complement(x: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to the unit vector x."""
-    n = x.shape[0]
-    q, _ = np.linalg.qr(np.column_stack([x, np.eye(n)]))
-    return q[:, 1:n]
+def _orth_complements(xs: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Orthonormal bases of the hyperplanes orthogonal to the unit vectors xs.
+
+    Vectors of one size take one QR call on the stack of their matrices
+    [x | I], which gives each the bits of its own call."""
+    out = [None] * len(xs)
+    for group in _same_shapes(xs):
+        n = xs[group[0]].shape[0]
+        q, _ = np.linalg.qr(np.stack([np.column_stack([xs[m], np.eye(n)]) for m in group]))
+        for m, qm in zip(group, q):
+            out[m] = qm[:, 1:n]
+    return out
 
 
 def _split_rank_one(vec: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
@@ -215,20 +244,21 @@ def _split_rank_one(vec: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
 
 def _rotation_search(m0: np.ndarray, m1: np.ndarray, rng: np.random.Generator):
     """Slice combination (c*M0 + s*M1, -s*M0 + c*M1) with a well-conditioned
-    first matrix; identity rotation is tried first."""
-    best = None
-    for theta in [0.0] + list(rng.uniform(0.0, np.pi, size=7)):
-        c, s = np.cos(theta), np.sin(theta)
-        n0 = c * m0 + s * m1
-        scale = max(np.linalg.norm(n0) ** 2 / 2.0, 1e-300)
-        score = abs(np.linalg.det(n0)) / scale
-        if best is None or score > best[0]:
-            best = (score, theta)
-    score, theta = best
-    if score < 1e-12:
+    first matrix; identity rotation is tried first.  The eight angles are
+    scored at once, each to the bits of its own np.linalg.det and norm; the
+    square stays a scalar power, which a stacked square does not round alike.
+    As in a sequential `score > best` scan, a NaN first score is kept."""
+    theta = np.concatenate([[0.0], rng.uniform(0.0, np.pi, size=7)])
+    cos, sin = np.cos(theta)[:, None, None], np.sin(theta)[:, None, None]
+    n0 = cos * m0 + sin * m1
+    rows = n0.reshape(len(theta), -1)
+    norms = np.sqrt(np.vecdot(rows, rows))
+    scores = [d / max(n ** 2 / 2.0, 1e-300) for d, n in zip(np.abs(np.linalg.det(n0)), norms)]
+    best = max(range(len(scores)), key=scores.__getitem__)
+    if scores[best] < 1e-12:
         raise IllConditioned("all slice combinations of the pencil are singular")
-    c, s = np.cos(theta), np.sin(theta)
-    return c * m0 + s * m1, -s * m0 + c * m1, c, s
+    c, s = cos[best, 0, 0], sin[best, 0, 0]
+    return n0[best], -s * m0 + c * m1, c, s
 
 
 def _weights_real(t: np.ndarray, factor_sets: list[list[np.ndarray]]) -> list[float]:
@@ -245,27 +275,27 @@ def _weight_conj(t: np.ndarray, factors: list[np.ndarray]) -> complex:
     return complex(w[0], w[1])
 
 
-def _polish_real(t: np.ndarray, terms: list[RankOneTerm]) -> list[RankOneTerm]:
+def _polish_real(t: np.ndarray, unfoldings: list[np.ndarray], terms: list[RankOneTerm]) -> list[RankOneTerm]:
     # spread each weight evenly over its factors so the LS columns stay balanced
     scale = [abs(term.weight) ** (1.0 / t.ndim) for term in terms]
     sign = [1.0 if term.weight >= 0 else -1.0 for term in terms]
     mats = [np.stack([(sign[r] if m == 0 else 1.0) * scale[r] * terms[r].factors[m]
                       for r in range(2)], axis=1) for m in range(t.ndim)]
     for _ in range(POLISH_SWEEPS):
-        _als_sweep(t, mats)
+        _als_sweep(unfoldings, mats)
     factor_sets = [term.factors for term in _unit_terms(mats)]
     ws = _weights_real(t, factor_sets)
     return [RankOneTerm(w, fs) for w, fs in zip(ws, factor_sets)]
 
 
-def _polish_conj(t: np.ndarray, term: RankOneTerm) -> RankOneTerm:
+def _polish_conj(t: np.ndarray, unfoldings: list[np.ndarray], term: RankOneTerm) -> RankOneTerm:
     factors = [np.asarray(f, dtype=complex) for f in term.factors]
     w = complex(term.weight)
     for _ in range(POLISH_SWEEPS):
-        for m in range(t.ndim):
+        for m, unfolding in enumerate(unfoldings):
             rest = w * _khatri_rao([factors[k] for k in range(t.ndim) if k != m])
             g = np.stack([2.0 * rest.real, -2.0 * rest.imag], axis=1)
-            sol, *_ = np.linalg.lstsq(g, tn.flatten(t, [m]).T, rcond=None)
+            sol, *_ = np.linalg.lstsq(g, unfolding.T, rcond=None)
             z = sol[0, :] + 1j * sol[1, :]
             nz = np.linalg.norm(z)
             if nz > 0:
@@ -274,16 +304,15 @@ def _polish_conj(t: np.ndarray, term: RankOneTerm) -> RankOneTerm:
     return RankOneTerm(w, factors)
 
 
-def _compress(t: np.ndarray, rank_tol: float):
+def _compress(t: np.ndarray, unfoldings: list[np.ndarray], rank_tol: float):
     """Per-mode top column-space bases (rank capped at two) and the core."""
     bases = []
-    core = t
-    for m in range(t.ndim):
-        u, s, _ = np.linalg.svd(tn.flatten(t, [m]), full_matrices=False)
+    for u, s in _mode_svds(unfoldings):
         r = 1 if len(s) < 2 or s[1] <= rank_tol * s[0] else 2
         bases.append(u[:, :r])
-    for m in range(t.ndim):
-        core = np.tensordot(core, bases[m], axes=([0], [0]))
+    core = t
+    for basis in bases:
+        core = np.tensordot(core, basis, axes=([0], [0]))
     return bases, core
 
 
@@ -306,7 +335,8 @@ def decompose_rank2(t: np.ndarray, tol: float = 1e-8, seed: int = 0) -> Rank2Dec
     tf = tn.to_float(t)
     rng = np.random.default_rng(seed)
 
-    bases, core = _compress(tf, tol)
+    unfoldings = _unfoldings(tf)
+    bases, core = _compress(tf, unfoldings, tol)
     active = [m for m in range(tf.ndim) if bases[m].shape[1] == 2]
     if len(active) < 2:
         raise NotRankTwo("fewer than two modes with a two-dimensional span")
@@ -333,11 +363,8 @@ def decompose_rank2(t: np.ndarray, tol: float = 1e-8, seed: int = 0) -> Rank2Dec
         grouped = np.einsum("ijr,rs->ijs", grouped, merged_basis)
 
     # pencil slices along the best-conditioned mode of the 2x2x2 core
-    sigma2 = []
-    for p in range(3):
-        s = np.linalg.svd(tn.flatten(grouped, [p]), compute_uv=False)
-        sigma2.append(s[1] if len(s) > 1 else 0.0)
-    p = int(np.argmax(sigma2))
+    sigma = np.linalg.svd(np.stack(_unfoldings(grouped)), compute_uv=False)
+    p = int(np.argmax(sigma[:, 1]))
     m0 = np.take(grouped, 0, axis=p)
     m1 = np.take(grouped, 1, axis=p)
     m0r, m1r, c, s = _rotation_search(m0, m1, rng)
@@ -360,7 +387,7 @@ def decompose_rank2(t: np.ndarray, tol: float = 1e-8, seed: int = 0) -> Rank2Dec
         x_mat = (m1r - np.conj(z) * m0r) / (z - np.conj(z))
         u, sv, vh = np.linalg.svd(x_mat)
         factors = _lift(bases, active, merged_basis, p, u[:, 0], vh[0, :], rot_t @ np.array([1.0, z]))
-        term = _polish_conj(tf, RankOneTerm(_weight_conj(tf, factors), factors))
+        term = _polish_conj(tf, unfoldings, RankOneTerm(_weight_conj(tf, factors), factors))
         return _with_residual(DecompositionKind.CONJUGATE_PAIR, [term], tf)
 
     lam = lam.real
@@ -371,7 +398,7 @@ def decompose_rank2(t: np.ndarray, tol: float = 1e-8, seed: int = 0) -> Rank2Dec
         factor_sets.append(_lift(bases, active, merged_basis, p, u[:, 0], vh[0, :],
                                  rot_t @ np.array([1.0, lam[i]])))
     weights = _weights_real(tf, factor_sets)
-    terms = _polish_real(tf, [RankOneTerm(w, fs) for w, fs in zip(weights, factor_sets)])
+    terms = _polish_real(tf, unfoldings, [RankOneTerm(w, fs) for w, fs in zip(weights, factor_sets)])
     return _with_residual(DecompositionKind.REAL_PAIR, terms, tf)
 
 
@@ -408,7 +435,7 @@ def _null_vector(mat: np.ndarray) -> np.ndarray:
 
 def _tangential_form(tf: np.ndarray, xs: list[np.ndarray]) -> Rank2Decomposition:
     """Fit gamma*(x)x + sum_m x..y_m..x with y_m _|_ x_m at the unit factors xs."""
-    complements = [_orth_complement(x) for x in xs]
+    complements = _orth_complements(xs)
     slots = [(m, j) for m in range(tf.ndim) for j in range(complements[m].shape[1])]
     tangents = [[complements[m][:, j] if k == m else x for k, x in enumerate(xs)] for m, j in slots]
     coefs = _weights_real(tf, [xs] + tangents)

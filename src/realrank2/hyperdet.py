@@ -11,7 +11,7 @@ import contextlib
 import functools
 import itertools
 from dataclasses import dataclass
-from math import isqrt, prod
+from math import isnan, isqrt, prod
 from typing import Sequence
 
 import numpy as np
@@ -118,7 +118,9 @@ def report_from_column(values: Sequence[tuple[str, object]], column, zero_tol) -
     if isinstance(column, np.ndarray) and column.dtype in (np.float64, np.int64):
         num_pos = int(np.count_nonzero(column > zero_tol))
         num_neg = int(np.count_nonzero(column < -zero_tol))
-        first = 0 if column.dtype == np.float64 and np.isnan(column[0]) else int(np.nanargmin(column))
+        first = int(np.argmin(column))
+        if isnan(column[first]):  # argmin stops at the first NaN
+            first = 0 if isnan(column[0]) else int(np.nanargmin(column))
     else:
         num_pos = sum(1 for v in column if v > zero_tol)
         num_neg = sum(1 for v in column if v < -zero_tol)

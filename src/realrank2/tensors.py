@@ -179,7 +179,7 @@ def flatten(t: np.ndarray, row_modes: Iterable[int]) -> np.ndarray:
     rows = _check_modes(t.ndim, row_modes)
     cols = tuple(m for m in range(t.ndim) if m not in rows)
     moved = np.transpose(t, rows + cols)
-    nrow = int(np.prod([t.shape[m] for m in rows]))
+    nrow = prod(t.shape[m] for m in rows)
     return moved.reshape(nrow, -1)
 
 

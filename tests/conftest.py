@@ -9,7 +9,8 @@ Bareiss determinant; the coordinate names
 x_u of a Veronese; the dense flattening ranks (`sym_to_tensor`, `flatten`
 and a Fraction elimination rank) that catalecticant ranks are tested
 against; the dense-decomposition stratum label of a binary quartic that
-the Hankel-matrix label is tested against; the 2x2x2 sub-block
+the Hankel-matrix label is tested against; the per-angle pencil rotation
+search that the stacked one of decompose is tested against; the 2x2x2 sub-block
 selectors, one per block, and their one-block gather, the oracle that the
 hyperdeterminant sweep plan is tested against; the scalar shifted cubic
 discriminant that the column kernel is tested against; a polynomial substitution
@@ -351,6 +352,27 @@ def reference_strata_label(f, tol: float = 1e-8) -> str | None:
         x = term.factors[0] / np.linalg.norm(term.factors[0])
         weights.append(float(np.real(term.weight)) * np.prod([float(np.dot(fac, x)) for fac in term.factors]))
     return bf.STRATUM_PSD_PAIR if weights[0] * weights[1] > 0 else bf.STRATUM_INDEF_PAIR
+
+
+def rotation_search_loop(m0: np.ndarray, m1: np.ndarray, rng: np.random.Generator):
+    """The pencil rotation search one angle at a time, the oracle of the
+    stacked `decompose._rotation_search`: the identity and seven uniform
+    angles on [0, pi), each scored |det N0| / max(|N0|_F^2 / 2, 1e-300) for
+    N0 = c*M0 + s*M1; a later score wins only when greater, so a NaN first
+    score stays and a later NaN never wins."""
+    best = None
+    for theta in [0.0] + list(rng.uniform(0.0, np.pi, size=7)):
+        c, s = np.cos(theta), np.sin(theta)
+        n0 = c * m0 + s * m1
+        scale = max(np.linalg.norm(n0) ** 2 / 2.0, 1e-300)
+        score = abs(np.linalg.det(n0)) / scale
+        if best is None or score > best[0]:
+            best = (score, theta)
+    score, theta = best
+    if score < 1e-12:
+        raise dc.IllConditioned("all slice combinations of the pencil are singular")
+    c, s = np.cos(theta), np.sin(theta)
+    return c * m0 + s * m1, -s * m0 + c * m1, c, s
 
 
 def ring(poly: Poly | Polynomial) -> Poly:

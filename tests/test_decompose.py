@@ -1,6 +1,7 @@
 """Rank-two decomposition: round trips, kind agreement with the certifier,
-rank-one projection geometry, plain ALS behavior, and the Khatri-Rao
-product against np.kron."""
+rank-one projection geometry, plain ALS behavior, the Khatri-Rao
+product against np.kron, and the stacked LAPACK calls and rotation search
+against one call per matrix and one angle at a time."""
 
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ from realrank2 import certify as ce
 from realrank2 import decompose as dc
 from realrank2 import hyperdet as hd
 from realrank2 import tensors as tn
+
+from conftest import rotation_search_loop
 
 SHAPES = [(2, 2, 2), (3, 2, 2), (2, 2, 2, 2), (3, 3, 3), (4, 3, 3)]
 
@@ -224,3 +227,103 @@ def test_decomposition_json_shapes():
     assert payload["kind"] == "CONJUGATE_PAIR"
     assert {"re", "im"} <= payload["terms"][0]["weight"].keys()
     assert isinstance(payload["residual"], float)
+
+
+# ------------------------------------------- stacked LAPACK calls, bit for bit
+# decompose stacks the SVDs of same-shape mode flattenings, the dets of the
+# rotation search and the QRs of same-size orthogonal complements; each
+# matrix must get the bits of its own call, or the printed digits move.
+
+STACKED_SHAPES = [(2, 2, 2), (3, 3, 3), (2,) * 5, (4, 4, 4), (6, 6, 6), (4,) * 4, (2,) * 9, (2, 3, 4)]
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and \
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize("shape", STACKED_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_stacked_svd_gives_each_flattening_the_bits_of_its_own_call(shape):
+    rng = np.random.default_rng(len(shape) * 10 + shape[0])
+    tensors = [rng.standard_normal(shape) * 10.0 ** k for k in (-4, 0, 4)]
+    tensors += [real_pair(rng, shape), conjugate_pair(rng, shape),
+                ce.tangential_witness([rng.standard_normal(n) for n in shape],
+                                      [rng.standard_normal(n) for n in shape])]
+    for t in tensors:
+        unfoldings = dc._unfoldings(t)
+        for unfolding, (u, s) in zip(unfoldings, dc._mode_svds(unfoldings)):
+            u1, s1, _ = np.linalg.svd(unfolding, full_matrices=False)
+            assert _same_bits(u, u1) and _same_bits(s, s1)
+        for group in dc._same_shapes(unfoldings):
+            s_only = np.linalg.svd(np.stack([unfoldings[m] for m in group]), compute_uv=False)
+            for m, s in zip(group, s_only):
+                assert _same_bits(s, np.linalg.svd(unfoldings[m], compute_uv=False))
+
+
+def test_stacked_det_gives_each_matrix_the_bits_of_its_own_call():
+    rng = np.random.default_rng(29)
+    for k in range(-160, 161, 8):
+        stack = rng.standard_normal((8, 2, 2)) * 10.0 ** k
+        stack[5] = np.outer(stack[5, 0], [1.0, 3.0])  # singular
+        with np.errstate(all="ignore"):
+            dets = np.linalg.det(stack)
+            assert all(_same_bits(d, np.linalg.det(m)) for d, m in zip(dets, stack))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_stacked_qr_gives_each_matrix_the_bits_of_its_own_call(n):
+    rng = np.random.default_rng(n)
+    xs = rng.standard_normal((5, n))
+    xs /= np.linalg.norm(xs, axis=1)[:, None]
+    stack = np.stack([np.column_stack([x, np.eye(n)]) for x in xs])
+    qs, rs = np.linalg.qr(stack)
+    for x, q, r in zip(xs, qs, rs):
+        q1, r1 = np.linalg.qr(np.column_stack([x, np.eye(n)]))
+        assert _same_bits(q, q1) and _same_bits(r, r1)
+    assert all(_same_bits(c, q[:, 1:n]) for c, q in zip(dc._orth_complements(list(xs)), qs))
+
+
+def _pencils():
+    rng = np.random.default_rng(41)
+    out = [(rng.standard_normal((2, 2)) * 10.0 ** k, rng.standard_normal((2, 2)) * 10.0 ** k)
+           for k in range(-6, 7) for _ in range(4)]
+    rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
+    out.append((np.eye(2), rotation))  # every angle scores about 1
+    # at seed 3542 two angles tie only when the squared norm is the scalar
+    # power (a stacked square rounds one of them apart)
+    out.append((1.356045991583029 * np.eye(2), 1.6918951212294024 * rotation))
+    out.append((np.array([[1e160, 2e160], [3e160, -1e160]]), np.eye(2)))  # NaN at theta = 0
+    # finite at theta = 0, NaN once s * M1 overflows the squared norm
+    out += [(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)) * 1.2e154) for _ in range(4)]
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 3542])
+def test_rotation_search_equals_the_per_angle_loop_bit_for_bit(seed):
+    for m0, m1 in _pencils():
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        with np.errstate(all="ignore"):
+            got = dc._rotation_search(m0, m1, rng)
+            want = rotation_search_loop(m0, m1, oracle_rng)
+        assert all(_same_bits(g, w) for g, w in zip(got, want))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_rotation_search_keeps_a_nan_first_score():
+    with np.errstate(all="ignore"):
+        m0r, m1r, c, s = dc._rotation_search(np.array([[1e160, 2e160], [3e160, -1e160]]), np.eye(2),
+                                             np.random.default_rng(0))
+    assert (c, s) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_singular_pencil_raises_as_the_per_angle_loop_does(seed):
+    m0, m1 = np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([[3.0, 0.0], [5.0, 0.0]])
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with pytest.raises(dc.IllConditioned) as got:
+        dc._rotation_search(m0, m1, rng)
+    with pytest.raises(dc.IllConditioned) as want:
+        rotation_search_loop(m0, m1, oracle_rng)
+    assert str(got.value) == str(want.value)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state

@@ -1,7 +1,8 @@
 """Pinned serialized output: the exact text of every to_json form, of
 the certify, hyperdet and binary-form commands on exact input, of certify
 on each certification branch (float and exact), and of the decompose
-command on one float tensor per branch, of curve-classify and curve-scan;
+command on one float tensor per branch (and a sha256 census of
+decompose over seeded tensors), of curve-classify and curve-scan;
 also the quintic alternative test's answers, float and exact.
 
 The report objects are built by hand, so nothing here depends on LAPACK
@@ -10,6 +11,7 @@ except the decompose and curve goldens, which pin its float digits.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -263,6 +265,9 @@ def _outer(*vectors):
     return tn.outer([np.array(v, dtype=float) for v in vectors])
 
 
+_CONJ_FACTORS = [np.array([1, 2j]), np.array([1 + 1j, 1]), np.array([2, 1 - 1j]), np.array([1j, 1]),
+                 np.array([1, 1 + 2j])]
+
 DECOMPOSE_GOLDENS = [
     pytest.param(  # three active modes: pencil, then _polish_real
         _outer([1, 2], [1, -1], [2, 1]) + _outer([3, 1], [0, 2], [1, 1]),
@@ -301,6 +306,42 @@ DECOMPOSE_GOLDENS = [
         '[[-0.089805595315917, 0.9959593139531122], [-0.9732489894677302, 0.229752920547361], '
         '[-0.8944271909999157, -0.44721359549995787]]}], "residual": 4.941220080268143e-16}',
         id="two-active-modes"),
+    pytest.param(  # modes of sizes 2, 3 and 4: three flattening shapes
+        _outer([1, 2], [1, -1, 2], [2, 1, 0, 1]) + _outer([3, 1], [0, 2, 1], [1, 1, -1, 2]),
+        '{"kind": "REAL_PAIR", "terms": [{"weight": 18.708286933869708, '
+        '"factors": [[0.9486832980505138, 0.316227766016838], [7.111096213659819e-18, '
+        '-0.894427190999916, -0.4472135954999578], [-0.37796447300922725, '
+        '-0.37796447300922725, 0.37796447300922725, -0.7559289460184545]]}, '
+        '{"weight": 13.416407864998735, "factors": [[0.4472135954999579, 0.8944271909999159], '
+        '[0.40824829046386296, -0.4082482904638627, 0.8164965809277261], [0.816496580927726, '
+        '0.408248290463863, -4.371452216133507e-17, 0.4082482904638631]]}], '
+        '"residual": 4.193212110039555e-16}',
+        id="real-pair-2x3x4"),
+    pytest.param(  # five modes: merged rest, split in three, conjugate polish on every mode
+        np.real(tn.outer(_CONJ_FACTORS) + tn.outer([f.conj() for f in _CONJ_FACTORS])),
+        '{"kind": "CONJUGATE_PAIR", "terms": [{"weight": {"re": 32.86335345030998, '
+        '"im": -4.398719691904225e-15}, "factors": [{"re": [-0.44451308001521084, '
+        '-0.09814523310666472], "im": [0.049072616553332414, -0.8890261600304227]}, '
+        '{"re": [-0.7946544722917662, -0.4911234731884231], "im": [-0.1875924740850797, '
+        '0.303530999103343]}, {"re": [0.7946544722917661, 0.49112347318842314], '
+        '"im": [0.18759247408507984, -0.303530999103343]}, {"re": [-0.7018619656541892, '
+        '0.08596383639669805], "im": [0.08596383639669788, 0.7018619656541886]}, '
+        '{"re": [0.21462882776630185, 0.9091823043491488], "im": [-0.34727673829142336, '
+        '0.08198091724118027]}]}], "residual": 6.416318589200705e-16}',
+        id="conjugate-pair-2^5"),
+    pytest.param(  # two-dimensional orthogonal complements per mode
+        ce.tangential_witness([np.array([1.0, 2.0, 0.0]), np.array([1.0, -1.0, 1.0]),
+                               np.array([2.0, 1.0, 1.0])],
+                              [np.array([0.0, 1.0, 1.0]), np.array([3.0, 1.0, 0.0]),
+                               np.array([1.0, 0.0, -2.0])]),
+        '{"kind": "TANGENTIAL", "terms": [{"weight": 10.119288512538818, '
+        '"factors": [[-0.4472135954999579, -0.8944271909999159, 1.1916280378588445e-16], '
+        '[0.577350269189626, -0.5773502691896256, 0.577350269189626], [-0.8164965809277261, '
+        '-0.40824829046386313, -0.40824829046386296]]}], "residual": 4.675371116019015e-16, '
+        '"tangent_directions": [[1.6970562748477178, -0.8485281374238591, -4.242640687119282], '
+        '[12.780193008453873, 9.128709291752763, -3.6514837167011094], [-3.8729833462074152, '
+        '0.0, 7.745966692414834]]}',
+        id="tangential-3x3x3"),
 ]
 
 
@@ -310,6 +351,49 @@ def test_decompose_cli_golden(tmp_path, capsys, tensor, expected):
     path.write_text(json.dumps(tn.tensor_to_json(tensor)))
     assert main(["decompose", "--file", str(path)]) == 0
     assert capsys.readouterr().out == json.dumps(json.loads(expected), indent=2) + "\n"
+
+
+CENSUS_SHAPES = [(2, 2, 2), (3, 3, 3), (2, 3, 4), (4, 4, 4), (2, 2, 2, 2), (2, 2, 2, 2, 2), (6, 6, 6)]
+
+
+def _census_tensors() -> list[tuple[int, np.ndarray]]:
+    """Three seeded tensors per shape and family (real pair, conjugate pair,
+    tangent tensor), tensor i drawn from default_rng(i) and scaled by
+    10^((i mod 9) - 4)."""
+    out = []
+    for shape in CENSUS_SHAPES:
+        for family in ("real", "conjugate", "tangential"):
+            for _ in range(3):
+                index = len(out)
+                rng = np.random.default_rng(index)
+                if family == "real":
+                    t = tn.outer([rng.standard_normal(n) for n in shape]) \
+                        + tn.outer([rng.standard_normal(n) for n in shape])
+                elif family == "conjugate":
+                    fs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in shape]
+                    t = np.real(tn.outer(fs) + tn.outer([f.conj() for f in fs]))
+                else:
+                    t = ce.tangential_witness([rng.standard_normal(n) for n in shape],
+                                              [rng.standard_normal(n) for n in shape])
+                out.append((index, t * 10.0 ** ((index % 9) - 4)))
+    return out
+
+
+def test_decompose_census_golden():
+    """decompose_rank2(t, seed=i).to_json() bytes of every census tensor,
+    one line each (the error's name if it raises), pinned by sha256: every
+    float operation of the decomposition feeds these digits, so any change
+    to the order of its arithmetic or to the LAPACK routines it calls shows."""
+    digest = hashlib.sha256()
+    cases = _census_tensors()
+    for index, t in cases:
+        try:
+            text = json.dumps(dc.decompose_rank2(t, seed=index).to_json())
+        except (dc.NotRankTwo, dc.IllConditioned) as exc:
+            text = type(exc).__name__
+        digest.update(text.encode() + b"\n")
+    assert (len(cases), digest.hexdigest()) == \
+        (63, "8c4c22c088185810f121b5b2fea3e01db3aa99f366d7759d6c5b1b22ba80856b")
 
 
 # -------------------------------------------------- certify-path goldens
