@@ -12,33 +12,23 @@ from __future__ import annotations
 
 import argparse
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from realrank2 import space_curve as sc
 
 
-@dataclass
-class Config:
-    interval: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1))
-    nsamples: int = 21
-    tol: float = 1e-8
-    seed: int = 1729
-
-
-def parse_args() -> Config:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--interval", default="0,1", help="t range, e.g. 0,1")
-    parser.add_argument("--nsamples", type=int, default=21)
-    parser.add_argument("--tol", type=float, default=1e-8)
-    parser.add_argument("--seed", type=int, default=1729)
-    args = parser.parse_args()
-    lo, hi = (Fraction(v) for v in args.interval.split(","))
-    return Config((lo, hi), args.nsamples, args.tol, args.seed)
+def interval(text: str) -> tuple[Fraction, Fraction]:
+    lo, hi = (Fraction(v) for v in text.split(","))
+    return lo, hi
 
 
 def main() -> int:
-    cfg = parse_args()
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--interval", type=interval, default="0,1", help="t range, e.g. 0,1")
+    parser.add_argument("--nsamples", type=int, default=21)
+    parser.add_argument("--tol", type=float, default=1e-8)
+    parser.add_argument("--seed", type=int, default=1729)
+    cfg = parser.parse_args()
     print(f"curve:  monomial quartic (s^4 : s^3 t : s t^3 : t^4)")
     print(f"path:   u(t) = (84-74t : 13+59t : 62-19t : -38-10t), "
           f"t in [{cfg.interval[0]}, {cfg.interval[1]}]")

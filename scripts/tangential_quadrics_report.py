@@ -12,24 +12,13 @@ from __future__ import annotations
 
 import argparse
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from realrank2 import tableaux as tb
 from realrank2.multipoly import evaluate, to_text
 
 
-@dataclass
-class Config:
-    nmax: int = 5
-    dmax: int = 10
-    show_n: int = 2
-    show_d: int = 5
-    spot_checks: int = 25
-    seed: int = 1729
-
-
-def parse_args() -> Config:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--nmax", type=int, default=5)
     parser.add_argument("--dmax", type=int, default=10)
@@ -37,13 +26,7 @@ def parse_args() -> Config:
     parser.add_argument("--show-d", type=int, default=5)
     parser.add_argument("--spot-checks", type=int, default=25)
     parser.add_argument("--seed", type=int, default=1729)
-    args = parser.parse_args()
-    return Config(args.nmax, args.dmax, args.show_n, args.show_d,
-                  args.spot_checks, args.seed)
-
-
-def main() -> int:
-    cfg = parse_args()
+    cfg = parser.parse_args()
     degrees = range(4, cfg.dmax + 1)
     print("dim of the quadric space (rows n = 2.., columns d = 4..):")
     print("n\\d" + "".join(f"{d:>9}" for d in degrees))

@@ -15,32 +15,12 @@ from __future__ import annotations
 import argparse
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from realrank2 import binary_forms as bf
 from realrank2 import certify as ce
 from realrank2 import tensors as tn
 from realrank2.tableaux import secant_point
-
-
-@dataclass
-class Config:
-    degree: int = 4
-    samples: int = 300
-    bound: int = 9
-    seed: int = 1729
-
-
-def parse_args() -> Config:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--degree", type=int, default=4)
-    parser.add_argument("--samples", type=int, default=300)
-    parser.add_argument("--bound", type=int, default=9,
-                        help="coefficients are drawn from [-bound, bound]")
-    parser.add_argument("--seed", type=int, default=1729)
-    args = parser.parse_args()
-    return Config(args.degree, args.samples, args.bound, args.seed)
 
 
 # the quartic stratum of each family whose Hankel matrix has rank two
@@ -61,7 +41,7 @@ def conjugate_coords(d: int, alpha, beta) -> list[Fraction]:
     return coords
 
 
-def sample_form(cfg: Config, rng: random.Random) -> tuple[str, bf.BinaryForm]:
+def sample_form(cfg: argparse.Namespace, rng: random.Random) -> tuple[str, bf.BinaryForm]:
     family = ("integer", "real pair", "conjugate pair")[rng.randrange(3)]
     if family == "integer":
         coords = [Fraction(rng.randint(-cfg.bound, cfg.bound))
@@ -78,7 +58,13 @@ def sample_form(cfg: Config, rng: random.Random) -> tuple[str, bf.BinaryForm]:
 
 
 def main() -> int:
-    cfg = parse_args()
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--degree", type=int, default=4)
+    parser.add_argument("--samples", type=int, default=300)
+    parser.add_argument("--bound", type=int, default=9,
+                        help="coefficients are drawn from [-bound, bound]")
+    parser.add_argument("--seed", type=int, default=1729)
+    cfg = parser.parse_args()
     rng = random.Random(cfg.seed)
     census: Counter[tuple[str, str]] = Counter()
     strata: Counter[str] = Counter()

@@ -57,7 +57,7 @@ def from_plain_coeffs(d: int, coeffs: list) -> BinaryForm:
         raise WrongDegree(f"degree {d} needs {d + 1} coefficients")
     def scale(c, i):
         b = comb(d, i)
-        return Fraction(c, b) if isinstance(c, int) else c / b if isinstance(c, Fraction) else c / float(b)
+        return Fraction(c, b) if isinstance(c, (int, Fraction)) else c / b
     return BinaryForm(d, [scale(c, i) for i, c in enumerate(coeffs)])
 
 

@@ -219,10 +219,7 @@ def _cmd_curve_scan(args):
     interval = _parse_scalar_list(args.interval)
     if len(interval) != 2:
         raise UsageError("--interval needs two values, e.g. 0,1")
-    if args.fixtures == "monomial-quartic" or (args.fixtures == "auto" and curve == sc.MONOMIAL_QUARTIC):
-        fixtures = sc.MONOMIAL_QUARTIC_FIXTURES
-    else:
-        fixtures = None
+    fixtures = sc.MONOMIAL_QUARTIC_FIXTURES if curve == sc.MONOMIAL_QUARTIC else None
     report = sc.scan_path(curve, path, tuple(interval), args.nsamples, fixtures,
                           args.tol, seed=args.seed)
     text = [f"samples: {len(report.samples)} on [{_fmt(interval[0])}, {_fmt(interval[1])}]"]
@@ -274,18 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Real rank two certificates for tensors, binary forms and space curves.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("certify", parents=[common],
-                       help="certify real (border) rank <= 2 of a tensor JSON file")
-    p.add_argument("--file", required=True, help="Tensor (or SymTensorCoords) JSON file")
-    p.add_argument("--symmetric", action="store_true", help="read SymTensorCoords instead of Tensor")
-
-    p = sub.add_parser("decompose", parents=[common], help="rank-two decomposition of a tensor JSON file")
-    p.add_argument("--file", required=True)
-    p.add_argument("--symmetric", action="store_true")
-
-    p = sub.add_parser("hyperdet", parents=[common], help="all 2x2x2 sub-block hyperdeterminants")
-    p.add_argument("--file", required=True)
-    p.add_argument("--symmetric", action="store_true")
+    for name, summary in (("certify", "certify real (border) rank <= 2 of a tensor JSON file"),
+                          ("decompose", "rank-two decomposition of a tensor JSON file"),
+                          ("hyperdet", "all 2x2x2 sub-block hyperdeterminants")):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.add_argument("--file", required=True, help="Tensor (or SymTensorCoords) JSON file")
+        p.add_argument("--symmetric", action="store_true", help="read SymTensorCoords instead of Tensor")
 
     p = sub.add_parser("quadrics", parents=[common],
                        help="basis of quadrics vanishing on the degree-d tangential variety")
@@ -314,17 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", required=True, help="PathSpec JSON file, or 'crossing'")
     p.add_argument("--interval", default="0,1", help="scan interval, e.g. 0,1")
     p.add_argument("--nsamples", type=int, default=21)
-    p.add_argument("--fixtures", choices=("auto", "none", "monomial-quartic"), default="auto",
-                   help="boundary surfaces used to label transitions")
 
     sub.add_parser("table1", parents=[common],
                    help="dimensions of the tangential quadric spaces, n in 2..5, d in 4..10")
     return parser
-
-
-def _echo_config(args) -> None:
-    resolved = {k: v for k, v in sorted(vars(args).items())}
-    print("config:", json.dumps(resolved, default=str), file=sys.stderr)
 
 
 def run(args) -> int:
@@ -332,15 +316,14 @@ def run(args) -> int:
         raise UsageError("csv output is only available for: " + ", ".join(CSV_COMMANDS))
     if args.seed == 0:
         args.seed = None
-    _echo_config(args)
-    result = _COMMANDS[args.command](args)
-    status, payload, text = result[0], result[1], result[2]
+    print("config:", json.dumps(vars(args), sort_keys=True, default=str), file=sys.stderr)
+    status, payload, text, *csv = _COMMANDS[args.command](args)
     if args.format == "json":
         print(jsontext.dumps(payload))
     elif args.format == "text":
         print("\n".join(text))
     else:
-        sys.stdout.write(result[3])
+        sys.stdout.write(csv[0])
     return status
 
 
@@ -353,7 +336,3 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, ArithmeticError, OSError, KeyError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

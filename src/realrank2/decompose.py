@@ -305,12 +305,16 @@ def _polish_conj(t: np.ndarray, unfoldings: list[np.ndarray], term: RankOneTerm)
 
 
 def _compress(t: np.ndarray, unfoldings: list[np.ndarray], rank_tol: float):
-    """Per-mode top column-space bases (rank capped at two) and the core."""
+    """Per-mode top column-space bases and the float core of t, from the
+    unfoldings of the float t: an exact mode keeps its exact rank (floats read
+    1e9 e1^3 + e2^3 as rank one), a float mode its singular values above
+    rank_tol * sigma_1, and at most two columns either way."""
+    exact_ranks = [tn.matrix_rank(u) for u in _unfoldings(tn.integers(t))] if tn.is_exact(t) else None
     bases = []
-    for u, s in _mode_svds(unfoldings):
-        r = 1 if len(s) < 2 or s[1] <= rank_tol * s[0] else 2
-        bases.append(u[:, :r])
-    core = t
+    for m, (u, s) in enumerate(_mode_svds(unfoldings)):
+        r = exact_ranks[m] if exact_ranks else 1 if len(s) < 2 or s[1] <= rank_tol * s[0] else 2
+        bases.append(u[:, :min(r, 2)])
+    core = tn.to_float(t)
     for basis in bases:
         core = np.tensordot(core, basis, axes=([0], [0]))
     return bases, core
@@ -336,7 +340,7 @@ def decompose_rank2(t: np.ndarray, tol: float = 1e-8, seed: int = 0) -> Rank2Dec
     rng = np.random.default_rng(seed)
 
     unfoldings = _unfoldings(tf)
-    bases, core = _compress(tf, unfoldings, tol)
+    bases, core = _compress(t, unfoldings, tol)
     active = [m for m in range(tf.ndim) if bases[m].shape[1] == 2]
     if len(active) < 2:
         raise NotRankTwo("fewer than two modes with a two-dimensional span")

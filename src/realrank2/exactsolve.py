@@ -39,9 +39,7 @@ def as_fraction(value) -> Fraction:
     """Coerce ints, strings like '3/4' and floats (exactly) to Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str, Rational)):  # Rational: numpy integers
-        return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, (int, float, str, Rational)):  # Rational: numpy integers
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import jsontext
 from .multipoly import Polynomial, det_bareiss
-from .tensors import ArityTooSmall, is_exact, num_json, peak, ShapeMismatch
+from .tensors import INT64_MAX, ArityTooSmall, is_exact, num_json, peak, ShapeMismatch
 
 DEFAULT_ZERO_TOL_SCALE = 1e-10
 # shapes whose sub-block gather plan all_subhyperdets keeps
@@ -26,7 +26,7 @@ PLAN_CACHE_SIZE = 16
 # The largest B with 24·B^4 <= 2^63 - 1 (24898).  The absolute coefficients
 # of the terms sum to 24 in _quartic and to 18 in cubic_discriminant, so with
 # every |entry| <= B no product and no partial sum of either leaves int64.
-INT64_SWEEP_BOUND = isqrt(isqrt((2**63 - 1) // 24))
+INT64_SWEEP_BOUND = isqrt(isqrt(INT64_MAX // 24))
 
 
 def _quartic(x000, x001, x010, x011, x100, x101, x110, x111):

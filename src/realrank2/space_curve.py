@@ -27,7 +27,7 @@ from numpy.linalg import _umath_linalg
 
 from .exactsolve import as_fraction, content, exact_rank, integer_row
 from .multipoly import Polynomial, accumulate, evaluate, resultant, times
-from .tensors import num_json, read_scalar, read_sequence
+from .tensors import multidegrees, num_json, read_scalar, read_sequence
 from .unipoly import _add, _mul, poly_gcd, real_roots
 
 
@@ -166,10 +166,6 @@ class PluckerMap:
         return [evaluate(p, point) for p in self.polys]
 
 
-def _degree_exponents(deg: int) -> list[tuple[int, int, int]]:
-    return [(i, j, deg - i - j) for i in range(deg, -1, -1) for j in range(deg - i, -1, -1)]
-
-
 @lru_cache(maxsize=16)
 def plucker_map(curve: CurveParam) -> PluckerMap:
     """Build the six secant-line coordinates as degree d-1 polynomials.
@@ -182,7 +178,7 @@ def plucker_map(curve: CurveParam) -> PluckerMap:
     are summed in integers from curve.F_int, F times the common denominator
     L of its entries, and so are L^2 times the true ones; the map holds
     them over their gcd g, scaled by the numerator of g / L^2, whose
-    denominator is den.  Terms are stored in _degree_exponents order, the
+    denominator is den.  Terms are stored in multidegrees(3, d - 1) order, the
     order float evaluation sums them in.
     """
     d, F = curve.d, curve.F_int
@@ -197,7 +193,7 @@ def plucker_map(curve: CurveParam) -> PluckerMap:
                 accumulate(line, span, F[i][k] * F[j][l] - F[i][l] * F[j][k])
     common = math.gcd(*(c for line in lines for c in line.values()))
     scale = Fraction(common, content(c for row in curve.F for c in row).denominator ** 2)
-    order = _degree_exponents(d - 1)
+    order = multidegrees(3, d - 1)
     return PluckerMap(tuple(Polynomial(PAIR_VARS, {e: line[e] // common * scale.numerator
                                                    for e in order if e in line}, scale.denominator)
                             for line in lines))
@@ -616,8 +612,6 @@ def _on_curve(curve: CurveParam, u: Sequence[Fraction]) -> bool:
         common = poly_gcd(common, coeffs[::-1])
         if len(common) == 1 and not infinity:
             return False
-    if not common:
-        return True  # u is proportional to every curve point difference: on a line curve
     return infinity or len(common) > 1
 
 

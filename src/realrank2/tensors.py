@@ -267,12 +267,10 @@ def flattening_ranks(t: np.ndarray, selections: Iterable[Iterable[int]], tol: fl
     one rank call per matrix shape, on the stack of that shape's
     flattenings.  Certification scales an exact tensor by `integers` first."""
     selections = tuple(tuple(s) for s in selections)
-    exact = is_exact(t)
     flat = t.ravel()
     ranks = [0] * len(selections)
     for where, idx in _flattening_plan(t.shape, selections):
-        stack = flat[idx]
-        for i, rank in zip(where, exact_matrix_rank(stack) if exact else numeric_rank(stack, tol)):
+        for i, rank in zip(where, matrix_rank(flat[idx], tol)):
             ranks[i] = rank
     return ranks
 

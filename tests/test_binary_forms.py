@@ -290,3 +290,16 @@ def test_degree_guards():
         bf.quintic_alternative_test(bf.BinaryForm(4, [1, 0, 0, 0, 1]))
     with pytest.raises(DegreeTooSmall):
         bf.tau_sigma_ideal_report(2)
+
+
+def test_hankel_needs_degree_two():
+    with pytest.raises(DegreeTooSmall):
+        bf.hankel(bf.BinaryForm(1, [1, 2]))
+
+
+def test_from_plain_coeffs_divides_exact_values_exactly_and_floats_by_float():
+    f = bf.from_plain_coeffs(4, [1, Fraction(8, 3), 0.5, 4, 1])
+    assert f.coords == [1, Fraction(2, 3), 0.5 / 6.0, 1, 1]
+    assert [type(c) for c in f.coords] == [Fraction, Fraction, float, Fraction, Fraction]
+    with pytest.raises(OverflowError):  # binom(1100, 550) is past the largest float
+        bf.from_plain_coeffs(1100, [1.0] * 1101)

@@ -536,3 +536,14 @@ def test_exact_input_is_scaled_to_integers_once(monkeypatch, top, sweep, stacks)
     assert [cert.flattening_ranks[ce._mode_label(s)] for s in singles + pairs] == [
         exact_rank(tn.flatten(ints, s).tolist()) for s in singles + pairs]
     assert cert.hyperdet_report.values == hd.all_subhyperdets(ints).values
+
+
+@pytest.mark.parametrize("xs, ys, message", [
+    ([[1.0, 0.0]] * 3, [[0.0, 1.0]] * 2, "one direction vector per mode"),
+    ([[1.0, 0.0]], [[0.0, 1.0]], "at least two modes"),
+    ([[1.0, 0.0]] * 3, [[0.0, 1.0]] * 2 + [[0.0, 1.0, 0.0]], "must match per mode"),
+    ([[1.0, 0.0]] * 2 + [[[1.0]]], [[0.0, 1.0]] * 2 + [[[1.0]]], "must match per mode"),
+])
+def test_tangential_witness_rejects_mismatched_vectors(xs, ys, message):
+    with pytest.raises(ce.DimensionMismatch, match=message):
+        ce.tangential_witness(xs, ys)

@@ -465,6 +465,45 @@ def test_bad_scan_arguments_exit_one(capsys):
 QUARTIC_ROWS = [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
 
 
+@pytest.mark.parametrize("argv, payload, message", [
+    (["binary-form", "--d", "3", "--coords", ","], None, "error: no values in ','"),
+    (["curve-scan", "--curve", "monomial-quartic", "--path"],
+     {"coefficients": [[84, -74], [13, 59], [62, -19]]}, "error: path needs a 4 x 2 coefficient matrix"),
+    (["curve-scan", "--curve", "monomial-quartic", "--path"],
+     {"coefficients": [[84, -74], [13, 59], [62, -19], [-38, -10, 1]]},
+     "error: path needs a 4 x 2 coefficient matrix"),
+])
+def test_no_coordinates_and_a_path_not_4_by_2_are_usage_errors(tmp_path, capsys, argv, payload, message):
+    if payload is not None:
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(payload))
+        argv = argv + [str(path)]
+    status, out, err = run_cli(capsys, *argv)
+    assert (status, out) == (1, "")
+    assert err.splitlines()[-1] == message
+
+
+def test_curve_scan_labels_transitions_with_the_sextics_only_on_the_monomial_quartic(capsys, tmp_path):
+    same, other = tmp_path / "same.json", tmp_path / "other.json"
+    same.write_text(json.dumps({"d": 4, "F": QUARTIC_ROWS}))
+    # s^2 t^2 in place of s t^3: another quartic spanning 3-space
+    other.write_text(json.dumps({"d": 4, "F": [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
+                                               [0, 0, 0, 0, 1]]}))
+    scan = ("curve-scan", "--path", "crossing", "--nsamples", "5", "--curve")
+    _, named, _ = run_cli(capsys, *scan, "monomial-quartic")
+    assert {tr["surface"] for tr in json.loads(named)["transitions"]} == {"TANGENTIAL", "EDGE"}
+    status, from_file, _ = run_cli(capsys, *scan, str(same))
+    assert (status, from_file) == (0, named)
+    status, out, _ = run_cli(capsys, *scan, str(other))
+    transitions = json.loads(out)["transitions"]
+    assert status == 0 and transitions
+    assert all(tr["kind"] == "UNLABELED" and tr["surface"] is None for tr in transitions)
+    # the labels follow from the curve; there is no option to choose them
+    status, out, err = run_cli(capsys, *scan, "monomial-quartic", "--fixtures", "none")
+    assert (status, out) == (1, "")
+    assert err.splitlines()[-1] == "error: unrecognized arguments: --fixtures none"
+
+
 @pytest.mark.parametrize("argv, payload", [
     (["certify", "--file"], {"shape": [2, 2, 2], "entries": [1, 0, 0, 0, 0, 0, 0, float("inf")]}),
     (["certify", "--file"], {"shape": [2, 2, 2], "entries": [1, 0, 0, 0, 0, 0, 0, float("nan")]}),

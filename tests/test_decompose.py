@@ -327,3 +327,28 @@ def test_singular_pencil_raises_as_the_per_angle_loop_does(seed):
         rotation_search_loop(m0, m1, oracle_rng)
     assert str(got.value) == str(want.value)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_tangential_sequences_reject_mismatched_vectors():
+    with pytest.raises(ce.DimensionMismatch):
+        dc.tangential_sequences([np.ones(2)] * 3, [np.ones(2)] * 2, 0.1)
+    with pytest.raises(ce.DimensionMismatch):
+        dc.tangential_sequences([np.ones(2)] * 3, [np.ones(2)] * 2 + [np.ones(3)], 0.1)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (2, 2, 3)])
+def test_exact_decompose_compresses_each_mode_to_its_exact_rank(shape):
+    # 1e9 e1^3 + e_last^3: every exact mode rank is 2, but each float mode
+    # reads sigma_2 / sigma_1 = 1e-9, below the default tol
+    t = np.zeros(shape, dtype=object)
+    t[0, 0, 0] = 10 ** 9
+    t[tuple(n - 1 for n in shape)] = 1
+    cert = ce.certify_border_rank2(t)
+    assert cert.verdict == ce.Verdict.REAL_RANK_TWO
+    assert set(cert.flattening_ranks.values()) == {2}
+    dec = dc.decompose_rank2(t)
+    assert dec.kind == dc.DecompositionKind.REAL_PAIR
+    assert dec.residual == 0.0
+    assert sorted(term.weight for term in dec.terms) == [1.0, 1e9]
+    with pytest.raises(dc.NotRankTwo):
+        dc.decompose_rank2(tn.to_float(t))  # float input is compressed by its singular values

@@ -226,3 +226,14 @@ def test_rank_is_right_when_rows_vanish_after_one_or_two_pivots(rank):
     padded.insert(1, [0] * 65)
     assert exact_rank(padded) == rank
     assert exact_rank([row + [0] * 3 for row in rows] + [[0] * 67]) == rank
+
+
+def test_exact_rank_of_no_rows_is_zero():
+    assert exact_rank([]) == 0
+
+
+def test_solve_exact_rejects_inconsistent_dimensions():
+    with pytest.raises(ValueError, match="inconsistent system dimensions"):
+        solve_exact([[1, 2], [3]], [1, 2])
+    with pytest.raises(ValueError, match="inconsistent system dimensions"):
+        solve_exact([[1, 2], [3, 4]], [1])

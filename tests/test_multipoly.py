@@ -61,6 +61,13 @@ def test_as_fraction_parses_ratio_strings():
     assert as_fraction(2) == Fraction(2)
 
 
+def test_as_fraction_reads_floats_exactly_and_rejects_a_non_number():
+    assert as_fraction(0.1) == Fraction(3602879701896397, 36028797018963968)
+    assert as_fraction(Fraction(1, 3)) == Fraction(1, 3)
+    with pytest.raises(TypeError, match="cannot interpret"):
+        as_fraction([1])
+
+
 def test_times_keeps_first_appearance_order_and_drops_cancellations():
     # (x + y)(x - y) = x^2 - y^2: the xy terms cancel
     p = {(1, 0): 1, (0, 1): 1}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,3 +42,11 @@ def test_stdout_digest_usage_on_wrong_argument_count():
     assert done.returncode == 2
     assert "python3 scripts/stdout_digest.py <checkout> <seed>" in done.stderr
     assert done.stdout == ""
+
+
+def test_stdout_digest_prints_one_digest_per_request_of_every_workload():
+    done = run_script("stdout_digest.py", str(SCRIPTS.parent), "1")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines and all(re.fullmatch(r"[0-9a-f]{64} -?\d+ [a-z-]+/.+", line) for line in lines)
+    assert {line.split(" ", 2)[2].split("/")[0] for line in lines} == {"tensor-float", "exact-forms", "curve-scan"}

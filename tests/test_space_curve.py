@@ -23,7 +23,7 @@ import realrank2
 from realrank2 import space_curve as sc
 from realrank2.exactsolve import content
 from realrank2.multipoly import Polynomial, evaluate
-from realrank2.tensors import NonFiniteEntry
+from realrank2.tensors import NonFiniteEntry, multidegrees
 from realrank2.unipoly import real_roots
 
 QUARTIC = sc.MONOMIAL_QUARTIC
@@ -55,13 +55,13 @@ def test_plucker_relation_holds_identically():
 
 def ring_plucker_polys(curve: sc.CurveParam) -> list[Poly]:
     """The six coordinates by the H recurrence in Poly arithmetic, on the
-    curve's Fraction rows, terms in _degree_exponents(d - 1) order."""
+    curve's Fraction rows, terms in multidegrees(3, d - 1) order."""
     d, F = curve.d, curve.F
     a, b, c = (Poly.variable(v, sc.PAIR_VARS) for v in sc.PAIR_VARS)
     H = [Poly.constant(1, sc.PAIR_VARS), b]
     for _ in range(2, d):
         H.append(b * H[-1] - a * c * H[-2])
-    order = sc._degree_exponents(d - 1)
+    order = multidegrees(3, d - 1)
     polys = []
     for i, j in sc.INDEX_PAIRS:
         line = sum((a ** (d - l) * c ** k * H[l - k - 1] * (F[i][k] * F[j][l] - F[i][l] * F[j][k])
@@ -168,9 +168,9 @@ def _random_curve(rng: random.Random, d: int) -> sc.CurveParam:
 def test_plucker_map_of_random_curves_is_the_divided_exterior_product(d):
     """pm(s1 s2, s1 t2 + s2 t1, t1 t2) is p ^ q / (s1 t2 - s2 t1) for the
     curve points p, q at (s1 : t1), (s2 : t2), with each coordinate's terms
-    in _degree_exponents(d - 1) order (float evaluation sums in that order)."""
+    in multidegrees(3, d - 1) order (float evaluation sums in that order)."""
     rng = random.Random(d)
-    order = sc._degree_exponents(d - 1)
+    order = multidegrees(3, d - 1)
     for _ in range(3):
         curve = _random_curve(rng, d)
         pm = sc.plucker_map(curve)

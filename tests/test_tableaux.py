@@ -375,3 +375,15 @@ def test_coordinate_name_conventions():
     assert tb.coordinate_name((0, 4)) == "x4"
     assert tb.coordinate_name((2, 2, 0)) == "x220"
     assert tb.coordinate_name((0, 11, 1)) == "x0_11_1"
+
+
+@pytest.mark.parametrize("mu, nu, message", [
+    ((1, 1, 1), (2, 2), "row lengths must be 2d-k and k"),
+    ((0, 1, 1, 1), (2, 2), "entries must lie in 1..3"),
+    ((1, 2, 1, 1), (2, 3), "mu must be weakly increasing"),
+    ((1, 1, 1, 1), (3, 2), "nu must be weakly increasing"),
+    ((2, 2, 2, 2), (2, 3), "columns must increase strictly"),
+])
+def test_two_row_tableau_rejects_each_malformed_filling(mu, nu, message):
+    with pytest.raises(tb.BadShape, match=message):
+        tb.TwoRowTableau(3, 3, 2, mu, nu)

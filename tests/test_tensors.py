@@ -412,3 +412,8 @@ def test_float_flattening_ranks_equal_the_rank_of_each_flattening(family, shape)
     assert tn.flattening_ranks(t, sels) == own
     labels = ["mode_" + "_".join(str(m + 1) for m in s) for s in sels]
     assert ce.certify_border_rank2(t).flattening_ranks == dict(zip(labels, own))
+
+
+def test_symmetric_coordinates_need_one_per_multidegree():
+    with pytest.raises(tn.ShapeMismatch, match="need 4 coordinates for n=2, d=3, got 3"):
+        tn.SymTensorCoords(2, 3, [1, 2, 3])

@@ -312,3 +312,22 @@ def test_exact_division_raises_on_a_non_divisor_under_optimize():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["ArithmeticError"] * 3
+
+
+def test_real_roots_reject_the_zero_polynomial_and_an_empty_interval():
+    with pytest.raises(ValueError, match="zero polynomial"):
+        real_roots([0, 0], 0, 1)
+    with pytest.raises(ValueError, match="empty interval"):
+        real_roots([1, 1], 1, 0)
+
+
+def test_exact_division_leaves_no_remainder_unseen():
+    with pytest.raises(InexactDivision):
+        _exact_div([1, 0, 1], [1, 1])  # x^2 + 1 = (x + 1)(x - 1) + 2
+
+
+def test_refine_steps_off_a_left_end_that_is_another_root():
+    # (2x - 1)(Dx - N) has roots 1/2 and N/D = 1/2 + 2^-42: bisection of
+    # [0, 1] isolates N/D in an interval whose left end is the root 1/2
+    n, d = 2 ** 41 + 1, 2 ** 42
+    assert real_roots([n, -(d + 2 * n), 2 * d], 0, 1) == [(0.5, 1), (0.5 + 2.0 ** -42, 1)]
