@@ -670,7 +670,7 @@ class PathSample:
     label: str
     real_secants: int
     two_real_point_secants: int
-    min_discriminant: float
+    min_discriminant: float | None  # None when no real secant passes through the point
 
 
 @dataclass(frozen=True)
@@ -698,7 +698,8 @@ class PathReport:
     def to_csv(self) -> str:
         lines = ["t,min_discriminant,real_secants,two_real_point_secants"]
         for s in self.samples:
-            lines.append(f"{s.t!r},{s.min_discriminant!r},{s.real_secants},{s.two_real_point_secants}")
+            disc = "" if s.min_discriminant is None else repr(s.min_discriminant)
+            lines.append(f"{s.t!r},{disc},{s.real_secants},{s.two_real_point_secants}")
         return "\n".join(lines) + "\n"
 
 
@@ -714,7 +715,7 @@ def _sample(curve: CurveParam, path, t: Fraction, tol: float, seed: int) -> Path
     pc = classify_point(curve, _path_point(path, t), tol, seed=seed)
     discs = [s.discriminant for s in pc.solutions]
     return PathSample(float(t), pc.label, pc.real_secants, pc.two_real_point_secants,
-                      min(discs) if discs else math.nan)
+                      min(discs) if discs else None)
 
 
 def _snap_root(roots: Sequence[Fraction], unmatched: Sequence[int],
@@ -739,7 +740,8 @@ def _bisect_change(curve: CurveParam, path, lo: Fraction, hi: Fraction,
                    roots: Sequence[Fraction], unmatched: Sequence[int]) -> tuple[float, int | None]:
     """Localize a classification change in [lo, hi] to width 1e-12, or stop
     at the one fixture root any such t* would match; returns (t*, root index
-    or None)."""
+    or None).  [lo, hi] is a sample interval, or a root's probe bracket,
+    which snaps at once."""
     while hi - lo > BISECTION_WIDTH:
         snapped = _snap_root(roots, unmatched, lo, hi)
         if snapped is not None:
@@ -783,8 +785,12 @@ def scan_path(curve: CurveParam, path, interval=(0, 1), nsamples: int = 21,
     fixture polynomials are supplied (keyed by kind), each localized change is
     matched to the fixture root it crosses and reported at that root's
     high-precision value; bisection stops early once only one root can be
-    that match.  Fixture roots that do not change the classification are
-    reported too, flagged NO_RANK_CHANGE.  TooManySamples past MAX_SAMPLES.
+    that match.  A change whose sample interval holds exactly one unmatched
+    root r, with the labels at r -/+ probe equal to the samples', is
+    bisected from that probe bracket instead, so it snaps to r without a
+    midpoint.  Fixture roots that do not change the classification are
+    reported too, flagged NO_RANK_CHANGE from the same two probes, each
+    root classified once.  TooManySamples past MAX_SAMPLES.
     """
     if nsamples < 2:
         raise ValueError("need at least two samples")
@@ -806,6 +812,16 @@ def scan_path(curve: CurveParam, path, interval=(0, 1), nsamples: int = 21,
             fixture_roots.append((root, kind))
     exact_roots = [as_fraction(root) for root, _kind in fixture_roots]
 
+    probe = min((hi - lo) / (8 * (nsamples - 1)), Fraction(1, 10 ** 7))
+    probed: dict[int, tuple[str, str]] = {}
+
+    def probe_labels(idx: int) -> tuple[str, str]:
+        """Labels at root idx -/+ probe, classified once per root."""
+        if idx not in probed:
+            probed[idx] = tuple(classify_point(curve, _path_point(path, exact_roots[idx] + d),
+                                               tol, seed=seed).label for d in (-probe, probe))
+        return probed[idx]
+
     transitions: list[PathTransition] = []
     matched: set[int] = set()
     for (ta, sa), (tb, sb) in zip(zip(ts, samples), zip(ts[1:], samples[1:])):
@@ -813,6 +829,10 @@ def scan_path(curve: CurveParam, path, interval=(0, 1), nsamples: int = 21,
             continue
         rank_before, rank_after = _rank_of(sa.label), _rank_of(sb.label)
         unmatched = [i for i in range(len(fixture_roots)) if i not in matched]
+        inside = [i for i in unmatched if ta < exact_roots[i] < tb]
+        if len(inside) == 1 and probe_labels(inside[0]) == (sa.label, sb.label):
+            r = exact_roots[inside[0]]  # the change brackets to r -/+ probe
+            ta, tb = max(ta, r - probe), min(tb, r + probe)
         t_star, best = _bisect_change(curve, path, ta, tb, sa.label, tol, seed,
                                       exact_roots, unmatched)
         if best is None:  # bisected to 1e-12: take the nearest root in the window
@@ -827,13 +847,10 @@ def scan_path(curve: CurveParam, path, interval=(0, 1), nsamples: int = 21,
             matched.add(best)
             root, kind = fixture_roots[best]
             transitions.append(PathTransition(root, kind, rank_before, rank_after, kind))
-    probe = min((hi - lo) / (8 * (nsamples - 1)), Fraction(1, 10 ** 7))
     for idx, (root, kind) in enumerate(fixture_roots):
         if idx in matched:
             continue
-        left = classify_point(curve, _path_point(path, as_fraction(root) - probe), tol, seed=seed)
-        right = classify_point(curve, _path_point(path, as_fraction(root) + probe), tol, seed=seed)
-        rank_before, rank_after = _rank_of(left.label), _rank_of(right.label)
+        rank_before, rank_after = map(_rank_of, probe_labels(idx))
         label = kind if rank_before != rank_after else NO_RANK_CHANGE
         transitions.append(PathTransition(root, label, rank_before, rank_after, kind))
     transitions.sort(key=lambda tr: tr.t_star)

@@ -223,6 +223,28 @@ def test_curve_scan_csv(capsys):
     assert [float(line.split(",")[0]) for line in lines[1:]] == [0.0, 0.1, 0.2]
 
 
+def test_curve_scan_without_real_secants_prints_valid_json(capsys, tmp_path):
+    # this quintic has no real secant line through any sample: the minimum
+    # discriminant is null in JSON and an empty field in CSV, never NaN
+    curve, path = tmp_path / "quintic.json", tmp_path / "path.json"
+    curve.write_text(json.dumps({"d": 5, "F": [[-2, -2, 2, -2, -3, -1], [3, 0, 3, 0, -2, 1],
+                                               [-1, -3, -1, 3, -2, 3], [-1, 2, -2, -3, 0, -3]]}))
+    path.write_text(json.dumps({"coefficients": [[2, 0], [2, 0], [1, 0], [-8, 1]]}))
+    argv = ("curve-scan", "--curve", str(curve), "--path", str(path), "--nsamples", "3",
+            "--interval=-0.01,0.01")
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    status, out, _ = run_cli(capsys, *argv)
+    assert status == 0
+    samples = json.loads(out, parse_constant=refuse)["samples"]
+    assert [(s["real_secants"], s["min_discriminant"]) for s in samples] == [(0, None)] * 3
+    status, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert status == 0
+    assert out.split("\n")[1:] == ["-0.01,,0,0", "0.0,,0,0", "0.01,,0,0", ""]
+
+
 def test_curve_scan_path_file(capsys, tmp_path):
     path = tmp_path / "path.json"
     path.write_text(json.dumps({"coefficients": [[3, 0], [1, 0], [-2, 0], [5, 0]]}))

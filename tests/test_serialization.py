@@ -2,7 +2,8 @@
 the certify, hyperdet and binary-form commands on exact input, of certify
 on each certification branch (float and exact), and of the decompose
 command on one float tensor per branch (and a sha256 census of
-decompose over seeded tensors), of curve-classify and curve-scan;
+decompose over seeded tensors), of curve-classify and curve-scan (and a
+sha256 of the default crossing scan in JSON and CSV);
 also the quintic alternative test's answers, float and exact.
 
 The report objects are built by hand, so nothing here depends on LAPACK
@@ -634,3 +635,14 @@ def test_curve_cli_golden(tmp_path, capsys, argv, status, expected):
     argv = [str(tmp_path / arg) if arg in CURVE_FILES else arg for arg in argv]
     assert main(argv) == status
     assert capsys.readouterr().out == json.dumps(json.loads(expected), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("json", "ddc3520f6c4d545cf956be11349e9a4d5628ad58d935915caaf0d77b9f8bf37e"),
+    ("csv", "69c00692a1d645f531ddd62b43811013147f00345fd3fa01d796b62dfb4103d5"),
+])
+def test_default_crossing_scan_digest(capsys, fmt, digest):
+    # the default 21-sample scan of the crossing path, all four boundary
+    # roots, pinned by the sha256 of its stdout
+    assert main(["curve-scan", "--curve", "monomial-quartic", "--path", "crossing", "--format", fmt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -844,6 +844,9 @@ def classify_counter(monkeypatch):
 W = Fraction(sc.FIXTURE_MATCH_WINDOW)
 FIXTURES = sc.MONOMIAL_QUARTIC_FIXTURES
 DECOYED = {**FIXTURES, "DECOY": decoy_fixture(Fraction(T_STARS[0]) + W / 2)}
+# the only fixture root inside the tangential change's sample interval
+# (0.40, 0.45), and one that does not change the classification
+LONE_DECOY = {"DECOY": decoy_fixture(Fraction(T_STARS[0]) + Fraction(1, 100))}
 
 
 @pytest.mark.parametrize("interval, nsamples, fixtures", [
@@ -855,8 +858,10 @@ DECOYED = {**FIXTURES, "DECOY": decoy_fixture(Fraction(T_STARS[0]) + W / 2)}
     ((0, 1), 9, None),
     ((0, 1), 9, DECOYED),
     ((Fraction(3, 10), Fraction(1, 2)), 5, {"DECOY": decoy_fixture(Fraction(T_STARS[0]) - 2 * W)}),
+    ((0, 1), 21, LONE_DECOY),
+    ((0, 1), 3, FIXTURES),
 ], ids=["n5", "n21", "n64", "tangential-part", "edge-part", "no-fixtures", "decoy",
-        "decoy-outside-window"])
+        "decoy-outside-window", "lone-decoy", "n3-three-roots-in-one-change"])
 def test_snapped_scan_equals_full_bisection(interval, nsamples, fixtures):
     report = sc.scan_path(QUARTIC, sc.CROSSING_PATH, interval, nsamples, fixtures, seed=1729)
     assert report == full_bisection_scan(QUARTIC, sc.CROSSING_PATH, interval, nsamples, fixtures,
@@ -898,7 +903,39 @@ def test_crossing_scan_stops_bisecting_at_the_fixture_root(classify_counter):
     report = sc.scan_path(QUARTIC, sc.CROSSING_PATH, fixtures=FIXTURES, seed=1729)
     assert [tr.kind for tr in report.transitions] == [sc.TANGENTIAL, sc.NO_RANK_CHANGE,
                                                       sc.NO_RANK_CHANGE, sc.EDGE]
-    assert len(classify_counter) <= 51  # 97 with full bisection
+    # 21 samples and two probes at each of the four roots: the two rank
+    # changes bracket to their root's probes and snap there (97 calls with
+    # full bisection)
+    assert len(classify_counter) == 29
+
+
+def crossing_part(a: Fraction, b: Fraction) -> tuple:
+    """The crossing path from t = a to t = b as a path over [0, 1]."""
+    return tuple((c0 + a * c1, (b - a) * c1) for c0, c1 in sc.CROSSING_PATH)
+
+
+@pytest.mark.parametrize("path, kinds, calls", [
+    (crossing_part(Fraction(7, 20), Fraction(47, 100)), [sc.TANGENTIAL], 23),
+    (crossing_part(Fraction(7, 10), Fraction(9, 10)), [sc.EDGE], 23),
+    (((40, -85), (-87, -54), (-9, -66), (-48, -63)), [], 21),
+], ids=["tangential-part", "edge-part", "root-free"])
+def test_scan_classify_calls(classify_counter, path, kinds, calls):
+    # a part around one rank change: 21 samples and its root's two probes;
+    # a segment without a fixture root: the samples alone
+    report = sc.scan_path(QUARTIC, path, fixtures=FIXTURES, seed=1729)
+    assert [tr.kind for tr in report.transitions] == kinds
+    assert len(classify_counter) == calls
+
+
+def test_lone_decoy_root_is_probed_once(classify_counter):
+    # the decoy's probes disagree with the samples, so the change is bisected
+    # in full; the NO_RANK_CHANGE row reuses those probes
+    report = sc.scan_path(QUARTIC, sc.CROSSING_PATH, fixtures=LONE_DECOY, seed=1729)
+    assert [tr.kind for tr in report.transitions] == [sc.UNLABELED, sc.NO_RANK_CHANGE, sc.UNLABELED]
+    scanned = len(classify_counter)
+    classify_counter.clear()
+    full_bisection_scan(QUARTIC, sc.CROSSING_PATH, fixtures=LONE_DECOY, seed=1729)
+    assert scanned == len(classify_counter) == 95
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
