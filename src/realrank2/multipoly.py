@@ -10,7 +10,7 @@ therefore every piece of symbolic output in the package: `to_text`,
 term maps (exponent -> integer coefficient): `accumulate` sums a stream
 of terms into one, `times` multiplies two, `det_bareiss` expands a
 determinant of them, and `resultant` eliminates a variable from two forms
-in the Z[x] arithmetic of `unipoly`.
+by one integer determinant, through the Kronecker substitution of `unipoly`.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from operator import add
 from typing import Mapping, NamedTuple, Sequence
 
-from .unipoly import _add, _det, _exact_div, _mul, _sub, _trimmed
+from .unipoly import _at_power_of_two, _balanced_digits, _det, _exact_div, _trimmed
 
 
 class Polynomial(NamedTuple):
@@ -159,11 +159,13 @@ def resultant(p: dict, q: dict, var: str, variables: Sequence[str]) -> list[int]
     The kernel is the Cayley-Bezout form (Cox, Little and O'Shea, *Using
     Algebraic Geometry*, ch. 3).  With y set to 1 each coefficient of p and
     q in `var` is an integer polynomial in x; the form of lower degree is
-    padded to k = max(m, n), the k x k Bezout matrix of
-    (p(s) q(t) - p(t) q(s)) / (s - t) is taken over Z[x] by one Bareiss
-    elimination, and Res_{k,k} = (-1)^(k(k-1)/2) det(Bez), which is
+    padded to k = max(m, n), and Res_{k,k} = (-1)^(k(k-1)/2) det(Bez) for
+    the k x k Bezout matrix of (p(s) q(t) - p(t) q(s)) / (s - t), which is
     lc^(k - min(m, n)) Res_{m,n} for lc the leading coefficient of the
-    form of higher degree.
+    form of higher degree.  No coefficient of det(Bez) over Z[x] exceeds
+    B = prod_i sum_j |Bez_ij|_1: it is read off the integer determinant of
+    Bez at x = 2^b > 2B (von zur Gathen and Gerhard, *Modern Computer
+    Algebra*, 8.4: Kronecker substitution).
     """
     degrees = [{sum(e) for e in f} for f in (p, q)]
     if var not in variables or len(variables) > 3 or any(len(d) != 1 for d in degrees):
@@ -187,14 +189,20 @@ def resultant(p: dict, q: dict, var: str, variables: Sequence[str]) -> list[int]
     if m < n:
         cp, cq, m, n = cq, cp, n, m
     cq = cq + [[]] * (m - n)
-    bezout = [[[] for _ in range(m)] for _ in range(m)]
-    for a in range(1, m + 1):
-        for b in range(a):
-            c = _sub(_mul(cp[a], cq[b]), _mul(cp[b], cq[a]))
-            # (s^a t^b - s^b t^a) / (s - t) is the sum of s^(b+r) t^(a-1-r), r < a - b
-            for r in range(a - b if c else 0):
-                bezout[b + r][a - 1 - r] = _add(bezout[b + r][a - 1 - r], c)
-    res = _det(bezout)
+
+    def bezout(f, g, sign):
+        matrix = [[0] * m for _ in range(m)]
+        for a in range(1, m + 1):
+            for b in range(a):
+                c = f[a] * g[b] + sign * f[b] * g[a]
+                # (s^a t^b - s^b t^a) / (s - t) is the sum of s^(b+r) t^(a-1-r), r < a - b
+                for r in range(a - b):
+                    matrix[b + r][a - 1 - r] += c
+        return matrix
+
+    # B from Bez of the coefficients' L1 norms, + for -, each entry >= |Bez_ij|_1
+    bits = prod(map(sum, bezout(*([sum(map(abs, c)) for c in f] for f in (cp, cq)), 1))).bit_length() + 1
+    res = _balanced_digits(_det(bezout(*([_at_power_of_two(c, bits) for c in f] for f in (cp, cq)), -1)), bits)
     for _ in range(m - n):  # the padding factor lc^(m - n)
         res = _exact_div(res, cp[m])
     if (swaps + m * (m - 1) // 2) % 2:

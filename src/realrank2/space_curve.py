@@ -81,9 +81,9 @@ SNAP_MARGIN = Fraction(1, 10 ** 12)
 SNAP_REACH = as_fraction(FIXTURE_MATCH_WINDOW) + SNAP_MARGIN
 SNAP_WITHIN = as_fraction(FIXTURE_MATCH_WINDOW) - SNAP_MARGIN
 MAX_ELIMINATION_RETRIES = 8
-# each sample is one classify_point, about 1 ms on the crossing path, so a
+# each sample is one classify_point, under 1 ms on the crossing path, so a
 # few bytes of argv cannot ask for unbounded work: 2000 samples of it take
-# about 2 s, as MAX_GENERATORS admits for a quadric basis
+# under 2 s, as MAX_GENERATORS admits for a quadric basis
 MAX_SAMPLES = 2000
 
 
@@ -109,6 +109,7 @@ class CurveParam:
     F_float: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
     F_complex: tuple[tuple[complex, ...], ...] = field(init=False, repr=False, compare=False)
     F_int: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)  # plucker_map's cache hashes at every call
 
     def __post_init__(self):
         if self.d < 1:
@@ -117,6 +118,7 @@ class CurveParam:
         if len(rows) != 4 or any(len(row) != self.d + 1 for row in rows):
             raise BadCurve("need four coefficient rows of length d + 1")
         object.__setattr__(self, "F", rows)
+        object.__setattr__(self, "_hash", hash((self.d, rows)))
         if exact_rank(rows) != 4:
             raise BadCurve("coefficient matrix must have rank 4 to span 3-space")
         flat = integer_row([c for row in rows for c in row])
@@ -124,6 +126,9 @@ class CurveParam:
         object.__setattr__(self, "F_complex", tuple(tuple(map(complex, row)) for row in rows))
         object.__setattr__(self, "F_int", tuple(
             tuple(flat[k:k + self.d + 1]) for k in range(0, len(flat), self.d + 1)))
+
+    def __hash__(self):
+        return self._hash
 
     def point(self, s, t):
         """Image of the parameter value (s : t) as an unnormalized 4-vector."""
@@ -253,40 +258,43 @@ class SecantSolution:
         }
 
 
-def _row_evaluator(rows: Sequence[dict]):
-    """Values and Jacobians in (a, b, c) of the integer rows over their largest
-    |coefficient|, as one function of an (n, 3) stack of complex points:
-    values (n, rows) and Jacobians (n, rows, 3).  The monomials come from
-    the union of the rows' exponents and its three shifts lowered by one in
-    a, b or c.  Each sum runs over its own row's terms in sorted exponent
-    order (for a partial, those with a positive exponent), gathered
-    C-contiguous: BLAS may sum a strided row in another order than a
-    contiguous one (OpenBLAS's Haswell kernel does from 8 terms on)."""
-    table = sorted(set().union(*rows))
-    at = {e: i for i, e in enumerate(table)}
+@lru_cache(maxsize=16)
+def _evaluator_plan(supports: tuple[tuple[tuple[int, ...], ...], ...]) -> tuple:
+    """`_row_evaluator`'s work on the rows' sorted supports alone: the distinct
+    exponents, the gather of their monomials into one run, each sum's span
+    of it, and per term (row, exponent, factor: 1, or the lowered exponent)."""
+    table = sorted(set().union(*supports))
     exps = np.array(table, dtype=np.int64)
     # an exponent lowered below 0 is never read; 0 keeps it finite at p_k = 0
     shifted = np.concatenate([exps] + [np.maximum(exps - unit, 0) for unit in np.eye(3, dtype=np.int64)])
-    gather: list[int] = []
-    sums = []  # per row: the value, then each partial, as (span of gather, coefficients)
-    for row in rows:
-        scale = max(abs(c) for c in row.values())
-        terms = [(e, row[e] / scale) for e in sorted(row)]  # int / int rounds once
-        part = [([at[e] for e, _ in terms], [c for _, c in terms])]
-        for k in range(3):
-            lowered = [(e, c) for e, c in terms if e[k]]
-            part.append(([(k + 1) * len(table) + at[e] for e, _ in lowered], [c * e[k] for e, c in lowered]))
-        for idx, coeffs in part:
-            sums.append((slice(len(gather), len(gather) + len(idx)), np.array(coeffs, dtype=complex)))
-            gather += idx
-    gather = np.array(gather, dtype=np.intp)
+    distinct, inverse = np.unique(shifted, axis=0, return_inverse=True)
+    gather, spans, sources = [], [], []
+    for j, support in enumerate(supports):
+        for k in range(4):  # the value, then the partial in each variable
+            part = [(j, e, e[k - 1] if k else 1) for e in support if not k or e[k - 1]]
+            spans.append(slice(len(sources), len(sources) + len(part)))
+            gather += [inverse.flat[k * len(table) + table.index(e)] for _, e, _ in part]
+            sources += part
+    return distinct, np.array(gather, dtype=np.intp), spans, sources
+
+
+def _row_evaluator(rows: Sequence[dict]):
+    """Values and Jacobians in (a, b, c) of the integer rows over their largest
+    |coefficient|, as one function of an (n, 3) stack of complex points:
+    values (n, rows) and Jacobians (n, rows, 3), from `_evaluator_plan`'s
+    monomials.  Each sum runs over its own row's terms in sorted exponent
+    order (for a partial, those with a positive exponent), gathered
+    C-contiguous: BLAS may sum a strided row in another order than a
+    contiguous one (OpenBLAS's Haswell kernel does from 8 terms on)."""
+    distinct, gather, spans, sources = _evaluator_plan(tuple(tuple(sorted(row)) for row in rows))
+    scales = [max(abs(c) for c in row.values()) for row in rows]
+    coeffs = np.array([rows[j][e] / scales[j] * f for j, e, f in sources], dtype=complex)  # int / int rounds once
 
     def evaluate(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        monomials = np.prod(points[:, None, :] ** shifted, axis=2)
-        terms = np.ascontiguousarray(monomials[:, gather])
-        out = np.empty((len(points), len(sums)), dtype=complex)
-        for j, (span, coeffs) in enumerate(sums):
-            out[:, j] = np.vecdot(coeffs, terms[:, span])  # conjugates the real coefficients
+        terms = np.ascontiguousarray(np.prod(points[:, None, :] ** distinct, axis=2)[:, gather])
+        out = np.empty((len(points), len(spans)), dtype=complex)
+        for j, span in enumerate(spans):
+            out[:, j] = np.vecdot(coeffs[span], terms[:, span])  # conjugates the real coefficients
         out = out.reshape(len(points), len(rows), 4)
         return out[:, :, 0], out[:, :, 1:]
 
@@ -449,37 +457,37 @@ def _projective_roots(polys: Sequence[Sequence], zero: float) -> list[tuple[list
     largest |c| (each int c / top rounds the exact ratio once, as
     float(Fraction(c, top)) does); leading ones with |c| <= zero are
     dropped.  The finite roots are np.roots's of the rest, to the bit and in
-    its dtype: each companion matrix is built as np.roots builds it (zeros
-    at either end stripped, the trailing ones appended as roots at 0; first
-    row -p[1:] / p[0] over a subdiagonal of ones), and np.linalg.eigvals
-    runs once per stack of one size and dtype."""
-    shapes, groups = [], {}  # per polynomial (trailing zeros, at infinity); stripped arrays by kind
+    its dtype (complex if a kept coefficient is): each companion matrix is
+    built as np.roots builds it (zeros at either end stripped, the trailing
+    ones appended as roots at 0; first row -p[1:] / p[0] over a subdiagonal
+    of ones), and np.linalg.eigvals runs once per stack of one size and dtype."""
+    shapes, groups = [], {}  # per polynomial (trailing zeros, at infinity); stripped lists by kind
     for descending in polys:
         top = max(abs(c) for c in descending)
         scaled = [c / top for c in descending]
         lead = next(i for i, c in enumerate(scaled) if abs(c) > zero)
-        tail = np.array(scaled[lead:])
-        nonzero = np.flatnonzero(tail)
-        stripped = tail[nonzero[0]:nonzero[-1] + 1]
-        groups.setdefault((len(stripped), stripped.dtype), []).append((len(shapes), stripped))
-        shapes.append((len(tail) - 1 - nonzero[-1], lead > 0))
+        tail = scaled[lead:]
+        end = next(i for i in range(len(tail), 0, -1) if tail[i - 1])  # tail[0] is not zero
+        dtype = complex if any(isinstance(c, complex) for c in tail) else float
+        groups.setdefault((end, dtype), []).append((len(shapes), tail[:end]))
+        shapes.append((len(tail) - end, lead > 0))
     roots: list = [None] * len(shapes)
     for (size, dtype), members in groups.items():
         if size == 1:
             found = [np.array([])] * len(members)
         else:
-            stack = np.array([p for _, p in members])
+            stack = np.array([p for _, p in members], dtype)
             companion = np.zeros((len(members), size - 1, size - 1), dtype)
             below = np.arange(size - 2)
             companion[:, below + 1, below] = 1
             companion[:, 0, :] = -stack[:, 1:] / stack[:, :1]
             # eigvals drops a real stack's imaginary parts only when all vanish;
             # np.roots of one real polynomial does so when its own do
-            found = [w.real if dtype.kind == "f" and not w.imag.any() else w
+            found = [w.real if dtype is float and not w.imag.any() else w
                      for w in np.linalg.eigvals(companion)]
         for (i, _), r in zip(members, found):
             roots[i] = r
-    return [(list(np.concatenate((r, np.zeros(trailing, r.dtype)))), at_infinity)
+    return [(list(r) + [r.dtype.type(0)] * trailing, at_infinity)
             for r, (trailing, at_infinity) in zip(roots, shapes)]
 
 

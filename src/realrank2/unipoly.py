@@ -9,12 +9,13 @@ sequence, and the sign of f at a rational interval end comes from integer
 Horner on the homogenized form, so root counts and interval signs are never
 subject to rounding; only the final refined root is reported as a double.
 All Z[x] arithmetic of the package lives here: `_add`, `_sub`, `_mul`,
-`_exact_div` and the Bareiss determinant `_det`.
+`_exact_div`, and Kronecker substitution into the integer `_det` and back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import zip_longest
 from math import gcd
 from typing import Sequence
@@ -89,18 +90,16 @@ def _exact_div(a: list[int], b: list[int]) -> list[int]:
     return quot
 
 
-def _det(rows: list[list[list[int]]]) -> list[int]:
-    """Determinant of a square matrix over Z[x] (entries trimmed ascending
-    integer lists), by one Bareiss elimination: each update divides by the
-    previous pivot with `_exact_div`, which raises InexactDivision on a
-    remainder; [1] when empty, [] when zero."""
+def _det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix (1 when empty) by one Bareiss
+    elimination; a pivot division leaving a remainder raises InexactDivision."""
     n = len(rows)
     work = [list(row) for row in rows]
-    sign, prev = 1, [1]
+    sign, prev = 1, 1
     for k in range(n - 1):
         pivot_row = next((i for i in range(k, n) if work[i][k]), None)
         if pivot_row is None:
-            return []
+            return 0
         if pivot_row != k:
             work[k], work[pivot_row] = work[pivot_row], work[k]
             sign = -sign
@@ -108,11 +107,26 @@ def _det(rows: list[list[list[int]]]) -> list[int]:
         for i in range(k + 1, n):
             lead = work[i][k]
             for j in range(k + 1, n):
-                num = _sub(_mul(pivot, work[i][j]), _mul(lead, work[k][j]))
-                work[i][j] = num if k == 0 else _exact_div(num, prev)
+                work[i][j], r = divmod(pivot * work[i][j] - lead * work[k][j], prev)
+                if r:
+                    raise InexactDivision("Bareiss division must be exact")
         prev = pivot
-    det = work[-1][-1] if n else [1]
-    return det if sign == 1 else [-c for c in det]
+    return sign * work[-1][-1] if n else 1
+
+
+def _at_power_of_two(p: list[int], k: int) -> int:
+    """p(2^k): Kronecker substitution, by Horner in shifts."""
+    return reduce(lambda value, c: (value << k) + c, reversed(p), 0)
+
+
+def _balanced_digits(value: int, k: int) -> list[int]:
+    """The trimmed ascending p, each p_j in [-2^(k-1), 2^(k-1)), with
+    p(2^k) = value: `_at_power_of_two` undone on such p."""
+    half, out = 1 << (k - 1), []
+    while value:
+        out.append(((value + half) & ((half << 1) - 1)) - half)
+        value = (value - out[-1]) >> k
+    return out
 
 
 def _primitive_remainder(a: list[int], b: list[int]) -> list[int]:

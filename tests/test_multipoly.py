@@ -12,7 +12,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from conftest import (NotDivisible, Poly, bareiss_det, coefficients_in, cofactor_det, int_form, reference_accumulate,
@@ -25,7 +25,7 @@ from realrank2 import hyperdet as hd
 from realrank2 import multipoly as mp
 from realrank2.exactsolve import as_fraction
 from realrank2.multipoly import NotForms, Polynomial, det_bareiss, grlex_key, resultant, times
-from realrank2.unipoly import _det, _mul, _trimmed
+from realrank2.unipoly import _at_power_of_two, _balanced_digits, _det, _mul, _trimmed
 
 VARS = ("x", "y", "z")
 
@@ -282,7 +282,10 @@ square_zx_matrices = st.integers(0, 5).flatmap(lambda n: st.lists(
 def test_bareiss_over_zx_equals_cofactor_expansion(rows, data):
     """Entries are integer polynomials of degree up to 2 (constant ones
     cover integer matrices); some matrices are singular (a row a multiple of
-    another, or a zero column) and some need a row swap."""
+    another, or a zero column) and some need a row swap.  The determinant
+    over Z[x] is the integer Bareiss determinant at x = 2^b, read back as
+    balanced base-2^b digits, once 2^b exceeds twice the product of the
+    rows' summed L1 norms."""
     n = len(rows)
     if n >= 2 and data.draw(st.booleans()):
         i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
@@ -295,12 +298,14 @@ def test_bareiss_over_zx_equals_cofactor_expansion(rows, data):
     if n >= 2 and data.draw(st.booleans()):
         rows[0][0] = []
     rows = [[_trimmed(x) for x in row] for row in rows]
-    before = [list(row) for row in rows]
-    det = _det(rows)
+    bits = prod(sum(sum(map(abs, x)) for x in row) for row in rows).bit_length() + 1
+    values = [[_at_power_of_two(x, bits) for x in row] for row in rows]
+    before = [list(row) for row in values]
+    det = _balanced_digits(_det(values), bits)
     expected = cofactor_det([[Poly(("x",), {(i,): c for i, c in enumerate(x)}) for x in row] for row in rows])
     assert Poly(("x",), {(i,): c for i, c in enumerate(det)}) == expected
     assert det == _trimmed(det)
-    assert rows == before  # elimination works on copies
+    assert values == before  # elimination works on copies
 
 
 def poly_resultant(p: Poly, q: Poly, var: str) -> list[int]:
@@ -343,11 +348,11 @@ def _as_list(res: Poly, degree: int) -> list[int]:
 
 
 @st.composite
-def forms(draw, variables, degree, max_var_degree=None):
+def forms(draw, variables, degree, max_var_degree=None, values=coeffs):
     var_degree = degree if max_var_degree is None else min(degree, max_var_degree)
     monomials = [e for e in itertools.product(range(degree + 1), repeat=len(variables))
                  if sum(e) == degree and e[0] <= var_degree]
-    terms = draw(st.dictionaries(st.sampled_from(monomials), coeffs.filter(bool),
+    terms = draw(st.dictionaries(st.sampled_from(monomials), values.filter(bool),
                                  min_size=1, max_size=len(monomials)))
     return Poly(variables, terms)
 
@@ -385,6 +390,48 @@ def test_resultant_matches_sylvester_oracle(case, data):
     assert res == _as_list(sylvester_resultant(p, q, names[0]), (tp - m) * n + (tq - n) * m + m * n)
     if case == "common_factor":
         assert not any(res)
+
+
+LAYOUTS = {"two_left": ("x", "y", "z"), "one_left": ("y", "z"), "none_left": ("z",)}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("sign", [1, -1, 0])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_resultant_with_80_bit_coefficients_matches_sylvester_oracle(layout, sign, data):
+    """Integer coefficients up to 2^80 in absolute value, all of one sign
+    (sign 1 or -1) or of both (0); q's degree n in the eliminated variable
+    is capped at random, so m != n, which pads the Bezout matrix, is common."""
+    names = LAYOUTS[layout]
+    values = st.integers(-2 ** 80, 2 ** 80).map(lambda c: sign * abs(c) if sign else c)
+    deg_p, deg_q = data.draw(st.integers(0, 4)), data.draw(st.integers(1, 4))
+    p = data.draw(forms(names, deg_p, values=values))
+    cap = None if len(names) == 1 else data.draw(st.integers(0, deg_q))  # one variable: monomials only
+    q = data.draw(forms(names, deg_q, cap, values=values))
+    (m, tp), (n, tq) = ((max(e[0] for e in f.terms), f.total_degree()) for f in (p, q))
+    res = poly_resultant(p, q, names[0])
+    assert res == _as_list(sylvester_resultant(p, q, names[0]), (tp - m) * n + (tq - n) * m + m * n)
+
+
+# in one variable two forms of positive degree share the root 0: n = 0 there
+@pytest.mark.parametrize("layout, m, n", [(layout, m, n) for layout in LAYOUTS
+                                          for m, n in [(1, 0), (3, 0), (3, 1), (4, 2), (2, 2)]
+                                          if layout != "none_left" or not n])
+@pytest.mark.parametrize("a, b", [(2 ** 80 - 1, 2 ** 80 - 3), (-(2 ** 80 - 1), 2 ** 80 - 3), (-3, -(2 ** 79))])
+def test_resultant_where_the_determinant_meets_its_bound(layout, m, n, a, b):
+    """Res(a v^m, b w^n) = (b w^n)^m for v the eliminated variable and w
+    the last one.  The Bezout matrix, padded to m x m, is a b w^n on the
+    antidiagonal, so det(Bez) = +-(a b)^m w^(mn): its one coefficient is
+    the product of the rows' L1 norms, the largest any coefficient can be,
+    and the padding factor a^m divides it out."""
+    names = LAYOUTS[layout]
+    v, w = Poly.variable(names[0], names), Poly.variable(names[-1], names)
+    p, q = a * v ** m, b * w ** n
+    # entry j is on w^j with one variable left, on the other one's with two
+    expected = [b ** m] + [0] * (m * n) if layout == "two_left" else [0] * (m * n) + [b ** m]
+    assert poly_resultant(p, q, names[0]) == expected
+    assert poly_resultant(q, p, names[0]) == expected  # (-1)^(m * 0)
 
 
 @pytest.mark.parametrize("forms, expected", [

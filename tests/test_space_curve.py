@@ -325,6 +325,66 @@ def test_stacked_row_evaluator_equals_one_point_stacks_bit_for_bit(d):
         assert _same_bits(one_values, ref_values) and _same_bits(one_jacobian, ref_jacobian)
 
 
+def _unplanned_row_evaluator(rows):
+    """The row evaluator as it was before `_evaluator_plan`: its table,
+    gather and coefficient arrays built at every call, every shifted
+    exponent raised, duplicates included.  The reference for the planned
+    one."""
+    table = sorted(set().union(*rows))
+    at = {e: i for i, e in enumerate(table)}
+    exps = np.array(table, dtype=np.int64)
+    shifted = np.concatenate([exps] + [np.maximum(exps - unit, 0) for unit in np.eye(3, dtype=np.int64)])
+    gather: list[int] = []
+    sums = []
+    for row in rows:
+        scale = max(abs(c) for c in row.values())
+        terms = [(e, row[e] / scale) for e in sorted(row)]
+        part = [([at[e] for e, _ in terms], [c for _, c in terms])]
+        for k in range(3):
+            lowered = [(e, c) for e, c in terms if e[k]]
+            part.append(([(k + 1) * len(table) + at[e] for e, _ in lowered], [c * e[k] for e, c in lowered]))
+        for idx, coeffs in part:
+            sums.append((slice(len(gather), len(gather) + len(idx)), np.array(coeffs, dtype=complex)))
+            gather += idx
+    gather = np.array(gather, dtype=np.intp)
+
+    def evaluate(points):
+        monomials = np.prod(points[:, None, :] ** shifted, axis=2)
+        terms = np.ascontiguousarray(monomials[:, gather])
+        out = np.empty((len(points), len(sums)), dtype=complex)
+        for j, (span, coeffs) in enumerate(sums):
+            out[:, j] = np.vecdot(coeffs, terms[:, span])
+        out = out.reshape(len(points), len(rows), 4)
+        return out[:, :, 0], out[:, :, 1:]
+
+    return evaluate
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+def test_planned_row_evaluator_equals_the_unplanned_one_bit_for_bit(d):
+    """Stacks of 1, 3 and 27 points, some with a zero coordinate, at query
+    points some of whose coordinates are zero, which drops terms from some
+    rows: the supports differ, and so do the plans.  The plan cache stays
+    within its bound."""
+    rng = random.Random(120 + d)
+    pm = sc.plucker_map(_random_curve(rng, d))
+    queries = [[rng.randint(-20, 20) for _ in range(4)] for _ in range(3)]
+    queries += [[0, 1, 2, 3], [1, 0, 0, 2], [0, 0, 1, 5], [3, 0, 4, 0], [0, 0, 0, 1]]
+    supports = set()
+    for u in queries:
+        rows = [row for row in sc.secant_rows(pm, [Fraction(c) for c in u])[0] if row]
+        supports.add(tuple(tuple(sorted(row)) for row in rows))
+        planned, unplanned = sc._row_evaluator(rows), _unplanned_row_evaluator(rows)
+        for n in (1, 3, 27):
+            points = _random_unit_points(rng, n)
+            points[::2, rng.randrange(3)] = 0
+            for got, want in zip(planned(points), unplanned(points)):
+                assert _same_bits(got, want), (u, n)
+    assert len(supports) > 1
+    info = sc._evaluator_plan.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
 def _counting(evaluate, sizes: list):
     def counted(points):
         sizes.append(len(points))
@@ -413,9 +473,10 @@ def test_stacked_lstsq_raises_as_lstsq_does_on_nan():
 
 def _roots_cases(rng: np.random.Generator) -> list[list]:
     """Real, complex and integer coefficient lists (highest degree first)
-    with real, complex and repeated roots, zeros at either end, tiny leading
-    coefficients (one whose ratio to the largest rounds to 0.0), and tails
-    of degree 1 and 0, shuffled."""
+    with real, complex and repeated roots, zeros at either end (-0.0
+    included), tiny leading coefficients (one whose ratio to the largest
+    rounds to 0.0), tails of degree 1 and 0, numpy scalars, and complex
+    lists whose imaginary parts are all zero, shuffled."""
     cases = []
     for n in (1, 2, 3, 4, 5, 7):
         for _ in range(4):
@@ -424,7 +485,11 @@ def _roots_cases(rng: np.random.Generator) -> list[list]:
                       list(np.atleast_1d(np.poly(rng.standard_normal(n - 1))))]
     cases += [[2.0, 0.0, 0.0], [0.0, 1.0, -3.0, 0.0], [1j, 0j], [0.0, 5.0], [1e-14, 1.0, 0.0, -7.0, 6.0],
               [1e-13j, 2.0 + 1j, 3.0], [1.0, -2.0, 1.0], [0, 6, -7],
-              [1, 10 ** 20, 0], [1, 10 ** 400, -2 * 10 ** 400]]
+              [1, 10 ** 20, 0], [1, 10 ** 400, -2 * 10 ** 400],
+              [-0.0, 1.0, -3.0, 2.0], [1.0, -3.0, 2.0, -0.0], [-0.0, 2.0, -0.0], [-0.0j, 1.0, 0.5, -0.0j], [-0.0j, 1.0, 0.5],
+              [np.float64(2.0), np.float64(-1.0), np.float64(0.5)], [np.float64(1.0), 3, np.float64(0.0)],
+              [np.complex128(1 + 1j), np.complex128(0), np.complex128(-2)], [1.0, np.complex128(2.0), -0.0],
+              [1 + 0j, -3 + 0j, 2 + 0j], [0j, 2 + 0j, 1 + 0j, 0j]]
     return [cases[i] for i in rng.permutation(len(cases))]
 
 

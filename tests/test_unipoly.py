@@ -291,16 +291,16 @@ def test_high_precision_root():
 
 def test_exact_division_raises_on_a_non_divisor_under_optimize():
     # x^2 + 1 by x + 1 leaves the remainder 2; x + 1 by 2x + 1 stops at the
-    # first quotient coefficient, 1/2; the Bareiss elimination over Z[x] of
-    # diag(3, 1, 1/2) divides 9/2 by the first pivot 3 at its second step;
-    # all must raise with asserts stripped
+    # first quotient coefficient, 1/2; the integer Bareiss elimination of
+    # diag(3, 1, 1/2) leaves 3/2 at its first step, no integer multiple of
+    # its divisor 1; all must raise with asserts stripped
     code = "\n".join([
         "from fractions import Fraction",
         "from realrank2.exactsolve import InexactDivision",
         "from realrank2.unipoly import _det, _exact_div",
         "assert False, 'asserts must be off'",
         "for call in (lambda: _exact_div([1, 0, 1], [1, 1]), lambda: _exact_div([1, 1], [1, 2]),",
-        "             lambda: _det([[[3], [], []], [[], [1], []], [[], [], [Fraction(1, 2)]]])):",
+        "             lambda: _det([[3, 0, 0], [0, 1, 0], [0, 0, Fraction(1, 2)]])):",
         "    try:",
         "        call()",
         "    except InexactDivision as exc:",
