@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Walk a line segment through the rank-two region of the monomial quartic.
 
-Classifies u(t) along the segment, localizes every boundary crossing,
-matches each against the tangential and edge sextics, and prints the
+Classifies u(t) along the segment, reports every crossing of the
+tangential and edge sextics with the rank on either side, and prints the
 per-segment secant-line census.  The defaults reproduce the published
 crossing experiment: two rank changes (one per boundary surface) and two
 surface crossings with no rank change.
@@ -34,8 +34,7 @@ def main() -> int:
           f"t in [{cfg.interval[0]}, {cfg.interval[1]}]")
     start = time.perf_counter()
     report = sc.scan_path(sc.MONOMIAL_QUARTIC, sc.CROSSING_PATH, cfg.interval,
-                          cfg.nsamples, sc.MONOMIAL_QUARTIC_FIXTURES, cfg.tol,
-                          seed=cfg.seed)
+                          cfg.nsamples, cfg.tol, seed=cfg.seed)
     elapsed = time.perf_counter() - start
 
     print(f"\ntransitions ({len(report.transitions)}):")

@@ -219,9 +219,7 @@ def _cmd_curve_scan(args):
     interval = _parse_scalar_list(args.interval)
     if len(interval) != 2:
         raise UsageError("--interval needs two values, e.g. 0,1")
-    fixtures = sc.MONOMIAL_QUARTIC_FIXTURES if curve == sc.MONOMIAL_QUARTIC else None
-    report = sc.scan_path(curve, path, tuple(interval), args.nsamples, fixtures,
-                          args.tol, seed=args.seed)
+    report = sc.scan_path(curve, path, tuple(interval), args.nsamples, args.tol, seed=args.seed)
     text = [f"samples: {len(report.samples)} on [{_fmt(interval[0])}, {_fmt(interval[1])}]"]
     for tr in report.transitions:
         text.append(f"t* = {_fmt(tr.t_star)}: {tr.kind} (rank {tr.rank_before} -> {tr.rank_after}"

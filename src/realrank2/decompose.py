@@ -186,31 +186,6 @@ def _unit_terms(mats: list[np.ndarray]) -> list[RankOneTerm]:
     return terms
 
 
-def als_low_rank(t: np.ndarray, rank: int = 2, max_sweeps: int = 200, tol: float = 1e-10,
-                 restarts: int = 5, seed: int = 0) -> list[RankOneTerm]:
-    """Plain rank-r ALS fit with random restarts; best fit wins.
-
-    A workhorse for property tests; no convergence guarantee is exposed.
-    """
-    t = tn.to_float(t)
-    rng = np.random.default_rng(seed)
-    tvec = t.ravel()
-    unfoldings = _unfoldings(t)
-    best: tuple[float, list[np.ndarray]] | None = None
-    for _ in range(max(restarts, 1)):
-        mats = [rng.standard_normal((n, rank)) for n in t.shape]
-        prev_err = np.inf
-        for _ in range(max_sweeps):
-            _als_sweep(unfoldings, mats)
-            err = np.linalg.norm(tvec - _khatri_rao(mats).sum(axis=1))
-            if prev_err - err < tol * (1.0 + err):
-                break
-            prev_err = err
-        if best is None or err < best[0]:
-            best = (err, [m.copy() for m in mats])
-    return _unit_terms(best[1])
-
-
 def _orth_complements(xs: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Orthonormal bases of the hyperplanes orthogonal to the unit vectors xs.
 

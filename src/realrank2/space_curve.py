@@ -7,9 +7,9 @@ parameter values is a binary quadric a s^2 + b st + c t^2 with coordinates
 degree d - 1 in (a, b, c), and membership of u imposes four homogeneous
 equations.  A real solution whose quadric has positive discriminant is a
 secant meeting the curve in two real points, which certifies real rank two
-for u; scanning a segment localizes the parameter values where that
-certificate appears or disappears and matches them against the tangential
-and edge boundary surfaces.
+for u; scanning a segment reports the parameter values where that
+certificate appears or disappears, at the roots of the tangential and edge
+boundary surfaces where the curve's are known.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -76,10 +76,6 @@ DISC_DEAD_ZONE_SCALE = 1e-10
 DEDUP_TOL = 1e-6
 LINE_NORM_FLOOR = 1e-9
 BISECTION_WIDTH = 1e-12
-FIXTURE_MATCH_WINDOW = 1e-5
-SNAP_MARGIN = Fraction(1, 10 ** 12)
-SNAP_REACH = as_fraction(FIXTURE_MATCH_WINDOW) + SNAP_MARGIN
-SNAP_WITHIN = as_fraction(FIXTURE_MATCH_WINDOW) - SNAP_MARGIN
 MAX_ELIMINATION_RETRIES = 8
 # each sample is one classify_point, under 1 ms on the crossing path, so a
 # few bytes of argv cannot ask for unbounded work: 2000 samples of it take
@@ -726,40 +722,16 @@ def _sample(curve: CurveParam, path, t: Fraction, tol: float, seed: int) -> Path
                       min(discs) if discs else None)
 
 
-def _snap_root(roots: Sequence[Fraction], unmatched: Sequence[int],
-               lo: Fraction, hi: Fraction) -> int | None:
-    """The fixture root that every end of bisecting [lo, hi] would match.
-
-    Full bisection ends at some t* in [lo, hi] and matches the nearest
-    unmatched root within FIXTURE_MATCH_WINDOW of it.  When r is the only
-    unmatched root in [lo - W, hi + W] and hi - W <= r <= lo + W, that is r
-    for every such t*.  SNAP_MARGIN absorbs the rounding of the float
-    comparisons the match makes.
-    """
-    near = [i for i in unmatched
-            if lo - SNAP_REACH <= roots[i] <= hi + SNAP_REACH]
-    if len(near) == 1 and hi - SNAP_WITHIN <= roots[near[0]] <= lo + SNAP_WITHIN:
-        return near[0]
-    return None
-
-
 def _bisect_change(curve: CurveParam, path, lo: Fraction, hi: Fraction,
-                   lo_label: str, tol: float, seed: int,
-                   roots: Sequence[Fraction], unmatched: Sequence[int]) -> tuple[float, int | None]:
-    """Localize a classification change in [lo, hi] to width 1e-12, or stop
-    at the one fixture root any such t* would match; returns (t*, root index
-    or None).  [lo, hi] is a sample interval, or a root's probe bracket,
-    which snaps at once."""
+                   lo_label: str, tol: float, seed: int) -> float:
+    """Localize a classification change in [lo, hi] to width 1e-12."""
     while hi - lo > BISECTION_WIDTH:
-        snapped = _snap_root(roots, unmatched, lo, hi)
-        if snapped is not None:
-            return float(roots[snapped]), snapped
         mid = (lo + hi) / 2
         if classify_point(curve, _path_point(path, mid), tol, seed=seed).label == lo_label:
             lo = mid
         else:
             hi = mid
-    return float((lo + hi) / 2), None
+    return float((lo + hi) / 2)
 
 
 def _fixture_polynomial(poly: Polynomial, path) -> list[int]:
@@ -785,20 +757,18 @@ def _fixture_polynomial(poly: Polynomial, path) -> list[int]:
 
 
 def scan_path(curve: CurveParam, path, interval=(0, 1), nsamples: int = 21,
-              fixtures: Mapping[str, Polynomial] | None = None, tol: float = 1e-8,
-              *, seed: int = 0) -> PathReport:
-    """Classify u(t) = path(t) along the interval and localize every change.
+              tol: float = 1e-8, *, seed: int = 0) -> PathReport:
+    """Classify u(t) = path(t) along the interval and report every transition.
 
-    Classification changes are bisected to width 1e-12.  When boundary-surface
-    fixture polynomials are supplied (keyed by kind), each localized change is
-    matched to the fixture root it crosses and reported at that root's
-    high-precision value; bisection stops early once only one root can be
-    that match.  A change whose sample interval holds exactly one unmatched
-    root r, with the labels at r -/+ probe equal to the samples', is
-    bisected from that probe bracket instead, so it snaps to r without a
-    midpoint.  Fixture roots that do not change the classification are
-    reported too, flagged NO_RANK_CHANGE from the same two probes, each
-    root classified once.  TooManySamples past MAX_SAMPLES.
+    The real rank changes only where the path crosses a boundary surface.
+    Where BOUNDARY_SEXTICS has the curve's surfaces, each of their real
+    roots r in the interval is classified once at r - probe and r + probe,
+    and those two labels give its row: the surface's kind where the rank
+    changes, NO_RANK_CHANGE where it does not.  Any other change between
+    neighbouring labelled points in the interval (samples and probes
+    sorted by t) with no root between them is bisected to width 1e-12 and
+    reported UNLABELED; so is every change of a curve without sextics.
+    TooManySamples past MAX_SAMPLES.
     """
     if nsamples < 2:
         raise ValueError("need at least two samples")
@@ -810,57 +780,30 @@ def scan_path(curve: CurveParam, path, interval=(0, 1), nsamples: int = 21,
         raise ValueError("empty interval")
     ts = [lo + (hi - lo) * k / (nsamples - 1) for k in range(nsamples)]
     samples = [_sample(curve, path, t, tol, seed) for t in ts]
+    labelled = [(t, s.label) for t, s in zip(ts, samples)]
 
-    fixture_roots: list[tuple[float, str]] = []
-    for kind, poly in (fixtures or {}).items():
+    probe = min((hi - lo) / (8 * (nsamples - 1)), Fraction(1, 10 ** 7))
+    transitions: list[PathTransition] = []
+    exact_roots: list[Fraction] = []
+    for kind, poly in BOUNDARY_SEXTICS.get(_boundary_key(curve), {}).items():
         along = _fixture_polynomial(poly, path)
         if not any(along):
             continue
         for root, _mult in real_roots(along, lo, hi, tol=1e-13):
-            fixture_roots.append((root, kind))
-    exact_roots = [as_fraction(root) for root, _kind in fixture_roots]
+            r = as_fraction(root)
+            before, after = (classify_point(curve, _path_point(path, r + d), tol, seed=seed).label
+                             for d in (-probe, probe))
+            rank_before, rank_after = _rank_of(before), _rank_of(after)
+            label = kind if rank_before != rank_after else NO_RANK_CHANGE
+            transitions.append(PathTransition(root, label, rank_before, rank_after, kind))
+            exact_roots.append(r)
+            labelled += [(r - probe, before), (r + probe, after)]
 
-    probe = min((hi - lo) / (8 * (nsamples - 1)), Fraction(1, 10 ** 7))
-    probed: dict[int, tuple[str, str]] = {}
-
-    def probe_labels(idx: int) -> tuple[str, str]:
-        """Labels at root idx -/+ probe, classified once per root."""
-        if idx not in probed:
-            probed[idx] = tuple(classify_point(curve, _path_point(path, exact_roots[idx] + d),
-                                               tol, seed=seed).label for d in (-probe, probe))
-        return probed[idx]
-
-    transitions: list[PathTransition] = []
-    matched: set[int] = set()
-    for (ta, sa), (tb, sb) in zip(zip(ts, samples), zip(ts[1:], samples[1:])):
-        if sa.label == sb.label:
-            continue
-        rank_before, rank_after = _rank_of(sa.label), _rank_of(sb.label)
-        unmatched = [i for i in range(len(fixture_roots)) if i not in matched]
-        inside = [i for i in unmatched if ta < exact_roots[i] < tb]
-        if len(inside) == 1 and probe_labels(inside[0]) == (sa.label, sb.label):
-            r = exact_roots[inside[0]]  # the change brackets to r -/+ probe
-            ta, tb = max(ta, r - probe), min(tb, r + probe)
-        t_star, best = _bisect_change(curve, path, ta, tb, sa.label, tol, seed,
-                                      exact_roots, unmatched)
-        if best is None:  # bisected to 1e-12: take the nearest root in the window
-            for idx in unmatched:
-                distance = abs(fixture_roots[idx][0] - t_star)
-                if distance <= FIXTURE_MATCH_WINDOW and (
-                        best is None or distance < abs(fixture_roots[best][0] - t_star)):
-                    best = idx
-        if best is None:
-            transitions.append(PathTransition(t_star, UNLABELED, rank_before, rank_after))
-        else:
-            matched.add(best)
-            root, kind = fixture_roots[best]
-            transitions.append(PathTransition(root, kind, rank_before, rank_after, kind))
-    for idx, (root, kind) in enumerate(fixture_roots):
-        if idx in matched:
-            continue
-        rank_before, rank_after = map(_rank_of, probe_labels(idx))
-        label = kind if rank_before != rank_after else NO_RANK_CHANGE
-        transitions.append(PathTransition(root, label, rank_before, rank_after, kind))
+    labelled = sorted((p for p in labelled if lo <= p[0] <= hi), key=lambda p: p[0])
+    for (ta, la), (tb, lb) in zip(labelled, labelled[1:]):
+        if la != lb and not any(ta <= r <= tb for r in exact_roots):
+            transitions.append(PathTransition(_bisect_change(curve, path, ta, tb, la, tol, seed),
+                                              UNLABELED, _rank_of(la), _rank_of(lb)))
     transitions.sort(key=lambda tr: tr.t_star)
     return PathReport(tuple(samples), tuple(transitions))
 
@@ -882,7 +825,19 @@ EDGE_SEXTIC = Polynomial(POINT_VARS, {
     (0, 3, 3, 0): 32, (2, 0, 4, 0): -27, (1, 2, 2, 1): -6,
     (0, 4, 0, 2): -27, (2, 1, 1, 2): 24, (3, 0, 0, 3): 4,
 })
-MONOMIAL_QUARTIC_FIXTURES = {TANGENTIAL: TANGENTIAL_SEXTIC, EDGE: EDGE_SEXTIC}
+
+
+def _boundary_key(curve: CurveParam) -> tuple[tuple[int, ...], ...]:
+    """F_int over its gcd, its first nonzero entry positive: one key for
+    every nonzero multiple of F, which all give the same curve."""
+    flat = [c for row in curve.F_int for c in row]
+    g = math.gcd(*flat)
+    g = g if next(c for c in flat if c) > 0 else -g
+    return tuple(tuple(c // g for c in row) for row in curve.F_int)
+
+
+# the boundary sextics of each curve whose surfaces are known, by kind
+BOUNDARY_SEXTICS = {_boundary_key(MONOMIAL_QUARTIC): {TANGENTIAL: TANGENTIAL_SEXTIC, EDGE: EDGE_SEXTIC}}
 
 # a segment that crosses both boundary surfaces twice, with exactly one
 # tangential crossing and one edge crossing changing the real rank

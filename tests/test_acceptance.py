@@ -188,8 +188,7 @@ def test_criterion_05_quintic_quadric_basis():
 
 def test_criterion_06_crossing_path_scan():
     start = time.perf_counter()
-    report = sc.scan_path(sc.MONOMIAL_QUARTIC, sc.CROSSING_PATH,
-                          fixtures=sc.MONOMIAL_QUARTIC_FIXTURES)
+    report = sc.scan_path(sc.MONOMIAL_QUARTIC, sc.CROSSING_PATH)
     t_err = (max(abs(tr.t_star - want) for tr, want in zip(report.transitions, T_STARS))
              if len(report.transitions) == 4 else float("inf"))
     ok = len(report.transitions) == 4 and t_err <= 1e-12

@@ -516,6 +516,18 @@ def test_curve_scan_labels_transitions_with_the_sextics_only_on_the_monomial_qua
     assert {tr["surface"] for tr in json.loads(named)["transitions"]} == {"TANGENTIAL", "EDGE"}
     status, from_file, _ = run_cli(capsys, *scan, str(same))
     assert (status, from_file) == (0, named)
+    # a nonzero multiple of F is the same curve and gets the same sextics;
+    # with -3 F the secants' discriminants differ in their last digits
+    for factor, same_bytes in ((2, True), (Fraction(1, 2), True), (-3, False)):
+        multiple = tmp_path / "multiple.json"
+        multiple.write_text(json.dumps({"d": 4, "F": [[str(factor * c) for c in row]
+                                                      for row in QUARTIC_ROWS]}))
+        status, out, _ = run_cli(capsys, *scan, str(multiple))
+        assert status == 0
+        if same_bytes:
+            assert out == named
+        else:
+            assert json.loads(out)["transitions"] == json.loads(named)["transitions"]
     status, out, _ = run_cli(capsys, *scan, str(other))
     transitions = json.loads(out)["transitions"]
     assert status == 0 and transitions

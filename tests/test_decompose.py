@@ -171,19 +171,6 @@ def test_best_rank_one_of_diagonal_tensor():
     assert abs(abs(term.weight) - 1.0) <= 1e-10
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000))
-def test_rank_two_fit_of_rank_three_stays_rank_two(seed):
-    # the best rank-<=2 approximation of a border-rank-3 tensor is not
-    # secretly rank <= 1: its flattenings keep a second singular value
-    rng = np.random.default_rng(seed)
-    t = sum(tn.outer([rng.standard_normal(2) for _ in range(3)]) for _ in range(3))
-    terms = dc.als_low_rank(t, rank=2, seed=seed)
-    approx = sum(term.tensor() for term in terms)
-    second = min(np.linalg.svd(tn.flatten(approx, [m]), compute_uv=False)[1] for m in range(3))
-    assert second > 1e-8
-
-
 def test_zero_tensor_raises():
     with pytest.raises(dc.ZeroTensor):
         dc.best_rank_one(np.zeros((2, 2, 2)))

@@ -27,6 +27,7 @@ from realrank2.tensors import NonFiniteEntry, multidegrees
 from realrank2.unipoly import real_roots
 
 QUARTIC = sc.MONOMIAL_QUARTIC
+FIXTURES = sc.BOUNDARY_SEXTICS[sc._boundary_key(QUARTIC)]
 TWISTED_CUBIC = sc.CurveParam(3, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
 
 T_STARS = (0.41616468475415957221, 0.50734775284175190900,
@@ -598,8 +599,7 @@ def test_classification_counts_along_crossing_path():
 
 
 def test_scan_localizes_all_four_boundary_crossings():
-    report = sc.scan_path(QUARTIC, sc.CROSSING_PATH,
-                          fixtures=sc.MONOMIAL_QUARTIC_FIXTURES)
+    report = sc.scan_path(QUARTIC, sc.CROSSING_PATH)
     assert len(report.transitions) == 4
     kinds = [tr.kind for tr in report.transitions]
     assert kinds == [sc.TANGENTIAL, sc.NO_RANK_CHANGE, sc.NO_RANK_CHANGE, sc.EDGE]
@@ -610,7 +610,7 @@ def test_scan_localizes_all_four_boundary_crossings():
     for tr, expected in zip(report.transitions, T_STARS):
         assert abs(tr.t_star - expected) <= 1e-10
     for tr in report.transitions:
-        surface = sc.MONOMIAL_QUARTIC_FIXTURES[tr.surface]
+        surface = FIXTURES[tr.surface]
         point = {v: c0 + c1 * Fraction(tr.t_star).limit_denominator(10 ** 15)
                  for v, (c0, c1) in zip(sc.POINT_VARS, sc.CROSSING_PATH)}
         value = float(evaluate(surface, point))
@@ -618,7 +618,8 @@ def test_scan_localizes_all_four_boundary_crossings():
         assert abs(value) <= 1e-9 * scale
 
 
-def test_scan_without_fixtures_marks_changes_unlabeled():
+def test_scan_without_fixtures_marks_changes_unlabeled(sextics):
+    sextics(None)
     report = sc.scan_path(QUARTIC, sc.CROSSING_PATH, nsamples=9)
     assert [tr.kind for tr in report.transitions] == [sc.UNLABELED, sc.UNLABELED]
     assert abs(report.transitions[0].t_star - T_STARS[0]) <= 1e-9
@@ -627,7 +628,7 @@ def test_scan_without_fixtures_marks_changes_unlabeled():
 
 def test_scan_on_quiet_subinterval_reports_nothing():
     report = sc.scan_path(QUARTIC, sc.CROSSING_PATH, interval=(Fraction(42, 100), Fraction(1, 2)),
-                          nsamples=4, fixtures=sc.MONOMIAL_QUARTIC_FIXTURES)
+                          nsamples=4)
     assert report.transitions == ()
     assert {s.label for s in report.samples} == {sc.REAL_RANK_LE_2}
 
@@ -827,7 +828,7 @@ def test_fixture_polynomial_equals_substitution_oracle():
               for _ in range(50)]
     for path in paths:
         factor_d = math.lcm(*(c.denominator for row in path for c in row)) ** 6
-        for poly in sc.MONOMIAL_QUARTIC_FIXTURES.values():
+        for poly in FIXTURES.values():
             assert max(sum(e) for e in poly.terms) == 6
             along = sc._fixture_polynomial(poly, path)
             assert all(type(c) is int for c in along)
@@ -841,9 +842,15 @@ def test_fixture_polynomial_needs_point_variables():
         sc._fixture_polynomial(reordered, sc.CROSSING_PATH)
 
 
+# the reference scan matches a bisected change to a root this close
+MATCH_WINDOW = 1e-5
+
+
 def full_bisection_scan(curve, path, interval=(0, 1), nsamples=21, fixtures=None,
                         tol=1e-8, seed=0) -> sc.PathReport:
-    """Reference scan: bisect every change to width 1e-12, then match."""
+    """Reference scan: bisect every sample change to width 1e-12, then take
+    the nearest unmatched root within MATCH_WINDOW; label the other roots
+    from their two probes."""
     path = tuple((Fraction(c0), Fraction(c1)) for c0, c1 in path)
     lo, hi = (Fraction(v) for v in interval)
     ts = [lo + (hi - lo) * k / (nsamples - 1) for k in range(nsamples)]
@@ -865,7 +872,7 @@ def full_bisection_scan(curve, path, interval=(0, 1), nsamples=21, fixtures=None
     transitions, matched = [], set()
     for t_star, before, after in changes:
         near = [i for i, (root, _kind) in enumerate(roots)
-                if i not in matched and abs(root - t_star) <= sc.FIXTURE_MATCH_WINDOW]
+                if i not in matched and abs(root - t_star) <= MATCH_WINDOW]
         if not near:
             transitions.append(sc.PathTransition(t_star, sc.UNLABELED, before, after))
             continue
@@ -906,70 +913,93 @@ def classify_counter(monkeypatch):
     return calls
 
 
-W = Fraction(sc.FIXTURE_MATCH_WINDOW)
-FIXTURES = sc.MONOMIAL_QUARTIC_FIXTURES
+@pytest.fixture
+def sextics(monkeypatch):
+    """Set the monomial quartic's boundary sextics for one test; None
+    leaves it without any."""
+    def use(fixtures):
+        monkeypatch.setattr(sc, "BOUNDARY_SEXTICS",
+                            {sc._boundary_key(QUARTIC): fixtures} if fixtures else {})
+    return use
+
+
+W = Fraction(MATCH_WINDOW)
 DECOYED = {**FIXTURES, "DECOY": decoy_fixture(Fraction(T_STARS[0]) + W / 2)}
 # the only fixture root inside the tangential change's sample interval
 # (0.40, 0.45), and one that does not change the classification
 LONE_DECOY = {"DECOY": decoy_fixture(Fraction(T_STARS[0]) + Fraction(1, 100))}
 
 
-@pytest.mark.parametrize("interval, nsamples, fixtures", [
-    ((0, 1), 5, FIXTURES),
-    ((0, 1), 21, FIXTURES),
-    ((0, 1), 64, FIXTURES),
-    ((Fraction(3, 10), Fraction(1, 2)), 5, FIXTURES),
-    ((Fraction(3, 5), Fraction(9, 10)), 7, FIXTURES),
-    ((0, 1), 9, None),
-    ((0, 1), 9, DECOYED),
-    ((Fraction(3, 10), Fraction(1, 2)), 5, {"DECOY": decoy_fixture(Fraction(T_STARS[0]) - 2 * W)}),
-    ((0, 1), 21, LONE_DECOY),
-    ((0, 1), 3, FIXTURES),
+@pytest.mark.parametrize("interval, nsamples, fixtures, within", [
+    ((0, 1), 5, FIXTURES, 0),
+    ((0, 1), 21, FIXTURES, 0),
+    ((0, 1), 64, FIXTURES, 0),
+    ((Fraction(3, 10), Fraction(1, 2)), 5, FIXTURES, 0),
+    ((Fraction(3, 5), Fraction(9, 10)), 7, FIXTURES, 0),
+    ((0, 1), 9, None, 0),
+    ((0, 1), 9, DECOYED, 0),
+    ((Fraction(3, 10), Fraction(1, 2)), 5, {"DECOY": decoy_fixture(Fraction(T_STARS[0]) - 2 * W)}, 1e-12),
+    ((0, 1), 21, LONE_DECOY, 1e-12),
+    ((0, 1), 3, FIXTURES, 0),
 ], ids=["n5", "n21", "n64", "tangential-part", "edge-part", "no-fixtures", "decoy",
         "decoy-outside-window", "lone-decoy", "n3-three-roots-in-one-change"])
-def test_snapped_scan_equals_full_bisection(interval, nsamples, fixtures):
-    report = sc.scan_path(QUARTIC, sc.CROSSING_PATH, interval, nsamples, fixtures, seed=1729)
-    assert report == full_bisection_scan(QUARTIC, sc.CROSSING_PATH, interval, nsamples, fixtures,
-                                         seed=1729)
+def test_scan_equals_full_bisection(sextics, interval, nsamples, fixtures, within):
+    # a change the roots do not explain is bisected from the probe next to
+    # it, not from the sample: its t* may differ from the reference's by
+    # the bisection width
+    sextics(fixtures)
+    report = sc.scan_path(QUARTIC, sc.CROSSING_PATH, interval, nsamples, seed=1729)
+    reference = full_bisection_scan(QUARTIC, sc.CROSSING_PATH, interval, nsamples, fixtures,
+                                    seed=1729)
+    if not within:
+        assert report == reference
+        return
+    assert report.samples == reference.samples
+    assert len(report.transitions) == len(reference.transitions)
+    for got, want in zip(report.transitions, reference.transitions):
+        assert (got.kind, got.rank_before, got.rank_after, got.surface) == (
+            want.kind, want.rank_before, want.rank_after, want.surface)
+        if got.kind == sc.UNLABELED:
+            assert abs(got.t_star - want.t_star) <= within
+        else:
+            assert got.t_star == want.t_star
 
 
-def test_snap_needs_the_one_root_every_bisection_end_matches():
-    lo, hi = Fraction(1, 2), Fraction(1, 2) + W
-    eps = Fraction(1, 10 ** 12)
-
-    def snap(*roots):
-        return sc._snap_root(roots, range(len(roots)), lo, hi)
-
-    assert snap(lo + W / 2) == 0
-    assert snap(hi - W + 2 * eps) == 0 and snap(lo + W - 2 * eps) == 0
-    assert snap(hi - W) is None and snap(lo + W) is None  # inside the float-rounding margin
-    assert snap(lo - W / 2) is None  # an end near hi is more than W away from it
-    assert snap(lo + W / 2, hi + W / 2) is None  # a second root within reach
-    assert snap(lo + W / 2, hi + W) is None and snap(lo - W, lo + W / 2) is None
-    assert snap(lo + W / 2, hi + 2 * W) == 0
-    assert sc._snap_root((lo + W / 2,), (), lo, hi) is None  # already matched
-
-
-def test_decoy_root_forces_full_bisection(classify_counter):
-    # two fixture roots within the match window of the tangential change:
-    # only full bisection tells which one the change matches
+def test_decoy_root_adds_only_its_two_probes(sextics, classify_counter):
+    # a root that changes nothing is classified at its two probes and
+    # never bisected: 5 samples and the tangential root's probes, then the
+    # decoy's
     interval = (Fraction(3, 10), Fraction(1, 2))
-    sc.scan_path(QUARTIC, sc.CROSSING_PATH, interval, 5, FIXTURES, seed=1729)
-    snapped = len(classify_counter)
+    sextics(FIXTURES)
+    sc.scan_path(QUARTIC, sc.CROSSING_PATH, interval, 5, seed=1729)
+    assert len(classify_counter) == 7
     classify_counter.clear()
-    sc.scan_path(QUARTIC, sc.CROSSING_PATH, interval, 5, DECOYED, seed=1729)
-    decoyed = len(classify_counter)
-    classify_counter.clear()
-    full_bisection_scan(QUARTIC, sc.CROSSING_PATH, interval, 5, DECOYED, seed=1729)
-    assert decoyed == len(classify_counter) > snapped + 2
+    sextics(DECOYED)
+    report = sc.scan_path(QUARTIC, sc.CROSSING_PATH, interval, 5, seed=1729)
+    assert len(classify_counter) == 9
+    assert [tr.kind for tr in report.transitions] == [sc.TANGENTIAL, sc.NO_RANK_CHANGE]
 
 
-def test_crossing_scan_stops_bisecting_at_the_fixture_root(classify_counter):
-    report = sc.scan_path(QUARTIC, sc.CROSSING_PATH, fixtures=FIXTURES, seed=1729)
+def test_probe_outside_the_interval_is_not_bisected_from(sextics):
+    # the interval starts probe/2 past the tangential root, which it does
+    # not hold, and a decoy root lies probe/4 inside it: the decoy's lower
+    # probe, below lo and the tangential root, reads rank 3.  Its row shows
+    # that, but no change is bisected outside the interval.
+    probe = Fraction(1, 10 ** 7)
+    lo = Fraction(T_STARS[0]) + probe / 2
+    decoy = lo + probe / 4
+    sextics({**FIXTURES, "DECOY": decoy_fixture(decoy)})
+    report = sc.scan_path(QUARTIC, sc.CROSSING_PATH, (lo, lo + Fraction(1, 100)), seed=1729)
+    assert [(tr.kind, tr.rank_before, tr.rank_after) for tr in report.transitions] == [("DECOY", 3, 2)]
+    assert abs(report.transitions[0].t_star - float(decoy)) <= 1e-15
+
+
+def test_crossing_scan_classifies_only_samples_and_probes(classify_counter):
+    report = sc.scan_path(QUARTIC, sc.CROSSING_PATH, seed=1729)
     assert [tr.kind for tr in report.transitions] == [sc.TANGENTIAL, sc.NO_RANK_CHANGE,
                                                       sc.NO_RANK_CHANGE, sc.EDGE]
-    # 21 samples and two probes at each of the four roots: the two rank
-    # changes bracket to their root's probes and snap there (97 calls with
+    # 21 samples and two probes at each of the four roots: every change
+    # lies between a root's probes, so nothing is bisected (97 calls with
     # full bisection)
     assert len(classify_counter) == 29
 
@@ -987,20 +1017,22 @@ def crossing_part(a: Fraction, b: Fraction) -> tuple:
 def test_scan_classify_calls(classify_counter, path, kinds, calls):
     # a part around one rank change: 21 samples and its root's two probes;
     # a segment without a fixture root: the samples alone
-    report = sc.scan_path(QUARTIC, path, fixtures=FIXTURES, seed=1729)
+    report = sc.scan_path(QUARTIC, path, seed=1729)
     assert [tr.kind for tr in report.transitions] == kinds
     assert len(classify_counter) == calls
 
 
-def test_lone_decoy_root_is_probed_once(classify_counter):
-    # the decoy's probes disagree with the samples, so the change is bisected
-    # in full; the NO_RANK_CHANGE row reuses those probes
-    report = sc.scan_path(QUARTIC, sc.CROSSING_PATH, fixtures=LONE_DECOY, seed=1729)
+def test_lone_decoy_root_is_probed_once(sextics, classify_counter):
+    # the decoy's probes read rank 2 on both sides, so the change is
+    # bisected between the sample before it and its first probe; the
+    # NO_RANK_CHANGE row reads the same two probes
+    sextics(LONE_DECOY)
+    report = sc.scan_path(QUARTIC, sc.CROSSING_PATH, seed=1729)
     assert [tr.kind for tr in report.transitions] == [sc.UNLABELED, sc.NO_RANK_CHANGE, sc.UNLABELED]
-    scanned = len(classify_counter)
+    assert len(classify_counter) == 94
     classify_counter.clear()
     full_bisection_scan(QUARTIC, sc.CROSSING_PATH, fixtures=LONE_DECOY, seed=1729)
-    assert scanned == len(classify_counter) == 95
+    assert len(classify_counter) == 95
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
