@@ -626,6 +626,22 @@ def test_scan_without_fixtures_marks_changes_unlabeled(sextics):
     assert abs(report.transitions[1].t_star - T_STARS[3]) <= 1e-9
 
 
+@pytest.mark.parametrize("factor", [2, -3, Fraction(1, 2), Fraction(-7, 3), -1])
+def test_every_nonzero_multiple_of_the_curve_gets_its_sextics(factor):
+    multiple = sc.CurveParam(4, tuple(tuple(factor * c for c in row) for row in QUARTIC.F))
+    assert sc._boundary_key(multiple) == sc._boundary_key(QUARTIC)
+    assert sc.BOUNDARY_SEXTICS[sc._boundary_key(multiple)] is FIXTURES
+
+
+def test_a_different_curve_gets_no_sextics():
+    # s^2 t^2 in place of s t^3, and the quartic with two rows swapped
+    others = (sc.CurveParam(4, ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 0, 1))),
+              sc.CurveParam(4, (QUARTIC.F[1], QUARTIC.F[0]) + QUARTIC.F[2:]))
+    for curve in others:
+        assert sc._boundary_key(curve) != sc._boundary_key(QUARTIC)
+        assert sc._boundary_key(curve) not in sc.BOUNDARY_SEXTICS
+
+
 def test_scan_on_quiet_subinterval_reports_nothing():
     report = sc.scan_path(QUARTIC, sc.CROSSING_PATH, interval=(Fraction(42, 100), Fraction(1, 2)),
                           nsamples=4)
