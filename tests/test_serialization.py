@@ -2,7 +2,8 @@
 the certify, hyperdet and binary-form commands on exact input, of certify
 on each certification branch (float and exact), and of the decompose
 command on one float tensor per branch (and a sha256 census of
-decompose over seeded tensors), of curve-classify and curve-scan (and a
+decompose over seeded tensors) and on symmetric forms, float and exact,
+of curve-classify and curve-scan (and a
 sha256 of the default crossing scan in JSON and CSV);
 also the quintic alternative test's answers, float and exact.
 
@@ -395,6 +396,86 @@ def test_decompose_census_golden():
         digest.update(text.encode() + b"\n")
     assert (len(cases), digest.hexdigest()) == \
         (63, "8c4c22c088185810f121b5b2fea3e01db3aa99f366d7759d6c5b1b22ba80856b")
+
+
+# `decompose --symmetric` on forms well away from rank one, one per (n, d,
+# exactness): the JSON (compact here, compared with its indent-2 rendering)
+# and the --format text bytes.
+
+SYMMETRIC_DECOMPOSE_GOLDENS = [
+    pytest.param(  # (x + 2y)^3 + (3x - y)^3 / 2
+        {"n": 2, "d": 3, "coeffs": {"3,0": "29/2", "2,1": "-5/2", "1,2": "11/2", "0,3": "15/2"}},
+        '{"kind": "REAL_PAIR", "terms": [{"weight": 15.811388300841903, "factors": [[0.9486832980505137, '
+        '-0.316227766016838], [0.9486832980505138, -0.31622776601683794], [0.9486832980505139, '
+        '-0.31622776601683805]]}, {"weight": 11.180339887498958, "factors": [[0.44721359549995804, '
+        '0.8944271909999159], [0.447213595499958, 0.8944271909999157], [0.44721359549995765, '
+        '0.8944271909999159]]}], "residual": 4.687953660937928e-16}',
+        "kind: REAL_PAIR\nresidual: 4.6879536609379281e-16\nterm 0: weight 15.811388300841903\n"
+        "term 1: weight 11.180339887498958\n",
+        id="n2-exact-d3"),
+    pytest.param(  # 2 Re((x + (1/2 + i) y)^5)
+        {"n": 2, "d": 5, "coeffs": {"5,0": 2.0, "4,1": 1.0, "3,2": -1.5, "2,3": -2.75, "1,4": -0.875,
+                                    "0,5": 2.5625}},
+        '{"kind": "CONJUGATE_PAIR", "terms": [{"weight": {"re": 7.593749999999997, "im": 5.857974880901109e-16}, '
+        '"factors": [{"re": [0.4537280319721015, -0.26157770770999894], "im": [0.4884417236960497, '
+        '0.6979488938201264]}, {"re": [-0.5287754648002904, -0.6703938312086251], "im": [0.4060060988084802, '
+        '-0.3257724153960505]}, {"re": [0.5287754648002904, 0.6703938312086256], "im": [-0.4060060988084802, '
+        '0.32577241539604995]}, {"re": [-0.27705916101514494, 0.4678388435895505], "im": [-0.606368424097123, '
+        '-0.5802433730637064]}, {"re": [0.5287754648002901, 0.6703938312086256], "im": [-0.4060060988084802, '
+        '0.32577241539604984]}]}], "residual": 5.49605978738028e-16}',
+        "kind: CONJUGATE_PAIR\nresidual: 5.4960597873802796e-16\n"
+        "term 0: weight 7.5937499999999973 + 5.8579748809011088e-16j\n",
+        id="n2-float-d5"),
+    pytest.param(  # (x + 2z)^3 - 2 (x - y + z)^3
+        {"n": 3, "d": 3, "coeffs": {"3,0,0": -1, "2,1,0": 2, "2,0,1": 0, "1,2,0": -2, "1,1,1": 2, "1,0,2": 2,
+                                    "0,3,0": 2, "0,2,1": -2, "0,1,2": 2, "0,0,3": 6}},
+        '{"kind": "REAL_PAIR", "terms": [{"weight": 11.180339887498947, "factors": [[0.44721359549995787, '
+        '1.0967996644842005e-16, 0.8944271909999159], [0.44721359549995776, 3.036811830958581e-16, '
+        '0.8944271909999161], [0.4472135954999578, 7.522031988041592e-17, 0.8944271909999159]]}, '
+        '{"weight": 10.392304845413259, "factors": [[0.5773502691896258, -0.5773502691896258, '
+        '0.5773502691896257], [0.5773502691896257, -0.5773502691896258, 0.5773502691896258], '
+        '[-0.5773502691896256, 0.577350269189626, -0.5773502691896255]]}], "residual": 3.2146660570571333e-16}',
+        "kind: REAL_PAIR\nresidual: 3.2146660570571333e-16\nterm 0: weight 11.180339887498947\n"
+        "term 1: weight 10.392304845413259\n",
+        id="n3-exact-d3"),
+    pytest.param(  # l^2 m, l = x + y + z/2, m = 2y - z: a tangent tensor
+        {"n": 3, "d": 3, "coeffs": {"3,0,0": 0.0, "2,1,0": 2.0, "2,0,1": -1.0, "1,2,0": 4.0, "1,1,1": 0.0,
+                                    "1,0,2": -1.0, "0,3,0": 6.0, "0,2,1": 1.0, "0,1,2": -0.5, "0,0,3": -0.75}},
+        '{"kind": "TANGENTIAL", "terms": [{"weight": 6.749999999999998, "factors": [[0.6666666666666667, '
+        '0.6666666666666666, 0.33333333333333354], [-0.6666666666666667, -0.6666666666666666, '
+        '-0.33333333333333354], [-0.6666666666666667, -0.6666666666666666, -0.33333333333333354]]}], '
+        '"residual": 6.497232436534635e-16, "tangent_directions": [[-1.5000000000000002, 3.000000000000003, '
+        '-3.0000000000000027], [1.4999999999999998, -3.0000000000000018, 3.0000000000000004], '
+        '[1.4999999999999978, -2.999999999999999, 2.9999999999999996]]}',
+        "kind: TANGENTIAL\nresidual: 6.4972324365346348e-16\nterm 0: weight 6.7499999999999982\n",
+        id="n3-float-d3"),
+    pytest.param(  # 3/2 (x + 2y - z)^4 - (x/2 - y + z)^4
+        {"n": 3, "d": 4, "coeffs": {"4,0,0": 1.4375, "3,1,0": 3.125, "3,0,1": -1.625, "2,2,0": 5.75,
+                                    "2,1,1": -2.75, "2,0,2": 1.25, "1,3,0": 12.5, "1,2,1": -6.5, "1,1,2": 3.5,
+                                    "1,0,3": -2.0, "0,4,0": 23.0, "0,3,1": -11.0, "0,2,2": 5.0, "0,1,3": -2.0,
+                                    "0,0,4": 0.5}},
+        '{"kind": "REAL_PAIR", "terms": [{"weight": 53.999999999999986, "factors": [[0.4082482904638631, '
+        '0.816496580927726, -0.4082482904638629], [-0.40824829046386313, -0.816496580927726, '
+        '0.40824829046386296], [0.4082482904638632, 0.816496580927726, -0.4082482904638629], '
+        '[-0.4082482904638632, -0.816496580927726, 0.40824829046386296]]}, {"weight": 5.062499999999984, '
+        '"factors": [[-0.33333333333333387, 0.6666666666666662, -0.6666666666666667], [-0.3333333333333339, '
+        '0.6666666666666664, -0.6666666666666666], [-0.3333333333333339, 0.6666666666666665, '
+        '-0.6666666666666666], [0.33333333333333415, -0.6666666666666663, 0.6666666666666665]]}], '
+        '"residual": 2.9505604053867286e-16}',
+        "kind: REAL_PAIR\nresidual: 2.9505604053867286e-16\nterm 0: weight 53.999999999999986\n"
+        "term 1: weight 5.062499999999984\n",
+        id="n3-float-d4"),
+]
+
+
+@pytest.mark.parametrize("payload, expected_json, expected_text", SYMMETRIC_DECOMPOSE_GOLDENS)
+def test_symmetric_decompose_cli_golden(tmp_path, capsys, payload, expected_json, expected_text):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(payload))
+    assert main(["decompose", "--symmetric", "--file", str(path)]) == 0
+    assert capsys.readouterr().out == json.dumps(json.loads(expected_json), indent=2) + "\n"
+    assert main(["decompose", "--symmetric", "--file", str(path), "--format", "text"]) == 0
+    assert capsys.readouterr().out == expected_text
 
 
 # -------------------------------------------------- certify-path goldens
