@@ -152,6 +152,17 @@ def certify_border_rank2(t: np.ndarray, tol: float = 1e-8) -> Certificate:
     return _certificate(t, single, merged, hd.all_subhyperdets(t), tol)
 
 
+def mode_ranks(cert: Certificate, shape: Sequence[int]) -> list[int]:
+    """Each mode's rank, at most 2, by its index in `shape`, the certified
+    shape before squeezing: 1 for a size-1 mode; for every other, the one
+    rank of a matrix or Hankel certificate, else its `mode_k` once squeezed."""
+    ranks = cert.flattening_ranks
+    shared = ranks.get("matrix", ranks.get("hankel"))
+    kept = [m for m, n in enumerate(shape) if n > 1]
+    return [1 if n == 1 else min(2, ranks[_mode_label((kept.index(m),))] if shared is None else shared)
+            for m, n in enumerate(shape)]
+
+
 def tangential_witness(xs: Sequence, ys: Sequence) -> np.ndarray:
     """Tangent tensor sum_m x_1 (x) .. y_m .. (x) x_d at the point (x) x_m."""
     if len(xs) != len(ys):

@@ -134,10 +134,7 @@ def _cmd_certify(args):
 
 
 def _cmd_decompose(args):
-    t = _load_tensor(args)
-    if args.symmetric:
-        t = tn.sym_to_tensor(t)
-    dec = dc.decompose_rank2(t, args.tol, seed=args.seed)
+    dec = dc.decompose_rank2(_load_tensor(args), args.tol, seed=args.seed)
     text = [f"kind: {dec.kind.value}", f"residual: {_fmt(dec.residual)}"]
     for i, term in enumerate(dec.terms):
         text.append(f"term {i}: weight {_fmt(complex(term.weight).real)}"

@@ -279,17 +279,11 @@ def _polish_conj(t: np.ndarray, unfoldings: list[np.ndarray], term: RankOneTerm)
     return RankOneTerm(w, factors)
 
 
-def _compress(t: np.ndarray, unfoldings: list[np.ndarray], rank_tol: float):
-    """Per-mode top column-space bases and the float core of t, from the
-    unfoldings of the float t: an exact mode keeps its exact rank (floats read
-    1e9 e1^3 + e2^3 as rank one), a float mode its singular values above
-    rank_tol * sigma_1, and at most two columns either way."""
-    exact_ranks = [tn.matrix_rank(u) for u in _unfoldings(tn.integers(t))] if tn.is_exact(t) else None
-    bases = []
-    for m, (u, s) in enumerate(_mode_svds(unfoldings)):
-        r = exact_ranks[m] if exact_ranks else 1 if len(s) < 2 or s[1] <= rank_tol * s[0] else 2
-        bases.append(u[:, :min(r, 2)])
-    core = tn.to_float(t)
+def _compress(tf: np.ndarray, unfoldings: list[np.ndarray], ranks: Sequence[int]):
+    """Per-mode top column-space bases, the first ranks[m] left singular
+    vectors of unfolding m of the float tf, and the core of tf in them."""
+    bases = [u[:, :r] for (u, _), r in zip(_mode_svds(unfoldings), ranks)]
+    core = tf
     for basis in bases:
         core = np.tensordot(core, basis, axes=([0], [0]))
     return bases, core
@@ -302,20 +296,28 @@ _ALLOWED = {
 }
 
 
-def decompose_rank2(t: np.ndarray, tol: float = 1e-8, seed: int = 0) -> Rank2Decomposition:
-    """Decompose a certified real (border) rank-two tensor.
+def decompose_rank2(t: np.ndarray | tn.SymTensorCoords, tol: float = 1e-8, seed: int = 0) -> Rank2Decomposition:
+    """Decompose a certified real (border) rank-two tensor: a dense array,
+    certified by `certify_border_rank2`, or a symmetric record, expanded and
+    then certified by `certify_symmetric`.  Each mode keeps its certified rank.
 
     Raises NotRankTwo when the certificate excludes (border) rank two, and
     IllConditioned when every slice combination of the pencil is singular.
     """
-    cert = ce.certify_border_rank2(t, tol)
+    if isinstance(t, tn.SymTensorCoords):
+        record, t = t, tn.sym_to_tensor(t)
+        if t.ndim < 3:
+            raise tn.ArityTooSmall("certification needs an order >= 3 tensor")
+        cert = ce.certify_symmetric(record, tol)
+    else:
+        cert = ce.certify_border_rank2(t, tol)
     if cert.verdict not in _ALLOWED:
         raise NotRankTwo(f"certificate verdict {cert.verdict.value}")
     tf = tn.to_float(t)
     rng = np.random.default_rng(seed)
 
     unfoldings = _unfoldings(tf)
-    bases, core = _compress(t, unfoldings, tol)
+    bases, core = _compress(tf, unfoldings, ce.mode_ranks(cert, tf.shape))
     active = [m for m in range(tf.ndim) if bases[m].shape[1] == 2]
     if len(active) < 2:
         raise NotRankTwo("fewer than two modes with a two-dimensional span")

@@ -735,14 +735,12 @@ def _bisect_change(curve: CurveParam, path, lo: Fraction, hi: Fraction,
 
 
 def _fixture_polynomial(poly: Polynomial, path) -> list[int]:
-    """The fixture restricted to the path, ascending in t, times the
-    positive integer den * D^top, so it has the same real roots: each
-    POINT_VARS coordinate is c0 + c1 t, D is the common denominator of the
-    path's entries, den the fixture's and top its top degree.  The
-    expansion runs in integers: the path is scaled by D, and a term of
-    degree m is multiplied by D^(top - m)."""
-    if poly.variables != POINT_VARS:
-        raise ValueError(f"fixture variables {poly.variables} are not {POINT_VARS}")
+    """A boundary sextic, a polynomial in POINT_VARS, restricted to the
+    path, ascending in t, times the positive integer den * D^top, so it has
+    the same real roots: each POINT_VARS coordinate is c0 + c1 t, D is the
+    common denominator of the path's entries, den the sextic's and top its
+    top degree.  The expansion runs in integers: the path is scaled by D,
+    and a term of degree m is multiplied by D^(top - m)."""
     scale = content(c for row in path for c in row).denominator
     lines = [(int(c0 * scale), int(c1 * scale)) for c0, c1 in path]
     top = max((sum(e) for e in poly.terms), default=0)

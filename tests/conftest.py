@@ -32,7 +32,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
-from unittest import mock
 
 import numpy as np
 
@@ -341,8 +340,7 @@ def reference_strata_label(f, tol: float = 1e-8) -> str | None:
         return bf.STRATUM_RANK_ONE
     if cert.verdict == ce.Verdict.BORDER_RANK_EXCEEDS_TWO:
         return None
-    with mock.patch.object(ce, "certify_border_rank2", lambda *args: cert):
-        dec = dc.decompose_rank2(tn.sym_to_tensor(f), tol)
+    dec = dc.decompose_rank2(f, tol)
     if dec.kind == dc.DecompositionKind.CONJUGATE_PAIR:
         return bf.STRATUM_CONJ
     if dec.kind != dc.DecompositionKind.REAL_PAIR:

@@ -753,9 +753,10 @@ def test_symmetric_tensor_too_large_to_expand_is_refused_by_every_command(
     keys = [",".join(str(d * (i == k)) for i in range(n)) for k in range(2)]
     path = tmp_path / "sym.json"
     path.write_text(json.dumps({"n": n, "d": d, "coeffs": {key: 1 for key in keys}}))
-    # a refusal that fails must not go on to sweep or decompose the dense tensor
+    # a refusal that fails must not go on to sweep, certify or decompose the dense tensor
     monkeypatch.setattr(hd, "all_subhyperdets", _unreachable)
-    monkeypatch.setattr(dc, "decompose_rank2", _unreachable)
+    monkeypatch.setattr(ce, "certify_symmetric", _unreachable)
+    monkeypatch.setattr(dc, "_compress", _unreachable)
     start = time.perf_counter()
     status, out, err = run_cli(capsys, command, "--symmetric", "--file", str(path))
     assert time.perf_counter() - start < 1.0  # nothing is expanded
@@ -763,6 +764,7 @@ def test_symmetric_tensor_too_large_to_expand_is_refused_by_every_command(
     assert out == ""
     message = f"error: TooManyCoordinates: n={n}, d={d}: the dense tensor has n^d = {n ** d} entries, more than 10000"
     assert err.splitlines()[-1] == message
+    monkeypatch.undo()
     if n > 2:
         status, out, _ = run_cli(capsys, "certify", "--symmetric", "--file", str(path))
         assert status == 0 and json.loads(out)["verdict"] == ("REAL_RANK_TWO" if d == 3 else
@@ -883,6 +885,42 @@ def test_decompose_certifies_the_exact_tensor(capsys, tmp_path):
     assert status == 1
     assert out == ""
     assert err.splitlines()[-1].startswith("error: NotRankTwo:")
+
+
+# 2 Re((l + i eta m)^4) at eta = 7.5e-5: its dense 2 x 8 flattenings read
+# rank one at 1e-8, its 3 x 3 Hankel matrix rank two
+NEAR_RANK_ONE_QUARTIC = [0.7799013643587536, 0.6048047370044142, 0.4690192611408307,
+                         0.3637191458883706, 0.28206008808247574]
+
+
+def test_near_rank_one_quartic_decomposes_under_its_symmetric_certificate(capsys, tmp_path):
+    """decompose --symmetric is gated by certify --symmetric's certificate,
+    so the quartic both certify and binary-form read as a border-rank-two
+    conjugate form decomposes as a conjugate pair."""
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps({"n": 2, "d": 4, "coeffs": {f"{4 - i},{i}": x
+                                                           for i, x in enumerate(NEAR_RANK_ONE_QUARTIC)}}))
+    status, out, _ = run_cli(capsys, "certify", "--symmetric", "--file", str(path))
+    assert status == 0 and json.loads(out)["verdict"] == "REAL_BORDER_RANK_TWO_BOUNDARY"
+    status, out, _ = run_cli(capsys, "binary-form", "--d", "4", "--coords", ",".join(map(repr, NEAR_RANK_ONE_QUARTIC)))
+    assert status == 0 and json.loads(out)["strata"] == "cpx"
+    status, out, _ = run_cli(capsys, "decompose", "--symmetric", "--file", str(path))
+    assert status == 0
+    payload = json.loads(out)
+    assert payload["kind"] == "CONJUGATE_PAIR"
+    assert payload["residual"] < 1e-12
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (2, 2), (3, 2), (4, 0)])
+@pytest.mark.parametrize("value", [1, 0.5])
+def test_decompose_symmetric_below_order_three_is_refused(capsys, tmp_path, n, d, value):
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps({"n": n, "d": d, "coeffs": {",".join(str(d * (i == k)) for i in range(n)): value
+                                                           for k in range(n)}}))
+    status, out, err = run_cli(capsys, "decompose", "--symmetric", "--file", str(path))
+    assert status == 1
+    assert out == ""
+    assert err.splitlines()[-1] == "error: ArityTooSmall: certification needs an order >= 3 tensor"
 
 
 # ------------------------------------------------ float sub-block reports

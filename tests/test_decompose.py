@@ -1,4 +1,5 @@
-"""Rank-two decomposition: round trips, kind agreement with the certifier,
+"""Rank-two decomposition: round trips, kind agreement with the certifier
+(dense and symmetric input, with no rank call beyond the certificate's),
 rank-one projection geometry, plain ALS behavior, the Khatri-Rao
 product against np.kron, and the stacked LAPACK calls and rotation search
 against one call per matrix and one angle at a time."""
@@ -339,3 +340,81 @@ def test_exact_decompose_compresses_each_mode_to_its_exact_rank(shape):
     assert sorted(term.weight for term in dec.terms) == [1.0, 1e9]
     with pytest.raises(dc.NotRankTwo):
         dc.decompose_rank2(tn.to_float(t))  # float input is compressed by its singular values
+
+
+def _power_coords(n: int, d: int, a) -> list:
+    """Coordinates of (a . x)^d: the coordinate of multidegree u is prod a_i^u_i."""
+    return [np.prod([a[i] ** e for i, e in enumerate(u)]) for u in tn.multidegrees(n, d)]
+
+
+@st.composite
+def symmetric_records(draw):
+    """Binary forms of degree 3-6 and ternary cubics and quartics, exact or
+    float: a power, a real or conjugate pair of powers, a tangent l^(d-1) m,
+    a power plus 10^-k times another, or integer coordinates at random."""
+    n, d = draw(st.sampled_from([(2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4)]))
+    vector = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    a, b = draw(vector), draw(vector)
+    family = draw(st.sampled_from(["power", "real", "conjugate", "tangent", "near", "random"]))
+    if family == "power":
+        coords = _power_coords(n, d, a)
+    elif family == "real":
+        w = draw(st.sampled_from([1, -1, 2]))
+        coords = [x + w * y for x, y in zip(_power_coords(n, d, a), _power_coords(n, d, b))]
+    elif family == "conjugate":
+        coords = [round(2 * z.real) for z in _power_coords(n, d, [p + 1j * q for p, q in zip(a, b)])]
+    elif family == "tangent":
+        coords = [sum(u[i] * b[i] * np.prod([a[k] ** (e - (k == i)) for k, e in enumerate(u)])
+                      for i in range(n) if u[i]) for u in tn.multidegrees(n, d)]
+    elif family == "near":
+        eps = 10.0 ** -draw(st.integers(3, 12))
+        coords = [x + eps * y for x, y in zip(_power_coords(n, d, a), _power_coords(n, d, b))]
+    else:
+        coords = draw(st.lists(st.integers(-5, 5), min_size=len(tn.multidegrees(n, d)),
+                               max_size=len(tn.multidegrees(n, d))))
+    exact = family != "near" and draw(st.booleans())
+    return tn.SymTensorCoords(n, d, [int(x) if exact else float(x) for x in coords])
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_records())
+def test_symmetric_record_is_refused_exactly_when_its_certificate_excludes_rank_two(f):
+    verdict = ce.certify_symmetric(f).verdict
+    if verdict not in dc._ALLOWED:
+        with pytest.raises(dc.NotRankTwo, match=f"^certificate verdict {verdict.value}$"):
+            dc.decompose_rank2(f)
+        return
+    try:
+        dec = dc.decompose_rank2(f)
+    except dc.IllConditioned:
+        return
+    assert dec.residual < 1e-6
+
+
+def _count_rank_calls(monkeypatch, call) -> tuple[int, int]:
+    """How many tensors.matrix_rank and exactsolve.exact_rank calls call() makes."""
+    counts = {"matrix_rank": 0, "exact_rank": 0}
+    for name in counts:
+        inner = getattr(tn, name)
+
+        def counted(*args, _inner=inner, _name=name, **kwargs):
+            counts[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(tn, name, counted)
+    call()
+    monkeypatch.undo()
+    return counts["matrix_rank"], counts["exact_rank"]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 4), (1, 3, 3, 1), (2, 2, 2, 2)])
+def test_decompose_makes_only_the_rank_calls_of_its_certificate(monkeypatch, shape, exact):
+    """decompose_rank2 reads each mode's rank from its certificate, so it
+    ranks nothing that certify_border_rank2 alone does not."""
+    rng = np.random.default_rng(11)
+    t = sum(tn.outer([rng.integers(1, 9, n) * (-1) ** rng.integers(0, 2, n) for n in shape]) for _ in range(2))
+    t = t.astype(object) if exact else t.astype(float)
+    assert ce.certify_border_rank2(t).verdict == ce.Verdict.REAL_RANK_TWO
+    certified = _count_rank_calls(monkeypatch, lambda: ce.certify_border_rank2(t))
+    assert certified[0] > 0 and (certified[1] > 0) == exact
+    assert _count_rank_calls(monkeypatch, lambda: dc.decompose_rank2(t)) == certified

@@ -851,13 +851,6 @@ def test_fixture_polynomial_equals_substitution_oracle():
             assert fraction_trim(along) == [poly.den * factor_d * c for c in restricted_by_substitution(poly, path)]
 
 
-def test_fixture_polynomial_needs_point_variables():
-    reordered = Polynomial(("x", "w", "y", "z"), {(x, w, y, z): c for (w, x, y, z), c
-                                                  in sc.TANGENTIAL_SEXTIC.terms.items()})
-    with pytest.raises(ValueError):
-        sc._fixture_polynomial(reordered, sc.CROSSING_PATH)
-
-
 # the reference scan matches a bisected change to a root this close
 MATCH_WINDOW = 1e-5
 
