@@ -14,10 +14,13 @@ Input schemas (JSON files):
                    [-38, -10]]} with one (constant, slope) row per coordinate
 
 Output: JSON by default (`--format text` for human-readable lines, `--format
-csv` for curve-scan samples and table1).  Floats keep full double precision
-(17 significant digits); exact rationals print as "num/den".  Every run
-echoes its resolved configuration on standard error.  Output is
-deterministic for a fixed --seed; --seed 0 draws entropy from the OS.
+csv` for curve-scan samples and table1 only).  Floats keep full double
+precision (17 significant digits); exact rationals print as "num/den".
+Each subcommand offers only the options it reads: --tol, the numerical rank
+tolerance, on certify, decompose, binary-form, curve-classify and
+curve-scan; --seed on decompose, curve-classify and curve-scan, whose output
+is deterministic for a fixed --seed (--seed 0 draws entropy from the OS).
+Every run echoes its resolved configuration on standard error.
 
 Exit status: 0 on success; 2 when a yes/no query answers "no"
 (curve-classify reporting REAL_RANK_GE_3); 1 on any error, with a message
@@ -44,7 +47,6 @@ from . import tableaux as tb
 from . import tensors as tn
 
 DEFAULT_SEED = 1729
-CSV_COMMANDS = ("curve-scan", "table1")
 
 TABLE1_N = range(2, 6)
 TABLE1_D = range(4, 11)
@@ -254,62 +256,60 @@ _COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process and shared by every
     `main` call; parsing leaves no state in it."""
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("json", "text", "csv"), default="json",
-                        help="output format (csv: curve-scan and table1 only)")
-    common.add_argument("--tol", type=_tolerance, default=1e-8,
-                        help="numerical rank/residual tolerance, a finite number in [0, 1) (default 1e-8)")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help=f"PRNG seed (default {DEFAULT_SEED}; 0 requests entropy)")
-
     parser = _Parser(prog="realrank2",
                      description="Real rank two certificates for tensors, binary forms and space curves.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, summary in (("certify", "certify real (border) rank <= 2 of a tensor JSON file"),
-                          ("decompose", "rank-two decomposition of a tensor JSON file"),
-                          ("hyperdet", "all 2x2x2 sub-block hyperdeterminants")):
-        p = sub.add_parser(name, parents=[common], help=summary)
+    def command(name, summary, *options):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--format", choices=("json", "text", "csv") if "csv" in options else ("json", "text"),
+                       default="json", help="output format")
+        if "tol" in options:
+            p.add_argument("--tol", type=_tolerance, default=1e-8, help="numerical rank/residual "
+                           "tolerance, a finite number in [0, 1) (default 1e-8)")
+        if "seed" in options:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                           help=f"PRNG seed (default {DEFAULT_SEED}; 0 requests entropy)")
+        return p
+
+    for name, summary, options in (
+            ("certify", "certify real (border) rank <= 2 of a tensor JSON file", ("tol",)),
+            ("decompose", "rank-two decomposition of a tensor JSON file", ("tol", "seed")),
+            ("hyperdet", "all 2x2x2 sub-block hyperdeterminants", ())):
+        p = command(name, summary, *options)
         p.add_argument("--file", required=True, help="Tensor (or SymTensorCoords) JSON file")
         p.add_argument("--symmetric", action="store_true", help="read SymTensorCoords instead of Tensor")
 
-    p = sub.add_parser("quadrics", parents=[common],
-                       help="basis of quadrics vanishing on the degree-d tangential variety")
+    p = command("quadrics", "basis of quadrics vanishing on the degree-d tangential variety")
     p.add_argument("n", type=int, help="number of variables")
     p.add_argument("d", type=int, help="degree of the forms")
 
-    p = sub.add_parser("binary-form", parents=[common], help="classify a binary form of degree d")
+    p = command("binary-form", "classify a binary form of degree d", "tol")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--coords", required=True,
                    help="comma-separated scaled coordinates x_0..x_d (rationals or floats)")
     p.add_argument("--plain-coeffs", action="store_true",
                    help="coordinates are plain coefficients c_i = binom(d,i) x_i")
 
-    p = sub.add_parser("ideal", parents=[common],
-                       help="generators of the curve/secant/tangential ideals for degree d")
+    p = command("ideal", "generators of the curve/secant/tangential ideals for degree d")
     p.add_argument("--d", type=int, required=True)
 
-    p = sub.add_parser("curve-classify", parents=[common],
-                       help="real rank <= 2 test for a point and a rational space curve")
+    p = command("curve-classify", "real rank <= 2 test for a point and a rational space curve", "tol", "seed")
     p.add_argument("--curve", required=True, help="CurveParam JSON file, or 'monomial-quartic'")
     p.add_argument("--point", required=True, help="comma-separated coordinates w,x,y,z")
 
-    p = sub.add_parser("curve-scan", parents=[common],
-                       help="classify along a line segment and localize rank transitions")
+    p = command("curve-scan", "classify along a line segment and localize rank transitions", "tol", "seed", "csv")
     p.add_argument("--curve", required=True, help="CurveParam JSON file, or 'monomial-quartic'")
     p.add_argument("--path", required=True, help="PathSpec JSON file, or 'crossing'")
     p.add_argument("--interval", default="0,1", help="scan interval, e.g. 0,1")
     p.add_argument("--nsamples", type=int, default=21)
 
-    sub.add_parser("table1", parents=[common],
-                   help="dimensions of the tangential quadric spaces, n in 2..5, d in 4..10")
+    command("table1", "dimensions of the tangential quadric spaces, n in 2..5, d in 4..10", "csv")
     return parser
 
 
 def run(args) -> int:
-    if args.format == "csv" and args.command not in CSV_COMMANDS:
-        raise UsageError("csv output is only available for: " + ", ".join(CSV_COMMANDS))
-    if args.seed == 0:
+    if getattr(args, "seed", None) == 0:
         args.seed = None
     print("config:", json.dumps(vars(args), sort_keys=True, default=str), file=sys.stderr)
     status, payload, text, *csv = _COMMANDS[args.command](args)

@@ -25,6 +25,9 @@ from . import tensors as tn
 
 # ALS sweeps that polish a real or conjugate pair found from the pencil
 POLISH_SWEEPS = 3
+# best_rank_one's ALS: at most this many sweeps, ending once no factor moves by more than the step tol
+RANK_ONE_MAX_SWEEPS = 200
+RANK_ONE_STEP_TOL = 1e-12
 
 
 class ZeroTensor(ValueError):
@@ -133,8 +136,7 @@ def _khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def best_rank_one(t: np.ndarray, max_iters: int = 200, tol: float = 1e-12,
-                  callback: Callable[[float], None] | None = None) -> tuple[RankOneTerm, float]:
+def best_rank_one(t: np.ndarray, callback: Callable[[float], None] | None = None) -> tuple[RankOneTerm, float]:
     """Best rank-one approximation by ALS from the HOSVD initialization.
 
     Returns the term and the distance; distance^2 = <u,u> - <u,x>^2 for the
@@ -147,7 +149,7 @@ def best_rank_one(t: np.ndarray, max_iters: int = 200, tol: float = 1e-12,
     unfoldings = _unfoldings(t)
     factors = [u[:, 0].copy() for u, _ in _mode_svds(unfoldings)]
     overlap = 0.0
-    for _ in range(max_iters):
+    for _ in range(RANK_ONE_MAX_SWEEPS):
         prev = [f.copy() for f in factors]
         for m in range(t.ndim):
             v = unfoldings[m] @ _khatri_rao([factors[k] for k in range(t.ndim) if k != m])
@@ -157,7 +159,7 @@ def best_rank_one(t: np.ndarray, max_iters: int = 200, tol: float = 1e-12,
         overlap = float(_khatri_rao(factors) @ t.ravel())
         if callback is not None:
             callback(float(np.sqrt(max(norm2 - overlap * overlap, 0.0))))
-        if max(np.linalg.norm(f - p) for f, p in zip(factors, prev)) < tol:
+        if max(np.linalg.norm(f - p) for f, p in zip(factors, prev)) < RANK_ONE_STEP_TOL:
             break
     distance = float(np.sqrt(max(norm2 - overlap * overlap, 0.0)))
     return RankOneTerm(overlap, factors), distance

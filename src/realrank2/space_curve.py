@@ -56,6 +56,10 @@ class TooManySamples(ValueError):
     """A scan of more than MAX_SAMPLES points, refused before any is built."""
 
 
+class DegenerateScan(ValueError):
+    """A scan of fewer than two samples, or over an empty interval."""
+
+
 PAIR_VARS = ("a", "b", "c")
 POINT_VARS = ("w", "x", "y", "z")
 INDEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -766,16 +770,17 @@ def scan_path(curve: CurveParam, path, interval=(0, 1), nsamples: int = 21,
     neighbouring labelled points in the interval (samples and probes
     sorted by t) with no root between them is bisected to width 1e-12 and
     reported UNLABELED; so is every change of a curve without sextics.
-    TooManySamples past MAX_SAMPLES.
+    TooManySamples past MAX_SAMPLES; DegenerateScan below two samples or on
+    an empty interval.
     """
     if nsamples < 2:
-        raise ValueError("need at least two samples")
+        raise DegenerateScan("need at least two samples")
     if nsamples > MAX_SAMPLES:
         raise TooManySamples(f"{nsamples} samples, more than {MAX_SAMPLES}")
     path = tuple((c0, c1) for c0, c1 in (_exact_entries(row) for row in path))
     lo, hi = (as_fraction(v) for v in interval)
     if hi <= lo:
-        raise ValueError("empty interval")
+        raise DegenerateScan("empty interval")
     ts = [lo + (hi - lo) * k / (nsamples - 1) for k in range(nsamples)]
     samples = [_sample(curve, path, t, tol, seed) for t in ts]
     labelled = [(t, s.label) for t, s in zip(ts, samples)]

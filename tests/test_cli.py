@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import math
@@ -443,11 +444,14 @@ def test_high_degree_float_binary_form_bytes(capsys, tmp_path, d, last):
 
 
 def test_config_echo_on_stderr(capsys):
+    """The echo holds the options the subcommand has, and only those."""
     _, _, err = run_cli(capsys, "table1")
     first = err.splitlines()[0]
     assert first.startswith("config: ")
-    resolved = json.loads(first[len("config: "):])
-    assert resolved["command"] == "table1"
+    assert json.loads(first[len("config: "):]) == {"command": "table1", "format": "json"}
+    _, _, err = run_cli(capsys, "curve-classify", "--curve", "monomial-quartic", "--point", "47,85/2,105/2,-43")
+    resolved = json.loads(err.splitlines()[0][len("config: "):])
+    assert resolved["command"] == "curve-classify"
     assert resolved["seed"] == DEFAULT_SEED
     assert resolved["format"] == "json"
 
@@ -457,7 +461,68 @@ def test_csv_rejected_outside_tabular_commands(capsys, conj_file):
                                "--format", "csv")
     assert status == 1
     assert out == ""
-    assert err.splitlines()[-1].startswith("error: csv output is only available")
+    assert err.splitlines()[-1].startswith("error: argument --format: invalid choice: 'csv' (choose from ")
+
+
+def _read_recorder(values: dict) -> tuple[argparse.Namespace, set]:
+    """A namespace holding `values`, and the set of names read from it."""
+    reads = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    return Recorder(**values), reads
+
+
+# a small valid command line for each subcommand; {conj} is a 2x2x2 tensor file
+MINIMAL_ARGV = {
+    "certify": ["--file", "{conj}"],
+    "decompose": ["--file", "{conj}"],
+    "hyperdet": ["--file", "{conj}"],
+    "quadrics": ["2", "5"],
+    "binary-form": ["--d", "4", "--coords", "1,0,0,0,1"],
+    "ideal": ["--d", "4"],
+    "curve-classify": ["--curve", "monomial-quartic", "--point", "47,85/2,105/2,-43"],
+    "curve-scan": ["--curve", "monomial-quartic", "--path", "crossing", "--nsamples", "2"],
+    "table1": [],
+}
+
+
+def _subparsers() -> dict:
+    [action] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_each_subcommand_offers_only_options_its_command_reads(conj_file, command):
+    """An option the command never reads would change nothing and say
+    nothing; `run` reads --format, the command every other option.  The
+    csv choice is offered exactly where the command writes csv."""
+    subparser = _subparsers()[command]
+    offered = {a.dest for a in subparser._actions if a.dest != "help"}
+    argv = [command] + [a.format(conj=conj_file) for a in MINIMAL_ARGV[command]]
+    args, reads = _read_recorder(vars(cli.build_parser().parse_args(argv)))
+    result = cli._COMMANDS[command](args)
+    read = reads | {"format"}
+    assert offered <= read, f"{command} offers {sorted(offered - read)} but never reads them"
+    [format_action] = [a for a in subparser._actions if a.dest == "format"]
+    assert ("csv" in format_action.choices) == (len(result) == 4)
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["hyperdet", "--file", "{conj}", "--tol", "1e-3"], "error: unrecognized arguments: --tol 1e-3"),
+    (["certify", "--file", "{conj}", "--seed", "5"], "error: unrecognized arguments: --seed 5"),
+    (["binary-form", "--d", "4", "--coords", "1,0,0,0,1", "--seed", "1"], "error: unrecognized arguments: --seed 1"),
+    (["quadrics", "2", "5", "--tol", "0.1"], "error: unrecognized arguments: --tol 0.1"),
+    (["table1", "--seed", "1"], "error: unrecognized arguments: --seed 1"),
+    (["certify", "--file", "{conj}", "--format", "csv"], "error: argument --format: invalid choice: 'csv'"),
+])
+def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, conj_file, argv, error):
+    status, out, err = run_cli(capsys, *(a.format(conj=conj_file) for a in argv))
+    assert (status, out) == (1, "")
+    assert err.splitlines()[-1].startswith(error)
 
 
 def test_unknown_flag_exits_one_not_two(capsys):
@@ -482,6 +547,14 @@ def test_bad_scan_arguments_exit_one(capsys):
         status, _, err = run_cli(capsys, *argv)
         assert status == 1
         assert err.splitlines()[-1].startswith("error:")
+
+
+@pytest.mark.parametrize("option, message", [("--nsamples=1", "need at least two samples"),
+                                             ("--interval=1,0", "empty interval")])
+def test_a_degenerate_scan_gets_a_typed_error(capsys, option, message):
+    status, out, err = run_cli(capsys, "curve-scan", "--curve", "monomial-quartic", "--path", "crossing", option)
+    assert (status, out) == (1, "")
+    assert err.splitlines()[-1] == f"error: DegenerateScan: {message}"
 
 
 QUARTIC_ROWS = [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
@@ -808,14 +881,21 @@ def test_repeated_main_calls_match_fresh_processes(capsys, conj_file):
     env = dict(os.environ, PYTHONPATH=src)
     for argv in (
         ["certify", "--file", conj_file, "--bogus"],
-        ["certify", "--file", conj_file, "--seed", "0"],
+        ["decompose", "--file", conj_file, "--seed", "0"],
         ["certify", "--file", conj_file, "--format", "text"],
+        ["decompose", "--file", conj_file],
         ["certify", "--file", conj_file],
     ):
         fresh = subprocess.run([sys.executable, "-m", "realrank2", *argv], env=env,
                                capture_output=True, text=True, timeout=60)
+        status, out, err = run_cli(capsys, *argv)
         # stderr holds the resolved configuration, so a seed left over shows there
-        assert run_cli(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert (status, err) == (fresh.returncode, fresh.stderr)
+        if argv[-2:] == ["--seed", "0"]:
+            # entropy moves the decomposition's digits, not its kind
+            assert json.loads(out)["kind"] == json.loads(fresh.stdout)["kind"]
+        else:
+            assert out == fresh.stdout
 
 
 @pytest.mark.parametrize("argv, error", [
