@@ -56,11 +56,19 @@ class UsageError(ValueError):
     """Bad command line; reported on stderr with exit status 1."""
 
 
+class _Exit(Exception):
+    """argparse ended the run with status args[0] (--help printed its text)."""
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; 2 is reserved for
     # negative verdicts here, so route them through the common error path
     def error(self, message):
         raise UsageError(message)
+
+    # and it ends --help with sys.exit, which would end a caller of main
+    def exit(self, status=0, message=None):
+        raise _Exit(status)
 
 
 def _fmt(v) -> str:
@@ -325,6 +333,8 @@ def run(args) -> int:
 def main(argv=None) -> int:
     try:
         return run(build_parser().parse_args(argv))
+    except _Exit as exc:
+        return exc.args[0]
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

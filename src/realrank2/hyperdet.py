@@ -55,18 +55,26 @@ def hyperdet222(t: np.ndarray):
     return _quartic(*t.ravel().tolist())
 
 
+class ZeroTolOverflow(ArithmeticError):
+    """The float zero threshold (1 + max|t|)^4 overflows a double."""
+
+
 def hyperdet_zero_tol(t: np.ndarray, scale: float = DEFAULT_ZERO_TOL_SCALE):
     """Zero threshold for hyperdet values of sub-blocks of t.
 
     The hyperdeterminant is quartic in the entries, hence the fourth power.
     Symmetric certificates pass the coordinate vector, and the quintic test
     the form's Hankel matrix.  Exact (object, integer or
-    boolean) arrays use an exact zero test.
+    boolean) arrays use an exact zero test.  ZeroTolOverflow once the
+    largest |entry| passes about 1e77.
     """
     if is_exact(t):
         return 0
     peak = float(np.max(np.abs(t))) if t.size else 0.0
-    return scale * (1.0 + peak) ** 4
+    try:
+        return scale * (1.0 + peak) ** 4
+    except OverflowError as exc:
+        raise ZeroTolOverflow(f"the zero threshold (1 + max|t|)^4 overflows a double at max|t| = {peak!r}") from exc
 
 
 @dataclass

@@ -898,6 +898,57 @@ def test_repeated_main_calls_match_fresh_processes(capsys, conj_file):
             assert out == fresh.stdout
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["table1", "-h"], ["curve-scan", "--help"]])
+def test_help_returns_status_zero_with_the_text_on_stdout(capsys, argv):
+    """--help and -h end main with a status, not a SystemExit, so a caller
+    that runs main many times goes on; the help text stays on stdout."""
+    status, out, err = run_cli(capsys, *argv)
+    assert (status, err) == (0, "")
+    assert out.startswith(" ".join(["usage: realrank2", *argv[:-1]]))
+    assert "-h, --help" in out
+
+
+def test_help_of_a_fresh_process_is_the_in_process_help(capsys):
+    src = str(Path(realrank2.__file__).resolve().parents[1])
+    fresh = subprocess.run([sys.executable, "-m", "realrank2", "--help"], env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, timeout=60)
+    status, out, err = run_cli(capsys, "--help")
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (status, out, err) == (0, out, "")
+
+
+def _float_overflow_inputs(tmp_path) -> dict[str, list[str]]:
+    files = {
+        "tensor": {"shape": [2, 2, 2], "entries": [1e80] * 8},
+        "cubic": {"n": 3, "d": 3, "coeffs": {"3,0,0": 1e120, "0,3,0": 1, "0,0,3": 1, "1,1,1": 1}},
+        "quartic": {"n": 2, "d": 4, "coeffs": {"4,0": 1e200, "0,4": 1e200}},
+    }
+    for name, payload in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    binary = ["binary-form", "--d", "4", "--coords", "1e200,0,0,0,1e200"]
+    return {
+        "certify": ["certify", "--file", str(tmp_path / "tensor.json")],
+        "hyperdet": ["hyperdet", "--file", str(tmp_path / "tensor.json")],
+        "decompose": ["decompose", "--file", str(tmp_path / "tensor.json")],
+        "binary-form": binary,
+        "binary-form-plain": binary + ["--plain-coeffs"],
+        "certify-symmetric": ["certify", "--symmetric", "--file", str(tmp_path / "cubic.json")],
+        "decompose-symmetric": ["decompose", "--symmetric", "--file", str(tmp_path / "quartic.json")],
+    }
+
+
+@pytest.mark.parametrize("case", ["certify", "hyperdet", "decompose", "binary-form", "binary-form-plain",
+                                  "certify-symmetric", "decompose-symmetric"])
+def test_a_zero_threshold_past_double_range_gets_a_typed_error(capsys, tmp_path, case):
+    """Entries past about 1e77 overflow the float zero threshold
+    1e-10 (1 + max|t|)^4: no verdict, and a package error, not Python's
+    OverflowError."""
+    status, out, err = run_cli(capsys, *_float_overflow_inputs(tmp_path)[case])
+    assert (status, out) == (1, "")
+    assert err.splitlines()[-1].startswith("error: ZeroTolOverflow: the zero threshold (1 + max|t|)^4 "
+                                           "overflows a double at max|t| = 1e+")
+    assert issubclass(hd.ZeroTolOverflow, ArithmeticError)
+
+
 @pytest.mark.parametrize("argv, error", [
     (["curve-classify", "--curve", "monomial-quartic", "--point", "1,2,3"], "DegenerateQuery"),
     (["curve-classify", "--curve", "monomial-quartic", "--point", "1,2,3,nan"], "MalformedEntry"),

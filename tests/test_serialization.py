@@ -99,19 +99,23 @@ def test_rank_one_term_json():
 
 
 def test_secant_solution_json():
+    # curve points are read off the curve at the roots when printed: the
+    # monomial quartic at (±i : 1) is (1, ∓i, ±i, 1) / 2, and no roots
+    # give none
     conj = sc.SecantSolution((0.6, -0.8, 0.0), 0.64, sc.CONJUGATE_POINTS,
-                             ((complex(0.5, 0.25), 1.0), (complex(0.5, -0.25), 1.0)),
-                             ((complex(0.1, 0.2), -0.3, np.float64(0.4), 1.0),), 1e-15, None, 2)
+                             ((complex(0.0, 1.0), 1.0), (complex(0.0, -1.0), 1.0)),
+                             sc.MONOMIAL_QUARTIC, 1e-15, None, 2)
     assert json.dumps(conj.to_json()) == (
         '{"abc": [0.6, -0.8, 0.0], "discriminant": 0.64, "contact": "CONJUGATE_POINTS", '
-        '"roots": [[{"re": 0.5, "im": 0.25}, 1.0], [{"re": 0.5, "im": -0.25}, 1.0]], '
-        '"curve_points": [[{"re": 0.1, "im": 0.2}, -0.3, 0.4, 1.0]], '
+        '"roots": [[{"re": 0.0, "im": 1.0}, 1.0], [{"re": 0.0, "im": -1.0}, 1.0]], '
+        '"curve_points": [[{"re": 0.5, "im": 0.0}, {"re": 0.0, "im": -0.5}, {"re": 0.0, "im": 0.5}, '
+        '{"re": 0.5, "im": 0.0}], [{"re": 0.5, "im": 0.0}, {"re": 0.0, "im": 0.5}, '
+        '{"re": 0.0, "im": -0.5}, {"re": 0.5, "im": 0.0}]], '
         '"residual": 1e-15, "line_norm": null, "multiplicity": 2}')
-    real = sc.SecantSolution((0.6, -0.8, 0.0), 0.64, sc.TWO_REAL_POINTS,
-                             ((1.0, -0.5), (0.25, 1.0)), (), 0.0, 2.5, 1)
+    real = sc.SecantSolution((0.6, -0.8, 0.0), 0.64, sc.TWO_REAL_POINTS, (), sc.MONOMIAL_QUARTIC, 0.0, 2.5, 1)
     assert json.dumps(real.to_json()) == (
         '{"abc": [0.6, -0.8, 0.0], "discriminant": 0.64, "contact": "TWO_REAL_POINTS", '
-        '"roots": [[1.0, -0.5], [0.25, 1.0]], "curve_points": [], '
+        '"roots": [], "curve_points": [], '
         '"residual": 0.0, "line_norm": 2.5, "multiplicity": 1}')
 
 

@@ -253,13 +253,18 @@ def test_row_evaluator_matches_scaled_rows_and_exact_partials(d):
         scaled = [Poly(sc.PAIR_VARS, {e: Fraction(c, max(map(abs, row.values()))) for e, c in row.items()})
                   for row in rows]
         points = _random_unit_points(rng, 4)
-        values, jacobian = sc._row_evaluator(rows)(points)
+        values, jacobian = _evaluator(rows)(points)
         assert values.shape == (4, len(rows)) and jacobian.shape == (4, len(rows), 3)
         for p, point_values, point_jacobian in zip(points, values, jacobian):
             point = dict(zip(sc.PAIR_VARS, map(complex, p)))
             for row, value, gradient in zip(scaled, point_values, point_jacobian):
                 for poly, got in [(row, value)] + [(_partial(row, k), gradient[k]) for k in range(3)]:
                     assert abs(got - poly.evaluate(point)) <= 1e-12 * _term_magnitude(poly, point)
+
+
+def _evaluator(rows):
+    """The row evaluator of one system."""
+    return sc._row_evaluator(sc._supports(rows), [rows])
 
 
 def _random_unit_points(rng: random.Random, n: int) -> np.ndarray:
@@ -315,7 +320,7 @@ def test_stacked_row_evaluator_equals_one_point_stacks_bit_for_bit(d):
     u = [Fraction(rng.randint(-20, 20), rng.randint(1, 3)) for _ in range(4)]
     rows = [row for row in sc.secant_rows(sc.plucker_map(curve), u)[0] if row]
     assert max(len(row) for row in rows) == (d + 1) * d // 2
-    evaluate = sc._row_evaluator(rows)
+    evaluate = _evaluator(rows)
     points = _random_unit_points(rng, 12)
     values, jacobian = evaluate(points)
     for i in range(len(points)):
@@ -324,6 +329,40 @@ def test_stacked_row_evaluator_equals_one_point_stacks_bit_for_bit(d):
         assert _same_bits(jacobian[i:i + 1], one_jacobian)
         ref_values, ref_jacobian = _reference_evaluate(rows, points[i])
         assert _same_bits(one_values, ref_values) and _same_bits(one_jacobian, ref_jacobian)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_evaluator_of_several_systems_equals_each_systems_own_bit_for_bit(d):
+    """Systems that share supports evaluate as one stack, each point with
+    its own system's coefficient row, to the bits of each system's own
+    one-dimensional coefficients, also on any subset of the stack."""
+    rng = random.Random(170 + d)
+    pm = sc.plucker_map(_random_curve(rng, d))
+    systems = [[row for row in sc.secant_rows(pm, [Fraction(rng.randint(-20, 20), rng.randint(1, 3))
+                                                   for _ in range(4)])[0] if row] for _ in range(4)]
+    supports = sc._supports(systems[0])
+    assert all(sc._supports(rows) == supports for rows in systems)
+    counts = [3, 0, 5, 2]
+    points = _random_unit_points(rng, sum(counts))
+    owner = np.repeat(np.arange(len(systems)), counts)
+    stacked = sc._row_evaluator(supports, systems, counts)
+    at = np.array([0, 2, 3, 7, 9])
+    for index in (np.arange(len(points)), at):
+        values, jacobian = stacked(points[index], index)
+        for k, i in enumerate(index):
+            one_values, one_jacobian = _evaluator(systems[owner[i]])(points[i:i + 1])
+            assert _same_bits(values[k:k + 1], one_values) and _same_bits(jacobian[k:k + 1], one_jacobian)
+
+
+def test_norm_equals_np_linalg_norm_bit_for_bit():
+    """The solver's norm of real and complex vectors, contiguous and
+    strided (the real or imaginary part of a complex vector), is numpy's."""
+    rng = np.random.default_rng(17)
+    for n in range(1, 9):
+        for scale in (1e-200, 1.0, 1e150):
+            z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale
+            for x in (z, z.real, z.imag, np.ascontiguousarray(z.real), z[::-1]):
+                assert _same_bits(np.asarray(sc._norm(x)), np.asarray(np.linalg.norm(x))), (n, scale)
 
 
 def _unplanned_row_evaluator(rows):
@@ -375,7 +414,7 @@ def test_planned_row_evaluator_equals_the_unplanned_one_bit_for_bit(d):
     for u in queries:
         rows = [row for row in sc.secant_rows(pm, [Fraction(c) for c in u])[0] if row]
         supports.add(tuple(tuple(sorted(row)) for row in rows))
-        planned, unplanned = sc._row_evaluator(rows), _unplanned_row_evaluator(rows)
+        planned, unplanned = _evaluator(rows), _unplanned_row_evaluator(rows)
         for n in (1, 3, 27):
             points = _random_unit_points(rng, n)
             points[::2, rng.randrange(3)] = 0
@@ -387,9 +426,9 @@ def test_planned_row_evaluator_equals_the_unplanned_one_bit_for_bit(d):
 
 
 def _counting(evaluate, sizes: list):
-    def counted(points):
+    def counted(points, *at):
         sizes.append(len(points))
-        return evaluate(points)
+        return evaluate(points, *at)
     return counted
 
 
@@ -404,7 +443,7 @@ def test_polish_of_a_stack_equals_polish_of_each_candidate(d):
     u = [Fraction(rng.randint(-20, 20), rng.randint(1, 3)) for _ in range(4)]
     pm = sc.plucker_map(curve)
     rows = [row for row in sc.secant_rows(pm, u)[0] if row]
-    evaluate = sc._row_evaluator(rows)
+    evaluate = _evaluator(rows)
     solutions = [s.abc for s in sc.classify_point(curve, u).solutions]
     assert solutions
     near = np.array(solutions) + 1e-6 * _random_unit_points(rng, len(solutions))
@@ -809,6 +848,52 @@ def test_classify_point_json_goldens(group):
     assert (len(cases), digest.hexdigest()) == CLASSIFY_GOLDENS[group]
 
 
+def _printed(classify):
+    """The JSON lines of a list of classifications, or the error's type and
+    message."""
+    try:
+        return [json.dumps(pc.to_json()) for pc in classify()]
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6, "monomial-quartic"])
+def test_classify_points_prints_what_classify_point_prints_point_by_point(d):
+    """Batches across and within the chunk size, of random rational points,
+    every third with a zero coordinate, so the rows' supports differ within
+    some chunks (in most on the sparse monomial quartic): the batch prints
+    the bytes of one classify_point per point."""
+    rng = random.Random(f"classify-points-{d}")
+    curve = QUARTIC if d == "monomial-quartic" else _random_curve(rng, d)
+    for size in (1, 7, 8, 9, 21, 29):
+        points = []
+        for i in range(size):
+            u = [Fraction(rng.randint(-30, 30), rng.randint(1, 4)) for _ in range(4)]
+            if i % 3 == 2:
+                u[rng.randrange(4)] = Fraction(0)
+            points.append(u)
+        seed = rng.randint(0, 99)
+        batch = _printed(lambda: sc.classify_points(curve, points, seed=seed))
+        assert batch == _printed(lambda: [sc.classify_point(curve, u, seed=seed) for u in points])
+        assert len(batch) == size
+
+
+@pytest.mark.parametrize("bad", [
+    [[3, 1, 4, 1], QUARTIC.point(2, 3)],
+    [[3, 1, 4, 1], [1, 2, 3, 4], QUARTIC.point(1, 1), [5, 0, 0, 7]],
+    [[3, 1, 4, 1], [1, Fraction(1e188), 3, 5], QUARTIC.point(2, 3)],
+    [[3, 1, 4, 1], [1, Fraction(1e188), 3, 5], [1, 2, 3]],
+    [[3, 1, 4, 1]] * 7 + [[0, 0, 0, 0]] + [[1, 2, 3, 4]],
+], ids=["on-curve", "on-curve-mid-chunk", "overflow-before-on-curve", "overflow-before-three-coordinates",
+        "zero-in-the-second-chunk"])
+def test_classify_points_raises_what_the_point_by_point_loop_raises(bad):
+    """The first failing point decides the error, also when a later point
+    fails in an exact step that runs before an earlier point's float steps."""
+    batch = _printed(lambda: sc.classify_points(QUARTIC, bad, seed=5))
+    assert isinstance(batch, tuple)
+    assert batch == _printed(lambda: [sc.classify_point(QUARTIC, u, seed=5) for u in bad])
+
+
 def test_bad_curves_rejected():
     with pytest.raises(sc.BadCurve):
         sc.CurveParam(2, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1)))
@@ -863,7 +948,7 @@ def full_bisection_scan(curve, path, interval=(0, 1), nsamples=21, fixtures=None
     path = tuple((Fraction(c0), Fraction(c1)) for c0, c1 in path)
     lo, hi = (Fraction(v) for v in interval)
     ts = [lo + (hi - lo) * k / (nsamples - 1) for k in range(nsamples)]
-    samples = [sc._sample(curve, path, t, tol, seed) for t in ts]
+    samples = [sc._sample(t, sc.classify_point(curve, sc._path_point(path, t), tol, seed=seed)) for t in ts]
     changes = []
     for (ta, sa), (tb, sb) in zip(zip(ts, samples), zip(ts[1:], samples[1:])):
         if sa.label == sb.label:
@@ -911,15 +996,17 @@ def decoy_fixture(t0: Fraction) -> Polynomial:
 
 @pytest.fixture
 def classify_counter(monkeypatch):
-    calls = []
-    original = sc.classify_point
+    """The points classified, one entry each, whether one at a time
+    (classify_point) or in a batch (a scan's samples)."""
+    points = []
+    original = sc.classify_points
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
+    def counted(curve, us, *args, **kwargs):
+        points.extend(us)
+        return original(curve, us, *args, **kwargs)
 
-    monkeypatch.setattr(sc, "classify_point", counted)
-    return calls
+    monkeypatch.setattr(sc, "classify_points", counted)
+    return points
 
 
 @pytest.fixture
