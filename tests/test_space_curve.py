@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import realrank2
+from realrank2 import jsontext
 from realrank2 import space_curve as sc
 from realrank2.exactsolve import content
 from realrank2.multipoly import Polynomial, evaluate
@@ -432,12 +433,20 @@ def _counting(evaluate, sizes: list):
     return counted
 
 
+def _first_residuals(evaluate, points: np.ndarray) -> np.ndarray:
+    values, _ = evaluate(points, np.arange(len(points)))
+    return np.hypot(values.real, values.imag).max(axis=1)
+
+
 @pytest.mark.parametrize("d", [4, 5])
-def test_polish_of_a_stack_equals_polish_of_each_candidate(d):
+def test_polish_of_a_stack_equals_polish_of_each_candidate(d, monkeypatch):
     """Polishing a stack gives every candidate the bits it gets alone, in
     the reversed stack and in the one-candidate loop, evaluates only the
     candidates still moving, and stops each one at a step below 1e-15 or
-    after 4 steps, with the residual of its last evaluation."""
+    after 4 steps, with the residual of its last evaluation.  A candidate
+    whose first residual is above FREEZE_FACTOR × gate never reaches
+    _lstsq and keeps its start and that residual; under a gate of 0.5
+    none is frozen."""
     rng = random.Random(90 + d)
     curve = sc.MONOMIAL_QUARTIC if d == 4 else _random_curve(rng, d)
     u = [Fraction(rng.randint(-20, 20), rng.randint(1, 3)) for _ in range(4)]
@@ -448,15 +457,24 @@ def test_polish_of_a_stack_equals_polish_of_each_candidate(d):
     assert solutions
     near = np.array(solutions) + 1e-6 * _random_unit_points(rng, len(solutions))
     stack = np.concatenate([near / np.linalg.norm(near, axis=1)[:, None], _random_unit_points(rng, 6)])
+    first = _first_residuals(evaluate, stack)
+    gate = 1e-7
+    frozen = first > sc.FREEZE_FACTOR * gate
+    assert not frozen[:len(solutions)].any() and frozen[len(solutions):].all()
 
+    lstsq_rows: list[int] = []
+    lstsq = sc._lstsq
+    monkeypatch.setattr(sc, "_lstsq", lambda jacobians, rhs: lstsq_rows.append(len(jacobians)) or lstsq(jacobians, rhs))
     sizes: list[int] = []
-    points, residuals = sc._polish(_counting(evaluate, sizes), stack)
+    points, residuals = sc._polish(_counting(evaluate, sizes), stack, gate)
     assert len(sizes) <= 5 and sizes[0] == len(stack) and sizes == sorted(sizes, reverse=True)
+    assert lstsq_rows == [len(solutions)] + sizes[1:4]
+    assert _same_bits(points[frozen], stack[frozen]) and _same_bits(residuals[frozen], first[frozen])
     assert residuals.shape == (len(stack),)
     moves = []
     for i in range(len(stack)):
         one_sizes: list[int] = []
-        one_point, one_residual = sc._polish(_counting(evaluate, one_sizes), stack[i:i + 1])
+        one_point, one_residual = sc._polish(_counting(evaluate, one_sizes), stack[i:i + 1], gate)
         assert _same_bits(points[i:i + 1], one_point) and _same_bits(residuals[i:i + 1], one_residual)
         ref_point, ref_residual = _reference_polish(evaluate, stack[i])
         assert _same_bits(one_point, ref_point) and _same_bits(one_residual, ref_residual)
@@ -465,12 +483,77 @@ def test_polish_of_a_stack_equals_polish_of_each_candidate(d):
     # column rank: away from a solution it is below 1e-15 at once; 1e-6 off
     # one, J is nearly of rank 2 and the amplified roundoff moves it 4 times
     assert moves == [4] * len(solutions) + [0] * (len(stack) - len(solutions))
-    reversed_points, reversed_residuals = sc._polish(evaluate, stack[::-1])
+    reversed_points, reversed_residuals = sc._polish(evaluate, stack[::-1], gate)
     assert _same_bits(points[::-1], reversed_points)
     assert _same_bits(residuals[::-1], reversed_residuals)
 
-    empty_points, empty_residuals = sc._polish(evaluate, stack[:0])
+    lstsq_rows.clear()
+    loose_points, loose_residuals = sc._polish(evaluate, stack, 0.5)
+    assert lstsq_rows[0] == len(stack)
+    assert _same_bits(loose_points, points) and _same_bits(loose_residuals, residuals)
+
+    empty_points, empty_residuals = sc._polish(evaluate, stack[:0], gate)
     assert empty_points.shape == (0, 3) and empty_residuals.shape == (0,)
+    with pytest.raises(np.linalg.LinAlgError):  # NaN is not above the limit: lstsq sees it
+        sc._polish(evaluate, np.where(frozen[:, None], np.nan, stack), gate)
+
+
+# the ten twisted-cubic points of ROADMAP's defect list, and (10^10, 1, 1, 1)
+TWISTED_CUBIC_DEFECTS = [
+    (0, 1, 1, -10**7), (0, -3, -2, 2 * 10**6), (0, -3, 3, 10**9),
+    (-754, -9780000000000, 70, -161), (-112, -531, -7980000000000, 444), (-453, 997000000000, -171, 9),
+    (-40388, 678436, -5572090000000000, 220997), (594156234, 3467039973, 68469570550000000000, 3609141279),
+    (-200000, -2, 0, 0), (0, 0, -2, -2 * 10**10), (10**10, 1, 1, 1)]
+
+
+def test_freezing_candidates_far_above_the_gate_changes_no_output(monkeypatch):
+    """classify_point prints the same with the freeze as with FREEZE_FACTOR
+    at infinity, the polish that steps every candidate, on a fixed draw:
+    random curves of degree 3 to 7, the monomial quartic and the twisted
+    cubic at its defect points, at rational points with coordinates from
+    10^0 to 10^6 and tol 0, 1e-8, 1e-4 and 0.5.  Over the same draw, no
+    candidate the rule freezes ends within the gate under the unfrozen
+    polish, and the candidates that do start at most 10^-3 × FREEZE_FACTOR
+    × gate: the factor keeps 10^3 of margin at every tol."""
+    rng = random.Random(37)
+
+    def point():
+        return [Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(0, 6)), rng.randint(1, 7))
+                for _ in range(4)]
+    cases = [(curve, point()) for curve in [_random_curve(rng, d) for d in range(3, 8)] for _ in range(4)]
+    cases += [(sc.MONOMIAL_QUARTIC, point()) for _ in range(6)]
+    cases += [(TWISTED_CUBIC, [Fraction(c) for c in u]) for u in TWISTED_CUBIC_DEFECTS]
+    cases += [(TWISTED_CUBIC, point()) for _ in range(4)]
+
+    def printed(curve, u, tol):
+        try:
+            return jsontext.dumps(sc.classify_point(curve, u, tol).to_json())
+        except Exception as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    census = []
+    polish = sc._polish
+
+    def unfrozen(evaluate, points, gate):
+        got = polish(evaluate, points, gate)
+        census.append((_first_residuals(evaluate, points), got[1], np.full(len(points), gate),
+                       (got[0] != points).any(axis=1)))
+        return got
+
+    for curve, u in cases:
+        for tol in (0.0, 1e-8, 1e-4, 0.5):
+            frozen = printed(curve, u, tol)
+            with monkeypatch.context() as m:
+                m.setattr(sc, "FREEZE_FACTOR", math.inf)
+                m.setattr(sc, "_polish", unfrozen)
+                assert printed(curve, u, tol) == frozen, (curve, u, tol)
+    first, final, gate, moved = (np.concatenate(column) for column in zip(*census))
+    accepted = final <= gate
+    frozen = first > sc.FREEZE_FACTOR * gate
+    assert not (frozen & accepted).any()
+    assert np.max(first[accepted] / gate[accepted]) * 1e3 <= sc.FREEZE_FACTOR
+    assert frozen[gate == 1e-7].mean() > 0.8 and not frozen[gate == 0.5].any()
+    assert (frozen & moved).any()  # the compared polishes differ on some candidates
 
 
 def _random_systems(rng: np.random.Generator, k: int, r: int) -> tuple[np.ndarray, np.ndarray]:
