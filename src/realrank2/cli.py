@@ -17,9 +17,9 @@ Output: JSON by default (`--format text` for human-readable lines, `--format
 csv` for curve-scan samples and table1 only).  Floats keep full double
 precision (17 significant digits); exact rationals print as "num/den".
 Each subcommand offers only the options it reads: --tol, the numerical rank
-tolerance, on certify, decompose, binary-form, curve-classify and
-curve-scan; --seed on decompose, curve-classify and curve-scan, whose output
-is deterministic for a fixed --seed (--seed 0 draws entropy from the OS).
+tolerance, on certify, decompose and binary-form; --seed on decompose,
+curve-classify and curve-scan, whose output is deterministic for a fixed
+--seed (--seed 0 draws entropy from the OS).
 Every run echoes its resolved configuration on standard error.
 
 Exit status: 0 on success; 2 when a yes/no query answers "no"
@@ -208,7 +208,7 @@ def _cmd_ideal(args):
 def _cmd_curve_classify(args):
     curve = _load_curve(args.curve)
     point = _parse_scalar_list(args.point)
-    pc = sc.classify_point(curve, point, args.tol, seed=args.seed)
+    pc = sc.classify_point(curve, point, seed=args.seed)
     text = [
         f"label: {pc.label}",
         f"real secants: {pc.real_secants} ({pc.two_real_point_secants} with two real curve points, "
@@ -226,7 +226,7 @@ def _cmd_curve_scan(args):
     interval = _parse_scalar_list(args.interval)
     if len(interval) != 2:
         raise UsageError("--interval needs two values, e.g. 0,1")
-    report = sc.scan_path(curve, path, tuple(interval), args.nsamples, args.tol, seed=args.seed)
+    report = sc.scan_path(curve, path, tuple(interval), args.nsamples, seed=args.seed)
     text = [f"samples: {len(report.samples)} on [{_fmt(interval[0])}, {_fmt(interval[1])}]"]
     for tr in report.transitions:
         text.append(f"t* = {_fmt(tr.t_star)}: {tr.kind} (rank {tr.rank_before} -> {tr.rank_after}"
@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text", "csv") if "csv" in options else ("json", "text"),
                        default="json", help="output format")
         if "tol" in options:
-            p.add_argument("--tol", type=_tolerance, default=1e-8, help="numerical rank/residual "
+            p.add_argument("--tol", type=_tolerance, default=1e-8, help="numerical rank "
                            "tolerance, a finite number in [0, 1) (default 1e-8)")
         if "seed" in options:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED,
@@ -302,11 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("ideal", "generators of the curve/secant/tangential ideals for degree d")
     p.add_argument("--d", type=int, required=True)
 
-    p = command("curve-classify", "real rank <= 2 test for a point and a rational space curve", "tol", "seed")
+    p = command("curve-classify", "real rank <= 2 test for a point and a rational space curve", "seed")
     p.add_argument("--curve", required=True, help="CurveParam JSON file, or 'monomial-quartic'")
     p.add_argument("--point", required=True, help="comma-separated coordinates w,x,y,z")
 
-    p = command("curve-scan", "classify along a line segment and localize rank transitions", "tol", "seed", "csv")
+    p = command("curve-scan", "classify along a line segment and localize rank transitions", "seed", "csv")
     p.add_argument("--curve", required=True, help="CurveParam JSON file, or 'monomial-quartic'")
     p.add_argument("--path", required=True, help="PathSpec JSON file, or 'crossing'")
     p.add_argument("--interval", default="0,1", help="scan interval, e.g. 0,1")

@@ -82,9 +82,10 @@ LINE_NORM_FLOOR = 1e-9
 BISECTION_WIDTH = 1e-12
 MAX_ELIMINATION_RETRIES = 8
 CLASSIFY_CHUNK = 8  # points whose float steps classify_points stacks
+RESIDUAL_GATE = 1e-7  # the largest residual a polished candidate may keep and be a secant
 # _polish leaves a candidate where it starts when its first residual is
-# above this many times the residual gate: its census found none such
-# that the polish would bring within the gate
+# above this many times RESIDUAL_GATE: its census found none such that
+# the polish would bring within the gate
 FREEZE_FACTOR = 1e4
 # a sample costs about 1 ms on the crossing path, so a few bytes of argv
 # cannot ask for unbounded work: 2000 take 1.7-3.0 s on a shared 2-vCPU host
@@ -358,7 +359,7 @@ def _lstsq(jacobians: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x[..., 0]
 
 
-def _polish(evaluate, points: np.ndarray, gate: float) -> tuple[np.ndarray, np.ndarray]:
+def _polish(evaluate, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Projective least-squares Newton on an (n, 3) stack of unit points.
 
     Each point takes the least-squares step of its rows with the component
@@ -372,14 +373,13 @@ def _polish(evaluate, points: np.ndarray, gate: float) -> tuple[np.ndarray, np.n
     so the step is a tangent Newton step: on the monomial quartic at 400
     random integer points the 542 solutions' distance to 60-digit roots fell
     from at most 1.2e-11 to 3e-15.  So a candidate whose first residual is
-    above FREEZE_FACTOR × gate is frozen before any step: it keeps its start
-    and that residual and never reaches _lstsq.  In a census of 1,001
-    random points (curves of degree 3 to 7, the monomial quartic and the
-    twisted cubic, each at tol 0, 1e-8, 1e-4 and 0.5; 337,552 candidates),
-    no candidate that ended within the gate started above it (at the gate
-    1e-7, none above 0.9 × gate), and at that gate the rule froze 91.6% of
-    candidates.  11,917 of the frozen ones move under an unfrozen polish,
-    by roundoff amplified where J is ill-conditioned, but none ends within
+    above FREEZE_FACTOR × RESIDUAL_GATE is frozen before any step: it keeps
+    its start and that residual and never reaches _lstsq.  In a census of
+    1,001 random points (curves of degree 3 to 7, the monomial quartic and
+    the twisted cubic; 84,388 candidates), no candidate that ended within
+    the gate started above 0.9 × the gate, and the rule froze 91.6% of
+    candidates.  Some of the frozen ones move under an unfrozen polish, by
+    roundoff amplified where J is ill-conditioned, but none ends within
     the gate.
     """
     points = points.copy()
@@ -394,7 +394,7 @@ def _polish(evaluate, points: np.ndarray, gate: float) -> tuple[np.ndarray, np.n
         if step == 4:
             break
         if step == 0:  # a NaN residual stays, so _lstsq raises on it
-            keep = ~(residuals > FREEZE_FACTOR * gate)
+            keep = ~(residuals > FREEZE_FACTOR * RESIDUAL_GATE)
             active, values, jacobian = active[keep], values[keep], jacobian[keep]
         steps = _lstsq(jacobian, -values)
         p = points[active]
@@ -513,7 +513,8 @@ def _projective_roots(polys: Sequence[Sequence], zero: float) -> list[tuple[list
     its dtype (complex if a kept coefficient is): each companion matrix is
     built as np.roots builds it (zeros at either end stripped, the trailing
     ones appended as roots at 0; first row -p[1:] / p[0] over a subdiagonal
-    of ones), and np.linalg.eigvals runs once per stack of one size and dtype."""
+    of ones), and np.linalg.eigvals runs once per stack of one size and dtype.
+    OverflowError when a companion row is not finite."""
     shapes, groups = [], {}  # per polynomial (trailing zeros, at infinity); stripped lists by kind
     for descending in polys:
         top = max(abs(c) for c in descending)
@@ -533,7 +534,10 @@ def _projective_roots(polys: Sequence[Sequence], zero: float) -> list[tuple[list
             companion = np.zeros((len(members), size - 1, size - 1), dtype)
             below = np.arange(size - 2)
             companion[:, below + 1, below] = 1
-            companion[:, 0, :] = -stack[:, 1:] / stack[:, :1]
+            with np.errstate(over="ignore", invalid="ignore"):
+                companion[:, 0, :] = -stack[:, 1:] / stack[:, :1]
+            if not np.isfinite(companion[:, 0, :]).all():
+                raise OverflowError("a companion matrix row is not finite")
             # eigvals drops a real stack's imaginary parts only when all vanish;
             # np.roots of one real polynomial does so when its own do
             found = [w.real if dtype is float and not w.imag.any() else w
@@ -582,7 +586,7 @@ def _eliminate(rows: Sequence[dict], den: int, d: int, seed: int):
         "every elimination collapsed; the query point may lie on the curve")
 
 
-def solve_secants(systems: Sequence[tuple[list[dict], int]], tol: float, *, curve: CurveParam,
+def solve_secants(systems: Sequence[tuple[list[dict], int]], *, curve: CurveParam,
                   pm: PluckerMap, seed: int) -> list[tuple[list[SecantSolution], int]]:
     """All isolated solutions (a : b : c) of each secant system through a
     point, given as integer rows over den (see secant_rows).
@@ -591,9 +595,9 @@ def solve_secants(systems: Sequence[tuple[list[dict], int]], tol: float, *, curv
     the number of verified nonreal solutions.  Elimination uses the
     resultant of two random integer combinations of the four rows; spurious
     intersections of the two are discarded by checking residuals of all
-    four rows.  The float steps are stacked over the systems (one eigvals
-    call per companion size, one _polish per supports), with the bits each
-    system gets alone.
+    four rows against RESIDUAL_GATE.  The float steps are stacked over the
+    systems (one eigvals call per companion size, one _polish per
+    supports), with the bits each system gets alone.
     """
     eliminated = [_eliminate(rows, den, curve.d, seed) for rows, den in systems]
     # a resultant is a binary form ascending in its first variable; each root
@@ -629,7 +633,6 @@ def solve_secants(systems: Sequence[tuple[list[dict], int]], tol: float, *, curv
             if at_infinity:  # the eliminated variable dominates: its unit point
                 candidates.append(np.eye(3)[v_index])
 
-    gate = max(tol, 1e-7)  # the largest residual a solution may keep
     groups: dict = {}
     for i, (nonzero, _, _) in enumerate(eliminated):
         groups.setdefault(_supports(nonzero), []).append(i)
@@ -638,21 +641,20 @@ def solve_secants(systems: Sequence[tuple[list[dict], int]], tol: float, *, curv
         counts = [len(eliminated[i][1]) for i in members]
         stack = np.array([c for i in members for c in eliminated[i][1]], dtype=complex).reshape(-1, 3)
         evaluate = _row_evaluator(supports, [eliminated[i][0] for i in members], counts)
-        points, residuals = _polish(evaluate, stack / _norms(stack)[:, None], gate)
+        points, residuals = _polish(evaluate, stack / _norms(stack)[:, None])
         residuals = residuals.tolist()
         start = 0
         for i, n in zip(members, counts):
             polished[i] = zip(points[start:start + n], residuals[start:start + n])
             start += n
-    return [_secant_solutions(candidates, gate, curve, pm) for candidates in polished]
+    return [_secant_solutions(candidates, curve, pm) for candidates in polished]
 
 
-def _secant_solutions(polished, gate: float, curve: CurveParam,
-                      pm: PluckerMap) -> tuple[list[SecantSolution], int]:
+def _secant_solutions(polished, curve: CurveParam, pm: PluckerMap) -> tuple[list[SecantSolution], int]:
     """One system's polished (point, residual) pairs, gated and merged."""
     verified: list[tuple[np.ndarray, float, int]] = []
     for point, residual in polished:
-        if residual > gate:
+        if residual > RESIDUAL_GATE:
             continue
         for i, (existing, res_old, mult) in enumerate(verified):
             if _projective_match(existing, point):
@@ -735,15 +737,14 @@ class PointClassification:
         }
 
 
-def classify_point(curve: CurveParam, u, tol: float = 1e-8, *, seed: int = 0) -> PointClassification:
+def classify_point(curve: CurveParam, u, *, seed: int = 0) -> PointClassification:
     """REAL_RANK_LE_2 iff some real secant line through u has a genuinely
     positive quadric discriminant (two real curve points) and nonzero line
     coordinates; otherwise REAL_RANK_GE_3."""
-    return classify_points(curve, [u], tol, seed=seed)[0]
+    return classify_points(curve, [u], seed=seed)[0]
 
 
-def classify_points(curve: CurveParam, us: Sequence, tol: float = 1e-8, *,
-                    seed: int = 0) -> list[PointClassification]:
+def classify_points(curve: CurveParam, us: Sequence, *, seed: int = 0) -> list[PointClassification]:
     """classify_point of each point, its float steps stacked over
     CLASSIFY_CHUNK points at a time.  A failing chunk is redone point by
     point, so the first failing point's error is raised."""
@@ -751,16 +752,16 @@ def classify_points(curve: CurveParam, us: Sequence, tol: float = 1e-8, *,
     for start in range(0, len(us), CLASSIFY_CHUNK):
         chunk = us[start:start + CLASSIFY_CHUNK]
         try:
-            out += _classify_chunk(curve, chunk, tol, seed)
+            out += _classify_chunk(curve, chunk, seed)
         except Exception:
             if len(chunk) > 1:
                 for u in chunk:
-                    _classify_chunk(curve, [u], tol, seed)
+                    _classify_chunk(curve, [u], seed)
             raise
     return out
 
 
-def _classify_chunk(curve: CurveParam, us: Sequence, tol: float, seed: int) -> list[PointClassification]:
+def _classify_chunk(curve: CurveParam, us: Sequence, seed: int) -> list[PointClassification]:
     systems = []
     for u in us:
         u = _exact_entries(u)
@@ -773,7 +774,7 @@ def _classify_chunk(curve: CurveParam, us: Sequence, tol: float, seed: int) -> l
         pm = plucker_map(curve)
         systems.append(secant_rows(pm, u))
     try:
-        solved = solve_secants(systems, tol, curve=curve, pm=pm, seed=seed)
+        solved = solve_secants(systems, curve=curve, pm=pm, seed=seed)
     except OverflowError as exc:
         raise FloatOverflow(f"the secant system at this point overflows double precision ({exc})") from exc
     out = []
@@ -838,12 +839,11 @@ def _sample(t: Fraction, pc: PointClassification) -> PathSample:
                       min(discs) if discs else None)
 
 
-def _bisect_change(curve: CurveParam, path, lo: Fraction, hi: Fraction,
-                   lo_label: str, tol: float, seed: int) -> float:
+def _bisect_change(curve: CurveParam, path, lo: Fraction, hi: Fraction, lo_label: str, seed: int) -> float:
     """Localize a classification change in [lo, hi] to width 1e-12."""
     while hi - lo > BISECTION_WIDTH:
         mid = (lo + hi) / 2
-        if classify_point(curve, _path_point(path, mid), tol, seed=seed).label == lo_label:
+        if classify_point(curve, _path_point(path, mid), seed=seed).label == lo_label:
             lo = mid
         else:
             hi = mid
@@ -870,8 +870,7 @@ def _fixture_polynomial(poly: Polynomial, path) -> list[int]:
     return total
 
 
-def scan_path(curve: CurveParam, path, interval=(0, 1), nsamples: int = 21,
-              tol: float = 1e-8, *, seed: int = 0) -> PathReport:
+def scan_path(curve: CurveParam, path, interval=(0, 1), nsamples: int = 21, *, seed: int = 0) -> PathReport:
     """Classify u(t) = path(t) along the interval and report every transition.
 
     The real rank changes only where the path crosses a boundary surface.
@@ -894,8 +893,8 @@ def scan_path(curve: CurveParam, path, interval=(0, 1), nsamples: int = 21,
     if hi <= lo:
         raise DegenerateScan("empty interval")
     ts = [lo + (hi - lo) * k / (nsamples - 1) for k in range(nsamples)]
-    samples = [_sample(t, pc) for t, pc in zip(ts, classify_points(curve, [_path_point(path, t) for t in ts],
-                                                                   tol, seed=seed))]
+    classified = classify_points(curve, [_path_point(path, t) for t in ts], seed=seed)
+    samples = [_sample(t, pc) for t, pc in zip(ts, classified)]
     labelled = [(t, s.label) for t, s in zip(ts, samples)]
 
     probe = min((hi - lo) / (8 * (nsamples - 1)), Fraction(1, 10 ** 7))
@@ -905,9 +904,9 @@ def scan_path(curve: CurveParam, path, interval=(0, 1), nsamples: int = 21,
         along = _fixture_polynomial(poly, path)
         if not any(along):
             continue
-        for root, _mult in real_roots(along, lo, hi, tol=1e-13):
+        for root, _mult in real_roots(along, lo, hi):
             r = as_fraction(root)
-            before, after = (classify_point(curve, _path_point(path, r + d), tol, seed=seed).label
+            before, after = (classify_point(curve, _path_point(path, r + d), seed=seed).label
                              for d in (-probe, probe))
             rank_before, rank_after = _rank_of(before), _rank_of(after)
             label = kind if rank_before != rank_after else NO_RANK_CHANGE
@@ -918,7 +917,7 @@ def scan_path(curve: CurveParam, path, interval=(0, 1), nsamples: int = 21,
     labelled = sorted((p for p in labelled if lo <= p[0] <= hi), key=lambda p: p[0])
     for (ta, la), (tb, lb) in zip(labelled, labelled[1:]):
         if la != lb and not any(ta <= r <= tb for r in exact_roots):
-            transitions.append(PathTransition(_bisect_change(curve, path, ta, tb, la, tol, seed),
+            transitions.append(PathTransition(_bisect_change(curve, path, ta, tb, la, seed),
                                               UNLABELED, _rank_of(la), _rank_of(lb)))
     transitions.sort(key=lambda tr: tr.t_star)
     return PathReport(tuple(samples), tuple(transitions))

@@ -24,6 +24,7 @@ from .exactsolve import InexactDivision, as_fraction, integer_row
 
 ISOLATION_WIDTH = Fraction(1, 2 ** 40)
 MAX_REFINE_STEPS = 60
+REFINE_TOL = 1e-13  # Newton stops at a step below this, relative to max(1, |x|)
 
 
 def _trimmed(coeffs: Sequence[int]) -> list[int]:
@@ -263,7 +264,7 @@ def _horner(coeffs: list[float], x: float) -> float:
     return total
 
 
-def _refine(f: list[int], chain: list[list[int]], a: Fraction, b: Fraction, tol: float) -> float:
+def _refine(f: list[int], chain: list[list[int]], a: Fraction, b: Fraction) -> float:
     """Polish the single root of f inside (a, b]; exact signs guard Newton."""
     if _sign_at(f, b) == 0:
         return float(b)
@@ -305,18 +306,18 @@ def _refine(f: list[int], chain: list[list[int]], a: Fraction, b: Fraction, tol:
             x = float((a + b) / 2)
             continue
         x = nxt
-        if abs(step) <= tol * max(1.0, abs(x)) / 16:
+        if abs(step) <= REFINE_TOL * max(1.0, abs(x)) / 16:
             break
     return x
 
 
-def real_roots(p: Sequence, lo, hi, tol: float = 1e-12) -> list[tuple[float, int]]:
+def real_roots(p: Sequence, lo, hi) -> list[tuple[float, int]]:
     """All real roots in [lo, hi] of the polynomial with exact ascending
     coefficients p (ints, Fractions or floats), as (root, multiplicity),
     ascending.
 
     Root counts and isolation come from exact Sturm sequences; every returned
-    value is within max(tol, isolation width) of the exact root.
+    value is within max(REFINE_TOL, isolation width) of the exact root.
     """
     p = _trimmed(integer_row(p))
     if not p:
@@ -337,6 +338,6 @@ def real_roots(p: Sequence, lo, hi, tol: float = 1e-12) -> list[tuple[float, int
             continue
         chain = sturm_chain(f)
         for a, b in _isolate(chain, lo, hi):
-            found.append((_refine(f, chain, a, b, tol), mult))
+            found.append((_refine(f, chain, a, b), mult))
     found.sort()
     return found

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -517,6 +518,10 @@ def test_each_subcommand_offers_only_options_its_command_reads(conj_file, comman
     (["binary-form", "--d", "4", "--coords", "1,0,0,0,1", "--seed", "1"], "error: unrecognized arguments: --seed 1"),
     (["quadrics", "2", "5", "--tol", "0.1"], "error: unrecognized arguments: --tol 0.1"),
     (["table1", "--seed", "1"], "error: unrecognized arguments: --seed 1"),
+    (["curve-classify", "--curve", "monomial-quartic", "--point", "1,2,3,4", "--tol", "1e-3"],
+     "error: unrecognized arguments: --tol 1e-3"),
+    (["curve-scan", "--curve", "monomial-quartic", "--path", "crossing", "--tol", "1e-3"],
+     "error: unrecognized arguments: --tol 1e-3"),
     (["certify", "--file", "{conj}", "--format", "csv"], "error: argument --format: invalid choice: 'csv'"),
 ])
 def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, conj_file, argv, error):
@@ -873,6 +878,20 @@ def test_far_out_query_point_reports_float_overflow(capsys, point, cause):
                                     f"overflows double precision ({cause})")
 
 
+@pytest.mark.parametrize("seed", [1, 3, 4, 7, 8])
+def test_companion_matrix_overflow_reports_float_overflow(capsys, seed):
+    """At (7, 10^156, 6, 8) some seeds' resultants root through a companion
+    row that overflows a double: a typed error, with no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status, out, err = run_cli(capsys, "curve-classify", "--curve", "monomial-quartic",
+                                   f"--point=7,{10 ** 156},6,8", "--seed", str(seed))
+    assert (status, out) == (1, "")
+    assert "Warning" not in err
+    assert err.splitlines()[-1] == ("error: FloatOverflow: the secant system at this point "
+                                    "overflows double precision (a companion matrix row is not finite)")
+
+
 def test_repeated_main_calls_match_fresh_processes(capsys, conj_file):
     """One parser serves every main() call in a process: a usage error,
     --seed 0 (which main turns into None) and --format text leave nothing
@@ -965,16 +984,14 @@ def test_malformed_command_line_numbers_get_typed_errors(capsys, argv, error):
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "1e400", "-1", "1"])
-@pytest.mark.parametrize("command", ["certify", "binary-form", "curve-classify"])
+@pytest.mark.parametrize("command", ["certify", "binary-form"])
 def test_tolerance_outside_zero_to_one_is_a_usage_error(capsys, tmp_path, command, tol):
-    """A tolerance of nan, inf or 1 or more makes every singular value and
-    residual count as zero, so it would decide the verdict; it gets none."""
+    """A tolerance of nan, inf or 1 or more makes every singular value count
+    as zero, so it would decide the verdict; it gets none."""
     path = tmp_path / "t.json"
     path.write_text(json.dumps({"shape": [2, 2, 2], "entries": [1.0, 0, 0, 0, 0, 0, 0, 1]}))
     argv = {"certify": ["certify", "--file", str(path)],
-            "binary-form": ["binary-form", "--d", "4", "--coords", "1.0,0,0,0,1"],
-            "curve-classify": ["curve-classify", "--curve", "monomial-quartic",
-                               "--point", "47,85/2,105/2,-43"]}[command]
+            "binary-form": ["binary-form", "--d", "4", "--coords", "1.0,0,0,0,1"]}[command]
     status, out, err = run_cli(capsys, *argv, f"--tol={tol}")
     assert status == 1
     assert out == ""

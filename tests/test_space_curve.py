@@ -444,9 +444,9 @@ def test_polish_of_a_stack_equals_polish_of_each_candidate(d, monkeypatch):
     the reversed stack and in the one-candidate loop, evaluates only the
     candidates still moving, and stops each one at a step below 1e-15 or
     after 4 steps, with the residual of its last evaluation.  A candidate
-    whose first residual is above FREEZE_FACTOR × gate never reaches
-    _lstsq and keeps its start and that residual; under a gate of 0.5
-    none is frozen."""
+    whose first residual is above FREEZE_FACTOR × RESIDUAL_GATE never
+    reaches _lstsq and keeps its start and that residual; with
+    FREEZE_FACTOR at infinity none is frozen, and the bits are the same."""
     rng = random.Random(90 + d)
     curve = sc.MONOMIAL_QUARTIC if d == 4 else _random_curve(rng, d)
     u = [Fraction(rng.randint(-20, 20), rng.randint(1, 3)) for _ in range(4)]
@@ -458,15 +458,14 @@ def test_polish_of_a_stack_equals_polish_of_each_candidate(d, monkeypatch):
     near = np.array(solutions) + 1e-6 * _random_unit_points(rng, len(solutions))
     stack = np.concatenate([near / np.linalg.norm(near, axis=1)[:, None], _random_unit_points(rng, 6)])
     first = _first_residuals(evaluate, stack)
-    gate = 1e-7
-    frozen = first > sc.FREEZE_FACTOR * gate
+    frozen = first > sc.FREEZE_FACTOR * sc.RESIDUAL_GATE
     assert not frozen[:len(solutions)].any() and frozen[len(solutions):].all()
 
     lstsq_rows: list[int] = []
     lstsq = sc._lstsq
     monkeypatch.setattr(sc, "_lstsq", lambda jacobians, rhs: lstsq_rows.append(len(jacobians)) or lstsq(jacobians, rhs))
     sizes: list[int] = []
-    points, residuals = sc._polish(_counting(evaluate, sizes), stack, gate)
+    points, residuals = sc._polish(_counting(evaluate, sizes), stack)
     assert len(sizes) <= 5 and sizes[0] == len(stack) and sizes == sorted(sizes, reverse=True)
     assert lstsq_rows == [len(solutions)] + sizes[1:4]
     assert _same_bits(points[frozen], stack[frozen]) and _same_bits(residuals[frozen], first[frozen])
@@ -474,7 +473,7 @@ def test_polish_of_a_stack_equals_polish_of_each_candidate(d, monkeypatch):
     moves = []
     for i in range(len(stack)):
         one_sizes: list[int] = []
-        one_point, one_residual = sc._polish(_counting(evaluate, one_sizes), stack[i:i + 1], gate)
+        one_point, one_residual = sc._polish(_counting(evaluate, one_sizes), stack[i:i + 1])
         assert _same_bits(points[i:i + 1], one_point) and _same_bits(residuals[i:i + 1], one_residual)
         ref_point, ref_residual = _reference_polish(evaluate, stack[i])
         assert _same_bits(one_point, ref_point) and _same_bits(one_residual, ref_residual)
@@ -483,19 +482,21 @@ def test_polish_of_a_stack_equals_polish_of_each_candidate(d, monkeypatch):
     # column rank: away from a solution it is below 1e-15 at once; 1e-6 off
     # one, J is nearly of rank 2 and the amplified roundoff moves it 4 times
     assert moves == [4] * len(solutions) + [0] * (len(stack) - len(solutions))
-    reversed_points, reversed_residuals = sc._polish(evaluate, stack[::-1], gate)
+    reversed_points, reversed_residuals = sc._polish(evaluate, stack[::-1])
     assert _same_bits(points[::-1], reversed_points)
     assert _same_bits(residuals[::-1], reversed_residuals)
 
     lstsq_rows.clear()
-    loose_points, loose_residuals = sc._polish(evaluate, stack, 0.5)
+    with monkeypatch.context() as m:
+        m.setattr(sc, "FREEZE_FACTOR", math.inf)
+        unfrozen_points, unfrozen_residuals = sc._polish(evaluate, stack)
     assert lstsq_rows[0] == len(stack)
-    assert _same_bits(loose_points, points) and _same_bits(loose_residuals, residuals)
+    assert _same_bits(unfrozen_points, points) and _same_bits(unfrozen_residuals, residuals)
 
-    empty_points, empty_residuals = sc._polish(evaluate, stack[:0], gate)
+    empty_points, empty_residuals = sc._polish(evaluate, stack[:0])
     assert empty_points.shape == (0, 3) and empty_residuals.shape == (0,)
     with pytest.raises(np.linalg.LinAlgError):  # NaN is not above the limit: lstsq sees it
-        sc._polish(evaluate, np.where(frozen[:, None], np.nan, stack), gate)
+        sc._polish(evaluate, np.where(frozen[:, None], np.nan, stack))
 
 
 # the ten twisted-cubic points of ROADMAP's defect list, and (10^10, 1, 1, 1)
@@ -511,10 +512,10 @@ def test_freezing_candidates_far_above_the_gate_changes_no_output(monkeypatch):
     at infinity, the polish that steps every candidate, on a fixed draw:
     random curves of degree 3 to 7, the monomial quartic and the twisted
     cubic at its defect points, at rational points with coordinates from
-    10^0 to 10^6 and tol 0, 1e-8, 1e-4 and 0.5.  Over the same draw, no
-    candidate the rule freezes ends within the gate under the unfrozen
-    polish, and the candidates that do start at most 10^-3 × FREEZE_FACTOR
-    × gate: the factor keeps 10^3 of margin at every tol."""
+    10^0 to 10^6.  Over the same draw, no candidate the rule freezes ends
+    within RESIDUAL_GATE under the unfrozen polish, and the candidates that
+    do start at most 10^-3 × FREEZE_FACTOR × RESIDUAL_GATE: the factor
+    keeps 10^3 of margin."""
     rng = random.Random(37)
 
     def point():
@@ -525,35 +526,63 @@ def test_freezing_candidates_far_above_the_gate_changes_no_output(monkeypatch):
     cases += [(TWISTED_CUBIC, [Fraction(c) for c in u]) for u in TWISTED_CUBIC_DEFECTS]
     cases += [(TWISTED_CUBIC, point()) for _ in range(4)]
 
-    def printed(curve, u, tol):
+    def printed(curve, u):
         try:
-            return jsontext.dumps(sc.classify_point(curve, u, tol).to_json())
+            return jsontext.dumps(sc.classify_point(curve, u).to_json())
         except Exception as exc:
             return f"{type(exc).__name__}: {exc}"
 
     census = []
     polish = sc._polish
 
-    def unfrozen(evaluate, points, gate):
-        got = polish(evaluate, points, gate)
-        census.append((_first_residuals(evaluate, points), got[1], np.full(len(points), gate),
-                       (got[0] != points).any(axis=1)))
+    def unfrozen(evaluate, points):
+        got = polish(evaluate, points)
+        census.append((_first_residuals(evaluate, points), got[1], (got[0] != points).any(axis=1)))
         return got
 
     for curve, u in cases:
-        for tol in (0.0, 1e-8, 1e-4, 0.5):
-            frozen = printed(curve, u, tol)
-            with monkeypatch.context() as m:
-                m.setattr(sc, "FREEZE_FACTOR", math.inf)
-                m.setattr(sc, "_polish", unfrozen)
-                assert printed(curve, u, tol) == frozen, (curve, u, tol)
-    first, final, gate, moved = (np.concatenate(column) for column in zip(*census))
+        frozen = printed(curve, u)
+        with monkeypatch.context() as m:
+            m.setattr(sc, "FREEZE_FACTOR", math.inf)
+            m.setattr(sc, "_polish", unfrozen)
+            assert printed(curve, u) == frozen, (curve, u)
+    first, final, moved = (np.concatenate(column) for column in zip(*census))
+    gate = sc.RESIDUAL_GATE
     accepted = final <= gate
     frozen = first > sc.FREEZE_FACTOR * gate
     assert not (frozen & accepted).any()
-    assert np.max(first[accepted] / gate[accepted]) * 1e3 <= sc.FREEZE_FACTOR
-    assert frozen[gate == 1e-7].mean() > 0.8 and not frozen[gate == 0.5].any()
+    assert np.max(first[accepted] / gate) * 1e3 <= sc.FREEZE_FACTOR
+    assert frozen.mean() > 0.8
     assert (frozen & moved).any()  # the compared polishes differ on some candidates
+
+
+def test_every_point_of_a_fixed_draw_lists_each_secant_once():
+    """A general point of a degree-d rational space curve lies on exactly
+    (d-1)(d-2)/2 secant lines, and RESIDUAL_GATE keeps each of them and
+    nothing else: real plus nonreal secants number exactly that at all 288
+    points of this draw.  Integer curves of degree 3 to 6 with entries in
+    [-3, 3], 12 per degree, at 6 integer points each with coordinates in
+    [-20, 20]; every second point has one coordinate scaled by 10^2 to
+    10^6.  A gate of 1e-3 lists too many secants at 16 of these points and
+    one of 0.1 at 236, flipping 37 labels."""
+    rng = random.Random(5)
+    checked = 0
+    for d in range(3, 7):
+        for _ in range(12):
+            while True:
+                try:
+                    curve = sc.CurveParam(d, [[rng.randint(-3, 3) for _ in range(d + 1)] for _ in range(4)])
+                    break
+                except sc.BadCurve:
+                    continue
+            for k in range(6):
+                u = [rng.randint(-20, 20) for _ in range(4)]
+                if k % 2:
+                    u[rng.randrange(4)] *= 10 ** rng.randint(2, 6)
+                pc = sc.classify_point(curve, u, seed=3)
+                assert pc.real_secants + pc.nonreal_count == (d - 1) * (d - 2) // 2, (d, curve.F, u)
+                checked += 1
+    assert checked == 288
 
 
 def _random_systems(rng: np.random.Generator, k: int, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1023,15 +1052,14 @@ def test_fixture_polynomial_equals_substitution_oracle():
 MATCH_WINDOW = 1e-5
 
 
-def full_bisection_scan(curve, path, interval=(0, 1), nsamples=21, fixtures=None,
-                        tol=1e-8, seed=0) -> sc.PathReport:
+def full_bisection_scan(curve, path, interval=(0, 1), nsamples=21, fixtures=None, seed=0) -> sc.PathReport:
     """Reference scan: bisect every sample change to width 1e-12, then take
     the nearest unmatched root within MATCH_WINDOW; label the other roots
     from their two probes."""
     path = tuple((Fraction(c0), Fraction(c1)) for c0, c1 in path)
     lo, hi = (Fraction(v) for v in interval)
     ts = [lo + (hi - lo) * k / (nsamples - 1) for k in range(nsamples)]
-    samples = [sc._sample(t, sc.classify_point(curve, sc._path_point(path, t), tol, seed=seed)) for t in ts]
+    samples = [sc._sample(t, sc.classify_point(curve, sc._path_point(path, t), seed=seed)) for t in ts]
     changes = []
     for (ta, sa), (tb, sb) in zip(zip(ts, samples), zip(ts[1:], samples[1:])):
         if sa.label == sb.label:
@@ -1039,13 +1067,13 @@ def full_bisection_scan(curve, path, interval=(0, 1), nsamples=21, fixtures=None
         a, b = ta, tb
         while b - a > sc.BISECTION_WIDTH:
             mid = (a + b) / 2
-            if sc.classify_point(curve, sc._path_point(path, mid), tol, seed=seed).label == sa.label:
+            if sc.classify_point(curve, sc._path_point(path, mid), seed=seed).label == sa.label:
                 a = mid
             else:
                 b = mid
         changes.append((float((a + b) / 2), sc._rank_of(sa.label), sc._rank_of(sb.label)))
     roots = [(root, kind) for kind, poly in (fixtures or {}).items()
-             for root, _mult in real_roots(sc._fixture_polynomial(poly, path), lo, hi, tol=1e-13)]
+             for root, _mult in real_roots(sc._fixture_polynomial(poly, path), lo, hi)]
     transitions, matched = [], set()
     for t_star, before, after in changes:
         near = [i for i, (root, _kind) in enumerate(roots)
@@ -1061,7 +1089,7 @@ def full_bisection_scan(curve, path, interval=(0, 1), nsamples=21, fixtures=None
         if i in matched:
             continue
         before, after = (sc._rank_of(sc.classify_point(curve, sc._path_point(path, Fraction(root) + d),
-                                                       tol, seed=seed).label) for d in (-probe, probe))
+                                                       seed=seed).label) for d in (-probe, probe))
         transitions.append(sc.PathTransition(root, kind if before != after else sc.NO_RANK_CHANGE,
                                              before, after, kind))
     transitions.sort(key=lambda tr: tr.t_star)

@@ -203,7 +203,7 @@ def planted_roots(draw):
 def test_real_roots_find_every_planted_root_with_its_multiplicity(case, extra):
     lo, hi, roots = case
     p = product(extra or [1], *[[-r.numerator, r.denominator] for r, mult in roots for _ in range(mult)])
-    found = real_roots(p, lo, hi, tol=1e-12)
+    found = real_roots(p, lo, hi)
     assert all(float(lo) <= x <= float(hi) for x, _mult in found)
     for r in {r for r, _mult in roots if lo <= r <= hi}:
         mult, rest = 0, [Fraction(c) for c in p]
@@ -242,7 +242,7 @@ def test_real_roots_match_numpy_oracle(p):
         return
     real_np = sorted(r.real for r in np_roots
                      if abs(r.imag) < 1e-7 and float(lo) + 1e-3 < r.real < float(hi) - 1e-3)
-    got = real_roots(p, lo, hi, tol=1e-12)
+    got = real_roots(p, lo, hi)
     assert sum(m for _, m in got) == len(real_np)
     for (r, m), r_np in zip(got, real_np):
         assert m == 1
@@ -255,7 +255,7 @@ def test_real_roots_count_consistent_with_sturm(p):
     if len(p) < 2:
         return
     lo, hi = Fraction(-20), Fraction(20)
-    got = real_roots(p, lo, hi, tol=1e-12)
+    got = real_roots(p, lo, hi)
     distinct = 0
     for factor, _mult in squarefree_decomposition(p):
         distinct += count_roots_halfopen(sturm_chain(factor), lo, hi)
@@ -270,7 +270,7 @@ def test_real_roots_residual_bound(p):
     if len(p) < 2:
         return
     scale = 1.0 + max(abs(float(c)) for c in p)
-    for r, _mult in real_roots(p, Fraction(-50), Fraction(50), tol=1e-12):
+    for r, _mult in real_roots(p, Fraction(-50), Fraction(50)):
         value = sum(c * r ** i for i, c in enumerate(p))
         assert abs(value) <= 1e-6 * scale * (1.0 + abs(r)) ** (len(p) - 1)
 
@@ -278,13 +278,13 @@ def test_real_roots_residual_bound(p):
 def test_real_roots_multiplicity():
     base = [Fraction(-1, 2), 1]
     p = fraction_mul(fraction_mul(base, base), [-3, 1])
-    roots = real_roots(p, Fraction(-5), Fraction(5), tol=1e-13)
+    roots = real_roots(p, Fraction(-5), Fraction(5))
     assert [(round(r, 9), m) for r, m in roots] == [(0.5, 2), (3.0, 1)]
 
 
 def test_high_precision_root():
     # root of x^2 - 2 to 1e-13: matches sqrt(2)
-    roots = real_roots([-2, 0, 1], Fraction(0), Fraction(2), tol=1e-13)
+    roots = real_roots([-2, 0, 1], Fraction(0), Fraction(2))
     assert len(roots) == 1
     assert abs(roots[0][0] - 2 ** 0.5) < 1e-12
 
