@@ -26,14 +26,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--interval", type=interval, default="0,1", help="t range, e.g. 0,1")
     parser.add_argument("--nsamples", type=int, default=21)
-    parser.add_argument("--seed", type=int, default=1729)
     cfg = parser.parse_args()
     print(f"curve:  monomial quartic (s^4 : s^3 t : s t^3 : t^4)")
     print(f"path:   u(t) = (84-74t : 13+59t : 62-19t : -38-10t), "
           f"t in [{cfg.interval[0]}, {cfg.interval[1]}]")
     start = time.perf_counter()
-    report = sc.scan_path(sc.MONOMIAL_QUARTIC, sc.CROSSING_PATH, cfg.interval,
-                          cfg.nsamples, seed=cfg.seed)
+    report = sc.scan_path(sc.MONOMIAL_QUARTIC, sc.CROSSING_PATH, cfg.interval, cfg.nsamples)
     elapsed = time.perf_counter() - start
 
     print(f"\ntransitions ({len(report.transitions)}):")
@@ -46,8 +44,7 @@ def main() -> int:
             + [float(cfg.interval[1])])
     for lo, hi in zip(cuts, cuts[1:]):
         mid = Fraction((lo + hi) / 2).limit_denominator(10 ** 9)
-        pc = sc.classify_point(sc.MONOMIAL_QUARTIC,
-                               [c0 + c1 * mid for c0, c1 in sc.CROSSING_PATH], seed=cfg.seed)
+        pc = sc.classify_point(sc.MONOMIAL_QUARTIC, [c0 + c1 * mid for c0, c1 in sc.CROSSING_PATH])
         rank = 2 if pc.label == sc.REAL_RANK_LE_2 else 3
         print(f"  ({lo:.6f}, {hi:.6f}): rank {rank}, "
               f"{pc.real_secants} real / {pc.two_real_point_secants} two-real-point")

@@ -17,9 +17,9 @@ Output: JSON by default (`--format text` for human-readable lines, `--format
 csv` for curve-scan samples and table1 only).  Floats keep full double
 precision (17 significant digits); exact rationals print as "num/den".
 Each subcommand offers only the options it reads: --tol, the numerical rank
-tolerance, on certify, decompose and binary-form; --seed on decompose,
-curve-classify and curve-scan, whose output is deterministic for a fixed
---seed (--seed 0 draws entropy from the OS).
+tolerance, on certify, decompose and binary-form.  No subcommand takes a
+seed: decompose and the curve commands draw from fixed constants, so an
+input always prints the same bytes, the bytes its library call gives.
 Every run echoes its resolved configuration on standard error.
 
 Exit status: 0 on success; 2 when a yes/no query answers "no"
@@ -45,8 +45,6 @@ from . import multipoly as mp
 from . import space_curve as sc
 from . import tableaux as tb
 from . import tensors as tn
-
-DEFAULT_SEED = 1729
 
 TABLE1_N = range(2, 6)
 TABLE1_D = range(4, 11)
@@ -144,7 +142,7 @@ def _cmd_certify(args):
 
 
 def _cmd_decompose(args):
-    dec = dc.decompose_rank2(_load_tensor(args), args.tol, seed=args.seed)
+    dec = dc.decompose_rank2(_load_tensor(args), args.tol)
     text = [f"kind: {dec.kind.value}", f"residual: {_fmt(dec.residual)}"]
     for i, term in enumerate(dec.terms):
         text.append(f"term {i}: weight {_fmt(complex(term.weight).real)}"
@@ -208,7 +206,7 @@ def _cmd_ideal(args):
 def _cmd_curve_classify(args):
     curve = _load_curve(args.curve)
     point = _parse_scalar_list(args.point)
-    pc = sc.classify_point(curve, point, seed=args.seed)
+    pc = sc.classify_point(curve, point)
     text = [
         f"label: {pc.label}",
         f"real secants: {pc.real_secants} ({pc.two_real_point_secants} with two real curve points, "
@@ -226,7 +224,7 @@ def _cmd_curve_scan(args):
     interval = _parse_scalar_list(args.interval)
     if len(interval) != 2:
         raise UsageError("--interval needs two values, e.g. 0,1")
-    report = sc.scan_path(curve, path, tuple(interval), args.nsamples, seed=args.seed)
+    report = sc.scan_path(curve, path, tuple(interval), args.nsamples)
     text = [f"samples: {len(report.samples)} on [{_fmt(interval[0])}, {_fmt(interval[1])}]"]
     for tr in report.transitions:
         text.append(f"t* = {_fmt(tr.t_star)}: {tr.kind} (rank {tr.rank_before} -> {tr.rank_after}"
@@ -275,14 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
         if "tol" in options:
             p.add_argument("--tol", type=_tolerance, default=1e-8, help="numerical rank "
                            "tolerance, a finite number in [0, 1) (default 1e-8)")
-        if "seed" in options:
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                           help=f"PRNG seed (default {DEFAULT_SEED}; 0 requests entropy)")
         return p
 
     for name, summary, options in (
             ("certify", "certify real (border) rank <= 2 of a tensor JSON file", ("tol",)),
-            ("decompose", "rank-two decomposition of a tensor JSON file", ("tol", "seed")),
+            ("decompose", "rank-two decomposition of a tensor JSON file", ("tol",)),
             ("hyperdet", "all 2x2x2 sub-block hyperdeterminants", ())):
         p = command(name, summary, *options)
         p.add_argument("--file", required=True, help="Tensor (or SymTensorCoords) JSON file")
@@ -302,11 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("ideal", "generators of the curve/secant/tangential ideals for degree d")
     p.add_argument("--d", type=int, required=True)
 
-    p = command("curve-classify", "real rank <= 2 test for a point and a rational space curve", "seed")
+    p = command("curve-classify", "real rank <= 2 test for a point and a rational space curve")
     p.add_argument("--curve", required=True, help="CurveParam JSON file, or 'monomial-quartic'")
     p.add_argument("--point", required=True, help="comma-separated coordinates w,x,y,z")
 
-    p = command("curve-scan", "classify along a line segment and localize rank transitions", "seed", "csv")
+    p = command("curve-scan", "classify along a line segment and localize rank transitions", "csv")
     p.add_argument("--curve", required=True, help="CurveParam JSON file, or 'monomial-quartic'")
     p.add_argument("--path", required=True, help="PathSpec JSON file, or 'crossing'")
     p.add_argument("--interval", default="0,1", help="scan interval, e.g. 0,1")
@@ -317,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args) -> int:
-    if getattr(args, "seed", None) == 0:
-        args.seed = None
     print("config:", json.dumps(vars(args), sort_keys=True, default=str), file=sys.stderr)
     status, payload, text, *csv = _COMMANDS[args.command](args)
     if args.format == "json":

@@ -28,6 +28,8 @@ POLISH_SWEEPS = 3
 # best_rank_one's ALS: at most this many sweeps, ending once no factor moves by more than the step tol
 RANK_ONE_MAX_SWEEPS = 200
 RANK_ONE_STEP_TOL = 1e-12
+# pencil rotations _rotation_search scores: the identity, then seven fixed uniform angles on [0, pi)
+ROTATIONS = np.concatenate([[0.0], np.random.default_rng(1729).uniform(0.0, np.pi, size=7)])
 
 
 class ZeroTensor(ValueError):
@@ -219,16 +221,16 @@ def _split_rank_one(vec: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
     return out
 
 
-def _rotation_search(m0: np.ndarray, m1: np.ndarray, rng: np.random.Generator):
+def _rotation_search(m0: np.ndarray, m1: np.ndarray):
     """Slice combination (c*M0 + s*M1, -s*M0 + c*M1) with a well-conditioned
-    first matrix; identity rotation is tried first.  The eight angles are
-    scored at once, each to the bits of its own np.linalg.det and norm; the
-    square stays a scalar power, which a stacked square does not round alike.
-    As in a sequential `score > best` scan, a NaN first score is kept."""
-    theta = np.concatenate([[0.0], rng.uniform(0.0, np.pi, size=7)])
-    cos, sin = np.cos(theta)[:, None, None], np.sin(theta)[:, None, None]
+    first matrix, over the angles of ROTATIONS, the identity first.  The
+    angles are scored at once, each to the bits of its own np.linalg.det and
+    norm; the square stays a scalar power, which a stacked square does not
+    round alike.  As in a sequential `score > best` scan, a NaN first score
+    is kept."""
+    cos, sin = np.cos(ROTATIONS)[:, None, None], np.sin(ROTATIONS)[:, None, None]
     n0 = cos * m0 + sin * m1
-    rows = n0.reshape(len(theta), -1)
+    rows = n0.reshape(len(ROTATIONS), -1)
     norms = np.sqrt(np.vecdot(rows, rows))
     scores = [d / max(n ** 2 / 2.0, 1e-300) for d, n in zip(np.abs(np.linalg.det(n0)), norms)]
     best = max(range(len(scores)), key=scores.__getitem__)
@@ -298,7 +300,7 @@ _ALLOWED = {
 }
 
 
-def decompose_rank2(t: np.ndarray | tn.SymTensorCoords, tol: float = 1e-8, seed: int = 0) -> Rank2Decomposition:
+def decompose_rank2(t: np.ndarray | tn.SymTensorCoords, tol: float = 1e-8) -> Rank2Decomposition:
     """Decompose a certified real (border) rank-two tensor: a dense array,
     certified by `certify_border_rank2`, or a symmetric record, expanded and
     then certified by `certify_symmetric`.  Each mode keeps its certified rank.
@@ -316,7 +318,6 @@ def decompose_rank2(t: np.ndarray | tn.SymTensorCoords, tol: float = 1e-8, seed:
     if cert.verdict not in _ALLOWED:
         raise NotRankTwo(f"certificate verdict {cert.verdict.value}")
     tf = tn.to_float(t)
-    rng = np.random.default_rng(seed)
 
     unfoldings = _unfoldings(tf)
     bases, core = _compress(tf, unfoldings, ce.mode_ranks(cert, tf.shape))
@@ -350,7 +351,7 @@ def decompose_rank2(t: np.ndarray | tn.SymTensorCoords, tol: float = 1e-8, seed:
     p = int(np.argmax(sigma[:, 1]))
     m0 = np.take(grouped, 0, axis=p)
     m1 = np.take(grouped, 1, axis=p)
-    m0r, m1r, c, s = _rotation_search(m0, m1, rng)
+    m0r, m1r, c, s = _rotation_search(m0, m1)
     pencil = m1r @ np.linalg.inv(m0r)
     lam, _ = np.linalg.eig(pencil)
     gap = abs(lam[0] - lam[1])

@@ -81,6 +81,7 @@ DEDUP_TOL = 1e-6
 LINE_NORM_FLOOR = 1e-9
 BISECTION_WIDTH = 1e-12
 MAX_ELIMINATION_RETRIES = 8
+ELIMINATION_SEED = 1729  # seeds the integer row combinations _eliminate draws
 CLASSIFY_CHUNK = 8  # points whose float steps classify_points stacks
 RESIDUAL_GATE = 1e-7  # the largest residual a polished candidate may keep and be a secant
 # _polish leaves a candidate where it starts when its first residual is
@@ -548,14 +549,14 @@ def _projective_roots(polys: Sequence[Sequence], zero: float) -> list[tuple[list
             for r, (trailing, at_infinity) in zip(roots, shapes)]
 
 
-def _eliminate(rows: Sequence[dict], den: int, d: int, seed: int):
+def _eliminate(rows: Sequence[dict], den: int, d: int):
     """One system's exact steps: its nonzero rows, its unit-point
     solutions, and (v_index, back-substitution terms, resultant) unless a
     constant resultant leaves no other."""
     nonzero = [row for row in rows if row]
     if not nonzero:
         raise DegenerateQuery("all four equations vanish identically")
-    rng = random.Random(seed)
+    rng = random.Random(ELIMINATION_SEED)
 
     candidates: list = []  # rows of (a, b, c), normalized together when polished
     # projective unit points never appear in chart-based rooting; a row of
@@ -586,20 +587,21 @@ def _eliminate(rows: Sequence[dict], den: int, d: int, seed: int):
         "every elimination collapsed; the query point may lie on the curve")
 
 
-def solve_secants(systems: Sequence[tuple[list[dict], int]], *, curve: CurveParam,
-                  pm: PluckerMap, seed: int) -> list[tuple[list[SecantSolution], int]]:
+def solve_secants(systems: Sequence[tuple[list[dict], int]],
+                  curve: CurveParam) -> list[tuple[list[SecantSolution], int]]:
     """All isolated solutions (a : b : c) of each secant system through a
     point, given as integer rows over den (see secant_rows).
 
     Returns, per system, the real solutions as SecantSolution records plus
     the number of verified nonreal solutions.  Elimination uses the
-    resultant of two random integer combinations of the four rows; spurious
+    resultant of two integer combinations of the four rows, drawn from
+    random.Random(ELIMINATION_SEED) so each point gets one answer; spurious
     intersections of the two are discarded by checking residuals of all
     four rows against RESIDUAL_GATE.  The float steps are stacked over the
     systems (one eigvals call per companion size, one _polish per
     supports), with the bits each system gets alone.
     """
-    eliminated = [_eliminate(rows, den, curve.d, seed) for rows, den in systems]
+    eliminated = [_eliminate(rows, den, curve.d) for rows, den in systems]
     # a resultant is a binary form ascending in its first variable; each root
     # is (value of that variable, of the other), the one at infinity (1, 0)
     rooted = iter(_projective_roots([e[2][::-1] for _, _, e in eliminated if e], 0.0))
@@ -647,6 +649,7 @@ def solve_secants(systems: Sequence[tuple[list[dict], int]], *, curve: CurvePara
         for i, n in zip(members, counts):
             polished[i] = zip(points[start:start + n], residuals[start:start + n])
             start += n
+    pm = plucker_map(curve)
     return [_secant_solutions(candidates, curve, pm) for candidates in polished]
 
 
@@ -737,14 +740,14 @@ class PointClassification:
         }
 
 
-def classify_point(curve: CurveParam, u, *, seed: int = 0) -> PointClassification:
+def classify_point(curve: CurveParam, u) -> PointClassification:
     """REAL_RANK_LE_2 iff some real secant line through u has a genuinely
     positive quadric discriminant (two real curve points) and nonzero line
     coordinates; otherwise REAL_RANK_GE_3."""
-    return classify_points(curve, [u], seed=seed)[0]
+    return classify_points(curve, [u])[0]
 
 
-def classify_points(curve: CurveParam, us: Sequence, *, seed: int = 0) -> list[PointClassification]:
+def classify_points(curve: CurveParam, us: Sequence) -> list[PointClassification]:
     """classify_point of each point, its float steps stacked over
     CLASSIFY_CHUNK points at a time.  A failing chunk is redone point by
     point, so the first failing point's error is raised."""
@@ -752,16 +755,17 @@ def classify_points(curve: CurveParam, us: Sequence, *, seed: int = 0) -> list[P
     for start in range(0, len(us), CLASSIFY_CHUNK):
         chunk = us[start:start + CLASSIFY_CHUNK]
         try:
-            out += _classify_chunk(curve, chunk, seed)
+            out += _classify_chunk(curve, chunk)
         except Exception:
             if len(chunk) > 1:
                 for u in chunk:
-                    _classify_chunk(curve, [u], seed)
+                    _classify_chunk(curve, [u])
             raise
     return out
 
 
-def _classify_chunk(curve: CurveParam, us: Sequence, seed: int) -> list[PointClassification]:
+def _classify_chunk(curve: CurveParam, us: Sequence) -> list[PointClassification]:
+    pm = plucker_map(curve)
     systems = []
     for u in us:
         u = _exact_entries(u)
@@ -771,10 +775,9 @@ def _classify_chunk(curve: CurveParam, us: Sequence, seed: int) -> list[PointCla
             raise DegenerateQuery("query point must be nonzero")
         if _on_curve(curve, u):
             raise DegenerateQuery("query point lies on the curve")
-        pm = plucker_map(curve)
         systems.append(secant_rows(pm, u))
     try:
-        solved = solve_secants(systems, curve=curve, pm=pm, seed=seed)
+        solved = solve_secants(systems, curve)
     except OverflowError as exc:
         raise FloatOverflow(f"the secant system at this point overflows double precision ({exc})") from exc
     out = []
@@ -839,11 +842,11 @@ def _sample(t: Fraction, pc: PointClassification) -> PathSample:
                       min(discs) if discs else None)
 
 
-def _bisect_change(curve: CurveParam, path, lo: Fraction, hi: Fraction, lo_label: str, seed: int) -> float:
+def _bisect_change(curve: CurveParam, path, lo: Fraction, hi: Fraction, lo_label: str) -> float:
     """Localize a classification change in [lo, hi] to width 1e-12."""
     while hi - lo > BISECTION_WIDTH:
         mid = (lo + hi) / 2
-        if classify_point(curve, _path_point(path, mid), seed=seed).label == lo_label:
+        if classify_point(curve, _path_point(path, mid)).label == lo_label:
             lo = mid
         else:
             hi = mid
@@ -870,7 +873,7 @@ def _fixture_polynomial(poly: Polynomial, path) -> list[int]:
     return total
 
 
-def scan_path(curve: CurveParam, path, interval=(0, 1), nsamples: int = 21, *, seed: int = 0) -> PathReport:
+def scan_path(curve: CurveParam, path, interval=(0, 1), nsamples: int = 21) -> PathReport:
     """Classify u(t) = path(t) along the interval and report every transition.
 
     The real rank changes only where the path crosses a boundary surface.
@@ -893,7 +896,7 @@ def scan_path(curve: CurveParam, path, interval=(0, 1), nsamples: int = 21, *, s
     if hi <= lo:
         raise DegenerateScan("empty interval")
     ts = [lo + (hi - lo) * k / (nsamples - 1) for k in range(nsamples)]
-    classified = classify_points(curve, [_path_point(path, t) for t in ts], seed=seed)
+    classified = classify_points(curve, [_path_point(path, t) for t in ts])
     samples = [_sample(t, pc) for t, pc in zip(ts, classified)]
     labelled = [(t, s.label) for t, s in zip(ts, samples)]
 
@@ -906,7 +909,7 @@ def scan_path(curve: CurveParam, path, interval=(0, 1), nsamples: int = 21, *, s
             continue
         for root, _mult in real_roots(along, lo, hi):
             r = as_fraction(root)
-            before, after = (classify_point(curve, _path_point(path, r + d), seed=seed).label
+            before, after = (classify_point(curve, _path_point(path, r + d)).label
                              for d in (-probe, probe))
             rank_before, rank_after = _rank_of(before), _rank_of(after)
             label = kind if rank_before != rank_after else NO_RANK_CHANGE
@@ -917,7 +920,7 @@ def scan_path(curve: CurveParam, path, interval=(0, 1), nsamples: int = 21, *, s
     labelled = sorted((p for p in labelled if lo <= p[0] <= hi), key=lambda p: p[0])
     for (ta, la), (tb, lb) in zip(labelled, labelled[1:]):
         if la != lb and not any(ta <= r <= tb for r in exact_roots):
-            transitions.append(PathTransition(_bisect_change(curve, path, ta, tb, la, seed),
+            transitions.append(PathTransition(_bisect_change(curve, path, ta, tb, la),
                                               UNLABELED, _rank_of(la), _rank_of(lb)))
     transitions.sort(key=lambda tr: tr.t_star)
     return PathReport(tuple(samples), tuple(transitions))

@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -22,10 +23,12 @@ from realrank2 import certify as ce
 from realrank2 import cli
 from realrank2 import decompose as dc
 from realrank2 import hyperdet as hd
+from realrank2 import jsontext
 from realrank2 import multipoly as mp
+from realrank2 import space_curve as sc
 from realrank2 import tableaux as tb
 from realrank2 import tensors as tn
-from realrank2.cli import DEFAULT_SEED, main
+from realrank2.cli import main
 
 TABLE_TEXT = "\n".join([
     "n\\d        4        5        6        7        8        9       10",
@@ -187,14 +190,6 @@ def test_decompose_real_pair_and_determinism(capsys, real_pair_file):
     assert payload["residual"] <= 1e-8
     status, second, _ = run_cli(capsys, "decompose", "--file", real_pair_file)
     assert first == second
-
-
-def test_seed_zero_requests_entropy(capsys, real_pair_file):
-    status, out, err = run_cli(capsys, "decompose", "--file", real_pair_file,
-                               "--seed", "0")
-    assert status == 0
-    assert json.loads(out)["kind"] == "REAL_PAIR"
-    assert '"seed": null' in err or "'seed': None" in err.replace('"', "'")
 
 
 def test_curve_classify_negative_verdict_exits_two(capsys):
@@ -452,9 +447,8 @@ def test_config_echo_on_stderr(capsys):
     assert json.loads(first[len("config: "):]) == {"command": "table1", "format": "json"}
     _, _, err = run_cli(capsys, "curve-classify", "--curve", "monomial-quartic", "--point", "47,85/2,105/2,-43")
     resolved = json.loads(err.splitlines()[0][len("config: "):])
-    assert resolved["command"] == "curve-classify"
-    assert resolved["seed"] == DEFAULT_SEED
-    assert resolved["format"] == "json"
+    assert resolved == {"command": "curve-classify", "curve": "monomial-quartic", "format": "json",
+                        "point": "47,85/2,105/2,-43"}
 
 
 def test_csv_rejected_outside_tabular_commands(capsys, conj_file):
@@ -518,6 +512,11 @@ def test_each_subcommand_offers_only_options_its_command_reads(conj_file, comman
     (["binary-form", "--d", "4", "--coords", "1,0,0,0,1", "--seed", "1"], "error: unrecognized arguments: --seed 1"),
     (["quadrics", "2", "5", "--tol", "0.1"], "error: unrecognized arguments: --tol 0.1"),
     (["table1", "--seed", "1"], "error: unrecognized arguments: --seed 1"),
+    (["decompose", "--file", "{conj}", "--seed", "5"], "error: unrecognized arguments: --seed 5"),
+    (["curve-classify", "--curve", "monomial-quartic", "--point", "1,2,3,4", "--seed", "5"],
+     "error: unrecognized arguments: --seed 5"),
+    (["curve-scan", "--curve", "monomial-quartic", "--path", "crossing", "--seed", "5"],
+     "error: unrecognized arguments: --seed 5"),
     (["curve-classify", "--curve", "monomial-quartic", "--point", "1,2,3,4", "--tol", "1e-3"],
      "error: unrecognized arguments: --tol 1e-3"),
     (["curve-scan", "--curve", "monomial-quartic", "--path", "crossing", "--tol", "1e-3"],
@@ -867,40 +866,28 @@ def test_symmetric_matrix_beyond_the_dense_limit_is_still_read(capsys, tmp_path)
     ("1e300,1,1,1", "complex exponentiation"),
     ("1e308,1,2,3", "integer division result too large for a float"),
     ("1,1e188,3,5", "a back-substitution value is not finite"),
+    (f"7,{10 ** 200},6,8", "a back-substitution value is not finite"),
 ])
 def test_far_out_query_point_reports_float_overflow(capsys, point, cause):
     """The secant system is exact, but its root finding runs in doubles: a
-    point this far out overflows there and gets a typed error, not a verdict."""
-    status, out, err = run_cli(capsys, "curve-classify", "--curve", "monomial-quartic", "--point", point)
-    assert status == 1
-    assert out == ""
+    point this far out overflows there and gets a typed error, not a verdict,
+    with no numpy warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status, out, err = run_cli(capsys, "curve-classify", "--curve", "monomial-quartic", f"--point={point}")
+    assert (status, out) == (1, "")
+    assert "Warning" not in err
     assert err.splitlines()[-1] == ("error: FloatOverflow: the secant system at this point "
                                     f"overflows double precision ({cause})")
 
 
-@pytest.mark.parametrize("seed", [1, 3, 4, 7, 8])
-def test_companion_matrix_overflow_reports_float_overflow(capsys, seed):
-    """At (7, 10^156, 6, 8) some seeds' resultants root through a companion
-    row that overflows a double: a typed error, with no numpy warning."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        status, out, err = run_cli(capsys, "curve-classify", "--curve", "monomial-quartic",
-                                   f"--point=7,{10 ** 156},6,8", "--seed", str(seed))
-    assert (status, out) == (1, "")
-    assert "Warning" not in err
-    assert err.splitlines()[-1] == ("error: FloatOverflow: the secant system at this point "
-                                    "overflows double precision (a companion matrix row is not finite)")
-
-
 def test_repeated_main_calls_match_fresh_processes(capsys, conj_file):
-    """One parser serves every main() call in a process: a usage error,
-    --seed 0 (which main turns into None) and --format text leave nothing
-    behind for the calls after them."""
+    """One parser serves every main() call in a process: a usage error and
+    --format text leave nothing behind for the calls after them."""
     src = str(Path(realrank2.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     for argv in (
         ["certify", "--file", conj_file, "--bogus"],
-        ["decompose", "--file", conj_file, "--seed", "0"],
         ["certify", "--file", conj_file, "--format", "text"],
         ["decompose", "--file", conj_file],
         ["certify", "--file", conj_file],
@@ -908,13 +895,43 @@ def test_repeated_main_calls_match_fresh_processes(capsys, conj_file):
         fresh = subprocess.run([sys.executable, "-m", "realrank2", *argv], env=env,
                                capture_output=True, text=True, timeout=60)
         status, out, err = run_cli(capsys, *argv)
-        # stderr holds the resolved configuration, so a seed left over shows there
-        assert (status, err) == (fresh.returncode, fresh.stderr)
-        if argv[-2:] == ["--seed", "0"]:
-            # entropy moves the decomposition's digits, not its kind
-            assert json.loads(out)["kind"] == json.loads(fresh.stdout)["kind"]
-        else:
-            assert out == fresh.stdout
+        # stderr holds the resolved configuration, so an option left over shows there
+        assert (status, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def test_library_prints_the_bytes_of_the_command(capsys, tmp_path):
+    """classify_point and decompose_rank2 draw the elimination combinations
+    and pencil rotations that curve-classify and decompose draw, so a caller
+    of the library gets the command's stdout byte for byte: on the monomial
+    quartic and two random integer curves, and on float tensors of each
+    decomposition kind."""
+    rng = random.Random(23)
+    curves = [("monomial-quartic", sc.MONOMIAL_QUARTIC)]
+    for d in (3, 5):
+        rows = [[rng.randint(-3, 3) for _ in range(d + 1)] for _ in range(4)]
+        path = tmp_path / f"curve{d}.json"
+        path.write_text(json.dumps({"d": d, "F": rows}))
+        curves.append((str(path), sc.CurveParam(d, rows)))
+    for spec, curve in curves:
+        for _ in range(3):
+            u = [rng.randint(-20, 20) for _ in range(4)]
+            status, out, _ = run_cli(capsys, "curve-classify", "--curve", spec, f"--point={','.join(map(str, u))}")
+            assert status in (0, 2)
+            assert out == jsontext.dumps(sc.classify_point(curve, u).to_json()) + "\n"
+
+    gen = np.random.default_rng(23)
+    tensors = [tn.outer([gen.standard_normal(n) for n in shape]) + tn.outer([gen.standard_normal(n) for n in shape])
+               for shape in ((3, 3, 3), (2, 3, 4))]
+    factors = [gen.standard_normal(2) + 1j * gen.standard_normal(2) for _ in range(3)]
+    tensors.append(2.0 * tn.outer(factors).real)
+    tensors.append(ce.tangential_witness([gen.standard_normal(2) for _ in range(3)],
+                                         [gen.standard_normal(2) for _ in range(3)]))
+    path = tmp_path / "t.json"
+    for t in tensors:
+        path.write_text(json.dumps(tn.tensor_to_json(t)))
+        status, out, _ = run_cli(capsys, "decompose", "--file", str(path))
+        assert status == 0
+        assert out == jsontext.dumps(dc.decompose_rank2(t).to_json()) + "\n"
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["table1", "-h"], ["curve-scan", "--help"]])

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -579,7 +580,7 @@ def test_every_point_of_a_fixed_draw_lists_each_secant_once():
                 u = [rng.randint(-20, 20) for _ in range(4)]
                 if k % 2:
                     u[rng.randrange(4)] *= 10 ** rng.randint(2, 6)
-                pc = sc.classify_point(curve, u, seed=3)
+                pc = sc.classify_point(curve, u)
                 assert pc.real_secants + pc.nonreal_count == (d - 1) * (d - 2) // 2, (d, curve.F, u)
                 checked += 1
     assert checked == 288
@@ -681,13 +682,23 @@ def test_projective_roots_read_leading_zeros_as_a_root_at_infinity(leading):
     assert sc._projective_roots([[0] * leading + [5]], 0.0) == [([], leading > 0)]
 
 
+def test_companion_matrix_row_overflow_raises_overflow_error():
+    """A leading coefficient 1e-310 of the largest puts 1e310 in the
+    companion row: OverflowError, which _classify_chunk types as
+    FloatOverflow, and no numpy warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="^a companion matrix row is not finite$"):
+            sc._projective_roots([[1, 10 ** 310]], 0.0)
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.integers(-20, 20), min_size=4, max_size=4), st.integers(0, 100))
-def test_witness_secants_span_the_query_point(u, seed):
+@given(st.lists(st.integers(-20, 20), min_size=4, max_size=4))
+def test_witness_secants_span_the_query_point(u):
     if all(c == 0 for c in u):
         u[0] = 7
     try:
-        pc = sc.classify_point(QUARTIC, u, seed=seed)
+        pc = sc.classify_point(QUARTIC, u)
     except sc.DegenerateQuery:
         return
     uf = np.array([float(c) for c in u])
@@ -907,8 +918,8 @@ def _rows_at(pm: sc.PluckerMap, u, abc) -> list:
             p13 * w - p03 * x + p01 * z, p02 * x - p12 * w - p01 * y]
 
 
-def classify_golden_cases(group: str) -> list[tuple[sc.CurveParam, list, int]]:
-    """Seeded (curve, point, seed) cases: random rational points on the
+def classify_golden_cases(group: str) -> list[tuple[sc.CurveParam, list]]:
+    """Seeded (curve, point) cases: random rational points on the
     monomial quartic and on random curves of degree 3..7, points with zero
     coordinates (a row loses a product or vanishes, or the point is on the
     curve), and points whose secant candidates include a unit point."""
@@ -930,14 +941,14 @@ def classify_golden_cases(group: str) -> list[tuple[sc.CurveParam, list, int]]:
     else:
         for curve in (QUARTIC, _random_curve(rng, 4), _random_curve(rng, 6)):
             cases += [(curve, _unit_line_point(rng, curve, k)) for k in range(3)]
-    return [(curve, u, rng.randint(0, 99)) for curve, u in cases]
+    return cases
 
 
 CLASSIFY_GOLDENS = {
-    "quartic": (16, "cc3a76465768f50861701a6429f2755b343d74850a9a588c1ae8968d4767f5d5"),
-    "random": (20, "45e4365d5bb79fe71cb739df1a0fcca5a31ab4ff65792239165e0269db8f10d6"),
-    "zeros": (24, "d4cd1e6c9bee933ea9f2cf21c0691a61a0f35f736a2b96ab3e07c79bde5f1f7b"),
-    "unit": (9, "774406ca572271fb6307b6ac934b9e3985c31b79e4eebfc683606cb745037773"),
+    "quartic": (16, "62c0b301a2bbb9af4d1557118fc140e9e98d3090ee1dc55a0d89aab54bfe2378"),
+    "random": (20, "1c1e684189bd6eccbad602d8ac41749646d2b7151a9f04a9ef4081050307628e"),
+    "zeros": (24, "5c47d020b78bad401e1fdb8eca9e60a3cb79b0c7ad105e4efb9e069f0b487b63"),
+    "unit": (9, "10019428de400a96b0b246f98994f770e055f1b116f01f0bf8cf5e67f9a1f856"),
 }
 
 
@@ -948,12 +959,12 @@ def test_classify_point_json_goldens(group):
     order feeds the float arithmetic, so any reordering shows here."""
     cases = classify_golden_cases(group)
     digest = hashlib.sha256()
-    for curve, u, seed in cases:
+    for curve, u in cases:
         if group == "unit":
             pm = sc.plucker_map(curve)
             assert any(all(v == 0 for v in _rows_at(pm, u, unit)) for unit in UNIT_POINTS)
         try:
-            text = json.dumps(sc.classify_point(curve, u, seed=seed).to_json())
+            text = json.dumps(sc.classify_point(curve, u).to_json())
         except sc.DegenerateQuery as exc:
             text = type(exc).__name__
         digest.update(text.encode() + b"\n")
@@ -984,9 +995,8 @@ def test_classify_points_prints_what_classify_point_prints_point_by_point(d):
             if i % 3 == 2:
                 u[rng.randrange(4)] = Fraction(0)
             points.append(u)
-        seed = rng.randint(0, 99)
-        batch = _printed(lambda: sc.classify_points(curve, points, seed=seed))
-        assert batch == _printed(lambda: [sc.classify_point(curve, u, seed=seed) for u in points])
+        batch = _printed(lambda: sc.classify_points(curve, points))
+        assert batch == _printed(lambda: [sc.classify_point(curve, u) for u in points])
         assert len(batch) == size
 
 
@@ -1001,9 +1011,9 @@ def test_classify_points_prints_what_classify_point_prints_point_by_point(d):
 def test_classify_points_raises_what_the_point_by_point_loop_raises(bad):
     """The first failing point decides the error, also when a later point
     fails in an exact step that runs before an earlier point's float steps."""
-    batch = _printed(lambda: sc.classify_points(QUARTIC, bad, seed=5))
+    batch = _printed(lambda: sc.classify_points(QUARTIC, bad))
     assert isinstance(batch, tuple)
-    assert batch == _printed(lambda: [sc.classify_point(QUARTIC, u, seed=5) for u in bad])
+    assert batch == _printed(lambda: [sc.classify_point(QUARTIC, u) for u in bad])
 
 
 def test_bad_curves_rejected():
@@ -1052,14 +1062,14 @@ def test_fixture_polynomial_equals_substitution_oracle():
 MATCH_WINDOW = 1e-5
 
 
-def full_bisection_scan(curve, path, interval=(0, 1), nsamples=21, fixtures=None, seed=0) -> sc.PathReport:
+def full_bisection_scan(curve, path, interval=(0, 1), nsamples=21, fixtures=None) -> sc.PathReport:
     """Reference scan: bisect every sample change to width 1e-12, then take
     the nearest unmatched root within MATCH_WINDOW; label the other roots
     from their two probes."""
     path = tuple((Fraction(c0), Fraction(c1)) for c0, c1 in path)
     lo, hi = (Fraction(v) for v in interval)
     ts = [lo + (hi - lo) * k / (nsamples - 1) for k in range(nsamples)]
-    samples = [sc._sample(t, sc.classify_point(curve, sc._path_point(path, t), seed=seed)) for t in ts]
+    samples = [sc._sample(t, sc.classify_point(curve, sc._path_point(path, t))) for t in ts]
     changes = []
     for (ta, sa), (tb, sb) in zip(zip(ts, samples), zip(ts[1:], samples[1:])):
         if sa.label == sb.label:
@@ -1067,7 +1077,7 @@ def full_bisection_scan(curve, path, interval=(0, 1), nsamples=21, fixtures=None
         a, b = ta, tb
         while b - a > sc.BISECTION_WIDTH:
             mid = (a + b) / 2
-            if sc.classify_point(curve, sc._path_point(path, mid), seed=seed).label == sa.label:
+            if sc.classify_point(curve, sc._path_point(path, mid)).label == sa.label:
                 a = mid
             else:
                 b = mid
@@ -1088,8 +1098,8 @@ def full_bisection_scan(curve, path, interval=(0, 1), nsamples=21, fixtures=None
     for i, (root, kind) in enumerate(roots):
         if i in matched:
             continue
-        before, after = (sc._rank_of(sc.classify_point(curve, sc._path_point(path, Fraction(root) + d),
-                                                       seed=seed).label) for d in (-probe, probe))
+        before, after = (sc._rank_of(sc.classify_point(curve, sc._path_point(path, Fraction(root) + d)).label)
+                         for d in (-probe, probe))
         transitions.append(sc.PathTransition(root, kind if before != after else sc.NO_RANK_CHANGE,
                                              before, after, kind))
     transitions.sort(key=lambda tr: tr.t_star)
@@ -1155,9 +1165,8 @@ def test_scan_equals_full_bisection(sextics, interval, nsamples, fixtures, withi
     # it, not from the sample: its t* may differ from the reference's by
     # the bisection width
     sextics(fixtures)
-    report = sc.scan_path(QUARTIC, sc.CROSSING_PATH, interval, nsamples, seed=1729)
-    reference = full_bisection_scan(QUARTIC, sc.CROSSING_PATH, interval, nsamples, fixtures,
-                                    seed=1729)
+    report = sc.scan_path(QUARTIC, sc.CROSSING_PATH, interval, nsamples)
+    reference = full_bisection_scan(QUARTIC, sc.CROSSING_PATH, interval, nsamples, fixtures)
     if not within:
         assert report == reference
         return
@@ -1178,11 +1187,11 @@ def test_decoy_root_adds_only_its_two_probes(sextics, classify_counter):
     # decoy's
     interval = (Fraction(3, 10), Fraction(1, 2))
     sextics(FIXTURES)
-    sc.scan_path(QUARTIC, sc.CROSSING_PATH, interval, 5, seed=1729)
+    sc.scan_path(QUARTIC, sc.CROSSING_PATH, interval, 5)
     assert len(classify_counter) == 7
     classify_counter.clear()
     sextics(DECOYED)
-    report = sc.scan_path(QUARTIC, sc.CROSSING_PATH, interval, 5, seed=1729)
+    report = sc.scan_path(QUARTIC, sc.CROSSING_PATH, interval, 5)
     assert len(classify_counter) == 9
     assert [tr.kind for tr in report.transitions] == [sc.TANGENTIAL, sc.NO_RANK_CHANGE]
 
@@ -1196,13 +1205,13 @@ def test_probe_outside_the_interval_is_not_bisected_from(sextics):
     lo = Fraction(T_STARS[0]) + probe / 2
     decoy = lo + probe / 4
     sextics({**FIXTURES, "DECOY": decoy_fixture(decoy)})
-    report = sc.scan_path(QUARTIC, sc.CROSSING_PATH, (lo, lo + Fraction(1, 100)), seed=1729)
+    report = sc.scan_path(QUARTIC, sc.CROSSING_PATH, (lo, lo + Fraction(1, 100)))
     assert [(tr.kind, tr.rank_before, tr.rank_after) for tr in report.transitions] == [("DECOY", 3, 2)]
     assert abs(report.transitions[0].t_star - float(decoy)) <= 1e-15
 
 
 def test_crossing_scan_classifies_only_samples_and_probes(classify_counter):
-    report = sc.scan_path(QUARTIC, sc.CROSSING_PATH, seed=1729)
+    report = sc.scan_path(QUARTIC, sc.CROSSING_PATH)
     assert [tr.kind for tr in report.transitions] == [sc.TANGENTIAL, sc.NO_RANK_CHANGE,
                                                       sc.NO_RANK_CHANGE, sc.EDGE]
     # 21 samples and two probes at each of the four roots: every change
@@ -1224,7 +1233,7 @@ def crossing_part(a: Fraction, b: Fraction) -> tuple:
 def test_scan_classify_calls(classify_counter, path, kinds, calls):
     # a part around one rank change: 21 samples and its root's two probes;
     # a segment without a fixture root: the samples alone
-    report = sc.scan_path(QUARTIC, path, seed=1729)
+    report = sc.scan_path(QUARTIC, path)
     assert [tr.kind for tr in report.transitions] == kinds
     assert len(classify_counter) == calls
 
@@ -1234,11 +1243,11 @@ def test_lone_decoy_root_is_probed_once(sextics, classify_counter):
     # bisected between the sample before it and its first probe; the
     # NO_RANK_CHANGE row reads the same two probes
     sextics(LONE_DECOY)
-    report = sc.scan_path(QUARTIC, sc.CROSSING_PATH, seed=1729)
+    report = sc.scan_path(QUARTIC, sc.CROSSING_PATH)
     assert [tr.kind for tr in report.transitions] == [sc.UNLABELED, sc.NO_RANK_CHANGE, sc.UNLABELED]
     assert len(classify_counter) == 94
     classify_counter.clear()
-    full_bisection_scan(QUARTIC, sc.CROSSING_PATH, fixtures=LONE_DECOY, seed=1729)
+    full_bisection_scan(QUARTIC, sc.CROSSING_PATH, fixtures=LONE_DECOY)
     assert len(classify_counter) == 95
 
 
