@@ -36,7 +36,7 @@ def main() -> int:
 
     print(f"\ntransitions ({len(report.transitions)}):")
     for tr in report.transitions:
-        print(f"  t* = {tr.t_star:.17f}  {tr.kind:<15} rank {tr.rank_before} -> "
+        print(f"  t* = {tr.t_star!r:<19}  {tr.kind:<15} rank {tr.rank_before} -> "
               f"{tr.rank_after}  (surface: {tr.surface})")
 
     print("\nsegment census (real secant lines / with two real curve points):")

@@ -6,8 +6,8 @@ trimmed (no trailing zero; [] is zero) where a function says so.
 binary rational value) and scales them to integers once.  Every gcd,
 square-free part and Sturm chain comes from one primitive integer remainder
 sequence, and the sign of f at a rational interval end comes from integer
-Horner on the homogenized form, so root counts and interval signs are never
-subject to rounding; only the final refined root is reported as a double.
+Horner on the homogenized form: no root count or interval sign is ever
+rounded, and each root is reported as the double nearest it, ties to even.
 All Z[x] arithmetic of the package lives here: `_add`, `_sub`, `_mul`,
 `_exact_div`, and Kronecker substitution into the integer `_det` and back.
 """
@@ -17,14 +17,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import zip_longest
-from math import gcd
+from math import gcd, nextafter
 from typing import Sequence
 
 from .exactsolve import InexactDivision, as_fraction, integer_row
-
-ISOLATION_WIDTH = Fraction(1, 2 ** 40)
-MAX_REFINE_STEPS = 60
-REFINE_TOL = 1e-13  # Newton stops at a step below this, relative to max(1, |x|)
 
 
 def _trimmed(coeffs: Sequence[int]) -> list[int]:
@@ -229,85 +225,50 @@ def count_roots_halfopen(chain: list[list[int]], lo: Fraction, hi: Fraction) -> 
 
 
 def _isolate(chain: list[list[int]], lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint half-open intervals (a, b], each holding exactly one root.
-
-    Sturm counts split an interval while it holds several roots or f(a) = 0.
-    Once (a, b] holds one simple root and f(a) != 0, the root is in
-    (a, mid] exactly when f(mid) = 0 or the sign of f(mid) differs from that
-    of f(a): the same halves, from two values of f instead of two chains.
-    """
-    f = chain[0]
+    """Disjoint half-open intervals (a, b], ascending, each holding exactly
+    one root with f(a) != 0: Sturm counts split an interval while it holds
+    several roots or its left end is a root."""
     out: list[tuple[Fraction, Fraction]] = []
     stack = [(lo, hi, count_roots_halfopen(chain, lo, hi))]
     while stack:
         a, b, k = stack.pop()
         if k == 0:
             continue
-        if k == 1 and b - a <= ISOLATION_WIDTH:
+        if k == 1 and _sign_at(chain[0], a):
             out.append((a, b))
             continue
         mid = (a + b) / 2
-        if k == 1 and (sign_a := _sign_at(f, a)):
-            left = int(_sign_at(f, mid) != sign_a)
-        else:
-            left = count_roots_halfopen(chain, a, mid)
+        left = count_roots_halfopen(chain, a, mid)
         stack.append((a, mid, left))
         stack.append((mid, b, k - left))
     out.sort()
     return out
 
 
-def _horner(coeffs: list[float], x: float) -> float:
-    total = 0.0
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
-
-
-def _refine(f: list[int], chain: list[list[int]], a: Fraction, b: Fraction) -> float:
-    """Polish the single root of f inside (a, b]; exact signs guard Newton."""
-    if _sign_at(f, b) == 0:
+def _nearest_double(f: list[int], a: Fraction, b: Fraction) -> float:
+    """The double nearest the one root of f in (a, b], ties to even, where
+    f(a) != 0.  The root is in (a, mid] exactly when f(mid) = 0 or the sign
+    of f(mid) differs from that of f(a); halving stops once a and b round
+    to one double, which the root rounds to as well, since rounding is
+    monotone.  Ends that round to adjacent doubles x < y are split once at
+    the tie between them: the root is the tie, below it (and rounds to x)
+    or above it (and rounds to y)."""
+    if not _sign_at(f, b):
         return float(b)
-    guard = 0
-    while _sign_at(f, a) == 0:
-        # rare: a coincides with a root outside this half-open interval
+    sign_a = _sign_at(f, a)
+    while (x := float(a)) != (y := float(b)):
+        if nextafter(x, y) == y:
+            tie = (Fraction(x) + Fraction(y)) / 2
+            sign = _sign_at(f, tie)
+            return float(tie) if not sign else y if sign == sign_a else x
         mid = (a + b) / 2
-        if _sign_at(f, mid) == 0:
+        sign = _sign_at(f, mid)
+        if not sign:
             return float(mid)
-        if count_roots_halfopen(chain, mid, b) == 1:
+        if sign == sign_a:
             a = mid
         else:
             b = mid
-        guard += 1
-        if guard > 200:
-            return float((a + b) / 2)
-    sign_a = _sign_at(f, a)
-    # each int / int rounds the exact ratio once, as float(Fraction) would
-    scale = max(abs(c) for c in f)
-    fn = [c / scale for c in f]
-    dfn = [(i * c) / scale for i, c in enumerate(f)][1:]
-    x = float((a + b) / 2)
-    for _ in range(MAX_REFINE_STEPS):
-        val = _horner(fn, x)
-        der = _horner(dfn, x)
-        if der == 0.0:
-            break
-        step = val / der
-        nxt = x - step
-        if not (float(a) <= nxt <= float(b)):
-            mid = (a + b) / 2
-            v = _sign_at(f, mid)
-            if v == 0:
-                return float(mid)
-            if v == sign_a:
-                a = mid
-            else:
-                b = mid
-            x = float((a + b) / 2)
-            continue
-        x = nxt
-        if abs(step) <= REFINE_TOL * max(1.0, abs(x)) / 16:
-            break
     return x
 
 
@@ -316,8 +277,8 @@ def real_roots(p: Sequence, lo, hi) -> list[tuple[float, int]]:
     coefficients p (ints, Fractions or floats), as (root, multiplicity),
     ascending.
 
-    Root counts and isolation come from exact Sturm sequences; every returned
-    value is within max(REFINE_TOL, isolation width) of the exact root.
+    Root counts and isolation come from exact Sturm sequences, and each
+    returned value is the double nearest its exact root, ties to even.
     """
     p = _trimmed(integer_row(p))
     if not p:
@@ -336,8 +297,7 @@ def real_roots(p: Sequence, lo, hi) -> list[tuple[float, int]]:
             f = _exact_div(f, [-hi.numerator, hi.denominator])
         if len(f) < 2:
             continue
-        chain = sturm_chain(f)
-        for a, b in _isolate(chain, lo, hi):
-            found.append((_refine(f, chain, a, b), mult))
+        for a, b in _isolate(sturm_chain(f), lo, hi):
+            found.append((_nearest_double(f, a, b), mult))
     found.sort()
     return found

@@ -723,7 +723,7 @@ def test_curve_cli_golden(tmp_path, capsys, argv, status, expected):
 
 
 @pytest.mark.parametrize("fmt, digest", [
-    ("json", "ddc3520f6c4d545cf956be11349e9a4d5628ad58d935915caaf0d77b9f8bf37e"),
+    ("json", "4e66372ebd6816ce4165da213135ea124950ac15e31bad3abe3c3de8fcd60b60"),
     ("csv", "69c00692a1d645f531ddd62b43811013147f00345fd3fa01d796b62dfb4103d5"),
 ])
 def test_default_crossing_scan_digest(capsys, fmt, digest):

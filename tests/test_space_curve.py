@@ -769,8 +769,9 @@ def test_scan_localizes_all_four_boundary_crossings():
     assert surfaces == [sc.TANGENTIAL, sc.EDGE, sc.TANGENTIAL, sc.EDGE]
     ranks = [(tr.rank_before, tr.rank_after) for tr in report.transitions]
     assert ranks == [(3, 2), (2, 2), (2, 2), (2, 3)]
-    for tr, expected in zip(report.transitions, T_STARS):
-        assert abs(tr.t_star - expected) <= 1e-10
+    # each T_STARS literal, 20 digits of an exact root, rounds to the double
+    # nearest that root
+    assert [tr.t_star for tr in report.transitions] == list(T_STARS)
     for tr in report.transitions:
         surface = FIXTURES[tr.surface]
         point = {v: c0 + c1 * Fraction(tr.t_star).limit_denominator(10 ** 15)
@@ -778,6 +779,14 @@ def test_scan_localizes_all_four_boundary_crossings():
         value = float(evaluate(surface, point))
         scale = max(abs(c / surface.den) for c in surface.terms.values()) * 100.0 ** 3
         assert abs(value) <= 1e-9 * scale
+
+
+def test_a_rational_crossing_reports_its_nearest_double():
+    # u(t) = (1, 2, 4, 5) + (t - 1/3) (1, -2, 3, 1), and (1, 2, 4, 5) lies on
+    # the tangent line at (1 : 1), so the tangential sextic has the root 1/3
+    path = ((Fraction(2, 3), 1), (Fraction(8, 3), -2), (3, 3), (Fraction(14, 3), 1))
+    tangential = [tr.t_star for tr in sc.scan_path(QUARTIC, path).transitions if tr.surface == sc.TANGENTIAL]
+    assert tangential[0] == float(Fraction(1, 3))
 
 
 def test_scan_without_fixtures_marks_changes_unlabeled(sextics):

@@ -7,6 +7,7 @@ bound."""
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 import realrank2
 from realrank2.exactsolve import InexactDivision, content
-from realrank2.unipoly import (ISOLATION_WIDTH, _exact_div, _isolate, count_roots_halfopen, poly_gcd, real_roots,
+from realrank2.unipoly import (_exact_div, _isolate, _nearest_double, count_roots_halfopen, poly_gcd, real_roots,
                               squarefree_decomposition, sturm_chain)
 
 
@@ -150,15 +151,16 @@ def test_sturm_count_on_known_roots():
 
 
 def isolate_by_counts(chain, lo, hi):
-    """Bisection that splits every interval by Sturm counts: the reference
-    _isolate is tested against."""
+    """Bisection that splits every interval by Sturm counts until it holds
+    one root: the reference the sign halving of _nearest_double is tested
+    against."""
     out = []
     stack = [(lo, hi, count_roots_halfopen(chain, lo, hi))]
     while stack:
         a, b, k = stack.pop()
         if k == 0:
             continue
-        if k == 1 and b - a <= ISOLATION_WIDTH:
+        if k == 1:
             out.append((a, b))
             continue
         mid = (a + b) / 2
@@ -169,20 +171,41 @@ def isolate_by_counts(chain, lo, hi):
     return out
 
 
+def rounds_to(chain, a, b, x: float) -> bool:
+    """Whether the one root of chain[0] in (a, b] rounds to the double x,
+    ties to even: whether Sturm counts put it inside x's rounding interval,
+    or on one of its ends when x is even."""
+    def at_most(c):  # the root <= c
+        return c > a and count_roots_halfopen(chain, a, min(b, c)) == 1
+
+    def at(c):  # the root == c
+        return a < c <= b and value_at(chain[0], c) == 0
+
+    below = (Fraction(math.nextafter(x, -math.inf)) + Fraction(x)) / 2
+    above = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+    even = Fraction(x) / Fraction(math.ulp(x)) % 2 == 0
+    return ((not at_most(below) or at(below) and even)
+            and (at_most(above) and not at(above) or at(above) and even))
+
+
 dyadic_roots = st.lists(st.tuples(st.integers(-12, 12), st.sampled_from([1, 2, 4, 8, 3])), max_size=4)
 
 
 @settings(max_examples=60, deadline=None)
 @given(dyadic_roots, st.lists(st.integers(-9, 9), max_size=5), st.integers(-6, 2), st.integers(1, 12))
-def test_isolation_by_signs_gives_the_counted_intervals(roots, extra, lo, width):
+def test_sign_halving_rounds_each_counted_root_to_its_nearest_double(roots, extra, lo, width):
     """On the squarefree factors of (den x - num) products times a random
-    integer polynomial, _isolate returns the intervals of count-only
-    bisection, also when an interval end or a midpoint is a root."""
+    integer polynomial, _isolate finds the roots of count-only bisection,
+    also when an interval end or a midpoint is a root, and sign halving
+    rounds each to the double whose rounding interval holds it."""
     p = product(extra if any(extra) else [1], *[[-num, den] for num, den in roots])
     lo, hi = Fraction(lo), Fraction(lo) + Fraction(width, 2)
     for factor, _mult in squarefree_decomposition(p):
         chain = sturm_chain(factor)
-        assert _isolate(chain, lo, hi) == isolate_by_counts(chain, lo, hi)
+        counted = isolate_by_counts(chain, lo, hi)
+        found = [_nearest_double(factor, a, b) for a, b in _isolate(chain, lo, hi)]
+        assert len(found) == len(counted)
+        assert all(rounds_to(chain, a, b, x) for (a, b), x in zip(counted, found))
 
 
 @st.composite
@@ -211,10 +234,7 @@ def test_real_roots_find_every_planted_root_with_its_multiplicity(case, extra):
             rest, mult = fraction_divmod(rest, [-r, 1])[0], mult + 1
         x, got = min(found, key=lambda root: abs(root[0] - r))
         assert got == mult
-        if r in (lo, hi):
-            assert x == float(r)
-        else:
-            assert abs(x - r) <= ISOLATION_WIDTH + 1e-12 * max(1, abs(r))
+        assert x == float(r)
 
 
 @settings(max_examples=50, deadline=None)
@@ -283,10 +303,9 @@ def test_real_roots_multiplicity():
 
 
 def test_high_precision_root():
-    # root of x^2 - 2 to 1e-13: matches sqrt(2)
-    roots = real_roots([-2, 0, 1], Fraction(0), Fraction(2))
-    assert len(roots) == 1
-    assert abs(roots[0][0] - 2 ** 0.5) < 1e-12
+    # math.sqrt is correctly rounded, so it is the double nearest sqrt(n)
+    for n in range(2, 500):
+        assert real_roots([-n, 0, 1], Fraction(0), Fraction(n)) == [(math.sqrt(n), 1)]
 
 
 def test_exact_division_raises_on_a_non_divisor_under_optimize():
@@ -326,8 +345,44 @@ def test_exact_division_leaves_no_remainder_unseen():
         _exact_div([1, 0, 1], [1, 1])  # x^2 + 1 = (x + 1)(x - 1) + 2
 
 
-def test_refine_steps_off_a_left_end_that_is_another_root():
+def test_isolation_steps_off_a_left_end_that_is_another_root():
     # (2x - 1)(Dx - N) has roots 1/2 and N/D = 1/2 + 2^-42: bisection of
-    # [0, 1] isolates N/D in an interval whose left end is the root 1/2
+    # [0, 1] first gives N/D the interval (1/2, 1], whose left end is the
+    # root 1/2
     n, d = 2 ** 41 + 1, 2 ** 42
     assert real_roots([n, -(d + 2 * n), 2 * d], 0, 1) == [(0.5, 1), (0.5 + 2.0 ** -42, 1)]
+
+
+rational_roots = st.lists(st.tuples(st.fractions(-3, 3, max_denominator=10 ** 6), st.integers(1, 2)),
+                          min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_roots, st.sampled_from([Fraction(1, 3), Fraction(-7, 5), Fraction(0), Fraction(-3)]),
+       st.sampled_from([Fraction(2, 3), Fraction(1), Fraction(22, 7), Fraction(6)]))
+def test_real_roots_of_rational_linear_factors_are_their_nearest_doubles(roots, lo, width):
+    """A product of (den x - num) factors has its roots exactly: each one in
+    [lo, hi] is reported as float(Fraction), on intervals such as (1/3, 1]
+    whose bisection points are not dyadic."""
+    hi = lo + width
+    p = product(*[[-r.numerator, r.denominator] for r, mult in roots for _ in range(mult)])
+    want = {r: sum(m for s, m in roots if s == r) for r, _mult in roots}
+    assert real_roots(p, lo, hi) == sorted((float(r), m) for r, m in want.items() if lo <= r <= hi)
+
+
+def test_a_root_halfway_between_two_doubles_rounds_to_even():
+    # 1/2 + 2^-54 is the tie between 1/2 and its successor 1/2 + 2^-53, and
+    # 1 + 3 * 2^-53 the tie between 1 + 2^-52 and its even successor
+    assert real_roots([-(2 ** 53 + 1), 2 ** 54], 0, 1) == [(0.5, 1)]
+    assert real_roots([-(2 ** 53 + 3), 2 ** 53], 0, 2) == [(1 + 2.0 ** -51, 1)]
+
+
+def test_a_tie_at_the_right_end_of_a_counted_interval_rounds_up():
+    # t = 1 + 3 * 2^-53 is the tie between 1 + 2^-52 and the even 1 + 2^-51;
+    # count bisection of [0, 2t] splits at t and then t/2, so t is the
+    # right end of the interval that isolates it
+    t = Fraction(2 ** 53 + 3, 2 ** 53)
+    p = product([-1, 4], [-t.numerator, t.denominator])
+    assert (t / 2, t) in _isolate(sturm_chain(p), Fraction(0), 2 * t)
+    assert float(t) == 1 + 2.0 ** -51
+    assert real_roots(p, 0, 2 * t) == [(0.25, 1), (float(t), 1)]
